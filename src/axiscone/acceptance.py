@@ -7,7 +7,6 @@ are byte-reproducible for a fixed master seed.
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .cones import (
 )
 from .operators import SymmetricOperator, bottom_eigen, correspondence_check, top_eigen
 from .perturbation import (
-    FixedPerturbation,
+    PerturbationFamily,
     drifted_axis,
     end_to_end_semigroup_check,
     ergodic_drift_check,
@@ -80,8 +79,8 @@ def criterion_1_radius_formula(seed):
 def criterion_2_threshold_reproduction(seed):
     started = time.perf_counter()
     t = SymmetricOperator(np.diag([0.0, 1.0]))
-    s_spec = FixedPerturbation(SymmetricOperator([[0.0, 1.0], [1.0, 0.0]]),
-                               a=0.0, b=1.0)
+    s_spec = PerturbationFamily([SymmetricOperator([[0.0, 1.0], [1.0, 0.0]])],
+                                a=0.0, b=1.0)
     s0 = math.log(2.0)
     budget = semigroup_threshold(t, s_spec, s0=s0, kappa0=0.5,
                                  kappa_grid=np.linspace(-0.45, 0.45, 41))
@@ -250,7 +249,7 @@ def criterion_7_riesz_suite(seed):
         t = SymmetricOperator((q * eigs) @ q.T)
         g = rng.standard_normal((dim, dim))
         s_mat = SymmetricOperator((g + g.T) / 2.0)
-        s_spec = FixedPerturbation((0.05 / s_mat.norm) * s_mat)
+        s_spec = PerturbationFamily([(0.05 / s_mat.norm) * s_mat])
         budget = semigroup_threshold(t, s_spec, s0=1.0, kappa0=1.0,
                                      kappa_grid=np.linspace(-0.9, 0.9, 13))
         _, u0, _ = bottom_eigen(t, require_simple=True)
@@ -318,9 +317,6 @@ RUNTIME_BUDGETS = {1: 1.0, 2: 5.0, 3: 30.0, 4: 30.0, 5: 10.0, 6: 1.0,
                    7: 30.0, 8: 10.0, 9: 60.0}
 
 
-def run_criteria(seed, jobs=1):
+def run_criteria(seed):
     """Execute criteria 1-9 for a master seed, in order."""
-    if jobs <= 1:
-        return [criterion(seed) for criterion in CRITERIA]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda c: c(seed), CRITERIA))
+    return [criterion(seed) for criterion in CRITERIA]

@@ -35,8 +35,6 @@ def _add_common(parser, with_kind=None):
     parser.add_argument("--out", metavar="PATH", help="write the report here")
     parser.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp header line (byte-reproducible output)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run independent rows on up to N threads")
     if with_kind:
         parser.add_argument("--kind", choices=with_kind, default=with_kind[0],
                             help="config kind when no --config is given")
@@ -101,7 +99,7 @@ def main(argv=None):
     try:
         if args.command in _SUBCOMMAND_KINDS:
             config = _config_for(args, args.command)
-            report = run(config, jobs=args.jobs)
+            report = run(config)
             if config.output_path and not args.out:
                 args.out = config.output_path
             return _emit(report, args)
@@ -119,12 +117,12 @@ def main(argv=None):
             return EXIT_OK if not bad else EXIT_VIOLATION
 
         if args.command == "selftest":
-            report = selftest(args.seed or 0, jobs=args.jobs)
+            report = selftest(args.seed or 0)
             for row in report.rows:
                 print(f"criterion {row[0]} {row[1]}: {row[2]}", file=sys.stderr)
             code = _emit(report, args)
             if args.repeat:
-                again = selftest(args.seed or 0, jobs=args.jobs)
+                again = selftest(args.seed or 0)
                 if again.render(timestamp=False) != report.render(timestamp=False):
                     print("determinism check FAILED: reports differ", file=sys.stderr)
                     return EXIT_VIOLATION

@@ -6,9 +6,9 @@ Given the same config, the emitted rows are byte-identical across runs; the
 timestamp header line is optional so whole files can be compared.
 """
 
+import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from .cones import (
+    TAU_MEMBERSHIP,
     AxisCone,
     OrthantCone,
     Region,
@@ -25,14 +26,23 @@ from .cones import (
     unit_perp,
 )
 from .errors import ConfigInvalid
-from .operators import SymmetricOperator, top_eigen
+from .operators import (
+    CORRESPONDENCE_TOL,
+    RECON_TOL,
+    TAU_GAP,
+    TAU_SYM,
+    SymmetricOperator,
+    top_eigen,
+)
 from .perturbation import (
+    RIESZ_TOL,
     SWEEP_CSV_COLUMNS,
-    FixedPerturbation,
+    PerturbationFamily,
     end_to_end_semigroup_check,
     semigroup_threshold,
 )
 from .positivity import (
+    TAU_STRICT,
     VerdictStatus,
     improves_positivity_axis,
     perron_frobenius_check,
@@ -51,14 +61,15 @@ from .seeding import derive_seed, rng_for
 
 KINDS = ("cone_axioms", "pf_verify", "perturb_sweep", "schrodinger")
 
+# The tolerances in force, echoed in every report header.
 TOLERANCES = {
-    "tau_sym": 1e-12,
-    "tau_gap": 1e-9,
-    "tau_membership": 1e-10,
-    "tau_strict": 1e-10,
-    "reconstruction": 1e-10,
-    "riesz_idempotency": 1e-8,
-    "correspondence": 1e-9,
+    "tau_sym": TAU_SYM,
+    "tau_gap": TAU_GAP,
+    "tau_membership": TAU_MEMBERSHIP,
+    "tau_strict": TAU_STRICT,
+    "reconstruction": RECON_TOL,
+    "riesz_idempotency": RIESZ_TOL,
+    "correspondence": CORRESPONDENCE_TOL,
 }
 
 FLAVORS = ("generic", "psd-simple", "degenerate-top")
@@ -330,12 +341,12 @@ def _g17(x):
     return format(float(x), ".17g")
 
 
-def _run_cone_axioms(config, jobs=1):
+def _run_cone_axioms(config):
     params = config.params
     cone_kinds = sorted(params["cones"])
 
-    def run_dim(dim):
-        rows = []
+    rows = []
+    for dim in sorted(params["dims"]):
         for kind_index, cone_kind in enumerate(cone_kinds):
             task_seed = derive_seed(config.seed, dim, kind_index)
             if cone_kind == "axis":
@@ -388,11 +399,7 @@ def _run_cone_axioms(config, jobs=1):
                              str(params["samples"]), _g17(worst_orth),
                              str(partner_violations),
                              "1" if partner_violations == 0 else "0"])
-        return rows
 
-    dims = sorted(params["dims"])
-    blocks = _map_ordered(run_dim, dims, jobs)
-    rows = [row for block in blocks for row in block]
     worst = max(float(row[4]) for row in rows)
     return Report(kind=config.kind, seed=config.seed,
                   config_json=config.canonical_json(),
@@ -401,21 +408,16 @@ def _run_cone_axioms(config, jobs=1):
                   summary_extra=[("summary_worst_defect", _g17(worst))])
 
 
-def _run_pf_verify(config, jobs=1):
+def _run_pf_verify(config):
     params = config.params
-    tasks = []
-    for dim in sorted(params["dims"]):
-        for flavor in sorted(params["flavors"]):
-            for index in range(params["instances_per_flavor"]):
-                tasks.append((dim, flavor, index))
-
-    def run_task(task):
-        dim, flavor, index = task
+    rows = []
+    for dim, flavor, index in itertools.product(sorted(params["dims"]),
+                                                sorted(params["flavors"]),
+                                                range(params["instances_per_flavor"])):
         instance_seed = derive_seed(config.seed, dim, FLAVORS.index(flavor), index)
         a = generate_instance(flavor, dim, instance_seed)
         _, u0, _ = top_eigen(a)
         cone = AxisCone(u0)
-        rows = []
 
         def add(verdict, expected):
             ok = verdict.status in expected
@@ -441,10 +443,7 @@ def _run_pf_verify(config, jobs=1):
                          "agree" if pf.agree else "disagree",
                          _g17(pf.top_eigenvalue), "", str(instance_seed),
                          "1" if pf.agree else "0"])
-        return rows
 
-    blocks = _map_ordered(run_task, tasks, jobs)
-    rows = [row for block in blocks for row in block]
     margins = [float(row[4]) for row in rows if row[4]]
     summary = [("summary_min_margin", _g17(min(margins)))] if margins else []
     return Report(kind=config.kind, seed=config.seed,
@@ -461,14 +460,14 @@ def _swap_instance():
     return t, s
 
 
-def _run_perturb(config, jobs=1):
+def _run_perturb(config):
     params = config.params
     if "t" in params:
         t = SymmetricOperator(np.array(params["t"], dtype=float))
         s_matrix = SymmetricOperator(np.array(params["s"], dtype=float))
     else:
         t, s_matrix = _swap_instance()
-    s_spec = FixedPerturbation(s_matrix, a=params["a"], b=params["b"])
+    s_spec = PerturbationFamily([s_matrix], a=params["a"], b=params["b"])
     budget = semigroup_threshold(t, s_spec, s0=params["s0"], kappa0=params["kappa0"],
                                  kappa_grid=params["kappa_grid"])
     kappas = params.get("kappas")
@@ -504,7 +503,7 @@ def _model_from_params(params):
                      s0=float(params["s0"]))
 
 
-def _run_schrodinger(config, jobs=1):
+def _run_schrodinger(config):
     params = config.params
     model_file = _model_from_params(params)
     model = model_file.model(0.0)
@@ -547,17 +546,9 @@ _RUNNERS = {
 }
 
 
-def _map_ordered(fn, tasks, jobs):
-    """Run independent tasks, possibly concurrently, keeping input order."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks))
-
-
-def run(config, jobs=1):
+def run(config):
     """Dispatch a validated config to its experiment pipeline."""
-    return _RUNNERS[config.kind](config, jobs=jobs)
+    return _RUNNERS[config.kind](config)
 
 
 @dataclass(frozen=True)
@@ -627,7 +618,7 @@ def replay(text):
     return results
 
 
-def selftest(seed, jobs=1):
+def selftest(seed):
     """Run acceptance criteria 1-9 and report one row per criterion.
 
     Timing is deliberately kept out of the rows so two runs with the same
@@ -636,7 +627,7 @@ def selftest(seed, jobs=1):
     """
     from .acceptance import run_criteria
 
-    results = run_criteria(seed, jobs=jobs)
+    results = run_criteria(seed)
     rows = [
         [str(res.number), res.name, "pass" if res.passed else "fail", res.detail,
          "1" if res.passed else "0"]

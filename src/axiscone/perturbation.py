@@ -43,6 +43,7 @@ from .seeding import derive_seed, rng_for
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT2 = 1.0 / SQRT2
+RIESZ_TOL = 1e-8   # imaginary residual and idempotency defect of contour projectors
 
 
 def radius_from_alpha(alpha):
@@ -201,9 +202,9 @@ class RieszProjector:
 def riesz_projector(T, center, radius, nodes=64):
     """Trapezoidal contour quadrature of the resolvent around a circle.
 
-    The result must be real and idempotent to 1e-8; the quadrature converges
-    exponentially in the node count because the integrand is analytic in an
-    annulus around the contour.
+    The result must be real and idempotent to RIESZ_TOL; the quadrature
+    converges exponentially in the node count because the integrand is
+    analytic in an annulus around the contour.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -226,68 +227,70 @@ def riesz_projector(T, center, radius, nodes=64):
         )
     proj = (radius / nodes) * acc
     imag_residual = float(np.max(np.abs(proj.imag)))
-    if imag_residual > 1e-8:
+    if imag_residual > RIESZ_TOL:
         raise ContractViolation(
             f"contour projector has imaginary residual {imag_residual:.3e}"
         )
     real = proj.real.copy()
     defect = float(np.linalg.norm(real @ real - real))
-    if defect > 1e-8:
+    if defect > RIESZ_TOL:
         raise ContractViolation(f"contour projector idempotency defect {defect:.3e}")
     real.setflags(write=False)
     return RieszProjector(matrix=real, center=center, radius=radius, nodes=nodes,
                           imag_residual=imag_residual, idempotency_defect=defect)
 
 
-class FixedPerturbation:
-    """Linear family kappa -> kappa * S with relative bounds a|kappa|, b|kappa|.
+class PerturbationFamily:
+    """Polynomial family S(kappa) = sum_{k=1..d} kappa^k S_k of symmetric operators.
 
-    At finite dimension the tightest defaults are a = 0 and b = ||S||; the
-    unbounded-operator analysis these constants usually come from trivializes
-    here.
+    A linear family (d = 1) carries the relative bounds a|kappa| and
+    b|kappa| with the closed-form c-slope; at finite dimension the tightest
+    defaults are a = 0 and b = ||S_1||, because the unbounded-operator
+    analysis these constants usually come from trivializes here.  A family
+    of higher degree takes a(kappa) = 0 and the exact b(kappa) = ||S(kappa)||,
+    and its admissible range is read off the kappa grid.
     """
 
-    def __init__(self, S, a=0.0, b=None):
-        if not isinstance(S, SymmetricOperator):
-            S = SymmetricOperator(S)
-        self.S = S
+    def __init__(self, coefficients, a=0.0, b=None):
+        coefficients = tuple(
+            c if isinstance(c, SymmetricOperator) else SymmetricOperator(c)
+            for c in coefficients
+        )
+        if not coefficients:
+            raise ValueError("need at least one coefficient")
+        if any(c.dim != coefficients[0].dim for c in coefficients):
+            raise ValueError("coefficients differ in dimension")
+        if len(coefficients) > 1 and (a != 0.0 or b is not None):
+            raise ValueError("relative bounds a, b apply to linear families only")
+        self.coefficients = coefficients
         self.a = float(a)
-        self.b = S.norm if b is None else float(b)
+        self.b = None   # higher degrees take b(kappa) = ||S(kappa)|| instead
+        if len(coefficients) == 1:
+            self.b = coefficients[0].norm if b is None else float(b)
+
+    @property
+    def degree(self):
+        return len(self.coefficients)
 
     def operator_at(self, kappa):
-        return float(kappa) * self.S
+        kappa = float(kappa)
+        total = kappa * self.coefficients[0].matrix
+        for k, coefficient in enumerate(self.coefficients[1:], start=2):
+            total = total + kappa**k * coefficient.matrix
+        return SymmetricOperator(total)
 
     def a_at(self, kappa):
         return self.a * abs(kappa)
 
     def b_at(self, kappa):
-        return self.b * abs(kappa)
-
-    def c_slope(self, mu, epsilon):
-        return self.a + ((abs(mu) + epsilon) * self.a + self.b) / epsilon
-
-
-class PerturbationFamily:
-    """Callback family kappa -> S(kappa) with tabulated relative bounds."""
-
-    def __init__(self, build, a_fn=None, b_fn=None):
-        self.build = build
-        self.a_fn = a_fn if a_fn is not None else lambda kappa: 0.0
-        self.b_fn = b_fn
-
-    def operator_at(self, kappa):
-        return self.build(kappa)
-
-    def a_at(self, kappa):
-        return float(self.a_fn(kappa))
-
-    def b_at(self, kappa):
-        if self.b_fn is not None:
-            return float(self.b_fn(kappa))
+        if self.degree == 1:
+            return self.b * abs(kappa)
         return self.operator_at(kappa).norm
 
     def c_slope(self, mu, epsilon):
-        return None
+        if self.degree > 1:
+            return None
+        return self.a + ((abs(mu) + epsilon) * self.a + self.b) / epsilon
 
 
 @dataclass(frozen=True)

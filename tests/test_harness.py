@@ -109,13 +109,6 @@ class TestRunners:
         ).render(timestamp=False)
         assert first == second
 
-    def test_jobs_do_not_change_output(self):
-        config = ExperimentConfig(kind="cone_axioms", seed=3,
-                                  params={"dims": [2, 3, 4], "samples": 100})
-        serial = run(config, jobs=1).render(timestamp=False)
-        parallel = run(config, jobs=4).render(timestamp=False)
-        assert serial == parallel
-
     def test_schrodinger_small(self):
         config = ExperimentConfig(
             kind="schrodinger", seed=1,
@@ -155,6 +148,25 @@ class TestReportFormat:
         without = report.render(timestamp=False)
         assert "# timestamp:" in with_ts
         assert "# timestamp:" not in without
+
+
+    def test_tolerance_header_echoes_constants_in_force(self):
+        from axiscone import cones, operators, perturbation, positivity
+
+        report = Report(kind="pf_verify", seed=0, config_json="{}",
+                        columns=["ok"], rows=[["1"]])
+        header, _, _ = parse_report(report.render(timestamp=False))
+        in_force = {
+            "tau_sym": operators.TAU_SYM,
+            "tau_gap": operators.TAU_GAP,
+            "tau_membership": cones.TAU_MEMBERSHIP,
+            "tau_strict": positivity.TAU_STRICT,
+            "reconstruction": operators.RECON_TOL,
+            "riesz_idempotency": perturbation.RIESZ_TOL,
+            "correspondence": operators.CORRESPONDENCE_TOL,
+        }
+        echoed = {key[4:]: value for key, value in header.items() if key.startswith("tol_")}
+        assert echoed == {key: format(value, ".17g") for key, value in in_force.items()}
 
 
 class TestReplay:

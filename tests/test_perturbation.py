@@ -13,7 +13,6 @@ from axiscone.errors import (
 )
 from axiscone.operators import SymmetricOperator, bottom_eigen
 from axiscone.perturbation import (
-    FixedPerturbation,
     PerturbationFamily,
     certified_improving_under_drift,
     drift_certificate_lhs,
@@ -47,7 +46,7 @@ def swap_instance():
     gap is sqrt(1 + 4 kappa^2) >= 1 and delta = 1 on any grid containing 0.
     """
     t = SymmetricOperator(np.diag([0.0, 1.0]))
-    s = FixedPerturbation(SymmetricOperator([[0.0, 1.0], [1.0, 0.0]]), a=0.0, b=1.0)
+    s = PerturbationFamily([SymmetricOperator([[0.0, 1.0], [1.0, 0.0]])], a=0.0, b=1.0)
     return t, s
 
 
@@ -252,7 +251,7 @@ class TestSemigroupThreshold:
 
     def test_zero_perturbation_all_admissible(self):
         t = SymmetricOperator(np.diag([0.0, 1.0]))
-        s = FixedPerturbation(SymmetricOperator(np.zeros((2, 2))), a=0.0, b=0.0)
+        s = PerturbationFamily([SymmetricOperator(np.zeros((2, 2)))], a=0.0, b=0.0)
         budget = semigroup_threshold(t, s, s0=1.0, kappa0=1.0,
                                      kappa_grid=np.linspace(-0.9, 0.9, 7))
         assert np.all(budget.admissible)
@@ -260,8 +259,8 @@ class TestSemigroupThreshold:
         assert budget.kappa_threshold == 1.0
 
     def test_small_gap_shrinks_threshold(self):
-        s_spec = FixedPerturbation(SymmetricOperator([[0.0, 1.0], [1.0, 0.0]]),
-                                   a=0.0, b=1.0)
+        s_spec = PerturbationFamily([SymmetricOperator([[0.0, 1.0], [1.0, 0.0]])],
+                                    a=0.0, b=1.0)
         wide = semigroup_threshold(SymmetricOperator(np.diag([0.0, 1.0])), s_spec,
                                    s0=2.0, kappa0=0.01, kappa_grid=[0.0])
         narrow = semigroup_threshold(SymmetricOperator(np.diag([0.0, 0.01])), s_spec,
@@ -273,30 +272,68 @@ class TestSemigroupThreshold:
 
     def test_degenerate_bottom(self):
         t = SymmetricOperator(np.diag([0.0, 0.0, 1.0]))
-        s = FixedPerturbation(SymmetricOperator(np.zeros((3, 3))))
+        s = PerturbationFamily([SymmetricOperator(np.zeros((3, 3)))])
         with pytest.raises(DegenerateBottom):
             semigroup_threshold(t, s, s0=1.0, kappa0=0.1, kappa_grid=[0.0])
 
     def test_gap_collapse(self):
         t = SymmetricOperator(np.diag([0.0, 1.0]))
         # kappa = 0 is fine, but the grid endpoint closes the gap exactly
-        fam = PerturbationFamily(
-            build=lambda kappa: SymmetricOperator(np.diag([0.0, -kappa])),
-            b_fn=lambda kappa: abs(kappa),
-        )
+        fam = PerturbationFamily([np.diag([0.0, -1.0])], b=1.0)
         with pytest.raises(GapCollapsed):
             semigroup_threshold(t, fam, s0=1.0, kappa0=2.0, kappa_grid=[0.0, 1.0])
 
     def test_family_mode_tabulates(self):
         t, _ = swap_instance()
-        fam = PerturbationFamily(
-            build=lambda kappa: SymmetricOperator(kappa * np.array([[0.0, 1.0], [1.0, 0.0]])),
-        )
+        # S(kappa) = [[0, kappa], [kappa, kappa^2]] has norm
+        # (kappa^2 + sqrt(kappa^4 + 4 kappa^2)) / 2
+        fam = PerturbationFamily([[[0.0, 1.0], [1.0, 0.0]], np.diag([0.0, 1.0])])
         grid = np.linspace(-0.04, 0.04, 9)
         budget = semigroup_threshold(t, fam, s0=math.log(2.0), kappa0=0.5, kappa_grid=grid)
-        np.testing.assert_allclose(budget.b_values, np.abs(grid), atol=1e-12)
+        expected = (grid**2 + np.sqrt(grid**4 + 4.0 * grid**2)) / 2.0
+        np.testing.assert_allclose(budget.b_values, expected, atol=1e-12)
+        np.testing.assert_array_equal(budget.a_values, 0.0)
         assert budget.c_slope is None
         assert budget.kappa_threshold == pytest.approx(0.04, abs=1e-12)
+
+
+class TestPerturbationFamily:
+    def test_linear_family_arithmetic(self):
+        s = SymmetricOperator([[0.0, 1.0], [1.0, 0.0]])
+        fam = PerturbationFamily([s], a=0.25, b=2.0)
+        np.testing.assert_array_equal(fam.operator_at(-0.3).matrix, (-0.3 * s).matrix)
+        assert fam.a_at(-0.3) == 0.25 * 0.3
+        assert fam.b_at(-0.3) == 2.0 * 0.3
+        assert fam.c_slope(1.0, 0.5) == 0.25 + ((1.0 + 0.5) * 0.25 + 2.0) / 0.5
+
+    def test_linear_default_bound_is_norm(self):
+        s = SymmetricOperator(np.diag([3.0, -4.0]))
+        assert PerturbationFamily([s]).b == 4.0
+
+    def test_polynomial_evaluation(self):
+        s1 = SymmetricOperator([[0.0, 1.0], [1.0, 0.0]])
+        s2 = SymmetricOperator(np.diag([1.0, 2.0]))
+        s3 = SymmetricOperator(np.diag([0.0, -1.0]))
+        fam = PerturbationFamily([s1, s2, s3])
+        kappa = 0.7
+        expected = kappa * s1.matrix + kappa**2 * s2.matrix + kappa**3 * s3.matrix
+        np.testing.assert_allclose(fam.operator_at(kappa).matrix, expected, atol=1e-15)
+        assert fam.b_at(kappa) == pytest.approx(np.max(np.abs(np.linalg.eigvalsh(expected))))
+        assert fam.a_at(kappa) == 0.0
+        assert fam.c_slope(0.0, 0.5) is None
+
+    def test_bounds_rejected_above_degree_one(self):
+        coefficients = [np.eye(2), np.eye(2)]
+        with pytest.raises(ValueError, match="linear"):
+            PerturbationFamily(coefficients, a=0.1)
+        with pytest.raises(ValueError, match="linear"):
+            PerturbationFamily(coefficients, b=1.0)
+
+    def test_malformed_coefficients_rejected(self):
+        with pytest.raises(ValueError):
+            PerturbationFamily([])
+        with pytest.raises(ValueError, match="dimension"):
+            PerturbationFamily([np.eye(2), np.eye(3)])
 
 
 class TestDriftedAxis:
@@ -392,7 +429,7 @@ class TestBoundChainSeeded:
         t = SymmetricOperator((q * eigs) @ q.T)
         g = rng.standard_normal((dim, dim))
         s_mat = SymmetricOperator((g + g.T) / 2.0)
-        s_spec = FixedPerturbation((0.05 / s_mat.norm) * s_mat)
+        s_spec = PerturbationFamily([(0.05 / s_mat.norm) * s_mat])
         budget = semigroup_threshold(t, s_spec, s0=1.0, kappa0=1.0,
                                      kappa_grid=np.linspace(-0.9, 0.9, 13))
         _, u0, _ = bottom_eigen(t, require_simple=True)

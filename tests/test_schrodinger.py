@@ -21,6 +21,7 @@ from axiscone.schrodinger import (
     build_magnetic,
     laplacian_matrix,
     magnetic_experiment,
+    magnetic_terms,
     momentum_matrix,
     orthant_failure_demo,
     read_model_file,
@@ -75,6 +76,22 @@ class TestRealStructure:
         grid = GridSpec(6, 0.3)
         rs = RealStructure(grid)
         assert rs.commutation_residual(momentum_matrix(grid)) <= 1e-13
+
+    def test_commutation_residual_matches_column_loop(self):
+        grid = GridSpec(5, 0.5)
+        rs = RealStructure(grid)
+        rng = rng_for(3, 0)
+        random = rng.standard_normal((11, 11)) + 1j * rng.standard_normal((11, 11))
+        magnetic = build_magnetic(harmonic_model(5, 0.5, coupling=0.3)).matrix
+        for h in (random, magnetic):
+            reference = 0.0
+            for k in range(grid.dim):
+                e = np.zeros(grid.dim, dtype=complex)
+                e[k] = 1.0
+                reference = max(reference, float(np.linalg.norm(
+                    h @ rs.conjugate(e) - rs.conjugate(h @ e))))
+            assert rs.commutation_residual(h) == pytest.approx(reference, rel=1e-14,
+                                                               abs=1e-14)
 
 
 class TestBuildH0:
@@ -249,6 +266,42 @@ class TestMagneticExperiment:
                 b.decomposition.min_eigenvalue - a.decomposition.min_eigenvalue
             ) <= step_norm + 1e-12
         assert min(grounds) > 0
+
+    @pytest.mark.parametrize("e", [-0.3, -0.008, 0.001, 0.05, 0.5])
+    def test_restricted_terms_match_rebuilt_hamiltonian(self, e):
+        # reference: assemble the full Hamiltonian at e and restrict it
+        model = harmonic_model(6, 0.4)
+        rs = RealStructure(model.grid)
+        h0, m1, m2 = (restrict_to_real(term, rs) for term in magnetic_terms(model))
+        full = restrict_to_real(build_magnetic(model.with_coupling(e)), rs)
+        difference = e * m1.matrix + e**2 * m2.matrix - (full - h0).matrix
+        assert np.max(np.abs(difference)) <= 1e-12 * full.norm
+
+    def test_assembly_independent_of_grid_length(self, monkeypatch):
+        import axiscone.schrodinger as schrodinger
+
+        counts = {}
+
+        def counting(name):
+            original = getattr(schrodinger, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("build_magnetic", "restrict_to_real"):
+            monkeypatch.setattr(schrodinger, name, counting(name))
+        seen = []
+        for num in (3, 17):
+            counts.clear()
+            magnetic_experiment(harmonic_model(4, 0.5),
+                                e_grid=np.linspace(-0.008, 0.008, num), s0=1.0)
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+        assert seen[0].get("build_magnetic", 0) == 0
+        assert seen[0]["restrict_to_real"] == 3
 
     def test_degenerate_double_well_surfaces(self):
         # a huge barrier on the center site decouples the wells: the ground
