@@ -15,11 +15,10 @@ from .cones import (
     AxisCone,
     OrthantCone,
     Region,
-    unit_perp,
-    boundary_orthogonal_partner,
-    duality_witness,
-    moreau_decompose,
-    sample_outside,
+    cone_check,
+    moreau_check,
+    partner_check,
+    witness_check,
 )
 from .operators import SymmetricOperator, bottom_eigen, correspondence_check, top_eigen
 from .perturbation import (
@@ -114,49 +113,24 @@ def criterion_3_cone_suite(seed):
     started = time.perf_counter()
     checked = 0
     violations = 0
-    worst_split = 0.0
-    worst_witness = -math.inf
-    worst_partner = 0.0
+    worst = {moreau_check: 0.0, witness_check: -math.inf, partner_check: 0.0}
     for dim in range(2, 17):
         rng = rng_for(derive_seed(seed, 3, dim), 0)
         axis = rng.standard_normal(dim)
         axis /= np.linalg.norm(axis)
-        cones = (AxisCone(axis), OrthantCone(dim))
-        for cone in cones:
-            for _ in range(250):
-                w = rng.standard_normal(dim) * rng.uniform(0.1, 10.0)
-                split = moreau_decompose(cone, w)
-                checked += 1
-                norm_w = float(np.linalg.norm(w))
-                scale = max(1.0, float(np.linalg.norm(split.u) * np.linalg.norm(split.v)))
-                defect = max(split.residual / norm_w, abs(split.u @ split.v) / scale)
-                worst_split = max(worst_split, defect)
-                in_cone = (cone.classify(split.u) is not Region.OUTSIDE
-                           and cone.classify(split.v) is not Region.OUTSIDE)
-                if defect > 1e-9 or not in_cone:
-                    violations += 1
-        for cone, count in ((cones[0], 150), (cones[1], 50)):
-            for _ in range(count):
-                u = sample_outside(cone, rng)
-                v = duality_witness(cone, u)
-                checked += 1
-                inner = float(u @ v)
-                worst_witness = max(worst_witness, inner)
-                if inner >= 0.0 or cone.classify(v) is Region.OUTSIDE:
-                    violations += 1
-        axis_cone = cones[0]
-        for _ in range(100):
-            u = (axis_cone.axis + unit_perp(axis_cone.axis, rng)) * rng.uniform(0.1, 5.0)
-            partner = boundary_orthogonal_partner(axis_cone, u)
-            checked += 1
-            defect = abs(partner @ u) / float(u @ u)
-            worst_partner = max(worst_partner, defect)
-            if defect > 1e-10:
-                violations += 1
+        axis_cone, orthant = AxisCone(axis), OrthantCone(dim)
+        for cone, check, count in ((axis_cone, moreau_check, 250), (orthant, moreau_check, 250),
+                                   (axis_cone, witness_check, 150), (orthant, witness_check, 50),
+                                   (axis_cone, partner_check, 100)):
+            defect, bad = cone_check(cone, check, rng, count)
+            worst[check] = max(worst[check], defect)
+            checked += count
+            violations += bad
     passed = violations == 0 and checked >= 10_000
     detail = (f"checked={checked} violations={violations} "
-              f"worst_split={worst_split:.3g} worst_witness={worst_witness:.3g} "
-              f"worst_partner={worst_partner:.3g}")
+              f"worst_split={worst[moreau_check]:.3g} "
+              f"worst_witness={worst[witness_check]:.3g} "
+              f"worst_partner={worst[partner_check]:.3g}")
     return _result(3, "cone_suite", passed, detail, started)
 
 

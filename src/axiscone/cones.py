@@ -2,12 +2,18 @@
 
 An axis cone around unit vector u0 is {u : <u0, u> >= ||u|| / sqrt(2)}; its
 aperture is fixed at 45 degrees, which is what makes it self-dual.  Both cone
-kinds expose exactly three primitives (classify, project, strict positivity);
-the Moreau split, duality witnesses and all verifier sampling are built on
-those.
+kinds expose exactly three primitives (classify, project, strict positivity),
+and both classify through one shared routine; the Moreau split, duality
+witnesses and all verifier sampling are built on those.
+
+Every sampled cone-axiom check runs through one loop, `cone_check`, with one
+per-sample function per axiom (`pair_check`, `witness_check`, `moreau_check`,
+`partner_check`); the self-duality probe, the `cone_axioms` report and the
+acceptance cone suite all call it.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +30,25 @@ class Region(enum.Enum):
     OUTSIDE = "outside"
     BOUNDARY = "boundary"
     INTERIOR = "interior"
+
+
+def _classify(cone, u, tau=TAU_MEMBERSHIP):
+    """Region of u from the cone's margin, with ||u|| computed once."""
+    u = as_vector(u)
+    nrm = np.linalg.norm(u)
+    if nrm == 0.0:
+        return Region.BOUNDARY  # zero vector is in the cone, not interior
+    m = cone.margin(u, nrm)
+    if m > tau * nrm:
+        return Region.INTERIOR
+    if m < -tau * nrm:
+        return Region.OUTSIDE
+    return Region.BOUNDARY
+
+
+def _is_strictly_positive(cone, u, tau=TAU_MEMBERSHIP):
+    """Strictly positive elements are exactly the interior points."""
+    return cone.classify(u, tau) is Region.INTERIOR
 
 
 @dataclass(frozen=True)
@@ -44,26 +69,15 @@ class AxisCone:
     def dim(self):
         return self.axis.size
 
-    def margin(self, u):
+    def margin(self, u, nrm=None):
         """<axis, u> - ||u||/sqrt(2); positive inside, negative outside."""
         u = np.asarray(u, dtype=float)
-        return float(self.axis @ u - np.linalg.norm(u) / SQRT2)
+        if nrm is None:
+            nrm = np.linalg.norm(u)
+        return float(self.axis @ u - nrm / SQRT2)
 
-    def classify(self, u, tau=TAU_MEMBERSHIP):
-        u = as_vector(u)
-        nrm = np.linalg.norm(u)
-        if nrm == 0.0:
-            return Region.BOUNDARY  # zero vector is in the cone, not interior
-        m = self.margin(u)
-        if m > tau * nrm:
-            return Region.INTERIOR
-        if m < -tau * nrm:
-            return Region.OUTSIDE
-        return Region.BOUNDARY
-
-    def is_strictly_positive(self, u, tau=TAU_MEMBERSHIP):
-        """Strictly positive elements are exactly the interior points."""
-        return self.classify(u, tau) is Region.INTERIOR
+    classify = _classify
+    is_strictly_positive = _is_strictly_positive
 
     def project(self, w):
         """Nearest cone point, in closed form.
@@ -100,23 +114,12 @@ class OrthantCone:
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
 
-    def margin(self, u):
+    def margin(self, u, nrm=None):
+        """Least entry; the norm is not needed."""
         return float(np.min(np.asarray(u, dtype=float)))
 
-    def classify(self, u, tau=TAU_MEMBERSHIP):
-        u = as_vector(u)
-        nrm = np.linalg.norm(u)
-        if nrm == 0.0:
-            return Region.BOUNDARY
-        m = self.margin(u)
-        if m > tau * nrm:
-            return Region.INTERIOR
-        if m < -tau * nrm:
-            return Region.OUTSIDE
-        return Region.BOUNDARY
-
-    def is_strictly_positive(self, u, tau=TAU_MEMBERSHIP):
-        return self.classify(u, tau) is Region.INTERIOR
+    classify = _classify
+    is_strictly_positive = _is_strictly_positive
 
     def project(self, w):
         return np.maximum(as_vector(w), 0.0)
@@ -204,6 +207,8 @@ def require_in_cone(cone, u, tau=TAU_MEMBERSHIP):
 
 def unit_perp(axis, rng):
     """Uniform unit vector in the orthogonal complement of the axis."""
+    if axis.size < 2:
+        raise ValueError("a 1-dim axis has no orthogonal complement")
     g = rng.standard_normal(axis.size)
     g -= (axis @ g) * axis
     nrm = np.linalg.norm(g)
@@ -264,39 +269,73 @@ class SelfDualityReport:
         return self.pair_violations == 0 and self.witness_violations == 0
 
 
+def pair_check(cone, rng):
+    """Two in-cone samples: defect -cos(u, v), which must stay <= 1e-12."""
+    u = sample_in_cone(cone, rng)
+    v = sample_in_cone(cone, rng)
+    inner = float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
+    return -inner, inner >= -1e-12
+
+
+def witness_check(cone, rng):
+    """An outside sample u: its duality witness v lies in the cone with <u, v> < 0."""
+    u = sample_outside(cone, rng)
+    v = duality_witness(cone, u)
+    inner = float(u @ v)
+    return inner, inner < 0.0 and cone.classify(v) is not Region.OUTSIDE
+
+
+def moreau_check(cone, rng):
+    """A random w: the split w = u - v is exact, orthogonal and in the cone."""
+    w = rng.standard_normal(cone.dim) * rng.uniform(0.1, 10.0)
+    split = moreau_decompose(cone, w)
+    scale = max(1.0, float(np.linalg.norm(split.u) * np.linalg.norm(split.v)))
+    defect = max(split.residual / float(np.linalg.norm(w)), abs(split.u @ split.v) / scale)
+    in_cone = (cone.classify(split.u) is not Region.OUTSIDE
+               and cone.classify(split.v) is not Region.OUTSIDE)
+    return defect, defect <= 1e-9 and in_cone
+
+
+def partner_check(cone, rng):
+    """A boundary sample u (axis cones): its partner is orthogonal and in the cone."""
+    u = (cone.axis + unit_perp(cone.axis, rng)) * rng.uniform(0.1, 10.0)
+    partner = boundary_orthogonal_partner(cone, u)
+    defect = abs(partner @ u) / float(u @ u)
+    return defect, defect <= 1e-10 and cone.classify(partner) is not Region.OUTSIDE
+
+
+def cone_check(cone, check, rng, count):
+    """Run one per-sample check `count` times: (worst defect, violations).
+
+    A check draws its sample from rng and returns (defect, ok); the worst
+    defect is the largest one seen.
+    """
+    worst = -math.inf
+    violations = 0
+    for _ in range(count):
+        defect, ok = check(cone, rng)
+        worst = max(worst, defect)
+        violations += not ok
+    return worst, violations
+
+
 def selfduality_probe(cone, n_samples, seed=0):
     """Sample the two directions of self-duality.
 
     (a) inner products of unit in-cone pairs stay >= -1e-12;
-    (b) every sampled outside point admits a duality witness with <u, v> < 0.
+    (b) every sampled outside point admits a duality witness v in the cone
+        with <u, v> < 0.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    rng = rng_for(seed, 0)
-    worst_pair = np.inf
-    pair_violations = 0
-    for _ in range(n_samples):
-        u = sample_in_cone(cone, rng)
-        v = sample_in_cone(cone, rng)
-        inner = float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
-        worst_pair = min(worst_pair, inner)
-        if inner < -1e-12:
-            pair_violations += 1
-    rng = rng_for(seed, 1)
-    worst_witness = -np.inf
-    witness_violations = 0
-    for _ in range(n_samples):
-        u = sample_outside(cone, rng)
-        w = duality_witness(cone, u)
-        inner = float(u @ w)
-        worst_witness = max(worst_witness, inner)
-        if inner >= 0.0:
-            witness_violations += 1
+    worst_pair, pair_violations = cone_check(cone, pair_check, rng_for(seed, 0), n_samples)
+    worst_witness, witness_violations = cone_check(cone, witness_check, rng_for(seed, 1),
+                                                   n_samples)
     return SelfDualityReport(
         cone=cone.serialize(),
         n_samples=n_samples,
         seed=seed,
-        worst_pair_inner=worst_pair,
+        worst_pair_inner=-worst_pair,
         worst_witness_inner=worst_witness,
         pair_violations=pair_violations,
         witness_violations=witness_violations,

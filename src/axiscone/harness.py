@@ -20,10 +20,10 @@ from .cones import (
     AxisCone,
     OrthantCone,
     Region,
-    boundary_orthogonal_partner,
-    moreau_decompose,
+    cone_check,
+    moreau_check,
+    partner_check,
     selfduality_probe,
-    unit_perp,
 )
 from .errors import ConfigInvalid
 from .operators import (
@@ -176,6 +176,8 @@ def _validate_cone_axioms(params):
     cones = params.setdefault("cones", ["axis", "orthant"])
     if not (isinstance(cones, list) and cones and set(cones) <= {"axis", "orthant"}):
         raise ConfigInvalid("cones", "entries must be 'axis' or 'orthant'")
+    if "axis" in cones and 1 in dims:
+        raise ConfigInvalid("dims", "an axis cone needs dim >= 2 for its boundary partner")
 
 
 def _validate_pf_verify(params):
@@ -344,6 +346,7 @@ def _g17(x):
 def _run_cone_axioms(config):
     params = config.params
     cone_kinds = sorted(params["cones"])
+    samples = params["samples"]
 
     rows = []
     for dim in sorted(params["dims"]):
@@ -356,49 +359,21 @@ def _run_cone_axioms(config):
                 cone = AxisCone(axis)
             else:
                 cone = OrthantCone(dim)
-            probe = selfduality_probe(cone, params["samples"], seed=task_seed)
+            probe = selfduality_probe(cone, samples, seed=task_seed)
             # defect semantics (0 = perfect): pair inners must stay >= 0,
             # witness inners must stay < 0
-            probe_defect = max(-probe.worst_pair_inner, probe.worst_witness_inner, 0.0)
-            rows.append([str(dim), cone_kind, "selfduality", str(params["samples"]),
-                         _g17(probe_defect),
-                         str(probe.pair_violations + probe.witness_violations),
-                         "1" if probe.ok else "0"])
-
-            rng = rng_for(task_seed, 1)
-            worst_split = 0.0
-            split_violations = 0
-            for _ in range(params["samples"]):
-                w = rng.standard_normal(dim) * rng.uniform(0.1, 10.0)
-                split = moreau_decompose(cone, w)
-                norm_w = float(np.linalg.norm(w))
-                scale = max(1.0, float(np.linalg.norm(split.u) * np.linalg.norm(split.v)))
-                defect = max(split.residual / norm_w, abs(split.u @ split.v) / scale)
-                worst_split = max(worst_split, defect)
-                in_cone = (cone.classify(split.u) is not Region.OUTSIDE
-                           and cone.classify(split.v) is not Region.OUTSIDE)
-                if defect > 1e-9 or not in_cone:
-                    split_violations += 1
-            rows.append([str(dim), cone_kind, "moreau", str(params["samples"]),
-                         _g17(worst_split), str(split_violations),
-                         "1" if split_violations == 0 else "0"])
-
+            results = [("selfduality",
+                        max(-probe.worst_pair_inner, probe.worst_witness_inner, 0.0),
+                        probe.pair_violations + probe.witness_violations)]
+            checks = [("moreau", moreau_check, 1)]
             if cone_kind == "axis":
-                rng = rng_for(task_seed, 2)
-                worst_orth = 0.0
-                partner_violations = 0
-                for _ in range(params["samples"]):
-                    u = cone.axis + unit_perp(cone.axis, rng)
-                    u *= rng.uniform(0.1, 10.0)
-                    partner = boundary_orthogonal_partner(cone, u)
-                    defect = abs(partner @ u) / float(u @ u)
-                    worst_orth = max(worst_orth, defect)
-                    if defect > 1e-10 or cone.classify(partner) is Region.OUTSIDE:
-                        partner_violations += 1
-                rows.append([str(dim), cone_kind, "boundary_partner",
-                             str(params["samples"]), _g17(worst_orth),
-                             str(partner_violations),
-                             "1" if partner_violations == 0 else "0"])
+                checks.append(("boundary_partner", partner_check, 2))
+            for name, check, stream in checks:
+                worst, violations = cone_check(cone, check, rng_for(task_seed, stream), samples)
+                results.append((name, worst, violations))
+            for name, worst, violations in results:
+                rows.append([str(dim), cone_kind, name, str(samples), _g17(worst),
+                             str(violations), "1" if violations == 0 else "0"])
 
     worst = max(float(row[4]) for row in rows)
     return Report(kind=config.kind, seed=config.seed,

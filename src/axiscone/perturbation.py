@@ -16,7 +16,6 @@ import numpy as np
 
 from .cones import AxisCone, sample_in_cone
 from .errors import (
-    AxisNotEigenvector,
     BudgetViolated,
     ContourHitsSpectrum,
     ContractViolation,
@@ -38,6 +37,7 @@ from .positivity import (
     improves_positivity_axis,
     improves_positivity_general,
     require_psd,
+    require_top_eigenvector,
 )
 from .seeding import derive_seed, rng_for
 
@@ -107,10 +107,8 @@ def improving_radius(A, u0, tau_gap=1e-9):
     """
     require_psd(A)
     u0 = as_vector(u0)
-    lam, _, _ = top_eigen(A, tau_gap=tau_gap, require_simple=True)
-    resid = float(np.linalg.norm(A.apply(u0) - lam * u0))
-    if abs(np.linalg.norm(u0) - 1.0) > 1e-9 or resid > 1e-9 * max(1.0, abs(lam)):
-        raise AxisNotEigenvector(f"u0 is not a unit top eigenvector (residual {resid:.3e})")
+    top_eigen(A, tau_gap=tau_gap, require_simple=True)  # raises DegenerateTop
+    lam = require_top_eigenvector(A, u0)
     lam_perp = restricted_top(A, u0)
     alpha = 0.0 if lam_perp is None else max(lam_perp, 0.0) / lam
     return alpha, radius_from_alpha(alpha)
@@ -126,10 +124,7 @@ def ergodic_drift_check(A, u0, u1, sample_pairs=50, seed=0, n_max=64):
     require_psd(A)
     u0 = as_vector(u0)
     u1 = as_vector(u1)
-    lam = A.decomposition.max_eigenvalue
-    resid = float(np.linalg.norm(A.apply(u0) - lam * u0))
-    if abs(np.linalg.norm(u0) - 1.0) > 1e-9 or resid > 1e-9 * max(1.0, abs(lam)):
-        raise AxisNotEigenvector(f"u0 is not a unit top eigenvector (residual {resid:.3e})")
+    require_top_eigenvector(A, u0)
     if abs(np.linalg.norm(u1) - 1.0) > 1e-9:
         raise ValueError("u1 must be a unit vector")
     drift = float(np.linalg.norm(u1 - u0))
@@ -282,10 +277,13 @@ class PerturbationFamily:
     def a_at(self, kappa):
         return self.a * abs(kappa)
 
-    def b_at(self, kappa):
+    def b_at(self, kappa, operator=None):
+        """b(kappa); operator is S(kappa) when the caller has built it already."""
         if self.degree == 1:
             return self.b * abs(kappa)
-        return self.operator_at(kappa).norm
+        if operator is None:
+            operator = self.operator_at(kappa)
+        return operator.norm
 
     def c_slope(self, mu, epsilon):
         if self.degree > 1:
@@ -371,13 +369,13 @@ def semigroup_threshold(T, S_spec, s0, kappa0, kappa_grid, tau_gap=1e-9):
     a_values = np.empty(kappas.size)
     b_values = np.empty(kappas.size)
     for i, kappa in enumerate(kappas):
-        perturbed = T + S_spec.operator_at(kappa)
-        eigs = perturbed.decomposition.eigenvalues
+        s_kappa = S_spec.operator_at(kappa)
+        eigs = (T + s_kappa).decomposition.eigenvalues
         if eigs.size < 2:
             raise DegenerateBottom("need dimension >= 2 for a spectral gap")
         gaps[i] = float(eigs[1] - eigs[0])
         a_values[i] = S_spec.a_at(kappa)
-        b_values[i] = S_spec.b_at(kappa)
+        b_values[i] = S_spec.b_at(kappa, s_kappa)
 
     delta = float(np.min(gaps))
     if delta <= 1e-12 * max(1.0, T.norm):

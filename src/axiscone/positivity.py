@@ -32,6 +32,7 @@ from .seeding import rng_for
 
 TAU_STRICT = 1e-10    # relative margin for every strict "> 0" decision
 PSD_TOL = 1e-9
+AXIS_TOL = 1e-9       # unit norm and relative eigen-residual of a top-eigenvector axis
 SWEEP_STEP_DEG = 0.01
 
 
@@ -83,6 +84,15 @@ def require_psd(A, tol=PSD_TOL):
         raise NotPositiveSemidefinite(f"least eigenvalue {low:.3e} below -{tol:.0e}")
 
 
+def require_top_eigenvector(A, u0):
+    """Largest eigenvalue of A, once u0 is checked to be a unit top eigenvector."""
+    lam = A.decomposition.max_eigenvalue
+    resid = float(np.linalg.norm(A.apply(u0) - lam * u0))
+    if abs(np.linalg.norm(u0) - 1.0) > AXIS_TOL or resid > AXIS_TOL * max(1.0, abs(lam)):
+        raise AxisNotEigenvector(f"axis is not a unit top eigenvector (residual {resid:.3e})")
+    return lam
+
+
 def _check_dims(A, cone):
     if A.dim != cone.dim:
         raise DimensionMismatch(f"operator dim {A.dim} != cone dim {cone.dim}")
@@ -111,14 +121,12 @@ def preserves_positivity(A, cone, n_samples=200, seed=0):
                            margin=low, witness=witness, seed=seed,
                            detail=f"entry ({i},{j}) negative; basis image leaves cone")
     else:
-        lam = A.decomposition.max_eigenvalue
-        resid = float(np.linalg.norm(A.apply(cone.axis) - lam * cone.axis))
         try:
             require_psd(A)
-            psd = True
-        except NotPositiveSemidefinite:
-            psd = False
-        if psd and resid <= 1e-9 * max(1.0, abs(lam)):
+            lam = require_top_eigenvector(A, cone.axis)
+        except (NotPositiveSemidefinite, AxisNotEigenvector):
+            pass
+        else:
             return Verdict("preserves_positivity", VerdictStatus.CERTIFIED_TRUE,
                            margin=lam, seed=seed,
                            detail="axis is a top eigenvector of a PSD operator")
@@ -156,12 +164,7 @@ def improves_positivity_axis(A, u0, tau_gap=1e-9):
     if u0.size != A.dim:
         raise DimensionMismatch(f"axis dim {u0.size} != operator dim {A.dim}")
     require_psd(A)
-    lam = A.decomposition.max_eigenvalue
-    resid = float(np.linalg.norm(A.apply(u0) - lam * u0))
-    if abs(np.linalg.norm(u0) - 1.0) > 1e-9 or resid > 1e-9 * max(1.0, abs(lam)):
-        raise AxisNotEigenvector(
-            f"axis is not a unit top eigenvector (residual {resid:.3e})"
-        )
+    lam = require_top_eigenvector(A, u0)
     lam_perp = restricted_top(A, u0)
     if lam_perp is None:
         return Verdict("improves_positivity_axis", VerdictStatus.CERTIFIED_TRUE,

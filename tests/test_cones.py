@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
 
+from axiscone import cones
 from axiscone.cones import (
     AxisCone,
     MoreauSplit,
     OrthantCone,
     Region,
     boundary_orthogonal_partner,
+    cone_check,
     duality_witness,
     moreau_decompose,
     parse_cone,
     sample_in_cone,
     sample_outside,
     selfduality_probe,
+    unit_perp,
+    witness_check,
 )
 from axiscone.errors import NotBoundary, NotOutside
 from axiscone.seeding import rng_for
@@ -234,6 +238,33 @@ class TestSelfDuality:
                 assert cone.classify(u + v) is not Region.OUTSIDE
                 if np.linalg.norm(t * u) > 0:
                     assert cone.classify(t * u) is not Region.OUTSIDE
+
+
+class TestConeCheck:
+    def test_counts_violations_and_worst(self):
+        defects = iter([0.5, -1.0, 2.0])
+
+        def check(cone, rng):
+            defect = next(defects)
+            return defect, defect < 1.0
+
+        assert cone_check(axis_cone_2d(), check, rng_for(0, 0), 3) == (2.0, 1)
+
+    def test_witness_check_requires_witness_in_cone(self, monkeypatch):
+        cone = axis_cone_2d()
+        assert witness_check(cone, rng_for(4, 0))[1]
+        # <u, v> < 0 alone is not enough: v = -e2 is outside the cone
+        monkeypatch.setattr(cones, "sample_outside", lambda cone, rng: np.array([0.0, 1.0]))
+        monkeypatch.setattr(cones, "duality_witness", lambda cone, u: np.array([0.0, -1.0]))
+        assert witness_check(cone, rng_for(4, 0)) == (-1.0, False)
+
+    def test_unit_perp_rejects_dim_one(self):
+        with pytest.raises(ValueError, match="1-dim"):
+            unit_perp(np.array([1.0]), rng_for(0, 0))
+
+    def test_classify_is_shared_and_defined_per_class(self):
+        assert "classify" in vars(AxisCone) and "classify" in vars(OrthantCone)
+        assert AxisCone.classify is OrthantCone.classify
 
 
 class TestSerialization:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -54,6 +55,14 @@ class TestConfig:
         )
         assert config.params["kappa_grid"] == pytest.approx([-0.1, -0.05, 0.0, 0.05, 0.1])
 
+    def test_axis_cone_of_dim_one_rejected(self):
+        # a 1-dim axis has no boundary partner to sample
+        with pytest.raises(ConfigInvalid, match="dims"):
+            ExperimentConfig(kind="cone_axioms", seed=0,
+                             params={"dims": [1], "cones": ["axis"]})
+        ExperimentConfig(kind="cone_axioms", seed=0,
+                         params={"dims": [1], "cones": ["orthant"]})
+
     def test_canonical_json_sorted(self):
         config = ExperimentConfig(kind="cone_axioms", seed=3, params={})
         parsed = json.loads(config.canonical_json())
@@ -90,6 +99,11 @@ class TestRunners:
         assert report.passed
         violations = [int(row[5]) for row in report.rows]
         assert sum(violations) == 0
+
+    def test_cone_axioms_default_report_bytes(self):
+        text = run(ExperimentConfig("cone_axioms", 0, {})).render(timestamp=False)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "60f960d444391accddef40c2686791bf3318102f35325bf12325cb0becd84bc4")
 
     def test_perturb_reproduces_threshold(self):
         report = run(ExperimentConfig(kind="perturb_sweep", seed=0, params={}))

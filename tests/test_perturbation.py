@@ -322,6 +322,23 @@ class TestPerturbationFamily:
         assert fam.a_at(kappa) == 0.0
         assert fam.c_slope(0.0, 0.5) is None
 
+    def test_threshold_builds_each_operator_once(self, monkeypatch):
+        counts = {"operator_at": 0}
+        original = PerturbationFamily.operator_at
+
+        def counting(self, kappa):
+            counts["operator_at"] += 1
+            return original(self, kappa)
+
+        monkeypatch.setattr(PerturbationFamily, "operator_at", counting)
+        fam = PerturbationFamily([[[0.0, 1.0], [1.0, 0.0]], np.diag([0.0, 1.0])])
+        grid = np.linspace(-0.2, 0.2, 9)
+        budget = semigroup_threshold(SymmetricOperator(np.diag([0.0, 1.0])), fam,
+                                     s0=1.0, kappa0=0.5, kappa_grid=grid)
+        assert counts["operator_at"] == grid.size
+        for kappa, b in zip(grid, budget.b_values):
+            assert b == original(fam, kappa).norm
+
     def test_bounds_rejected_above_degree_one(self):
         coefficients = [np.eye(2), np.eye(2)]
         with pytest.raises(ValueError, match="linear"):
