@@ -1,15 +1,12 @@
 """Self-dual cone geometry: the 45-degree axis cone and the nonnegative orthant.
 
 An axis cone around unit vector u0 is {u : <u0, u> >= ||u|| / sqrt(2)}; its
-aperture is fixed at 45 degrees, which is what makes it self-dual.  Both cone
-kinds expose exactly three primitives (classify, project, strict positivity),
-and both classify through one shared routine; the Moreau split, duality
-witnesses and all verifier sampling are built on those.
-
-Every sampled cone-axiom check runs through one loop, `cone_check`, with one
-per-sample function per axiom (`pair_check`, `witness_check`, `moreau_check`,
-`partner_check`); the self-duality probe, the `cone_axioms` report and the
-acceptance cone suite all call it.
+aperture is fixed at 45 degrees, which is what makes it self-dual.  The
+per-vector primitives (classify, project, strict positivity, samplers) serve
+`positivity` and `perturbation`.  Every sampled cone-axiom check runs through
+one loop, `cone_check`, in blocks of rows: the Moreau split, duality
+witnesses, boundary partners and outside sampling take (k, n) blocks, with
+row forms of the primitives beside them.
 """
 
 import enum
@@ -24,6 +21,7 @@ from .seeding import rng_for
 
 SQRT2 = np.sqrt(2.0)
 TAU_MEMBERSHIP = 1e-10   # relative to ||u||; the underlying inequalities are exact
+BLOCK_FLOATS = 8192      # floats per array in one cone_check block; bounds memory at any dim
 
 
 class Region(enum.Enum):
@@ -143,59 +141,110 @@ def parse_cone(line):
     raise ValueError(f"unknown cone kind {tokens[0]!r}")
 
 
+def as_rows(entries):
+    """Validate and return a nonempty (k, n) float block of finite rows."""
+    rows = np.asarray(entries, dtype=float)
+    if rows.ndim != 2 or rows.size == 0 or not np.all(np.isfinite(rows)):
+        raise ValueError("expected a nonempty (k, n) block of finite rows")
+    return rows
+
+
+def regions(cone, rows, tau=TAU_MEMBERSHIP):
+    """Row form of `classify`: -1 outside, 0 boundary (zero rows too), 1 interior."""
+    nrm = np.linalg.norm(rows, axis=1)
+    margin = (rows.min(axis=1) if isinstance(cone, OrthantCone)
+              else rows @ cone.axis - nrm / SQRT2)
+    return np.where(np.abs(margin) > tau * nrm, np.sign(margin), 0.0).astype(int)
+
+
+def project_rows(cone, rows):
+    """Row form of `cone.project`, with the same three branches per row."""
+    if isinstance(cone, OrthantCone):
+        return np.maximum(rows, 0.0)
+    s = rows @ cone.axis
+    perp = rows - np.outer(s, cone.axis)
+    p = np.linalg.norm(perp, axis=1)
+    middle = ((s + p) / 2.0)[:, None] * (cone.axis + perp / np.where(p > 0.0, p, 1.0)[:, None])
+    return np.where((s >= p)[:, None], rows, np.where((s <= -p)[:, None], 0.0, middle))
+
+
+def perp_rows(axis, rng, k):
+    """k uniform unit rows in the orthogonal complement of the axis."""
+    if axis.size < 2:
+        raise ValueError("a 1-dim axis has no orthogonal complement")
+    g = rng.standard_normal((k, axis.size))
+    g -= np.outer(g @ axis, axis)
+    nrm = np.linalg.norm(g, axis=1)
+    small = nrm < 1e-12
+    if small.any():  # essentially impossible, but stay total: redraw those rows
+        g[small], nrm[small] = perp_rows(axis, rng, int(small.sum())), 1.0
+    return g / nrm[:, None]
+
+
+def sample_in_cone_rows(cone, rng, k):
+    """k nonzero cone rows, half boundary rays, half interior points, like `sample_in_cone`."""
+    if isinstance(cone, OrthantCone):
+        u = np.abs(rng.standard_normal((k, cone.dim)))
+        zeroed = (rng.random(k) < 0.5) & (cone.dim > 1)
+        u[zeroed, rng.integers(cone.dim, size=k)[zeroed]] = 0.0
+        u[~u.any(axis=1), 0] = 1.0
+        return u
+    w = perp_rows(cone.axis, rng, k) if cone.dim > 1 else np.zeros((k, 1))
+    t = np.where(rng.random(k) < 0.5, 1.0, rng.uniform(0.0, 0.999, k))
+    return rng.uniform(0.1, 2.0, (k, 1)) * (cone.axis + t[:, None] * w)
+
+
 @dataclass(frozen=True)
 class MoreauSplit:
-    """w = u - v with u, v in the cone and <u, v> = 0."""
+    """w = u - v row by row, with u, v in the cone and <u, v> = 0."""
 
     u: np.ndarray
     v: np.ndarray
-    residual: float
+    residual: np.ndarray
 
 
 def moreau_decompose(cone, w):
-    """Orthogonal two-sided decomposition through the nearest-point map.
+    """Orthogonal two-sided decomposition of each row through the nearest-point map.
 
     For a self-dual cone the projection of w and the projection of -w are
     orthogonal and differ by w exactly.
     """
-    w = as_vector(w)
-    u = cone.project(w)
-    v = cone.project(-w)
-    residual = float(np.linalg.norm((u - v) - w))
-    return MoreauSplit(u=u, v=v, residual=residual)
+    w = as_rows(w)
+    u = project_rows(cone, w)
+    v = project_rows(cone, -w)
+    return MoreauSplit(u=u, v=v, residual=np.linalg.norm((u - v) - w, axis=1))
 
 
 def duality_witness(cone, u, tau=TAU_MEMBERSHIP):
-    """Cone element v with <u, v> < 0, certifying u is outside the dual (= the cone).
+    """Cone rows v with <u, v> < 0, certifying each row u is outside the dual (= the cone).
 
     Axis cone: v = axis when <axis, u> < 0, otherwise
     v = axis - (u - <axis,u> axis)/||u - <axis,u> axis||, a boundary element.
     Orthant: v = -min(u, 0), supported on the violating coordinates.
     """
-    u = as_vector(u)
-    if cone.classify(u, tau) is not Region.OUTSIDE:
-        raise NotOutside("duality witness requires a point outside the cone")
+    u = as_rows(u)
+    if np.any(regions(cone, u, tau) != -1):
+        raise NotOutside("duality witness requires points outside the cone")
     if isinstance(cone, OrthantCone):
         return np.maximum(-u, 0.0)
-    s = float(cone.axis @ u)
-    if s < 0.0:
-        return cone.axis.copy()
-    perp = u - s * cone.axis
-    return cone.axis - perp / np.linalg.norm(perp)
+    s = u @ cone.axis
+    perp = u - np.outer(s, cone.axis)
+    nrm = np.where(s < 0.0, 1.0, np.linalg.norm(perp, axis=1))
+    return np.where((s < 0.0)[:, None], cone.axis, cone.axis - perp / nrm[:, None])
 
 
 def boundary_orthogonal_partner(cone, u, tau=TAU_MEMBERSHIP):
-    """Reflect a boundary element across the axis: u' = 2 <axis,u> axis - u.
+    """Reflect boundary rows across the axis: u' = 2 <axis,u> axis - u.
 
     The partner lies on the boundary, has the same norm, and is orthogonal
     to u, which certifies that boundary points are not strictly positive.
     """
     if not isinstance(cone, AxisCone):
         raise TypeError("boundary partner is defined for axis cones")
-    u = as_vector(u)
-    if np.linalg.norm(u) == 0.0 or cone.classify(u, tau) is not Region.BOUNDARY:
-        raise NotBoundary("orthogonal partner requires a nonzero boundary point")
-    return 2.0 * float(cone.axis @ u) * cone.axis - u
+    u = as_rows(u)
+    if not np.all(u.any(axis=1)) or np.any(regions(cone, u, tau) != 0):
+        raise NotBoundary("orthogonal partner requires nonzero boundary points")
+    return 2.0 * np.outer(u @ cone.axis, cone.axis) - u
 
 
 def require_in_cone(cone, u, tau=TAU_MEMBERSHIP):
@@ -240,16 +289,20 @@ def sample_in_cone(cone, rng, boundary_fraction=0.5):
     return scale * (cone.axis + t * w)
 
 
-def sample_outside(cone, rng, max_tries=64):
-    """Random point classified Outside."""
+def sample_outside(cone, rng, k, max_tries=64):
+    """k random rows classified Outside, with up to max_tries draws per row."""
+    out = np.empty((k, cone.dim))
+    todo = np.arange(k)
     for _ in range(max_tries):
-        g = rng.standard_normal(cone.dim)
-        if cone.classify(g) is Region.OUTSIDE:
-            return g
+        if not todo.size:
+            break
+        g = rng.standard_normal((todo.size, cone.dim))
+        hit = regions(cone, g) == -1
+        out[todo[hit]] = g[hit]
+        todo = todo[~hit]
     # deterministic fallback: negate an interior direction
-    if isinstance(cone, OrthantCone):
-        return -np.ones(cone.dim)
-    return -cone.axis.copy()
+    out[todo] = -1.0 if isinstance(cone, OrthantCone) else -cone.axis
+    return out
 
 
 @dataclass(frozen=True)
@@ -269,53 +322,59 @@ class SelfDualityReport:
         return self.pair_violations == 0 and self.witness_violations == 0
 
 
-def pair_check(cone, rng):
-    """Two in-cone samples: defect -cos(u, v), which must stay <= 1e-12."""
-    u = sample_in_cone(cone, rng)
-    v = sample_in_cone(cone, rng)
-    inner = float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
+def pair_check(cone, rng, k):
+    """k pairs of in-cone rows: defect -cos(u, v), which must stay <= 1e-12."""
+    u = sample_in_cone_rows(cone, rng, k)
+    v = sample_in_cone_rows(cone, rng, k)
+    inner = (u * v).sum(axis=1) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
     return -inner, inner >= -1e-12
 
 
-def witness_check(cone, rng):
-    """An outside sample u: its duality witness v lies in the cone with <u, v> < 0."""
-    u = sample_outside(cone, rng)
+def witness_check(cone, rng, k):
+    """k outside rows u: each duality witness v lies in the cone with <u, v> < 0."""
+    u = sample_outside(cone, rng, k)
     v = duality_witness(cone, u)
-    inner = float(u @ v)
-    return inner, inner < 0.0 and cone.classify(v) is not Region.OUTSIDE
+    inner = (u * v).sum(axis=1)
+    return inner, (inner < 0.0) & (regions(cone, v) != -1)
 
 
-def moreau_check(cone, rng):
-    """A random w: the split w = u - v is exact, orthogonal and in the cone."""
-    w = rng.standard_normal(cone.dim) * rng.uniform(0.1, 10.0)
+def moreau_check(cone, rng, k):
+    """k random rows w: each split w = u - v is exact, orthogonal and in the cone."""
+    w = rng.standard_normal((k, cone.dim)) * rng.uniform(0.1, 10.0, (k, 1))
     split = moreau_decompose(cone, w)
-    scale = max(1.0, float(np.linalg.norm(split.u) * np.linalg.norm(split.v)))
-    defect = max(split.residual / float(np.linalg.norm(w)), abs(split.u @ split.v) / scale)
-    in_cone = (cone.classify(split.u) is not Region.OUTSIDE
-               and cone.classify(split.v) is not Region.OUTSIDE)
-    return defect, defect <= 1e-9 and in_cone
+    scale = np.maximum(1.0, np.linalg.norm(split.u, axis=1) * np.linalg.norm(split.v, axis=1))
+    defect = np.maximum(split.residual / np.linalg.norm(w, axis=1),
+                        np.abs((split.u * split.v).sum(axis=1)) / scale)
+    in_cone = (regions(cone, split.u) != -1) & (regions(cone, split.v) != -1)
+    return defect, (defect <= 1e-9) & in_cone
 
 
-def partner_check(cone, rng):
-    """A boundary sample u (axis cones): its partner is orthogonal and in the cone."""
-    u = (cone.axis + unit_perp(cone.axis, rng)) * rng.uniform(0.1, 10.0)
+def partner_check(cone, rng, k):
+    """k boundary rows u (axis cones): each partner is orthogonal and in the cone."""
+    u = (cone.axis + perp_rows(cone.axis, rng, k)) * rng.uniform(0.1, 10.0, (k, 1))
     partner = boundary_orthogonal_partner(cone, u)
-    defect = abs(partner @ u) / float(u @ u)
-    return defect, defect <= 1e-10 and cone.classify(partner) is not Region.OUTSIDE
+    defect = np.abs((partner * u).sum(axis=1)) / (u * u).sum(axis=1)
+    return defect, (defect <= 1e-10) & (regions(cone, partner) != -1)
 
 
 def cone_check(cone, check, rng, count):
-    """Run one per-sample check `count` times: (worst defect, violations).
+    """Run one check on `count` samples, block by block: (worst defect, violations).
 
-    A check draws its sample from rng and returns (defect, ok); the worst
-    defect is the largest one seen.
+    A check takes (cone, rng, k), draws k rows and returns length-k arrays
+    (defects, ok).  Blocks have max(1, BLOCK_FLOATS // dim) rows; each random
+    quantity of a block is one draw, in this order.  pair_check: in-cone
+    blocks u, v, each axis-cone complement normals, k coins, k spreads and k
+    scales (orthant: (k, n) normals, k coins, k zeroed columns).
+    witness_check: one (pending, n) normal draw per `sample_outside` round.
+    moreau_check: (k, n) normals, (k, 1) magnitudes.  partner_check:
+    complement normals (then any redraws), (k, 1) magnitudes.
     """
-    worst = -math.inf
-    violations = 0
-    for _ in range(count):
-        defect, ok = check(cone, rng)
-        worst = max(worst, defect)
-        violations += not ok
+    block = max(1, BLOCK_FLOATS // cone.dim)
+    worst, violations = -math.inf, 0
+    for start in range(0, count, block):
+        defects, ok = check(cone, rng, min(block, count - start))
+        worst = max(worst, float(np.max(defects)))
+        violations += int(np.count_nonzero(~np.asarray(ok)))
     return worst, violations
 
 

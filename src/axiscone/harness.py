@@ -115,7 +115,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigInvalid("kind", f"must be one of {', '.join(KINDS)}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+        if not _is_int(self.seed):
             raise ConfigInvalid("seed", "must be an integer")
         if not 0 <= self.seed < 2**64:
             raise ConfigInvalid("seed", "must fit in 64 unsigned bits")
@@ -157,43 +157,44 @@ class ExperimentConfig:
         )
 
 
-def _require(params, key, kind_check, message):
-    value = params[key]
-    if not kind_check(value):
-        raise ConfigInvalid(key, message)
-    return value
+def _is_int(value):
+    """A JSON integer; bool is an int subclass but not an integer here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _distinct_entries(value, allowed):
+    return (isinstance(value, list) and bool(value) and all(allowed(x) for x in value)
+            and len(set(value)) == len(value))
 
 
 def _validate_cone_axioms(params):
-    allowed = {"dims", "samples", "cones"}
-    _reject_unknown(params, allowed)
+    _reject_unknown(params, {"dims", "samples", "cones"})
     dims = params.setdefault("dims", [2, 3, 5, 8])
-    if not (isinstance(dims, list) and dims and all(isinstance(d, int) and d >= 1 for d in dims)):
-        raise ConfigInvalid("dims", "must be a nonempty list of positive integers")
+    if not _distinct_entries(dims, lambda d: _is_int(d) and d >= 1):
+        raise ConfigInvalid("dims", "must be a nonempty list of distinct positive integers")
     samples = params.setdefault("samples", 1000)
-    if not (isinstance(samples, int) and samples >= 1):
+    if not (_is_int(samples) and samples >= 1):
         raise ConfigInvalid("samples", "must be a positive integer")
     cones = params.setdefault("cones", ["axis", "orthant"])
-    if not (isinstance(cones, list) and cones and set(cones) <= {"axis", "orthant"}):
-        raise ConfigInvalid("cones", "entries must be 'axis' or 'orthant'")
+    if not _distinct_entries(cones, lambda c: c in ("axis", "orthant")):
+        raise ConfigInvalid("cones", "entries must be distinct, each 'axis' or 'orthant'")
     if "axis" in cones and 1 in dims:
         raise ConfigInvalid("dims", "an axis cone needs dim >= 2 for its boundary partner")
 
 
 def _validate_pf_verify(params):
-    allowed = {"dims", "instances_per_flavor", "flavors", "n_pairs"}
-    _reject_unknown(params, allowed)
+    _reject_unknown(params, {"dims", "instances_per_flavor", "flavors", "n_pairs"})
     dims = params.setdefault("dims", [3, 4, 6, 8])
-    if not (isinstance(dims, list) and dims and all(isinstance(d, int) and d >= 2 for d in dims)):
-        raise ConfigInvalid("dims", "must be a nonempty list of integers >= 2")
+    if not _distinct_entries(dims, lambda d: _is_int(d) and d >= 2):
+        raise ConfigInvalid("dims", "must be a nonempty list of distinct integers >= 2")
     count = params.setdefault("instances_per_flavor", 5)
-    if not (isinstance(count, int) and count >= 1):
+    if not (_is_int(count) and count >= 1):
         raise ConfigInvalid("instances_per_flavor", "must be a positive integer")
     flavors = params.setdefault("flavors", list(FLAVORS))
-    if not (isinstance(flavors, list) and flavors and set(flavors) <= set(FLAVORS)):
-        raise ConfigInvalid("flavors", f"entries must be among {', '.join(FLAVORS)}")
+    if not _distinct_entries(flavors, lambda f: f in FLAVORS):
+        raise ConfigInvalid("flavors", f"entries must be distinct, among {', '.join(FLAVORS)}")
     n_pairs = params.setdefault("n_pairs", 20)
-    if not (isinstance(n_pairs, int) and n_pairs >= 1):
+    if not (_is_int(n_pairs) and n_pairs >= 1):
         raise ConfigInvalid("n_pairs", "must be a positive integer")
 
 
@@ -252,7 +253,7 @@ def _validate_schrodinger(params):
             raise ConfigInvalid("model_path", "must be a path string")
     else:
         n = params.setdefault("N", 8)
-        if not (isinstance(n, int) and n >= 1):
+        if not (_is_int(n) and n >= 1):
             raise ConfigInvalid("N", "must be a positive integer")
         h = params.setdefault("h", 0.5)
         if not (isinstance(h, (int, float)) and h > 0):

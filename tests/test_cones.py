@@ -10,9 +10,16 @@ from axiscone.cones import (
     boundary_orthogonal_partner,
     cone_check,
     duality_witness,
+    moreau_check,
     moreau_decompose,
+    pair_check,
     parse_cone,
+    partner_check,
+    perp_rows,
+    project_rows,
+    regions,
     sample_in_cone,
+    sample_in_cone_rows,
     sample_outside,
     selfduality_probe,
     unit_perp,
@@ -69,20 +76,20 @@ class TestStrictlyPositive:
 
 class TestMoreau:
     def test_closed_form_split(self):
-        split = moreau_decompose(axis_cone_2d(), [0.0, 1.0])
-        np.testing.assert_allclose(split.u, [0.5, 0.5], atol=1e-15)
-        np.testing.assert_allclose(split.v, [0.5, -0.5], atol=1e-15)
-        assert abs(split.u @ split.v) <= 1e-15
+        split = moreau_decompose(axis_cone_2d(), [[0.0, 1.0]])
+        np.testing.assert_allclose(split.u, [[0.5, 0.5]], atol=1e-15)
+        np.testing.assert_allclose(split.v, [[0.5, -0.5]], atol=1e-15)
+        assert abs(split.u[0] @ split.v[0]) <= 1e-15
 
     def test_inside_fixed_point(self):
-        split = moreau_decompose(axis_cone_2d(), [3.0, 1.0])
-        np.testing.assert_allclose(split.u, [3.0, 1.0])
-        np.testing.assert_allclose(split.v, [0.0, 0.0])
+        split = moreau_decompose(axis_cone_2d(), [[3.0, 1.0]])
+        np.testing.assert_allclose(split.u, [[3.0, 1.0]])
+        np.testing.assert_allclose(split.v, [[0.0, 0.0]])
 
     def test_orthant_sign_split(self):
-        split = moreau_decompose(OrthantCone(3), [1.0, -2.0, 0.0])
-        np.testing.assert_array_equal(split.u, [1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(split.v, [0.0, 2.0, 0.0])
+        split = moreau_decompose(OrthantCone(3), [[1.0, -2.0, 0.0]])
+        np.testing.assert_array_equal(split.u, [[1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(split.v, [[0.0, 2.0, 0.0]])
 
     def test_collinear_branches(self):
         cone = axis_cone_2d()
@@ -95,15 +102,16 @@ class TestMoreau:
         axis = rng.standard_normal(dim)
         axis /= np.linalg.norm(axis)
         for cone in (AxisCone(axis), OrthantCone(dim)):
-            for _ in range(200):
-                w = rng.standard_normal(dim) * rng.uniform(0.1, 10.0)
-                split = moreau_decompose(cone, w)
+            ws = np.array([rng.standard_normal(dim) * rng.uniform(0.1, 10.0)
+                           for _ in range(200)])
+            split = moreau_decompose(cone, ws)
+            for w, u, v, residual in zip(ws, split.u, split.v, split.residual):
                 norm_w = np.linalg.norm(w)
-                assert split.residual <= 1e-10 * norm_w
-                scale = max(1.0, np.linalg.norm(split.u) * np.linalg.norm(split.v))
-                assert abs(split.u @ split.v) <= 1e-10 * scale
-                assert cone.classify(split.u) is not Region.OUTSIDE
-                assert cone.classify(split.v) is not Region.OUTSIDE
+                assert residual <= 1e-10 * norm_w
+                scale = max(1.0, np.linalg.norm(u) * np.linalg.norm(v))
+                assert abs(u @ v) <= 1e-10 * scale
+                assert cone.classify(u) is not Region.OUTSIDE
+                assert cone.classify(v) is not Region.OUTSIDE
 
     @pytest.mark.parametrize("dim", [2, 5])
     def test_projection_is_nearest_point(self, dim):
@@ -122,30 +130,30 @@ class TestMoreau:
 
 class TestDualityWitness:
     def test_antipodal(self):
-        v = duality_witness(axis_cone_2d(), -E1)
+        v = duality_witness(axis_cone_2d(), [-E1])[0]
         np.testing.assert_array_equal(v, E1)
         assert (-E1) @ v == pytest.approx(-1.0)
 
     def test_right_angle_point(self):
         u = np.array([0.0, 1.0])
-        v = duality_witness(axis_cone_2d(), u)
+        v = duality_witness(axis_cone_2d(), [u])[0]
         np.testing.assert_allclose(v, [1.0, -1.0], atol=1e-15)
         assert u @ v == pytest.approx(-1.0)
         assert axis_cone_2d().classify(v) is Region.BOUNDARY
 
     def test_slanted_point(self):
         u = np.array([1.0, 2.0])
-        v = duality_witness(axis_cone_2d(), u)
+        v = duality_witness(axis_cone_2d(), [u])[0]
         np.testing.assert_allclose(v, [1.0, -1.0], atol=1e-15)
         assert u @ v == pytest.approx(-1.0)
 
     def test_requires_outside(self):
         with pytest.raises(NotOutside):
-            duality_witness(axis_cone_2d(), 2.0 * E1)
+            duality_witness(axis_cone_2d(), [2.0 * E1])
 
     def test_orthant_negative_part(self):
         u = np.array([1.0, -2.0, 0.5])
-        v = duality_witness(OrthantCone(3), u)
+        v = duality_witness(OrthantCone(3), [u])[0]
         np.testing.assert_array_equal(v, [0.0, 2.0, 0.0])
         assert u @ v < 0
 
@@ -155,22 +163,21 @@ class TestDualityWitness:
         axis = rng.standard_normal(dim)
         axis /= np.linalg.norm(axis)
         cone = AxisCone(axis)
-        for _ in range(100):
-            u = sample_outside(cone, rng)
-            v = duality_witness(cone, u)
+        us = sample_outside(cone, rng, 100)
+        for u, v in zip(us, duality_witness(cone, us)):
             assert cone.classify(v) is not Region.OUTSIDE
             assert u @ v < 0
 
 
 class TestBoundaryPartner:
     def test_reflection(self):
-        partner = boundary_orthogonal_partner(axis_cone_2d(), np.array([1.0, 1.0]))
-        np.testing.assert_allclose(partner, [1.0, -1.0], atol=1e-15)
+        partner = boundary_orthogonal_partner(axis_cone_2d(), np.array([[1.0, 1.0]]))
+        np.testing.assert_allclose(partner, [[1.0, -1.0]], atol=1e-15)
 
     def test_three_dim(self):
         cone = AxisCone(np.array([1.0, 0.0, 0.0]))
-        partner = boundary_orthogonal_partner(cone, np.array([1.0, 0.0, 1.0]))
-        np.testing.assert_allclose(partner, [1.0, 0.0, -1.0], atol=1e-15)
+        partner = boundary_orthogonal_partner(cone, np.array([[1.0, 0.0, 1.0]]))
+        np.testing.assert_allclose(partner, [[1.0, 0.0, -1.0]], atol=1e-15)
 
     def test_seeded_dim7(self):
         rng = rng_for(7, 7)
@@ -180,14 +187,14 @@ class TestBoundaryPartner:
         g = rng.standard_normal(7)
         g -= (axis @ g) * axis
         u = axis + g / np.linalg.norm(g)  # boundary ray
-        partner = boundary_orthogonal_partner(cone, u)
+        partner = boundary_orthogonal_partner(cone, [u])[0]
         assert abs(partner @ u) <= 1e-12 * np.linalg.norm(u) ** 2
         assert np.linalg.norm(partner) == pytest.approx(np.linalg.norm(u), rel=1e-9)
         assert cone.classify(partner) is Region.BOUNDARY
 
     def test_involution(self):
         cone = axis_cone_2d()
-        u = np.array([1.0, -1.0])
+        u = np.array([[1.0, -1.0]])
         twice = boundary_orthogonal_partner(
             cone, boundary_orthogonal_partner(cone, u)
         )
@@ -195,9 +202,9 @@ class TestBoundaryPartner:
 
     def test_requires_boundary(self):
         with pytest.raises(NotBoundary):
-            boundary_orthogonal_partner(axis_cone_2d(), np.array([2.0, 0.5]))
+            boundary_orthogonal_partner(axis_cone_2d(), np.array([[2.0, 0.5]]))
         with pytest.raises(NotBoundary):
-            boundary_orthogonal_partner(axis_cone_2d(), np.zeros(2))
+            boundary_orthogonal_partner(axis_cone_2d(), np.zeros((1, 2)))
 
 
 class TestSelfDuality:
@@ -241,30 +248,144 @@ class TestSelfDuality:
 
 
 class TestConeCheck:
-    def test_counts_violations_and_worst(self):
-        defects = iter([0.5, -1.0, 2.0])
+    def test_counts_violations_and_worst(self, monkeypatch):
+        monkeypatch.setattr(cones, "BLOCK_FLOATS", 4)  # two rows per block at dim 2
+        blocks = iter([np.array([0.5, -1.0]), np.array([2.0])])
 
-        def check(cone, rng):
-            defect = next(defects)
-            return defect, defect < 1.0
+        def check(cone, rng, k):
+            defects = next(blocks)
+            assert defects.size == k
+            return defects, defects < 1.0
 
         assert cone_check(axis_cone_2d(), check, rng_for(0, 0), 3) == (2.0, 1)
 
     def test_witness_check_requires_witness_in_cone(self, monkeypatch):
         cone = axis_cone_2d()
-        assert witness_check(cone, rng_for(4, 0))[1]
+        assert witness_check(cone, rng_for(4, 0), 5)[1].all()
         # <u, v> < 0 alone is not enough: v = -e2 is outside the cone
-        monkeypatch.setattr(cones, "sample_outside", lambda cone, rng: np.array([0.0, 1.0]))
-        monkeypatch.setattr(cones, "duality_witness", lambda cone, u: np.array([0.0, -1.0]))
-        assert witness_check(cone, rng_for(4, 0)) == (-1.0, False)
+        monkeypatch.setattr(cones, "sample_outside",
+                            lambda cone, rng, k: np.array([[0.0, 1.0]]))
+        monkeypatch.setattr(cones, "duality_witness",
+                            lambda cone, u: np.array([[0.0, -1.0]]))
+        defects, ok = witness_check(cone, rng_for(4, 0), 1)
+        assert defects.tolist() == [-1.0] and ok.tolist() == [False]
+
+    @pytest.mark.parametrize("dim, count", [(200, 1001), (200, 17), (8, 5000), (9000, 3)])
+    def test_block_edges_count_every_row_once(self, dim, count):
+        rng = rng_for(12, dim)
+        axis = rng.standard_normal(dim)
+        cone = AxisCone(axis / np.linalg.norm(axis))
+        sizes = []
+
+        def failing_partner_check(cone, rng, k):
+            sizes.append(k)
+            defects, ok = partner_check(cone, rng, k)
+            assert ok.all()
+            return defects, np.zeros(k, dtype=bool)
+
+        worst, violations = cone_check(cone, failing_partner_check, rng, count)
+        block = max(1, cones.BLOCK_FLOATS // dim)
+        assert violations == count == sum(sizes)
+        assert sizes == [block] * (count // block) + [count % block] * (count % block > 0)
+        assert 0.0 <= worst <= 1e-10
+
+    @pytest.mark.parametrize("check", [pair_check, witness_check, moreau_check, partner_check])
+    def test_checks_pass_and_repeat_for_a_seed(self, check):
+        cone = AxisCone(np.array([0.6, 0.0, 0.8]))
+        first = cone_check(cone, check, rng_for(3, 0), 300)
+        assert first[1] == 0
+        assert cone_check(cone, check, rng_for(3, 0), 300) == first
+
+    def test_dim1_axis_self_duality(self):
+        report = selfduality_probe(AxisCone(np.array([-1.0])), n_samples=200, seed=1)
+        assert report.ok
+        inside = sample_in_cone_rows(AxisCone(np.array([-1.0])), rng_for(0, 0), 20)
+        assert (inside < 0.0).all()
 
     def test_unit_perp_rejects_dim_one(self):
         with pytest.raises(ValueError, match="1-dim"):
             unit_perp(np.array([1.0]), rng_for(0, 0))
+        with pytest.raises(ValueError, match="1-dim"):
+            perp_rows(np.array([1.0]), rng_for(0, 0), 4)
+
+    def test_perp_rows_redraws_rows_on_the_axis(self):
+        class AxisFirst:
+            """Generator whose first draw puts rows 0 and 2 on the axis e1."""
+
+            def __init__(self):
+                self.rng, self.first = rng_for(0, 0), True
+
+            def standard_normal(self, shape):
+                if self.first:
+                    self.first = False
+                    return np.array([[2.0, 0.0], [0.5, 0.3], [-1.0, 0.0]])
+                return self.rng.standard_normal(shape)
+
+        w = perp_rows(E1, AxisFirst(), 3)
+        np.testing.assert_allclose(np.abs(w), np.tile([0.0, 1.0], (3, 1)), atol=1e-15)
+
+    def test_sample_outside_falls_back(self):
+        rng = rng_for(0, 0)
+        np.testing.assert_array_equal(sample_outside(axis_cone_2d(), rng, 2, max_tries=0),
+                                      [-E1, -E1])
+        np.testing.assert_array_equal(sample_outside(OrthantCone(2), rng, 1, max_tries=0),
+                                      [[-1.0, -1.0]])
+
+    def test_rows_must_be_finite_2d(self):
+        with pytest.raises(ValueError, match="block"):
+            moreau_decompose(axis_cone_2d(), [1.0, 0.0])
+        with pytest.raises(ValueError, match="finite rows"):
+            duality_witness(axis_cone_2d(), [[np.nan, 1.0]])
 
     def test_classify_is_shared_and_defined_per_class(self):
         assert "classify" in vars(AxisCone) and "classify" in vars(OrthantCone)
         assert AxisCone.classify is OrthantCone.classify
+
+
+REGION_CODE = {Region.OUTSIDE: -1, Region.BOUNDARY: 0, Region.INTERIOR: 1}
+
+
+def scalar_witness(cone, u):
+    """Per-vector duality witness, the reference for the row form."""
+    if isinstance(cone, OrthantCone):
+        return np.maximum(-u, 0.0)
+    s = cone.axis @ u
+    if s < 0.0:
+        return cone.axis
+    perp = u - s * cone.axis
+    return cone.axis - perp / np.linalg.norm(perp)
+
+
+@pytest.mark.parametrize("dim", [2, 8, 64])
+def test_row_primitives_match_scalar_primitives(dim):
+    rng = rng_for(202, dim)
+    axis = rng.standard_normal(dim)
+    for cone in (AxisCone(axis / np.linalg.norm(axis)), OrthantCone(dim)):
+        inside = sample_in_cone_rows(cone, rng, 100)
+        rows = np.vstack([rng.standard_normal((200, dim)) * rng.uniform(0.1, 10.0, (200, 1)),
+                          inside, -inside, np.zeros((1, dim)),
+                          sample_outside(cone, rng, 50)])
+        codes = regions(cone, rows)
+        assert codes.tolist() == [REGION_CODE[cone.classify(r)] for r in rows]
+        assert {-1, 0, 1} <= set(codes.tolist())
+
+        def close(batch, scalar, scale):
+            assert np.linalg.norm(batch - scalar) <= 1e-14 * scale
+
+        split = moreau_decompose(cone, rows)
+        for w, p, u, v in zip(rows, project_rows(cone, rows), split.u, split.v):
+            scale = np.linalg.norm(w)
+            close(p, cone.project(w), scale)
+            close(u, cone.project(w), scale)
+            close(v, cone.project(-w), scale)
+        outside = rows[codes == -1]
+        for u, v in zip(outside, duality_witness(cone, outside)):
+            close(v, scalar_witness(cone, u), 1.0)
+        if isinstance(cone, AxisCone):
+            boundary = rows[(codes == 0) & rows.any(axis=1)]
+            assert len(boundary) > 0
+            for u, p in zip(boundary, boundary_orthogonal_partner(cone, boundary)):
+                close(p, 2.0 * (cone.axis @ u) * cone.axis - u, np.linalg.norm(u))
 
 
 class TestSerialization:
@@ -282,6 +403,6 @@ class TestSerialization:
 
 
 def test_moreau_split_type():
-    split = moreau_decompose(OrthantCone(2), [1.0, -1.0])
+    split = moreau_decompose(OrthantCone(2), [[1.0, -1.0]])
     assert isinstance(split, MoreauSplit)
-    assert split.residual == 0.0
+    assert split.residual.tolist() == [0.0]

@@ -103,7 +103,22 @@ class TestRunners:
     def test_cone_axioms_default_report_bytes(self):
         text = run(ExperimentConfig("cone_axioms", 0, {})).render(timestamp=False)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "60f960d444391accddef40c2686791bf3318102f35325bf12325cb0becd84bc4")
+            "cee8e792b0ea46cea4b7020cbf0294f8b1a1d5846348fbc611fc29967d018f16")
+
+    def test_cone_axioms_default_rows_and_worst_within_thresholds(self):
+        report = run(ExperimentConfig("cone_axioms", 0, {}))
+        expected = [[str(dim), cone, check, "1000"]
+                    for dim in (2, 3, 5, 8)
+                    for cone, checks in (("axis", ("selfduality", "moreau", "boundary_partner")),
+                                         ("orthant", ("selfduality", "moreau")))
+                    for check in checks]
+        assert [row[:4] for row in report.rows] == expected
+        assert all(row[5:] == ["0", "1"] for row in report.rows)
+        threshold = {"selfduality": 1e-12, "moreau": 1e-9, "boundary_partner": 1e-10}
+        for row in report.rows:
+            assert 0.0 <= float(row[4]) <= threshold[row[2]]
+        assert dict(report.summary_extra)["summary_worst_defect"] == max(
+            (row[4] for row in report.rows), key=float)
 
     def test_perturb_reproduces_threshold(self):
         report = run(ExperimentConfig(kind="perturb_sweep", seed=0, params={}))
@@ -245,6 +260,27 @@ class TestCli:
         cfg.write_text('{"kind": "pf_verify"}')
         assert main(["verify", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, params", [
+        ("cone_axioms", {"dims": [True], "cones": ["orthant"]}),
+        ("cone_axioms", {"samples": True}),
+        ("cone_axioms", {"dims": [3, 3]}),
+        ("cone_axioms", {"cones": ["axis", "axis"]}),
+        ("cone_axioms", {"cones": [["axis"]]}),
+        ("pf_verify", {"dims": [3, 3]}),
+        ("pf_verify", {"instances_per_flavor": True}),
+        ("pf_verify", {"n_pairs": False}),
+        ("pf_verify", {"flavors": ["generic", "generic"]}),
+        ("pf_verify", {"flavors": [["generic"]]}),
+    ])
+    def test_boolean_or_repeated_entries_exit_2(self, tmp_path, capsys, kind, params):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"kind": kind, "seed": 0, "params": params}))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
 
     def test_kind_subcommand_mismatch_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
