@@ -36,6 +36,16 @@ from .perturbation import (
 from .positivity import VerdictStatus, improves_positivity_axis
 from .schrodinger import GridSpec, MagneticModel, magnetic_experiment, orthant_failure_demo
 from .seeding import derive_seed, rng_for
+from .tolerances import (
+    CLOSED_FORM_TOL,
+    DEMO_WITNESS_TOL,
+    DERIVATION_TOL,
+    DRIFT_BOUND_SLACK,
+    DRIFT_CERT_TOL,
+    RIESZ_DOUBLING_TOL,
+    RIESZ_ORACLE_TOL,
+    RIESZ_TOL,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -68,8 +78,8 @@ def criterion_1_radius_formula(seed):
             worst_consistency,
             abs(radius_from_alpha(a) - 1.0 / (4.0 * quartic_coefficient(a))),
         )
-    passed = (abs(alpha - 0.5) <= 1e-12 and gap_closed <= 1e-12
-              and worst_consistency <= 1e-12)
+    passed = (abs(alpha - 0.5) <= CLOSED_FORM_TOL and gap_closed <= CLOSED_FORM_TOL
+              and worst_consistency <= CLOSED_FORM_TOL)
     detail = (f"r={r:.17g} |r-closed|={gap_closed:.3g} "
               f"max|r-1/(4c)|={worst_consistency:.3g}")
     return _result(1, "radius_formula", passed, detail, started)
@@ -102,7 +112,7 @@ def criterion_2_threshold_reproduction(seed):
         s_samples=[s0 / 5.0, 2.0 * s0 / 5.0, 3.0 * s0 / 5.0, 4.0 * s0 / 5.0, s0],
         seed=seed, kappas=np.linspace(-0.045, 0.045, 10),
     )
-    passed = max(errors) <= 1e-9 and sweep.all_true and len(sweep.rows) == 50
+    passed = max(errors) <= DERIVATION_TOL and sweep.all_true and len(sweep.rows) == 50
     detail = (f"f(r)={budget.c_threshold:.17g} kappa_adm={budget.kappa_threshold:.17g} "
               f"max_err={max(errors):.3g} rows={len(sweep.rows)} "
               f"failures={len(sweep.failures)}")
@@ -168,8 +178,9 @@ def criterion_5_drift_suite(seed):
         theta = 2.0 * math.asin(drift / 2.0)
         u1 = np.array([math.cos(theta), math.sin(theta)])
         verdict = ergodic_drift_check(a, e1, u1, sample_pairs=20,
-                                      seed=derive_seed(seed, 5, index), n_max=64)
-        if verdict.status is not VerdictStatus.SAMPLED_TRUE or verdict.margin < -1e-12:
+                                      seed=derive_seed(seed, 5, index))
+        if (verdict.status is not VerdictStatus.SAMPLED_TRUE
+                or verdict.margin < -DRIFT_CERT_TOL):
             failures += 1
         else:
             worst_certificate = min(worst_certificate, verdict.margin)
@@ -211,7 +222,8 @@ def criterion_7_riesz_suite(seed):
         worst_match = max(worst_match, match)
         worst_doubling = max(worst_doubling, doubling)
         worst_idem = max(worst_idem, projector.idempotency_defect)
-        if match > 1e-8 or doubling > 1e-10 or projector.idempotency_defect > 1e-8:
+        if (match > RIESZ_ORACLE_TOL or doubling > RIESZ_DOUBLING_TOL
+                or projector.idempotency_defect > RIESZ_TOL):
             failures += 1
 
     chain_checks = 0
@@ -231,7 +243,7 @@ def criterion_7_riesz_suite(seed):
             _, bound, actual = drifted_axis(t + s_spec.operator_at(float(kappa)),
                                             u0, budget, kappa=float(kappa))
             chain_checks += 1
-            if actual > bound + 1e-8 or actual >= budget.r:
+            if actual > bound + DRIFT_BOUND_SLACK or actual >= budget.r:
                 failures += 1
     detail = (f"projectors=20 chain_checks={chain_checks} failures={failures} "
               f"worst_match={worst_match:.3g} worst_doubling={worst_doubling:.3g} "
@@ -266,7 +278,7 @@ def criterion_9_schrodinger(seed):
     )
     demo = orthant_failure_demo(model.with_coupling(0.5), s=0.5)
     passed = (base_ok and report.admissible_coupling > 0.0 and report.all_true
-              and demo.max_imag >= 1e-10)
+              and demo.max_imag >= DEMO_WITNESS_TOL)
     detail = (f"ground={report.ground_energy:.12g} "
               f"e0={report.admissible_coupling:.12g} "
               f"sweep_rows={len(report.sweep.rows)} "

@@ -18,9 +18,9 @@ import numpy as np
 from .errors import NotBoundary, NotInCone, NotOutside
 from .operators import as_vector
 from .seeding import rng_for
+from .tolerances import MOREAU_TOL, PAIR_TOL, PARTNER_TOL, TAU_MEMBERSHIP, UNIT_AXIS_TOL
 
 SQRT2 = np.sqrt(2.0)
-TAU_MEMBERSHIP = 1e-10   # relative to ||u||; the underlying inequalities are exact
 BLOCK_FLOATS = 8192      # floats per array in one cone_check block; bounds memory at any dim
 
 
@@ -30,23 +30,23 @@ class Region(enum.Enum):
     INTERIOR = "interior"
 
 
-def _classify(cone, u, tau=TAU_MEMBERSHIP):
+def _classify(cone, u):
     """Region of u from the cone's margin, with ||u|| computed once."""
     u = as_vector(u)
     nrm = np.linalg.norm(u)
     if nrm == 0.0:
         return Region.BOUNDARY  # zero vector is in the cone, not interior
     m = cone.margin(u, nrm)
-    if m > tau * nrm:
+    if m > TAU_MEMBERSHIP * nrm:
         return Region.INTERIOR
-    if m < -tau * nrm:
+    if m < -TAU_MEMBERSHIP * nrm:
         return Region.OUTSIDE
     return Region.BOUNDARY
 
 
-def _is_strictly_positive(cone, u, tau=TAU_MEMBERSHIP):
+def _is_strictly_positive(cone, u):
     """Strictly positive elements are exactly the interior points."""
-    return cone.classify(u, tau) is Region.INTERIOR
+    return cone.classify(u) is Region.INTERIOR
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ class AxisCone:
 
     def __post_init__(self):
         axis = as_vector(self.axis)
-        if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
-            raise ValueError("axis must be a unit vector to 1e-12")
+        if abs(np.linalg.norm(axis) - 1.0) > UNIT_AXIS_TOL:
+            raise ValueError(f"axis must be a unit vector to {UNIT_AXIS_TOL:.0e}")
         axis = axis.copy()
         axis.setflags(write=False)
         object.__setattr__(self, "axis", axis)
@@ -149,12 +149,12 @@ def as_rows(entries):
     return rows
 
 
-def regions(cone, rows, tau=TAU_MEMBERSHIP):
+def regions(cone, rows):
     """Row form of `classify`: -1 outside, 0 boundary (zero rows too), 1 interior."""
     nrm = np.linalg.norm(rows, axis=1)
     margin = (rows.min(axis=1) if isinstance(cone, OrthantCone)
               else rows @ cone.axis - nrm / SQRT2)
-    return np.where(np.abs(margin) > tau * nrm, np.sign(margin), 0.0).astype(int)
+    return np.where(np.abs(margin) > TAU_MEMBERSHIP * nrm, np.sign(margin), 0.0).astype(int)
 
 
 def project_rows(cone, rows):
@@ -215,7 +215,7 @@ def moreau_decompose(cone, w):
     return MoreauSplit(u=u, v=v, residual=np.linalg.norm((u - v) - w, axis=1))
 
 
-def duality_witness(cone, u, tau=TAU_MEMBERSHIP):
+def duality_witness(cone, u):
     """Cone rows v with <u, v> < 0, certifying each row u is outside the dual (= the cone).
 
     Axis cone: v = axis when <axis, u> < 0, otherwise
@@ -223,7 +223,7 @@ def duality_witness(cone, u, tau=TAU_MEMBERSHIP):
     Orthant: v = -min(u, 0), supported on the violating coordinates.
     """
     u = as_rows(u)
-    if np.any(regions(cone, u, tau) != -1):
+    if np.any(regions(cone, u) != -1):
         raise NotOutside("duality witness requires points outside the cone")
     if isinstance(cone, OrthantCone):
         return np.maximum(-u, 0.0)
@@ -233,7 +233,7 @@ def duality_witness(cone, u, tau=TAU_MEMBERSHIP):
     return np.where((s < 0.0)[:, None], cone.axis, cone.axis - perp / nrm[:, None])
 
 
-def boundary_orthogonal_partner(cone, u, tau=TAU_MEMBERSHIP):
+def boundary_orthogonal_partner(cone, u):
     """Reflect boundary rows across the axis: u' = 2 <axis,u> axis - u.
 
     The partner lies on the boundary, has the same norm, and is orthogonal
@@ -242,14 +242,14 @@ def boundary_orthogonal_partner(cone, u, tau=TAU_MEMBERSHIP):
     if not isinstance(cone, AxisCone):
         raise TypeError("boundary partner is defined for axis cones")
     u = as_rows(u)
-    if not np.all(u.any(axis=1)) or np.any(regions(cone, u, tau) != 0):
+    if not np.all(u.any(axis=1)) or np.any(regions(cone, u) != 0):
         raise NotBoundary("orthogonal partner requires nonzero boundary points")
     return 2.0 * np.outer(u @ cone.axis, cone.axis) - u
 
 
-def require_in_cone(cone, u, tau=TAU_MEMBERSHIP):
+def require_in_cone(cone, u):
     u = as_vector(u)
-    if np.linalg.norm(u) == 0.0 or cone.classify(u, tau) is Region.OUTSIDE:
+    if np.linalg.norm(u) == 0.0 or cone.classify(u) is Region.OUTSIDE:
         raise NotInCone("expected a nonzero cone element")
     return u
 
@@ -268,15 +268,15 @@ def unit_perp(axis, rng):
     return g / nrm
 
 
-def sample_in_cone(cone, rng, boundary_fraction=0.5):
-    """Random nonzero cone element; mixes boundary rays and interior points.
+def sample_in_cone(cone, rng):
+    """Random nonzero cone element: a boundary ray or an interior point, even odds.
 
     Axis-cone boundary rays are axis + w with w a unit vector orthogonal to
     the axis; these extreme rays determine cone images under operators.
     """
     if isinstance(cone, OrthantCone):
         u = np.abs(rng.standard_normal(cone.dim))
-        if rng.random() < boundary_fraction and cone.dim > 1:
+        if rng.random() < 0.5 and cone.dim > 1:
             u[rng.integers(cone.dim)] = 0.0
         if np.linalg.norm(u) == 0.0:
             u[0] = 1.0
@@ -284,7 +284,7 @@ def sample_in_cone(cone, rng, boundary_fraction=0.5):
     if cone.dim == 1:
         return cone.axis * float(rng.uniform(0.1, 2.0))
     w = unit_perp(cone.axis, rng)
-    t = 1.0 if rng.random() < boundary_fraction else float(rng.uniform(0.0, 0.999))
+    t = 1.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 0.999))
     scale = float(rng.uniform(0.1, 2.0))
     return scale * (cone.axis + t * w)
 
@@ -312,7 +312,7 @@ class SelfDualityReport:
     cone: str
     n_samples: int
     seed: int
-    worst_pair_inner: float      # min <u, v> over unit in-cone pairs; >= -1e-12
+    worst_pair_inner: float      # min <u, v> over unit in-cone pairs; >= -PAIR_TOL
     worst_witness_inner: float   # max <u, witness> over outside points; < 0
     pair_violations: int
     witness_violations: int
@@ -323,11 +323,11 @@ class SelfDualityReport:
 
 
 def pair_check(cone, rng, k):
-    """k pairs of in-cone rows: defect -cos(u, v), which must stay <= 1e-12."""
+    """k pairs of in-cone rows: defect -cos(u, v), which must stay <= PAIR_TOL."""
     u = sample_in_cone_rows(cone, rng, k)
     v = sample_in_cone_rows(cone, rng, k)
     inner = (u * v).sum(axis=1) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
-    return -inner, inner >= -1e-12
+    return -inner, inner >= -PAIR_TOL
 
 
 def witness_check(cone, rng, k):
@@ -346,7 +346,7 @@ def moreau_check(cone, rng, k):
     defect = np.maximum(split.residual / np.linalg.norm(w, axis=1),
                         np.abs((split.u * split.v).sum(axis=1)) / scale)
     in_cone = (regions(cone, split.u) != -1) & (regions(cone, split.v) != -1)
-    return defect, (defect <= 1e-9) & in_cone
+    return defect, (defect <= MOREAU_TOL) & in_cone
 
 
 def partner_check(cone, rng, k):
@@ -354,7 +354,7 @@ def partner_check(cone, rng, k):
     u = (cone.axis + perp_rows(cone.axis, rng, k)) * rng.uniform(0.1, 10.0, (k, 1))
     partner = boundary_orthogonal_partner(cone, u)
     defect = np.abs((partner * u).sum(axis=1)) / (u * u).sum(axis=1)
-    return defect, (defect <= 1e-10) & (regions(cone, partner) != -1)
+    return defect, (defect <= PARTNER_TOL) & (regions(cone, partner) != -1)
 
 
 def cone_check(cone, check, rng, count):
@@ -381,7 +381,7 @@ def cone_check(cone, check, rng, count):
 def selfduality_probe(cone, n_samples, seed=0):
     """Sample the two directions of self-duality.
 
-    (a) inner products of unit in-cone pairs stay >= -1e-12;
+    (a) inner products of unit in-cone pairs stay >= -PAIR_TOL;
     (b) every sampled outside point admits a duality witness v in the cone
         with <u, v> < 0.
     """

@@ -14,9 +14,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__
+from . import __version__, tolerances
 from .cones import (
-    TAU_MEMBERSHIP,
     AxisCone,
     OrthantCone,
     Region,
@@ -26,23 +25,14 @@ from .cones import (
     selfduality_probe,
 )
 from .errors import ConfigInvalid
-from .operators import (
-    CORRESPONDENCE_TOL,
-    RECON_TOL,
-    TAU_GAP,
-    TAU_SYM,
-    SymmetricOperator,
-    top_eigen,
-)
+from .operators import SymmetricOperator, top_eigen
 from .perturbation import (
-    RIESZ_TOL,
     SWEEP_CSV_COLUMNS,
     PerturbationFamily,
     end_to_end_semigroup_check,
     semigroup_threshold,
 )
 from .positivity import (
-    TAU_STRICT,
     VerdictStatus,
     improves_positivity_axis,
     perron_frobenius_check,
@@ -63,13 +53,13 @@ KINDS = ("cone_axioms", "pf_verify", "perturb_sweep", "schrodinger")
 
 # The tolerances in force, echoed in every report header.
 TOLERANCES = {
-    "tau_sym": TAU_SYM,
-    "tau_gap": TAU_GAP,
-    "tau_membership": TAU_MEMBERSHIP,
-    "tau_strict": TAU_STRICT,
-    "reconstruction": RECON_TOL,
-    "riesz_idempotency": RIESZ_TOL,
-    "correspondence": CORRESPONDENCE_TOL,
+    "tau_sym": tolerances.TAU_SYM,
+    "tau_gap": tolerances.TAU_GAP,
+    "tau_membership": tolerances.TAU_MEMBERSHIP,
+    "tau_strict": tolerances.TAU_STRICT,
+    "reconstruction": tolerances.RECON_TOL,
+    "riesz_idempotency": tolerances.RIESZ_TOL,
+    "correspondence": tolerances.CORRESPONDENCE_TOL,
 }
 
 FLAVORS = ("generic", "psd-simple", "degenerate-top")
@@ -162,6 +152,11 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value):
+    """A finite JSON number: not a bool, and not the Infinity or NaN that json reads."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _distinct_entries(value, allowed):
     return (isinstance(value, list) and bool(value) and all(allowed(x) for x in value)
             and len(set(value)) == len(value))
@@ -199,12 +194,14 @@ def _validate_pf_verify(params):
 
 
 def _as_grid(value, key):
-    if isinstance(value, list):
+    if isinstance(value, list) and all(_is_number(x) for x in value):
         grid = [float(x) for x in value]
-    elif isinstance(value, dict) and set(value) == {"start", "stop", "num"}:
-        grid = np.linspace(value["start"], value["stop"], int(value["num"])).tolist()
+    elif (isinstance(value, dict) and set(value) == {"start", "stop", "num"}
+          and _is_number(value["start"]) and _is_number(value["stop"])
+          and _is_int(value["num"]) and value["num"] >= 0):
+        grid = np.linspace(value["start"], value["stop"], value["num"]).tolist()
     else:
-        raise ConfigInvalid(key, "must be a list of numbers or {start, stop, num}")
+        raise ConfigInvalid(key, "must be a list of finite numbers or {start, stop, num}")
     if not grid:
         raise ConfigInvalid(key, "must be nonempty")
     return grid
@@ -218,14 +215,15 @@ def _validate_perturb(params):
     if "t" in params:
         for key in ("t", "s"):
             m = params[key]
-            if not (isinstance(m, list) and m and all(isinstance(r, list) for r in m)):
-                raise ConfigInvalid(key, "must be a matrix as list of rows")
+            if not (isinstance(m, list) and m and all(
+                    isinstance(r, list) and all(_is_number(x) for x in r) for r in m)):
+                raise ConfigInvalid(key, "must be a matrix as list of rows of finite numbers")
     s0 = params.setdefault("s0", math.log(2.0))
-    if not (isinstance(s0, (int, float)) and s0 > 0):
-        raise ConfigInvalid("s0", "must be positive")
+    if not (_is_number(s0) and s0 > 0):
+        raise ConfigInvalid("s0", "must be a finite positive number")
     kappa0 = params.setdefault("kappa0", 0.5)
-    if not (isinstance(kappa0, (int, float)) and kappa0 > 0):
-        raise ConfigInvalid("kappa0", "must be positive")
+    if not (_is_number(kappa0) and kappa0 > 0):
+        raise ConfigInvalid("kappa0", "must be a finite positive number")
     params["kappa_grid"] = _as_grid(
         params.get("kappa_grid", {"start": -0.45, "stop": 0.45, "num": 41}),
         "kappa_grid",
@@ -235,11 +233,11 @@ def _validate_perturb(params):
     if "kappas" in params:
         params["kappas"] = _as_grid(params["kappas"], "kappas")
     a = params.setdefault("a", 0.0)
-    if not (isinstance(a, (int, float)) and a >= 0):
-        raise ConfigInvalid("a", "must be a nonnegative number")
+    if not (_is_number(a) and a >= 0):
+        raise ConfigInvalid("a", "must be a finite nonnegative number")
     if "b" in params and params["b"] is not None:
-        if not (isinstance(params["b"], (int, float)) and params["b"] >= 0):
-            raise ConfigInvalid("b", "must be a nonnegative number")
+        if not (_is_number(params["b"]) and params["b"] >= 0):
+            raise ConfigInvalid("b", "must be a finite nonnegative number")
     else:
         params["b"] = None
 
@@ -256,29 +254,29 @@ def _validate_schrodinger(params):
         if not (_is_int(n) and n >= 1):
             raise ConfigInvalid("N", "must be a positive integer")
         h = params.setdefault("h", 0.5)
-        if not (isinstance(h, (int, float)) and h > 0):
-            raise ConfigInvalid("h", "must be positive")
+        if not (_is_number(h) and h > 0):
+            raise ConfigInvalid("h", "must be a finite positive number")
         for key, default in (("potential", "harmonic"), ("vector_potential", "gaussian")):
             profile = params.setdefault(key, default)
             if isinstance(profile, str):
                 if profile not in POTENTIAL_PRESETS:
                     raise ConfigInvalid(key, f"unknown preset {profile!r}")
-            elif not isinstance(profile, list):
-                raise ConfigInvalid(key, "must be a preset name or value list")
+            elif not (isinstance(profile, list) and all(_is_number(x) for x in profile)):
+                raise ConfigInvalid(key, "must be a preset name or a list of finite numbers")
         params["e_grid"] = _as_grid(
             params.get("e_grid", {"start": -0.008, "stop": 0.008, "num": 17}), "e_grid"
         )
         s0 = params.setdefault("s0", 1.0)
-        if not (isinstance(s0, (int, float)) and s0 > 0):
-            raise ConfigInvalid("s0", "must be positive")
+        if not (_is_number(s0) and s0 > 0):
+            raise ConfigInvalid("s0", "must be a finite positive number")
     if "s_samples" in params:
         params["s_samples"] = _as_grid(params["s_samples"], "s_samples")
     demo_e = params.setdefault("demo_e", 0.5)
-    if not isinstance(demo_e, (int, float)):
-        raise ConfigInvalid("demo_e", "must be a number")
+    if not _is_number(demo_e):
+        raise ConfigInvalid("demo_e", "must be a finite number")
     demo_s = params.setdefault("demo_s", 0.5)
-    if not (isinstance(demo_s, (int, float)) and demo_s > 0):
-        raise ConfigInvalid("demo_s", "must be positive")
+    if not (_is_number(demo_s) and demo_s > 0):
+        raise ConfigInvalid("demo_s", "must be a finite positive number")
 
 
 def _reject_unknown(params, allowed):

@@ -10,17 +10,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ContractViolation,
     CorrespondenceViolation,
+    DegenerateBottom,
     DegenerateTop,
     NegativeTime,
     NonConvergence,
 )
 from .seeding import rng_for
+from .tolerances import CORRESPONDENCE_TOL, RECON_TOL, TAU_GAP, TAU_SYM
 
-TAU_SYM = 1e-12          # relative symmetry defect admitted on input matrices
-TAU_GAP = 1e-9           # relative eigenvalue-gap tolerance for simplicity
-RECON_TOL = 1e-10        # relative Frobenius reconstruction tolerance
-CORRESPONDENCE_TOL = 1e-9
+CORRESPONDENCE_SAMPLES = 32   # random complex vectors in the Rayleigh clause (vii)
 
 
 def as_vector(entries):
@@ -164,25 +164,37 @@ class ComplexOperator:
     def apply(self, v):
         return self.matrix @ np.asarray(v, dtype=complex)
 
-    def is_hermitian(self, tol=1e-12):
+    def is_hermitian(self):
         m = self.matrix
         scale = max(1.0, float(np.max(np.abs(m))))
-        return float(np.max(np.abs(m - m.conj().T))) <= tol * scale
+        return float(np.max(np.abs(m - m.conj().T))) <= TAU_SYM * scale
 
 
 def spectral_decompose(A):
     """Full eigendecomposition of a symmetric operator.
 
-    Returns eigenvalues ascending with orthonormal eigenvector columns;
-    reconstruction and orthonormality are accurate to RECON_TOL relative.
+    Returns eigenvalues ascending with orthonormal eigenvector columns.  An
+    eigh failure or a non-finite eigenpair raises NonConvergence.  The result
+    is checked: ||Q L Q^T - A||_F above RECON_TOL * max(1, ||A||_F), or
+    ||Q^T Q - I||_F above RECON_TOL, raises ContractViolation.
     """
+    m = A.matrix
     try:
-        w, q = np.linalg.eigh(A.matrix)
+        w, q = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigh failed: {exc}") from exc
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(q))):
+        raise NonConvergence("eigh returned non-finite eigenpairs")
     w.setflags(write=False)
     q.setflags(write=False)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=q, source_dim=A.dim)
+    dec = SpectralDecomposition(eigenvalues=w, eigenvectors=q, source_dim=A.dim)
+    recon = float(np.linalg.norm(dec.reconstruct() - m))
+    orth = float(np.linalg.norm(q.T @ q - np.eye(A.dim)))
+    if recon > RECON_TOL * max(1.0, float(np.linalg.norm(m))) or orth > RECON_TOL:
+        raise ContractViolation(
+            f"eigendecomposition residual {recon:.3e}, orthonormality defect {orth:.3e}"
+        )
+    return dec
 
 
 def _fix_sign(u):
@@ -194,11 +206,11 @@ def _fix_sign(u):
     return -u if u[idx] < 0 else u
 
 
-def top_eigen(A, tau_gap=TAU_GAP, require_simple=False):
+def top_eigen(A, require_simple=False):
     """Largest eigenvalue, its unit eigenvector, and a simplicity flag.
 
     simple is True iff the gap to the second-largest eigenvalue exceeds
-    tau_gap * max(1, |lambda_max|).  The eigenvector sign is fixed so the
+    TAU_GAP * max(1, |lambda_max|).  The eigenvector sign is fixed so the
     first nonzero coordinate is positive; repeated calls are bit-identical.
     """
     dec = A.decomposition
@@ -207,10 +219,10 @@ def top_eigen(A, tau_gap=TAU_GAP, require_simple=False):
         simple = True
     else:
         gap = lam - float(dec.eigenvalues[-2])
-        simple = gap > tau_gap * max(1.0, abs(lam))
+        simple = gap > TAU_GAP * max(1.0, abs(lam))
     if require_simple and not simple:
         raise DegenerateTop(
-            f"top eigenvalue {lam:.6g} is degenerate within tau_gap={tau_gap:.1e}"
+            f"top eigenvalue {lam:.6g} is degenerate within tau_gap={TAU_GAP:.1e}"
         )
     u0 = _fix_sign(np.array(dec.eigenvectors[:, -1]))
     u0 /= np.linalg.norm(u0)
@@ -218,20 +230,18 @@ def top_eigen(A, tau_gap=TAU_GAP, require_simple=False):
     return lam, u0, simple
 
 
-def bottom_eigen(A, tau_gap=TAU_GAP, require_simple=False):
+def bottom_eigen(A, require_simple=False):
     """Smallest eigenvalue, its unit eigenvector, and a simplicity flag."""
-    from .errors import DegenerateBottom
-
     dec = A.decomposition
     mu = dec.min_eigenvalue
     if A.dim == 1:
         simple = True
     else:
         gap = float(dec.eigenvalues[1]) - mu
-        simple = gap > tau_gap * max(1.0, abs(mu))
+        simple = gap > TAU_GAP * max(1.0, abs(mu))
     if require_simple and not simple:
         raise DegenerateBottom(
-            f"bottom eigenvalue {mu:.6g} is degenerate within tau_gap={tau_gap:.1e}"
+            f"bottom eigenvalue {mu:.6g} is degenerate within tau_gap={TAU_GAP:.1e}"
         )
     u = _fix_sign(np.array(dec.eigenvectors[:, 0]))
     u /= np.linalg.norm(u)
@@ -301,7 +311,7 @@ class CorrespondenceReport:
         return all(passed for passed, _ in self.clauses.values())
 
 
-def correspondence_check(T, seed=0, n_samples=32, tol=CORRESPONDENCE_TOL):
+def correspondence_check(T, seed=0):
     """Numerically verify that T and its complex extension agree.
 
     Checked clauses:
@@ -326,7 +336,8 @@ def correspondence_check(T, seed=0, n_samples=32, tol=CORRESPONDENCE_TOL):
     clauses = {}
 
     gap_iii = abs(float(sv_real[-1]) - float(sv_cplx[-1]))
-    clauses["iii"] = (gap_iii <= tol * scale, gap_iii)
+    tol = CORRESPONDENCE_TOL * scale
+    clauses["iii"] = (gap_iii <= tol, gap_iii)
 
     dec = T.decomposition
     w_real = dec.eigenvalues
@@ -335,44 +346,45 @@ def correspondence_check(T, seed=0, n_samples=32, tol=CORRESPONDENCE_TOL):
     # cluster real eigenvalues by gaps; each cluster must appear on the
     # complex side with exactly twice the real multiplicity
     mult_ok = True
-    cluster_tol = max(tol * scale, 1e-12)
     i = 0
     while i < n:
         j = i
-        while j + 1 < n and w_real[j + 1] - w_real[j] <= cluster_tol:
+        while j + 1 < n and w_real[j + 1] - w_real[j] <= tol:
             j += 1
         k_real = j - i + 1
-        lo = w_real[i] - cluster_tol / 2
-        hi = w_real[j] + cluster_tol / 2
+        lo = w_real[i] - tol / 2
+        hi = w_real[j] + tol / 2
         k_cplx = int(np.sum((w_cplx >= lo) & (w_cplx <= hi)))
         if k_cplx != 2 * k_real:
             mult_ok = False
         i = j + 1
-    clauses["iv"] = (pair_gap <= tol * scale and mult_ok, pair_gap)
+    clauses["iv"] = (pair_gap <= tol and mult_ok, pair_gap)
 
     gap_v = abs(dec.operator_norm - float(sv_cplx[0]))
-    clauses["v"] = (gap_v <= tol * scale, gap_v)
+    clauses["v"] = (gap_v <= tol, gap_v)
 
     gamma = dec.min_eigenvalue
     rng = rng_for(seed, 0)
-    xs = rng.standard_normal((n_samples, n)) + 1j * rng.standard_normal((n_samples, n))
+    shape = (CORRESPONDENCE_SAMPLES, n)
+    xs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     bottom = np.asarray(dec.eigenvectors[:, 0], dtype=complex)
     xs = np.vstack([xs, bottom[None, :], 1j * bottom[None, :]])
     tm = np.asarray(m, dtype=complex)
     quad = np.real(np.einsum("si,ij,sj->s", xs.conj(), tm, xs))
     norms = np.real(np.einsum("si,si->s", xs.conj(), xs))
-    lower_ok = bool(np.all(quad >= gamma * norms - tol * scale * norms))
+    lower_ok = bool(np.all(quad >= gamma * norms - tol * norms))
     # gamma' strictly above the least eigenvalue must be violated by the
     # bottom eigenvector, which is among the samples
-    gamma_above = gamma + max(tol * scale * 10, 0.1 * scale)
-    violated_above = bool(np.any(quad < gamma_above * norms - tol * scale * norms))
+    gamma_above = gamma + max(tol * 10, 0.1 * scale)
+    violated_above = bool(np.any(quad < gamma_above * norms - tol * norms))
     margin_vii = float(np.min(quad - gamma * norms))
     clauses["vii"] = (lower_ok and violated_above, margin_vii)
 
     report = CorrespondenceReport(clauses=clauses)
     for name, (passed, margin) in clauses.items():
         if not passed:
-            raise CorrespondenceViolation(name, f"margin {margin:.3e} (tol {tol:.0e})")
+            raise CorrespondenceViolation(
+                name, f"margin {margin:.3e} (tol {CORRESPONDENCE_TOL:.0e})")
     return report
 
 

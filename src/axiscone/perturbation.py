@@ -31,6 +31,7 @@ from .operators import (
     top_eigen,
 )
 from .positivity import (
+    MAX_POWER,
     Verdict,
     VerdictStatus,
     ergodic_probe,
@@ -40,10 +41,18 @@ from .positivity import (
     require_top_eigenvector,
 )
 from .seeding import derive_seed, rng_for
+from .tolerances import (
+    AXIS_TOL,
+    CONTOUR_CLEARANCE,
+    DRIFT_BOUND_SLACK,
+    DRIFT_CERT_TOL,
+    GAP_COLLAPSE_TOL,
+    RADIUS_RECOMPUTE_TOL,
+    RIESZ_TOL,
+)
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT2 = 1.0 / SQRT2
-RIESZ_TOL = 1e-8   # imaginary residual and idempotency defect of contour projectors
 
 
 def radius_from_alpha(alpha):
@@ -99,7 +108,7 @@ def drift_certificate_lhs(alpha, d, t=None):
     return 1.0 / math.sqrt(1.0 + alpha**2 * (t**2 - 1.0)) - d
 
 
-def improving_radius(A, u0, tau_gap=1e-9):
+def improving_radius(A, u0):
     """Spectral ratio alpha and drift radius r for a PSD operator.
 
     u0 must be a unit top eigenvector; any unit axis within r of u0 keeps
@@ -107,14 +116,14 @@ def improving_radius(A, u0, tau_gap=1e-9):
     """
     require_psd(A)
     u0 = as_vector(u0)
-    top_eigen(A, tau_gap=tau_gap, require_simple=True)  # raises DegenerateTop
+    top_eigen(A, require_simple=True)  # raises DegenerateTop
     lam = require_top_eigenvector(A, u0)
     lam_perp = restricted_top(A, u0)
     alpha = 0.0 if lam_perp is None else max(lam_perp, 0.0) / lam
     return alpha, radius_from_alpha(alpha)
 
 
-def ergodic_drift_check(A, u0, u1, sample_pairs=50, seed=0, n_max=64):
+def ergodic_drift_check(A, u0, u1, sample_pairs=50, seed=0):
     """Ergodicity for a drifted axis with the positivity certificate.
 
     Applicable when ||u1 - u0|| < 1/sqrt(2); then every nonzero element u of
@@ -125,7 +134,7 @@ def ergodic_drift_check(A, u0, u1, sample_pairs=50, seed=0, n_max=64):
     u0 = as_vector(u0)
     u1 = as_vector(u1)
     require_top_eigenvector(A, u0)
-    if abs(np.linalg.norm(u1) - 1.0) > 1e-9:
+    if abs(np.linalg.norm(u1) - 1.0) > AXIS_TOL:
         raise ValueError("u1 must be a unit vector")
     drift = float(np.linalg.norm(u1 - u0))
     slack = INV_SQRT2 - drift
@@ -142,22 +151,22 @@ def ergodic_drift_check(A, u0, u1, sample_pairs=50, seed=0, n_max=64):
         for w in (u, v):
             certificate = float(u0 @ w) / float(np.linalg.norm(w)) - slack
             worst_certificate = min(worst_certificate, certificate)
-            if certificate < -1e-12:
+            if certificate < -DRIFT_CERT_TOL:
                 return Verdict("ergodic_drift_check", VerdictStatus.CERTIFIED_FALSE,
                                margin=certificate, witness=w, seed=seed,
                                detail="positivity certificate violated (toolkit bug)")
-        probe = ergodic_probe(A, cone, u, v, n_max=n_max)
+        probe = ergodic_probe(A, cone, u, v)
         if not probe.found:
             return Verdict("ergodic_drift_check", VerdictStatus.CERTIFIED_FALSE,
                            margin=probe.value, witness=u, seed=seed,
-                           detail=f"no positive pairing within {n_max} powers")
+                           detail=f"no positive pairing within {MAX_POWER} powers")
     return Verdict("ergodic_drift_check", VerdictStatus.SAMPLED_TRUE,
                    margin=worst_certificate, seed=seed,
                    detail=f"{sample_pairs} pairs ergodic; certificate slack "
                           f"{worst_certificate:.3e}")
 
 
-def certified_improving_under_drift(A, u0, u1, tau_gap=1e-9, n_restarts=8, seed=0):
+def certified_improving_under_drift(A, u0, u1, seed=0):
     """Improvement w.r.t. a drifted axis: closed-form certificate, then search.
 
     Evaluates the drift inequality at d = ||u1 - u0||; when its left side
@@ -165,18 +174,17 @@ def certified_improving_under_drift(A, u0, u1, tau_gap=1e-9, n_restarts=8, seed=
     (including the gapless limit alpha -> 1) the multistart verifier takes
     over, which in dimension 2 is still an exhaustive sweep.
     """
-    alpha, r = improving_radius(A, u0, tau_gap=tau_gap)
+    alpha, r = improving_radius(A, u0)
     u1 = as_vector(u1)
     d = float(np.linalg.norm(u1 - u0))
     if d < INV_SQRT2:
         lhs = drift_certificate_lhs(alpha, d)
         margin = lhs - INV_SQRT2
-        if margin > 1e-12:
+        if margin > DRIFT_CERT_TOL:
             return Verdict("certified_improving_under_drift",
                            VerdictStatus.CERTIFIED_TRUE, margin=margin, seed=seed,
                            detail=f"drift certificate: alpha={alpha:.6g} d={d:.6g}")
-    fallback = improves_positivity_general(A, AxisCone(u1), n_restarts=n_restarts,
-                                           seed=seed)
+    fallback = improves_positivity_general(A, AxisCone(u1), seed=seed)
     return Verdict("certified_improving_under_drift", fallback.status,
                    margin=fallback.margin, witness=fallback.witness, seed=seed,
                    detail=f"fallback search: {fallback.detail}")
@@ -207,9 +215,11 @@ def riesz_projector(T, center, radius, nodes=64):
         raise ValueError("need at least 8 quadrature nodes")
     eigs = T.decomposition.eigenvalues
     dist = np.abs(eigs - center)
-    if np.any((dist >= radius * (1 - 1e-6)) & (dist <= radius * (1 + 1e-6))):
+    lo, hi = radius * (1 - CONTOUR_CLEARANCE), radius * (1 + CONTOUR_CLEARANCE)
+    if np.any((dist >= lo) & (dist <= hi)):
         raise ContourHitsSpectrum(
-            f"eigenvalue within 1e-6 of the circle |z - {center}| = {radius}"
+            f"eigenvalue within {CONTOUR_CLEARANCE:g} * radius of the circle "
+            f"|z - {center}| = {radius}"
         )
     n = T.dim
     eye = np.eye(n)
@@ -315,7 +325,7 @@ class PerturbationBudget:
 
     def __post_init__(self):
         recomputed = radius_from_alpha(self.alpha)
-        if abs(recomputed - self.r) > 1e-14:
+        if abs(recomputed - self.r) > RADIUS_RECOMPUTE_TOL:
             raise ContractViolation("budget radius is not recomputable from alpha")
         if self.regime == "semigroup" and not 0.0 < self.alpha < 1.0:
             raise ContractViolation("semigroup-regime alpha must lie in (0, 1)")
@@ -347,7 +357,7 @@ class PerturbationBudget:
         ]
 
 
-def semigroup_threshold(T, S_spec, s0, kappa0, kappa_grid, tau_gap=1e-9):
+def semigroup_threshold(T, S_spec, s0, kappa0, kappa_grid):
     """Budget for the perturbed heat semigroup over a kappa grid.
 
     delta is the smallest gap between the bottom eigenvalue of T + S(kappa)
@@ -363,7 +373,7 @@ def semigroup_threshold(T, S_spec, s0, kappa0, kappa_grid, tau_gap=1e-9):
     kappas = np.atleast_1d(np.asarray(kappa_grid, dtype=float))
     if kappas.size == 0:
         raise ValueError("kappa grid must be nonempty")
-    mu, _, _ = bottom_eigen(T, tau_gap=tau_gap, require_simple=True)
+    mu, _, _ = bottom_eigen(T, require_simple=True)
 
     gaps = np.empty(kappas.size)
     a_values = np.empty(kappas.size)
@@ -378,7 +388,7 @@ def semigroup_threshold(T, S_spec, s0, kappa0, kappa_grid, tau_gap=1e-9):
         b_values[i] = S_spec.b_at(kappa, s_kappa)
 
     delta = float(np.min(gaps))
-    if delta <= 1e-12 * max(1.0, T.norm):
+    if delta <= GAP_COLLAPSE_TOL * max(1.0, T.norm):
         raise GapCollapsed(f"uniform gap {delta:.3e} collapsed on the grid")
     epsilon = delta / 2.0
     alpha = 1.0 - math.exp(-s0 * delta)
@@ -409,7 +419,7 @@ def semigroup_threshold(T, S_spec, s0, kappa0, kappa_grid, tau_gap=1e-9):
     )
 
 
-def drifted_axis(T_kappa, u0, budget, kappa, nodes=64):
+def drifted_axis(T_kappa, u0, budget, kappa):
     """Perturbed ground axis via the contour projector, with its drift bounds.
 
     Requires c(kappa) < 1/2; then the projector difference is bounded by
@@ -421,7 +431,7 @@ def drifted_axis(T_kappa, u0, budget, kappa, nodes=64):
     c = budget.c_at(kappa)
     if c >= 0.5:
         raise BudgetViolated(f"c(kappa)={c:.6g} >= 1/2: eigenvector argument fails")
-    projector = riesz_projector(T_kappa, budget.mu, budget.epsilon, nodes=nodes)
+    projector = riesz_projector(T_kappa, budget.mu, budget.epsilon)
     image = projector.matrix @ u0
     norm = float(np.linalg.norm(image))
     if norm < 1e-12:
@@ -432,7 +442,7 @@ def drifted_axis(T_kappa, u0, budget, kappa, nodes=64):
     drift_actual = float(np.linalg.norm(v_kappa - u0))
     ratio = c / (1.0 - c)
     drift_bound = math.sqrt(2.0 * (1.0 - math.sqrt(max(0.0, 1.0 - ratio**2))))
-    if drift_actual > drift_bound + 1e-8:
+    if drift_actual > drift_bound + DRIFT_BOUND_SLACK:
         raise ContractViolation(
             f"axis drift {drift_actual:.6g} exceeds bound {drift_bound:.6g}"
         )

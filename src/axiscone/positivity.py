@@ -29,11 +29,13 @@ from .errors import (
 )
 from .operators import as_vector, perp_basis, restricted_top, top_eigen
 from .seeding import rng_for
+from .tolerances import AXIS_TOL, ORTHANT_NONNEG_TOL, PSD_TOL, TAU_GAP, TAU_STRICT
 
-TAU_STRICT = 1e-10    # relative margin for every strict "> 0" decision
-PSD_TOL = 1e-9
-AXIS_TOL = 1e-9       # unit norm and relative eigen-residual of a top-eigenvector axis
 SWEEP_STEP_DEG = 0.01
+PRESERVATION_SAMPLES = 200   # sampled cone points when no closed-form criterion applies
+DESCENT_STEPS = 200          # projected-descent iterations per start
+SEARCH_RESTARTS = 8          # seeded boundary-ray starts of the improvement search
+MAX_POWER = 64               # largest power A^n tried by the ergodicity probe
 
 
 class VerdictStatus(enum.Enum):
@@ -78,10 +80,10 @@ class Verdict:
 VERDICT_CSV_COLUMNS = ["predicate", "status", "margin", "witness", "seed"]
 
 
-def require_psd(A, tol=PSD_TOL):
+def require_psd(A):
     low = A.decomposition.min_eigenvalue
-    if low < -tol * max(1.0, A.norm):
-        raise NotPositiveSemidefinite(f"least eigenvalue {low:.3e} below -{tol:.0e}")
+    if low < -PSD_TOL * max(1.0, A.norm):
+        raise NotPositiveSemidefinite(f"least eigenvalue {low:.3e} below -{PSD_TOL:.0e}")
 
 
 def require_top_eigenvector(A, u0):
@@ -98,7 +100,7 @@ def _check_dims(A, cone):
         raise DimensionMismatch(f"operator dim {A.dim} != cone dim {cone.dim}")
 
 
-def preserves_positivity(A, cone, n_samples=200, seed=0):
+def preserves_positivity(A, cone, seed=0):
     """Does A map the cone into itself?
 
     Certified for an axis cone whose axis is a top eigenvector of a PSD
@@ -110,7 +112,7 @@ def preserves_positivity(A, cone, n_samples=200, seed=0):
     m = A.matrix
     if isinstance(cone, OrthantCone):
         low = float(np.min(m))
-        if low >= -1e-12:
+        if low >= -ORTHANT_NONNEG_TOL:
             return Verdict("preserves_positivity", VerdictStatus.CERTIFIED_TRUE,
                            margin=low, seed=seed, detail="entrywise nonnegative")
         i, j = np.unravel_index(int(np.argmin(m)), m.shape)
@@ -134,7 +136,7 @@ def preserves_positivity(A, cone, n_samples=200, seed=0):
     rng = rng_for(seed, 0)
     worst = math.inf
     worst_point = None
-    for _ in range(n_samples):
+    for _ in range(PRESERVATION_SAMPLES):
         u = sample_in_cone(cone, rng)
         image = A.apply(u)
         nrm = float(np.linalg.norm(image))
@@ -147,10 +149,10 @@ def preserves_positivity(A, cone, n_samples=200, seed=0):
                            detail="sampled cone point maps outside")
     return Verdict("preserves_positivity", VerdictStatus.SAMPLED_TRUE,
                    margin=worst, witness=worst_point, seed=seed,
-                   detail=f"{n_samples} sampled images stayed in the cone")
+                   detail=f"{PRESERVATION_SAMPLES} sampled images stayed in the cone")
 
 
-def improves_positivity_axis(A, u0, tau_gap=1e-9):
+def improves_positivity_axis(A, u0):
     """Certified improvement test when the cone axis is a top eigenvector.
 
     For u = s*u0 + w in the cone, <u0, Au> > ||Au||/sqrt(2) reduces to
@@ -169,7 +171,7 @@ def improves_positivity_axis(A, u0, tau_gap=1e-9):
     if lam_perp is None:
         return Verdict("improves_positivity_axis", VerdictStatus.CERTIFIED_TRUE,
                        margin=lam, detail="dimension 1: empty orthogonal complement")
-    margin = lam - lam_perp - tau_gap * abs(lam)
+    margin = lam - lam_perp - TAU_GAP * abs(lam)
     if margin > 0:
         return Verdict("improves_positivity_axis", VerdictStatus.CERTIFIED_TRUE,
                        margin=margin,
@@ -201,14 +203,14 @@ def _sweep_margins(A, cone):
     return float(margins[k]), rays[:, k]
 
 
-def _descend(A, cone, start, max_iter=200):
+def _descend(A, cone, start):
     """Projected descent of the improvement margin over the unit-sphere cone slice."""
     axis = cone.axis
     a_axis = A.apply(axis)
     u = start / np.linalg.norm(start)
     best = _improvement_margin(A, axis, u)
     step = 0.5
-    for _ in range(max_iter):
+    for _ in range(DESCENT_STEPS):
         image = A.apply(u)
         n_image = float(np.linalg.norm(image))
         if n_image < 1e-300:
@@ -233,7 +235,7 @@ def _descend(A, cone, start, max_iter=200):
     return best, u
 
 
-def improves_positivity_general(A, cone, n_restarts=8, seed=0):
+def improves_positivity_general(A, cone, seed=0):
     """Search-based improvement verdict for an arbitrary axis cone.
 
     Minimizes sqrt(2) <axis, Au> - ||Au|| over the cone-intersected unit
@@ -259,7 +261,7 @@ def improves_positivity_general(A, cone, n_restarts=8, seed=0):
                 nrm = float(np.linalg.norm(w))
                 if nrm > 1e-12:
                     starts.append(cone.axis + w / nrm)
-        for k in range(n_restarts):
+        for k in range(SEARCH_RESTARTS):
             starts.append(cone.axis + unit_perp(cone.axis, rng_for(seed, k)))
         best, argmin = math.inf, None
         for start in starts:
@@ -290,26 +292,24 @@ class ProbeResult:
     value: float
 
 
-def ergodic_probe(A, cone, u, v, n_max=64):
-    """Smallest n in [1, n_max] with <u, A^n v> strictly positive.
+def ergodic_probe(A, cone, u, v):
+    """Smallest n in [1, MAX_POWER] with <u, A^n v> strictly positive.
 
     The iterate is renormalized when its norm leaves [1e-100, 1e100]; the
     reported value is rescaled back (it can overflow to inf for huge powers,
     which still witnesses positivity).
     """
     _check_dims(A, cone)
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     u = require_in_cone(cone, u)
     v = require_in_cone(cone, v)
     u_norm = float(np.linalg.norm(u))
     w = v.copy()
     log_scale = 0.0
-    for n in range(1, n_max + 1):
+    for n in range(1, MAX_POWER + 1):
         w = A.apply(w)
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
-            return ProbeResult(False, n_max, 0.0)
+            return ProbeResult(False, MAX_POWER, 0.0)
         if nw > 1e100 or nw < 1e-100:
             log_scale += math.log(nw)
             w = w / nw
@@ -321,7 +321,7 @@ def ergodic_probe(A, cone, u, v, n_max=64):
             except OverflowError:
                 value = math.inf
             return ProbeResult(True, n, value)
-    return ProbeResult(False, n_max, float(u @ w) * math.exp(min(log_scale, 700.0)))
+    return ProbeResult(False, MAX_POWER, float(u @ w) * math.exp(min(log_scale, 700.0)))
 
 
 @dataclass(frozen=True)
@@ -343,7 +343,7 @@ class PerronFrobeniusReport:
         return self.top_simple and self.top_strictly_positive
 
 
-def _adversarial_pairs(A, cone, tau_gap=1e-9):
+def _adversarial_pairs(A, cone):
     """Cone pairs designed to defeat ergodicity when the top eigenvalue repeats.
 
     Random cone pairs almost never witness non-ergodicity: for a degenerate
@@ -363,7 +363,7 @@ def _adversarial_pairs(A, cone, tau_gap=1e-9):
         return pairs
     dec = A.decomposition
     lam = dec.max_eigenvalue
-    if A.dim >= 2 and lam - float(dec.eigenvalues[-2]) <= tau_gap * max(1.0, abs(lam)):
+    if A.dim >= 2 and lam - float(dec.eigenvalues[-2]) <= TAU_GAP * max(1.0, abs(lam)):
         w = dec.eigenvectors[:, -2]
         w = w - float(cone.axis @ w) * cone.axis
         nrm = float(np.linalg.norm(w))
@@ -373,7 +373,7 @@ def _adversarial_pairs(A, cone, tau_gap=1e-9):
     return pairs
 
 
-def perron_frobenius_check(A, cone, seed=0, n_pairs=40, n_max=64):
+def perron_frobenius_check(A, cone, seed=0, n_pairs=40):
     """Cross-check sampled ergodicity against top-eigenvalue structure.
 
     Side (i): every sampled nonzero cone pair (plus adversarial pairs) finds
@@ -405,7 +405,7 @@ def perron_frobenius_check(A, cone, seed=0, n_pairs=40, n_max=64):
 
     failing = None
     for u, v in pairs:
-        result = ergodic_probe(A, cone, u, v, n_max=n_max)
+        result = ergodic_probe(A, cone, u, v)
         if not result.found:
             failing = (u, v)
             break

@@ -28,6 +28,13 @@ from .perturbation import (
     semigroup_threshold,
 )
 from .positivity import improves_positivity_axis
+from .tolerances import (
+    DEMO_WITNESS_TOL,
+    MAGNETIC_COMMUTATION_TOL,
+    REAL_COMMUTATION_TOL,
+    REAL_IMAG_TOL,
+    REAL_SPECTRUM_TOL,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -184,12 +191,12 @@ def build_magnetic(model):
     op = ComplexOperator.from_matrix(h)
     residual = RealStructure(model.grid).commutation_residual(op)
     scale = max(1.0, float(np.max(np.abs(h))))
-    if residual > 1e-12 * scale:
+    if residual > MAGNETIC_COMMUTATION_TOL * scale:
         raise NotRealCompatible(f"conjugation commutation residual {residual:.3e}")
     return op
 
 
-def restrict_to_real(H, rs, tol=1e-10):
+def restrict_to_real(H, rs):
     """Compress a conjugation-compatible Hamiltonian to the real fixed space.
 
     Returns B* H B for the fixed-space isometry B; the output is real
@@ -198,19 +205,20 @@ def restrict_to_real(H, rs, tol=1e-10):
     m = H.matrix if isinstance(H, ComplexOperator) else np.asarray(H, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(m))))
     residual = rs.commutation_residual(m)
-    if residual > tol * scale:
+    if residual > REAL_COMMUTATION_TOL * scale:
         raise NotRealCompatible(
-            f"commutation residual {residual:.3e} exceeds {tol:.0e} * {scale:.3g}"
+            f"commutation residual {residual:.3e} exceeds "
+            f"{REAL_COMMUTATION_TOL:.0e} * {scale:.3g}"
         )
     compressed = rs.basis.conj().T @ m @ rs.basis
     imag = float(np.max(np.abs(compressed.imag)))
-    if imag > 1e-12 * scale:
+    if imag > REAL_IMAG_TOL * scale:
         raise NotRealCompatible(f"restriction has imaginary residual {imag:.3e}")
     restricted = SymmetricOperator(compressed.real)
     spec_original = np.sort(np.linalg.eigvalsh(m))
     spec_restricted = restricted.decomposition.eigenvalues
     drift = float(np.max(np.abs(spec_original - spec_restricted)))
-    if drift > 1e-9 * scale:
+    if drift > REAL_SPECTRUM_TOL * scale:
         raise NotRealCompatible(f"restricted spectrum drifted by {drift:.3e}")
     return restricted
 
@@ -260,7 +268,7 @@ def orthant_failure_demo(model, s, bump=None, strict=False):
     min_real = float(np.min(image.real))
     if model.coupling == 0.0:
         status = "inapplicable_control"
-    elif max_imag > 1e-10 or min_real < -1e-10:
+    elif max_imag > DEMO_WITNESS_TOL or min_real < -DEMO_WITNESS_TOL:
         status = "witness_found"
     else:
         status = "no_witness"
@@ -284,7 +292,7 @@ class MagneticExperimentReport:
                 and all(row.verdict.is_true for row in self.sweep.rows))
 
 
-def magnetic_experiment(model, e_grid, s0, s_samples=None, seed=0, tau_gap=1e-9):
+def magnetic_experiment(model, e_grid, s0, s_samples=None, seed=0):
     """Sweep the coupling: gap budget, admissible range, per-(e, s) verdicts.
 
     Pipeline: restrict H0, M1 and M2 once each, take the unit ground vector
@@ -299,7 +307,7 @@ def magnetic_experiment(model, e_grid, s0, s_samples=None, seed=0, tau_gap=1e-9)
         s_samples = [s0 / 4.0, s0 / 2.0, s0]
     rs = RealStructure(model.grid)
     h0, m1, m2 = (restrict_to_real(term, rs) for term in magnetic_terms(model))
-    mu, ground, _ = bottom_eigen(h0, tau_gap=tau_gap, require_simple=True)
+    mu, ground, _ = bottom_eigen(h0, require_simple=True)
 
     base_verdicts = []
     for s in s_samples:
@@ -308,8 +316,7 @@ def magnetic_experiment(model, e_grid, s0, s_samples=None, seed=0, tau_gap=1e-9)
     family = PerturbationFamily((m1, m2))
     e_grid = np.asarray(e_grid, dtype=float)
     kappa0 = float(np.max(np.abs(e_grid))) + 1e-12
-    budget = semigroup_threshold(h0, family, s0=s0, kappa0=kappa0,
-                                 kappa_grid=e_grid, tau_gap=tau_gap)
+    budget = semigroup_threshold(h0, family, s0=s0, kappa0=kappa0, kappa_grid=e_grid)
     sweep = end_to_end_semigroup_check(h0, family, budget, s_samples, seed=seed)
     return MagneticExperimentReport(
         budget=budget,

@@ -1,0 +1,48 @@
+"""Every threshold that decides a verdict, a check or an input rejection.
+
+One name per decision; no function takes a tolerance as a parameter.  Report
+headers echo the first seven (`harness.TOLERANCES`).  A relative threshold
+scales by max(1, size) of the quantity its comment names.  Numerical guards
+(division floors, renormalisation bounds, redraw and step floors) decide
+nothing and stay beside the code they protect.
+"""
+
+# Echoed in every report header.
+TAU_SYM = 1e-12             # asymmetry of input and Hermitian matrices, relative to max entry
+TAU_GAP = 1e-9              # gap, relative to |lambda|, that makes an extremal eigenvalue simple
+TAU_MEMBERSHIP = 1e-10      # cone margin, relative to ||u||: interior, boundary or outside
+TAU_STRICT = 1e-10          # margin of every strict "> 0" improvement or ergodicity decision
+RECON_TOL = 1e-10           # eigh: ||Q L Q^T - A||_F relative to ||A||_F, and ||Q^T Q - I||_F
+RIESZ_TOL = 1e-8            # imaginary residual and idempotency defect of a contour projector
+CORRESPONDENCE_TOL = 1e-9   # real/complex correspondence clauses, relative to ||T||
+
+# Operators and positivity verifiers.
+PSD_TOL = 1e-9              # PSD means least eigenvalue >= -PSD_TOL, relative to ||A||
+AXIS_TOL = 1e-9             # unit norm and relative eigen-residual of a top-eigenvector axis
+UNIT_AXIS_TOL = 1e-12       # | ||axis|| - 1 | admitted when an axis cone is built
+ORTHANT_NONNEG_TOL = 1e-12  # least matrix entry above -this certifies orthant preservation
+
+# Sampled cone-axiom checks (cones.cone_check).
+PAIR_TOL = 1e-12            # cos(u, v) of two in-cone rows must stay >= -PAIR_TOL
+MOREAU_TOL = 1e-9           # relative residual and orthogonality defect of a Moreau split
+PARTNER_TOL = 1e-10         # |<u, partner>| / ||u||^2 of a boundary partner
+
+# Perturbation budgets and drift.
+DRIFT_CERT_TOL = 1e-12      # drift certificates: certified above +this, violated below -this
+DRIFT_BOUND_SLACK = 1e-8    # admitted excess of the contour axis drift over its proven bound
+CONTOUR_CLEARANCE = 1e-6    # relative distance every eigenvalue keeps from the contour circle
+GAP_COLLAPSE_TOL = 1e-12    # uniform gap, relative to ||T||, at or below which it has collapsed
+RADIUS_RECOMPUTE_TOL = 1e-14  # a budget's r equals radius_from_alpha(alpha) to this
+
+# Magnetic Schrodinger pipeline, each relative to max |H_ij|.
+MAGNETIC_COMMUTATION_TOL = 1e-12  # build_magnetic's own H against the parity conjugation
+REAL_COMMUTATION_TOL = 1e-10      # restrict_to_real's input against the parity conjugation
+REAL_IMAG_TOL = 1e-12             # imaginary part left in the restricted matrix
+REAL_SPECTRUM_TOL = 1e-9          # eigenvalue drift between H and its restriction
+DEMO_WITNESS_TOL = 1e-10          # imaginary part or negative entry: the flow left the orthant
+
+# Acceptance criteria (selftest).
+CLOSED_FORM_TOL = 1e-12     # criterion 1: alpha, r and 1/(4c) against their closed forms
+DERIVATION_TOL = 1e-9       # criterion 2: budget scalars against the hand derivation
+RIESZ_ORACLE_TOL = 1e-8     # criterion 7: contour projector against the eigenvector projector
+RIESZ_DOUBLING_TOL = 1e-10  # criterion 7: 64-node against 128-node quadrature

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from axiscone.cli import main
@@ -180,19 +182,19 @@ class TestReportFormat:
 
 
     def test_tolerance_header_echoes_constants_in_force(self):
-        from axiscone import cones, operators, perturbation, positivity
+        from axiscone import tolerances
 
         report = Report(kind="pf_verify", seed=0, config_json="{}",
                         columns=["ok"], rows=[["1"]])
         header, _, _ = parse_report(report.render(timestamp=False))
         in_force = {
-            "tau_sym": operators.TAU_SYM,
-            "tau_gap": operators.TAU_GAP,
-            "tau_membership": cones.TAU_MEMBERSHIP,
-            "tau_strict": positivity.TAU_STRICT,
-            "reconstruction": operators.RECON_TOL,
-            "riesz_idempotency": perturbation.RIESZ_TOL,
-            "correspondence": operators.CORRESPONDENCE_TOL,
+            "tau_sym": tolerances.TAU_SYM,
+            "tau_gap": tolerances.TAU_GAP,
+            "tau_membership": tolerances.TAU_MEMBERSHIP,
+            "tau_strict": tolerances.TAU_STRICT,
+            "reconstruction": tolerances.RECON_TOL,
+            "riesz_idempotency": tolerances.RIESZ_TOL,
+            "correspondence": tolerances.CORRESPONDENCE_TOL,
         }
         echoed = {key[4:]: value for key, value in header.items() if key.startswith("tol_")}
         assert echoed == {key: format(value, ".17g") for key, value in in_force.items()}
@@ -234,6 +236,27 @@ class TestSelftest:
         first = selftest(seed=0).render(timestamp=False)
         second = selftest(seed=0).render(timestamp=False)
         assert first.encode() == second.encode()
+
+
+def _non_finite_or_boolean_numbers():
+    """Every numeric scalar and grid entry of a config, set to true, Infinity or NaN."""
+    scalars = [("perturb_sweep", key) for key in ("s0", "kappa0", "a", "b")]
+    scalars += [("schrodinger", key) for key in ("h", "s0", "demo_e", "demo_s")]
+    grids = [("perturb_sweep", key) for key in ("kappa_grid", "s_samples", "kappas")]
+    grids += [("schrodinger", key) for key in ("e_grid", "s_samples")]
+    cases = []
+    for bad in (True, math.inf, math.nan):
+        name = json.dumps(bad)
+        for kind, key in scalars:
+            cases.append(pytest.param(kind, {key: bad}, id=f"{kind}-{key}-{name}"))
+        for kind, key in grids:
+            for part, value in (("entry", [bad, 0.1]),
+                                ("start", {"start": bad, "stop": 0.1, "num": 3}),
+                                ("stop", {"start": 0.05, "stop": bad, "num": 3}),
+                                ("num", {"start": 0.05, "stop": 0.1, "num": bad})):
+                cases.append(pytest.param(kind, {key: value},
+                                          id=f"{kind}-{key}.{part}-{name}"))
+    return cases
 
 
 class TestCli:
@@ -281,6 +304,27 @@ class TestCli:
         assert captured.err.startswith("config error")
         assert len(captured.err.strip().splitlines()) == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize("kind, params", _non_finite_or_boolean_numbers())
+    def test_numeric_values_must_be_finite_numbers(self, tmp_path, capsys, kind, params):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"kind": kind, "seed": 0, "params": params}))
+        command = "perturb" if kind == "perturb_sweep" else "schrodinger"
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("corrupt, code, error", [
+        (lambda w, q: (w, 1.01 * q), 1, "ContractViolation"),
+        (lambda w, q: (np.full_like(w, np.nan), q), 2, "NonConvergence"),
+    ], ids=["reconstruction", "non_finite"])
+    def test_eigendecomposition_failures_exit_codes(self, monkeypatch, tmp_path, capsys,
+                                                    corrupt, code, error):
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: corrupt(*eigh(m)))
+        assert main(["perturb", "--out", str(tmp_path / "r.csv")]) == code
+        assert capsys.readouterr().err.startswith(error)
 
     def test_kind_subcommand_mismatch_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"

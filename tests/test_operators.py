@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from axiscone.errors import (
+    ContractViolation,
     CorrespondenceViolation,
     DegenerateTop,
     NegativeTime,
+    NonConvergence,
 )
 from axiscone.operators import (
     ComplexOperator,
@@ -77,6 +79,35 @@ class TestSpectralDecompose:
         assert np.linalg.norm(dec.reconstruct() - op.matrix) <= 1e-10 * scale
         assert np.linalg.norm(dec.eigenvectors.T @ dec.eigenvectors - np.eye(8)) <= 1e-10
 
+    @staticmethod
+    def patch_eigh(monkeypatch, corrupt):
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: corrupt(*map(np.copy, eigh(m))))
+
+    def test_corrupted_eigenvector_violates_contract(self, monkeypatch):
+        def corrupt(w, q):
+            q[:, 0] *= 1.01
+            return w, q
+        self.patch_eigh(monkeypatch, corrupt)
+        with pytest.raises(ContractViolation, match="orthonormality defect"):
+            spectral_decompose(random_symmetric(8, seed=7))
+
+    def test_wrong_eigenvalue_violates_contract(self, monkeypatch):
+        def corrupt(w, q):
+            w[-1] += 1e-6
+            return w, q
+        self.patch_eigh(monkeypatch, corrupt)
+        with pytest.raises(ContractViolation, match="residual"):
+            spectral_decompose(random_symmetric(8, seed=7))
+
+    def test_nonfinite_eigenpair_is_nonconvergence(self, monkeypatch):
+        def corrupt(w, q):
+            q[0, 0] = np.nan
+            return w, q
+        self.patch_eigh(monkeypatch, corrupt)
+        with pytest.raises(NonConvergence, match="non-finite"):
+            spectral_decompose(random_symmetric(8, seed=7))
+
 
 class TestTopEigen:
     def test_simple_diagonal(self):
@@ -91,10 +122,10 @@ class TestTopEigen:
 
     def test_gap_below_tolerance(self):
         op = SymmetricOperator(np.diag([2.0, 2.0 - 1e-12, 1.0]))
-        _, _, simple = top_eigen(op, tau_gap=1e-9)
+        _, _, simple = top_eigen(op)
         assert not simple
         with pytest.raises(DegenerateTop):
-            top_eigen(op, tau_gap=1e-9, require_simple=True)
+            top_eigen(op, require_simple=True)
 
     def test_sign_deterministic(self):
         op = random_symmetric(6, seed=3)

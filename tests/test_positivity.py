@@ -163,7 +163,7 @@ class TestErgodicProbe:
         a = SymmetricOperator(np.diag([2.0, 2.0]))
         u = np.array([1.0, 1.0])
         v = np.array([1.0, -1.0])
-        result = ergodic_probe(a, AxisCone(E1), u, v, n_max=64)
+        result = ergodic_probe(a, AxisCone(E1), u, v)
         assert not result.found
 
     def test_rejects_outside(self):
@@ -173,7 +173,7 @@ class TestErgodicProbe:
     def test_large_powers_renormalize(self):
         a = SymmetricOperator(np.diag([3e4, 1.0]))
         u = np.array([1.0, 1.0]) * 1e-8
-        result = ergodic_probe(a, AxisCone(E1), u, u, n_max=64)
+        result = ergodic_probe(a, AxisCone(E1), u, u)
         assert result.found and result.n == 1
 
 
