@@ -218,6 +218,12 @@ def _validate_perturb(params):
             if not (isinstance(m, list) and m and all(
                     isinstance(r, list) and all(_is_number(x) for x in r) for r in m)):
                 raise ConfigInvalid(key, "must be a matrix as list of rows of finite numbers")
+            try:
+                SymmetricOperator(m)  # square, and symmetric to TAU_SYM
+            except ValueError as exc:
+                raise ConfigInvalid(key, str(exc)) from exc
+        if len(params["s"]) != len(params["t"]):
+            raise ConfigInvalid("s", "must have the dimension of t")
     s0 = params.setdefault("s0", math.log(2.0))
     if not (_is_number(s0) and s0 > 0):
         raise ConfigInvalid("s0", "must be a finite positive number")
@@ -230,6 +236,8 @@ def _validate_perturb(params):
     )
     default_samples = [s0 / 5.0, 2.0 * s0 / 5.0, 3.0 * s0 / 5.0, 4.0 * s0 / 5.0, s0]
     params["s_samples"] = _as_grid(params.get("s_samples", default_samples), "s_samples")
+    if not all(0 < s <= s0 for s in params["s_samples"]):
+        raise ConfigInvalid("s_samples", "entries must lie in (0, s0]")
     if "kappas" in params:
         params["kappas"] = _as_grid(params["kappas"], "kappas")
     a = params.setdefault("a", 0.0)
@@ -428,23 +436,19 @@ def _run_pf_verify(config):
                   summary_extra=summary)
 
 
-def _swap_instance():
-    t = SymmetricOperator(np.diag([0.0, 1.0]))
-    s = SymmetricOperator([[0.0, 1.0], [1.0, 0.0]])
-    return t, s
-
-
 def _run_perturb(config):
     params = config.params
-    if "t" in params:
-        t = SymmetricOperator(np.array(params["t"], dtype=float))
-        s_matrix = SymmetricOperator(np.array(params["s"], dtype=float))
-    else:
-        t, s_matrix = _swap_instance()
+    # without t and s: the swap instance, T = diag(0, 1) with S swapping the two axes
+    t = SymmetricOperator(params.get("t", np.diag([0.0, 1.0])))
+    s_matrix = SymmetricOperator(params.get("s", [[0.0, 1.0], [1.0, 0.0]]))
     s_spec = PerturbationFamily([s_matrix], a=params["a"], b=params["b"])
     budget = semigroup_threshold(t, s_spec, s0=params["s0"], kappa0=params["kappa0"],
                                  kappa_grid=params["kappa_grid"])
     kappas = params.get("kappas")
+    for kappa in kappas or ():
+        if not budget.is_admissible(kappa):
+            raise ConfigInvalid("kappas", f"{kappa:g} is not admissible for the budget "
+                                          f"(kappa_threshold {budget.kappa_threshold:.6g})")
     sweep = end_to_end_semigroup_check(t, s_spec, budget, params["s_samples"],
                                        seed=config.seed, kappas=kappas)
     rows = []

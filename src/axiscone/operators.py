@@ -39,7 +39,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    source_dim: int
 
     @property
     def min_eigenvalue(self):
@@ -52,10 +51,6 @@ class SpectralDecomposition:
     @property
     def operator_norm(self):
         return float(np.max(np.abs(self.eigenvalues)))
-
-    def reconstruct(self):
-        q = self.eigenvectors
-        return (q * self.eigenvalues) @ q.T
 
 
 class SymmetricOperator:
@@ -170,31 +165,35 @@ class ComplexOperator:
         return float(np.max(np.abs(m - m.conj().T))) <= TAU_SYM * scale
 
 
-def spectral_decompose(A):
-    """Full eigendecomposition of a symmetric operator.
+def checked_eigh(m):
+    """eigh of a real symmetric or complex Hermitian matrix, checked.
 
-    Returns eigenvalues ascending with orthonormal eigenvector columns.  An
-    eigh failure or a non-finite eigenpair raises NonConvergence.  The result
-    is checked: ||Q L Q^T - A||_F above RECON_TOL * max(1, ||A||_F), or
-    ||Q^T Q - I||_F above RECON_TOL, raises ContractViolation.
+    An eigh failure or a non-finite eigenpair raises NonConvergence.
+    ||Q L Q^H - M||_F above RECON_TOL * max(1, ||M||_F), or ||Q^H Q - I||_F
+    above RECON_TOL, raises ContractViolation.
     """
-    m = A.matrix
     try:
         w, q = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigh failed: {exc}") from exc
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(q))):
         raise NonConvergence("eigh returned non-finite eigenpairs")
-    w.setflags(write=False)
-    q.setflags(write=False)
-    dec = SpectralDecomposition(eigenvalues=w, eigenvectors=q, source_dim=A.dim)
-    recon = float(np.linalg.norm(dec.reconstruct() - m))
-    orth = float(np.linalg.norm(q.T @ q - np.eye(A.dim)))
+    qh = q.conj().T
+    recon = float(np.linalg.norm((q * w) @ qh - m))
+    orth = float(np.linalg.norm(qh @ q - np.eye(len(w))))
     if recon > RECON_TOL * max(1.0, float(np.linalg.norm(m))) or orth > RECON_TOL:
         raise ContractViolation(
             f"eigendecomposition residual {recon:.3e}, orthonormality defect {orth:.3e}"
         )
-    return dec
+    return w, q
+
+
+def spectral_decompose(A):
+    """Eigenvalues ascending with orthonormal eigenvector columns, by checked_eigh."""
+    w, q = checked_eigh(A.matrix)
+    w.setflags(write=False)
+    q.setflags(write=False)
+    return SpectralDecomposition(eigenvalues=w, eigenvectors=q)
 
 
 def _fix_sign(u):

@@ -27,7 +27,7 @@ from .errors import (
     NotPositiveSemidefinite,
     PrereqFailed,
 )
-from .operators import as_vector, perp_basis, restricted_top, top_eigen
+from .operators import SymmetricOperator, as_vector, perp_basis, restricted_top, top_eigen
 from .seeding import rng_for
 from .tolerances import AXIS_TOL, ORTHANT_NONNEG_TOL, PSD_TOL, TAU_GAP, TAU_STRICT
 
@@ -178,7 +178,7 @@ def improves_positivity_axis(A, u0):
                        detail=f"restricted top {lam_perp:.12g} < top {lam:.12g}")
     basis = perp_basis(u0)
     block = basis.T @ A.matrix @ basis
-    w = np.linalg.eigh((block + block.T) / 2.0)[1][:, -1]
+    w = SymmetricOperator(block).decomposition.eigenvectors[:, -1]
     witness = u0 + basis @ w
     return Verdict("improves_positivity_axis", VerdictStatus.CERTIFIED_FALSE,
                    margin=margin, witness=witness,

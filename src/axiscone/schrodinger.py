@@ -21,7 +21,13 @@ from .errors import (
     NotRealCompatible,
     TrivialCoupling,
 )
-from .operators import ComplexOperator, SymmetricOperator, bottom_eigen, heat_semigroup
+from .operators import (
+    ComplexOperator,
+    SymmetricOperator,
+    bottom_eigen,
+    checked_eigh,
+    heat_semigroup,
+)
 from .perturbation import (
     PerturbationFamily,
     end_to_end_semigroup_check,
@@ -224,7 +230,7 @@ def restrict_to_real(H, rs):
 
 
 def _expm_hermitian(m, s):
-    w, u = np.linalg.eigh(m)
+    w, u = checked_eigh(m)
     return (u * np.exp(-s * w)) @ u.conj().T
 
 

@@ -13,7 +13,7 @@ TAU_GAP = 1e-9              # gap, relative to |lambda|, that makes an extremal 
 TAU_MEMBERSHIP = 1e-10      # cone margin, relative to ||u||: interior, boundary or outside
 TAU_STRICT = 1e-10          # margin of every strict "> 0" improvement or ergodicity decision
 RECON_TOL = 1e-10           # eigh: ||Q L Q^T - A||_F relative to ||A||_F, and ||Q^T Q - I||_F
-RIESZ_TOL = 1e-8            # imaginary residual and idempotency defect of a contour projector
+RIESZ_TOL = 1e-8            # contour projector: imag residual, P u0 eigen-residual, idempotency
 CORRESPONDENCE_TOL = 1e-9   # real/complex correspondence clauses, relative to ||T||
 
 # Operators and positivity verifiers.

@@ -315,6 +315,24 @@ class TestCli:
         assert captured.err.startswith("config error")
         assert len(captured.err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("params", [
+        {"s_samples": [0]},
+        {"s_samples": [-0.1]},
+        {"s_samples": [1.0]},
+        {"kappas": [0.4]},
+        {"t": [[0, 1], [0, 1]], "s": [[0, 1], [1, 0]]},
+        {"t": [[0, 0], [0, 1]], "s": [[0, 1, 0], [1, 0, 0], [0, 0, 0]]},
+        {"t": [[0, 0], [0]], "s": [[0, 1], [1, 0]]},
+    ], ids=["s_zero", "s_negative", "s_above_s0", "kappa_inadmissible", "t_asymmetric",
+            "s_dimension", "t_ragged"])
+    def test_bad_perturb_input_exits_2(self, tmp_path, capsys, params):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"kind": "perturb_sweep", "seed": 0, "params": params}))
+        assert main(["perturb", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error")
+        assert len(captured.err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("corrupt, code, error", [
         (lambda w, q: (w, 1.01 * q), 1, "ContractViolation"),
         (lambda w, q: (np.full_like(w, np.nan), q), 2, "NonConvergence"),

@@ -7,10 +7,12 @@ from axiscone.errors import (
     AxisNotEigenvector,
     BudgetViolated,
     ContourHitsSpectrum,
+    ContractViolation,
     DegenerateBottom,
     DegenerateTop,
     GapCollapsed,
 )
+from axiscone import perturbation
 from axiscone.operators import SymmetricOperator, bottom_eigen
 from axiscone.perturbation import (
     PerturbationFamily,
@@ -196,11 +198,29 @@ class TestDriftCertificate:
             drift_certificate_lhs(0.5, 0.0, t=0.5)
 
 
+def full_circle_projector(t, center, radius, nodes=64):
+    """Reference rule: every node of the circle, solved against the identity."""
+    eye = np.eye(t.dim)
+    acc = np.zeros((t.dim, t.dim), dtype=complex)
+    for k in range(nodes):
+        w = np.exp(2j * np.pi * k / nodes)
+        acc += w * np.linalg.solve((center + radius * w) * eye - t.matrix, eye)
+    return (radius / nodes) * acc.real
+
+
+def gapped_instance(seed, dim):
+    """Random symmetric T with eigenvalue 0 and the rest in [1, 3]."""
+    rng = rng_for(seed, 40)
+    q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    eigs = np.concatenate([[0.0], np.sort(rng.uniform(1.0, 3.0, size=dim - 1))])
+    return SymmetricOperator((q * eigs) @ q.T)
+
+
 class TestRieszProjector:
     def test_diagonal(self):
         t = SymmetricOperator(np.diag([0.0, 1.0]))
-        proj = riesz_projector(t, center=0.0, radius=0.5, nodes=64)
-        np.testing.assert_allclose(proj.matrix, np.diag([1.0, 0.0]), atol=1e-10)
+        proj = riesz_projector(t, 0.0, 0.5, np.eye(2), nodes=64)
+        np.testing.assert_allclose(proj, np.diag([1.0, 0.0]), atol=1e-10)
 
     def test_two_by_two_against_eigen_oracle(self):
         t = SymmetricOperator([[0.0, 0.3], [0.3, 1.0]])
@@ -209,25 +229,44 @@ class TestRieszProjector:
         dec = t.decomposition
         vec = dec.eigenvectors[:, 0]
         oracle = np.outer(vec, vec)
-        proj = riesz_projector(t, center=0.0, radius=0.5, nodes=64)
-        np.testing.assert_allclose(proj.matrix, oracle, atol=1e-8)
-        assert proj.idempotency_defect <= 1e-8
+        proj = riesz_projector(t, 0.0, 0.5, np.eye(2), nodes=64)
+        np.testing.assert_allclose(proj, oracle, atol=1e-8)
+        assert np.linalg.norm(proj @ proj - proj) <= 1e-8
 
     def test_contour_hits_spectrum(self):
         t = SymmetricOperator(np.diag([0.0, 1.0]))
         with pytest.raises(ContourHitsSpectrum):
-            riesz_projector(t, center=0.0, radius=1.0)
+            riesz_projector(t, 0.0, 1.0, np.eye(2))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_node_doubling(self, seed):
-        rng = rng_for(seed, 40)
-        dim = 6
-        q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
-        eigs = np.concatenate([[0.0], np.sort(rng.uniform(1.0, 3.0, size=dim - 1))])
-        t = SymmetricOperator((q * eigs) @ q.T)
-        coarse = riesz_projector(t, center=0.0, radius=0.5, nodes=64)
-        fine = riesz_projector(t, center=0.0, radius=0.5, nodes=128)
-        assert np.linalg.norm(coarse.matrix - fine.matrix) <= 1e-10
+        t = gapped_instance(seed, 6)
+        coarse = riesz_projector(t, 0.0, 0.5, np.eye(6), nodes=64)
+        fine = riesz_projector(t, 0.0, 0.5, np.eye(6), nodes=128)
+        assert np.linalg.norm(coarse - fine) <= 1e-10
+
+    @pytest.mark.parametrize("dim", [2, 6, 64, 128])
+    def test_folded_rule_matches_full_circle(self, dim):
+        t = gapped_instance(dim, dim)
+        folded = riesz_projector(t, 0.0, 0.5, np.eye(dim))
+        assert folded.dtype == float
+        assert np.max(np.abs(folded - full_circle_projector(t, 0.0, 0.5))) <= 1e-14
+
+    def test_vector_and_block_forms_agree(self):
+        t = gapped_instance(3, 9)
+        block = rng_for(3, 41).standard_normal((9, 4))
+        images = riesz_projector(t, 0.0, 0.5, block)
+        assert images.shape == (9, 4)
+        for j in range(4):
+            np.testing.assert_allclose(images[:, j],
+                                       riesz_projector(t, 0.0, 0.5, block[:, j]),
+                                       rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("nodes", [63, 65])
+    def test_odd_node_count_rejected(self, nodes):
+        t = gapped_instance(0, 4)
+        with pytest.raises(ValueError, match="even"):
+            riesz_projector(t, 0.0, 0.5, np.eye(4), nodes=nodes)
 
 
 class TestSemigroupThreshold:
@@ -390,6 +429,37 @@ class TestDriftedAxis:
         t, s, budget = self.budget()
         with pytest.raises(BudgetViolated):
             drifted_axis(t + s.operator_at(0.3), E1, budget, kappa=0.3)
+
+    def test_solves_once_per_upper_node_against_the_axis(self, monkeypatch):
+        t, s, budget = self.budget()
+        t_kappa = t + s.operator_at(0.04)
+        solve = np.linalg.solve
+        columns = []
+
+        def counting_solve(a, b):
+            columns.append(1 if b.ndim == 1 else b.shape[1])
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        drifted_axis(t_kappa, E1, budget, kappa=0.04)
+        assert columns == [1] * 33
+
+    def test_corrupted_image_fails_eigen_residual(self, monkeypatch):
+        t, s, budget = self.budget()
+        t_kappa = t + s.operator_at(0.04)
+        project = perturbation.riesz_projector
+        monkeypatch.setattr(perturbation, "riesz_projector",
+                            lambda *args: project(*args) + np.array([0.0, 1e-6]))
+        with pytest.raises(ContractViolation, match="eigen-residual"):
+            drifted_axis(t_kappa, E1, budget, kappa=0.04)
+
+    def test_rayleigh_quotient_outside_contour(self, monkeypatch):
+        t, _, budget = self.budget()
+        # the exact eigenvector of eigenvalue 1, outside |z - 0| < 1/2
+        monkeypatch.setattr(perturbation, "riesz_projector",
+                            lambda *args: np.array([0.0, 1.0]))
+        with pytest.raises(ContractViolation, match="Rayleigh quotient"):
+            drifted_axis(t, E1, budget, kappa=0.0)
 
 
 class TestEndToEnd:

@@ -4,6 +4,7 @@ import pytest
 from axiscone.cones import AxisCone, OrthantCone, Region
 from axiscone.errors import (
     AxisNotEigenvector,
+    ContractViolation,
     DimensionMismatch,
     NotInCone,
     NotPositiveSemidefinite,
@@ -91,6 +92,14 @@ class TestImprovesAxis:
         image = a.apply(verdict.witness)
         assert cone.classify(image) is Region.BOUNDARY
         np.testing.assert_allclose(np.abs(verdict.witness), [1.0, 1.0, 0.0], atol=1e-12)
+
+    def test_witness_eigendecomposition_is_checked(self, monkeypatch):
+        a = SymmetricOperator(np.diag([2.0, 2.0, 1.0]))
+        a.decomposition  # cached, so only the witness block reaches eigh below
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: (eigh(m)[0], 1.01 * eigh(m)[1]))
+        with pytest.raises(ContractViolation, match="orthonormality"):
+            improves_positivity_axis(a, np.array([1.0, 0.0, 0.0]))
 
     def test_dim_one_vacuous(self):
         verdict = improves_positivity_axis(SymmetricOperator([[3.0]]), np.array([1.0]))

@@ -5,6 +5,7 @@ import pytest
 
 from axiscone.errors import (
     AsymmetricPotential,
+    ContractViolation,
     DegenerateBottom,
     NotInCone,
     NotRealCompatible,
@@ -216,6 +217,18 @@ class TestOrthantDemo:
         report = orthant_failure_demo(harmonic_model(coupling=0.5), s=0.5)
         assert report.status == "witness_found"
         assert report.max_imag >= 1e-10
+
+    def test_propagator_eigendecomposition_is_checked(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def corrupt_hermitian(m):
+            w, q = eigh(m)
+            # only the complex Hermitian H of the propagator is corrupted
+            return (w, 1.01 * q) if np.iscomplexobj(m) else (w, q)
+
+        monkeypatch.setattr(np.linalg, "eigh", corrupt_hermitian)
+        with pytest.raises(ContractViolation, match="orthonormality"):
+            orthant_failure_demo(harmonic_model(coupling=0.5), s=0.5)
 
     def test_zero_bump_rejected(self):
         with pytest.raises(NotInCone):
