@@ -556,7 +556,7 @@ def parse_report(text):
         else:
             rows.append(line.split(","))
     if columns is None:
-        raise ValueError("report has no CSV block")
+        raise ConfigInvalid("<report>", "has no CSV block")
     return header, columns, rows
 
 
@@ -569,7 +569,7 @@ def replay(text):
     """
     header, columns, rows = parse_report(text)
     if "config" not in header:
-        raise ValueError("report header lacks the config echo")
+        raise ConfigInvalid("<report>", "header lacks the config echo")
     config = ExperimentConfig.from_json(header["config"])
     results = []
     if config.kind != "pf_verify":

@@ -2,7 +2,8 @@
 
 Everything lives at finite dimension with the Euclidean inner product, so all
 operators are bounded and the spectrum is the eigenvalue set.  Spectral data
-is computed once per operator and cached; all returned arrays are read-only.
+is computed once per operator by checked_eigh and cached; a heat semigroup
+derives its spectrum from its generator's.  All returned arrays are read-only.
 """
 
 from dataclasses import dataclass, field
@@ -122,8 +123,18 @@ class SymmetricOperator:
         return f"SymmetricOperator(dim={self.dim})"
 
     @staticmethod
+    def from_spectrum(w, q):
+        """Q diag(w) Q^T holding (w, q) as its decomposition: w ascending, q orthonormal."""
+        w, q = np.array(w, dtype=float), np.array(q, dtype=float)
+        op = SymmetricOperator((q * w) @ q.T)
+        w.setflags(write=False)
+        q.setflags(write=False)
+        op._decomposition = SpectralDecomposition(eigenvalues=w, eigenvectors=q)
+        return op
+
+    @staticmethod
     def identity(dim):
-        return SymmetricOperator(np.eye(dim))
+        return SymmetricOperator.from_spectrum(np.ones(dim), np.eye(dim))
 
 
 @dataclass(frozen=True)
@@ -279,14 +290,21 @@ def restricted_top(A, u0):
 
 
 def heat_semigroup(T, s):
-    """exp(-s T) through the spectral decomposition; symmetric positive definite."""
+    """exp(-s T) = Q exp(-s L) Q^T, its spectrum derived from T's checked one.
+
+    Eigenvalues exp(-s lambda) and T's eigenvector columns are both reversed
+    into ascending order; a non-finite eigenvalue raises NonConvergence.
+    """
     if s < 0:
         raise NegativeTime(f"semigroup time s={s} must be nonnegative")
     if s == 0:
         return SymmetricOperator.identity(T.dim)
     dec = T.decomposition
-    q = dec.eigenvectors
-    return SymmetricOperator((q * np.exp(-s * dec.eigenvalues)) @ q.T)
+    with np.errstate(over="ignore"):
+        w = np.exp(-s * dec.eigenvalues[::-1])
+    if not np.all(np.isfinite(w)):
+        raise NonConvergence(f"exp(-s T) has a non-finite eigenvalue at s={s}")
+    return SymmetricOperator.from_spectrum(w, dec.eigenvectors[:, ::-1])
 
 
 def complexify(T):

@@ -174,7 +174,11 @@ def certified_improving_under_drift(A, u0, u1, seed=0):
     (including the gapless limit alpha -> 1) the multistart verifier takes
     over, which in dimension 2 is still an exhaustive sweep.
     """
-    alpha, r = improving_radius(A, u0)
+    return _improving_under_drift(A, improving_radius(A, u0)[0], u0, u1, seed)
+
+
+def _improving_under_drift(A, alpha, u0, u1, seed):
+    """certified_improving_under_drift with alpha = improving_radius(A, u0)[0] given."""
     u1 = as_vector(u1)
     d = float(np.linalg.norm(u1 - u0))
     if d < INV_SQRT2:
@@ -492,15 +496,15 @@ def end_to_end_semigroup_check(T, S_spec, budget, s_samples, seed=0, kappas=None
     """Drive the full pipeline over admissible (kappa, s) pairs.
 
     Each pair exponentiates T + S(kappa), recomputes the spectral ratio of
-    the exponential (the uniform alpha of the budget is the worst case; both
-    are reported), and asks for improvement w.r.t. the unperturbed axis.
+    the exponential once (the uniform alpha of the budget is the worst case;
+    both are reported), and asks for improvement w.r.t. the unperturbed axis.
     The base case kappa = 0 is verified directly through the certified
     axis criterion for every s.
     """
     s_samples = [float(s) for s in s_samples]
     for s in s_samples:
         if s <= 0:
-            raise ValueError("s = 0 is excluded: the identity is not improving")
+            raise ValueError(f"s={s} must be positive (s = 0 gives the identity)")
         if s > budget.s0:
             raise ValueError(f"s={s} > s0={budget.s0}: outside theorem scope")
     if kappas is None:
@@ -522,14 +526,12 @@ def end_to_end_semigroup_check(T, S_spec, budget, s_samples, seed=0, kappas=None
             axis_kappa = -axis_kappa
         for j, s in enumerate(s_samples):
             semigroup = heat_semigroup(t_kappa, s)
+            alpha_op, _ = improving_radius(semigroup, axis_kappa)
             if kappa == 0.0:
                 verdict = improves_positivity_axis(semigroup, axis_kappa)
             else:
-                verdict = certified_improving_under_drift(
-                    semigroup, axis_kappa, u0,
-                    seed=derive_seed(seed, i, j),
-                )
-            alpha_op, _ = improving_radius(semigroup, axis_kappa)
+                verdict = _improving_under_drift(semigroup, alpha_op, axis_kappa, u0,
+                                                 derive_seed(seed, i, j))
             rows.append(SweepRow(
                 kappa=kappa, s=s, c_kappa=c_kappa, threshold=budget.c_threshold,
                 drift_bound=drift_bound, drift_actual=drift_actual,

@@ -383,6 +383,21 @@ class TestCli:
         assert main(["replay", str(corrupted)]) == 1
         assert "FAILED to reproduce" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text", [
+        "",
+        "junk\n",
+        "# axiscone-report\n# kind: pf_verify\n"
+        '# config: {"kind":"pf_verify","seed"\nflavor,dim,status\n',
+    ], ids=["empty", "one_line_text", "corrupted_config_echo"])
+    def test_replay_non_report_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "not_a_report.txt"
+        path.write_text(text)
+        assert main(["replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+
     def test_seed_override_changes_rows(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

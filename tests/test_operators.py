@@ -11,6 +11,7 @@ from axiscone.errors import (
 from axiscone.operators import (
     ComplexOperator,
     SymmetricOperator,
+    checked_eigh,
     complexify,
     correspondence_check,
     heat_semigroup,
@@ -22,11 +23,19 @@ from axiscone.operators import (
     write_matrix,
 )
 from axiscone.seeding import rng_for
+from axiscone.tolerances import RECON_TOL
 
 
 def random_symmetric(dim, seed):
     g = rng_for(seed, dim).standard_normal((dim, dim))
     return SymmetricOperator((g + g.T) / 2.0)
+
+
+def with_repeated_eigenvalue(dim, seed):
+    # eigenvalues 0, 1, 1, 2, ...: a doubly degenerate second eigenvalue
+    q = np.linalg.qr(rng_for(seed, dim).standard_normal((dim, dim)))[0]
+    eigs = np.concatenate([[0.0, 1.0], np.arange(1.0, dim - 1.0)])
+    return SymmetricOperator((q * eigs) @ q.T)
 
 
 def expm_taylor_squaring(m, n_taylor=20, n_square=12):
@@ -172,6 +181,46 @@ class TestHeatSemigroup:
         for s in (0.25, 1.0):
             expected = np.exp(-s * mu)
             assert heat_semigroup(op, s).norm == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_symmetric(6, seed=1),
+        lambda: random_symmetric(40, seed=2),
+        lambda: with_repeated_eigenvalue(5, seed=7),
+    ], ids=["dim6", "dim40", "repeated_eigenvalue"])
+    @pytest.mark.parametrize("s", [0.1, np.log(2.0), 1.5])
+    def test_inherited_decomposition_matches_checked_eigh(self, make, s):
+        semigroup = heat_semigroup(make(), s)
+        inherited = semigroup.decomposition
+        w, q = inherited.eigenvalues, inherited.eigenvectors
+        w_ref, q_ref = checked_eigh(semigroup.matrix)
+        scale = float(np.max(np.abs(w_ref)))
+        assert np.max(np.abs(w - w_ref)) <= 1e-13 * scale
+        assert np.all(np.diff(w) >= 0.0)
+        m = semigroup.matrix
+        assert np.linalg.norm((q * w) @ q.T - m) <= RECON_TOL * max(1.0, np.linalg.norm(m))
+        gaps = np.minimum(np.diff(w, prepend=-np.inf), np.diff(w, append=np.inf))
+        for k in np.flatnonzero(gaps > 1e-6 * scale):
+            # eigenvectors of simple eigenvalues agree up to sign, to eps ||A|| / gap
+            sign = 1.0 if float(q[:, k] @ q_ref[:, k]) >= 0.0 else -1.0
+            defect = np.linalg.norm(q[:, k] - sign * q_ref[:, k])
+            assert defect <= 1e3 * np.finfo(float).eps * scale / gaps[k]
+
+    def test_no_eigh_for_semigroup_or_identity(self, monkeypatch):
+        op = random_symmetric(6, seed=8)
+        op.decomposition  # the generator's own eigh runs before counting starts
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        identity = heat_semigroup(op, 0.0)
+        assert identity.decomposition.eigenvalues.tolist() == [1.0] * 6
+        np.testing.assert_array_equal(identity.decomposition.eigenvectors, np.eye(6))
+        assert heat_semigroup(op, 0.5).norm > 0.0
+        assert calls == []
+
+    def test_overflowing_exponential_raises(self):
+        op = SymmetricOperator(np.diag([-800.0, 0.0, 1.0]))
+        with pytest.raises(NonConvergence, match="non-finite"):
+            heat_semigroup(op, 1.0)
 
 
 class TestComplexify:

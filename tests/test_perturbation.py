@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from axiscone.errors import (
     DegenerateTop,
     GapCollapsed,
 )
-from axiscone import perturbation
-from axiscone.operators import SymmetricOperator, bottom_eigen
+from axiscone import perturbation, positivity
+from axiscone.operators import SymmetricOperator, bottom_eigen, restricted_top
 from axiscone.perturbation import (
     PerturbationFamily,
     certified_improving_under_drift,
@@ -491,6 +492,51 @@ class TestEndToEnd:
         budget = semigroup_threshold(t, s, s0=1.0, kappa0=0.5, kappa_grid=[0.0])
         with pytest.raises(ValueError, match="identity"):
             end_to_end_semigroup_check(t, s, budget, s_samples=[0.0], kappas=[0.0])
+
+    @pytest.mark.parametrize("s_value, message", [
+        (0.0, "s=0.0 must be positive"),
+        (-0.1, "s=-0.1 must be positive"),
+    ], ids=["zero", "negative"])
+    def test_nonpositive_time_message_names_value(self, s_value, message):
+        t, s = swap_instance()
+        budget = semigroup_threshold(t, s, s0=1.0, kappa0=0.5, kappa_grid=[0.0])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            end_to_end_semigroup_check(t, s, budget, s_samples=[s_value], kappas=[0.0])
+
+    def sweep_instance(self):
+        t = gapped_instance(3, 6)
+        g = rng_for(3, 41).standard_normal((6, 6))
+        s_mat = SymmetricOperator((g + g.T) / 2.0)
+        s_spec = PerturbationFamily([(0.05 / s_mat.norm) * s_mat])
+        budget = semigroup_threshold(t, s_spec, s0=math.log(2.0), kappa0=1.0,
+                                     kappa_grid=np.linspace(-0.9, 0.9, 7))
+        return t, s_spec, budget
+
+    def test_semigroups_cost_no_eigh(self, monkeypatch):
+        t, s_spec, budget = self.sweep_instance()
+        kappas = [0.0, 0.3, 0.6]
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        counts = []
+        for s_samples in ([0.1], [0.1, 0.2, 0.3, 0.5, math.log(2.0)]):
+            calls.clear()
+            report = end_to_end_semigroup_check(t, s_spec, budget, s_samples, kappas=kappas)
+            assert len(report.rows) == len(kappas) * len(s_samples)
+            counts.append(len(calls))
+        # one decomposition per generator T + S(kappa), none per semigroup
+        assert counts == [len(kappas), len(kappas)]
+
+    def test_one_restricted_top_per_perturbed_row(self, monkeypatch):
+        t, s_spec, budget = self.sweep_instance()
+        calls = []
+        for module in (perturbation, positivity):
+            monkeypatch.setattr(module, "restricted_top",
+                                lambda A, u0: calls.append(A) or restricted_top(A, u0))
+        report = end_to_end_semigroup_check(t, s_spec, budget, [0.1, 0.3, math.log(2.0)],
+                                            kappas=[-0.3, 0.3, 0.6])
+        assert len(calls) == len(report.rows) == 9
+        assert all(row.verdict.status is VerdictStatus.CERTIFIED_TRUE for row in report.rows)
 
     def test_beyond_s0_rejected(self):
         t, s = swap_instance()
