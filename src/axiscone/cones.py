@@ -126,21 +126,6 @@ class OrthantCone:
         return f"orthant {self.dim}"
 
 
-def parse_cone(line):
-    tokens = line.split()
-    if not tokens:
-        raise ValueError("empty cone line")
-    if tokens[0] == "orthant":
-        return OrthantCone(int(tokens[1]))
-    if tokens[0] == "axis":
-        dim = int(tokens[1])
-        entries = [float(t) for t in tokens[2:]]
-        if len(entries) != dim:
-            raise ValueError(f"expected {dim} axis entries, found {len(entries)}")
-        return AxisCone(np.array(entries))
-    raise ValueError(f"unknown cone kind {tokens[0]!r}")
-
-
 def as_rows(entries):
     """Validate and return a nonempty (k, n) float block of finite rows."""
     rows = np.asarray(entries, dtype=float)

@@ -85,10 +85,6 @@ class AsymmetricPotential(AxisConeError):
     """Potential or vector potential is not an even grid function."""
 
 
-class TrivialCoupling(AxisConeError):
-    """Magnetic coupling e = 0 where a nonzero coupling is required."""
-
-
 class ConfigInvalid(AxisConeError):
     """Experiment configuration failed schema validation."""
 

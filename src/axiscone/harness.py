@@ -25,7 +25,7 @@ from .cones import (
     selfduality_probe,
 )
 from .errors import ConfigInvalid
-from .operators import SymmetricOperator, top_eigen
+from .operators import SymmetricOperator, as_vector, top_eigen
 from .perturbation import (
     SWEEP_CSV_COLUMNS,
     PerturbationFamily,
@@ -41,11 +41,9 @@ from .positivity import (
 from .schrodinger import (
     GridSpec,
     MagneticModel,
-    ModelFile,
     POTENTIAL_PRESETS,
     magnetic_experiment,
     orthant_failure_demo,
-    read_model_file,
 )
 from .seeding import derive_seed, rng_for
 
@@ -63,6 +61,7 @@ TOLERANCES = {
 }
 
 FLAVORS = ("generic", "psd-simple", "degenerate-top")
+PF_COLUMNS = ["flavor", "dim", "predicate", "status", "margin", "witness", "seed", "ok"]
 
 
 def generate_instance(flavor, dim, seed):
@@ -251,34 +250,34 @@ def _validate_perturb(params):
 
 
 def _validate_schrodinger(params):
-    allowed = {"model_path", "N", "h", "potential", "vector_potential",
+    allowed = {"N", "h", "potential", "vector_potential",
                "e_grid", "s0", "s_samples", "demo_e", "demo_s"}
     _reject_unknown(params, allowed)
-    if "model_path" in params:
-        if not isinstance(params["model_path"], str):
-            raise ConfigInvalid("model_path", "must be a path string")
-    else:
-        n = params.setdefault("N", 8)
-        if not (_is_int(n) and n >= 1):
-            raise ConfigInvalid("N", "must be a positive integer")
-        h = params.setdefault("h", 0.5)
-        if not (_is_number(h) and h > 0):
-            raise ConfigInvalid("h", "must be a finite positive number")
-        for key, default in (("potential", "harmonic"), ("vector_potential", "gaussian")):
-            profile = params.setdefault(key, default)
-            if isinstance(profile, str):
-                if profile not in POTENTIAL_PRESETS:
-                    raise ConfigInvalid(key, f"unknown preset {profile!r}")
-            elif not (isinstance(profile, list) and all(_is_number(x) for x in profile)):
-                raise ConfigInvalid(key, "must be a preset name or a list of finite numbers")
-        params["e_grid"] = _as_grid(
-            params.get("e_grid", {"start": -0.008, "stop": 0.008, "num": 17}), "e_grid"
-        )
-        s0 = params.setdefault("s0", 1.0)
-        if not (_is_number(s0) and s0 > 0):
-            raise ConfigInvalid("s0", "must be a finite positive number")
+    n = params.setdefault("N", 8)
+    if not (_is_int(n) and n >= 1):
+        raise ConfigInvalid("N", "must be a positive integer")
+    h = params.setdefault("h", 0.5)
+    if not (_is_number(h) and h > 0):
+        raise ConfigInvalid("h", "must be a finite positive number")
+    for key, default in (("potential", "harmonic"), ("vector_potential", "gaussian")):
+        profile = params.setdefault(key, default)
+        if isinstance(profile, str):
+            if profile not in POTENTIAL_PRESETS:
+                raise ConfigInvalid(key, f"unknown preset {profile!r}")
+        elif not (isinstance(profile, list) and all(_is_number(x) for x in profile)):
+            raise ConfigInvalid(key, "must be a preset name or a list of finite numbers")
+        elif len(profile) != 2 * n + 1:
+            raise ConfigInvalid(key, f"must hold 2N+1 = {2 * n + 1} grid values")
+    params["e_grid"] = _as_grid(
+        params.get("e_grid", {"start": -0.008, "stop": 0.008, "num": 17}), "e_grid"
+    )
+    s0 = params.setdefault("s0", 1.0)
+    if not (_is_number(s0) and s0 > 0):
+        raise ConfigInvalid("s0", "must be a finite positive number")
     if "s_samples" in params:
         params["s_samples"] = _as_grid(params["s_samples"], "s_samples")
+        if not all(0 < s <= s0 for s in params["s_samples"]):
+            raise ConfigInvalid("s_samples", "entries must lie in (0, s0]")
     demo_e = params.setdefault("demo_e", 0.5)
     if not _is_number(demo_e):
         raise ConfigInvalid("demo_e", "must be a finite number")
@@ -340,10 +339,6 @@ class Report:
         for key, value in self.summary_extra:
             lines.append(f"# {key}: {value}")
         return "\n".join(lines) + "\n"
-
-    def write(self, path, timestamp=True):
-        with open(path, "w") as fh:
-            fh.write(self.render(timestamp=timestamp))
 
 
 def _g17(x):
@@ -430,8 +425,7 @@ def _run_pf_verify(config):
     summary = [("summary_min_margin", _g17(min(margins)))] if margins else []
     return Report(kind=config.kind, seed=config.seed,
                   config_json=config.canonical_json(),
-                  columns=["flavor", "dim", "predicate", "status", "margin",
-                           "witness", "seed", "ok"],
+                  columns=PF_COLUMNS,
                   rows=rows,
                   summary_extra=summary)
 
@@ -463,9 +457,8 @@ def _run_perturb(config):
                   summary_extra=[("summary_min_verdict_margin", _g17(worst))])
 
 
-def _model_from_params(params):
-    if "model_path" in params:
-        return read_model_file(params["model_path"])
+def _run_schrodinger(config):
+    params = config.params
     grid = GridSpec(n_half=params["N"], spacing=params["h"])
 
     def profile(key):
@@ -475,21 +468,14 @@ def _model_from_params(params):
             return np.array([fn(abs(x)) for x in grid.points])
         return np.asarray(value, dtype=float)
 
-    return ModelFile(grid=grid, v_values=profile("potential"),
-                     a_values=profile("vector_potential"),
-                     e_grid=np.asarray(params["e_grid"], dtype=float),
-                     s0=float(params["s0"]))
-
-
-def _run_schrodinger(config):
-    params = config.params
-    model_file = _model_from_params(params)
-    model = model_file.model(0.0)
+    model = MagneticModel(grid=grid, v_values=profile("potential"),
+                          a_values=profile("vector_potential"), coupling=0.0)
+    s0 = float(params["s0"])
     s_samples = params.get("s_samples")
-    report = magnetic_experiment(model, e_grid=model_file.e_grid, s0=model_file.s0,
+    report = magnetic_experiment(model, e_grid=params["e_grid"], s0=s0,
                                  s_samples=s_samples, seed=config.seed)
     rows = []
-    samples = s_samples or [model_file.s0 / 4.0, model_file.s0 / 2.0, model_file.s0]
+    samples = s_samples or [s0 / 4.0, s0 / 2.0, s0]
     for s, verdict in zip(samples, report.base_verdicts):
         rows.append(["base", _g17(0.0), _g17(s), verdict.status.value,
                      _g17(verdict.margin), "1" if verdict.is_true else "0"])
@@ -534,7 +520,6 @@ class ReplayResult:
     row_index: int
     predicate: str
     reproduced: bool
-    note: str = ""
 
 
 def parse_report(text):
@@ -574,19 +559,31 @@ def replay(text):
     results = []
     if config.kind != "pf_verify":
         return results
-    col = {name: i for i, name in enumerate(columns)}
+    if columns != PF_COLUMNS:
+        raise ConfigInvalid("<report>", f"CSV columns are not {','.join(PF_COLUMNS)}")
     for index, row in enumerate(rows):
-        if row[col["status"]] != VerdictStatus.CERTIFIED_FALSE.value:
+        if len(row) != len(columns):
+            raise ConfigInvalid("<report>", f"row {index} has {len(row)} cells, "
+                                            f"not {len(columns)}")
+        flavor, dim, predicate, status, _, witness, instance_seed, _ = row
+        if status != VerdictStatus.CERTIFIED_FALSE.value:
             continue
-        flavor = row[col["flavor"]]
-        dim = int(row[col["dim"]])
-        instance_seed = int(row[col["seed"]])
-        witness = np.array([float(x) for x in row[col["witness"]].split()])
+        try:
+            dim = int(dim)
+            instance_seed = int(instance_seed)
+            witness = as_vector([float(x) for x in witness.split()])
+        except ValueError as exc:
+            raise ConfigInvalid("<report>", f"row {index}: {exc}") from exc
+        if flavor not in config.params["flavors"] or dim not in config.params["dims"]:
+            raise ConfigInvalid("<report>", f"row {index}: flavor {flavor!r} and dim {dim} "
+                                            "are not in the config echo")
+        if witness.size != dim:
+            raise ConfigInvalid("<report>", f"row {index}: witness has {witness.size} "
+                                            f"entries, not {dim}")
         a = generate_instance(flavor, dim, instance_seed)
         _, u0, _ = top_eigen(a)
         cone = AxisCone(u0)
         image = a.apply(witness)
-        predicate = row[col["predicate"]]
         if predicate == "preserves_positivity":
             reproduced = cone.classify(image) is Region.OUTSIDE
         else:

@@ -170,11 +170,6 @@ class ComplexOperator:
     def apply(self, v):
         return self.matrix @ np.asarray(v, dtype=complex)
 
-    def is_hermitian(self):
-        m = self.matrix
-        scale = max(1.0, float(np.max(np.abs(m))))
-        return float(np.max(np.abs(m - m.conj().T))) <= TAU_SYM * scale
-
 
 def checked_eigh(m):
     """eigh of a real symmetric or complex Hermitian matrix, checked.
@@ -307,11 +302,6 @@ def heat_semigroup(T, s):
     return SymmetricOperator.from_spectrum(w, dec.eigenvectors[:, ::-1])
 
 
-def complexify(T):
-    """Canonical extension of T to the complexified space: (u + iv) -> Tu + iTv."""
-    return ComplexOperator.from_matrix(np.asarray(T.matrix, dtype=complex))
-
-
 def _realify(m):
     """Complex n x n matrix as the real 2n x 2n matrix [[Re,-Im],[Im,Re]]."""
     return np.block([[m.real, -m.imag], [m.imag, m.real]])
@@ -403,25 +393,3 @@ def correspondence_check(T, seed=0):
             raise CorrespondenceViolation(
                 name, f"margin {margin:.3e} (tol {CORRESPONDENCE_TOL:.0e})")
     return report
-
-
-def write_matrix(A, path):
-    """Plain-text matrix format: 'dim n' then n rows, 17 significant digits."""
-    m = A.matrix if isinstance(A, SymmetricOperator) else np.asarray(A, dtype=float)
-    lines = [f"dim {m.shape[0]}"]
-    for row in m:
-        lines.append(" ".join(format(x, ".17g") for x in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_matrix(path):
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2 or tokens[0] != "dim":
-        raise ValueError("matrix file must start with 'dim n'")
-    n = int(tokens[1])
-    values = [float(t) for t in tokens[2:]]
-    if len(values) != n * n:
-        raise ValueError(f"expected {n * n} entries, found {len(values)}")
-    return SymmetricOperator(np.array(values).reshape(n, n))

@@ -78,33 +78,22 @@ def quartic_margin(c, x):
     return x**4 - 2.0 * x**2 + c * x - 0.25
 
 
-def lemma_region(c, x):
-    """Where the quartic is guaranteed negative: x < min(c/4, 1/(4c))."""
-    if c <= 0:
-        raise ValueError("c must be positive")
-    return x < min(c / 4.0, 1.0 / (4.0 * c))
-
-
 def improvement_threshold(r):
     """c-threshold f(r) = r sqrt(1 - r^2/4) / (1 + r sqrt(1 - r^2/4))."""
     x = r * math.sqrt(1.0 - r**2 / 4.0)
     return x / (1.0 + x)
 
 
-def drift_certificate_lhs(alpha, d, t=None):
+def drift_certificate_lhs(alpha, d):
     """Left side of the drift-improvement inequality.
 
-    With t defaulting to (1/sqrt(2) - d)^{-1} (the only instantiation the
-    drift argument needs; t >= 1 is exposed for direct use), returns
-    1/sqrt(1 + alpha^2 (t^2 - 1)) - d.  Improvement w.r.t. the drifted axis
-    is certified when this exceeds 1/sqrt(2).
+    With t = (1/sqrt(2) - d)^{-1}, returns 1/sqrt(1 + alpha^2 (t^2 - 1)) - d.
+    Improvement w.r.t. the drifted axis is certified when this exceeds
+    1/sqrt(2).
     """
-    if t is None:
-        if d >= INV_SQRT2:
-            raise ValueError("default t requires drift below 1/sqrt(2)")
-        t = 1.0 / (INV_SQRT2 - d)
-    if t < 1.0:
-        raise ValueError("t must be >= 1")
+    if d >= INV_SQRT2:
+        raise ValueError("the drift certificate requires drift below 1/sqrt(2)")
+    t = 1.0 / (INV_SQRT2 - d)
     return 1.0 / math.sqrt(1.0 + alpha**2 * (t**2 - 1.0)) - d
 
 
@@ -166,19 +155,15 @@ def ergodic_drift_check(A, u0, u1, sample_pairs=50, seed=0):
                           f"{worst_certificate:.3e}")
 
 
-def certified_improving_under_drift(A, u0, u1, seed=0):
+def certified_improving_under_drift(A, alpha, u0, u1, seed=0):
     """Improvement w.r.t. a drifted axis: closed-form certificate, then search.
 
-    Evaluates the drift inequality at d = ||u1 - u0||; when its left side
-    exceeds 1/sqrt(2) the verdict is certified with no search.  Otherwise
-    (including the gapless limit alpha -> 1) the multistart verifier takes
-    over, which in dimension 2 is still an exhaustive sweep.
+    alpha is the spectral ratio improving_radius(A, u0)[0].  Evaluates the
+    drift inequality at d = ||u1 - u0||; when its left side exceeds
+    1/sqrt(2) the verdict is certified with no search.  Otherwise (including
+    the gapless limit alpha -> 1) the multistart verifier takes over, which
+    in dimension 2 is still an exhaustive sweep.
     """
-    return _improving_under_drift(A, improving_radius(A, u0)[0], u0, u1, seed)
-
-
-def _improving_under_drift(A, alpha, u0, u1, seed):
-    """certified_improving_under_drift with alpha = improving_radius(A, u0)[0] given."""
     u1 = as_vector(u1)
     d = float(np.linalg.norm(u1 - u0))
     if d < INV_SQRT2:
@@ -530,8 +515,8 @@ def end_to_end_semigroup_check(T, S_spec, budget, s_samples, seed=0, kappas=None
             if kappa == 0.0:
                 verdict = improves_positivity_axis(semigroup, axis_kappa)
             else:
-                verdict = _improving_under_drift(semigroup, alpha_op, axis_kappa, u0,
-                                                 derive_seed(seed, i, j))
+                verdict = certified_improving_under_drift(semigroup, alpha_op, axis_kappa,
+                                                          u0, derive_seed(seed, i, j))
             rows.append(SweepRow(
                 kappa=kappa, s=s, c_kappa=c_kappa, threshold=budget.c_threshold,
                 drift_bound=drift_bound, drift_actual=drift_actual,

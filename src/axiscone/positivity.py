@@ -77,9 +77,6 @@ class Verdict:
         ]
 
 
-VERDICT_CSV_COLUMNS = ["predicate", "status", "margin", "witness", "seed"]
-
-
 def require_psd(A):
     low = A.decomposition.min_eigenvalue
     if low < -PSD_TOL * max(1.0, A.norm):

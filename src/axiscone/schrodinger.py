@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AsymmetricPotential,
-    NotInCone,
-    NotRealCompatible,
-    TrivialCoupling,
-)
+from .errors import AsymmetricPotential, NotRealCompatible
 from .operators import (
     ComplexOperator,
     SymmetricOperator,
@@ -131,9 +126,6 @@ class RealStructure:
             col += 1
         basis.setflags(write=False)
         self.basis = basis
-
-    def conjugate(self, f):
-        return np.conj(np.asarray(f, dtype=complex)[::-1])
 
     def commutation_residual(self, H):
         """max_k || H C e_k - C H e_k || over the standard basis.
@@ -249,25 +241,18 @@ class OrthantDemoReport:
         return self.status == "witness_found"
 
 
-def orthant_failure_demo(model, s, bump=None, strict=False):
-    """Push a nonnegative even bump through exp(-sH) and watch it leave the cone.
+def orthant_failure_demo(model, s):
+    """Push the Gaussian bump exp(-x^2) through exp(-sH) and watch it leave the cone.
 
     With nonzero coupling, the image generically develops an imaginary part,
     certifying that the semigroup does not preserve the nonnegative cone
     (non-ergodicity itself is not certified here).  At e = 0 the run is a
-    positivity control and reports inapplicable_control, unless strict=True
-    which rejects the trivial coupling outright.
+    positivity control and reports inapplicable_control.
     """
     if s <= 0:
         raise ValueError("demo time s must be positive")
-    if model.coupling == 0.0 and strict:
-        raise TrivialCoupling("demo requires a nonzero magnetic coupling")
     x = model.grid.points
-    v = np.exp(-x * x) if bump is None else np.asarray(bump, dtype=float)
-    if v.shape != (model.grid.dim,) or np.linalg.norm(v) == 0.0 or np.min(v) < 0.0:
-        raise NotInCone("bump must be a nonzero entrywise-nonnegative grid function")
-    if not np.array_equal(v, v[::-1]):
-        raise NotInCone("bump must be even to live in the parity-real space")
+    v = np.exp(-x * x)
     h = build_magnetic(model) if model.coupling != 0.0 else build_h0(model)
     image = _expm_hermitian(h.matrix, s) @ v.astype(complex)
     max_imag = float(np.max(np.abs(image.imag)))
@@ -340,70 +325,3 @@ POTENTIAL_PRESETS = {
     "zero": lambda x: 0.0,
 }
 
-
-@dataclass(frozen=True)
-class ModelFile:
-    """Parsed model description: grid, potentials, coupling grid, horizon."""
-
-    grid: GridSpec
-    v_values: np.ndarray
-    a_values: np.ndarray
-    e_grid: np.ndarray
-    s0: float
-
-    def model(self, coupling=0.0):
-        return MagneticModel(grid=self.grid, v_values=self.v_values,
-                             a_values=self.a_values, coupling=float(coupling))
-
-
-def _parse_profile(tokens, grid, name):
-    if not tokens:
-        raise ValueError(f"missing value for {name}")
-    if tokens[0] == "inline":
-        values = np.array([float(t) for t in tokens[1:]])
-        return _even_values(grid, values, name)
-    preset = POTENTIAL_PRESETS.get(tokens[0])
-    if preset is None:
-        raise ValueError(f"unknown {name} preset {tokens[0]!r}")
-    return np.array([preset(abs(x)) for x in grid.points])
-
-
-def read_model_file(path):
-    """Model file: one 'key value...' pair per line, '#' comments allowed.
-
-    Keys: N, h, potential, vector_potential, e_grid, s0.  Profiles are a
-    preset name (harmonic, gaussian_well, gaussian, zero) or 'inline'
-    followed by 2N+1 values.
-    """
-    entries = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, *tokens = line.split()
-            entries[key] = tokens
-    for key in ("N", "h", "potential", "vector_potential", "e_grid", "s0"):
-        if key not in entries:
-            raise ValueError(f"model file missing key {key!r}")
-    grid = GridSpec(n_half=int(entries["N"][0]), spacing=float(entries["h"][0]))
-    v = _parse_profile(entries["potential"], grid, "V")
-    a = _parse_profile(entries["vector_potential"], grid, "a")
-    e_grid = np.array([float(t) for t in entries["e_grid"]])
-    if e_grid.size == 0:
-        raise ValueError("e_grid must be nonempty")
-    s0 = float(entries["s0"][0])
-    return ModelFile(grid=grid, v_values=v, a_values=a, e_grid=e_grid, s0=s0)
-
-
-def write_model_file(model_file, path):
-    lines = [
-        f"N {model_file.grid.n_half}",
-        f"h {format(model_file.grid.spacing, '.17g')}",
-        "potential inline " + " ".join(format(x, ".17g") for x in model_file.v_values),
-        "vector_potential inline " + " ".join(format(x, ".17g") for x in model_file.a_values),
-        "e_grid " + " ".join(format(x, ".17g") for x in model_file.e_grid),
-        f"s0 {format(model_file.s0, '.17g')}",
-    ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -8,7 +8,7 @@ nothing and stay beside the code they protect.
 """
 
 # Echoed in every report header.
-TAU_SYM = 1e-12             # asymmetry of input and Hermitian matrices, relative to max entry
+TAU_SYM = 1e-12             # asymmetry of input matrices, relative to max entry
 TAU_GAP = 1e-9              # gap, relative to |lambda|, that makes an extremal eigenvalue simple
 TAU_MEMBERSHIP = 1e-10      # cone margin, relative to ||u||: interior, boundary or outside
 TAU_STRICT = 1e-10          # margin of every strict "> 0" improvement or ergodicity decision

@@ -13,7 +13,6 @@ from axiscone.cones import (
     moreau_check,
     moreau_decompose,
     pair_check,
-    parse_cone,
     partner_check,
     perp_rows,
     project_rows,
@@ -386,20 +385,6 @@ def test_row_primitives_match_scalar_primitives(dim):
             assert len(boundary) > 0
             for u, p in zip(boundary, boundary_orthogonal_partner(cone, boundary)):
                 close(p, 2.0 * (cone.axis @ u) * cone.axis - u, np.linalg.norm(u))
-
-
-class TestSerialization:
-    def test_axis_roundtrip(self):
-        cone = AxisCone(np.array([0.6, 0.8]))
-        again = parse_cone(cone.serialize())
-        np.testing.assert_array_equal(again.axis, cone.axis)
-
-    def test_orthant_roundtrip(self):
-        assert parse_cone(OrthantCone(5).serialize()) == OrthantCone(5)
-
-    def test_bad_line(self):
-        with pytest.raises(ValueError):
-            parse_cone("simplex 3")
 
 
 def test_moreau_split_type():

@@ -150,16 +150,14 @@ class TestRunners:
         stages = {row[0] for row in report.rows}
         assert stages == {"base", "sweep", "orthant_demo"}
 
-    def test_schrodinger_model_file(self, tmp_path):
-        model = tmp_path / "model.txt"
-        model.write_text(
-            "N 4\nh 0.5\npotential harmonic\nvector_potential gaussian\n"
-            "e_grid -0.004 0 0.004\ns0 1.0\n"
-        )
-        config = ExperimentConfig(kind="schrodinger", seed=1,
-                                  params={"model_path": str(model)})
-        report = run(config)
-        assert report.passed
+    def test_schrodinger_inline_profiles_match_presets(self):
+        xs = [abs(j) * 0.5 for j in range(-4, 5)]
+        params = {"N": 4, "h": 0.5, "e_grid": [-0.004, 0.0, 0.004], "s0": 1.0}
+        preset = run(ExperimentConfig(kind="schrodinger", seed=1, params=dict(params)))
+        inline = run(ExperimentConfig(kind="schrodinger", seed=1, params=dict(
+            params, potential=[x * x for x in xs],
+            vector_potential=[math.exp(-x * x) for x in xs])))
+        assert inline.rows == preset.rows
 
 
 class TestReportFormat:
@@ -259,6 +257,19 @@ def _non_finite_or_boolean_numbers():
     return cases
 
 
+def _with_csv_block(text, columns, rows):
+    """A report's '#' lines followed by another CSV block."""
+    comments = [line for line in text.splitlines() if line.startswith("#")]
+    return "\n".join(comments + [",".join(row) for row in [columns] + rows]) + "\n"
+
+
+def _set_in_certified_false(rows, column, value):
+    """rows with one cell of the first CertifiedFalse row replaced."""
+    row = next(row for row in rows if row[3] == VerdictStatus.CERTIFIED_FALSE.value)
+    row[column] = value
+    return rows
+
+
 class TestCli:
     def test_verify_writes_report(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -344,6 +355,24 @@ class TestCli:
         assert main(["perturb", "--out", str(tmp_path / "r.csv")]) == code
         assert capsys.readouterr().err.startswith(error)
 
+    @pytest.mark.parametrize("params, error", [
+        ({"N": 2, "h": 0.5, "potential": [1, 2, 3]}, "config error: config field 'potential'"),
+        ({"N": 2, "vector_potential": [0] * 7}, "config error: config field 'vector_potential'"),
+        ({"N": 2, "potential": [1, 0, 0, 0, 2]}, "AsymmetricPotential"),
+        ({"N": 2, "vector_potential": [1, 0, 0, 0, 2]}, "AsymmetricPotential"),
+        ({"s_samples": [2.0]}, "config error: config field 's_samples'"),
+        ({"model_path": "model.txt"}, "config error: config field 'model_path'"),
+    ], ids=["potential_length", "vector_potential_length", "potential_uneven",
+            "vector_potential_uneven", "s_sample_above_s0", "model_path_removed"])
+    def test_bad_schrodinger_input_exits_2(self, tmp_path, capsys, params, error):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"kind": "schrodinger", "seed": 0, "params": params}))
+        assert main(["schrodinger", "--config", str(cfg),
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(error)
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_kind_subcommand_mismatch_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "schrodinger", "seed": 0}))
@@ -395,6 +424,30 @@ class TestCli:
         assert main(["replay", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("config error")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("mutate, error", [
+        (lambda header, rows: (["flavor", "dim"], [row[:2] for row in rows]), "CSV columns"),
+        (lambda header, rows: (header, [row[:-1] for row in rows]), "cells"),
+        (lambda header, rows: (header, _set_in_certified_false(rows, 1, "x")), "row"),
+        (lambda header, rows: (header, _set_in_certified_false(rows, 6, "7.5")), "row"),
+        (lambda header, rows: (header, _set_in_certified_false(rows, 5, "0.5 y")), "row"),
+        (lambda header, rows: (header, _set_in_certified_false(rows, 5, "1 2")), "witness"),
+        (lambda header, rows: (header, _set_in_certified_false(rows, 1, "300")),
+         "not in the config"),
+    ], ids=["missing_columns", "short_rows", "dim_not_a_number", "seed_not_an_integer",
+            "witness_not_a_number", "witness_length", "dim_not_in_config"])
+    def test_replay_malformed_rows_exits_2(self, tmp_path, capsys, mutate, error):
+        report = run(ExperimentConfig(kind="pf_verify", seed=31,
+                                      params={"dims": [3], "instances_per_flavor": 2}))
+        columns, rows = mutate(report.columns, [list(row) for row in report.rows])
+        path = tmp_path / "malformed.csv"
+        path.write_text(_with_csv_block(report.render(timestamp=False), columns, rows))
+        assert main(["replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error")
+        assert error in captured.err
         assert len(captured.err.strip().splitlines()) == 1
         assert captured.out == ""
 

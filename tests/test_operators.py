@@ -12,15 +12,12 @@ from axiscone.operators import (
     ComplexOperator,
     SymmetricOperator,
     checked_eigh,
-    complexify,
     correspondence_check,
     heat_semigroup,
     perp_basis,
-    read_matrix,
     restricted_top,
     spectral_decompose,
     top_eigen,
-    write_matrix,
 )
 from axiscone.seeding import rng_for
 from axiscone.tolerances import RECON_TOL
@@ -223,24 +220,10 @@ class TestHeatSemigroup:
             heat_semigroup(op, 1.0)
 
 
-class TestComplexify:
-    def test_trivial(self):
-        ext = complexify(SymmetricOperator(np.diag([2.0, 1.0])))
-        np.testing.assert_array_equal(ext.real_part, np.diag([2.0, 1.0]))
-        np.testing.assert_array_equal(ext.imag_part, np.zeros((2, 2)))
-
-    def test_acts_componentwise(self):
-        op = random_symmetric(5, seed=21)
-        ext = complexify(op)
-        rng = rng_for(21, 1)
-        z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        expected = op.apply(z.real) + 1j * op.apply(z.imag)
-        np.testing.assert_allclose(ext.apply(z), expected, atol=1e-12)
-
+class TestComplexOperator:
     def test_from_matrix_parts(self):
         ext = ComplexOperator.from_matrix(np.array([[1.0 + 2.0j, 0.0], [0.0, 1.0]]))
         assert ext.imag_part[0, 0] == 2.0
-        assert ext.is_hermitian() is False
 
 
 class TestCorrespondence:
@@ -289,17 +272,3 @@ class TestPerpBasis:
         assert restricted_top(op, e1) == pytest.approx(2.0, abs=1e-12)
         assert restricted_top(SymmetricOperator([[5.0]]), np.array([1.0])) is None
 
-
-class TestMatrixIO:
-    def test_roundtrip(self, tmp_path):
-        op = random_symmetric(4, seed=17)
-        path = tmp_path / "m.txt"
-        write_matrix(op, path)
-        again = read_matrix(path)
-        np.testing.assert_array_equal(again.matrix, op.matrix)
-
-    def test_header_required(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("2\n1 0\n0 1\n")
-        with pytest.raises(ValueError, match="dim"):
-            read_matrix(path)

@@ -24,7 +24,6 @@ from axiscone.perturbation import (
     ergodic_drift_check,
     improvement_threshold,
     improving_radius,
-    lemma_region,
     quartic_coefficient,
     quartic_margin,
     radius_from_alpha,
@@ -76,10 +75,6 @@ class TestScalars:
 
     def test_quartic_margin_at_zero(self):
         assert quartic_margin(1.0, 0.0) == -0.25
-
-    def test_lemma_region_boundary_excluded(self):
-        assert not lemma_region(1.0, 0.25)
-        assert lemma_region(1.0, 0.2499999)
 
     @pytest.mark.parametrize("alpha", np.arange(0.1, 0.95, 0.1))
     def test_quartic_negative_on_region(self, alpha):
@@ -162,7 +157,7 @@ class TestDriftCertificate:
         d = 0.05
         u1 = rotated_axis(2.0 * math.asin(d / 2.0))  # exact chord length d
         assert np.linalg.norm(u1 - E1) == pytest.approx(d, abs=1e-15)
-        verdict = certified_improving_under_drift(a, E1, u1)
+        verdict = certified_improving_under_drift(a, improving_radius(a, E1)[0], E1, u1)
         assert verdict.status is VerdictStatus.CERTIFIED_TRUE
         assert verdict.detail.startswith("drift certificate")
         # cross-check: d < r so the quartic margin is negative
@@ -175,9 +170,8 @@ class TestDriftCertificate:
         assert drift_certificate_lhs(0.5, 0.0) == pytest.approx(1.0 / math.sqrt(1.25))
         assert drift_certificate_lhs(0.0, 0.0) == pytest.approx(1.0)
         assert drift_certificate_lhs(0.5, 0.0) > 1.0 / SQRT2
-        verdict = certified_improving_under_drift(
-            SymmetricOperator(np.diag([2.0, 1.0])), E1, E1
-        )
+        a = SymmetricOperator(np.diag([2.0, 1.0]))
+        verdict = certified_improving_under_drift(a, improving_radius(a, E1)[0], E1, E1)
         assert verdict.status is VerdictStatus.CERTIFIED_TRUE
 
     def test_gapless_limit_falls_back(self):
@@ -187,16 +181,9 @@ class TestDriftCertificate:
         u1 = rotated_axis(2.0 * math.asin(d / 2.0))
         alpha, _ = improving_radius(a, E1)
         assert drift_certificate_lhs(alpha, d) < 1.0 / SQRT2
-        verdict = certified_improving_under_drift(a, E1, u1)
+        verdict = certified_improving_under_drift(a, alpha, E1, u1)
         assert verdict.detail.startswith("fallback")
         assert verdict.status is VerdictStatus.CERTIFIED_TRUE
-
-    def test_explicit_t_parameter(self):
-        assert drift_certificate_lhs(0.5, 0.0, t=SQRT2) == pytest.approx(
-            1.0 / math.sqrt(1.0 + 0.25), abs=1e-15
-        )
-        with pytest.raises(ValueError):
-            drift_certificate_lhs(0.5, 0.0, t=0.5)
 
 
 def full_circle_projector(t, center, radius, nodes=64):
@@ -537,6 +524,25 @@ class TestEndToEnd:
                                             kappas=[-0.3, 0.3, 0.6])
         assert len(calls) == len(report.rows) == 9
         assert all(row.verdict.status is VerdictStatus.CERTIFIED_TRUE for row in report.rows)
+
+    def test_perturbed_rows_go_through_the_public_drift_verdict(self, monkeypatch):
+        # the tracer counts this function by name: every kappa != 0 row must
+        # reach it once, and the kappa = 0 rows never
+        t, s_spec, budget = self.sweep_instance()
+        original = perturbation.certified_improving_under_drift
+        verdicts = []
+
+        def counting(*args, **kwargs):
+            verdicts.append(original(*args, **kwargs))
+            return verdicts[-1]
+
+        monkeypatch.setattr(perturbation, "certified_improving_under_drift", counting)
+        report = end_to_end_semigroup_check(t, s_spec, budget, [0.1, 0.3],
+                                            kappas=[0.0, 0.3, 0.6])
+        perturbed = [row.verdict for row in report.rows if row.kappa != 0.0]
+        assert len(report.rows) == 6 and len(perturbed) == 4
+        assert len(verdicts) == 4
+        assert all(a is b for a, b in zip(perturbed, verdicts))
 
     def test_beyond_s0_rejected(self):
         t, s = swap_instance()

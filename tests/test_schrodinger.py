@@ -7,16 +7,13 @@ from axiscone.errors import (
     AsymmetricPotential,
     ContractViolation,
     DegenerateBottom,
-    NotInCone,
     NotRealCompatible,
-    TrivialCoupling,
 )
 from axiscone.operators import bottom_eigen
 from axiscone.positivity import VerdictStatus
 from axiscone.schrodinger import (
     GridSpec,
     MagneticModel,
-    ModelFile,
     RealStructure,
     build_h0,
     build_magnetic,
@@ -25,11 +22,20 @@ from axiscone.schrodinger import (
     magnetic_terms,
     momentum_matrix,
     orthant_failure_demo,
-    read_model_file,
     restrict_to_real,
-    write_model_file,
 )
 from axiscone.seeding import rng_for
+from axiscone.tolerances import TAU_SYM
+
+
+def conjugate(f):
+    """The parity conjugation (C f)_j = conj(f_{-j}): the reference map."""
+    return np.conj(np.asarray(f, dtype=complex)[::-1])
+
+
+def is_hermitian(m):
+    """m equals its conjugate transpose to TAU_SYM relative to its largest entry."""
+    return float(np.max(np.abs(m - m.conj().T))) <= TAU_SYM * max(1.0, float(np.max(np.abs(m))))
 
 
 def harmonic_model(n_half=8, spacing=0.5, coupling=0.0):
@@ -57,12 +63,6 @@ class TestGridAndModel:
 
 
 class TestRealStructure:
-    def test_conjugation_involution(self):
-        rs = RealStructure(GridSpec(3, 0.5))
-        rng = rng_for(1, 0)
-        f = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        np.testing.assert_allclose(rs.conjugate(rs.conjugate(f)), f, atol=1e-15)
-
     def test_basis_isometry_onto_fixed_space(self):
         rs = RealStructure(GridSpec(4, 0.5))
         b = rs.basis
@@ -71,7 +71,7 @@ class TestRealStructure:
         for _ in range(10):
             x = rng.standard_normal(9)
             fixed = b @ x
-            assert np.linalg.norm(rs.conjugate(fixed) - fixed) <= 1e-12
+            assert np.linalg.norm(conjugate(fixed) - fixed) <= 1e-12
 
     def test_momentum_commutes_with_conjugation(self):
         grid = GridSpec(6, 0.3)
@@ -90,7 +90,7 @@ class TestRealStructure:
                 e = np.zeros(grid.dim, dtype=complex)
                 e[k] = 1.0
                 reference = max(reference, float(np.linalg.norm(
-                    h @ rs.conjugate(e) - rs.conjugate(h @ e))))
+                    h @ conjugate(e) - conjugate(h @ e))))
             assert rs.commutation_residual(h) == pytest.approx(reference, rel=1e-14,
                                                                abs=1e-14)
 
@@ -139,7 +139,7 @@ class TestBuildMagnetic:
             [0.0, -1.0 + 1.0j, 3.0],
         ])
         np.testing.assert_allclose(h.matrix, expected, atol=1e-14)
-        assert h.is_hermitian()
+        assert is_hermitian(h.matrix)
 
     def test_commutation_residual_small(self):
         model = harmonic_model(coupling=0.1)
@@ -209,10 +209,6 @@ class TestOrthantDemo:
         assert report.max_imag == 0.0
         assert report.min_real > -1e-10
 
-    def test_strict_rejects_trivial_coupling(self):
-        with pytest.raises(TrivialCoupling):
-            orthant_failure_demo(harmonic_model(coupling=0.0), s=0.5, strict=True)
-
     def test_nonzero_coupling_leaves_cone(self):
         report = orthant_failure_demo(harmonic_model(coupling=0.5), s=0.5)
         assert report.status == "witness_found"
@@ -229,17 +225,6 @@ class TestOrthantDemo:
         monkeypatch.setattr(np.linalg, "eigh", corrupt_hermitian)
         with pytest.raises(ContractViolation, match="orthonormality"):
             orthant_failure_demo(harmonic_model(coupling=0.5), s=0.5)
-
-    def test_zero_bump_rejected(self):
-        with pytest.raises(NotInCone):
-            orthant_failure_demo(harmonic_model(coupling=0.5), s=0.5,
-                                 bump=np.zeros(17))
-
-    def test_uneven_bump_rejected(self):
-        bump = np.zeros(17)
-        bump[0] = 1.0
-        with pytest.raises(NotInCone):
-            orthant_failure_demo(harmonic_model(coupling=0.5), s=0.5, bump=bump)
 
 
 class TestMagneticExperiment:
@@ -327,52 +312,6 @@ class TestMagneticExperiment:
         )
         with pytest.raises(DegenerateBottom):
             magnetic_experiment(well, e_grid=[0.0], s0=1.0)
-
-
-class TestModelFiles:
-    def test_preset_file(self, tmp_path):
-        path = tmp_path / "model.txt"
-        path.write_text(
-            "# harmonic demo\n"
-            "N 4\n"
-            "h 0.5\n"
-            "potential harmonic\n"
-            "vector_potential gaussian\n"
-            "e_grid -0.01 0 0.01\n"
-            "s0 1.0\n"
-        )
-        mf = read_model_file(path)
-        assert mf.grid == GridSpec(4, 0.5)
-        np.testing.assert_allclose(mf.v_values, mf.grid.points**2)
-        np.testing.assert_allclose(mf.a_values, np.exp(-mf.grid.points**2))
-        np.testing.assert_array_equal(mf.e_grid, [-0.01, 0.0, 0.01])
-        assert mf.model(0.01).coupling == 0.01
-
-    def test_inline_roundtrip(self, tmp_path):
-        grid = GridSpec(2, 0.5)
-        mf = ModelFile(grid=grid, v_values=np.array([4.0, 1.0, 0.0, 1.0, 4.0]),
-                       a_values=np.zeros(5), e_grid=np.array([0.0, 0.1]), s0=2.0)
-        path = tmp_path / "inline.txt"
-        write_model_file(mf, path)
-        again = read_model_file(path)
-        np.testing.assert_array_equal(again.v_values, mf.v_values)
-        np.testing.assert_array_equal(again.a_values, mf.a_values)
-        np.testing.assert_array_equal(again.e_grid, mf.e_grid)
-        assert again.s0 == 2.0
-
-    def test_missing_key(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("N 2\nh 0.5\n")
-        with pytest.raises(ValueError, match="missing key"):
-            read_model_file(path)
-
-    def test_unknown_preset(self, tmp_path):
-        path = tmp_path / "bad2.txt"
-        path.write_text(
-            "N 2\nh 0.5\npotential coulomb\nvector_potential zero\ne_grid 0\ns0 1\n"
-        )
-        with pytest.raises(ValueError, match="preset"):
-            read_model_file(path)
 
 
 def test_laplacian_matches_momentum_squared_on_interior():

@@ -26,7 +26,7 @@ def _functions(module):
 
 def test_no_function_takes_a_tolerance_parameter():
     functions = [f for module in MODULES for f in _functions(module)]
-    assert {"top_eigen", "_classify", "is_hermitian", "restrict_to_real"} <= {
+    assert {"top_eigen", "_classify", "commutation_residual", "restrict_to_real"} <= {
         f.__name__ for f in functions}
     offenders = sorted(f"{f.__module__}.{f.__qualname__}({name})" for f in functions
                        for name in inspect.signature(f).parameters
