@@ -69,6 +69,10 @@ class GapCollapsed(AxisConeError):
     """Uniform spectral gap is non-positive over the perturbation grid."""
 
 
+class RatioSaturated(AxisConeError):
+    """The budget's spectral ratio alpha = 1 - exp(-s0 delta) rounds to 1."""
+
+
 class BudgetViolated(AxisConeError):
     """Perturbation size exceeds what the drift bound chain admits."""
 

@@ -24,7 +24,7 @@ from .cones import (
     partner_check,
     selfduality_probe,
 )
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, RatioSaturated
 from .operators import SymmetricOperator, as_vector, top_eigen
 from .perturbation import (
     SWEEP_CSV_COLUMNS,
@@ -259,6 +259,9 @@ def _validate_schrodinger(params):
     h = params.setdefault("h", 0.5)
     if not (_is_number(h) and h > 0):
         raise ConfigInvalid("h", "must be a finite positive number")
+    limit = tolerances.SCALE_LIMIT
+    if not 1.0 / limit <= h <= limit:
+        raise ConfigInvalid("h", f"must lie in [{1.0 / limit:g}, {limit:g}]")
     for key, default in (("potential", "harmonic"), ("vector_potential", "gaussian")):
         profile = params.setdefault(key, default)
         if isinstance(profile, str):
@@ -281,9 +284,13 @@ def _validate_schrodinger(params):
     demo_e = params.setdefault("demo_e", 0.5)
     if not _is_number(demo_e):
         raise ConfigInvalid("demo_e", "must be a finite number")
+    if abs(demo_e) > limit:
+        raise ConfigInvalid("demo_e", f"must lie in [-{limit:g}, {limit:g}]")
     demo_s = params.setdefault("demo_s", 0.5)
     if not (_is_number(demo_s) and demo_s > 0):
         raise ConfigInvalid("demo_s", "must be a finite positive number")
+    if demo_s > limit:
+        raise ConfigInvalid("demo_s", f"must be at most {limit:g}")
 
 
 def _reject_unknown(params, allowed):
@@ -483,11 +490,9 @@ def _run_schrodinger(config):
         rows.append(["sweep", _g17(row.kappa), _g17(row.s),
                      row.verdict.status.value, _g17(row.verdict.margin),
                      "1" if row.verdict.is_true else "0"])
-    demo = orthant_failure_demo(model.with_coupling(params["demo_e"]),
-                                s=params["demo_s"])
-    demo_ok = demo.left_cone if params["demo_e"] != 0.0 else demo.status == "inapplicable_control"
+    demo = _orthant_demo(model, params["demo_e"], params["demo_s"])
     rows.append(["orthant_demo", _g17(params["demo_e"]), _g17(params["demo_s"]),
-                 demo.status, _g17(demo.max_imag), "1" if demo_ok else "0"])
+                 demo.status, _g17(demo.max_imag), "1"])
     budget = report.budget
     extras = [("budget_" + k, v) for k, v in budget.header_items()]
     extras.append(("ground_energy", _g17(report.ground_energy)))
@@ -502,6 +507,27 @@ def _run_schrodinger(config):
                   summary_extra=[("summary_min_verdict_margin", _g17(min(margins)))])
 
 
+def _orthant_demo(model, e, s):
+    """The orthant demo at (demo_e, demo_s); with e != 0 it must find its witness.
+
+    A coupled flow that stays in the orthant to within DEMO_WITNESS_TOL shows
+    nothing: that is a choice of demo_e and demo_s, not a failed theorem.  It
+    is blamed on demo_s when exp(-s H) damps the bump below the tolerance even
+    at coupling 0, and on demo_e otherwise.
+    """
+    demo = orthant_failure_demo(model.with_coupling(e), s=s)
+    if e == 0.0 or demo.left_cone:
+        return demo
+    tol = tolerances.DEMO_WITNESS_TOL
+    if orthant_failure_demo(model.with_coupling(0.0), s=s).peak <= tol:
+        raise ConfigInvalid("demo_s", f"exp(-demo_s H) damps the bump below {tol:g} "
+                                      f"even at coupling 0 (demo_s = {s:g})")
+    raise ConfigInvalid("demo_e", f"the flow at demo_e = {e:g}, demo_s = {s:g} stays in "
+                                  f"the orthant to within {tol:g} (largest imaginary "
+                                  f"part {demo.max_imag:.3g}, largest entry "
+                                  f"{demo.peak:.3g}): no witness")
+
+
 _RUNNERS = {
     "cone_axioms": _run_cone_axioms,
     "pf_verify": _run_pf_verify,
@@ -512,7 +538,10 @@ _RUNNERS = {
 
 def run(config):
     """Dispatch a validated config to its experiment pipeline."""
-    return _RUNNERS[config.kind](config)
+    try:
+        return _RUNNERS[config.kind](config)
+    except RatioSaturated as exc:
+        raise ConfigInvalid("s0", str(exc)) from exc
 
 
 @dataclass(frozen=True)

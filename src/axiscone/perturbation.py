@@ -21,6 +21,7 @@ from .errors import (
     ContractViolation,
     DegenerateBottom,
     GapCollapsed,
+    RatioSaturated,
 )
 from .operators import (
     SymmetricOperator,
@@ -184,35 +185,41 @@ def riesz_projector(T, center, radius, rhs, nodes=64):
 
     P is the trapezoidal rule for the resolvent integral at `nodes` points of
     the circle (Sakurai-Sugiura, FEAST), exponentially convergent in `nodes`.
-    T is real, so R(conj z) = conj R(z): rhs (a vector or an (n, k) block) is
-    solved against only at the nodes/2 + 1 nodes of the closed upper half
-    circle, weighting the two real-axis nodes 1 and each interior node 2 Re.
-    RIESZ_TOL bounds the imaginary residual of the folded sum.
+    In T's checked eigenbasis T = Q L Q^T the rule is the rational filter
+    P = Q r(L) Q^T, with r(lambda) = (radius/nodes) sum_k w_k / (z_k - lambda)
+    over the nodes z_k = center + radius w_k.  T is real, so r is summed over
+    the nodes/2 + 1 nodes of the closed upper half circle only, weighting the
+    two real-axis nodes 1 and each interior node 2 Re; RIESZ_TOL bounds the
+    imaginary residual of the folded filter.  rhs is a vector or an (n, k)
+    block; no linear system is solved.
     """
+    if not (math.isfinite(center) and math.isfinite(radius)):
+        raise ValueError(f"center={center} and radius={radius} must be finite")
     if radius <= 0:
         raise ValueError("radius must be positive")
     if nodes < 8 or nodes % 2:
         raise ValueError("need an even number of at least 8 quadrature nodes")
-    dist = np.abs(T.decomposition.eigenvalues - center)
+    dec = T.decomposition
+    dist = np.abs(dec.eigenvalues - center)
     lo, hi = radius * (1 - CONTOUR_CLEARANCE), radius * (1 + CONTOUR_CLEARANCE)
     if np.any((dist >= lo) & (dist <= hi)):
         raise ContourHitsSpectrum(
             f"eigenvalue within {CONTOUR_CLEARANCE:g} * radius of the circle "
             f"|z - {center}| = {radius}"
         )
-    eye = np.eye(T.dim)
     half = nodes // 2
-    acc = np.zeros(np.shape(rhs), dtype=complex)
+    r = np.zeros(T.dim, dtype=complex)
     for k in range(half + 1):
         theta = math.pi * k / half
         w = complex(math.cos(theta), math.sin(theta))
-        term = w * np.linalg.solve((center + radius * w) * eye - T.matrix, rhs)
-        acc += term if k in (0, half) else 2.0 * term.real
-    acc *= radius / nodes
-    imag_residual = float(np.max(np.abs(acc.imag)))
-    if imag_residual > RIESZ_TOL:
+        term = w / ((center + radius * w) - dec.eigenvalues)
+        r += term if k in (0, half) else 2.0 * term.real
+    r *= radius / nodes
+    imag_residual = float(np.max(np.abs(r.imag)))
+    if not imag_residual <= RIESZ_TOL:
         raise ContractViolation(f"contour projector has imaginary residual {imag_residual:.3e}")
-    return acc.real
+    q = dec.eigenvectors
+    return (q * r.real) @ (q.T @ rhs)
 
 
 class PerturbationFamily:
@@ -362,6 +369,9 @@ def semigroup_threshold(T, S_spec, s0, kappa0, kappa_grid):
         raise GapCollapsed(f"uniform gap {delta:.3e} collapsed on the grid")
     epsilon = delta / 2.0
     alpha = 1.0 - math.exp(-s0 * delta)
+    if alpha >= 1.0:
+        raise RatioSaturated(f"alpha = 1 - exp(-s0 delta) rounds to 1: s0 delta = "
+                             f"{s0 * delta:.6g} (s0 = {s0:g}, gap delta = {delta:.6g})")
     r = radius_from_alpha(alpha)
     c_threshold = improvement_threshold(r)
     c_values = a_values + ((abs(mu) + epsilon) * a_values + b_values) / epsilon

@@ -234,6 +234,7 @@ class OrthantDemoReport:
     time: float
     max_imag: float
     min_real: float
+    peak: float       # largest |entry| of the image
     status: str  # witness_found | no_witness | inapplicable_control
 
     @property
@@ -263,8 +264,9 @@ def orthant_failure_demo(model, s):
         status = "witness_found"
     else:
         status = "no_witness"
-    return OrthantDemoReport(coupling=model.coupling, time=float(s),
-                             max_imag=max_imag, min_real=min_real, status=status)
+    return OrthantDemoReport(coupling=model.coupling, time=float(s), max_imag=max_imag,
+                             min_real=min_real, peak=float(np.max(np.abs(image))),
+                             status=status)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,19 @@
 """Fuzz the exit-code contract: malformed input exits 2 with one stderr line.
 
 Every example runs `cli.main` in-process on a config or report that is wrong
-in exactly one place, so it must fail validation before any experiment runs.
+in exactly one place.  A malformed one must fail validation before any
+experiment runs; a well-typed but numerically extreme one fails a range check
+or stops where the computation leaves floating-point reach, and still exits 2.
 """
 
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,6 +72,33 @@ BAD_SCHRODINGER = st.one_of(
 )
 
 
+def _magnitudes(lo, hi):
+    """Positive floats from 10**lo to 10**hi, spread evenly over the exponent."""
+    return st.floats(min_value=lo, max_value=hi).map(lambda p: math.pow(10.0, p))
+
+
+def _signed(values):
+    return st.tuples(values, st.booleans()).map(lambda vs: -vs[0] if vs[1] else vs[0])
+
+
+# Well-typed values the default config cannot compute with.  A tiny or huge h
+# or a long s0 makes alpha = 1 - exp(-s0 delta) round to 1 (or leaves the
+# h range); a large |demo_e| or demo_s damps the orthant demo's bump below
+# the witness tolerance, and a tiny one moves it too little to see.
+EXTREME_SCHRODINGER = st.one_of(
+    st.tuples(st.just("h"), st.one_of(_magnitudes(-300, -3), _magnitudes(3, 300))),
+    st.tuples(st.just("s0"), _magnitudes(3, 300)),
+    st.tuples(st.just("demo_e"), _signed(st.one_of(_magnitudes(10, 300),
+                                                   _magnitudes(-300, -12)))),
+    st.tuples(st.just("demo_s"), st.one_of(_magnitudes(3, 300), _magnitudes(-300, -12))),
+)
+# A gap of 100 or more, or s0 of 100 or more, saturates alpha the same way.
+EXTREME_PERTURB = st.one_of(
+    _magnitudes(2, 150).map(lambda x: {"t": [[0, 0], [0, x]], "s": [[0, 1], [1, 0]]}),
+    _magnitudes(2, 300).map(lambda s0: {"s0": s0}),
+)
+
+
 def _main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -92,6 +123,24 @@ def test_malformed_schrodinger_params_exit_2(key_value):
         code, out, err = _main(["schrodinger", "--config", str(cfg),
                                 "--out", str(Path(tmp) / "r.csv")])
     _assert_bad_input(code, err)
+    assert out == ""
+
+
+@pytest.mark.filterwarnings("error")   # a numpy warning would be a second stderr line
+@FUZZ
+@given(st.one_of(EXTREME_SCHRODINGER.map(lambda kv: ("schrodinger", {kv[0]: kv[1]})),
+                 EXTREME_PERTURB.map(lambda params: ("perturb_sweep", params))))
+def test_extreme_numeric_params_exit_2(kind_params):
+    kind, params = kind_params
+    command = "perturb" if kind == "perturb_sweep" else "schrodinger"
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "extreme.json"
+        cfg.write_text(json.dumps({"kind": kind, "seed": 0, "params": params}))
+        code, out, err = _main([command, "--config", str(cfg),
+                                "--out", str(Path(tmp) / "r.csv")])
+        assert not (Path(tmp) / "r.csv").exists()
+    _assert_bad_input(code, err)
+    assert err.startswith("config error")
     assert out == ""
 
 

@@ -373,6 +373,37 @@ class TestCli:
         assert captured.err.startswith(error)
         assert len(captured.err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("kind, params, field", [
+        ("schrodinger", {"demo_e": 1e200}, "demo_e"),
+        ("schrodinger", {"h": 1e-300}, "h"),
+        ("schrodinger", {"h": 1e300}, "h"),
+        ("schrodinger", {"demo_s": 1e6}, "demo_s"),
+        ("schrodinger", {"h": 1e-4}, "s0"),
+        ("perturb_sweep", {"t": [[0, 0], [0, 1000]], "s": [[0, 1], [1, 0]]}, "s0"),
+        ("schrodinger", {"demo_e": 1e10}, "demo_e"),
+        ("schrodinger", {"demo_e": 1e-12}, "demo_e"),
+        ("schrodinger", {"vector_potential": "zero"}, "demo_e"),
+    ], ids=["demo_e_overflow", "h_tiny", "h_huge", "demo_s_damped", "h_saturates_alpha",
+            "t_saturates_alpha", "demo_e_damped", "demo_e_weak", "no_vector_potential"])
+    def test_extreme_numeric_input_exits_2(self, tmp_path, capsys, kind, params, field):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"kind": kind, "seed": 0, "params": params}))
+        command = "perturb" if kind == "perturb_sweep" else "schrodinger"
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: config field '{field}'")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_damped_control_demo_still_passes(self, tmp_path):
+        # at demo_e = 0 the demo is a control: a damped image is no witness to miss
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "schrodinger", "seed": 0,
+                                   "params": {"demo_e": 0.0, "demo_s": 1e6}}))
+        out = tmp_path / "r.csv"
+        assert main(["schrodinger", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "orthant_demo,0,1000000,inapplicable_control,0,1" in out.read_text()
+
     def test_kind_subcommand_mismatch_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "schrodinger", "seed": 0}))

@@ -12,9 +12,15 @@ from axiscone.errors import (
     DegenerateBottom,
     DegenerateTop,
     GapCollapsed,
+    RatioSaturated,
 )
 from axiscone import perturbation, positivity
-from axiscone.operators import SymmetricOperator, bottom_eigen, restricted_top
+from axiscone.operators import (
+    SpectralDecomposition,
+    SymmetricOperator,
+    bottom_eigen,
+    restricted_top,
+)
 from axiscone.perturbation import (
     PerturbationFamily,
     certified_improving_under_drift,
@@ -233,12 +239,50 @@ class TestRieszProjector:
         fine = riesz_projector(t, 0.0, 0.5, np.eye(6), nodes=128)
         assert np.linalg.norm(coarse - fine) <= 1e-10
 
-    @pytest.mark.parametrize("dim", [2, 6, 64, 128])
+    @pytest.mark.parametrize("dim", [2, 6, 64, 128, 200])
     def test_folded_rule_matches_full_circle(self, dim):
         t = gapped_instance(dim, dim)
         folded = riesz_projector(t, 0.0, 0.5, np.eye(dim))
         assert folded.dtype == float
         assert np.max(np.abs(folded - full_circle_projector(t, 0.0, 0.5))) <= 1e-14
+
+    @pytest.mark.parametrize("center, radius, inside", [
+        (2.05, 0.3, [4]),      # off-centre, around the eigenvalue 2 only
+        (1.0, 0.3, [2, 3]),    # around the pair 0.9 and 1.1
+        (-0.5, 0.9, [0, 1]),   # off-centre, around the two lowest
+    ], ids=["off_centre", "two_eigenvalues", "two_lowest"])
+    def test_off_centre_circles_match_full_circle(self, center, radius, inside):
+        eigs = np.array([-1.0, 0.0, 0.9, 1.1, 2.0, 3.0, 4.0, 5.0])
+        q = np.linalg.qr(rng_for(5, 42).standard_normal((8, 8)))[0]
+        t = SymmetricOperator((q * eigs) @ q.T)
+        projector = riesz_projector(t, center, radius, np.eye(8))
+        assert np.max(np.abs(projector - full_circle_projector(t, center, radius))) <= 1e-14
+        basis = t.decomposition.eigenvectors[:, inside]
+        np.testing.assert_allclose(projector, basis @ basis.T, rtol=0.0, atol=1e-12)
+
+    def test_block_rhs_matches_full_circle(self):
+        t = gapped_instance(7, 64)
+        block = rng_for(7, 41).standard_normal((64, 5))
+        images = riesz_projector(t, 0.0, 0.5, block)
+        reference = full_circle_projector(t, 0.0, 0.5) @ block
+        assert np.max(np.abs(images - reference)) <= 1e-14 * np.max(np.abs(block)) * 64
+
+    @pytest.mark.parametrize("center, radius", [
+        (0.0, math.nan), (math.nan, 0.5), (0.0, math.inf), (-math.inf, 0.5),
+    ], ids=["nan_radius", "nan_center", "inf_radius", "inf_center"])
+    def test_non_finite_circle_rejected(self, center, radius):
+        t = gapped_instance(0, 4)
+        with pytest.raises(ValueError, match="must be finite"):
+            riesz_projector(t, center, radius, np.eye(4))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_nan_filter_fails_imaginary_residual(self):
+        t = SymmetricOperator(np.diag([0.0, 1.0]))
+        # an eigenvalue that is NaN passes the clearance test and poisons the filter
+        t._decomposition = SpectralDecomposition(eigenvalues=np.array([np.nan, 1.0]),
+                                                 eigenvectors=np.eye(2))
+        with pytest.raises(ContractViolation, match="imaginary residual nan"):
+            riesz_projector(t, 0.0, 0.5, np.eye(2))
 
     def test_vector_and_block_forms_agree(self):
         t = gapped_instance(3, 9)
@@ -275,6 +319,14 @@ class TestSemigroupThreshold:
         np.testing.assert_allclose(budget.c_values, 2.0 * np.abs(grid), atol=1e-14)
         assert budget.is_admissible(0.04)
         assert not budget.is_admissible(0.05)
+
+    @pytest.mark.parametrize("top, s0", [(1000.0, math.log(2.0)), (1.0, 1e300)],
+                             ids=["wide_gap", "long_time"])
+    def test_saturated_ratio_rejected(self, top, s0):
+        _, s = swap_instance()
+        t = SymmetricOperator(np.diag([0.0, top]))
+        with pytest.raises(RatioSaturated, match="rounds to 1"):
+            semigroup_threshold(t, s, s0=s0, kappa0=0.5, kappa_grid=[-0.1, 0.0, 0.1])
 
     def test_zero_perturbation_all_admissible(self):
         t = SymmetricOperator(np.diag([0.0, 1.0]))
@@ -418,19 +470,23 @@ class TestDriftedAxis:
         with pytest.raises(BudgetViolated):
             drifted_axis(t + s.operator_at(0.3), E1, budget, kappa=0.3)
 
-    def test_solves_once_per_upper_node_against_the_axis(self, monkeypatch):
+    def test_no_solve_and_no_eigh_beyond_the_one_decomposition(self, monkeypatch):
         t, s, budget = self.budget()
-        t_kappa = t + s.operator_at(0.04)
-        solve = np.linalg.solve
-        columns = []
+        t_kappa = t + s.operator_at(0.04)   # fresh: its decomposition is not cached yet
+        calls = []
+        for name in ("solve", "eigh", "eigvalsh", "inv", "lstsq"):
+            original = getattr(np.linalg, name)
 
-        def counting_solve(a, b):
-            columns.append(1 if b.ndim == 1 else b.shape[1])
-            return solve(a, b)
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+            monkeypatch.setattr(np.linalg, name, counting)
         drifted_axis(t_kappa, E1, budget, kappa=0.04)
-        assert columns == [1] * 33
+        assert calls == ["eigh"]
+        calls.clear()
+        drifted_axis(t_kappa, E1, budget, kappa=0.04)
+        assert calls == []
 
     def test_corrupted_image_fails_eigen_residual(self, monkeypatch):
         t, s, budget = self.budget()
