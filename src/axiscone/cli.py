@@ -106,7 +106,10 @@ def main(argv=None):
 
         if args.command == "replay":
             with open(args.report) as fh:
-                results = replay(fh.read())
+                kind, results = replay(fh.read())
+            if kind != "pf_verify":
+                print(f"replay supports pf_verify reports only; this report is {kind}")
+                return EXIT_OK
             if not results:
                 print("no CertifiedFalse rows to replay")
                 return EXIT_OK

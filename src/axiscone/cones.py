@@ -2,11 +2,11 @@
 
 An axis cone around unit vector u0 is {u : <u0, u> >= ||u|| / sqrt(2)}; its
 aperture is fixed at 45 degrees, which is what makes it self-dual.  The
-per-vector primitives (classify, project, strict positivity, samplers) serve
-`positivity` and `perturbation`.  Every sampled cone-axiom check runs through
-one loop, `cone_check`, in blocks of rows: the Moreau split, duality
-witnesses, boundary partners and outside sampling take (k, n) blocks, with
-row forms of the primitives beside them.
+per-vector primitives (classify, project, strict positivity) and the block
+sampler `sample_in_cone` serve `positivity` and `perturbation`.  Every
+sampled cone-axiom check runs through one loop, `cone_check`, in blocks of
+rows: the Moreau split, duality witnesses, boundary partners and outside
+sampling take (k, n) blocks, with row forms of the primitives beside them.
 """
 
 import enum
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotBoundary, NotInCone, NotOutside
+from .errors import NotBoundary, NotOutside
 from .operators import as_vector
 from .seeding import rng_for
 from .tolerances import MOREAU_TOL, PAIR_TOL, PARTNER_TOL, TAU_MEMBERSHIP, UNIT_AXIS_TOL
@@ -134,11 +134,15 @@ def as_rows(entries):
     return rows
 
 
+def row_margins(cone, rows, nrm):
+    """Row form of `cone.margin`, given the row norms."""
+    return rows.min(axis=1) if isinstance(cone, OrthantCone) else rows @ cone.axis - nrm / SQRT2
+
+
 def regions(cone, rows):
     """Row form of `classify`: -1 outside, 0 boundary (zero rows too), 1 interior."""
     nrm = np.linalg.norm(rows, axis=1)
-    margin = (rows.min(axis=1) if isinstance(cone, OrthantCone)
-              else rows @ cone.axis - nrm / SQRT2)
+    margin = row_margins(cone, rows, nrm)
     return np.where(np.abs(margin) > TAU_MEMBERSHIP * nrm, np.sign(margin), 0.0).astype(int)
 
 
@@ -167,7 +171,7 @@ def perp_rows(axis, rng, k):
 
 
 def sample_in_cone_rows(cone, rng, k):
-    """k nonzero cone rows, half boundary rays, half interior points, like `sample_in_cone`."""
+    """k nonzero cone rows, half boundary rays, half interior points, in one draw per quantity."""
     if isinstance(cone, OrthantCone):
         u = np.abs(rng.standard_normal((k, cone.dim)))
         zeroed = (rng.random(k) < 0.5) & (cone.dim > 1)
@@ -232,46 +236,50 @@ def boundary_orthogonal_partner(cone, u):
     return 2.0 * np.outer(u @ cone.axis, cone.axis) - u
 
 
-def require_in_cone(cone, u):
-    u = as_vector(u)
-    if np.linalg.norm(u) == 0.0 or cone.classify(u) is Region.OUTSIDE:
-        raise NotInCone("expected a nonzero cone element")
-    return u
+def _complement(axis, g):
+    """Rows of g minus their axis components, and their norms, each row on its own."""
+    perp = g - np.outer((g * axis).sum(axis=1), axis)
+    return perp, np.sqrt((perp * perp).sum(axis=1))
 
 
-def unit_perp(axis, rng):
-    """Uniform unit vector in the orthogonal complement of the axis."""
-    if axis.size < 2:
-        raise ValueError("a 1-dim axis has no orthogonal complement")
-    g = rng.standard_normal(axis.size)
-    g -= (axis @ g) * axis
-    nrm = np.linalg.norm(g)
-    while nrm < 1e-12:  # essentially impossible, but stay total
-        g = rng.standard_normal(axis.size)
-        g -= (axis @ g) * axis
-        nrm = np.linalg.norm(g)
-    return g / nrm
+def sample_in_cone(cone, rng, k):
+    """k random nonzero cone rows, each a boundary ray or an interior point, even odds.
 
-
-def sample_in_cone(cone, rng):
-    """Random nonzero cone element: a boundary ray or an interior point, even odds.
-
-    Axis-cone boundary rays are axis + w with w a unit vector orthogonal to
-    the axis; these extreme rays determine cone images under operators.
+    Axis-cone boundary rays are axis + w, w a unit vector orthogonal to the
+    axis: the extreme rays, which determine cone images under operators.
+    Each row's draws come in turn (axis cone: n normals, a coin, a spread
+    U(0, 0.999) on interior coins, a scale U(0.1, 2); dim 1: the scale only;
+    orthant: n normals, a coin, a zeroed index on boundary coins if n > 1).
+    The block is projected and scaled row by row, so k one-row calls give
+    the same rows; a complement row shorter than 1e-12 replays the block.
     """
+    n, normal, random = cone.dim, rng.standard_normal, rng.random
+    g = np.empty((k, n))
     if isinstance(cone, OrthantCone):
-        u = np.abs(rng.standard_normal(cone.dim))
-        if rng.random() < 0.5 and cone.dim > 1:
-            u[rng.integers(cone.dim)] = 0.0
-        if np.linalg.norm(u) == 0.0:
-            u[0] = 1.0
+        for i in range(k):
+            g[i] = normal(n)
+            if random() < 0.5 and n > 1:
+                g[i, rng.integers(n)] = 0.0
+        u = np.abs(g)
+        u[~u.any(axis=1), 0] = 1.0
         return u
-    if cone.dim == 1:
-        return cone.axis * float(rng.uniform(0.1, 2.0))
-    w = unit_perp(cone.axis, rng)
-    t = 1.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 0.999))
-    scale = float(rng.uniform(0.1, 2.0))
-    return scale * (cone.axis + t * w)
+    # U[0, 1) draws become scales U(0.1, 2) and spreads U(0, 0.999) as in rng.uniform
+    if n == 1:
+        return (0.1 + 1.9 * random(k))[:, None] * cone.axis
+    axis, spread, scale = cone.axis, np.empty(k), np.empty(k)
+    start = rng.bit_generator.state
+    for replay in (False, True):
+        for i in range(k):
+            g[i] = normal(n)
+            while replay and _complement(axis, g[i:i + 1])[1][0] < 1e-12:
+                g[i] = normal(n)
+            spread[i] = 1.0 if random() < 0.5 else 0.999 * random()
+            scale[i] = random()
+        perp, nrm = _complement(axis, g)
+        if not np.any(nrm < 1e-12):
+            break
+        rng.bit_generator.state = start
+    return (0.1 + 1.9 * scale)[:, None] * (axis + spread[:, None] * (perp / nrm[:, None]))
 
 
 def sample_outside(cone, rng, k, max_tries=64):

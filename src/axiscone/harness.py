@@ -218,7 +218,10 @@ def _validate_perturb(params):
                     isinstance(r, list) and all(_is_number(x) for x in r) for r in m)):
                 raise ConfigInvalid(key, "must be a matrix as list of rows of finite numbers")
             try:
-                SymmetricOperator(m)  # square, and symmetric to TAU_SYM
+                matrix = np.array(m, dtype=float)
+                if np.abs(matrix).max(initial=0.0) > tolerances.SCALE_LIMIT:
+                    raise ConfigInvalid(key, f"|entries| must be <= {tolerances.SCALE_LIMIT:g}")
+                SymmetricOperator(matrix)  # square, and symmetric to TAU_SYM
             except ValueError as exc:
                 raise ConfigInvalid(key, str(exc)) from exc
         if len(params["s"]) != len(params["t"]):
@@ -579,7 +582,7 @@ def replay(text):
 
     Rows of pf_verify reports carry (flavor, dim, seed), which regenerate the
     exact instance; the embedded witness must again map to a non-interior
-    (improvement) or outside (preservation) image.
+    (improvement) or outside (preservation) image.  Returns (kind, results).
     """
     header, columns, rows = parse_report(text)
     if "config" not in header:
@@ -587,7 +590,7 @@ def replay(text):
     config = ExperimentConfig.from_json(header["config"])
     results = []
     if config.kind != "pf_verify":
-        return results
+        return config.kind, results
     if columns != PF_COLUMNS:
         raise ConfigInvalid("<report>", f"CSV columns are not {','.join(PF_COLUMNS)}")
     for index, row in enumerate(rows):
@@ -619,7 +622,7 @@ def replay(text):
             reproduced = cone.classify(image) is not Region.INTERIOR
         results.append(ReplayResult(row_index=index, predicate=predicate,
                                     reproduced=bool(reproduced)))
-    return results
+    return config.kind, results
 
 
 def selftest(seed):

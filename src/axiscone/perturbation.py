@@ -133,23 +133,22 @@ def ergodic_drift_check(A, u0, u1, sample_pairs=50, seed=0):
                        margin=slack, seed=seed,
                        detail=f"drift {drift:.6g} >= 1/sqrt(2); theorem silent here")
     cone = AxisCone(u1)
-    rng = rng_for(seed, 0)
-    worst_certificate = math.inf
-    for _ in range(sample_pairs):
-        u = sample_in_cone(cone, rng)
-        v = sample_in_cone(cone, rng)
-        for w in (u, v):
-            certificate = float(u0 @ w) / float(np.linalg.norm(w)) - slack
-            worst_certificate = min(worst_certificate, certificate)
-            if certificate < -DRIFT_CERT_TOL:
-                return Verdict("ergodic_drift_check", VerdictStatus.CERTIFIED_FALSE,
-                               margin=certificate, witness=w, seed=seed,
-                               detail="positivity certificate violated (toolkit bug)")
-        probe = ergodic_probe(A, cone, u, v)
+    rows = sample_in_cone(cone, rng_for(seed, 0), 2 * sample_pairs)
+    certificates = rows @ u0 / np.linalg.norm(rows, axis=1) - slack
+    bad = np.flatnonzero(certificates < -DRIFT_CERT_TOL)
+    # pair i is probed after the certificates of its rows 2i and 2i + 1
+    probed = bad[0] // 2 if bad.size else sample_pairs
+    if probed:
+        probe = ergodic_probe(A, cone, rows[0:2 * probed:2], rows[1:2 * probed:2])
         if not probe.found:
             return Verdict("ergodic_drift_check", VerdictStatus.CERTIFIED_FALSE,
-                           margin=probe.value, witness=u, seed=seed,
+                           margin=probe.value, witness=rows[2 * probe.pair], seed=seed,
                            detail=f"no positive pairing within {MAX_POWER} powers")
+    if bad.size:
+        return Verdict("ergodic_drift_check", VerdictStatus.CERTIFIED_FALSE,
+                       margin=float(certificates[bad[0]]), witness=rows[bad[0]], seed=seed,
+                       detail="positivity certificate violated (toolkit bug)")
+    worst_certificate = float(certificates.min(initial=math.inf))
     return Verdict("ergodic_drift_check", VerdictStatus.SAMPLED_TRUE,
                    margin=worst_certificate, seed=seed,
                    detail=f"{sample_pairs} pairs ergodic; certificate slack "

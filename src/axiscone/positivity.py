@@ -4,7 +4,9 @@ Verdicts come in three honesty levels: CertifiedTrue when a closed-form
 criterion applies (or an exhaustive dim-2 sweep ran), CertifiedFalse with a
 replayable witness, and SampledTrue when only a multistart search over the
 cone was possible (global optimality over a cone is not certified in
-dimension > 2).
+dimension > 2).  Sampled verdicts take their cone points as one block:
+preservation classifies the block's images at once, and the ergodicity
+probe iterates A on every unresolved pair of a block together.
 """
 
 import enum
@@ -17,13 +19,16 @@ from .cones import (
     AxisCone,
     OrthantCone,
     Region,
-    require_in_cone,
+    as_rows,
+    perp_rows,
+    regions,
+    row_margins,
     sample_in_cone,
-    unit_perp,
 )
 from .errors import (
     AxisNotEigenvector,
     DimensionMismatch,
+    NotInCone,
     NotPositiveSemidefinite,
     PrereqFailed,
 )
@@ -130,22 +135,18 @@ def preserves_positivity(A, cone, seed=0):
                            margin=lam, seed=seed,
                            detail="axis is a top eigenvector of a PSD operator")
 
-    rng = rng_for(seed, 0)
-    worst = math.inf
-    worst_point = None
-    for _ in range(PRESERVATION_SAMPLES):
-        u = sample_in_cone(cone, rng)
-        image = A.apply(u)
-        nrm = float(np.linalg.norm(image))
-        margin = cone.margin(image) / max(nrm, 1e-300)
-        if margin < worst:
-            worst, worst_point = margin, u
-        if nrm > 0 and cone.classify(image) is Region.OUTSIDE:
-            return Verdict("preserves_positivity", VerdictStatus.CERTIFIED_FALSE,
-                           margin=margin, witness=u, seed=seed,
-                           detail="sampled cone point maps outside")
+    u = sample_in_cone(cone, rng_for(seed, 0), PRESERVATION_SAMPLES)
+    images = u @ m  # row i is A u_i: m is symmetric
+    nrm = np.linalg.norm(images, axis=1)
+    margins = row_margins(cone, images, nrm) / np.maximum(nrm, 1e-300)
+    outside = np.flatnonzero((nrm > 0.0) & (regions(cone, images) == -1))
+    if outside.size:
+        return Verdict("preserves_positivity", VerdictStatus.CERTIFIED_FALSE,
+                       margin=float(margins[outside[0]]), witness=u[outside[0]], seed=seed,
+                       detail="sampled cone point maps outside")
+    i = int(np.argmin(margins))
     return Verdict("preserves_positivity", VerdictStatus.SAMPLED_TRUE,
-                   margin=worst, witness=worst_point, seed=seed,
+                   margin=float(margins[i]), witness=u[i], seed=seed,
                    detail=f"{PRESERVATION_SAMPLES} sampled images stayed in the cone")
 
 
@@ -259,7 +260,7 @@ def improves_positivity_general(A, cone, seed=0):
                 if nrm > 1e-12:
                     starts.append(cone.axis + w / nrm)
         for k in range(SEARCH_RESTARTS):
-            starts.append(cone.axis + unit_perp(cone.axis, rng_for(seed, k)))
+            starts.append(cone.axis + perp_rows(cone.axis, rng_for(seed, k), 1)[0])
         best, argmin = math.inf, None
         for start in starts:
             value, point = _descend(A, cone, start)
@@ -284,41 +285,65 @@ def improves_positivity_general(A, cone, seed=0):
 
 @dataclass(frozen=True)
 class ProbeResult:
+    """A probed block, read as a pair-by-pair loop that stops at the first failure.
+
+    `pair` is that failing pair (None if none), `value` its pairing (else the
+    last pair's), and `n` the sum of the first powers up to it (MAX_POWER for
+    a pair without one).
+    """
+
     found: bool
     n: int
     value: float
+    pair: int | None
 
 
-def ergodic_probe(A, cone, u, v):
-    """Smallest n in [1, MAX_POWER] with <u, A^n v> strictly positive.
+def ergodic_probe(A, cone, us, vs):
+    """Smallest n in [1, MAX_POWER] with <u, A^n v> strictly positive, per row pair.
 
-    The iterate is renormalized when its norm leaves [1e-100, 1e100]; the
-    reported value is rescaled back (it can overflow to inf for huge powers,
-    which still witnesses positivity).
+    Iterates W <- A W on the unresolved columns v, dropping each once its
+    pairing is positive or its image vanishes (no power then).  Columns are
+    renormalized when their norm leaves [1e-100, 1e100] and values rescaled
+    back (to inf for huge powers, which still witnesses positivity).
     """
     _check_dims(A, cone)
-    u = require_in_cone(cone, u)
-    v = require_in_cone(cone, v)
-    u_norm = float(np.linalg.norm(u))
-    w = v.copy()
-    log_scale = 0.0
+    us, vs = as_rows(us), as_rows(vs)
+    if us.shape != vs.shape:
+        raise ValueError(f"{len(us)} rows u cannot pair with {len(vs)} rows v")
+    rows = np.vstack([us, vs])
+    if not np.all(np.linalg.norm(rows, axis=1) > 0.0) or np.any(regions(cone, rows) == -1):
+        raise NotInCone("expected nonzero cone elements")
+    k = len(us)
+    powers, found = np.full(k, MAX_POWER), np.zeros(k, dtype=bool)
+    inners, scales = np.zeros(k), np.zeros(k)  # value = inner * exp(scale)
+    tol = TAU_STRICT * np.linalg.norm(us, axis=1)
+    live, u, w, log_scale = np.arange(k), us.T, vs.T, np.zeros(k)
     for n in range(1, MAX_POWER + 1):
-        w = A.apply(w)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return ProbeResult(False, MAX_POWER, 0.0)
-        if nw > 1e100 or nw < 1e-100:
-            log_scale += math.log(nw)
-            w = w / nw
-            nw = 1.0
-        inner = float(u @ w)
-        if inner > TAU_STRICT * u_norm * nw:
-            try:
-                value = inner * math.exp(log_scale)
-            except OverflowError:
-                value = math.inf
-            return ProbeResult(True, n, value)
-    return ProbeResult(False, MAX_POWER, float(u @ w) * math.exp(min(log_scale, 700.0)))
+        w = A.matrix @ w
+        nw = np.sqrt((w * w).sum(axis=0))
+        far = (nw > 1e100) | ((nw < 1e-100) & (nw > 0.0))
+        if far.any():
+            log_scale[far] += np.log(nw[far])
+            w[:, far] /= nw[far]
+            nw[far] = 1.0
+        inner = (u * w).sum(axis=0)
+        hit = inner > tol * nw  # never for a vanished image: 0 > 0 fails
+        done = hit | (nw == 0.0)
+        if done.any():
+            powers[live[hit]], found[live[hit]] = n, True
+            inners[live[hit]], scales[live[hit]] = inner[hit], log_scale[hit]
+            keep = ~done
+            live, u, w = live[keep], u[:, keep], w[:, keep]
+            tol, log_scale = tol[keep], log_scale[keep]
+            if not live.size:
+                break
+    inners[live], scales[live] = (u * w).sum(axis=0), np.minimum(log_scale, 700.0)
+    with np.errstate(over="ignore"):  # a huge rescaled value is inf, as documented
+        values = inners * np.exp(scales)
+    unfound = np.flatnonzero(~found)
+    stop = int(unfound[0]) if unfound.size else k - 1
+    return ProbeResult(found=not unfound.size, n=int(powers[:stop + 1].sum()),
+                       value=float(values[stop]), pair=stop if unfound.size else None)
 
 
 @dataclass(frozen=True)
@@ -341,23 +366,16 @@ class PerronFrobeniusReport:
 
 
 def _adversarial_pairs(A, cone):
-    """Cone pairs designed to defeat ergodicity when the top eigenvalue repeats.
+    """Cone pairs designed to defeat ergodicity when the top eigenvalue repeats, as rows.
 
     Random cone pairs almost never witness non-ergodicity: for a degenerate
     top eigenvalue on an axis cone, the failing pair u0 +/- w (w a second top
     eigenvector) has measure zero.  For the orthant, coordinate basis pairs
     play the same role.
     """
-    pairs = []
     if isinstance(cone, OrthantCone):
-        for i in range(min(cone.dim, 6)):
-            ei = np.zeros(cone.dim)
-            ei[i] = 1.0
-            for j in range(i + 1, min(cone.dim, 6)):
-                ej = np.zeros(cone.dim)
-                ej[j] = 1.0
-                pairs.append((ei, ej))
-        return pairs
+        i, j = np.triu_indices(min(cone.dim, 6), 1)
+        return np.eye(cone.dim)[i], np.eye(cone.dim)[j]
     dec = A.decomposition
     lam = dec.max_eigenvalue
     if A.dim >= 2 and lam - float(dec.eigenvalues[-2]) <= TAU_GAP * max(1.0, abs(lam)):
@@ -366,8 +384,8 @@ def _adversarial_pairs(A, cone):
         nrm = float(np.linalg.norm(w))
         if nrm > 1e-9:
             w = w / nrm
-            pairs.append((cone.axis + w, cone.axis - w))
-    return pairs
+            return (cone.axis + w)[None], (cone.axis - w)[None]
+    return np.empty((0, A.dim)), np.empty((0, A.dim))
 
 
 def perron_frobenius_check(A, cone, seed=0, n_pairs=40):
@@ -393,19 +411,12 @@ def perron_frobenius_check(A, cone, seed=0, n_pairs=40):
         cone.is_strictly_positive(u0) or cone.is_strictly_positive(-u0)
     )
 
-    rng = rng_for(seed, 1)
-    pairs = [(sample_in_cone(cone, rng), sample_in_cone(cone, rng)) for _ in range(n_pairs)]
-    for pair in _adversarial_pairs(A, cone):
-        if (cone.classify(pair[0]) is not Region.OUTSIDE
-                and cone.classify(pair[1]) is not Region.OUTSIDE):
-            pairs.append(pair)
-
-    failing = None
-    for u, v in pairs:
-        result = ergodic_probe(A, cone, u, v)
-        if not result.found:
-            failing = (u, v)
-            break
+    rows = sample_in_cone(cone, rng_for(seed, 1), 2 * n_pairs)
+    extra_u, extra_v = _adversarial_pairs(A, cone)
+    keep = (regions(cone, extra_u) != -1) & (regions(cone, extra_v) != -1)
+    us, vs = np.vstack([rows[0::2], extra_u[keep]]), np.vstack([rows[1::2], extra_v[keep]])
+    probe = ergodic_probe(A, cone, us, vs)
+    failing = None if probe.found else (us[probe.pair], vs[probe.pair])
     ergodic_sampled = failing is None
     eigen_side = simple and strictly_positive
     agree = ergodic_sampled == eigen_side
@@ -418,7 +429,7 @@ def perron_frobenius_check(A, cone, seed=0, n_pairs=40):
         top_simple=simple,
         top_strictly_positive=strictly_positive,
         ergodic_sampled=ergodic_sampled,
-        n_pairs=len(pairs),
+        n_pairs=len(us),
         failing_pair=failing,
         agree=agree,
         detail=detail,

@@ -92,9 +92,12 @@ EXTREME_SCHRODINGER = st.one_of(
                                                    _magnitudes(-300, -12)))),
     st.tuples(st.just("demo_s"), st.one_of(_magnitudes(3, 300), _magnitudes(-300, -12))),
 )
-# A gap of 100 or more, or s0 of 100 or more, saturates alpha the same way.
+# A gap of 100 or more, or s0 of 100 or more, saturates alpha the same way;
+# t or s entries above SCALE_LIMIT are rejected before any norm is taken.
 EXTREME_PERTURB = st.one_of(
-    _magnitudes(2, 150).map(lambda x: {"t": [[0, 0], [0, x]], "s": [[0, 1], [1, 0]]}),
+    _magnitudes(2, 308).map(lambda x: {"t": [[0, 0], [0, x]], "s": [[0, 1], [1, 0]]}),
+    _signed(_magnitudes(76, 308)).map(lambda x: {"t": [[0, 0], [0, 1]],
+                                                 "s": [[0, x], [x, 0]]}),
     _magnitudes(2, 300).map(lambda s0: {"s0": s0}),
 )
 

@@ -21,11 +21,11 @@ from axiscone.cones import (
     sample_in_cone_rows,
     sample_outside,
     selfduality_probe,
-    unit_perp,
     witness_check,
 )
 from axiscone.errors import NotBoundary, NotOutside
 from axiscone.seeding import rng_for
+from reference_loops import one_vector_sample
 
 E1 = np.array([1.0, 0.0])
 
@@ -122,8 +122,7 @@ class TestMoreau:
             w = rng.standard_normal(dim) * 3.0
             u = cone.project(w)
             d_proj = np.linalg.norm(w - u)
-            for _ in range(40):
-                p = sample_in_cone(cone, rng)
+            for p in sample_in_cone(cone, rng, 40):
                 assert d_proj <= np.linalg.norm(w - p) + 1e-9
 
 
@@ -230,17 +229,14 @@ class TestSelfDuality:
     def test_dim1_sampling_respects_axis_sign(self):
         cone = AxisCone(np.array([-1.0]))
         rng = rng_for(0, 0)
-        for _ in range(20):
-            u = sample_in_cone(cone, rng)
+        for u in sample_in_cone(cone, rng, 20):
             assert cone.classify(u) is not Region.OUTSIDE
 
     def test_cone_axioms_sampled(self):
         rng = rng_for(9, 0)
         for cone in (AxisCone(E1), OrthantCone(2)):
-            for _ in range(200):
-                u = sample_in_cone(cone, rng)
-                v = sample_in_cone(cone, rng)
-                t = rng.uniform(0.0, 5.0)
+            rows = sample_in_cone(cone, rng, 400)
+            for u, v, t in zip(rows[0::2], rows[1::2], rng.uniform(0.0, 5.0, 200)):
                 assert cone.classify(u + v) is not Region.OUTSIDE
                 if np.linalg.norm(t * u) > 0:
                     assert cone.classify(t * u) is not Region.OUTSIDE
@@ -301,9 +297,7 @@ class TestConeCheck:
         inside = sample_in_cone_rows(AxisCone(np.array([-1.0])), rng_for(0, 0), 20)
         assert (inside < 0.0).all()
 
-    def test_unit_perp_rejects_dim_one(self):
-        with pytest.raises(ValueError, match="1-dim"):
-            unit_perp(np.array([1.0]), rng_for(0, 0))
+    def test_perp_rows_rejects_dim_one(self):
         with pytest.raises(ValueError, match="1-dim"):
             perp_rows(np.array([1.0]), rng_for(0, 0), 4)
 
@@ -391,3 +385,87 @@ def test_moreau_split_type():
     split = moreau_decompose(OrthantCone(2), [[1.0, -1.0]])
     assert isinstance(split, MoreauSplit)
     assert split.residual.tolist() == [0.0]
+
+
+def assert_one_vector_stream(cone, block, rng, exact):
+    """Rows of `block` against the one-vector sampler drawing from `rng`.
+
+    Exact when nothing is projected; otherwise the two projections (row sums
+    against a BLAS dot) differ by rounding: at most about (n + 2) eps ||g||
+    in the complement, amplified by ||g|| / ||g_perp|| and scales below 2.
+    """
+    rows, growth = zip(*(one_vector_sample(cone, rng) for _ in range(len(block))))
+    if exact:
+        np.testing.assert_array_equal(block, np.vstack(rows))
+        return
+    bound = 4.0 * (cone.dim + 2) * np.finfo(float).eps * np.array(growth)
+    assert np.all(np.abs(block - np.vstack(rows)) <= bound[:, None])
+
+
+def random_axis_cone(dim):
+    axis = rng_for(23, dim).standard_normal(dim)
+    return AxisCone(axis / np.linalg.norm(axis))
+
+
+class OnAxisFirst:
+    """Generator double whose first normal row lies on the axis; its state counts normals."""
+
+    def __init__(self, axis, seed):
+        self.rng, self.axis, self.normals = rng_for(seed, 0), axis, 0
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self.normals, self.rng.bit_generator.state
+
+    @state.setter
+    def state(self, value):
+        self.normals, self.rng.bit_generator.state = value
+
+    def standard_normal(self, size):
+        self.normals += 1
+        row = self.rng.standard_normal(size)
+        return 3.0 * self.axis if self.normals == 1 else row
+
+    def random(self, size=None):
+        return self.rng.random(size)
+
+    def uniform(self, low, high):
+        return self.rng.uniform(low, high)
+
+
+SAMPLED_CONES = [random_axis_cone(dim) for dim in (1, 2, 8, 64)] + [
+    OrthantCone(dim) for dim in (1, 2, 8)]
+SAMPLED_IDS = ["axis1", "axis2", "axis8", "axis64", "orthant1", "orthant2", "orthant8"]
+
+
+class TestSampleInCone:
+    @pytest.mark.parametrize("cone", SAMPLED_CONES, ids=SAMPLED_IDS)
+    def test_block_is_one_row_blocks_in_turn(self, cone):
+        block_rng, row_rng = rng_for(5, cone.dim), rng_for(5, cone.dim)
+        block = sample_in_cone(cone, block_rng, 37)
+        rows = np.vstack([sample_in_cone(cone, row_rng, 1) for _ in range(37)])
+        np.testing.assert_array_equal(block, rows)
+        assert block_rng.bit_generator.state == row_rng.bit_generator.state
+        split = np.vstack([sample_in_cone(cone, row_rng, k) for k in (5, 1, 31)])
+        np.testing.assert_array_equal(split, sample_in_cone(cone, block_rng, 37))
+
+    @pytest.mark.parametrize("cone", SAMPLED_CONES, ids=SAMPLED_IDS)
+    def test_rows_follow_the_one_vector_stream(self, cone):
+        block_rng, ref_rng = rng_for(6, cone.dim), rng_for(6, cone.dim)
+        block = sample_in_cone(cone, block_rng, 200)
+        assert_one_vector_stream(cone, block, ref_rng, exact=isinstance(cone, OrthantCone))
+        assert block_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert not np.any(regions(cone, block) == -1) and np.all(block.any(axis=1))
+        assert {0, 1} <= set(regions(cone, block).tolist()) or cone.dim == 1
+
+    def test_row_on_the_axis_replays_the_block_with_a_redraw(self):
+        cone = random_axis_cone(8)
+        block_rng, row_rng, ref_rng = (OnAxisFirst(cone.axis, 1) for _ in range(3))
+        block = sample_in_cone(cone, block_rng, 6)
+        assert block_rng.normals == 7  # row 0 drew twice
+        rows = np.vstack([sample_in_cone(cone, row_rng, 1) for _ in range(6)])
+        np.testing.assert_array_equal(block, rows)
+        assert_one_vector_stream(cone, block, ref_rng, exact=False)
+        assert block_rng.state == row_rng.state == ref_rng.state
+        assert np.all(np.isfinite(block)) and not np.any(regions(cone, block) == -1)

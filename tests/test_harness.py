@@ -205,7 +205,8 @@ class TestReplay:
         return run(config).render(timestamp=False)
 
     def test_replays_all_certified_false(self):
-        results = replay(self.pf_report_text())
+        kind, results = replay(self.pf_report_text())
+        assert kind == "pf_verify"
         assert results  # degenerate flavor guarantees CertifiedFalse rows
         assert all(r.reproduced for r in results)
 
@@ -220,7 +221,7 @@ class TestReplay:
                 parts[5] = " ".join(format(x, ".17g") for x in witness)
                 lines[i] = ",".join(parts)
                 break
-        corrupted = replay("\n".join(lines))
+        _, corrupted = replay("\n".join(lines))
         assert any(not r.reproduced for r in corrupted)
 
 
@@ -383,8 +384,13 @@ class TestCli:
         ("schrodinger", {"demo_e": 1e10}, "demo_e"),
         ("schrodinger", {"demo_e": 1e-12}, "demo_e"),
         ("schrodinger", {"vector_potential": "zero"}, "demo_e"),
+        ("perturb_sweep", {"t": [[0, 0], [0, 1e300]], "s": [[0, 1], [1, 0]]}, "t"),
+        ("perturb_sweep", {"t": [[0, 0], [0, 1]], "s": [[0, -1e76], [-1e76, 0]]}, "s"),
+        ("perturb_sweep", {"t": [[0, 0], [0, 1.7e308]], "s": [[0, 1], [1, 0]]}, "t"),
     ], ids=["demo_e_overflow", "h_tiny", "h_huge", "demo_s_damped", "h_saturates_alpha",
-            "t_saturates_alpha", "demo_e_damped", "demo_e_weak", "no_vector_potential"])
+            "t_saturates_alpha", "demo_e_damped", "demo_e_weak", "no_vector_potential",
+            "t_entry_huge", "s_entry_huge", "t_entry_overflows_its_sum"])
+    @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
     def test_extreme_numeric_input_exits_2(self, tmp_path, capsys, kind, params, field):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"kind": kind, "seed": 0, "params": params}))
@@ -419,6 +425,20 @@ class TestCli:
         assert main(["verify", "--config", str(cfg), "--out", str(out),
                      "--no-timestamp"]) == 0
         assert main(["replay", str(out)]) == 0
+
+    @pytest.mark.parametrize("kind, params", [
+        ("perturb_sweep", {}),
+        ("schrodinger", {"N": 4, "h": 2.0}),
+        ("cone_axioms", {"dims": [2], "samples": 10}),
+    ])
+    def test_replay_names_a_kind_it_cannot_replay(self, tmp_path, capsys, kind, params):
+        path = tmp_path / "report.csv"
+        path.write_text(run(ExperimentConfig(kind=kind, seed=0, params=params))
+                        .render(timestamp=False))
+        assert main(["replay", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"replay supports pf_verify reports only; this report is {kind}\n"
+        assert captured.err == ""
 
     def test_replay_corrupted_report_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -36,8 +36,10 @@ from axiscone.perturbation import (
     riesz_projector,
     semigroup_threshold,
 )
+from axiscone.cones import AxisCone, sample_in_cone
 from axiscone.positivity import VerdictStatus
 from axiscone.seeding import rng_for
+from reference_loops import drift_check_by_loop
 
 E1 = np.array([1.0, 0.0])
 SQRT2 = math.sqrt(2.0)
@@ -155,6 +157,48 @@ class TestErgodicDrift:
         with pytest.raises(AxisNotEigenvector):
             ergodic_drift_check(SymmetricOperator(np.diag([2.0, 1.0])),
                                 np.array([0.0, 1.0]), E1)
+
+    @pytest.mark.parametrize("dim, seed", [(2, 0), (3, 1), (5, 2), (8, 3)])
+    def test_matches_the_pair_loop_on_samples(self, dim, seed):
+        rng = rng_for(seed, dim)
+        q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        a = SymmetricOperator((q * np.append(rng.uniform(0.1, 1.0, dim - 1), 2.0)) @ q.T)
+        u0 = a.decomposition.eigenvectors[:, -1]
+        u1 = u0 + 0.3 * q[:, 0]
+        u1 /= np.linalg.norm(u1)
+        verdict = ergodic_drift_check(a, u0, u1, sample_pairs=30, seed=seed)
+        rows = sample_in_cone(AxisCone(u1), rng_for(seed, 0), 60)
+        status, margin, _ = drift_check_by_loop(a, u0, u1, rows)
+        assert verdict.status is status is VerdictStatus.SAMPLED_TRUE
+        assert verdict.margin == pytest.approx(margin, rel=1e-12)
+
+    # A = 2I has a degenerate top, so the boundary pair (1, 1), (1, -1) never
+    # pairs positively; (-1, 0) breaks the certificate for u1 = u0 = e1.
+    @pytest.mark.parametrize("rows, exit_row, detail", [
+        ([[1, 0.5], [1, 0.2], [1, 1], [1, -1], [-1, 0], [1, 0]], 2, "no positive pairing"),
+        ([[1, 0.5], [1, 0.2], [1, 1], [-1, 0]], 3, "certificate"),
+        ([[1, 1], [1, -1], [-1, 0], [1, 0]], 0, "no positive pairing"),
+        ([[-1, 0], [1, 1], [1, 1], [1, -1]], 0, "certificate"),
+        ([[1, 1], [1, 0], [1, 1], [1, -1]], 2, "no positive pairing"),
+    ], ids=["probe_before_certificate", "certificate_of_v_before_its_probe",
+            "probe_of_first_pair", "certificate_of_first_row", "second_pair_fails"])
+    def test_early_exits_in_loop_order(self, monkeypatch, rows, exit_row, detail):
+        rows = np.array(rows, dtype=float)
+
+        def fixed_rows(cone, rng, k):
+            assert k == len(rows)
+            return rows
+
+        monkeypatch.setattr(perturbation, "sample_in_cone", fixed_rows)
+        a = SymmetricOperator(2.0 * np.eye(2))
+        verdict = ergodic_drift_check(a, E1, E1, sample_pairs=len(rows) // 2)
+        status, margin, witness = drift_check_by_loop(a, E1, E1, rows)
+        assert verdict.status is status is VerdictStatus.CERTIFIED_FALSE
+        assert detail in verdict.detail
+        np.testing.assert_array_equal(verdict.witness, witness)
+        np.testing.assert_array_equal(verdict.witness, rows[exit_row])
+        assert verdict.margin == pytest.approx(margin, rel=1e-12, abs=1e-300)
+
 
 
 class TestDriftCertificate:

@@ -1,7 +1,10 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from axiscone.cones import AxisCone, OrthantCone, Region
+from axiscone.cones import AxisCone, OrthantCone, Region, sample_in_cone
 from axiscone.errors import (
     AxisNotEigenvector,
     ContractViolation,
@@ -12,6 +15,8 @@ from axiscone.errors import (
 )
 from axiscone.operators import SymmetricOperator, top_eigen
 from axiscone.positivity import (
+    MAX_POWER,
+    PRESERVATION_SAMPLES,
     Verdict,
     VerdictStatus,
     ergodic_probe,
@@ -21,6 +26,7 @@ from axiscone.positivity import (
     preserves_positivity,
 )
 from axiscone.seeding import rng_for
+from reference_loops import preserves_by_loop, probe_by_loop
 
 E1 = np.array([1.0, 0.0])
 
@@ -144,14 +150,14 @@ class TestImprovesGeneral:
 
 class TestErgodicProbe:
     def test_immediate(self):
-        result = ergodic_probe(SymmetricOperator(np.diag([2.0, 1.0])), AxisCone(E1), E1, E1)
+        result = ergodic_probe(SymmetricOperator(np.diag([2.0, 1.0])), AxisCone(E1), [E1], [E1])
         assert result.found and result.n == 1
         assert result.value == pytest.approx(2.0)
 
     def test_permutation_orthant(self):
         swap = SymmetricOperator([[0.0, 1.0], [1.0, 0.0]])
         e2 = np.array([0.0, 1.0])
-        result = ergodic_probe(swap, OrthantCone(2), E1, e2)
+        result = ergodic_probe(swap, OrthantCone(2), [E1], [e2])
         assert result.found and result.n == 1
         assert result.value == pytest.approx(1.0)
 
@@ -163,7 +169,7 @@ class TestErgodicProbe:
         u = np.array([np.cos(theta + np.pi / 4), np.sin(theta + np.pi / 4)])
         v = np.array([np.cos(theta - np.pi / 4), np.sin(theta - np.pi / 4)])
         expected = 2.0 * u[0] * v[0] + u[1] * v[1]
-        result = ergodic_probe(SymmetricOperator(np.diag([2.0, 1.0])), AxisCone(axis), u, v)
+        result = ergodic_probe(SymmetricOperator(np.diag([2.0, 1.0])), AxisCone(axis), [u], [v])
         assert result.found and result.n == 1
         assert result.value == pytest.approx(expected)
         assert expected == pytest.approx(0.18, abs=0.01)
@@ -172,17 +178,17 @@ class TestErgodicProbe:
         a = SymmetricOperator(np.diag([2.0, 2.0]))
         u = np.array([1.0, 1.0])
         v = np.array([1.0, -1.0])
-        result = ergodic_probe(a, AxisCone(E1), u, v)
+        result = ergodic_probe(a, AxisCone(E1), [u], [v])
         assert not result.found
 
     def test_rejects_outside(self):
         with pytest.raises(NotInCone):
-            ergodic_probe(SymmetricOperator(np.eye(2)), AxisCone(E1), -E1, E1)
+            ergodic_probe(SymmetricOperator(np.eye(2)), AxisCone(E1), [-E1], [E1])
 
     def test_large_powers_renormalize(self):
         a = SymmetricOperator(np.diag([3e4, 1.0]))
         u = np.array([1.0, 1.0]) * 1e-8
-        result = ergodic_probe(a, AxisCone(E1), u, u)
+        result = ergodic_probe(a, AxisCone(E1), [u], [u])
         assert result.found and result.n == 1
 
 
@@ -212,7 +218,7 @@ class TestPerronFrobenius:
         assert report.agree
         u, v = report.failing_pair
         result = ergodic_probe(
-            SymmetricOperator(np.diag([2.0, 2.0])), AxisCone(E1), u, v
+            SymmetricOperator(np.diag([2.0, 2.0])), AxisCone(E1), [u], [v]
         )
         assert not result.found
 
@@ -244,14 +250,9 @@ class TestInvariants:
         _, u0, _ = top_eigen(a)
         cone = AxisCone(u0)
         assert improves_positivity_axis(a, u0).status is VerdictStatus.CERTIFIED_TRUE
-        rng = rng_for(seed, 9)
-        from axiscone.cones import sample_in_cone
-
-        for _ in range(25):
-            u = sample_in_cone(cone, rng)
-            v = sample_in_cone(cone, rng)
-            result = ergodic_probe(a, cone, u, v)
-            assert result.found and result.n == 1
+        rows = sample_in_cone(cone, rng_for(seed, 9), 50)
+        result = ergodic_probe(a, cone, rows[0::2], rows[1::2])
+        assert result.found and result.n == 25  # 25 pairs, each found at power 1
 
     @pytest.mark.parametrize("factor", [0.5, 3.0])
     def test_scaling_invariance(self, factor):
@@ -287,3 +288,109 @@ def test_verdict_csv_row():
 def test_certified_false_requires_witness():
     with pytest.raises(ValueError):
         Verdict("demo", VerdictStatus.CERTIFIED_FALSE, margin=-1.0)
+
+
+def generic_on_top_axis(dim, seed):
+    g = rng_for(seed, dim).standard_normal((dim, dim))
+    a = SymmetricOperator((g + g.T) / 2.0)
+    return a, AxisCone(top_eigen(a)[1])
+
+
+def psd_on_random_axis(dim, seed):
+    axis = rng_for(seed, 99).standard_normal(dim)
+    return psd_with_simple_top(dim, seed), AxisCone(axis / np.linalg.norm(axis))
+
+
+def orthant_with_tiny_negative_entry(dim, seed):
+    m = np.abs(rng_for(seed, dim).standard_normal((dim, dim)))
+    m = (m + m.T) / 2.0
+    m[0, 1] = m[1, 0] = -1e-11  # below -ORTHANT_NONNEG_TOL, inside the membership band
+    return SymmetricOperator(m), OrthantCone(dim)
+
+
+PATH4 = np.diag([1.0, 1.0, 1.0], 1) + np.diag([1.0, 1.0, 1.0], -1)  # path graph 0-1-2-3
+
+
+class TestBlockVerdictsMatchLoops:
+    """The block forms against the per-sample loops they replaced (reference_loops)."""
+
+    INSTANCES = ([generic_on_top_axis(dim, seed) for dim in (3, 8, 16) for seed in range(8)]
+                 + [psd_on_random_axis(dim, seed) for dim in (3, 8) for seed in range(4)]
+                 + [orthant_with_tiny_negative_entry(dim, seed) for dim in (3, 8)
+                    for seed in range(4)])
+
+    def test_preservation_status_witness_and_margin(self):
+        statuses = set()
+        for index, (a, cone) in enumerate(self.INSTANCES):
+            verdict = preserves_positivity(a, cone, seed=index)
+            status, row, margin = preserves_by_loop(a, cone, index)
+            rows = sample_in_cone(cone, rng_for(index, 0), PRESERVATION_SAMPLES)
+            assert verdict.status is status
+            np.testing.assert_array_equal(verdict.witness, rows[row])
+            assert verdict.margin == pytest.approx(margin, rel=1e-12, abs=1e-15)
+            statuses.add((type(cone), status))
+        assert statuses == {(AxisCone, VerdictStatus.CERTIFIED_FALSE),
+                            (AxisCone, VerdictStatus.SAMPLED_TRUE),
+                            (OrthantCone, VerdictStatus.SAMPLED_TRUE)}
+
+    @staticmethod
+    def assert_probe_matches_loop(a, cone, us, vs):
+        result = ergodic_probe(a, cone, us, vs)
+        expected = [probe_by_loop(a, u, v) for u, v in zip(us, vs)]
+        singles = [ergodic_probe(a, cone, [u], [v]) for u, v in zip(us, vs)]
+        assert [single.n for single in singles] == [n for _, n, _ in expected]
+        assert [single.found for single in singles] == [found for found, _, _ in expected]
+        first = next((i for i, (found, _, _) in enumerate(expected) if not found), None)
+        assert result.pair == first and result.found is (first is None)
+        stop = len(expected) - 1 if first is None else first
+        assert result.n == sum(n for _, n, _ in expected[:stop + 1])
+        assert result.value == pytest.approx(expected[stop][2], rel=1e-12)
+        return result
+
+    def test_probe_on_sampled_pairs(self):
+        for seed in range(6):
+            a = psd_with_simple_top(6, seed)
+            cone = AxisCone(top_eigen(a)[1])
+            rows = sample_in_cone(cone, rng_for(seed, 1), 40)
+            assert self.assert_probe_matches_loop(a, cone, rows[0::2], rows[1::2]).found
+
+    def test_probe_block_mixing_found_and_unfound_pairs(self):
+        a = psd_with_degenerate_top(5, seed=2)
+        cone = AxisCone(top_eigen(a)[1])
+        w = a.decomposition.eigenvectors[:, -2]
+        w = w - (cone.axis @ w) * cone.axis
+        w /= np.linalg.norm(w)
+        rows = sample_in_cone(cone, rng_for(2, 1), 12)
+        us = np.vstack([rows[0:6:2], [cone.axis + w], rows[6::2], [cone.axis + w]])
+        vs = np.vstack([rows[1:6:2], [cone.axis - w], rows[7::2], [cone.axis - w]])
+        result = self.assert_probe_matches_loop(a, cone, us, vs)
+        assert result.pair == 3 and result.n == 3 + MAX_POWER
+
+    @pytest.mark.parametrize("matrix, pairs, powers", [
+        (1e60 * np.array([[0.0, 1.0], [1.0, 0.0]]), [(E1, E1), (E1, [0.0, 1.0])], [2, 1]),
+        (1e150 * PATH4, [(np.eye(4)[0], np.eye(4)[0]), (np.eye(4)[0], np.eye(4)[3])], [2, 3]),
+        (1e-60 * np.array([[0.0, 1.0], [1.0, 0.0]]), [(E1, E1), ([0.0, 1.0], E1)], [2, 1]),
+        (np.diag([1.0, 0.0]), [(E1, E1), (E1, [0.0, 1.0]), (E1, E1)], [1, MAX_POWER, 1]),
+        (1e10 * np.eye(2), [([0.0, 1.0], E1), (E1, E1)], [MAX_POWER, 1]),
+    ], ids=["renormalize_up", "rescaled_value_overflows", "renormalize_down", "zero_image",
+            "unfound_while_renormalizing"])
+    def test_probe_edge_pairs(self, matrix, pairs, powers):
+        us, vs = (np.array([pair[i] for pair in pairs], dtype=float) for i in (0, 1))
+        a, cone = SymmetricOperator(matrix), OrthantCone(len(matrix))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # overflow to inf is expected, not warned
+            result = self.assert_probe_matches_loop(a, cone, us, vs)
+        assert [ergodic_probe(a, cone, [u], [v]).n for u, v in zip(us, vs)] == powers
+        if len(matrix) == 4:  # three renormalized powers of 1e150: the value is inf
+            assert result.value == math.inf
+
+    @pytest.mark.parametrize("us, vs", [
+        ([[0.0, 0.0]], [E1]), ([E1], [[0.0, 0.0]]), ([E1, E1], [E1, -E1]),
+    ], ids=["zero_u", "zero_v", "outside_v"])
+    def test_probe_requires_nonzero_cone_rows(self, us, vs):
+        with pytest.raises(NotInCone):
+            ergodic_probe(SymmetricOperator(np.eye(2)), AxisCone(E1), us, vs)
+
+    def test_probe_requires_paired_blocks(self):
+        with pytest.raises(ValueError, match="pair"):
+            ergodic_probe(SymmetricOperator(np.eye(2)), AxisCone(E1), [E1], [E1, E1])
