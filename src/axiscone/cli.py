@@ -143,7 +143,7 @@ def main(argv=None):
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     except AxisConeError as exc:
-        # ill-posed experiment input (degenerate model, contour on spectrum, ...)
+        # ill-posed experiment input (degenerate model, collapsed gap, ...)
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     raise AssertionError("unreachable")

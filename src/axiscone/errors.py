@@ -61,10 +61,6 @@ class PrereqFailed(AxisConeError):
     """A check's prerequisite (positivity, preservation) does not hold."""
 
 
-class ContourHitsSpectrum(AxisConeError):
-    """An eigenvalue lies on or too close to the integration circle."""
-
-
 class GapCollapsed(AxisConeError):
     """Uniform spectral gap is non-positive over the perturbation grid."""
 

@@ -56,7 +56,6 @@ TOLERANCES = {
     "tau_membership": tolerances.TAU_MEMBERSHIP,
     "tau_strict": tolerances.TAU_STRICT,
     "reconstruction": tolerances.RECON_TOL,
-    "riesz_idempotency": tolerances.RIESZ_TOL,
     "correspondence": tolerances.CORRESPONDENCE_TOL,
 }
 
@@ -242,14 +241,13 @@ def _validate_perturb(params):
         raise ConfigInvalid("s_samples", "entries must lie in (0, s0]")
     if "kappas" in params:
         params["kappas"] = _as_grid(params["kappas"], "kappas")
-    a = params.setdefault("a", 0.0)
-    if not (_is_number(a) and a >= 0):
-        raise ConfigInvalid("a", "must be a finite nonnegative number")
-    if "b" in params and params["b"] is not None:
-        if not (_is_number(params["b"]) and params["b"] >= 0):
-            raise ConfigInvalid("b", "must be a finite nonnegative number")
-    else:
-        params["b"] = None
+    params.setdefault("a", 0.0)
+    params.setdefault("b", None)
+    for key in ("a", "b"):
+        value = params[key]
+        if value is not None and not (_is_number(value)
+                                      and 0 <= value <= tolerances.SCALE_LIMIT):
+            raise ConfigInvalid(key, f"must be a number in [0, {tolerances.SCALE_LIMIT:g}]")
 
 
 def _validate_schrodinger(params):
@@ -445,6 +443,15 @@ def _run_perturb(config):
     # without t and s: the swap instance, T = diag(0, 1) with S swapping the two axes
     t = SymmetricOperator(params.get("t", np.diag([0.0, 1.0])))
     s_matrix = SymmetricOperator(params.get("s", [[0.0, 1.0], [1.0, 0.0]]))
+    if params["b"] is not None:
+        # the default b = ||S|| holds by construction; a claimed one holds when
+        # S^2 <= a^2 T^2 + b^2 I, for then ||S x||^2 <= (a ||T x|| + b ||x||)^2
+        a_t = params["a"] * t.matrix
+        slack = np.linalg.eigvalsh(a_t @ a_t + params["b"] ** 2 * np.eye(t.dim)
+                                   - s_matrix.matrix @ s_matrix.matrix)
+        if slack[0] < -tolerances.PSD_TOL * max(1.0, float(np.abs(slack).max())):
+            raise ConfigInvalid("b", f"||S x|| <= a ||T x|| + b ||x|| is not certified: "
+                                     f"a^2 T^2 + b^2 I - S^2 has eigenvalue {slack[0]:.6g}")
     s_spec = PerturbationFamily([s_matrix], a=params["a"], b=params["b"])
     budget = semigroup_threshold(t, s_spec, s0=params["s0"], kappa0=params["kappa0"],
                                  kappa_grid=params["kappa_grid"])

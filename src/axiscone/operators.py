@@ -3,9 +3,9 @@
 Everything lives at finite dimension with the Euclidean inner product, so all
 operators are bounded and the spectrum is the eigenvalue set.  Spectral data
 is computed once per operator by checked_eigh and cached; a heat semigroup
-derives its spectrum from its generator's, and the contour projector
-(perturbation.riesz_projector) is a scalar filter applied in the same
-eigenbasis, so it solves no linear system.  All returned arrays are read-only.
+derives its spectrum from its generator's, and a drifted ground axis
+(perturbation.drifted_axis) is its generator's bottom eigenvector, so no
+linear system is solved.  All returned arrays are read-only.
 """
 
 from dataclasses import dataclass, field

@@ -303,8 +303,9 @@ def ergodic_probe(A, cone, us, vs):
 
     Iterates W <- A W on the unresolved columns v, dropping each once its
     pairing is positive or its image vanishes (no power then).  Columns are
-    renormalized when their norm leaves [1e-100, 1e100] and values rescaled
-    back (to inf for huge powers, which still witnesses positivity).
+    renormalized when their norm (max-abs scaled if its square overflows)
+    leaves [1e-100, 1e100], and values rescaled back (to inf for huge powers,
+    which still witnesses positivity).
     """
     _check_dims(A, cone)
     us, vs = as_rows(us), as_rows(vs)
@@ -320,7 +321,12 @@ def ergodic_probe(A, cone, us, vs):
     live, u, w, log_scale = np.arange(k), us.T, vs.T, np.zeros(k)
     for n in range(1, MAX_POWER + 1):
         w = A.matrix @ w
-        nw = np.sqrt((w * w).sum(axis=0))
+        with np.errstate(over="ignore"):
+            nw = np.sqrt((w * w).sum(axis=0))
+        big = np.isinf(nw)
+        if big.any():  # squares overflowed: scale each such column by its largest entry
+            peak = np.abs(w[:, big]).max(axis=0)
+            nw[big] = peak * np.sqrt(((w[:, big] / peak) ** 2).sum(axis=0))
         far = (nw > 1e100) | ((nw < 1e-100) & (nw > 0.0))
         if far.any():
             log_scale[far] += np.log(nw[far])

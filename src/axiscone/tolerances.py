@@ -1,7 +1,7 @@
 """Every threshold that decides a verdict, a check or an input rejection.
 
 One name per decision; no function takes a tolerance as a parameter.  Report
-headers echo the first seven (`harness.TOLERANCES`).  A relative threshold
+headers echo the first six (`harness.TOLERANCES`).  A relative threshold
 scales by max(1, size) of the quantity its comment names.  Numerical guards
 (division floors, renormalisation bounds, redraw and step floors) decide
 nothing and stay beside the code they protect.
@@ -13,7 +13,6 @@ TAU_GAP = 1e-9              # gap, relative to |lambda|, that makes an extremal 
 TAU_MEMBERSHIP = 1e-10      # cone margin, relative to ||u||: interior, boundary or outside
 TAU_STRICT = 1e-10          # margin of every strict "> 0" improvement or ergodicity decision
 RECON_TOL = 1e-10           # eigh: ||Q L Q^T - A||_F relative to ||A||_F, and ||Q^T Q - I||_F
-RIESZ_TOL = 1e-8            # contour projector: imag residual, P u0 eigen-residual, idempotency
 CORRESPONDENCE_TOL = 1e-9   # real/complex correspondence clauses, relative to ||T||
 
 # Operators and positivity verifiers.
@@ -29,8 +28,7 @@ PARTNER_TOL = 1e-10         # |<u, partner>| / ||u||^2 of a boundary partner
 
 # Perturbation budgets and drift.
 DRIFT_CERT_TOL = 1e-12      # drift certificates: certified above +this, violated below -this
-DRIFT_BOUND_SLACK = 1e-8    # admitted excess of the contour axis drift over its proven bound
-CONTOUR_CLEARANCE = 1e-6    # relative distance every eigenvalue keeps from the contour circle
+DRIFT_BOUND_SLACK = 1e-8    # admitted excess of the drifted axis's drift over its proven bound
 GAP_COLLAPSE_TOL = 1e-12    # uniform gap, relative to ||T||, at or below which it has collapsed
 RADIUS_RECOMPUTE_TOL = 1e-14  # a budget's r equals radius_from_alpha(alpha) to this
 
@@ -40,11 +38,9 @@ REAL_COMMUTATION_TOL = 1e-10      # restrict_to_real's input against the parity 
 REAL_IMAG_TOL = 1e-12             # imaginary part left in the restricted matrix
 REAL_SPECTRUM_TOL = 1e-9          # eigenvalue drift between H and its restriction
 DEMO_WITNESS_TOL = 1e-10          # imaginary part or negative entry: the flow left the orthant
-SCALE_LIMIT = 1e75                # config bound on h, 1/h, |demo_e|, demo_s and perturb t, s
-                                  # entries: squared norms stay finite
+SCALE_LIMIT = 1e75                # config bound on h, 1/h, |demo_e|, demo_s, perturb a, b and
+                                  # t, s entries: squared norms stay finite
 
 # Acceptance criteria (selftest).
 CLOSED_FORM_TOL = 1e-12     # criterion 1: alpha, r and 1/(4c) against their closed forms
 DERIVATION_TOL = 1e-9       # criterion 2: budget scalars against the hand derivation
-RIESZ_ORACLE_TOL = 1e-8     # criterion 7: contour projector against the eigenvector projector
-RIESZ_DOUBLING_TOL = 1e-10  # criterion 7: 64-node against 128-node quadrature

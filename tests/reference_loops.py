@@ -1,7 +1,9 @@
-"""Per-sample loops that the block forms of the positivity layer replaced.
+"""Reference forms that faster or simpler code in the toolkit replaced.
 
-Each is the one-vector code as it stood before the block forms, kept so that
-tests can compare the block forms against it on seeded instances.
+The per-sample loops are the one-vector code as it stood before the block
+forms of the positivity layer; `contour_image` is the dense-solve contour
+rule that the drift layer used before it took the drifted axis from the
+eigenbasis.  Tests compare the toolkit against them on seeded instances.
 """
 
 import math
@@ -101,3 +103,18 @@ def drift_check_by_loop(A, u0, u1, rows):
         if not found:
             return VerdictStatus.CERTIFIED_FALSE, value, u
     return VerdictStatus.SAMPLED_TRUE, worst, None
+
+
+def contour_image(t, center, radius, rhs, nodes=64):
+    """P rhs for the spectral projector P of t inside |z - center| = radius.
+
+    The trapezoidal rule P = (radius/nodes) sum_k w_k (z_k - t)^{-1} on the
+    full circle, z_k = center + radius w_k with w_k the nodes-th roots of
+    unity: one complex dense solve per node and no eigendecomposition.
+    """
+    eye = np.eye(t.dim)
+    acc = np.zeros(t.dim, dtype=complex)
+    for k in range(nodes):
+        w = np.exp(2j * np.pi * k / nodes)
+        acc += w * np.linalg.solve((center + radius * w) * eye - t.matrix, rhs)
+    return (radius / nodes) * acc.real

@@ -105,7 +105,7 @@ class TestRunners:
     def test_cone_axioms_default_report_bytes(self):
         text = run(ExperimentConfig("cone_axioms", 0, {})).render(timestamp=False)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "cee8e792b0ea46cea4b7020cbf0294f8b1a1d5846348fbc611fc29967d018f16")
+            "668b01d2e6ee89d770fc6f1213eae88f2896183d4c26526a25fddd32cee7f1ee")
 
     def test_cone_axioms_default_rows_and_worst_within_thresholds(self):
         report = run(ExperimentConfig("cone_axioms", 0, {}))
@@ -191,7 +191,6 @@ class TestReportFormat:
             "tau_membership": tolerances.TAU_MEMBERSHIP,
             "tau_strict": tolerances.TAU_STRICT,
             "reconstruction": tolerances.RECON_TOL,
-            "riesz_idempotency": tolerances.RIESZ_TOL,
             "correspondence": tolerances.CORRESPONDENCE_TOL,
         }
         echoed = {key[4:]: value for key, value in header.items() if key.startswith("tol_")}
@@ -335,8 +334,10 @@ class TestCli:
         {"t": [[0, 1], [0, 1]], "s": [[0, 1], [1, 0]]},
         {"t": [[0, 0], [0, 1]], "s": [[0, 1, 0], [1, 0, 0], [0, 0, 0]]},
         {"t": [[0, 0], [0]], "s": [[0, 1], [1, 0]]},
+        {"b": 0}, {"b": 0.05}, {"b": 0.2}, {"b": 0.5}, {"a": 2, "b": 0}, {"a": 1, "b": 0.5},
     ], ids=["s_zero", "s_negative", "s_above_s0", "kappa_inadmissible", "t_asymmetric",
-            "s_dimension", "t_ragged"])
+            "s_dimension", "t_ragged", "false_b0", "false_b0.05", "false_b0.2", "false_b0.5",
+            "false_a2_b0", "false_a1_b0.5"])
     def test_bad_perturb_input_exits_2(self, tmp_path, capsys, params):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"kind": "perturb_sweep", "seed": 0, "params": params}))
@@ -387,9 +388,11 @@ class TestCli:
         ("perturb_sweep", {"t": [[0, 0], [0, 1e300]], "s": [[0, 1], [1, 0]]}, "t"),
         ("perturb_sweep", {"t": [[0, 0], [0, 1]], "s": [[0, -1e76], [-1e76, 0]]}, "s"),
         ("perturb_sweep", {"t": [[0, 0], [0, 1.7e308]], "s": [[0, 1], [1, 0]]}, "t"),
+        ("perturb_sweep", {"a": 1e300}, "a"),
+        ("perturb_sweep", {"b": 1e300}, "b"),
     ], ids=["demo_e_overflow", "h_tiny", "h_huge", "demo_s_damped", "h_saturates_alpha",
             "t_saturates_alpha", "demo_e_damped", "demo_e_weak", "no_vector_potential",
-            "t_entry_huge", "s_entry_huge", "t_entry_overflows_its_sum"])
+            "t_entry_huge", "s_entry_huge", "t_entry_overflows_its_sum", "a_huge", "b_huge"])
     @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
     def test_extreme_numeric_input_exits_2(self, tmp_path, capsys, kind, params, field):
         cfg = tmp_path / "bad.json"
@@ -400,6 +403,15 @@ class TestCli:
         assert captured.err.startswith(f"config error: config field '{field}'")
         assert len(captured.err.strip().splitlines()) == 1
         assert not (tmp_path / "r.csv").exists()
+
+    # on the default swap instance (T = diag(0, 1), S^2 = I), S^2 <= a^2 T^2 + b^2 I
+    # holds iff b >= 1: the false_* cases of test_bad_perturb_input_exits_2 exit 2
+    @pytest.mark.parametrize("params", [{"b": 1.0}, {"b": 1.2}, {"a": 0.5, "b": 1.0}],
+                             ids=["b1", "b1.2", "a0.5_b1"])
+    def test_true_relative_bound_runs(self, tmp_path, params):
+        cfg = tmp_path / "good.json"
+        cfg.write_text(json.dumps({"kind": "perturb_sweep", "seed": 0, "params": params}))
+        assert main(["perturb", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 0
 
     def test_damped_control_demo_still_passes(self, tmp_path):
         # at demo_e = 0 the demo is a control: a damped image is no witness to miss

@@ -7,7 +7,6 @@ import pytest
 from axiscone.errors import (
     AxisNotEigenvector,
     BudgetViolated,
-    ContourHitsSpectrum,
     ContractViolation,
     DegenerateBottom,
     DegenerateTop,
@@ -16,7 +15,6 @@ from axiscone.errors import (
 )
 from axiscone import perturbation, positivity
 from axiscone.operators import (
-    SpectralDecomposition,
     SymmetricOperator,
     bottom_eigen,
     restricted_top,
@@ -33,13 +31,12 @@ from axiscone.perturbation import (
     quartic_coefficient,
     quartic_margin,
     radius_from_alpha,
-    riesz_projector,
     semigroup_threshold,
 )
 from axiscone.cones import AxisCone, sample_in_cone
 from axiscone.positivity import VerdictStatus
 from axiscone.seeding import rng_for
-from reference_loops import drift_check_by_loop
+from reference_loops import contour_image, drift_check_by_loop
 
 E1 = np.array([1.0, 0.0])
 SQRT2 = math.sqrt(2.0)
@@ -236,113 +233,12 @@ class TestDriftCertificate:
         assert verdict.status is VerdictStatus.CERTIFIED_TRUE
 
 
-def full_circle_projector(t, center, radius, nodes=64):
-    """Reference rule: every node of the circle, solved against the identity."""
-    eye = np.eye(t.dim)
-    acc = np.zeros((t.dim, t.dim), dtype=complex)
-    for k in range(nodes):
-        w = np.exp(2j * np.pi * k / nodes)
-        acc += w * np.linalg.solve((center + radius * w) * eye - t.matrix, eye)
-    return (radius / nodes) * acc.real
-
-
 def gapped_instance(seed, dim):
     """Random symmetric T with eigenvalue 0 and the rest in [1, 3]."""
     rng = rng_for(seed, 40)
     q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
     eigs = np.concatenate([[0.0], np.sort(rng.uniform(1.0, 3.0, size=dim - 1))])
     return SymmetricOperator((q * eigs) @ q.T)
-
-
-class TestRieszProjector:
-    def test_diagonal(self):
-        t = SymmetricOperator(np.diag([0.0, 1.0]))
-        proj = riesz_projector(t, 0.0, 0.5, np.eye(2), nodes=64)
-        np.testing.assert_allclose(proj, np.diag([1.0, 0.0]), atol=1e-10)
-
-    def test_two_by_two_against_eigen_oracle(self):
-        t = SymmetricOperator([[0.0, 0.3], [0.3, 1.0]])
-        lam_minus = (1.0 - math.sqrt(1.36)) / 2.0
-        assert lam_minus == pytest.approx(-0.08309518948453007, abs=1e-12)
-        dec = t.decomposition
-        vec = dec.eigenvectors[:, 0]
-        oracle = np.outer(vec, vec)
-        proj = riesz_projector(t, 0.0, 0.5, np.eye(2), nodes=64)
-        np.testing.assert_allclose(proj, oracle, atol=1e-8)
-        assert np.linalg.norm(proj @ proj - proj) <= 1e-8
-
-    def test_contour_hits_spectrum(self):
-        t = SymmetricOperator(np.diag([0.0, 1.0]))
-        with pytest.raises(ContourHitsSpectrum):
-            riesz_projector(t, 0.0, 1.0, np.eye(2))
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_node_doubling(self, seed):
-        t = gapped_instance(seed, 6)
-        coarse = riesz_projector(t, 0.0, 0.5, np.eye(6), nodes=64)
-        fine = riesz_projector(t, 0.0, 0.5, np.eye(6), nodes=128)
-        assert np.linalg.norm(coarse - fine) <= 1e-10
-
-    @pytest.mark.parametrize("dim", [2, 6, 64, 128, 200])
-    def test_folded_rule_matches_full_circle(self, dim):
-        t = gapped_instance(dim, dim)
-        folded = riesz_projector(t, 0.0, 0.5, np.eye(dim))
-        assert folded.dtype == float
-        assert np.max(np.abs(folded - full_circle_projector(t, 0.0, 0.5))) <= 1e-14
-
-    @pytest.mark.parametrize("center, radius, inside", [
-        (2.05, 0.3, [4]),      # off-centre, around the eigenvalue 2 only
-        (1.0, 0.3, [2, 3]),    # around the pair 0.9 and 1.1
-        (-0.5, 0.9, [0, 1]),   # off-centre, around the two lowest
-    ], ids=["off_centre", "two_eigenvalues", "two_lowest"])
-    def test_off_centre_circles_match_full_circle(self, center, radius, inside):
-        eigs = np.array([-1.0, 0.0, 0.9, 1.1, 2.0, 3.0, 4.0, 5.0])
-        q = np.linalg.qr(rng_for(5, 42).standard_normal((8, 8)))[0]
-        t = SymmetricOperator((q * eigs) @ q.T)
-        projector = riesz_projector(t, center, radius, np.eye(8))
-        assert np.max(np.abs(projector - full_circle_projector(t, center, radius))) <= 1e-14
-        basis = t.decomposition.eigenvectors[:, inside]
-        np.testing.assert_allclose(projector, basis @ basis.T, rtol=0.0, atol=1e-12)
-
-    def test_block_rhs_matches_full_circle(self):
-        t = gapped_instance(7, 64)
-        block = rng_for(7, 41).standard_normal((64, 5))
-        images = riesz_projector(t, 0.0, 0.5, block)
-        reference = full_circle_projector(t, 0.0, 0.5) @ block
-        assert np.max(np.abs(images - reference)) <= 1e-14 * np.max(np.abs(block)) * 64
-
-    @pytest.mark.parametrize("center, radius", [
-        (0.0, math.nan), (math.nan, 0.5), (0.0, math.inf), (-math.inf, 0.5),
-    ], ids=["nan_radius", "nan_center", "inf_radius", "inf_center"])
-    def test_non_finite_circle_rejected(self, center, radius):
-        t = gapped_instance(0, 4)
-        with pytest.raises(ValueError, match="must be finite"):
-            riesz_projector(t, center, radius, np.eye(4))
-
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
-    def test_nan_filter_fails_imaginary_residual(self):
-        t = SymmetricOperator(np.diag([0.0, 1.0]))
-        # an eigenvalue that is NaN passes the clearance test and poisons the filter
-        t._decomposition = SpectralDecomposition(eigenvalues=np.array([np.nan, 1.0]),
-                                                 eigenvectors=np.eye(2))
-        with pytest.raises(ContractViolation, match="imaginary residual nan"):
-            riesz_projector(t, 0.0, 0.5, np.eye(2))
-
-    def test_vector_and_block_forms_agree(self):
-        t = gapped_instance(3, 9)
-        block = rng_for(3, 41).standard_normal((9, 4))
-        images = riesz_projector(t, 0.0, 0.5, block)
-        assert images.shape == (9, 4)
-        for j in range(4):
-            np.testing.assert_allclose(images[:, j],
-                                       riesz_projector(t, 0.0, 0.5, block[:, j]),
-                                       rtol=0.0, atol=1e-15)
-
-    @pytest.mark.parametrize("nodes", [63, 65])
-    def test_odd_node_count_rejected(self, nodes):
-        t = gapped_instance(0, 4)
-        with pytest.raises(ValueError, match="even"):
-            riesz_projector(t, 0.0, 0.5, np.eye(4), nodes=nodes)
 
 
 class TestSemigroupThreshold:
@@ -532,22 +428,53 @@ class TestDriftedAxis:
         drifted_axis(t_kappa, E1, budget, kappa=0.04)
         assert calls == []
 
-    def test_corrupted_image_fails_eigen_residual(self, monkeypatch):
-        t, s, budget = self.budget()
-        t_kappa = t + s.operator_at(0.04)
-        project = perturbation.riesz_projector
-        monkeypatch.setattr(perturbation, "riesz_projector",
-                            lambda *args: project(*args) + np.array([0.0, 1e-6]))
-        with pytest.raises(ContractViolation, match="eigen-residual"):
-            drifted_axis(t_kappa, E1, budget, kappa=0.04)
+    @pytest.mark.parametrize("eigenvalues, positions", [
+        ([0.0, 0.3], "[0, 1]"),     # two eigenvalues within epsilon = 1/2 of mu = 0
+        ([2.0, 3.0], "[]"),         # none
+        ([-5.0, 0.1], "[1]"),       # one, but not the bottom one
+    ], ids=["two_near_mu", "none_near_mu", "upper_one_near_mu"])
+    def test_eigenvalue_count_near_mu(self, eigenvalues, positions):
+        _, _, budget = self.budget()
+        with pytest.raises(ContractViolation, match=re.escape(f"positions {positions}")):
+            drifted_axis(SymmetricOperator(np.diag(eigenvalues)), E1, budget, kappa=0.0)
 
-    def test_rayleigh_quotient_outside_contour(self, monkeypatch):
-        t, _, budget = self.budget()
-        # the exact eigenvector of eigenvalue 1, outside |z - 0| < 1/2
-        monkeypatch.setattr(perturbation, "riesz_projector",
-                            lambda *args: np.array([0.0, 1.0]))
-        with pytest.raises(ContractViolation, match="Rayleigh quotient"):
-            drifted_axis(t, E1, budget, kappa=0.0)
+
+def chain_instance(seed):
+    """Seeded T, S and budget built like selftest criterion 7's drift chain, dim 2-39."""
+    rng = rng_for(seed, 78)
+    dim = 2 + seed % 38
+    q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    eigs = np.concatenate([[0.0], np.sort(rng.uniform(1.0, 2.0, size=dim - 1))])
+    t = SymmetricOperator((q * eigs) @ q.T)
+    g = rng.standard_normal((dim, dim))
+    s_mat = SymmetricOperator((g + g.T) / 2.0)
+    s_spec = PerturbationFamily([(0.05 / s_mat.norm) * s_mat])
+    budget = semigroup_threshold(t, s_spec, s0=1.0, kappa0=1.0,
+                                 kappa_grid=np.linspace(-0.9, 0.9, 13))
+    return t, s_spec, budget
+
+
+class TestDriftedAxisAgainstContour:
+    """The drifted axis against the dense-solve contour rule, which shares no eigenbasis."""
+
+    TOL = 1e-10
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_axis_and_drift_match_contour_image(self, seed):
+        t, s_spec, budget = chain_instance(seed)
+        _, u0, _ = bottom_eigen(t, require_simple=True)
+        kappas = budget.kappas[budget.admissible]
+        assert kappas.size
+        for kappa in kappas:
+            t_kappa = t + s_spec.operator_at(float(kappa))
+            axis, _, drift = drifted_axis(t_kappa, u0, budget, kappa=float(kappa))
+            image = contour_image(t_kappa, budget.mu, budget.epsilon, u0)
+            doubled = contour_image(t_kappa, budget.mu, budget.epsilon, u0, nodes=128)
+            assert np.linalg.norm(image - doubled) <= self.TOL
+            v = image / np.linalg.norm(image)
+            v = v if v @ u0 >= 0 else -v
+            assert np.linalg.norm(v - axis) <= self.TOL
+            assert abs(np.linalg.norm(v - u0) - drift) <= self.TOL
 
 
 class TestEndToEnd:

@@ -191,6 +191,14 @@ class TestErgodicProbe:
         result = ergodic_probe(a, AxisCone(E1), [u], [u])
         assert result.found and result.n == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_squared_norm_overflow_keeps_the_pairing(self):
+        # ||A e1||^2 = 1e320 overflows; the pairing <e1, A^2 e1> = 1e320 is positive
+        a = SymmetricOperator(1e160 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        result = ergodic_probe(a, OrthantCone(2), [E1], [E1])
+        assert result.found and result.n == 2
+        assert result.value == math.inf
+
 
 class TestPerronFrobenius:
     def test_simple_axis_agrees(self):
