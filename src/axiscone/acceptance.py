@@ -106,7 +106,7 @@ def criterion_2_threshold_reproduction(seed):
     sweep = end_to_end_semigroup_check(
         t, s_spec, budget,
         s_samples=[s0 / 5.0, 2.0 * s0 / 5.0, 3.0 * s0 / 5.0, 4.0 * s0 / 5.0, s0],
-        seed=seed, kappas=np.linspace(-0.045, 0.045, 10),
+        kappas=np.linspace(-0.045, 0.045, 10),
     )
     passed = max(errors) <= DERIVATION_TOL and sweep.all_true and len(sweep.rows) == 50
     detail = (f"f(r)={budget.c_threshold:.17g} kappa_adm={budget.kappa_threshold:.17g} "
@@ -242,8 +242,7 @@ def criterion_9_schrodinger(seed):
     model = MagneticModel.from_functions(
         GridSpec(8, 0.5), lambda x: x * x, lambda x: math.exp(-x * x), 0.0
     )
-    report = magnetic_experiment(model, e_grid=np.linspace(-0.008, 0.008, 17),
-                                 s0=1.0, seed=seed)
+    report = magnetic_experiment(model, e_grid=np.linspace(-0.008, 0.008, 17), s0=1.0)
     base_ok = all(
         v.status is VerdictStatus.CERTIFIED_TRUE for v in report.base_verdicts
     )

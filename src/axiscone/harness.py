@@ -456,12 +456,14 @@ def _run_perturb(config):
     budget = semigroup_threshold(t, s_spec, s0=params["s0"], kappa0=params["kappa0"],
                                  kappa_grid=params["kappa_grid"])
     kappas = params.get("kappas")
+    if kappas is None and not budget.admissible.any():
+        raise ConfigInvalid("kappa_grid", f"no grid point is admissible for the budget "
+                                          f"(kappa_threshold {budget.kappa_threshold:.6g})")
     for kappa in kappas or ():
         if not budget.is_admissible(kappa):
             raise ConfigInvalid("kappas", f"{kappa:g} is not admissible for the budget "
                                           f"(kappa_threshold {budget.kappa_threshold:.6g})")
-    sweep = end_to_end_semigroup_check(t, s_spec, budget, params["s_samples"],
-                                       seed=config.seed, kappas=kappas)
+    sweep = end_to_end_semigroup_check(t, s_spec, budget, params["s_samples"], kappas=kappas)
     rows = []
     for row in sweep.rows:
         rows.append(row.csv_row() + ["1" if row.verdict.is_true else "0"])
@@ -489,8 +491,7 @@ def _run_schrodinger(config):
                           a_values=profile("vector_potential"), coupling=0.0)
     s0 = float(params["s0"])
     s_samples = params.get("s_samples")
-    report = magnetic_experiment(model, e_grid=params["e_grid"], s0=s0,
-                                 s_samples=s_samples, seed=config.seed)
+    report = magnetic_experiment(model, e_grid=params["e_grid"], s0=s0, s_samples=s_samples)
     rows = []
     samples = s_samples or [s0 / 4.0, s0 / 2.0, s0]
     for s, verdict in zip(samples, report.base_verdicts):

@@ -39,7 +39,7 @@ from .positivity import (
     require_psd,
     require_top_eigenvector,
 )
-from .seeding import derive_seed, rng_for
+from .seeding import rng_for
 from .tolerances import (
     AXIS_TOL,
     DRIFT_BOUND_SLACK,
@@ -151,14 +151,14 @@ def ergodic_drift_check(A, u0, u1, sample_pairs=50, seed=0):
                           f"{worst_certificate:.3e}")
 
 
-def certified_improving_under_drift(A, alpha, u0, u1, seed=0):
-    """Improvement w.r.t. a drifted axis: closed-form certificate, then search.
+def certified_improving_under_drift(A, alpha, u0, u1):
+    """Improvement w.r.t. a drifted axis: drift certificate, then the exact test.
 
     alpha is the spectral ratio improving_radius(A, u0)[0].  Evaluates the
     drift inequality at d = ||u1 - u0||; when its left side exceeds
-    1/sqrt(2) the verdict is certified with no search.  Otherwise (including
-    the gapless limit alpha -> 1) the multistart verifier takes over, which
-    in dimension 2 is still an exhaustive sweep.
+    1/sqrt(2) the verdict is certified in O(1).  Otherwise (including the
+    gapless limit alpha -> 1) the closed-form S-lemma test of
+    improves_positivity_general decides, with one eigh.
     """
     u1 = as_vector(u1)
     d = float(np.linalg.norm(u1 - u0))
@@ -167,12 +167,12 @@ def certified_improving_under_drift(A, alpha, u0, u1, seed=0):
         margin = lhs - INV_SQRT2
         if margin > DRIFT_CERT_TOL:
             return Verdict("certified_improving_under_drift",
-                           VerdictStatus.CERTIFIED_TRUE, margin=margin, seed=seed,
+                           VerdictStatus.CERTIFIED_TRUE, margin=margin,
                            detail=f"drift certificate: alpha={alpha:.6g} d={d:.6g}")
-    fallback = improves_positivity_general(A, AxisCone(u1), seed=seed)
+    fallback = improves_positivity_general(A, AxisCone(u1))
     return Verdict("certified_improving_under_drift", fallback.status,
-                   margin=fallback.margin, witness=fallback.witness, seed=seed,
-                   detail=f"fallback search: {fallback.detail}")
+                   margin=fallback.margin, witness=fallback.witness,
+                   detail=f"fallback {fallback.detail}")
 
 
 class PerturbationFamily:
@@ -436,7 +436,7 @@ class SweepReport:
         return not self.failures
 
 
-def end_to_end_semigroup_check(T, S_spec, budget, s_samples, seed=0, kappas=None):
+def end_to_end_semigroup_check(T, S_spec, budget, s_samples, kappas=None):
     """Drive the full pipeline over admissible (kappa, s) pairs.
 
     Each pair exponentiates T + S(kappa), recomputes the spectral ratio of
@@ -461,18 +461,17 @@ def end_to_end_semigroup_check(T, S_spec, budget, s_samples, seed=0, kappas=None
     mu0, u0, _ = bottom_eigen(T, require_simple=True)
 
     rows = []
-    for i, kappa in enumerate(sorted(kappas)):
+    for kappa in sorted(kappas):
         t_kappa = T + S_spec.operator_at(kappa)
         c_kappa = budget.c_at(kappa)
         axis_kappa, drift_bound, drift_actual = drifted_axis(t_kappa, u0, budget, kappa)
-        for j, s in enumerate(s_samples):
+        for s in s_samples:
             semigroup = heat_semigroup(t_kappa, s)
             alpha_op, _ = improving_radius(semigroup, axis_kappa)
             if kappa == 0.0:
                 verdict = improves_positivity_axis(semigroup, axis_kappa)
             else:
-                verdict = certified_improving_under_drift(semigroup, alpha_op, axis_kappa,
-                                                          u0, derive_seed(seed, i, j))
+                verdict = certified_improving_under_drift(semigroup, alpha_op, axis_kappa, u0)
             rows.append(SweepRow(
                 kappa=kappa, s=s, c_kappa=c_kappa, threshold=budget.c_threshold,
                 drift_bound=drift_bound, drift_actual=drift_actual,

@@ -1,12 +1,11 @@
 """Positivity preservation, positivity improvement, and ergodicity verdicts.
 
 Verdicts come in three honesty levels: CertifiedTrue when a closed-form
-criterion applies (or an exhaustive dim-2 sweep ran), CertifiedFalse with a
-replayable witness, and SampledTrue when only a multistart search over the
-cone was possible (global optimality over a cone is not certified in
-dimension > 2).  Sampled verdicts take their cone points as one block:
-preservation classifies the block's images at once, and the ergodicity
-probe iterates A on every unresolved pair of a block together.
+criterion applies, CertifiedFalse with a replayable witness, and SampledTrue
+only from sampled preservation, sampled ergodicity, or an improvement margin
+inside the TAU_STRICT band.  Sampled verdicts take their cone points as one
+block: preservation classifies the block's images at once, and the
+ergodicity probe iterates A on every unresolved pair of a block together.
 """
 
 import enum
@@ -20,13 +19,13 @@ from .cones import (
     OrthantCone,
     Region,
     as_rows,
-    perp_rows,
     regions,
     row_margins,
     sample_in_cone,
 )
 from .errors import (
     AxisNotEigenvector,
+    ContractViolation,
     DimensionMismatch,
     NotInCone,
     NotPositiveSemidefinite,
@@ -36,10 +35,7 @@ from .operators import SymmetricOperator, as_vector, perp_basis, restricted_top,
 from .seeding import rng_for
 from .tolerances import AXIS_TOL, ORTHANT_NONNEG_TOL, PSD_TOL, TAU_GAP, TAU_STRICT
 
-SWEEP_STEP_DEG = 0.01
 PRESERVATION_SAMPLES = 200   # sampled cone points when no closed-form criterion applies
-DESCENT_STEPS = 200          # projected-descent iterations per start
-SEARCH_RESTARTS = 8          # seeded boundary-ray starts of the improvement search
 MAX_POWER = 64               # largest power A^n tried by the ergodicity probe
 
 
@@ -183,104 +179,51 @@ def improves_positivity_axis(A, u0):
                    detail="degenerate top: boundary ray maps to the boundary")
 
 
-def _improvement_margin(A, axis, u):
-    """sqrt(2) <axis, Au> - ||Au|| for unit u; positive iff Au is interior."""
-    image = A.apply(u)
-    return math.sqrt(2.0) * float(axis @ image) - float(np.linalg.norm(image))
+def improves_positivity_general(A, cone):
+    """Exact improvement verdict for a PSD operator and an arbitrary axis cone.
 
-
-def _sweep_margins(A, cone):
-    """Exhaustive margin over the dim-2 cone arc at SWEEP_STEP_DEG granularity."""
-    theta1 = math.atan2(cone.axis[1], cone.axis[0])
-    step = math.radians(SWEEP_STEP_DEG)
-    thetas = theta1 + np.arange(-math.pi / 4, math.pi / 4 + step, step)
-    rays = np.vstack([np.cos(thetas), np.sin(thetas)])
-    images = A.matrix @ rays
-    margins = math.sqrt(2.0) * (cone.axis @ images) - np.linalg.norm(images, axis=0)
-    k = int(np.argmin(margins))
-    return float(margins[k]), rays[:, k]
-
-
-def _descend(A, cone, start):
-    """Projected descent of the improvement margin over the unit-sphere cone slice."""
-    axis = cone.axis
-    a_axis = A.apply(axis)
-    u = start / np.linalg.norm(start)
-    best = _improvement_margin(A, axis, u)
-    step = 0.5
-    for _ in range(DESCENT_STEPS):
-        image = A.apply(u)
-        n_image = float(np.linalg.norm(image))
-        if n_image < 1e-300:
-            return 0.0, u  # image vanishes: u already witnesses non-improvement
-        grad = math.sqrt(2.0) * a_axis - A.apply(image) / n_image
-        cand = cone.project(u - step * grad)
-        n_cand = float(np.linalg.norm(cand))
-        if n_cand < 1e-300:
-            step *= 0.5
-            if step < 1e-12:
-                break
-            continue
-        cand /= n_cand
-        value = _improvement_margin(A, axis, cand)
-        if value < best - 1e-18:
-            u, best = cand, value
-            step = min(step * 1.5, 1.0)
-        else:
-            step *= 0.5
-            if step < 1e-12:
-                break
-    return best, u
-
-
-def improves_positivity_general(A, cone, seed=0):
-    """Search-based improvement verdict for an arbitrary axis cone.
-
-    Minimizes sqrt(2) <axis, Au> - ||Au|| over the cone-intersected unit
-    sphere by multistart projected descent from seeded boundary rays plus
-    the adversarial directions of the leading eigenvectors.  In dimension 2
-    an exhaustive angular sweep upgrades the verdict to certified.
+    With J = 2 u1 u1^T - I the cone is {u : u^T J u >= 0, <u1, u> >= 0}, so by
+    the strict S-lemma A improves it iff A J A - mu J > 0 for some mu.  The
+    eigenvectors of J A diagonalise that pencil J-orthogonally with
+    eigenvalues nu^2, the nu being the spectrum of G = A^1/2 J A^1/2 =
+    2 g g^T - A with g = A^1/2 u1; so A improves the cone iff nu_max + nu_min
+    > 0, and one eigh of G decides.  Otherwise u = v+/sqrt(v+^T J v+) +
+    v-/sqrt(-v-^T J v-), with v = J A^1/2 y / nu = A^-1/2 y for the extreme
+    eigenvectors y of G, is a boundary ray whose image is not interior (u1
+    itself when A u1 is not interior).
     """
     if not isinstance(cone, AxisCone):
-        raise TypeError("general improvement search targets axis cones")
+        raise TypeError("the closed-form improvement test targets axis cones")
     _check_dims(A, cone)
+    require_psd(A)
     tau = TAU_STRICT * max(1.0, A.norm)
-
-    if A.dim == 2:
-        best, argmin = _sweep_margins(A, cone)
-        detail = "exhaustive sweep"
-        certified = True
-    else:
-        starts = [cone.axis.copy()]
-        dec = A.decomposition
-        for col in (dec.eigenvectors[:, -1], dec.eigenvectors[:, -2]):
-            for sgn in (1.0, -1.0):
-                w = sgn * col - float(cone.axis @ (sgn * col)) * cone.axis
-                nrm = float(np.linalg.norm(w))
-                if nrm > 1e-12:
-                    starts.append(cone.axis + w / nrm)
-        for k in range(SEARCH_RESTARTS):
-            starts.append(cone.axis + perp_rows(cone.axis, rng_for(seed, k), 1)[0])
-        best, argmin = math.inf, None
-        for start in starts:
-            value, point = _descend(A, cone, start)
-            if value < best:
-                best, argmin = value, point
-        detail = f"multistart search, {len(starts)} starts"
-        certified = False
-
-    if best > tau:
-        status = VerdictStatus.CERTIFIED_TRUE if certified else VerdictStatus.SAMPLED_TRUE
-        return Verdict("improves_positivity_general", status, margin=best,
-                       seed=seed, detail=detail)
-    image_region = cone.classify(A.apply(argmin))
+    dec = A.decomposition
+    q, axis = dec.eigenvectors, cone.axis
+    roots = np.sqrt(np.maximum(dec.eigenvalues, 0.0))
+    g = q @ (roots * (q.T @ axis))
+    g_dec = SymmetricOperator(2.0 * np.outer(g, g) - A.matrix).decomposition
+    nu, y = g_dec.eigenvalues, g_dec.eigenvectors
+    margin = float(nu[0] + nu[-1])
+    detail = f"S-lemma closed form: nu_max + nu_min = {margin:.6g}"
+    if margin > tau:
+        return Verdict("improves_positivity_general", VerdictStatus.CERTIFIED_TRUE,
+                       margin=margin, detail=detail)
+    witness = axis
+    if cone.classify(A.apply(axis)) is Region.INTERIOR and nu[0] < 0.0 < nu[-1]:
+        z = y[:, -1] / math.sqrt(nu[-1]) - y[:, 0] / math.sqrt(-nu[0])
+        h = q @ (roots * (q.T @ z))
+        witness = 2.0 * float(axis @ h) * axis - h  # J A^1/2 z: no inverse of A is formed
+        if float(axis @ witness) < 0.0:
+            witness = -witness
+    image_region = cone.classify(A.apply(witness))
     if image_region is not Region.INTERIOR:
         return Verdict("improves_positivity_general", VerdictStatus.CERTIFIED_FALSE,
-                       margin=best, witness=argmin, seed=seed,
+                       margin=margin, witness=witness,
                        detail=f"{detail}; witness image is {image_region.value}")
+    if margin < -tau:
+        raise ContractViolation(f"{detail} < 0, but the boundary witness image is interior")
     return Verdict("improves_positivity_general", VerdictStatus.SAMPLED_TRUE,
-                   margin=best, seed=seed,
-                   detail=f"{detail}; margin inside tolerance band")
+                   margin=margin, detail=f"{detail}; margin inside tolerance band")
 
 
 @dataclass(frozen=True)

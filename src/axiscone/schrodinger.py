@@ -285,7 +285,7 @@ class MagneticExperimentReport:
                 and all(row.verdict.is_true for row in self.sweep.rows))
 
 
-def magnetic_experiment(model, e_grid, s0, s_samples=None, seed=0):
+def magnetic_experiment(model, e_grid, s0, s_samples=None):
     """Sweep the coupling: gap budget, admissible range, per-(e, s) verdicts.
 
     Pipeline: restrict H0, M1 and M2 once each, take the unit ground vector
@@ -310,7 +310,7 @@ def magnetic_experiment(model, e_grid, s0, s_samples=None, seed=0):
     e_grid = np.asarray(e_grid, dtype=float)
     kappa0 = float(np.max(np.abs(e_grid))) + 1e-12
     budget = semigroup_threshold(h0, family, s0=s0, kappa0=kappa0, kappa_grid=e_grid)
-    sweep = end_to_end_semigroup_check(h0, family, budget, s_samples, seed=seed)
+    sweep = end_to_end_semigroup_check(h0, family, budget, s_samples)
     return MagneticExperimentReport(
         budget=budget,
         base_verdicts=tuple(base_verdicts),

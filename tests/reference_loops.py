@@ -3,7 +3,9 @@
 The per-sample loops are the one-vector code as it stood before the block
 forms of the positivity layer; `contour_image` is the dense-solve contour
 rule that the drift layer used before it took the drifted axis from the
-eigenbasis.  Tests compare the toolkit against them on seeded instances.
+eigenbasis; `arc_sweep_margin` is the exhaustive dim-2 sweep that the
+improvement verdict ran before its closed-form S-lemma test.  Tests compare
+the toolkit against them on seeded instances.
 """
 
 import math
@@ -118,3 +120,19 @@ def contour_image(t, center, radius, rhs, nodes=64):
         w = np.exp(2j * np.pi * k / nodes)
         acc += w * np.linalg.solve((center + radius * w) * eye - t.matrix, rhs)
     return (radius / nodes) * acc.real
+
+
+def arc_sweep_margin(A, axis, step_deg=0.01):
+    """Least sqrt(2) <axis, A u> - ||A u|| over unit u on the dim-2 cone arc.
+
+    Sweeps the arc of half-width 45 degrees around the axis at step_deg,
+    both boundary rays included; the margin is positive iff A u is interior.
+    Returns (margin, argmin).
+    """
+    theta1 = math.atan2(axis[1], axis[0])
+    thetas = theta1 + np.linspace(-math.pi / 4, math.pi / 4, round(90.0 / step_deg) + 1)
+    rays = np.vstack([np.cos(thetas), np.sin(thetas)])
+    images = A.matrix @ rays
+    margins = math.sqrt(2.0) * (axis @ images) - np.linalg.norm(images, axis=0)
+    k = int(np.argmin(margins))
+    return float(margins[k]), rays[:, k]

@@ -130,6 +130,24 @@ class TestRunners:
             0.0478864, abs=1e-7
         )
 
+    def test_alpha_probe_rows_are_all_certified(self):
+        # drifted rows whose drift certificate cannot fire go to the exact S-lemma
+        # test; with the earlier search they read SampledTrue
+        report = run(ExperimentConfig(kind="perturb_sweep", seed=0, params={
+            "t": [[0, 0, 0], [0, 0.1, 0], [0, 0, 0.15]],
+            "s": [[0, 1, 1], [1, 0, 0.5], [1, 0.5, 0]],
+            "kappa_grid": {"start": -0.01, "stop": 0.01, "num": 9},
+            "s_samples": [0.01, 0.1, math.log(2.0)],
+        }))
+        assert report.passed
+        assert len(report.rows) == 9
+        assert [row[6] for row in report.rows] == ["CertifiedTrue"] * 9
+
+    def test_perturb_without_admissible_kappa_is_config_error(self):
+        with pytest.raises(ConfigInvalid, match="no grid point is admissible.*kappa_threshold"):
+            run(ExperimentConfig(kind="perturb_sweep", seed=0,
+                                 params={"kappa_grid": [0.3, 0.4]}))
+
     def test_determinism_rows(self):
         config = ExperimentConfig(kind="pf_verify", seed=21,
                                   params={"dims": [3], "instances_per_flavor": 2})
@@ -390,9 +408,12 @@ class TestCli:
         ("perturb_sweep", {"t": [[0, 0], [0, 1.7e308]], "s": [[0, 1], [1, 0]]}, "t"),
         ("perturb_sweep", {"a": 1e300}, "a"),
         ("perturb_sweep", {"b": 1e300}, "b"),
+        ("perturb_sweep", {"kappa_grid": [0.3, 0.4]}, "kappa_grid"),
+        ("perturb_sweep", {"a": 1e75, "b": 1e75}, "kappa_grid"),
     ], ids=["demo_e_overflow", "h_tiny", "h_huge", "demo_s_damped", "h_saturates_alpha",
             "t_saturates_alpha", "demo_e_damped", "demo_e_weak", "no_vector_potential",
-            "t_entry_huge", "s_entry_huge", "t_entry_overflows_its_sum", "a_huge", "b_huge"])
+            "t_entry_huge", "s_entry_huge", "t_entry_overflows_its_sum", "a_huge", "b_huge",
+            "no_admissible_kappa", "bounds_admit_no_kappa"])
     @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
     def test_extreme_numeric_input_exits_2(self, tmp_path, capsys, kind, params, field):
         cfg = tmp_path / "bad.json"

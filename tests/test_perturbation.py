@@ -222,14 +222,14 @@ class TestDriftCertificate:
         assert verdict.status is VerdictStatus.CERTIFIED_TRUE
 
     def test_gapless_limit_falls_back(self):
-        # alpha -> 1: the certificate cannot fire; the dim-2 sweep decides
+        # alpha -> 1: the certificate cannot fire; the closed-form S-lemma test decides
         a = SymmetricOperator(np.diag([2.0, 2.0 - 1e-5]))
         d = 0.05
         u1 = rotated_axis(2.0 * math.asin(d / 2.0))
         alpha, _ = improving_radius(a, E1)
         assert drift_certificate_lhs(alpha, d) < 1.0 / SQRT2
         verdict = certified_improving_under_drift(a, alpha, E1, u1)
-        assert verdict.detail.startswith("fallback")
+        assert verdict.detail.startswith("fallback S-lemma closed form")
         assert verdict.status is VerdictStatus.CERTIFIED_TRUE
 
 
@@ -484,7 +484,7 @@ class TestEndToEnd:
         budget = semigroup_threshold(t, s, s0=s0, kappa0=0.5,
                                      kappa_grid=np.linspace(-0.45, 0.45, 41))
         report = end_to_end_semigroup_check(
-            t, s, budget, s_samples=[s0 / 4, s0 / 2, s0], seed=0, kappas=[0.04]
+            t, s, budget, s_samples=[s0 / 4, s0 / 2, s0], kappas=[0.04]
         )
         assert report.all_true
         assert all(row.verdict.is_true for row in report.rows)

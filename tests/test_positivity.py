@@ -13,7 +13,8 @@ from axiscone.errors import (
     NotPositiveSemidefinite,
     PrereqFailed,
 )
-from axiscone.operators import SymmetricOperator, top_eigen
+from axiscone import positivity
+from axiscone.operators import SymmetricOperator, heat_semigroup, top_eigen
 from axiscone.positivity import (
     MAX_POWER,
     PRESERVATION_SAMPLES,
@@ -26,7 +27,8 @@ from axiscone.positivity import (
     preserves_positivity,
 )
 from axiscone.seeding import rng_for
-from reference_loops import preserves_by_loop, probe_by_loop
+from axiscone.tolerances import TAU_STRICT
+from reference_loops import arc_sweep_margin, preserves_by_loop, probe_by_loop
 
 E1 = np.array([1.0, 0.0])
 
@@ -144,8 +146,140 @@ class TestImprovesGeneral:
         a = psd_with_simple_top(3, seed=31)
         _, u0, _ = top_eigen(a)
         assert improves_positivity_axis(a, u0).status is VerdictStatus.CERTIFIED_TRUE
-        verdict = improves_positivity_general(a, AxisCone(u0), seed=2)
-        assert verdict.status is VerdictStatus.SAMPLED_TRUE
+        verdict = improves_positivity_general(a, AxisCone(u0))
+        assert verdict.status is VerdictStatus.CERTIFIED_TRUE
+
+    def test_dim_one(self):
+        assert improves_positivity_general(
+            SymmetricOperator([[2.0]]), AxisCone(np.array([-1.0]))
+        ).status is VerdictStatus.CERTIFIED_TRUE
+        verdict = improves_positivity_general(SymmetricOperator([[0.0]]), AxisCone([1.0]))
+        assert verdict.status is VerdictStatus.CERTIFIED_FALSE
+
+    def test_rank_one_projection_onto_the_axis_improves(self):
+        u1 = np.array([0.6, 0.8, 0.0])
+        a = SymmetricOperator(np.outer(u1, u1))
+        verdict = improves_positivity_general(a, AxisCone(u1))
+        assert verdict.status is VerdictStatus.CERTIFIED_TRUE
+        assert verdict.margin == pytest.approx(1.0)
+
+    def test_boundary_image_is_certified_false(self):
+        # A = v v^T with v on the cone boundary maps every cone point to the boundary
+        v = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        cone = AxisCone(E1)
+        verdict = improves_positivity_general(SymmetricOperator(np.outer(v, v)), cone)
+        assert verdict.status is VerdictStatus.CERTIFIED_FALSE
+        np.testing.assert_array_equal(verdict.witness, E1)  # A u1 itself is not interior
+
+    @pytest.mark.parametrize("dim", range(3, 9))
+    def test_degenerate_top_is_certified_false(self, dim):
+        a = psd_with_degenerate_top(dim, seed=dim)
+        u0 = a.decomposition.eigenvectors[:, -1]
+        cone = AxisCone(u0 / np.linalg.norm(u0))
+        verdict = improves_positivity_general(a, cone)
+        assert improves_positivity_axis(a, cone.axis).status is VerdictStatus.CERTIFIED_FALSE
+        assert verdict.status is VerdictStatus.CERTIFIED_FALSE
+        assert cone.classify(verdict.witness) is not Region.OUTSIDE
+        assert cone.classify(a.apply(verdict.witness)) is not Region.INTERIOR
+
+    def test_orthant_rejected(self):
+        with pytest.raises(TypeError, match="axis cones"):
+            improves_positivity_general(SymmetricOperator(np.eye(2)), OrthantCone(2))
+
+    def test_rejects_indefinite(self):
+        with pytest.raises(NotPositiveSemidefinite):
+            improves_positivity_general(SymmetricOperator(np.diag([2.0, -1.0])), AxisCone(E1))
+
+    def test_negative_margin_without_a_witness_is_a_contract_violation(self, monkeypatch):
+        # shifted down by 2, G = diag(2, -1) reads diag(0, -3): the margin is negative,
+        # but A = diag(2, 1) improves the cone, so no witness can replay
+        monkeypatch.setattr(positivity, "SymmetricOperator",
+                            lambda m: SymmetricOperator(np.asarray(m) - 2.0 * np.eye(len(m))))
+        with pytest.raises(ContractViolation, match="witness image is interior"):
+            improves_positivity_general(SymmetricOperator(np.diag([2.0, 1.0])), AxisCone(E1))
+
+
+def closed_form_instance(kind, seed):
+    """(A, top eigenvector, drifted unit axis) for the closed-form S-lemma tests.
+
+    kind "pd": eigenvalues in [0.01, 3]; "psd": about a third of them exactly 0;
+    "semigroup": exp(-s T) for T with spectrum 0, [0.5, 3] and 1000, s in
+    [0.75, 1], so that its smallest eigenvalue underflows to 0.  The axis is
+    the top eigenvector for one instance in five, else turned from it by an
+    angle in [0, 0.9) towards a random direction.
+    """
+    rng = rng_for(seed, 77)
+    dim = int(rng.integers(2, 17))
+    q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    if kind == "semigroup":
+        lam = np.concatenate([[0.0], rng.uniform(0.5, 3.0, dim - 2), [1000.0]])
+        a = heat_semigroup(SymmetricOperator((q * lam) @ q.T), rng.uniform(0.75, 1.0))
+    else:
+        w = rng.uniform(0.01, 3.0, dim)
+        if kind == "psd":
+            w[rng.random(dim) < 0.3] = 0.0
+        a = SymmetricOperator((q * w) @ q.T)
+    top = np.array(a.decomposition.eigenvectors[:, -1])
+    d = rng.standard_normal(dim)
+    d -= (d @ top) * top
+    angle = 0.0 if rng.random() < 0.2 else rng.uniform(0.0, 0.9)
+    axis = math.cos(angle) * top + math.sin(angle) * d / np.linalg.norm(d)
+    return a, top, axis / np.linalg.norm(axis)
+
+
+class TestClosedFormImprovement:
+    @pytest.mark.parametrize("kind", ["pd", "psd", "semigroup"])
+    def test_verdicts_replay_or_pass_an_independent_cholesky(self, kind):
+        statuses = []
+        for seed in range(150):
+            a, _, axis = closed_form_instance(kind, seed)
+            if kind == "semigroup":
+                assert a.decomposition.eigenvalues[0] == 0.0  # exp(-s 1000) underflowed
+            cone = AxisCone(axis)
+            verdict = improves_positivity_general(a, cone)
+            statuses.append(verdict.status)
+            if verdict.status is VerdictStatus.CERTIFIED_FALSE:
+                assert cone.classify(verdict.witness) is not Region.OUTSIDE
+                assert cone.classify(a.apply(verdict.witness)) is not Region.INTERIOR
+                continue
+            assert verdict.status is VerdictStatus.CERTIFIED_TRUE
+            # independent of the toolkit's spectra: sqrt(A) and nu from numpy directly
+            w, q = np.linalg.eigh(a.matrix)
+            root = (q * np.sqrt(np.maximum(w, 0.0))) @ q.T
+            j = 2.0 * np.outer(axis, axis) - np.eye(a.dim)
+            nu = np.linalg.eigvalsh(root @ j @ root)
+            mu = (nu[-1] ** 2 + nu[0] ** 2) / 2.0
+            np.linalg.cholesky(a.matrix @ j @ a.matrix - mu * j)  # raises unless positive
+            assert cone.classify(a.apply(axis)) is Region.INTERIOR
+        # the instances exercise both answers
+        assert VerdictStatus.CERTIFIED_TRUE in statuses
+        assert VerdictStatus.CERTIFIED_FALSE in statuses
+
+    @pytest.mark.parametrize("kind", ["pd", "psd", "semigroup"])
+    def test_top_eigenvector_axis_agrees_with_axis_criterion(self, kind):
+        for seed in range(60):
+            a, top, _ = closed_form_instance(kind, seed)
+            assert (improves_positivity_general(a, AxisCone(top)).status
+                    is improves_positivity_axis(a, top).status)
+
+    def test_dim2_sign_agrees_with_arc_sweep(self):
+        checked = 0
+        for seed in range(300):
+            rng = rng_for(seed, 78)
+            q = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+            w = rng.uniform(0.0, 2.0, 2)
+            if seed % 3 == 0:
+                w[0] = 0.0
+            a = SymmetricOperator((q * w) @ q.T)
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            axis = np.array([math.cos(theta), math.sin(theta)])
+            verdict = improves_positivity_general(a, AxisCone(axis))
+            if abs(verdict.margin) <= TAU_STRICT * max(1.0, a.norm):
+                continue
+            sweep, _ = arc_sweep_margin(a, axis)
+            assert (verdict.status is VerdictStatus.CERTIFIED_TRUE) == (sweep > 0.0)
+            checked += 1
+        assert checked >= 290
 
 
 class TestErgodicProbe:

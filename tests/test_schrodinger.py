@@ -230,7 +230,7 @@ class TestOrthantDemo:
 class TestMagneticExperiment:
     def test_full_pipeline(self):
         report = magnetic_experiment(
-            harmonic_model(), e_grid=np.linspace(-0.008, 0.008, 17), s0=1.0, seed=3
+            harmonic_model(), e_grid=np.linspace(-0.008, 0.008, 17), s0=1.0
         )
         assert report.admissible_coupling > 0
         assert report.all_true
