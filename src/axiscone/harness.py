@@ -151,8 +151,14 @@ def _is_int(value):
 
 
 def _is_number(value):
-    """A finite JSON number: not a bool, and not the Infinity or NaN that json reads."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """A finite JSON number: not a bool, not the Infinity or NaN that json reads,
+    and not an integer beyond float range."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _distinct_entries(value, allowed):

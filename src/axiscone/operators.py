@@ -3,9 +3,11 @@
 Everything lives at finite dimension with the Euclidean inner product, so all
 operators are bounded and the spectrum is the eigenvalue set.  Spectral data
 is computed once per operator by checked_eigh and cached; a heat semigroup
-derives its spectrum from its generator's, and a drifted ground axis
-(perturbation.drifted_axis) is its generator's bottom eigenvector, so no
-linear system is solved.  All returned arrays are read-only.
+derives its spectrum from its generator's, a drifted ground axis
+(perturbation.drifted_axis) is its generator's bottom eigenvector, and the
+top eigenvalue on an axis complement is bounded from the same spectrum
+(restricted_top), so no linear system is solved and no compression is
+decomposed.  All returned arrays are read-only.
 """
 
 from dataclasses import dataclass, field
@@ -69,16 +71,28 @@ class SymmetricOperator:
             raise ValueError("expected a square matrix")
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
-        scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-        defect = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+        scale = max(1.0, float(np.max(np.abs(m))))
+        defect = float(np.max(np.abs(m - m.T)))
         if defect > TAU_SYM * scale:
             raise ValueError(
                 f"matrix asymmetry {defect:.3e} exceeds {TAU_SYM:.0e} * {scale:.3e}"
             )
-        m = (m + m.T) / 2.0
+        self._hold((m + m.T) / 2.0)
+
+    def _hold(self, m):
         m.setflags(write=False)
         self._matrix = m
         self._decomposition = None
+
+    @classmethod
+    def _exact(cls, m):
+        """Operator of a matrix symmetric bit for bit, such as an entrywise sum
+        or multiple of symmetric ones: only the finiteness check runs."""
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix entries must be finite")
+        op = cls.__new__(cls)
+        op._hold(m)
+        return op
 
     @property
     def matrix(self):
@@ -106,18 +120,18 @@ class SymmetricOperator:
         if isinstance(other, SymmetricOperator):
             if other.dim != self.dim:
                 raise ValueError("dimension mismatch")
-            return SymmetricOperator(self._matrix + other._matrix)
+            return SymmetricOperator._exact(self._matrix + other._matrix)
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, SymmetricOperator):
             if other.dim != self.dim:
                 raise ValueError("dimension mismatch")
-            return SymmetricOperator(self._matrix - other._matrix)
+            return SymmetricOperator._exact(self._matrix - other._matrix)
         return NotImplemented
 
     def __mul__(self, scalar):
-        return SymmetricOperator(self._matrix * float(scalar))
+        return SymmetricOperator._exact(self._matrix * float(scalar))
 
     __rmul__ = __mul__
 
@@ -275,15 +289,25 @@ def perp_basis(u0):
 
 
 def restricted_top(A, u0):
-    """Largest eigenvalue of A restricted to the complement of u0.
+    """Upper bound on the largest eigenvalue of A restricted to the complement of u0.
 
-    Returns None in dimension 1 (the complement is empty).
+    Read from A's checked spectrum: with u = u0/||u0||, lambda_1 >= lambda_2
+    the top two eigenvalues, gap = lambda_1 - lambda_2 and r = ||A u -
+    lambda_1 u||, the angle between u and the top eigenvector has sine at most
+    r/gap (Davis-Kahan), so every unit x perpendicular to u has x^T A x <=
+    lambda_2 + r^2/gap.  Returns min(lambda_1, lambda_2 + r^2/gap), lambda_1
+    when gap <= 0, and None in dimension 1 (the complement is empty).  The
+    exact restricted top lies between lambda_2 (interlacing) and the bound.
     """
-    basis = perp_basis(u0)
-    if basis.shape[1] == 0:
+    if A.dim == 1:
         return None
-    block = basis.T @ A.matrix @ basis
-    return float(np.max(np.linalg.eigvalsh((block + block.T) / 2.0)))
+    w = A.decomposition.eigenvalues
+    lam, gap = float(w[-1]), float(w[-1] - w[-2])
+    if gap <= 0.0:
+        return lam
+    u = u0 / np.linalg.norm(u0)
+    r = float(np.linalg.norm(A.apply(u) - lam * u))
+    return min(lam, float(w[-2]) + r * r / gap)
 
 
 def heat_semigroup(T, s):

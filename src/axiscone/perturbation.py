@@ -98,7 +98,10 @@ def improving_radius(A, u0):
     """Spectral ratio alpha and drift radius r for a PSD operator.
 
     u0 must be a unit top eigenvector; any unit axis within r of u0 keeps
-    the operator positivity improving for the corresponding cone.
+    the operator positivity improving for the corresponding cone.  alpha is
+    read from restricted_top's closed-form bound, an upper bound on the
+    exact ratio, so r can only shrink; the top is simple and u0's residual
+    is below the gap, so alpha < 1.
     """
     require_psd(A)
     u0 = as_vector(u0)
@@ -212,7 +215,7 @@ class PerturbationFamily:
         total = kappa * self.coefficients[0].matrix
         for k, coefficient in enumerate(self.coefficients[1:], start=2):
             total = total + kappa**k * coefficient.matrix
-        return SymmetricOperator(total)
+        return SymmetricOperator._exact(total)
 
     def a_at(self, kappa):
         return self.a * abs(kappa)

@@ -152,28 +152,30 @@ def improves_positivity_axis(A, u0):
     For u = s*u0 + w in the cone, <u0, Au> > ||Au||/sqrt(2) reduces to
     s^2 ||A||^2 > ||Aw||^2 with the worst case on boundary rays, so A im-
     proves positivity iff the top eigenvalue restricted to u0-perp stays
-    below ||A||: iff ||A|| is simple.  At equality the boundary ray built
-    from a restricted top eigenvector maps to the boundary, which is the
-    returned witness.
+    below ||A||: iff ||A|| is simple.  The closed-form bound of restricted_top
+    certifies a simple top without decomposing anything; otherwise one
+    checked eigh of the compression to u0-perp decides, and at equality the
+    boundary ray built from its top eigenvector maps to the boundary, which
+    is the returned witness.
     """
     u0 = as_vector(u0)
     if u0.size != A.dim:
         raise DimensionMismatch(f"axis dim {u0.size} != operator dim {A.dim}")
     require_psd(A)
     lam = require_top_eigenvector(A, u0)
-    lam_perp = restricted_top(A, u0)
+    lam_perp, label = restricted_top(A, u0), "restricted top bound"
     if lam_perp is None:
         return Verdict("improves_positivity_axis", VerdictStatus.CERTIFIED_TRUE,
                        margin=lam, detail="dimension 1: empty orthogonal complement")
+    if lam - lam_perp - TAU_GAP * abs(lam) <= 0:
+        basis = perp_basis(u0)
+        block = SymmetricOperator(basis.T @ A.matrix @ basis).decomposition
+        lam_perp, label = block.max_eigenvalue, "restricted top"
     margin = lam - lam_perp - TAU_GAP * abs(lam)
     if margin > 0:
         return Verdict("improves_positivity_axis", VerdictStatus.CERTIFIED_TRUE,
-                       margin=margin,
-                       detail=f"restricted top {lam_perp:.12g} < top {lam:.12g}")
-    basis = perp_basis(u0)
-    block = basis.T @ A.matrix @ basis
-    w = SymmetricOperator(block).decomposition.eigenvectors[:, -1]
-    witness = u0 + basis @ w
+                       margin=margin, detail=f"{label} {lam_perp:.12g} < top {lam:.12g}")
+    witness = u0 + basis @ block.eigenvectors[:, -1]
     return Verdict("improves_positivity_axis", VerdictStatus.CERTIFIED_FALSE,
                    margin=margin, witness=witness,
                    detail="degenerate top: boundary ray maps to the boundary")

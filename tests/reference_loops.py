@@ -4,8 +4,10 @@ The per-sample loops are the one-vector code as it stood before the block
 forms of the positivity layer; `contour_image` is the dense-solve contour
 rule that the drift layer used before it took the drifted axis from the
 eigenbasis; `arc_sweep_margin` is the exhaustive dim-2 sweep that the
-improvement verdict ran before its closed-form S-lemma test.  Tests compare
-the toolkit against them on seeded instances.
+improvement verdict ran before its closed-form S-lemma test;
+`compressed_restricted_top` is the exact restricted top eigenvalue that
+`restricted_top` computed before it returned its closed-form bound.  Tests
+compare the toolkit against them on seeded instances.
 """
 
 import math
@@ -13,9 +15,11 @@ import math
 import numpy as np
 
 from axiscone.cones import OrthantCone, Region, sample_in_cone
+from axiscone.operators import perp_basis
 from axiscone.positivity import MAX_POWER, PRESERVATION_SAMPLES, VerdictStatus
 from axiscone.seeding import rng_for
 from axiscone.tolerances import DRIFT_CERT_TOL, TAU_STRICT
+
 
 def one_vector_sample(cone, rng):
     """The one-vector sampler that `sample_in_cone` replaced, kept as its stream reference.
@@ -136,3 +140,15 @@ def arc_sweep_margin(A, axis, step_deg=0.01):
     margins = math.sqrt(2.0) * (axis @ images) - np.linalg.norm(images, axis=0)
     k = int(np.argmin(margins))
     return float(margins[k]), rays[:, k]
+
+
+def compressed_restricted_top(A, u0):
+    """Largest eigenvalue of the compression of A to the complement of u0.
+
+    One O(n^3) product and one eigvalsh; None in dimension 1.
+    """
+    basis = perp_basis(u0)
+    if basis.shape[1] == 0:
+        return None
+    block = basis.T @ A.matrix @ basis
+    return float(np.max(np.linalg.eigvalsh((block + block.T) / 2.0)))

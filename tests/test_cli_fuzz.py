@@ -29,6 +29,9 @@ NOT_A_NUMBER = st.one_of(st.none(), st.booleans(), st.text(max_size=5),
 NOT_POSITIVE = st.one_of(st.integers(max_value=0),
                          st.floats(max_value=0.0, allow_nan=False, allow_infinity=False))
 NUMBERS = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+# JSON integers beyond float range: no float conversion may see them
+BEYOND_FLOAT = st.integers(min_value=2**1024, max_value=10**400).flatmap(
+    lambda n: st.sampled_from([n, -n]))
 
 
 def _uneven(values):
@@ -69,6 +72,9 @@ BAD_SCHRODINGER = st.one_of(
     st.tuples(st.just("s_samples"), st.lists(st.one_of(NOT_POSITIVE, st.floats(
         min_value=1.5, max_value=1e6)), min_size=1, max_size=3)),
     st.tuples(st.sampled_from(["model_path", "n", "V"]), st.text(max_size=5)),
+    st.tuples(st.sampled_from(["h", "s0", "demo_e", "demo_s"]), BEYOND_FLOAT),
+    st.tuples(st.sampled_from(["e_grid", "s_samples", "potential"]),
+              BEYOND_FLOAT.map(lambda n: [0.0, n])),
 )
 
 
@@ -99,6 +105,15 @@ EXTREME_PERTURB = st.one_of(
     _signed(_magnitudes(76, 308)).map(lambda x: {"t": [[0, 0], [0, 1]],
                                                  "s": [[0, x], [x, 0]]}),
     _magnitudes(2, 300).map(lambda s0: {"s0": s0}),
+)
+# Integers beyond float range in every numeric perturb field: (field, params).
+BEYOND_FLOAT_PERTURB = st.one_of(
+    BEYOND_FLOAT.map(lambda n: ("t", {"t": [[0, 0], [0, n]], "s": [[0, 1], [1, 0]]})),
+    BEYOND_FLOAT.map(lambda n: ("s", {"t": [[0, 0], [0, 1]], "s": [[0, n], [n, 0]]})),
+    st.tuples(st.sampled_from(["s0", "kappa0", "a", "b"]), BEYOND_FLOAT).map(
+        lambda kv: (kv[0], {kv[0]: kv[1]})),
+    st.tuples(st.sampled_from(["kappa_grid", "s_samples", "kappas"]), BEYOND_FLOAT).map(
+        lambda kv: (kv[0], {kv[0]: [0.0, kv[1]]})),
 )
 
 
@@ -144,6 +159,20 @@ def test_extreme_numeric_params_exit_2(kind_params):
         assert not (Path(tmp) / "r.csv").exists()
     _assert_bad_input(code, err)
     assert err.startswith("config error")
+    assert out == ""
+
+
+@FUZZ
+@given(BEYOND_FLOAT_PERTURB)
+def test_integers_beyond_float_range_exit_2(field_params):
+    field, params = field_params
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "huge.json"
+        cfg.write_text(json.dumps({"kind": "perturb_sweep", "seed": 0, "params": params}))
+        code, out, err = _main(["perturb", "--config", str(cfg),
+                                "--out", str(Path(tmp) / "r.csv")])
+    _assert_bad_input(code, err)
+    assert err.startswith(f"config error: config field '{field}'")
     assert out == ""
 
 

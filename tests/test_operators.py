@@ -19,8 +19,11 @@ from axiscone.operators import (
     spectral_decompose,
     top_eigen,
 )
+from axiscone.perturbation import improving_radius, radius_from_alpha
+from axiscone.positivity import VerdictStatus, improves_positivity_axis
 from axiscone.seeding import rng_for
-from axiscone.tolerances import RECON_TOL
+from axiscone.tolerances import AXIS_TOL, RECON_TOL, TAU_GAP
+from reference_loops import compressed_restricted_top
 
 
 def random_symmetric(dim, seed):
@@ -66,6 +69,22 @@ class TestSymmetricOperator:
         op = SymmetricOperator(np.eye(2))
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sums_and_multiples_match_the_checked_constructor(self, seed):
+        a, b = random_symmetric(6, seed), random_symmetric(6, seed + 10)
+        for result, matrix in ((a + b, a.matrix + b.matrix), (a - b, a.matrix - b.matrix),
+                               (a * 0.3, a.matrix * 0.3), (-2.5 * a, -2.5 * a.matrix)):
+            assert result.matrix.tobytes() == SymmetricOperator(matrix).matrix.tobytes()
+            assert not result.matrix.flags.writeable
+
+    def test_sum_overflowing_to_inf_raises(self):
+        big = SymmetricOperator(np.diag([1e307, 1.0]))
+        with np.errstate(over="ignore"):
+            for overflow in (lambda: big * 100.0, lambda: 20.0 * big + big,
+                             lambda: big - (-20.0) * big):
+                with pytest.raises(ValueError, match="finite"):
+                    overflow()
 
 
 class TestSpectralDecompose:
@@ -272,3 +291,115 @@ class TestPerpBasis:
         assert restricted_top(op, e1) == pytest.approx(2.0, abs=1e-12)
         assert restricted_top(SymmetricOperator([[5.0]]), np.array([1.0])) is None
 
+
+
+TOPS = ("simple", "near_degenerate", "degenerate")
+
+
+def psd_with_top(dim, seed, top):
+    """Seeded PSD operator with top eigenvalue in [1, 3] and the named top gap.
+
+    The gap is at least a tenth of the top when simple, 2 to 10 TAU_GAP
+    relative when near-degenerate, and zero before rounding when degenerate.
+    """
+    rng = rng_for(seed, dim)
+    q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    lam = float(rng.uniform(1.0, 3.0))
+    if top == "simple":
+        second = lam * float(rng.uniform(0.1, 0.9))
+    elif top == "near_degenerate":
+        second = lam * (1.0 - float(rng.uniform(2.0, 10.0)) * TAU_GAP)
+    else:
+        second = lam
+    eigs = np.concatenate([rng.uniform(0.0, second, dim - 2), [second, lam]])
+    return SymmetricOperator((q * eigs) @ q.T)
+
+
+AXES = ("checked", "random_tilt", "second_tilt")
+
+
+def top_axis(A, kind, rng):
+    """The checked top eigenvector, or that vector tilted toward a random
+    orthogonal direction or toward the second eigenvector until its residual
+    is 50-99% of the AXIS_TOL bound (at most 30 degrees)."""
+    lam, v, _ = top_eigen(A)
+    if kind == "checked":
+        return v
+    if kind == "second_tilt":
+        w = np.array(A.decomposition.eigenvectors[:, -2])
+    else:
+        w = rng.standard_normal(A.dim)
+    w -= (w @ v) * v
+    w /= np.linalg.norm(w)
+    push = float(np.linalg.norm(A.apply(w) - lam * w))
+    sin = min(0.5, float(rng.uniform(0.5, 0.99)) * AXIS_TOL * max(1.0, lam) / push)
+    u = np.sqrt(1.0 - sin**2) * v + sin * w
+    return u / np.linalg.norm(u)
+
+
+class TestRestrictedTopBound:
+    """restricted_top's closed-form bound against the exact compression."""
+
+    DIMS = (2, 3, 5, 8, 17, 32, 64)
+
+    @staticmethod
+    def instances(dim, top, axis_kind):
+        for seed in range(3):
+            A = psd_with_top(dim, seed, top)
+            u = top_axis(A, axis_kind, rng_for(seed, 1))
+            w = A.decomposition.eigenvalues
+            lam, gap = float(w[-1]), float(w[-1] - w[-2])
+            r = float(np.linalg.norm(A.apply(u) - lam * u))
+            slack = r * r / gap if gap > 0 else np.inf
+            # rounding of the compression, far below the TAU_GAP band
+            rounding = 2e-15 * dim * max(1.0, lam)
+            yield A, u, lam, slack, rounding, compressed_restricted_top(A, u)
+
+    @pytest.mark.parametrize("axis_kind", AXES)
+    @pytest.mark.parametrize("top", TOPS)
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_bound_brackets_the_compression(self, dim, top, axis_kind):
+        for A, u, lam, slack, rounding, exact in self.instances(dim, top, axis_kind):
+            bound = restricted_top(A, u)
+            assert exact - rounding <= bound <= min(lam, exact + slack) + rounding
+
+    @pytest.mark.parametrize("axis_kind", AXES)
+    @pytest.mark.parametrize("top", TOPS)
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_verdicts_match_the_compression(self, dim, top, axis_kind):
+        for A, u, lam, slack, rounding, exact in self.instances(dim, top, axis_kind):
+            margin = lam - exact - TAU_GAP * lam
+            # the instances stay clear of the TAU_GAP band edge
+            assert (margin > 0) == (top != "degenerate")
+            verdict = improves_positivity_axis(A, u)
+            assert verdict.status is (VerdictStatus.CERTIFIED_TRUE if margin > 0
+                                      else VerdictStatus.CERTIFIED_FALSE)
+            if top == "degenerate":
+                assert verdict.margin == pytest.approx(margin, abs=rounding)
+                with pytest.raises(DegenerateTop):
+                    improving_radius(A, u)
+                continue
+            alpha, r = improving_radius(A, u)
+            oracle = max(exact, 0.0) / lam
+            assert oracle - rounding <= alpha <= oracle + (slack + rounding) / lam
+            assert alpha < 1.0 and r == radius_from_alpha(alpha)
+
+    def test_loose_bound_falls_back_to_the_compression(self):
+        # gap 1.5 TAU_GAP and an axis tilted toward the bottom eigenvector by
+        # a residual of 0.99 AXIS_TOL: the bound leaves the TAU_GAP band, the
+        # compression (top lambda_2) does not
+        lam2 = 1.0 - 1.5 * TAU_GAP
+        op = SymmetricOperator(np.diag([0.0, lam2, 1.0]))
+        sin = 0.99 * AXIS_TOL
+        u = np.array([sin, 0.0, np.sqrt(1.0 - sin**2)])
+        assert 1.0 - restricted_top(op, u) - TAU_GAP <= 0.0
+        assert compressed_restricted_top(op, u) == pytest.approx(lam2, abs=1e-15)
+        verdict = improves_positivity_axis(op, u)
+        assert verdict.status is VerdictStatus.CERTIFIED_TRUE
+        assert verdict.detail.startswith("restricted top 0.99")
+        assert verdict.margin == pytest.approx(0.5 * TAU_GAP, rel=1e-6)
+
+    def test_dimension_one_and_exact_degeneracy(self):
+        assert restricted_top(SymmetricOperator([[5.0]]), np.array([1.0])) is None
+        op = SymmetricOperator(np.diag([1.0, 2.0, 2.0]))
+        assert restricted_top(op, np.array([0.0, 1.0, 0.0])) == 2.0

@@ -36,6 +36,7 @@ from axiscone.perturbation import (
 from axiscone.cones import AxisCone, sample_in_cone
 from axiscone.positivity import VerdictStatus
 from axiscone.seeding import rng_for
+from axiscone.harness import ExperimentConfig, run
 from reference_loops import contour_image, drift_check_by_loop
 
 E1 = np.array([1.0, 0.0])
@@ -341,6 +342,15 @@ class TestPerturbationFamily:
         assert fam.a_at(kappa) == 0.0
         assert fam.c_slope(0.0, 0.5) is None
 
+    @pytest.mark.parametrize("kappa", [-0.45, 0.018, 0.7])
+    def test_operators_match_the_checked_constructor(self, kappa):
+        g = rng_for(5, 0).standard_normal((3, 5, 5))
+        fam = PerturbationFamily([(m + m.T) / 2.0 for m in g])
+        total = sum(kappa**k * c.matrix for k, c in enumerate(fam.coefficients, start=1))
+        operator = fam.operator_at(kappa)
+        assert operator.matrix.tobytes() == SymmetricOperator(total).matrix.tobytes()
+        assert not operator.matrix.flags.writeable
+
     def test_threshold_builds_each_operator_once(self, monkeypatch):
         counts = {"operator_at": 0}
         original = PerturbationFamily.operator_at
@@ -540,6 +550,19 @@ class TestEndToEnd:
             counts.append(len(calls))
         # one decomposition per generator T + S(kappa), none per semigroup
         assert counts == [len(kappas), len(kappas)]
+
+    def test_sweep_makes_no_eigvalsh_call(self, monkeypatch):
+        # the spectral ratio comes from the checked spectrum, not a compression
+        t, s_spec, budget = self.sweep_instance()
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda *a, **k: calls.append(a) or eigvalsh(*a, **k))
+        report = end_to_end_semigroup_check(t, s_spec, budget, [0.1, 0.3, math.log(2.0)],
+                                            kappas=[-0.3, 0.0, 0.3, 0.6])
+        assert len(report.rows) == 12 and report.all_true
+        run(ExperimentConfig(kind="perturb_sweep", seed=0, params={}))
+        assert calls == []
 
     def test_one_restricted_top_per_perturbed_row(self, monkeypatch):
         t, s_spec, budget = self.sweep_instance()

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -237,6 +238,21 @@ class TestMagneticExperiment:
         assert all(
             v.status is VerdictStatus.CERTIFIED_TRUE for v in report.base_verdicts
         )
+
+    def test_eigvalsh_only_inside_restrict_to_real(self, monkeypatch):
+        callers = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        report = magnetic_experiment(harmonic_model(), e_grid=np.linspace(-0.008, 0.008, 5),
+                                     s0=1.0)
+        assert report.all_true
+        # one spectrum check for each of H0, M1 and M2
+        assert callers == ["restrict_to_real"] * 3
 
     def test_zero_vector_potential_all_admissible(self):
         model = MagneticModel.from_functions(GridSpec(6, 0.5), lambda x: x * x,
