@@ -61,7 +61,8 @@ class SpectralDecomposition:
 class SymmetricOperator:
     """Dense real symmetric matrix with cached spectral data.
 
-    The stored matrix is the symmetrization (M + M^T)/2; inputs whose
+    The stored matrix is the symmetrization (M + M^T)/2, with M/2 + M^T/2 for
+    entries whose sum overflows, so finite input stays finite; inputs whose
     asymmetry exceeds TAU_SYM relative to the largest entry are rejected.
     """
 
@@ -72,12 +73,17 @@ class SymmetricOperator:
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
         scale = max(1.0, float(np.max(np.abs(m))))
-        defect = float(np.max(np.abs(m - m.T)))
-        if defect > TAU_SYM * scale:
-            raise ValueError(
-                f"matrix asymmetry {defect:.3e} exceeds {TAU_SYM:.0e} * {scale:.3e}"
-            )
-        self._hold((m + m.T) / 2.0)
+        with np.errstate(over="ignore"):  # an overflowed defect is inf and rejected
+            defect = float(np.max(np.abs(m - m.T)))
+            if defect > TAU_SYM * scale:
+                raise ValueError(
+                    f"matrix asymmetry {defect:.3e} exceeds {TAU_SYM:.0e} * {scale:.3e}"
+                )
+            sym = (m + m.T) / 2.0
+        overflow = np.isinf(sym)
+        if overflow.any():  # sums beyond the float range: halve those entries first
+            sym[overflow] = (m / 2.0 + m.T / 2.0)[overflow]
+        self._hold(sym)
 
     def _hold(self, m):
         m.setflags(write=False)

@@ -5,7 +5,9 @@ criterion applies, CertifiedFalse with a replayable witness, and SampledTrue
 only from sampled preservation, sampled ergodicity, or an improvement margin
 inside the TAU_STRICT band.  Sampled verdicts take their cone points as one
 block: preservation classifies the block's images at once, and the
-ergodicity probe iterates A on every unresolved pair of a block together.
+ergodicity probe iterates A on every unresolved pair of a block together,
+taking its powers in doubling blocks judged with array operations and cut
+at the first power where a pair resolves or a norm is renormalized.
 """
 
 import enum
@@ -251,6 +253,15 @@ def ergodic_probe(A, cone, us, vs):
     renormalized when their norm (max-abs scaled if its square overflows)
     leaves [1e-100, 1e100], and values rescaled back (to inf for huge powers,
     which still witnesses positivity).
+
+    Powers are taken in blocks of doubling size (1, 1, 2, 4, ...): the block's
+    products run back to back, and its norms, pairings and hits are judged
+    with array operations.  A block is cut at its first power where a
+    column hits, vanishes or leaves the norm range; that power alone is
+    renormalized and judged as one power, the powers after it are dropped,
+    and the next block starts from it with the remaining columns.  Every
+    product therefore sees the same columns and every judged value the same
+    bits as a power-by-power loop.
     """
     _check_dims(A, cone)
     us, vs = as_rows(us), as_rows(vs)
@@ -264,8 +275,23 @@ def ergodic_probe(A, cone, us, vs):
     inners, scales = np.zeros(k), np.zeros(k)  # value = inner * exp(scale)
     tol = TAU_STRICT * np.linalg.norm(us, axis=1)
     live, u, w, log_scale = np.arange(k), us.T, vs.T, np.zeros(k)
-    for n in range(1, MAX_POWER + 1):
-        w = A.matrix @ w
+    n = 0
+    while n < MAX_POWER and live.size:
+        # a block of more than one power holds at most max(dim, 32) * dim floats
+        size = max(1, min(n, MAX_POWER - n, max(A.dim, 32) // live.size))
+        block = np.empty((size, A.dim, live.size))
+        # powers past the cut may overflow; they are never judged
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(size):
+                w = block[i] = A.matrix @ w
+            nw = np.sqrt((block * block).sum(axis=1))
+            event = (nw > 1e100) | (nw < 1e-100) | ((u * block).sum(axis=1) > tol * nw)
+        cuts = np.flatnonzero(event.any(axis=1))
+        if not cuts.size:
+            n += size
+            continue
+        n += int(cuts[0]) + 1
+        w = block[cuts[0]]
         with np.errstate(over="ignore"):
             nw = np.sqrt((w * w).sum(axis=0))
         big = np.isinf(nw)
@@ -286,8 +312,6 @@ def ergodic_probe(A, cone, us, vs):
             keep = ~done
             live, u, w = live[keep], u[:, keep], w[:, keep]
             tol, log_scale = tol[keep], log_scale[keep]
-            if not live.size:
-                break
     inners[live], scales[live] = (u * w).sum(axis=0), np.minimum(log_scale, 700.0)
     with np.errstate(over="ignore"):  # a huge rescaled value is inf, as documented
         values = inners * np.exp(scales)

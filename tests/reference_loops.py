@@ -6,17 +6,19 @@ rule that the drift layer used before it took the drifted axis from the
 eigenbasis; `arc_sweep_margin` is the exhaustive dim-2 sweep that the
 improvement verdict ran before its closed-form S-lemma test;
 `compressed_restricted_top` is the exact restricted top eigenvalue that
-`restricted_top` computed before it returned its closed-form bound.  Tests
-compare the toolkit against them on seeded instances.
+`restricted_top` computed before it returned its closed-form bound;
+`probe_by_power_loop` is the block ergodicity probe as it stood before it
+judged its powers in blocks.  Tests compare the toolkit against them on
+seeded instances.
 """
 
 import math
 
 import numpy as np
 
-from axiscone.cones import OrthantCone, Region, sample_in_cone
+from axiscone.cones import OrthantCone, Region, as_rows, sample_in_cone
 from axiscone.operators import perp_basis
-from axiscone.positivity import MAX_POWER, PRESERVATION_SAMPLES, VerdictStatus
+from axiscone.positivity import MAX_POWER, PRESERVATION_SAMPLES, ProbeResult, VerdictStatus
 from axiscone.seeding import rng_for
 from axiscone.tolerances import DRIFT_CERT_TOL, TAU_STRICT
 
@@ -89,6 +91,51 @@ def probe_by_loop(A, u, v):
                 value = math.inf
             return True, n, value
     return False, MAX_POWER, float(u @ w) * math.exp(min(log_scale, 700.0))
+
+
+def probe_by_power_loop(A, us, vs):
+    """ergodic_probe on a block of pairs, judged one power at a time.
+
+    Every power renormalizes, judges and drops columns before the next
+    product; the toolkit's probe must return the same ProbeResult bit for bit.
+    """
+    us, vs = as_rows(us), as_rows(vs)
+    k = len(us)
+    powers, found = np.full(k, MAX_POWER), np.zeros(k, dtype=bool)
+    inners, scales = np.zeros(k), np.zeros(k)
+    tol = TAU_STRICT * np.linalg.norm(us, axis=1)
+    live, u, w, log_scale = np.arange(k), us.T, vs.T, np.zeros(k)
+    for n in range(1, MAX_POWER + 1):
+        w = A.matrix @ w
+        with np.errstate(over="ignore"):
+            nw = np.sqrt((w * w).sum(axis=0))
+        big = np.isinf(nw)
+        if big.any():
+            peak = np.abs(w[:, big]).max(axis=0)
+            nw[big] = peak * np.sqrt(((w[:, big] / peak) ** 2).sum(axis=0))
+        far = (nw > 1e100) | ((nw < 1e-100) & (nw > 0.0))
+        if far.any():
+            log_scale[far] += np.log(nw[far])
+            w[:, far] /= nw[far]
+            nw[far] = 1.0
+        inner = (u * w).sum(axis=0)
+        hit = inner > tol * nw
+        done = hit | (nw == 0.0)
+        if done.any():
+            powers[live[hit]], found[live[hit]] = n, True
+            inners[live[hit]], scales[live[hit]] = inner[hit], log_scale[hit]
+            keep = ~done
+            live, u, w = live[keep], u[:, keep], w[:, keep]
+            tol, log_scale = tol[keep], log_scale[keep]
+            if not live.size:
+                break
+    inners[live], scales[live] = (u * w).sum(axis=0), np.minimum(log_scale, 700.0)
+    with np.errstate(over="ignore"):
+        values = inners * np.exp(scales)
+    unfound = np.flatnonzero(~found)
+    stop = int(unfound[0]) if unfound.size else k - 1
+    return ProbeResult(found=not unfound.size, n=int(powers[:stop + 1].sum()),
+                       value=float(values[stop]), pair=stop if unfound.size else None)
 
 
 def drift_check_by_loop(A, u0, u1, rows):

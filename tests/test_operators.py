@@ -65,6 +65,32 @@ class TestSymmetricOperator:
         with pytest.raises(ValueError):
             SymmetricOperator([[np.nan, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.filterwarnings("error")
+    def test_entries_near_the_float_limit_stay_finite(self):
+        assert SymmetricOperator([[1e308, 0.0], [0.0, 1.0]]).matrix.tolist() == [
+            [1e308, 0.0], [0.0, 1.0]]
+        m = np.array([[-1.7e308, 1.7e308], [1.7e308 * (1.0 + 4e-16), 1.0]])
+        op = SymmetricOperator(m)
+        assert np.all(np.isfinite(op.matrix)) and op.matrix[0, 1] == op.matrix[1, 0]
+        assert op.matrix.tobytes() == (m / 2.0 + m.T / 2.0).tobytes()
+        with pytest.raises(ValueError, match="asymmetry"):
+            SymmetricOperator([[0.0, 1.7e308], [-1.7e308, 0.0]])
+
+    @pytest.mark.parametrize("exponent", [-1021, -300, 0, 300, 1023])
+    def test_symmetrization_is_the_mean_bit_for_bit(self, exponent):
+        # wherever (M + M^T)/2 is finite, including normal entries whose halves are subnormal
+        rng = np.random.default_rng(exponent + 2000)
+        g = np.ldexp(rng.uniform(1.0, 2.0, (6, 6)), exponent) * rng.choice([-1.0, 1.0], (6, 6))
+        m = np.triu(g) + np.triu(g, 1).T
+        m = m + np.ldexp(rng.integers(-3, 4, (6, 6)).astype(float), exponent - 50)
+        m[0, 1] = m[1, 0] = np.nextafter(np.ldexp(1.0, -1022), 1.0)
+        with np.errstate(over="ignore"):
+            mean = (m + m.T) / 2.0
+        op = SymmetricOperator(m)
+        finite = np.isfinite(mean)
+        assert finite[0, 1] and np.all(np.isfinite(op.matrix))
+        assert op.matrix[finite].tobytes() == mean[finite].tobytes()
+
     def test_matrix_is_readonly(self):
         op = SymmetricOperator(np.eye(2))
         with pytest.raises(ValueError):

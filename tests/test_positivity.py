@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from axiscone.cones import AxisCone, OrthantCone, Region, sample_in_cone
+from axiscone.cones import AxisCone, OrthantCone, Region, regions, sample_in_cone
 from axiscone.errors import (
     AxisNotEigenvector,
     ContractViolation,
@@ -14,6 +14,7 @@ from axiscone.errors import (
     PrereqFailed,
 )
 from axiscone import positivity
+from axiscone.harness import FLAVORS, generate_instance
 from axiscone.operators import SymmetricOperator, heat_semigroup, top_eigen
 from axiscone.positivity import (
     MAX_POWER,
@@ -28,7 +29,12 @@ from axiscone.positivity import (
 )
 from axiscone.seeding import rng_for
 from axiscone.tolerances import TAU_STRICT
-from reference_loops import arc_sweep_margin, preserves_by_loop, probe_by_loop
+from reference_loops import (
+    arc_sweep_margin,
+    preserves_by_loop,
+    probe_by_loop,
+    probe_by_power_loop,
+)
 
 E1 = np.array([1.0, 0.0])
 
@@ -450,6 +456,12 @@ def orthant_with_tiny_negative_entry(dim, seed):
     return SymmetricOperator(m), OrthantCone(dim)
 
 
+def assert_same_probe(result, expected):
+    """Equal ProbeResults, the value compared bit for bit (inf and signed zeros included)."""
+    assert (result.found, result.n, result.pair) == (expected.found, expected.n, expected.pair)
+    assert np.float64(result.value).tobytes() == np.float64(expected.value).tobytes()
+
+
 PATH4 = np.diag([1.0, 1.0, 1.0], 1) + np.diag([1.0, 1.0, 1.0], -1)  # path graph 0-1-2-3
 
 
@@ -478,6 +490,7 @@ class TestBlockVerdictsMatchLoops:
     @staticmethod
     def assert_probe_matches_loop(a, cone, us, vs):
         result = ergodic_probe(a, cone, us, vs)
+        assert_same_probe(result, probe_by_power_loop(a, us, vs))
         expected = [probe_by_loop(a, u, v) for u, v in zip(us, vs)]
         singles = [ergodic_probe(a, cone, [u], [v]) for u, v in zip(us, vs)]
         assert [single.n for single in singles] == [n for _, n, _ in expected]
@@ -514,8 +527,11 @@ class TestBlockVerdictsMatchLoops:
         (1e-60 * np.array([[0.0, 1.0], [1.0, 0.0]]), [(E1, E1), ([0.0, 1.0], E1)], [2, 1]),
         (np.diag([1.0, 0.0]), [(E1, E1), (E1, [0.0, 1.0]), (E1, E1)], [1, MAX_POWER, 1]),
         (1e10 * np.eye(2), [([0.0, 1.0], E1), (E1, E1)], [MAX_POWER, 1]),
+        # ||A^n e2|| ~ 1e15n leaves the range at n = 7, inside the block of powers 5-8, and
+        # <e1, A^n e2> / ||A^n e2|| ~ n * 1.05e-11 first exceeds TAU_STRICT at n = 10
+        (1e15 * np.array([[1.0, 1.05e-11], [1.05e-11, 1.0]]), [(E1, [0.0, 1.0])], [10]),
     ], ids=["renormalize_up", "rescaled_value_overflows", "renormalize_down", "zero_image",
-            "unfound_while_renormalizing"])
+            "unfound_while_renormalizing", "renormalize_inside_a_block"])
     def test_probe_edge_pairs(self, matrix, pairs, powers):
         us, vs = (np.array([pair[i] for pair in pairs], dtype=float) for i in (0, 1))
         a, cone = SymmetricOperator(matrix), OrthantCone(len(matrix))
@@ -525,6 +541,52 @@ class TestBlockVerdictsMatchLoops:
         assert [ergodic_probe(a, cone, [u], [v]).n for u, v in zip(us, vs)] == powers
         if len(matrix) == 4:  # three renormalized powers of 1e150: the value is inf
             assert result.value == math.inf
+
+    @pytest.mark.parametrize("scale", [1.0, 1e15, 1e-40])
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_probe_on_pf_instances(self, flavor, scale):
+        # sampled pairs plus the boundary pair u0 +/- w, w the second eigenvector;
+        # scaled operators renormalize every few powers
+        for dim, pairs in [(2, 1), (3, 50), (5, 7), (8, 13), (16, 2), (33, 50), (64, 1)]:
+            base = generate_instance(flavor, dim, seed=dim)
+            a = SymmetricOperator(scale * base.matrix)
+            cone = AxisCone(top_eigen(base)[1])
+            w = base.decomposition.eigenvectors[:, -2]
+            w = w - (cone.axis @ w) * cone.axis
+            w /= np.linalg.norm(w)
+            rows = sample_in_cone(cone, rng_for(dim, 1), 2 * pairs)
+            us = np.vstack([rows[0::2], [cone.axis + w]])
+            vs = np.vstack([rows[1::2], [cone.axis - w]])
+            inside = (regions(cone, us) != -1) & (regions(cone, vs) != -1)
+            us, vs = us[inside], vs[inside]
+            assert_same_probe(ergodic_probe(a, cone, us, vs), probe_by_power_loop(a, us, vs))
+
+    @pytest.mark.parametrize("dim", [2, 5, 16, 40])
+    def test_probe_on_orthant_instances(self, dim):
+        # a path graph resolves (e0, e_j) at power j, so hits land inside blocks
+        path = np.diag(np.ones(dim - 1), 1) + np.diag(np.ones(dim - 1), -1)
+        dense = np.abs(rng_for(dim, 7).standard_normal((dim, dim)))
+        cone = OrthantCone(dim)
+        for matrix in (path, 1e20 * path, (dense + dense.T) / 2.0):
+            a = SymmetricOperator(matrix)
+            us, vs = positivity._adversarial_pairs(a, cone)
+            rows = sample_in_cone(cone, rng_for(dim, 2), 40)
+            us = np.vstack([us, np.eye(dim)[:1].repeat(dim, axis=0), rows[0::2]])
+            vs = np.vstack([vs, np.eye(dim), rows[1::2]])
+            assert_same_probe(ergodic_probe(a, cone, us, vs), probe_by_power_loop(a, us, vs))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_probe_on_drift_check_rows(self, seed):
+        dim = 3 + 4 * seed
+        a = psd_with_simple_top(dim, seed)
+        u0 = top_eigen(a)[1]
+        tilt = rng_for(seed, 5).standard_normal(dim)
+        tilt -= (u0 @ tilt) * u0
+        u1 = u0 + 0.3 * tilt / np.linalg.norm(tilt)
+        cone = AxisCone(u1 / np.linalg.norm(u1))
+        rows = sample_in_cone(cone, rng_for(seed, 0), 100)  # as ergodic_drift_check draws them
+        us, vs = rows[0::2], rows[1::2]
+        assert_same_probe(ergodic_probe(a, cone, us, vs), probe_by_power_loop(a, us, vs))
 
     @pytest.mark.parametrize("us, vs", [
         ([[0.0, 0.0]], [E1]), ([E1], [[0.0, 0.0]]), ([E1, E1], [E1, -E1]),
