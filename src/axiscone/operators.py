@@ -126,18 +126,22 @@ class SymmetricOperator:
         if isinstance(other, SymmetricOperator):
             if other.dim != self.dim:
                 raise ValueError("dimension mismatch")
-            return SymmetricOperator._exact(self._matrix + other._matrix)
+            # an overflowed entry is inf or nan, which _exact rejects with ValueError
+            with np.errstate(over="ignore", invalid="ignore"):
+                return SymmetricOperator._exact(self._matrix + other._matrix)
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, SymmetricOperator):
             if other.dim != self.dim:
                 raise ValueError("dimension mismatch")
-            return SymmetricOperator._exact(self._matrix - other._matrix)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return SymmetricOperator._exact(self._matrix - other._matrix)
         return NotImplemented
 
     def __mul__(self, scalar):
-        return SymmetricOperator._exact(self._matrix * float(scalar))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return SymmetricOperator._exact(self._matrix * float(scalar))
 
     __rmul__ = __mul__
 

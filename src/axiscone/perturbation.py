@@ -9,7 +9,7 @@ axis (Kato), and the admissible region is where that drift stays below r.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,6 +79,10 @@ def improvement_threshold(r):
     """c-threshold f(r) = r sqrt(1 - r^2/4) / (1 + r sqrt(1 - r^2/4))."""
     x = r * math.sqrt(1.0 - r**2 / 4.0)
     return x / (1.0 + x)
+
+
+# f(r(0)): every threshold f(r(alpha)) with alpha > 0 lies below it
+C_MAX = improvement_threshold(radius_from_alpha(0.0))
 
 
 def drift_certificate_lhs(alpha, d):
@@ -212,10 +216,11 @@ class PerturbationFamily:
 
     def operator_at(self, kappa):
         kappa = float(kappa)
-        total = kappa * self.coefficients[0].matrix
-        for k, coefficient in enumerate(self.coefficients[1:], start=2):
-            total = total + kappa**k * coefficient.matrix
-        return SymmetricOperator._exact(total)
+        with np.errstate(over="ignore", invalid="ignore"):  # _exact rejects inf and nan
+            total = kappa * self.coefficients[0].matrix
+            for k, coefficient in enumerate(self.coefficients[1:], start=2):
+                total = total + kappa**k * coefficient.matrix
+            return SymmetricOperator._exact(total)
 
     def a_at(self, kappa):
         return self.a * abs(kappa)
@@ -255,6 +260,10 @@ class PerturbationBudget:
     admissible: np.ndarray
     kappa_threshold: float
     c_slope: float | None = None
+    # checked spectra of T + S(kappa) at the admissible nonzero grid kappas, for
+    # a sweep over the same T and family (source); not part of the report
+    decompositions: dict = field(default_factory=dict, repr=False)
+    source: tuple = field(default=(None, None), repr=False)
 
     def __post_init__(self):
         recomputed = radius_from_alpha(self.alpha)
@@ -299,6 +308,14 @@ def semigroup_threshold(T, S_spec, s0, kappa0, kappa_grid):
     each drifted bottom eigenvalue alone (drifted_axis); alpha =
     1 - exp(-s0 delta) feeds the drift radius r; admissible kappas satisfy
     c(kappa) < f(r).
+
+    Each distinct operator is decomposed once: kappa = 0 reads T's own
+    spectrum (S has no constant term, so S(0) = 0 and b(0) = 0).  The
+    checked spectrum of T + S(kappa) is held only while the point can still
+    become admissible: with a, b >= 0, c(kappa) only grows as epsilon
+    shrinks with each new gap, so a point is dropped once |kappa| >= kappa0
+    or c(kappa) at the running epsilon reaches C_MAX.  The budget keeps the
+    spectra of its admissible grid points for end_to_end_semigroup_check.
     """
     if s0 <= 0:
         raise ValueError("s0 must be positive")
@@ -310,16 +327,28 @@ def semigroup_threshold(T, S_spec, s0, kappa0, kappa_grid):
     mu, _, _ = bottom_eigen(T, require_simple=True)
 
     gaps = np.empty(kappas.size)
-    a_values = np.empty(kappas.size)
-    b_values = np.empty(kappas.size)
+    a_values = np.zeros(kappas.size)
+    b_values = np.zeros(kappas.size)
+    held = {}   # grid index -> checked spectrum of T + S(kappa)
     for i, kappa in enumerate(kappas):
-        s_kappa = S_spec.operator_at(kappa)
-        eigs = (T + s_kappa).decomposition.eigenvalues
+        if kappa == 0.0:
+            t_kappa = T
+        else:
+            s_kappa = S_spec.operator_at(kappa)
+            t_kappa = T + s_kappa
+            a_values[i] = S_spec.a_at(kappa)
+            b_values[i] = S_spec.b_at(kappa, s_kappa)
+            if abs(kappa) < kappa0:
+                held[i] = t_kappa.decomposition
+        eigs = t_kappa.decomposition.eigenvalues
         if eigs.size < 2:
             raise DegenerateBottom("need dimension >= 2 for a spectral gap")
         gaps[i] = float(eigs[1] - eigs[0])
-        a_values[i] = S_spec.a_at(kappa)
-        b_values[i] = S_spec.b_at(kappa, s_kappa)
+        if held:
+            # a collapsed gap gives inf or nan here and drops every point
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                c_run = _c_values(mu, float(np.min(gaps[:i + 1])) / 2.0, a_values, b_values)
+            held = {j: dec for j, dec in held.items() if c_run[j] < C_MAX}
 
     delta = float(np.min(gaps))
     if delta <= GAP_COLLAPSE_TOL * max(1.0, T.norm):
@@ -331,7 +360,7 @@ def semigroup_threshold(T, S_spec, s0, kappa0, kappa_grid):
                              f"{s0 * delta:.6g} (s0 = {s0:g}, gap delta = {delta:.6g})")
     r = radius_from_alpha(alpha)
     c_threshold = improvement_threshold(r)
-    c_values = a_values + ((abs(mu) + epsilon) * a_values + b_values) / epsilon
+    c_values = _c_values(mu, epsilon, a_values, b_values)
     admissible = (np.abs(kappas) < kappa0) & (c_values < c_threshold)
 
     slope = S_spec.c_slope(mu, epsilon)
@@ -353,7 +382,14 @@ def semigroup_threshold(T, S_spec, s0, kappa0, kappa_grid):
         kappas=kappas, gaps=gaps, a_values=a_values, b_values=b_values,
         c_values=c_values, admissible=admissible, kappa_threshold=kappa_threshold,
         c_slope=slope,
+        decompositions={float(kappas[j]): dec for j, dec in held.items() if admissible[j]},
+        source=(T, S_spec),
     )
+
+
+def _c_values(mu, epsilon, a_values, b_values):
+    """c(kappa) = a + ((|mu| + epsilon) a + b) / epsilon at each grid point."""
+    return a_values + ((abs(mu) + epsilon) * a_values + b_values) / epsilon
 
 
 def drifted_axis(T_kappa, u0, budget, kappa):
@@ -445,8 +481,10 @@ def end_to_end_semigroup_check(T, S_spec, budget, s_samples, kappas=None):
     Each pair exponentiates T + S(kappa), recomputes the spectral ratio of
     the exponential once (the uniform alpha of the budget is the worst case;
     both are reported), and asks for improvement w.r.t. the unperturbed axis.
-    The base case kappa = 0 is verified directly through the certified
-    axis criterion for every s.
+    The base case kappa = 0 is T itself, verified directly through the
+    certified axis criterion for every s.  A kappa whose checked spectrum the
+    budget holds (an admissible grid point, when T and S_spec are the ones the
+    budget was built from) is not decomposed again; any other kappa is.
     """
     s_samples = [float(s) for s in s_samples]
     for s in s_samples:
@@ -462,10 +500,17 @@ def end_to_end_semigroup_check(T, S_spec, budget, s_samples, kappas=None):
             if not budget.is_admissible(kappa):
                 raise ValueError(f"kappa={kappa} is not admissible for this budget")
     mu0, u0, _ = bottom_eigen(T, require_simple=True)
+    source_t, source_s = budget.source
+    held = budget.decompositions if source_t is T and source_s is S_spec else {}
 
     rows = []
     for kappa in sorted(kappas):
-        t_kappa = T + S_spec.operator_at(kappa)
+        if kappa == 0.0:
+            t_kappa = T
+        else:
+            t_kappa = T + S_spec.operator_at(kappa)
+            if kappa in held:   # the same bits the budget decomposed
+                t_kappa._decomposition = held[kappa]
         c_kappa = budget.c_at(kappa)
         axis_kappa, drift_bound, drift_actual = drifted_axis(t_kappa, u0, budget, kappa)
         for s in s_samples:

@@ -245,6 +245,32 @@ class ProbeResult:
     pair: int | None
 
 
+def _column_norms(w):
+    """Euclidean column norms, max-abs scaled where the squares overflow.
+
+    inf where the norm itself overflows, nan where a column is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        nw = np.sqrt((w * w).sum(axis=0))
+        big = np.isinf(nw)
+        if big.any():
+            peak = np.abs(w[:, big]).max(axis=0)
+            nw[big] = peak * np.sqrt(((w[:, big] / peak) ** 2).sum(axis=0))
+    return nw
+
+
+def _overflow_shift(m, x):
+    """Per column of x, a k for which m @ (x 2^-k) and its norm are finite.
+
+    With max|m| < 2^e_m, max|x| < 2^e_x and b = bits(dim), every entry is
+    below dim 2^(e_m + e_x - k) < 2^(1023 - b) for k = e_m + e_x + 2b - 1023,
+    so the norm is below sqrt(dim) 2^(1023 - b) < 2^1023.
+    """
+    e_m = np.frexp(np.abs(m).max())[1]
+    e_x = np.frexp(np.abs(x).max(axis=0))[1]
+    return e_m + e_x + 2 * m.shape[1].bit_length() - 1023
+
+
 def ergodic_probe(A, cone, us, vs):
     """Smallest n in [1, MAX_POWER] with <u, A^n v> strictly positive, per row pair.
 
@@ -252,7 +278,9 @@ def ergodic_probe(A, cone, us, vs):
     pairing is positive or its image vanishes (no power then).  Columns are
     renormalized when their norm (max-abs scaled if its square overflows)
     leaves [1e-100, 1e100], and values rescaled back (to inf for huge powers,
-    which still witnesses positivity).
+    which still witnesses positivity).  A product that itself overflows is
+    redone on its column of the previous power times an exact 2^-k, and
+    k ln 2 joins the column's log scale.
 
     Powers are taken in blocks of doubling size (1, 1, 2, 4, ...): the block's
     products run back to back, and its norms, pairings and hits are judged
@@ -279,25 +307,29 @@ def ergodic_probe(A, cone, us, vs):
     while n < MAX_POWER and live.size:
         # a block of more than one power holds at most max(dim, 32) * dim floats
         size = max(1, min(n, MAX_POWER - n, max(A.dim, 32) // live.size))
-        block = np.empty((size, A.dim, live.size))
+        block, start = np.empty((size, A.dim, live.size)), w
         # powers past the cut may overflow; they are never judged
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(size):
                 w = block[i] = A.matrix @ w
             nw = np.sqrt((block * block).sum(axis=1))
-            event = (nw > 1e100) | (nw < 1e-100) | ((u * block).sum(axis=1) > tol * nw)
+            # a norm outside [1e-100, 1e100], nan included, or a hit
+            event = ~((nw >= 1e-100) & (nw <= 1e100)) | ((u * block).sum(axis=1) > tol * nw)
         cuts = np.flatnonzero(event.any(axis=1))
         if not cuts.size:
             n += size
             continue
-        n += int(cuts[0]) + 1
-        w = block[cuts[0]]
-        with np.errstate(over="ignore"):
-            nw = np.sqrt((w * w).sum(axis=0))
-        big = np.isinf(nw)
-        if big.any():  # squares overflowed: scale each such column by its largest entry
-            peak = np.abs(w[:, big]).max(axis=0)
-            nw[big] = peak * np.sqrt(((w[:, big] / peak) ** 2).sum(axis=0))
+        cut = int(cuts[0])
+        n += cut + 1
+        w = block[cut]
+        nw = _column_norms(w)
+        overflowed = ~np.isfinite(nw)
+        if overflowed.any():  # the product or its norm overflowed: redo it on a scaled copy
+            previous = (block[cut - 1] if cut else start)[:, overflowed]
+            shift = _overflow_shift(A.matrix, previous)
+            w[:, overflowed] = A.matrix @ np.ldexp(previous, -shift)
+            log_scale[overflowed] += shift * math.log(2.0)
+            nw[overflowed] = _column_norms(w[:, overflowed])
         far = (nw > 1e100) | ((nw < 1e-100) & (nw > 0.0))
         if far.any():
             log_scale[far] += np.log(nw[far])

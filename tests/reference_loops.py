@@ -8,8 +8,9 @@ improvement verdict ran before its closed-form S-lemma test;
 `compressed_restricted_top` is the exact restricted top eigenvalue that
 `restricted_top` computed before it returned its closed-form bound;
 `probe_by_power_loop` is the block ergodicity probe as it stood before it
-judged its powers in blocks.  Tests compare the toolkit against them on
-seeded instances.
+judged its powers in blocks; `sweep_by_rebuild` is the semigroup sweep as it
+stood before it reused the budget's decompositions.  Tests compare the
+toolkit against them on seeded instances.
 """
 
 import math
@@ -17,8 +18,22 @@ import math
 import numpy as np
 
 from axiscone.cones import OrthantCone, Region, as_rows, sample_in_cone
-from axiscone.operators import perp_basis
-from axiscone.positivity import MAX_POWER, PRESERVATION_SAMPLES, ProbeResult, VerdictStatus
+from axiscone.operators import bottom_eigen, heat_semigroup, perp_basis
+from axiscone.perturbation import (
+    SweepRow,
+    certified_improving_under_drift,
+    drifted_axis,
+    improving_radius,
+)
+from axiscone.positivity import (
+    MAX_POWER,
+    PRESERVATION_SAMPLES,
+    ProbeResult,
+    VerdictStatus,
+    _column_norms,
+    _overflow_shift,
+    improves_positivity_axis,
+)
 from axiscone.seeding import rng_for
 from axiscone.tolerances import DRIFT_CERT_TOL, TAU_STRICT
 
@@ -96,8 +111,9 @@ def probe_by_loop(A, u, v):
 def probe_by_power_loop(A, us, vs):
     """ergodic_probe on a block of pairs, judged one power at a time.
 
-    Every power renormalizes, judges and drops columns before the next
-    product; the toolkit's probe must return the same ProbeResult bit for bit.
+    Every power redoes an overflowed product on a 2^-k scaled copy,
+    renormalizes, judges and drops columns before the next product; the
+    toolkit's probe must return the same ProbeResult bit for bit.
     """
     us, vs = as_rows(us), as_rows(vs)
     k = len(us)
@@ -106,13 +122,16 @@ def probe_by_power_loop(A, us, vs):
     tol = TAU_STRICT * np.linalg.norm(us, axis=1)
     live, u, w, log_scale = np.arange(k), us.T, vs.T, np.zeros(k)
     for n in range(1, MAX_POWER + 1):
-        w = A.matrix @ w
-        with np.errstate(over="ignore"):
-            nw = np.sqrt((w * w).sum(axis=0))
-        big = np.isinf(nw)
-        if big.any():
-            peak = np.abs(w[:, big]).max(axis=0)
-            nw[big] = peak * np.sqrt(((w[:, big] / peak) ** 2).sum(axis=0))
+        previous = w
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = A.matrix @ w
+        nw = _column_norms(w)
+        overflowed = ~np.isfinite(nw)
+        if overflowed.any():
+            shift = _overflow_shift(A.matrix, previous[:, overflowed])
+            w[:, overflowed] = A.matrix @ np.ldexp(previous[:, overflowed], -shift)
+            log_scale[overflowed] += shift * math.log(2.0)
+            nw[overflowed] = _column_norms(w[:, overflowed])
         far = (nw > 1e100) | ((nw < 1e-100) & (nw > 0.0))
         if far.any():
             log_scale[far] += np.log(nw[far])
@@ -199,3 +218,29 @@ def compressed_restricted_top(A, u0):
         return None
     block = basis.T @ A.matrix @ basis
     return float(np.max(np.linalg.eigvalsh((block + block.T) / 2.0)))
+
+
+def sweep_by_rebuild(T, S_spec, budget, s_samples, kappas=None):
+    """end_to_end_semigroup_check's rows, rebuilding and decomposing T + S(kappa) anew
+    for every kappa, kappa = 0 included."""
+    if kappas is None:
+        kappas = [float(k) for k in budget.kappas[budget.admissible]]
+    _, u0, _ = bottom_eigen(T, require_simple=True)
+    rows = []
+    for kappa in sorted(float(k) for k in kappas):
+        t_kappa = T + S_spec.operator_at(kappa)
+        axis_kappa, drift_bound, drift_actual = drifted_axis(t_kappa, u0, budget, kappa)
+        for s in s_samples:
+            semigroup = heat_semigroup(t_kappa, s)
+            alpha_op, _ = improving_radius(semigroup, axis_kappa)
+            if kappa == 0.0:
+                verdict = improves_positivity_axis(semigroup, axis_kappa)
+            else:
+                verdict = certified_improving_under_drift(semigroup, alpha_op, axis_kappa, u0)
+            rows.append(SweepRow(
+                kappa=kappa, s=float(s), c_kappa=budget.c_at(kappa),
+                threshold=budget.c_threshold, drift_bound=drift_bound,
+                drift_actual=drift_actual, verdict=verdict, alpha_op=alpha_op,
+                alpha_uniform=budget.alpha,
+            ))
+    return tuple(rows)

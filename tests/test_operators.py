@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -109,6 +112,16 @@ class TestSymmetricOperator:
         with np.errstate(over="ignore"):
             for overflow in (lambda: big * 100.0, lambda: 20.0 * big + big,
                              lambda: big - (-20.0) * big):
+                with pytest.raises(ValueError, match="finite"):
+                    overflow()
+
+    def test_overflow_raises_value_error_before_any_warning(self):
+        # no errstate here: the arithmetic itself must not warn first
+        big = SymmetricOperator(np.diag([1e307, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for overflow in (lambda: big * 100.0, lambda: 20.0 * big + big,
+                             lambda: big - (-20.0) * big, lambda: big * math.inf):
                 with pytest.raises(ValueError, match="finite"):
                     overflow()
 

@@ -20,6 +20,7 @@ from axiscone.operators import (
     restricted_top,
 )
 from axiscone.perturbation import (
+    C_MAX,
     PerturbationFamily,
     certified_improving_under_drift,
     drift_certificate_lhs,
@@ -37,7 +38,8 @@ from axiscone.cones import AxisCone, sample_in_cone
 from axiscone.positivity import VerdictStatus
 from axiscone.seeding import rng_for
 from axiscone.harness import ExperimentConfig, run
-from reference_loops import contour_image, drift_check_by_loop
+from axiscone.schrodinger import GridSpec, MagneticModel, magnetic_experiment
+from reference_loops import contour_image, drift_check_by_loop, sweep_by_rebuild
 
 E1 = np.array([1.0, 0.0])
 SQRT2 = math.sqrt(2.0)
@@ -364,7 +366,8 @@ class TestPerturbationFamily:
         grid = np.linspace(-0.2, 0.2, 9)
         budget = semigroup_threshold(SymmetricOperator(np.diag([0.0, 1.0])), fam,
                                      s0=1.0, kappa0=0.5, kappa_grid=grid)
-        assert counts["operator_at"] == grid.size
+        # kappa = 0 builds nothing: S(0) is the zero operator and T + S(0) is T
+        assert counts["operator_at"] == np.count_nonzero(grid) == grid.size - 1
         for kappa, b in zip(grid, budget.b_values):
             assert b == original(fam, kappa).norm
 
@@ -548,8 +551,11 @@ class TestEndToEnd:
             report = end_to_end_semigroup_check(t, s_spec, budget, s_samples, kappas=kappas)
             assert len(report.rows) == len(kappas) * len(s_samples)
             counts.append(len(calls))
-        # one decomposition per generator T + S(kappa), none per semigroup
-        assert counts == [len(kappas), len(kappas)]
+        # none for kappa = 0 (T's own spectrum) or for the grid point 0.6, whose
+        # spectrum the budget holds; one for 0.3, which is not bit-equal to the
+        # grid's 0.29999999999999993; none per semigroup
+        assert 0.6 in budget.decompositions and 0.3 not in budget.kappas
+        assert counts == [1, 1]
 
     def test_sweep_makes_no_eigvalsh_call(self, monkeypatch):
         # the spectral ratio comes from the checked spectrum, not a compression
@@ -606,6 +612,166 @@ class TestEndToEnd:
                                      kappa_grid=np.linspace(-0.45, 0.45, 41))
         with pytest.raises(ValueError, match="admissible"):
             end_to_end_semigroup_check(t, s, budget, s_samples=[0.1], kappas=[0.3])
+
+
+def count_eigh(monkeypatch):
+    """Record the shape of every np.linalg.eigh call from here on."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    return calls
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+def assert_rows_bit_equal(rows, expected):
+    assert len(rows) == len(expected) > 0
+    for row, ref in zip(rows, expected):
+        for name in ("kappa", "s", "c_kappa", "threshold", "drift_bound", "drift_actual",
+                     "alpha_op", "alpha_uniform"):
+            assert bits(getattr(row, name)) == bits(getattr(ref, name)), name
+        got, want = row.verdict, ref.verdict
+        assert (got.predicate, got.status, got.seed, got.detail) == \
+            (want.predicate, want.status, want.seed, want.detail)
+        assert bits(got.margin) == bits(want.margin)
+        assert (got.witness is None) == (want.witness is None)
+        if got.witness is not None:
+            assert got.witness.tobytes() == want.witness.tobytes()
+
+
+def random_family(seed):
+    """Seeded T (gap >= 1), family of degree 1 or 2 with a >= 0, grid, kappa0."""
+    rng = rng_for(seed, 90)
+    dim = int(rng.integers(2, 9))
+    t = gapped_instance(seed, dim)
+    coefficients = []
+    for _ in range(int(rng.integers(1, 3))):
+        g = rng.standard_normal((dim, dim))
+        coefficients.append(10.0 ** rng.uniform(-2.0, 0.5) * (g + g.T) / 2.0)
+    a = float(rng.uniform(0.0, 0.05)) if len(coefficients) == 1 and rng.random() < 0.5 else 0.0
+    family = PerturbationFamily(coefficients, a=a) if a else PerturbationFamily(coefficients)
+    grid = rng.uniform(-0.5, 0.5, size=int(rng.integers(3, 30)))
+    if rng.random() < 0.5:
+        grid = np.append(grid, 0.0)
+    rng.shuffle(grid)
+    return t, family, grid, float(rng.uniform(0.05, 0.6))
+
+
+class TestDecompositionReuse:
+    """One checked decomposition per operator, against the sweep that rebuilt every one."""
+
+    S_SAMPLES = [0.05, 0.2, math.log(2.0)]
+
+    @staticmethod
+    def degree_two_instance():
+        t, _ = swap_instance()
+        fam = PerturbationFamily([[[0.0, 1.0], [1.0, 0.0]], np.diag([0.0, 1.0])])
+        return t, fam, np.linspace(-0.04, 0.04, 9)
+
+    def instances(self):
+        t, s = swap_instance()
+        yield t, s, np.linspace(-0.45, 0.45, 41), 0.5
+        t, s, grid = self.degree_two_instance()
+        yield t, s, grid, 0.5
+        t = gapped_instance(3, 6)
+        g = rng_for(3, 41).standard_normal((6, 6))
+        s_mat = SymmetricOperator((g + g.T) / 2.0)
+        yield t, PerturbationFamily([(0.05 / s_mat.norm) * s_mat]), np.linspace(-0.9, 0.9, 7), 1.0
+        for seed in range(4):
+            t, s, grid, kappa0 = random_family(seed)
+            yield t, s, grid, kappa0
+
+    def test_rows_match_the_rebuilding_sweep_bit_for_bit(self, monkeypatch):
+        checked = 0
+        for t, s_spec, grid, kappa0 in self.instances():
+            budget = semigroup_threshold(t, s_spec, s0=math.log(2.0), kappa0=kappa0,
+                                         kappa_grid=grid)
+            if not budget.admissible.any():
+                continue
+            on_grid = [float(k) for k in budget.kappas[budget.admissible]]
+            off_grid = [0.9 * k for k in on_grid if k != 0.0]
+            for kappas in (None, [0.0], sorted(set(on_grid[:2] + off_grid[:2] + [0.0]))):
+                calls = count_eigh(monkeypatch)
+                expected = sweep_by_rebuild(t, s_spec, budget, self.S_SAMPLES, kappas)
+                rebuilt = len(calls)
+                calls.clear()
+                report = end_to_end_semigroup_check(t, s_spec, budget, self.S_SAMPLES, kappas)
+                monkeypatch.undo()
+                assert_rows_bit_equal(report.rows, expected)
+                swept = on_grid if kappas is None else kappas
+                # no eigh for kappa = 0 or for a kappa whose spectrum the budget holds
+                assert rebuilt - len(calls) == sum(k == 0.0 or k in budget.decompositions
+                                                   for k in swept)
+                checked += 1
+        assert checked >= 15
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_kappa_zero_on_the_grid_uses_t(self, degree, monkeypatch):
+        t, s = swap_instance()
+        if degree == 2:
+            t, s, _ = self.degree_two_instance()
+        grid = [-0.03, 0.0, 0.03]
+        calls = count_eigh(monkeypatch)
+        budget = semigroup_threshold(t, s, s0=math.log(2.0), kappa0=0.5, kappa_grid=grid)
+        # T once, then T + S(kappa) and, for degree 2, ||S(kappa)|| per nonzero point
+        assert len(calls) == 1 + 2 * degree
+        assert budget.b_values[1] == 0.0 and budget.gaps[1] == 1.0
+        calls.clear()
+        expected = sweep_by_rebuild(t, s, budget, self.S_SAMPLES)
+        rebuilt = len(calls)
+        calls.clear()
+        report = end_to_end_semigroup_check(t, s, budget, self.S_SAMPLES)
+        monkeypatch.undo()
+        assert rebuilt - len(calls) == 3   # T + S(kappa) at -0.03, 0.0 and 0.03
+        assert_rows_bit_equal(report.rows, expected)
+
+    def test_schrodinger_family_matches_the_rebuilding_sweep(self):
+        model = MagneticModel.from_functions(GridSpec(4, 0.5), lambda x: x * x,
+                                             lambda x: math.exp(-x * x), 0.0)
+        report = magnetic_experiment(model, e_grid=np.linspace(-0.008, 0.008, 5), s0=0.5)
+        t, family = report.budget.source
+        assert family.degree == 2 and len(report.budget.decompositions) == 4
+        assert_rows_bit_equal(report.sweep.rows, sweep_by_rebuild(
+            t, family, report.budget, [0.125, 0.25, 0.5]))
+
+    def test_budget_of_other_operators_is_not_reused(self, monkeypatch):
+        t, s = swap_instance()
+        budget = semigroup_threshold(t, s, s0=math.log(2.0), kappa0=0.5,
+                                     kappa_grid=np.linspace(-0.045, 0.045, 7))
+        assert len(budget.decompositions) == 6
+        copy = SymmetricOperator(t.matrix)
+        bottom_eigen(copy)   # decomposed before counting, as t is
+        calls = count_eigh(monkeypatch)
+        expected = sweep_by_rebuild(t, s, budget, self.S_SAMPLES)
+        rebuilt = len(calls)
+        calls.clear()
+        report = end_to_end_semigroup_check(copy, s, budget, self.S_SAMPLES)
+        monkeypatch.undo()
+        assert rebuilt - len(calls) == 1   # only kappa = 0, which is the copy itself
+        assert_rows_bit_equal(report.rows, expected)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_held_spectra_are_exactly_the_admissible_grid_points(self, seed):
+        t, s_spec, grid, kappa0 = random_family(seed)
+        budget = semigroup_threshold(t, s_spec, s0=float(rng_for(seed, 91).uniform(0.1, 2.0)),
+                                     kappa0=kappa0, kappa_grid=grid)
+        admissible = {float(k) for k in budget.kappas[budget.admissible] if k != 0.0}
+        # a point dropped while the grid loop ran never comes back, so this also
+        # says that no point that ends admissible was dropped on the way
+        assert set(budget.decompositions) == admissible
+        for kappa, held in budget.decompositions.items():
+            fresh = (t + s_spec.operator_at(kappa)).decomposition
+            assert held.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+            assert held.eigenvectors.tobytes() == fresh.eigenvectors.tobytes()
+        assert budget.c_threshold < C_MAX
+
+    def test_retention_bound_is_the_alpha_zero_threshold(self):
+        assert C_MAX == improvement_threshold(radius_from_alpha(0.0))
+        assert C_MAX == pytest.approx(0.1497, abs=1e-4)
+        for alpha in (1e-6, 0.1, 0.5, 0.999):
+            assert improvement_threshold(radius_from_alpha(alpha)) < C_MAX
 
 
 class TestBoundChainSeeded:

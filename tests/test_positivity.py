@@ -339,6 +339,13 @@ class TestErgodicProbe:
         assert result.found and result.n == 2
         assert result.value == math.inf
 
+    @pytest.mark.filterwarnings("error")
+    def test_product_overflow_keeps_the_pairing(self):
+        # A v = (3e308, 3e308) overflows to inf; <u, A v> is still positive
+        a = SymmetricOperator(1.5e308 * np.ones((2, 2)))
+        result = ergodic_probe(a, OrthantCone(2), [[1.0, 1.0]], [[1.0, 1.0]])
+        assert (result.found, result.n, result.value) == (True, 1, math.inf)
+
 
 class TestPerronFrobenius:
     def test_simple_axis_agrees(self):
@@ -541,6 +548,26 @@ class TestBlockVerdictsMatchLoops:
         assert [ergodic_probe(a, cone, [u], [v]).n for u, v in zip(us, vs)] == powers
         if len(matrix) == 4:  # three renormalized powers of 1e150: the value is inf
             assert result.value == math.inf
+
+    @pytest.mark.parametrize("matrix, pair, expected", [
+        (1.5e308 * np.ones((2, 2)), ([1.0, 1.0], [1.0, 1.0]), (True, 1, math.inf)),
+        # power 1 is 1e40 (1, -1), in range and unpaired; power 2 is (2e80, 1e340)
+        (np.array([[1e40, -1e40], [-1e40, -1e300]]), ([1.0, 1.0], E1), (True, 2, math.inf)),
+        # A v is finite, its norm 3e308 is not
+        (1.5e308 * np.eye(4), (np.ones(4), np.ones(4)), (True, 1, math.inf)),
+        # A v = 0, but partial sums of +-1.5e308 reach inf - inf = nan when the
+        # product sums in interleaved lanes: the image vanishes, no power pairs
+        (1.5e308 * np.outer([1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0]),
+         (np.eye(4)[0], np.ones(4)), (False, MAX_POWER, 0.0)),
+    ], ids=["product_inf", "product_inf_after_a_power", "norm_inf", "product_nan"])
+    def test_probe_redoes_overflowed_products(self, matrix, pair, expected):
+        a, cone = SymmetricOperator(matrix), OrthantCone(len(matrix))
+        us, vs = np.array([pair[0]], dtype=float), np.array([pair[1]], dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = ergodic_probe(a, cone, us, vs)
+            assert_same_probe(result, probe_by_power_loop(a, us, vs))
+        assert (result.found, result.n, result.value) == expected
 
     @pytest.mark.parametrize("scale", [1.0, 1e15, 1e-40])
     @pytest.mark.parametrize("flavor", FLAVORS)
