@@ -11,18 +11,13 @@ __version__ = "0.1.0"
 
 from .cones import AxisCone, MoreauSplit, OrthantCone, Region
 from .errors import AxisConeError
-from .operators import (
-    ComplexOperator,
-    SpectralDecomposition,
-    SymmetricOperator,
-)
+from .operators import SpectralDecomposition, SymmetricOperator
 from .positivity import Verdict, VerdictStatus
 
 __all__ = [
     "__version__",
     "AxisCone",
     "AxisConeError",
-    "ComplexOperator",
     "MoreauSplit",
     "OrthantCone",
     "Region",

@@ -104,7 +104,7 @@ def criterion_2_threshold_reproduction(seed):
         abs(budget.kappa_threshold - kappa_adm),
     ]
     sweep = end_to_end_semigroup_check(
-        t, s_spec, budget,
+        budget,
         s_samples=[s0 / 5.0, 2.0 * s0 / 5.0, 3.0 * s0 / 5.0, 4.0 * s0 / 5.0, s0],
         kappas=np.linspace(-0.045, 0.045, 10),
     )
@@ -213,7 +213,7 @@ def criterion_7_drift_chain(seed):
                                      kappa_grid=np.linspace(-0.9, 0.9, 13))
         _, u0, _ = bottom_eigen(t, require_simple=True)
         for kappa in budget.kappas[budget.admissible]:
-            _, bound, actual = drifted_axis(t + s_spec.operator_at(float(kappa)),
+            _, bound, actual = drifted_axis(budget.operator_at(float(kappa)),
                                             u0, budget, kappa=float(kappa))
             chain_checks += 1
             if actual > bound + DRIFT_BOUND_SLACK or actual >= budget.r:

@@ -399,6 +399,14 @@ def _run_cone_axioms(config):
                   summary_extra=[("summary_worst_defect", _g17(worst))])
 
 
+def _witness_holds(predicate, cone, image):
+    """A CertifiedFalse witness holds when its image leaves the cone (preservation)
+    or misses the cone's interior (improvement)."""
+    if predicate == "preserves_positivity":
+        return cone.classify(image) is Region.OUTSIDE
+    return cone.classify(image) is not Region.INTERIOR
+
+
 def _run_pf_verify(config):
     params = config.params
     rows = []
@@ -413,9 +421,7 @@ def _run_pf_verify(config):
         def add(verdict, expected):
             ok = verdict.status in expected
             if verdict.status is VerdictStatus.CERTIFIED_FALSE:
-                image = a.apply(verdict.witness)
-                reproduced = cone.classify(image) is not Region.INTERIOR
-                ok = ok and reproduced
+                ok = ok and _witness_holds(verdict.predicate, cone, a.apply(verdict.witness))
             rows.append([flavor, str(dim), verdict.predicate, verdict.status.value,
                          _g17(verdict.margin) if not math.isnan(verdict.margin) else "",
                          verdict.csv_row()[3], str(instance_seed), "1" if ok else "0"])
@@ -469,7 +475,7 @@ def _run_perturb(config):
         if not budget.is_admissible(kappa):
             raise ConfigInvalid("kappas", f"{kappa:g} is not admissible for the budget "
                                           f"(kappa_threshold {budget.kappa_threshold:.6g})")
-    sweep = end_to_end_semigroup_check(t, s_spec, budget, params["s_samples"], kappas=kappas)
+    sweep = end_to_end_semigroup_check(budget, params["s_samples"], kappas=kappas)
     rows = []
     for row in sweep.rows:
         rows.append(row.csv_row() + ["1" if row.verdict.is_true else "0"])
@@ -495,12 +501,10 @@ def _run_schrodinger(config):
 
     model = MagneticModel(grid=grid, v_values=profile("potential"),
                           a_values=profile("vector_potential"), coupling=0.0)
-    s0 = float(params["s0"])
-    s_samples = params.get("s_samples")
-    report = magnetic_experiment(model, e_grid=params["e_grid"], s0=s0, s_samples=s_samples)
+    report = magnetic_experiment(model, e_grid=params["e_grid"], s0=float(params["s0"]),
+                                 s_samples=params.get("s_samples"))
     rows = []
-    samples = s_samples or [s0 / 4.0, s0 / 2.0, s0]
-    for s, verdict in zip(samples, report.base_verdicts):
+    for s, verdict in zip(report.s_samples, report.base_verdicts):
         rows.append(["base", _g17(0.0), _g17(s), verdict.status.value,
                      _g17(verdict.margin), "1" if verdict.is_true else "0"])
     for row in report.sweep.rows:
@@ -595,8 +599,8 @@ def replay(text):
     """Re-derive every CertifiedFalse row of a report and re-check its witness.
 
     Rows of pf_verify reports carry (flavor, dim, seed), which regenerate the
-    exact instance; the embedded witness must again map to a non-interior
-    (improvement) or outside (preservation) image.  Returns (kind, results).
+    exact instance; the embedded witness must again pass _witness_holds, the
+    rule the run applied to it.  Returns (kind, results).
     """
     header, columns, rows = parse_report(text)
     if "config" not in header:
@@ -629,13 +633,9 @@ def replay(text):
         a = generate_instance(flavor, dim, instance_seed)
         _, u0, _ = top_eigen(a)
         cone = AxisCone(u0)
-        image = a.apply(witness)
-        if predicate == "preserves_positivity":
-            reproduced = cone.classify(image) is Region.OUTSIDE
-        else:
-            reproduced = cone.classify(image) is not Region.INTERIOR
         results.append(ReplayResult(row_index=index, predicate=predicate,
-                                    reproduced=bool(reproduced)))
+                                    reproduced=_witness_holds(predicate, cone,
+                                                              a.apply(witness))))
     return config.kind, results
 
 

@@ -1,13 +1,15 @@
-"""Dense real symmetric operators: spectra, heat semigroups, complexification.
+"""Dense real symmetric operators: spectra, heat semigroups, the real/complex
+correspondence.
 
 Everything lives at finite dimension with the Euclidean inner product, so all
 operators are bounded and the spectrum is the eigenvalue set.  Spectral data
-is computed once per operator by checked_eigh and cached; a heat semigroup
-derives its spectrum from its generator's, a drifted ground axis
-(perturbation.drifted_axis) is its generator's bottom eigenvector, and the
-top eigenvalue on an axis complement is bounded from the same spectrum
-(restricted_top), so no linear system is solved and no compression is
-decomposed.  All returned arrays are read-only.
+is computed once per operator by checked_eigh and cached on the operator, so
+a perturbation budget holds its checked operators T + S(kappa), not their
+spectra, for the sweep to reuse.  A heat semigroup derives its spectrum from
+its generator's, a drifted ground axis (perturbation.drifted_axis) is its
+generator's bottom eigenvector, and the top eigenvalue on an axis complement
+is bounded from the same spectrum (restricted_top), so no linear system is
+solved and no compression is decomposed.  All returned arrays are read-only.
 """
 
 from dataclasses import dataclass, field
@@ -161,40 +163,6 @@ class SymmetricOperator:
     @staticmethod
     def identity(dim):
         return SymmetricOperator.from_spectrum(np.ones(dim), np.eye(dim))
-
-
-@dataclass(frozen=True)
-class ComplexOperator:
-    """Complex square matrix split into real and imaginary parts.
-
-    With imag_part = 0 and real_part symmetric this is the canonical
-    extension of a real symmetric operator to the complexified space.
-    """
-
-    real_part: np.ndarray
-    imag_part: np.ndarray
-
-    @staticmethod
-    def from_matrix(matrix):
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("expected a square matrix")
-        re = np.array(m.real, dtype=float)
-        im = np.array(m.imag, dtype=float)
-        re.setflags(write=False)
-        im.setflags(write=False)
-        return ComplexOperator(re, im)
-
-    @property
-    def matrix(self):
-        return self.real_part + 1j * self.imag_part
-
-    @property
-    def dim(self):
-        return self.real_part.shape[0]
-
-    def apply(self, v):
-        return self.matrix @ np.asarray(v, dtype=complex)
 
 
 def checked_eigh(m):

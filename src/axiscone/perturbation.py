@@ -4,8 +4,13 @@ The chain implemented here: a positive operator with a simple extremal
 eigenvalue tolerates an axis drift up to r(alpha) = (1 - alpha^2) /
 (4 sqrt(2) (1 + alpha^2)) while staying positivity improving, where alpha is
 the spectral ratio on the axis complement.  For heat semigroups of a
-perturbed generator, a relative-bound budget bounds the drift of the ground
-axis (Kato), and the admissible region is where that drift stays below r.
+perturbed generator T + S(kappa), a relative-bound budget bounds the drift of
+the ground axis (Kato), and the admissible region is where that drift stays
+below r.  The budget owns that problem: it holds T, the family S and the
+checked operators at its admissible grid points, builds T + S(kappa) in one
+place (PerturbationBudget.operator_at), and bounds c(kappa) at every kappa,
+on the grid or off it (PerturbationBudget.c_at); the end-to-end sweep takes
+the budget alone.
 """
 
 import math
@@ -215,7 +220,7 @@ class PerturbationFamily:
         return len(self.coefficients)
 
     def operator_at(self, kappa):
-        kappa = float(kappa)
+        kappa = np.float64(kappa)   # kappa**k overflows to inf, not OverflowError
         with np.errstate(over="ignore", invalid="ignore"):  # _exact rejects inf and nan
             total = kappa * self.coefficients[0].matrix
             for k, coefficient in enumerate(self.coefficients[1:], start=2):
@@ -241,9 +246,11 @@ class PerturbationFamily:
 
 @dataclass(frozen=True)
 class PerturbationBudget:
-    """All scalars of the semigroup stability argument over a kappa grid."""
+    """The perturbation problem T + S(kappa) and all scalars of the semigroup
+    stability argument over its kappa grid."""
 
-    regime: str
+    T: SymmetricOperator
+    family: PerturbationFamily
     mu: float
     delta: float
     epsilon: float
@@ -260,33 +267,40 @@ class PerturbationBudget:
     admissible: np.ndarray
     kappa_threshold: float
     c_slope: float | None = None
-    # checked spectra of T + S(kappa) at the admissible nonzero grid kappas, for
-    # a sweep over the same T and family (source); not part of the report
-    decompositions: dict = field(default_factory=dict, repr=False)
-    source: tuple = field(default=(None, None), repr=False)
+    # checked T + S(kappa) at the admissible nonzero grid kappas; not part of the report
+    operators: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         recomputed = radius_from_alpha(self.alpha)
         if abs(recomputed - self.r) > RADIUS_RECOMPUTE_TOL:
             raise ContractViolation("budget radius is not recomputable from alpha")
-        if self.regime == "semigroup" and not 0.0 < self.alpha < 1.0:
-            raise ContractViolation("semigroup-regime alpha must lie in (0, 1)")
+        if not 0.0 < self.alpha < 1.0:
+            raise ContractViolation("budget alpha must lie in (0, 1)")
+
+    def operator_at(self, kappa):
+        """T + S(kappa): T at 0, the held operator at an admissible grid point,
+        built anew anywhere else."""
+        if kappa == 0.0:
+            return self.T
+        return self.operators.get(kappa) or self.T + self.family.operator_at(kappa)
 
     def c_at(self, kappa):
+        """c(kappa) = c_slope |kappa| for a linear family; otherwise the grid value
+        at a grid point and the exact a(kappa), b(kappa) anywhere else."""
         if self.c_slope is not None:
             return self.c_slope * abs(kappa)
-        exact = np.nonzero(np.abs(self.kappas - kappa) <= 1e-12)[0]
-        if exact.size:
-            return float(self.c_values[exact[0]])
-        order = np.argsort(self.kappas)
-        return float(np.interp(kappa, self.kappas[order], self.c_values[order]))
+        on_grid = np.flatnonzero(self.kappas == kappa)
+        if on_grid.size:
+            return float(self.c_values[on_grid[0]])
+        return float(_c_values(self.mu, self.epsilon, self.family.a_at(kappa),
+                               self.family.b_at(kappa)))
 
     def is_admissible(self, kappa):
         return abs(kappa) < self.kappa0 and self.c_at(kappa) < self.c_threshold
 
     def header_items(self):
         return [
-            ("regime", self.regime),
+            ("regime", "semigroup"),
             ("mu", format(self.mu, ".17g")),
             ("delta", format(self.delta, ".17g")),
             ("epsilon", format(self.epsilon, ".17g")),
@@ -299,8 +313,8 @@ class PerturbationBudget:
         ]
 
 
-def semigroup_threshold(T, S_spec, s0, kappa0, kappa_grid):
-    """Budget for the perturbed heat semigroup over a kappa grid.
+def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
+    """Budget for the heat semigroups of T + S(kappa) over a kappa grid.
 
     delta is the smallest gap between the bottom eigenvalue of T + S(kappa)
     and the rest of its spectrum over the grid (grid density is the caller's
@@ -311,11 +325,11 @@ def semigroup_threshold(T, S_spec, s0, kappa0, kappa_grid):
 
     Each distinct operator is decomposed once: kappa = 0 reads T's own
     spectrum (S has no constant term, so S(0) = 0 and b(0) = 0).  The
-    checked spectrum of T + S(kappa) is held only while the point can still
+    checked operator T + S(kappa) is held only while the point can still
     become admissible: with a, b >= 0, c(kappa) only grows as epsilon
     shrinks with each new gap, so a point is dropped once |kappa| >= kappa0
     or c(kappa) at the running epsilon reaches C_MAX.  The budget keeps the
-    spectra of its admissible grid points for end_to_end_semigroup_check.
+    operators of its admissible grid points, which budget.operator_at returns.
     """
     if s0 <= 0:
         raise ValueError("s0 must be positive")
@@ -329,17 +343,17 @@ def semigroup_threshold(T, S_spec, s0, kappa0, kappa_grid):
     gaps = np.empty(kappas.size)
     a_values = np.zeros(kappas.size)
     b_values = np.zeros(kappas.size)
-    held = {}   # grid index -> checked spectrum of T + S(kappa)
+    held = {}   # grid index -> checked T + S(kappa)
     for i, kappa in enumerate(kappas):
         if kappa == 0.0:
             t_kappa = T
         else:
-            s_kappa = S_spec.operator_at(kappa)
+            s_kappa = family.operator_at(kappa)
             t_kappa = T + s_kappa
-            a_values[i] = S_spec.a_at(kappa)
-            b_values[i] = S_spec.b_at(kappa, s_kappa)
+            a_values[i] = family.a_at(kappa)
+            b_values[i] = family.b_at(kappa, s_kappa)
             if abs(kappa) < kappa0:
-                held[i] = t_kappa.decomposition
+                held[i] = t_kappa
         eigs = t_kappa.decomposition.eigenvalues
         if eigs.size < 2:
             raise DegenerateBottom("need dimension >= 2 for a spectral gap")
@@ -348,7 +362,7 @@ def semigroup_threshold(T, S_spec, s0, kappa0, kappa_grid):
             # a collapsed gap gives inf or nan here and drops every point
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 c_run = _c_values(mu, float(np.min(gaps[:i + 1])) / 2.0, a_values, b_values)
-            held = {j: dec for j, dec in held.items() if c_run[j] < C_MAX}
+            held = {j: op for j, op in held.items() if c_run[j] < C_MAX}
 
     delta = float(np.min(gaps))
     if delta <= GAP_COLLAPSE_TOL * max(1.0, T.norm):
@@ -363,7 +377,7 @@ def semigroup_threshold(T, S_spec, s0, kappa0, kappa_grid):
     c_values = _c_values(mu, epsilon, a_values, b_values)
     admissible = (np.abs(kappas) < kappa0) & (c_values < c_threshold)
 
-    slope = S_spec.c_slope(mu, epsilon)
+    slope = family.c_slope(mu, epsilon)
     if slope is not None:
         kappa_threshold = min(kappa0, math.inf if slope == 0 else c_threshold / slope)
     else:
@@ -377,13 +391,12 @@ def semigroup_threshold(T, S_spec, s0, kappa0, kappa_grid):
             else:
                 break
     return PerturbationBudget(
-        regime="semigroup", mu=mu, delta=delta, epsilon=epsilon, s0=float(s0),
+        T=T, family=family, mu=mu, delta=delta, epsilon=epsilon, s0=float(s0),
         alpha=alpha, r=r, c_threshold=c_threshold, kappa0=float(kappa0),
         kappas=kappas, gaps=gaps, a_values=a_values, b_values=b_values,
         c_values=c_values, admissible=admissible, kappa_threshold=kappa_threshold,
         c_slope=slope,
-        decompositions={float(kappas[j]): dec for j, dec in held.items() if admissible[j]},
-        source=(T, S_spec),
+        operators={float(kappas[j]): op for j, op in held.items() if admissible[j]},
     )
 
 
@@ -475,16 +488,16 @@ class SweepReport:
         return not self.failures
 
 
-def end_to_end_semigroup_check(T, S_spec, budget, s_samples, kappas=None):
-    """Drive the full pipeline over admissible (kappa, s) pairs.
+def end_to_end_semigroup_check(budget, s_samples, kappas=None):
+    """Drive the full pipeline over admissible (kappa, s) pairs of the budget.
 
-    Each pair exponentiates T + S(kappa), recomputes the spectral ratio of
-    the exponential once (the uniform alpha of the budget is the worst case;
-    both are reported), and asks for improvement w.r.t. the unperturbed axis.
-    The base case kappa = 0 is T itself, verified directly through the
-    certified axis criterion for every s.  A kappa whose checked spectrum the
-    budget holds (an admissible grid point, when T and S_spec are the ones the
-    budget was built from) is not decomposed again; any other kappa is.
+    Each pair exponentiates budget.operator_at(kappa), recomputes the
+    spectral ratio of the exponential once (the uniform alpha of the budget
+    is the worst case; both are reported), and asks for improvement w.r.t.
+    the unperturbed axis.  The base case kappa = 0 is T itself, verified
+    directly through the certified axis criterion for every s.  An
+    admissible grid point reuses the budget's checked operator, so only a
+    kappa off the grid is decomposed here.
     """
     s_samples = [float(s) for s in s_samples]
     for s in s_samples:
@@ -499,18 +512,11 @@ def end_to_end_semigroup_check(T, S_spec, budget, s_samples, kappas=None):
         for kappa in kappas:
             if not budget.is_admissible(kappa):
                 raise ValueError(f"kappa={kappa} is not admissible for this budget")
-    mu0, u0, _ = bottom_eigen(T, require_simple=True)
-    source_t, source_s = budget.source
-    held = budget.decompositions if source_t is T and source_s is S_spec else {}
+    _, u0, _ = bottom_eigen(budget.T, require_simple=True)
 
     rows = []
     for kappa in sorted(kappas):
-        if kappa == 0.0:
-            t_kappa = T
-        else:
-            t_kappa = T + S_spec.operator_at(kappa)
-            if kappa in held:   # the same bits the budget decomposed
-                t_kappa._decomposition = held[kappa]
+        t_kappa = budget.operator_at(kappa)
         c_kappa = budget.c_at(kappa)
         axis_kappa, drift_bound, drift_actual = drifted_axis(t_kappa, u0, budget, kappa)
         for s in s_samples:

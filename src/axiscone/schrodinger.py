@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AsymmetricPotential, NotRealCompatible
-from .operators import (
-    ComplexOperator,
-    SymmetricOperator,
-    bottom_eigen,
-    checked_eigh,
-    heat_semigroup,
-)
+from .operators import SymmetricOperator, bottom_eigen, checked_eigh, heat_semigroup
 from .perturbation import (
     PerturbationFamily,
     end_to_end_semigroup_check,
@@ -133,7 +127,7 @@ class RealStructure:
         C e_k is the reversed basis vector and C H e_k the conjugated reversed
         column k, so the k-th residual is column k of H[:, ::-1] - conj(H[::-1, :]).
         """
-        m = H.matrix if isinstance(H, ComplexOperator) else np.asarray(H, dtype=complex)
+        m = np.asarray(H, dtype=complex)
         return float(np.max(np.linalg.norm(m[:, ::-1] - np.conj(m[::-1, :]), axis=0)))
 
 
@@ -156,23 +150,28 @@ def momentum_matrix(grid):
     return p
 
 
+def _read_only(m):
+    m.setflags(write=False)
+    return m
+
+
 def build_h0(model):
-    """Free Hamiltonian: 3-point Laplacian plus the diagonal potential."""
+    """Free Hamiltonian: 3-point Laplacian plus the diagonal potential (complex)."""
     _even_values(model.grid, model.v_values, "V")
     h0 = laplacian_matrix(model.grid) + np.diag(model.v_values)
-    return ComplexOperator.from_matrix(h0.astype(complex))
+    return _read_only(h0.astype(complex))
 
 
 def magnetic_terms(model):
     """H0, M1 = p a + a p and M2 = diag(a^2), so that H(e) = H0 + e M1 + e^2 M2.
 
     The coupling of the model is ignored: the terms define the whole family.
+    All three are read-only complex arrays.
     """
     a_diag = np.diag(model.a_values.astype(complex))
     p = momentum_matrix(model.grid)
-    m1 = ComplexOperator.from_matrix(p @ a_diag + a_diag @ p)
-    m2 = ComplexOperator.from_matrix(np.diag(model.a_values**2).astype(complex))
-    return build_h0(model), m1, m2
+    m2 = np.diag(model.a_values**2).astype(complex)
+    return build_h0(model), _read_only(p @ a_diag + a_diag @ p), _read_only(m2)
 
 
 def build_magnetic(model):
@@ -180,18 +179,18 @@ def build_magnetic(model):
 
     p^2 is the 3-point Laplacian (the square of the central difference
     decouples the even and odd sublattices, so the standard local stencil is
-    used instead); the cross terms use the central-difference p.  The result
-    is Hermitian and commutes with the parity conjugation.
+    used instead); the cross terms use the central-difference p.  The result,
+    a read-only complex array, is Hermitian and commutes with the parity
+    conjugation.
     """
     h0, m1, m2 = magnetic_terms(model)
     e = model.coupling
-    h = h0.matrix + e * m1.matrix + e**2 * m2.matrix
-    op = ComplexOperator.from_matrix(h)
-    residual = RealStructure(model.grid).commutation_residual(op)
+    h = _read_only(h0 + e * m1 + e**2 * m2)
+    residual = RealStructure(model.grid).commutation_residual(h)
     scale = max(1.0, float(np.max(np.abs(h))))
     if residual > MAGNETIC_COMMUTATION_TOL * scale:
         raise NotRealCompatible(f"conjugation commutation residual {residual:.3e}")
-    return op
+    return h
 
 
 def restrict_to_real(H, rs):
@@ -200,7 +199,7 @@ def restrict_to_real(H, rs):
     Returns B* H B for the fixed-space isometry B; the output is real
     symmetric and carries exactly the same eigenvalues as H.
     """
-    m = H.matrix if isinstance(H, ComplexOperator) else np.asarray(H, dtype=complex)
+    m = np.asarray(H, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(m))))
     residual = rs.commutation_residual(m)
     if residual > REAL_COMMUTATION_TOL * scale:
@@ -255,7 +254,7 @@ def orthant_failure_demo(model, s):
     x = model.grid.points
     v = np.exp(-x * x)
     h = build_magnetic(model) if model.coupling != 0.0 else build_h0(model)
-    image = _expm_hermitian(h.matrix, s) @ v.astype(complex)
+    image = _expm_hermitian(h, s) @ v.astype(complex)
     max_imag = float(np.max(np.abs(image.imag)))
     min_real = float(np.min(image.real))
     if model.coupling == 0.0:
@@ -274,7 +273,8 @@ class MagneticExperimentReport:
     """Full pipeline output for the magnetic coupling sweep."""
 
     budget: object
-    base_verdicts: tuple      # improvement of exp(-s H0) w.r.t. its own ground axis
+    s_samples: tuple
+    base_verdicts: tuple      # improvement of exp(-s H0) w.r.t. its own ground axis, per s
     sweep: object             # end-to-end rows over admissible couplings
     ground_energy: float
     admissible_coupling: float
@@ -292,12 +292,12 @@ def magnetic_experiment(model, e_grid, s0, s_samples=None):
     of H0 as the cone axis, certify improvement of exp(-s H0), then treat
     e M1 + e^2 M2 as a quadratic perturbation family with a(e) = 0 and
     b(e) = ||e M1 + e^2 M2|| and run the semigroup budget and end-to-end
-    sweep over admissible couplings from the grid.
+    sweep over admissible couplings from the grid.  The heat times default
+    to s0/4, s0/2 and s0.
     """
     if s0 <= 0:
         raise ValueError("s0 must be positive")
-    if s_samples is None:
-        s_samples = [s0 / 4.0, s0 / 2.0, s0]
+    s_samples = tuple([s0 / 4.0, s0 / 2.0, s0] if s_samples is None else s_samples)
     rs = RealStructure(model.grid)
     h0, m1, m2 = (restrict_to_real(term, rs) for term in magnetic_terms(model))
     mu, ground, _ = bottom_eigen(h0, require_simple=True)
@@ -310,9 +310,10 @@ def magnetic_experiment(model, e_grid, s0, s_samples=None):
     e_grid = np.asarray(e_grid, dtype=float)
     kappa0 = float(np.max(np.abs(e_grid))) + 1e-12
     budget = semigroup_threshold(h0, family, s0=s0, kappa0=kappa0, kappa_grid=e_grid)
-    sweep = end_to_end_semigroup_check(h0, family, budget, s_samples)
+    sweep = end_to_end_semigroup_check(budget, s_samples)
     return MagneticExperimentReport(
         budget=budget,
+        s_samples=s_samples,
         base_verdicts=tuple(base_verdicts),
         sweep=sweep,
         ground_energy=mu,

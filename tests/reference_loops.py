@@ -9,7 +9,7 @@ improvement verdict ran before its closed-form S-lemma test;
 `restricted_top` computed before it returned its closed-form bound;
 `probe_by_power_loop` is the block ergodicity probe as it stood before it
 judged its powers in blocks; `sweep_by_rebuild` is the semigroup sweep as it
-stood before it reused the budget's decompositions.  Tests compare the
+stood before the budget held its checked operators.  Tests compare the
 toolkit against them on seeded instances.
 """
 

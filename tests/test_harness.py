@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from axiscone import harness
 from axiscone.cli import main
+from axiscone.cones import AxisCone, Region
 from axiscone.errors import ConfigInvalid
 from axiscone.harness import (
     ExperimentConfig,
@@ -19,7 +21,7 @@ from axiscone.harness import (
     selftest,
 )
 from axiscone.operators import top_eigen
-from axiscone.positivity import VerdictStatus, improves_positivity_axis
+from axiscone.positivity import Verdict, VerdictStatus, improves_positivity_axis
 
 
 class TestConfig:
@@ -213,6 +215,33 @@ class TestReportFormat:
         }
         echoed = {key[4:]: value for key, value in header.items() if key.startswith("tol_")}
         assert echoed == {key: format(value, ".17g") for key, value in in_force.items()}
+
+
+class TestWitnessRule:
+    def test_preservation_witness_on_the_boundary_fails_its_row(self, monkeypatch):
+        # a preservation witness must map outside the cone; a boundary image
+        # fails the row in the run exactly as replay fails it
+        def boundary_witness(a, cone, seed):
+            u0 = cone.axis
+            other = np.roll(u0, 1) - (np.roll(u0, 1) @ u0) * u0
+            image = u0 + other / np.linalg.norm(other)   # 45 degrees from the axis
+            return Verdict("preserves_positivity", VerdictStatus.CERTIFIED_FALSE,
+                           margin=-1.0, witness=np.linalg.solve(a.matrix, image), seed=seed)
+
+        monkeypatch.setattr(harness, "preserves_positivity", boundary_witness)
+        report = run(ExperimentConfig(kind="pf_verify", seed=31,
+                                      params={"dims": [3], "flavors": ["generic"],
+                                              "instances_per_flavor": 2}))
+        assert len(report.rows) == 2
+        for row in report.rows:
+            instance = generate_instance("generic", 3, int(row[6]))
+            cone = AxisCone(top_eigen(instance)[1])
+            image = instance.apply(np.array([float(x) for x in row[5].split()]))
+            assert cone.classify(image) is Region.BOUNDARY
+            assert row[2:4] == ["preserves_positivity", "CertifiedFalse"]
+            assert row[-1] == "0"
+        _, results = replay(report.render(timestamp=False))
+        assert [r.reproduced for r in results] == [False, False]
 
 
 class TestReplay:

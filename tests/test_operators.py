@@ -12,7 +12,6 @@ from axiscone.errors import (
     NonConvergence,
 )
 from axiscone.operators import (
-    ComplexOperator,
     SymmetricOperator,
     checked_eigh,
     correspondence_check,
@@ -276,12 +275,6 @@ class TestHeatSemigroup:
         op = SymmetricOperator(np.diag([-800.0, 0.0, 1.0]))
         with pytest.raises(NonConvergence, match="non-finite"):
             heat_semigroup(op, 1.0)
-
-
-class TestComplexOperator:
-    def test_from_matrix_parts(self):
-        ext = ComplexOperator.from_matrix(np.array([[1.0 + 2.0j, 0.0], [0.0, 1.0]]))
-        assert ext.imag_part[0, 0] == 2.0
 
 
 class TestCorrespondence:

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from axiscone.operators import (
 )
 from axiscone.perturbation import (
     C_MAX,
+    PerturbationBudget,
     PerturbationFamily,
     certified_improving_under_drift,
     drift_certificate_lhs,
@@ -353,6 +355,13 @@ class TestPerturbationFamily:
         assert operator.matrix.tobytes() == SymmetricOperator(total).matrix.tobytes()
         assert not operator.matrix.flags.writeable
 
+    def test_overflowing_power_raises_value_error(self):
+        fam = PerturbationFamily([np.eye(2), np.eye(2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="finite"):
+                fam.operator_at(1e200)
+
     def test_threshold_builds_each_operator_once(self, monkeypatch):
         counts = {"operator_at": 0}
         original = PerturbationFamily.operator_at
@@ -490,6 +499,38 @@ class TestDriftedAxisAgainstContour:
             assert abs(np.linalg.norm(v - u0) - drift) <= self.TOL
 
 
+class TestBudgetOffTheGrid:
+    """c(kappa) and T + S(kappa) at a kappa the grid does not hold."""
+
+    @staticmethod
+    def probe():
+        # S(kappa) = (kappa - kappa^2) M vanishes at 1 and is small on [0, 1], so
+        # interpolating c over the grid [-1, 0, 1] reads 0 at kappa = 1/2
+        t = SymmetricOperator(np.diag([0.0, 1.0]))
+        swap = [[0.0, 1.0], [1.0, 0.0]]
+        family = PerturbationFamily([swap, -np.array(swap)])
+        return semigroup_threshold(t, family, s0=math.log(2.0), kappa0=1.5,
+                                   kappa_grid=[-1.0, 0.0, 1.0])
+
+    def test_c_is_exact_between_grid_points(self):
+        budget = self.probe()
+        assert budget.epsilon == 0.5
+        assert budget.c_at(0.5) == 0.5   # ||S(1/2)|| / epsilon = (1/4) / (1/2)
+        assert budget.c_at(1.0) == budget.c_values[2] == 0.0
+        assert not budget.is_admissible(0.5)
+
+    def test_sweep_rejects_the_probe_as_a_usage_error(self):
+        with pytest.raises(ValueError, match="kappa=0.5 is not admissible"):
+            end_to_end_semigroup_check(self.probe(), [0.1], kappas=[0.5])
+
+    def test_operator_off_the_grid_is_built_fresh(self):
+        budget = self.probe()
+        built = budget.operator_at(0.5)
+        assert built is not budget.operator_at(0.5)
+        expected = budget.T + budget.family.operator_at(0.5)
+        assert built.matrix.tobytes() == expected.matrix.tobytes()
+
+
 class TestEndToEnd:
     def test_reference_sweep_all_true(self):
         t, s = swap_instance()
@@ -497,7 +538,7 @@ class TestEndToEnd:
         budget = semigroup_threshold(t, s, s0=s0, kappa0=0.5,
                                      kappa_grid=np.linspace(-0.45, 0.45, 41))
         report = end_to_end_semigroup_check(
-            t, s, budget, s_samples=[s0 / 4, s0 / 2, s0], kappas=[0.04]
+            budget, s_samples=[s0 / 4, s0 / 2, s0], kappas=[0.04]
         )
         assert report.all_true
         assert all(row.verdict.is_true for row in report.rows)
@@ -508,7 +549,7 @@ class TestEndToEnd:
         s0 = math.log(2.0)
         budget = semigroup_threshold(t, s, s0=s0, kappa0=0.5, kappa_grid=[0.0])
         report = end_to_end_semigroup_check(
-            t, s, budget, s_samples=[s0 / 3, s0], kappas=[0.0]
+            budget, s_samples=[s0 / 3, s0], kappas=[0.0]
         )
         assert all(
             row.verdict.status is VerdictStatus.CERTIFIED_TRUE for row in report.rows
@@ -518,7 +559,7 @@ class TestEndToEnd:
         t, s = swap_instance()
         budget = semigroup_threshold(t, s, s0=1.0, kappa0=0.5, kappa_grid=[0.0])
         with pytest.raises(ValueError, match="identity"):
-            end_to_end_semigroup_check(t, s, budget, s_samples=[0.0], kappas=[0.0])
+            end_to_end_semigroup_check(budget, s_samples=[0.0], kappas=[0.0])
 
     @pytest.mark.parametrize("s_value, message", [
         (0.0, "s=0.0 must be positive"),
@@ -528,19 +569,18 @@ class TestEndToEnd:
         t, s = swap_instance()
         budget = semigroup_threshold(t, s, s0=1.0, kappa0=0.5, kappa_grid=[0.0])
         with pytest.raises(ValueError, match=re.escape(message)):
-            end_to_end_semigroup_check(t, s, budget, s_samples=[s_value], kappas=[0.0])
+            end_to_end_semigroup_check(budget, s_samples=[s_value], kappas=[0.0])
 
-    def sweep_instance(self):
+    def sweep_budget(self):
         t = gapped_instance(3, 6)
         g = rng_for(3, 41).standard_normal((6, 6))
         s_mat = SymmetricOperator((g + g.T) / 2.0)
         s_spec = PerturbationFamily([(0.05 / s_mat.norm) * s_mat])
-        budget = semigroup_threshold(t, s_spec, s0=math.log(2.0), kappa0=1.0,
-                                     kappa_grid=np.linspace(-0.9, 0.9, 7))
-        return t, s_spec, budget
+        return semigroup_threshold(t, s_spec, s0=math.log(2.0), kappa0=1.0,
+                                   kappa_grid=np.linspace(-0.9, 0.9, 7))
 
     def test_semigroups_cost_no_eigh(self, monkeypatch):
-        t, s_spec, budget = self.sweep_instance()
+        budget = self.sweep_budget()
         kappas = [0.0, 0.3, 0.6]
         calls = []
         eigh = np.linalg.eigh
@@ -548,35 +588,35 @@ class TestEndToEnd:
         counts = []
         for s_samples in ([0.1], [0.1, 0.2, 0.3, 0.5, math.log(2.0)]):
             calls.clear()
-            report = end_to_end_semigroup_check(t, s_spec, budget, s_samples, kappas=kappas)
+            report = end_to_end_semigroup_check(budget, s_samples, kappas=kappas)
             assert len(report.rows) == len(kappas) * len(s_samples)
             counts.append(len(calls))
         # none for kappa = 0 (T's own spectrum) or for the grid point 0.6, whose
         # spectrum the budget holds; one for 0.3, which is not bit-equal to the
         # grid's 0.29999999999999993; none per semigroup
-        assert 0.6 in budget.decompositions and 0.3 not in budget.kappas
+        assert 0.6 in budget.operators and 0.3 not in budget.kappas
         assert counts == [1, 1]
 
     def test_sweep_makes_no_eigvalsh_call(self, monkeypatch):
         # the spectral ratio comes from the checked spectrum, not a compression
-        t, s_spec, budget = self.sweep_instance()
+        budget = self.sweep_budget()
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda *a, **k: calls.append(a) or eigvalsh(*a, **k))
-        report = end_to_end_semigroup_check(t, s_spec, budget, [0.1, 0.3, math.log(2.0)],
+        report = end_to_end_semigroup_check(budget, [0.1, 0.3, math.log(2.0)],
                                             kappas=[-0.3, 0.0, 0.3, 0.6])
         assert len(report.rows) == 12 and report.all_true
         run(ExperimentConfig(kind="perturb_sweep", seed=0, params={}))
         assert calls == []
 
     def test_one_restricted_top_per_perturbed_row(self, monkeypatch):
-        t, s_spec, budget = self.sweep_instance()
+        budget = self.sweep_budget()
         calls = []
         for module in (perturbation, positivity):
             monkeypatch.setattr(module, "restricted_top",
                                 lambda A, u0: calls.append(A) or restricted_top(A, u0))
-        report = end_to_end_semigroup_check(t, s_spec, budget, [0.1, 0.3, math.log(2.0)],
+        report = end_to_end_semigroup_check(budget, [0.1, 0.3, math.log(2.0)],
                                             kappas=[-0.3, 0.3, 0.6])
         assert len(calls) == len(report.rows) == 9
         assert all(row.verdict.status is VerdictStatus.CERTIFIED_TRUE for row in report.rows)
@@ -584,7 +624,7 @@ class TestEndToEnd:
     def test_perturbed_rows_go_through_the_public_drift_verdict(self, monkeypatch):
         # the tracer counts this function by name: every kappa != 0 row must
         # reach it once, and the kappa = 0 rows never
-        t, s_spec, budget = self.sweep_instance()
+        budget = self.sweep_budget()
         original = perturbation.certified_improving_under_drift
         verdicts = []
 
@@ -593,7 +633,7 @@ class TestEndToEnd:
             return verdicts[-1]
 
         monkeypatch.setattr(perturbation, "certified_improving_under_drift", counting)
-        report = end_to_end_semigroup_check(t, s_spec, budget, [0.1, 0.3],
+        report = end_to_end_semigroup_check(budget, [0.1, 0.3],
                                             kappas=[0.0, 0.3, 0.6])
         perturbed = [row.verdict for row in report.rows if row.kappa != 0.0]
         assert len(report.rows) == 6 and len(perturbed) == 4
@@ -604,14 +644,14 @@ class TestEndToEnd:
         t, s = swap_instance()
         budget = semigroup_threshold(t, s, s0=1.0, kappa0=0.5, kappa_grid=[0.0])
         with pytest.raises(ValueError, match="outside theorem scope"):
-            end_to_end_semigroup_check(t, s, budget, s_samples=[1.5], kappas=[0.0])
+            end_to_end_semigroup_check(budget, s_samples=[1.5], kappas=[0.0])
 
     def test_inadmissible_kappa_rejected(self):
         t, s = swap_instance()
         budget = semigroup_threshold(t, s, s0=math.log(2.0), kappa0=0.5,
                                      kappa_grid=np.linspace(-0.45, 0.45, 41))
         with pytest.raises(ValueError, match="admissible"):
-            end_to_end_semigroup_check(t, s, budget, s_samples=[0.1], kappas=[0.3])
+            end_to_end_semigroup_check(budget, s_samples=[0.1], kappas=[0.3])
 
 
 def count_eigh(monkeypatch):
@@ -693,16 +733,22 @@ class TestDecompositionReuse:
             on_grid = [float(k) for k in budget.kappas[budget.admissible]]
             off_grid = [0.9 * k for k in on_grid if k != 0.0]
             for kappas in (None, [0.0], sorted(set(on_grid[:2] + off_grid[:2] + [0.0]))):
+                swept = on_grid if kappas is None else kappas
+                # off a degree-2 grid each c(kappa) call decomposes S(kappa) for its
+                # norm, and the two sweeps call it unequally often: read c from a
+                # table so that the counts below are the T + S(kappa) decompositions
+                c_table = {k: budget.c_at(k) for k in swept}
+                monkeypatch.setattr(PerturbationBudget, "c_at",
+                                    lambda self, kappa: c_table[float(kappa)])
                 calls = count_eigh(monkeypatch)
                 expected = sweep_by_rebuild(t, s_spec, budget, self.S_SAMPLES, kappas)
                 rebuilt = len(calls)
                 calls.clear()
-                report = end_to_end_semigroup_check(t, s_spec, budget, self.S_SAMPLES, kappas)
+                report = end_to_end_semigroup_check(budget, self.S_SAMPLES, kappas)
                 monkeypatch.undo()
                 assert_rows_bit_equal(report.rows, expected)
-                swept = on_grid if kappas is None else kappas
-                # no eigh for kappa = 0 or for a kappa whose spectrum the budget holds
-                assert rebuilt - len(calls) == sum(k == 0.0 or k in budget.decompositions
+                # no eigh for kappa = 0 or for a kappa whose operator the budget holds
+                assert rebuilt - len(calls) == sum(k == 0.0 or k in budget.operators
                                                    for k in swept)
                 checked += 1
         assert checked >= 15
@@ -722,7 +768,7 @@ class TestDecompositionReuse:
         expected = sweep_by_rebuild(t, s, budget, self.S_SAMPLES)
         rebuilt = len(calls)
         calls.clear()
-        report = end_to_end_semigroup_check(t, s, budget, self.S_SAMPLES)
+        report = end_to_end_semigroup_check(budget, self.S_SAMPLES)
         monkeypatch.undo()
         assert rebuilt - len(calls) == 3   # T + S(kappa) at -0.03, 0.0 and 0.03
         assert_rows_bit_equal(report.rows, expected)
@@ -731,26 +777,10 @@ class TestDecompositionReuse:
         model = MagneticModel.from_functions(GridSpec(4, 0.5), lambda x: x * x,
                                              lambda x: math.exp(-x * x), 0.0)
         report = magnetic_experiment(model, e_grid=np.linspace(-0.008, 0.008, 5), s0=0.5)
-        t, family = report.budget.source
-        assert family.degree == 2 and len(report.budget.decompositions) == 4
+        t, family = report.budget.T, report.budget.family
+        assert family.degree == 2 and len(report.budget.operators) == 4
         assert_rows_bit_equal(report.sweep.rows, sweep_by_rebuild(
             t, family, report.budget, [0.125, 0.25, 0.5]))
-
-    def test_budget_of_other_operators_is_not_reused(self, monkeypatch):
-        t, s = swap_instance()
-        budget = semigroup_threshold(t, s, s0=math.log(2.0), kappa0=0.5,
-                                     kappa_grid=np.linspace(-0.045, 0.045, 7))
-        assert len(budget.decompositions) == 6
-        copy = SymmetricOperator(t.matrix)
-        bottom_eigen(copy)   # decomposed before counting, as t is
-        calls = count_eigh(monkeypatch)
-        expected = sweep_by_rebuild(t, s, budget, self.S_SAMPLES)
-        rebuilt = len(calls)
-        calls.clear()
-        report = end_to_end_semigroup_check(copy, s, budget, self.S_SAMPLES)
-        monkeypatch.undo()
-        assert rebuilt - len(calls) == 1   # only kappa = 0, which is the copy itself
-        assert_rows_bit_equal(report.rows, expected)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_held_spectra_are_exactly_the_admissible_grid_points(self, seed):
@@ -760,11 +790,17 @@ class TestDecompositionReuse:
         admissible = {float(k) for k in budget.kappas[budget.admissible] if k != 0.0}
         # a point dropped while the grid loop ran never comes back, so this also
         # says that no point that ends admissible was dropped on the way
-        assert set(budget.decompositions) == admissible
-        for kappa, held in budget.decompositions.items():
-            fresh = (t + s_spec.operator_at(kappa)).decomposition
-            assert held.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
-            assert held.eigenvectors.tobytes() == fresh.eigenvectors.tobytes()
+        assert set(budget.operators) == admissible
+        assert budget.operator_at(0.0) is t
+        for kappa, held in budget.operators.items():
+            assert budget.operator_at(kappa) is held
+            assert held._decomposition is not None   # checked while the grid loop ran
+            fresh = t + s_spec.operator_at(kappa)
+            assert held.matrix.tobytes() == fresh.matrix.tobytes()
+            assert held.decomposition.eigenvalues.tobytes() == \
+                fresh.decomposition.eigenvalues.tobytes()
+            assert held.decomposition.eigenvectors.tobytes() == \
+                fresh.decomposition.eigenvectors.tobytes()
         assert budget.c_threshold < C_MAX
 
     def test_retention_bound_is_the_alpha_zero_threshold(self):

@@ -84,7 +84,7 @@ class TestRealStructure:
         rs = RealStructure(grid)
         rng = rng_for(3, 0)
         random = rng.standard_normal((11, 11)) + 1j * rng.standard_normal((11, 11))
-        magnetic = build_magnetic(harmonic_model(5, 0.5, coupling=0.3)).matrix
+        magnetic = build_magnetic(harmonic_model(5, 0.5, coupling=0.3))
         for h in (random, magnetic):
             reference = 0.0
             for k in range(grid.dim):
@@ -101,11 +101,11 @@ class TestBuildH0:
         model = MagneticModel.from_functions(GridSpec(1, 1.0), lambda x: 0.0,
                                              lambda x: 0.0, 0.0)
         expected = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
-        np.testing.assert_array_equal(build_h0(model).matrix.real, expected)
+        np.testing.assert_array_equal(build_h0(model).real, expected)
 
     def test_harmonic_diagonal(self):
         model = harmonic_model(2, 0.5)
-        h0 = build_h0(model).matrix.real
+        h0 = build_h0(model).real
         x = model.grid.points
         np.testing.assert_allclose(np.diag(h0), 2.0 / 0.25 + x**2)
 
@@ -114,7 +114,7 @@ class TestBuildH0:
         h0c = build_h0(harmonic_model())
         # in the complex representation the free Hamiltonian is a real
         # irreducible Jacobi matrix: simple bottom, entrywise-positive ground
-        w, u = np.linalg.eigh(h0c.matrix)
+        w, u = np.linalg.eigh(h0c)
         assert w[1] - w[0] > 1e-6
         ground = u[:, 0].real
         ground *= np.sign(ground[np.argmax(np.abs(ground))])
@@ -125,10 +125,16 @@ class TestBuildH0:
 
 
 class TestBuildMagnetic:
+    def test_terms_are_read_only_complex_arrays(self):
+        model = harmonic_model(3, 0.5, coupling=0.2)
+        for term in (*magnetic_terms(model), build_h0(model), build_magnetic(model)):
+            assert isinstance(term, np.ndarray) and term.dtype == complex
+            assert term.shape == (model.grid.dim, model.grid.dim)
+            assert not term.flags.writeable
+
     def test_zero_coupling_equals_h0(self):
         model = harmonic_model(coupling=0.0)
-        np.testing.assert_array_equal(build_magnetic(model).matrix,
-                                      build_h0(model).matrix)
+        np.testing.assert_array_equal(build_magnetic(model), build_h0(model))
 
     def test_hand_checkable_3x3(self):
         model = MagneticModel.from_functions(GridSpec(1, 1.0), lambda x: 0.0,
@@ -139,14 +145,14 @@ class TestBuildMagnetic:
             [-1.0 + 1.0j, 3.0, -1.0 - 1.0j],
             [0.0, -1.0 + 1.0j, 3.0],
         ])
-        np.testing.assert_allclose(h.matrix, expected, atol=1e-14)
-        assert is_hermitian(h.matrix)
+        np.testing.assert_allclose(h, expected, atol=1e-14)
+        assert is_hermitian(h)
 
     def test_commutation_residual_small(self):
         model = harmonic_model(coupling=0.1)
         rs = RealStructure(model.grid)
         h = build_magnetic(model)
-        scale = np.max(np.abs(h.matrix))
+        scale = np.max(np.abs(h))
         assert rs.commutation_residual(h) <= 1e-12 * scale
 
 
@@ -162,10 +168,7 @@ class TestRestrictToReal:
     def test_diagonal_even_stays_diagonal(self):
         grid = GridSpec(2, 1.0)
         values = np.array([3.0, 1.0, 5.0, 1.0, 3.0])
-        from axiscone.operators import ComplexOperator
-
-        h = ComplexOperator.from_matrix(np.diag(values).astype(complex))
-        restricted = restrict_to_real(h, RealStructure(grid))
+        restricted = restrict_to_real(np.diag(values).astype(complex), RealStructure(grid))
         off = restricted.matrix - np.diag(np.diag(restricted.matrix))
         assert np.max(np.abs(off)) <= 1e-14
         np.testing.assert_allclose(np.sort(np.diag(restricted.matrix)),
@@ -190,15 +193,13 @@ class TestRestrictToReal:
         restricted = restrict_to_real(h, rs)
         np.testing.assert_allclose(
             restricted.decomposition.eigenvalues,
-            np.sort(np.linalg.eigvalsh(h.matrix)),
+            np.sort(np.linalg.eigvalsh(h)),
             atol=1e-9,
         )
 
     def test_incompatible_operator_rejected(self):
         grid = GridSpec(1, 1.0)
-        from axiscone.operators import ComplexOperator
-
-        odd_diag = ComplexOperator.from_matrix(np.diag([1.0, 0.0, 2.0]).astype(complex))
+        odd_diag = np.diag([1.0, 0.0, 2.0]).astype(complex)
         with pytest.raises(NotRealCompatible):
             restrict_to_real(odd_diag, RealStructure(grid))
 
