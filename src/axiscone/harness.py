@@ -219,11 +219,21 @@ def _validate_perturb(params):
     if "t" in params:
         for key in ("t", "s"):
             m = params[key]
-            if not (isinstance(m, list) and m and all(
-                    isinstance(r, list) and all(_is_number(x) for x in r) for r in m)):
-                raise ConfigInvalid(key, "must be a matrix as list of rows of finite numbers")
+            not_finite = ConfigInvalid(key, "must be a matrix as list of rows of finite numbers")
+            # one pass over the entry types (bool is not a number), then one over the values
+            if not (isinstance(m, list) and m and all(isinstance(r, list) for r in m)
+                    and set(map(type, itertools.chain.from_iterable(m))) <= {int, float}):
+                raise not_finite
             try:
-                matrix = np.array(m, dtype=float)
+                entries = np.array(list(itertools.chain.from_iterable(m)), dtype=float)
+            except OverflowError:   # an integer beyond float range
+                raise not_finite from None
+            if not np.all(np.isfinite(entries)):
+                raise not_finite
+            try:
+                if len({len(r) for r in m}) > 1:
+                    np.array(m, dtype=float)   # ragged rows: numpy's ValueError names the shape
+                matrix = entries.reshape(len(m), len(m[0]))
                 if np.abs(matrix).max(initial=0.0) > tolerances.SCALE_LIMIT:
                     raise ConfigInvalid(key, f"|entries| must be <= {tolerances.SCALE_LIMIT:g}")
                 SymmetricOperator(matrix)  # square, and symmetric to TAU_SYM

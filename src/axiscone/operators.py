@@ -9,7 +9,9 @@ spectra, for the sweep to reuse.  A heat semigroup derives its spectrum from
 its generator's, a drifted ground axis (perturbation.drifted_axis) is its
 generator's bottom eigenvector, and the top eigenvalue on an axis complement
 is bounded from the same spectrum (restricted_top), so no linear system is
-solved and no compression is decomposed.  All returned arrays are read-only.
+solved and no compression is decomposed.  Where only a lower bound on a
+spectral gap is needed, one Cholesky factorization certifies it (gap_exceeds)
+and nothing is decomposed.  All returned arrays are read-only.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +30,7 @@ from .seeding import rng_for
 from .tolerances import CORRESPONDENCE_TOL, RECON_TOL, TAU_GAP, TAU_SYM
 
 CORRESPONDENCE_SAMPLES = 32   # random complex vectors in the Rayleigh clause (vii)
+UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
 def as_vector(entries):
@@ -194,6 +197,38 @@ def spectral_decompose(A):
     w.setflags(write=False)
     q.setflags(write=False)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=q)
+
+
+def gap_exceeds(A, x, floor, frobenius_bound):
+    """True when one Cholesky factorization proves lambda_1(A) - lambda_0(A) > floor.
+
+    x is any vector, ideally near A's bottom eigenvector, floor >= 0 and
+    frobenius_bound >= ||A||_F.  With x normalized, rho = x^T A x >=
+    lambda_0(A); put sigma = rho + floor + guard and beta = 2 (sigma - rho) + 1.
+    A Cholesky factorization of M = A + beta x x^T - sigma I that succeeds
+    shows lambda_0(A + beta x x^T) > sigma - guard, and rank-one interlacing
+    gives lambda_1(A) >= lambda_0(A + beta x x^T).  The guard covers the
+    factorization's backward error (Demmel) and the rounding of rho, sigma
+    and M, so the proof holds in floating point.  False proves nothing.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(x))
+        if not 0.0 < norm < np.inf:
+            return False
+        x = x / norm
+        rho = float(x @ A.apply(x))
+        # numerical guard: 8 (n + 2)^2 u (||A||_F + |rho| + floor + 1)
+        guard = 8.0 * (A.dim + 2) ** 2 * UNIT_ROUNDOFF * (frobenius_bound + abs(rho) + floor + 1.0)
+        sigma = rho + floor + guard
+        m = A.matrix + (2.0 * (sigma - rho) + 1.0) * np.outer(x, x)
+        m[np.diag_indices(A.dim)] -= sigma
+    if not np.all(np.isfinite(m)):   # a NaN or inf can pass the factorization
+        return False
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _fix_sign(u):

@@ -10,7 +10,10 @@ below r.  The budget owns that problem: it holds T, the family S and the
 checked operators at its admissible grid points, builds T + S(kappa) in one
 place (PerturbationBudget.operator_at), and bounds c(kappa) at every kappa,
 on the grid or off it (PerturbationBudget.c_at); the end-to-end sweep takes
-the budget alone.
+the budget alone.  The budget's gap delta needs a spectrum only where a grid
+point's gap may set it or where the sweep will use the point; every other
+grid point's gap is certified above the running minimum by one Cholesky
+factorization (operators.gap_exceeds).
 """
 
 import math
@@ -30,6 +33,7 @@ from .operators import (
     SymmetricOperator,
     as_vector,
     bottom_eigen,
+    gap_exceeds,
     heat_semigroup,
     restricted_top,
     top_eigen,
@@ -51,6 +55,7 @@ from .tolerances import (
     DRIFT_CERT_TOL,
     GAP_COLLAPSE_TOL,
     RADIUS_RECOMPUTE_TOL,
+    RECON_TOL,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -260,7 +265,7 @@ class PerturbationBudget:
     c_threshold: float
     kappa0: float
     kappas: np.ndarray
-    gaps: np.ndarray
+    gaps: np.ndarray   # checked gaps, and certified lower bounds where a Cholesky proved one
     a_values: np.ndarray
     b_values: np.ndarray
     c_values: np.ndarray
@@ -269,6 +274,8 @@ class PerturbationBudget:
     c_slope: float | None = None
     # checked T + S(kappa) at the admissible nonzero grid kappas; not part of the report
     operators: dict = field(default_factory=dict, repr=False)
+    # c(kappa) at the off-grid kappas asked so far, for a family of degree >= 2
+    _c_off_grid: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         recomputed = radius_from_alpha(self.alpha)
@@ -286,14 +293,18 @@ class PerturbationBudget:
 
     def c_at(self, kappa):
         """c(kappa) = c_slope |kappa| for a linear family; otherwise the grid value
-        at a grid point and the exact a(kappa), b(kappa) anywhere else."""
+        at a grid point and the exact a(kappa), b(kappa) anywhere else, where
+        S(kappa) is decomposed once per budget for its norm."""
         if self.c_slope is not None:
             return self.c_slope * abs(kappa)
         on_grid = np.flatnonzero(self.kappas == kappa)
         if on_grid.size:
             return float(self.c_values[on_grid[0]])
-        return float(_c_values(self.mu, self.epsilon, self.family.a_at(kappa),
-                               self.family.b_at(kappa)))
+        kappa = float(kappa)
+        if kappa not in self._c_off_grid:
+            self._c_off_grid[kappa] = float(_c_values(
+                self.mu, self.epsilon, self.family.a_at(kappa), self.family.b_at(kappa)))
+        return self._c_off_grid[kappa]
 
     def is_admissible(self, kappa):
         return abs(kappa) < self.kappa0 and self.c_at(kappa) < self.c_threshold
@@ -323,13 +334,23 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
     1 - exp(-s0 delta) feeds the drift radius r; admissible kappas satisfy
     c(kappa) < f(r).
 
-    Each distinct operator is decomposed once: kappa = 0 reads T's own
-    spectrum (S has no constant term, so S(0) = 0 and b(0) = 0).  The
-    checked operator T + S(kappa) is held only while the point can still
-    become admissible: with a, b >= 0, c(kappa) only grows as epsilon
-    shrinks with each new gap, so a point is dropped once |kappa| >= kappa0
-    or c(kappa) at the running epsilon reaches C_MAX.  The budget keeps the
-    operators of its admissible grid points, which budget.operator_at returns.
+    kappa = 0 reads T's own spectrum (S has no constant term, so S(0) = 0
+    and b(0) = 0).  The grid is visited in ascending order of estimated gap
+    (_gap_estimates).  A point is decomposed if its gap may set delta (its
+    estimate is within 2 eta of the one where the running minimum delta_run
+    was read) or if it is admissible at delta_run, so the sweep needs its
+    spectrum.  Any other point gets one Cholesky factorization
+    (operators.gap_exceeds) proving its gap above delta_run + eta, and that
+    certified lower bound is stored as its gap; a failed certificate
+    decomposes the point.  A checked gap lies within eta of the true one, so
+    delta is the minimum of the checked gaps bit for bit, as if every point
+    had been decomposed.
+
+    T + S(kappa) is held only while the point can still become admissible:
+    with a, b >= 0, c(kappa) only grows as epsilon shrinks with each new
+    gap, so a point is dropped once |kappa| >= kappa0 or c(kappa) at the
+    running epsilon reaches C_MAX.  The budget keeps the checked operators
+    of its admissible grid points, which budget.operator_at returns.
     """
     if s0 <= 0:
         raise ValueError("s0 must be positive")
@@ -339,29 +360,51 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
     if kappas.size == 0:
         raise ValueError("kappa grid must be nonempty")
     mu, _, _ = bottom_eigen(T, require_simple=True)
+    if T.dim < 2:
+        raise DegenerateBottom("need dimension >= 2 for a spectral gap")
 
     gaps = np.empty(kappas.size)
     a_values = np.zeros(kappas.size)
     b_values = np.zeros(kappas.size)
-    held = {}   # grid index -> checked T + S(kappa)
-    for i, kappa in enumerate(kappas):
+    estimates = np.zeros(kappas.size)   # a grid of zeros reads T alone
+    if np.any(kappas):
+        estimates, bottoms, frobenius, etas = _gap_estimates(T, family, kappas)
+    # smallest checked gap so far, the estimate at its point, and f(r) there
+    delta_run, estimate_run, c_threshold_run = math.inf, math.inf, 0.0
+    held = {}   # grid index -> T + S(kappa)
+    for i in np.argsort(estimates, kind="stable"):
+        kappa = kappas[i]
         if kappa == 0.0:
-            t_kappa = T
+            eigs = T.decomposition.eigenvalues
+            gaps[i] = float(eigs[1] - eigs[0])
         else:
             s_kappa = family.operator_at(kappa)
             t_kappa = T + s_kappa
             a_values[i] = family.a_at(kappa)
             b_values[i] = family.b_at(kappa, s_kappa)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                c_kappa = _c_values(mu, delta_run / 2.0, a_values[i], b_values[i])
             if abs(kappa) < kappa0:
                 held[i] = t_kappa
-        eigs = t_kappa.decomposition.eigenvalues
-        if eigs.size < 2:
-            raise DegenerateBottom("need dimension >= 2 for a spectral gap")
-        gaps[i] = float(eigs[1] - eigs[0])
+            floor = delta_run + etas[i]
+            # decompose a point admissible at delta_run, and one whose gap may set
+            # delta; certify the rest, and decompose where the certificate fails
+            if (i in held and c_kappa < c_threshold_run
+                    or not estimates[i] > estimate_run + 2.0 * etas[i]
+                    or not gap_exceeds(t_kappa, bottoms[i], floor, frobenius[i])):
+                eigs = t_kappa.decomposition.eigenvalues
+                gaps[i] = float(eigs[1] - eigs[0])
+            else:
+                gaps[i] = floor   # certified lower bound: gap > delta_run + eta
+        if gaps[i] < delta_run:
+            delta_run, estimate_run = float(gaps[i]), estimates[i]
+            alpha_run = 1.0 - math.exp(-s0 * delta_run)
+            c_threshold_run = (improvement_threshold(radius_from_alpha(alpha_run))
+                               if alpha_run < 1.0 else 0.0)
         if held:
             # a collapsed gap gives inf or nan here and drops every point
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                c_run = _c_values(mu, float(np.min(gaps[:i + 1])) / 2.0, a_values, b_values)
+                c_run = _c_values(mu, delta_run / 2.0, a_values, b_values)
             held = {j: op for j, op in held.items() if c_run[j] < C_MAX}
 
     delta = float(np.min(gaps))
@@ -390,14 +433,48 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
                 kappa_threshold = float(mag)
             else:
                 break
+    operators = {float(kappas[j]): held[j] for j in sorted(held) if admissible[j]}
+    for op in operators.values():
+        op.decomposition   # checked here, so the sweep decomposes none of them
     return PerturbationBudget(
         T=T, family=family, mu=mu, delta=delta, epsilon=epsilon, s0=float(s0),
         alpha=alpha, r=r, c_threshold=c_threshold, kappa0=float(kappa0),
         kappas=kappas, gaps=gaps, a_values=a_values, b_values=b_values,
         c_values=c_values, admissible=admissible, kappa_threshold=kappa_threshold,
         c_slope=slope,
-        operators={float(kappas[j]): op for j, op in held.items() if admissible[j]},
+        operators=operators,
     )
+
+
+def _gap_estimates(T, family, kappas):
+    """What the grid loop of semigroup_threshold needs to certify a gap.
+
+    From T's checked spectrum (Q, w) and p_jk = Q^T S_j q_k (k = 0, 1), per
+    kappa: the second-order estimate of the gap of A = T + S(kappa), which
+    orders the grid and gates the certificates but decides nothing; the
+    first-order bottom vector q_0 - sum_j kappa^j (T - w_0)^+ S_j q_0; the bound
+    ||T||_F + sum_j |kappa|^j ||S_j||_F on ||A||_F; and eta = 5 RECON_TOL
+    max(1, that bound), which a checked gap of A cannot stray beyond from the
+    true gap.
+    """
+    if family.coefficients[0].dim != T.dim:
+        raise ValueError("dimension mismatch")
+    w, q = T.decomposition.eigenvalues, T.decomposition.eigenvectors
+    p0 = np.array([q.T @ s.apply(q[:, 0]) for s in family.coefficients])
+    p1 = np.array([q.T @ s.apply(q[:, 1]) for s in family.coefficients])
+    norms = [float(np.linalg.norm(s.matrix)) for s in family.coefficients]
+    # a degenerate w_1 or a huge kappa leaves inf or nan: no certificate is tried
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r0, r1 = 1.0 / (w - w[0]), 1.0 / (w - w[1])   # reduced resolvents at w_0, w_1
+        r0[0] = r1[1] = 0.0
+        powers = kappas[:, None] ** np.arange(1, family.degree + 1)
+        curvature = (p1 * r1) @ p1.T - (p0 * r0) @ p0.T
+        estimates = ((w[1] - w[0]) + powers @ (p1[:, 1] - p0[:, 0])
+                     - np.einsum("kj,jl,kl->k", powers, curvature, powers))
+        bottoms = q[:, 0] - powers @ ((p0 * r0) @ q.T)
+        frobenius = float(np.linalg.norm(T.matrix)) + np.abs(powers) @ norms
+        etas = 5.0 * RECON_TOL * np.maximum(1.0, frobenius)
+    return estimates, bottoms, frobenius, etas
 
 
 def _c_values(mu, epsilon, a_values, b_values):

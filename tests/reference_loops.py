@@ -9,8 +9,10 @@ improvement verdict ran before its closed-form S-lemma test;
 `restricted_top` computed before it returned its closed-form bound;
 `probe_by_power_loop` is the block ergodicity probe as it stood before it
 judged its powers in blocks; `sweep_by_rebuild` is the semigroup sweep as it
-stood before the budget held its checked operators.  Tests compare the
-toolkit against them on seeded instances.
+stood before the budget held its checked operators; `threshold_by_decomposing`
+is the budget as it stood before grid gaps were certified by Cholesky, with a
+checked eigh at every nonzero grid point.  Tests compare the toolkit against
+them on seeded instances.
 """
 
 import math
@@ -18,12 +20,18 @@ import math
 import numpy as np
 
 from axiscone.cones import OrthantCone, Region, as_rows, sample_in_cone
+from axiscone.errors import DegenerateBottom, GapCollapsed, RatioSaturated
 from axiscone.operators import bottom_eigen, heat_semigroup, perp_basis
 from axiscone.perturbation import (
+    C_MAX,
+    PerturbationBudget,
     SweepRow,
+    _c_values,
     certified_improving_under_drift,
     drifted_axis,
+    improvement_threshold,
     improving_radius,
+    radius_from_alpha,
 )
 from axiscone.positivity import (
     MAX_POWER,
@@ -35,7 +43,7 @@ from axiscone.positivity import (
     improves_positivity_axis,
 )
 from axiscone.seeding import rng_for
-from axiscone.tolerances import DRIFT_CERT_TOL, TAU_STRICT
+from axiscone.tolerances import DRIFT_CERT_TOL, GAP_COLLAPSE_TOL, TAU_STRICT
 
 
 def one_vector_sample(cone, rng):
@@ -244,3 +252,73 @@ def sweep_by_rebuild(T, S_spec, budget, s_samples, kappas=None):
                 alpha_uniform=budget.alpha,
             ))
     return tuple(rows)
+
+
+def threshold_by_decomposing(T, family, s0, kappa0, kappa_grid):
+    """semigroup_threshold with a checked eigh of T + S(kappa) at every nonzero grid
+    point, visited in grid order; kappa = 0 reads T's spectrum."""
+    if s0 <= 0:
+        raise ValueError("s0 must be positive")
+    if kappa0 <= 0:
+        raise ValueError("kappa0 must be positive")
+    kappas = np.atleast_1d(np.asarray(kappa_grid, dtype=float))
+    if kappas.size == 0:
+        raise ValueError("kappa grid must be nonempty")
+    mu, _, _ = bottom_eigen(T, require_simple=True)
+
+    gaps = np.empty(kappas.size)
+    a_values = np.zeros(kappas.size)
+    b_values = np.zeros(kappas.size)
+    held = {}   # grid index -> checked T + S(kappa)
+    for i, kappa in enumerate(kappas):
+        if kappa == 0.0:
+            t_kappa = T
+        else:
+            s_kappa = family.operator_at(kappa)
+            t_kappa = T + s_kappa
+            a_values[i] = family.a_at(kappa)
+            b_values[i] = family.b_at(kappa, s_kappa)
+            if abs(kappa) < kappa0:
+                held[i] = t_kappa
+        eigs = t_kappa.decomposition.eigenvalues
+        if eigs.size < 2:
+            raise DegenerateBottom("need dimension >= 2 for a spectral gap")
+        gaps[i] = float(eigs[1] - eigs[0])
+        if held:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                c_run = _c_values(mu, float(np.min(gaps[:i + 1])) / 2.0, a_values, b_values)
+            held = {j: op for j, op in held.items() if c_run[j] < C_MAX}
+
+    delta = float(np.min(gaps))
+    if delta <= GAP_COLLAPSE_TOL * max(1.0, T.norm):
+        raise GapCollapsed(f"uniform gap {delta:.3e} collapsed on the grid")
+    epsilon = delta / 2.0
+    alpha = 1.0 - math.exp(-s0 * delta)
+    if alpha >= 1.0:
+        raise RatioSaturated(f"alpha = 1 - exp(-s0 delta) rounds to 1: s0 delta = "
+                             f"{s0 * delta:.6g} (s0 = {s0:g}, gap delta = {delta:.6g})")
+    r = radius_from_alpha(alpha)
+    c_threshold = improvement_threshold(r)
+    c_values = _c_values(mu, epsilon, a_values, b_values)
+    admissible = (np.abs(kappas) < kappa0) & (c_values < c_threshold)
+
+    slope = family.c_slope(mu, epsilon)
+    if slope is not None:
+        kappa_threshold = min(kappa0, math.inf if slope == 0 else c_threshold / slope)
+    else:
+        magnitudes = np.unique(np.abs(kappas))
+        kappa_threshold = 0.0
+        for mag in magnitudes:
+            covered = np.abs(kappas) <= mag
+            if np.all(admissible[covered]):
+                kappa_threshold = float(mag)
+            else:
+                break
+    return PerturbationBudget(
+        T=T, family=family, mu=mu, delta=delta, epsilon=epsilon, s0=float(s0),
+        alpha=alpha, r=r, c_threshold=c_threshold, kappa0=float(kappa0),
+        kappas=kappas, gaps=gaps, a_values=a_values, b_values=b_values,
+        c_values=c_values, admissible=admissible, kappa_threshold=kappa_threshold,
+        c_slope=slope,
+        operators={float(kappas[j]): op for j, op in held.items() if admissible[j]},
+    )

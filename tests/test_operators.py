@@ -15,6 +15,7 @@ from axiscone.operators import (
     SymmetricOperator,
     checked_eigh,
     correspondence_check,
+    gap_exceeds,
     heat_semigroup,
     perp_basis,
     restricted_top,
@@ -199,6 +200,44 @@ class TestTopEigen:
         scale = np.max(np.abs(u_first))
         first_sig = u_first[np.argmax(np.abs(u_first) > 1e-12 * scale)]
         assert first_sig > 0
+
+
+class TestGapCertificate:
+    def test_diagonal_gap_is_bracketed(self):
+        a = SymmetricOperator(np.diag([0.0, 1.0, 2.0]))
+        e0 = np.array([1.0, 0.0, 0.0])
+        bound = float(np.linalg.norm(a.matrix))
+        assert gap_exceeds(a, e0, 0.999999, bound)
+        assert not gap_exceeds(a, e0, 1.0, bound)   # the gap is 1: not above it
+        assert not gap_exceeds(a, e0, 1.5, bound)
+
+    @pytest.mark.parametrize("x, floor, bound", [
+        ([0.0, 0.0, 0.0], 0.5, 3.0), ([np.inf, 0.0, 0.0], 0.5, 3.0),
+        ([np.nan, 1.0, 0.0], 0.5, 3.0), ([1.0, 0.0, 0.0], np.nan, 3.0),
+        ([1.0, 0.0, 0.0], 0.5, np.inf), ([1e300, 0.0, 0.0], 0.5, 1e308)])
+    def test_unusable_input_proves_nothing(self, x, floor, bound):
+        # numpy's Cholesky completes on a NaN or inf matrix, so these must not reach it
+        a = SymmetricOperator(np.diag([0.0, 1.0, 2.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert not gap_exceeds(a, np.array(x), floor, bound)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_a_success_lies_below_the_gap(self, seed):
+        rng = rng_for(seed, 94)
+        dim = int(rng.integers(2, 60))
+        g = rng.standard_normal((dim, dim))
+        a = SymmetricOperator((g + g.T) * 10.0 ** rng.uniform(-3.0, 3.0))
+        w, q = np.linalg.eigh(a.matrix)
+        gap = w[1] - w[0]
+        bound = float(np.linalg.norm(a.matrix))
+        for tilt in (0.0, 1e-6, 1e-3, 0.3):
+            x = q[:, 0] + tilt * rng.standard_normal(dim)
+            for fraction in (0.0, 0.5, 0.99, 0.999999, 1.0, 1.01):
+                if gap_exceeds(a, x, fraction * gap, bound):
+                    assert fraction < 1.0
+        # near the true bottom vector the certificate gets within 1e-6 of the gap
+        assert gap_exceeds(a, q[:, 0], (1.0 - 1e-6) * gap, bound)
 
 
 class TestHeatSemigroup:

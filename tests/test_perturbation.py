@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,11 +19,11 @@ from axiscone import perturbation, positivity
 from axiscone.operators import (
     SymmetricOperator,
     bottom_eigen,
+    gap_exceeds,
     restricted_top,
 )
 from axiscone.perturbation import (
     C_MAX,
-    PerturbationBudget,
     PerturbationFamily,
     certified_improving_under_drift,
     drift_certificate_lhs,
@@ -41,7 +42,12 @@ from axiscone.positivity import VerdictStatus
 from axiscone.seeding import rng_for
 from axiscone.harness import ExperimentConfig, run
 from axiscone.schrodinger import GridSpec, MagneticModel, magnetic_experiment
-from reference_loops import contour_image, drift_check_by_loop, sweep_by_rebuild
+from reference_loops import (
+    contour_image,
+    drift_check_by_loop,
+    sweep_by_rebuild,
+    threshold_by_decomposing,
+)
 
 E1 = np.array([1.0, 0.0])
 SQRT2 = math.sqrt(2.0)
@@ -734,22 +740,30 @@ class TestDecompositionReuse:
             off_grid = [0.9 * k for k in on_grid if k != 0.0]
             for kappas in (None, [0.0], sorted(set(on_grid[:2] + off_grid[:2] + [0.0]))):
                 swept = on_grid if kappas is None else kappas
-                # off a degree-2 grid each c(kappa) call decomposes S(kappa) for its
-                # norm, and the two sweeps call it unequally often: read c from a
-                # table so that the counts below are the T + S(kappa) decompositions
-                c_table = {k: budget.c_at(k) for k in swept}
-                monkeypatch.setattr(PerturbationBudget, "c_at",
-                                    lambda self, kappa: c_table[float(kappa)])
-                calls = count_eigh(monkeypatch)
-                expected = sweep_by_rebuild(t, s_spec, budget, self.S_SAMPLES, kappas)
-                rebuilt = len(calls)
-                calls.clear()
+                # a fresh budget, so that no c(kappa) off the grid is known yet
+                budget = semigroup_threshold(t, s_spec, s0=math.log(2.0), kappa0=kappa0,
+                                             kappa_grid=grid)
+                decomposed = []
+                eigh = np.linalg.eigh
+                monkeypatch.setattr(np.linalg, "eigh",
+                                    lambda m: decomposed.append(m.tobytes()) or eigh(m))
                 report = end_to_end_semigroup_check(budget, self.S_SAMPLES, kappas)
+                swept_calls = len(decomposed)
+                # the budget now knows c off the grid, so the rebuild decomposes no S(kappa)
+                expected = sweep_by_rebuild(t, s_spec, budget, self.S_SAMPLES, kappas)
+                rebuilt = len(decomposed) - swept_calls
                 monkeypatch.undo()
                 assert_rows_bit_equal(report.rows, expected)
-                # no eigh for kappa = 0 or for a kappa whose operator the budget holds
-                assert rebuilt - len(calls) == sum(k == 0.0 or k in budget.operators
-                                                   for k in swept)
+                off = [k for k in swept if k not in budget.kappas]
+                # one eigh of S(kappa) per off-grid kappa of a degree-2 family, however
+                # often the sweep asks for c(kappa), and none on the grid
+                norms = [s_spec.operator_at(k).matrix.tobytes() for k in swept if k != 0.0]
+                assert sum(m in norms for m in decomposed[:swept_calls]) == \
+                    (s_spec.degree > 1) * len(off)
+                # no eigh of T + S(kappa) for kappa = 0 or for a kappa the budget holds
+                assert rebuilt - swept_calls == sum(k == 0.0 or k in budget.operators
+                                                    for k in swept) \
+                    - (s_spec.degree > 1) * len(off)
                 checked += 1
         assert checked >= 15
 
@@ -794,7 +808,7 @@ class TestDecompositionReuse:
         assert budget.operator_at(0.0) is t
         for kappa, held in budget.operators.items():
             assert budget.operator_at(kappa) is held
-            assert held._decomposition is not None   # checked while the grid loop ran
+            assert held._decomposition is not None   # checked before the budget returned
             fresh = t + s_spec.operator_at(kappa)
             assert held.matrix.tobytes() == fresh.matrix.tobytes()
             assert held.decomposition.eigenvalues.tobytes() == \
@@ -808,6 +822,189 @@ class TestDecompositionReuse:
         assert C_MAX == pytest.approx(0.1497, abs=1e-4)
         for alpha in (1e-6, 0.1, 0.5, 0.999):
             assert improvement_threshold(radius_from_alpha(alpha)) < C_MAX
+
+
+def certificate_family(seed):
+    """Seeded T, family, s0, kappa0 and grid over dims 2-39, degrees 1-2 and gaps of T
+    from 1e-6 to 1e-1; seed % 4 picks a shape: 0 generic, 1 a gap minimum inside the
+    grid, 2 gaps tied to within 1e-12 to 1e-6, 3 a degenerate lambda_1(T)."""
+    rng = rng_for(seed, 92)
+    shape = seed % 4
+    dim = int(rng.integers(3 if shape == 3 else 2, 40))
+    gap = 10.0 ** rng.uniform(-6.0, -1.0)
+    rest = np.sort(rng.uniform(gap, gap + 3.0, size=dim - 2))
+    if shape == 3:
+        rest[0] = gap
+    eigs = np.concatenate([[0.0, gap], rest])
+    q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    t = SymmetricOperator((q * eigs) @ q.T)
+    g = rng.standard_normal((dim, dim))
+    noise = (g + g.T) / np.linalg.norm(g + g.T, 2)
+    grid = rng.uniform(-0.5, 0.5, size=int(rng.integers(3, 17)))
+    if rng.random() < 0.5:
+        grid = np.append(grid, 0.0)
+    if shape == 1:
+        # lambda_1 moves by c (kappa^2 - 2 kappa kappa*): the gap is least at kappa*
+        star = float(rng.uniform(-0.3, 0.3))
+        c = float(rng.uniform(0.1, 0.9)) * gap / star**2
+        lift = c * np.outer(q[:, 1], q[:, 1])
+        small = 1e-3 * gap * noise
+        coefficients = [-2.0 * star * lift + small, lift]
+        grid = np.append(grid, [star, np.nextafter(star, 1.0)])
+    elif shape == 2:
+        # the identity moves every eigenvalue alike; the noise splits the gaps
+        coefficients = [np.eye(dim) + 10.0 ** rng.uniform(-12.0, -6.0) * noise]
+    else:
+        coefficients = [gap * 10.0 ** rng.uniform(-2.0, 0.5) * noise]
+    if shape != 1 and rng.random() < 0.5:
+        h = rng.standard_normal((dim, dim))
+        coefficients.append(gap * 10.0 ** rng.uniform(-2.0, 0.5) * (h + h.T)
+                            / np.linalg.norm(h + h.T, 2))
+    rng.shuffle(grid)
+    family = PerturbationFamily(coefficients)
+    return t, family, float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.05, 0.6)), grid
+
+
+def budget_or_error(threshold, t, family, s0, kappa0, grid):
+    try:
+        return threshold(t, family, s0=s0, kappa0=kappa0, kappa_grid=grid)
+    except (GapCollapsed, RatioSaturated, DegenerateBottom) as exc:
+        return type(exc), str(exc)
+
+
+def assert_budgets_bit_equal(got, want):
+    """Every budget field bit for bit, the held operators and their spectra too;
+    a gap the certificate bounded is above delta, as is its checked value."""
+    for name in ("mu", "delta", "epsilon", "s0", "alpha", "r", "c_threshold", "kappa0",
+                 "kappa_threshold"):
+        assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+    assert (got.c_slope is None and want.c_slope is None) or \
+        bits(got.c_slope) == bits(want.c_slope)
+    for name in ("kappas", "a_values", "b_values", "c_values", "admissible"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    certified = got.gaps != want.gaps
+    assert np.all(got.gaps[certified] > got.delta)
+    assert np.all(want.gaps[certified] >= got.delta)
+    assert list(got.operators) == list(want.operators)
+    for kappa, op in got.operators.items():
+        ref = want.operators[kappa]
+        assert op._decomposition is not None
+        assert op.matrix.tobytes() == ref.matrix.tobytes()
+        assert op.decomposition.eigenvalues.tobytes() == ref.decomposition.eigenvalues.tobytes()
+        assert op.decomposition.eigenvectors.tobytes() == \
+            ref.decomposition.eigenvectors.tobytes()
+    return int(np.count_nonzero(certified))
+
+
+def dense_config(seed, dim):
+    """A perturb_sweep config: T with spectrum {0} and U(1, 3), S of norm 1, 41 grid points."""
+    rng = rng_for(seed, 93)
+    q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    eigs = np.concatenate([[0.0], rng.uniform(1.0, 3.0, dim - 1)])
+    t = (q * eigs) @ q.T
+    g = rng.standard_normal((dim, dim))
+    s = (g + g.T) / np.linalg.norm(g + g.T, 2)
+    return ExperimentConfig(kind="perturb_sweep", seed=seed, params={
+        "t": ((t + t.T) / 2.0).tolist(), "s": s.tolist(),
+        "kappa_grid": {"start": -0.36, "stop": 0.36, "num": 41}})
+
+
+class TestGapCertificate:
+    """Grid gaps certified by one Cholesky against the loop that decomposed every point."""
+
+    @pytest.mark.parametrize("block", range(10))
+    def test_budgets_match_the_decomposing_loop(self, block, monkeypatch):
+        successes = []
+
+        def recording(A, x, floor, frobenius_bound):
+            certified = gap_exceeds(A, x, floor, frobenius_bound)
+            if certified:
+                successes.append((A.matrix, floor))
+            return certified
+
+        monkeypatch.setattr(perturbation, "gap_exceeds", recording)
+        certified, interior, tied = Counter(), Counter(), Counter()
+        for seed in range(100 * block, 100 * block + 100):
+            shape = seed % 4
+            t, family, s0, kappa0, grid = certificate_family(seed)
+            want = budget_or_error(threshold_by_decomposing, t, family, s0, kappa0, grid)
+            first = len(successes)
+            got = budget_or_error(semigroup_threshold, t, family, s0, kappa0, grid)
+            if isinstance(want, tuple):
+                assert got == want
+                continue
+            count = assert_budgets_bit_equal(got, want)
+            # a certified point stores the floor its certificate proved
+            assert set(got.gaps[got.gaps != want.gaps]) <= {f for _, f in successes[first:]}
+            certified[shape] += count
+            least = want.kappas[np.argmin(want.gaps)]
+            interior[shape] += bool(want.kappas.min() < least < want.kappas.max())
+            # a certified gap exceeds delta by eta >= 5e-10, so gaps tied closer certify none
+            if np.ptp(want.gaps) < 2e-10:
+                tied[shape] += 1
+                assert count == 0
+        # every shape certifies, the interior-minimum shape has its least gap inside
+        # the grid, and the near-tied shape reaches gaps too close to certify
+        assert min(certified[shape] for shape in range(4)) >= 20
+        assert interior[1] >= 20 and tied[2] >= 1
+        assert sum(certified.values()) == len(successes)
+        # each certificate, confirmed independently: the gap lies above the floor
+        for matrix, floor in successes:
+            w = np.linalg.eigvalsh(matrix)
+            assert w[1] - w[0] > floor - 1e-12 * max(1.0, float(np.linalg.norm(matrix)))
+
+    def test_failed_certificates_fall_back_to_the_decomposing_loop(self, monkeypatch):
+        def failing(m):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        for seed in range(40):
+            calls = count_eigh(monkeypatch)
+            want = budget_or_error(threshold_by_decomposing, *certificate_family(seed))
+            decomposed = len(calls)
+            calls.clear()
+            monkeypatch.setattr(np.linalg, "cholesky", failing)
+            # a fresh T, whose spectrum is not cached yet
+            got = budget_or_error(semigroup_threshold, *certificate_family(seed))
+            monkeypatch.undo()
+            if isinstance(want, tuple):
+                assert got == want
+                continue
+            assert assert_budgets_bit_equal(got, want) == 0
+            assert len(calls) == decomposed
+
+    @pytest.mark.parametrize("config", [
+        ExperimentConfig(kind="perturb_sweep", seed=0, params={}),
+        dense_config(0, 24),
+        dense_config(1, 40),
+    ], ids=["default", "dense-24", "dense-40"])
+    def test_reports_match_the_decomposing_loop(self, config, monkeypatch):
+        from axiscone import harness
+
+        def failing(m):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        def report_and_eigh_calls():
+            calls = count_eigh(monkeypatch)
+            text = run(ExperimentConfig(kind=config.kind, seed=config.seed,
+                                        params=dict(config.params))).render(timestamp=False)
+            monkeypatch.undo()
+            return text, len(calls)
+
+        report, eigh_calls = report_and_eigh_calls()
+        monkeypatch.setattr(harness, "semigroup_threshold", threshold_by_decomposing)
+        reference, reference_calls = report_and_eigh_calls()
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        fallback, fallback_calls = report_and_eigh_calls()
+        assert report == reference == fallback
+        assert fallback_calls == reference_calls
+        assert eigh_calls < reference_calls
+
+    def test_default_magnetic_experiment_attempts_no_cholesky(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m) or cholesky(m))
+        run(ExperimentConfig(kind="schrodinger", seed=0, params={}))
+        assert calls == []
 
 
 class TestBoundChainSeeded:
