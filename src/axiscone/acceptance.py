@@ -240,17 +240,18 @@ def criterion_8_correspondence(seed):
 def criterion_9_schrodinger(seed):
     started = time.perf_counter()
     model = MagneticModel.from_functions(
-        GridSpec(8, 0.5), lambda x: x * x, lambda x: math.exp(-x * x), 0.0
+        GridSpec(8, 0.5), lambda x: x * x, lambda x: math.exp(-x * x)
     )
     report = magnetic_experiment(model, e_grid=np.linspace(-0.008, 0.008, 17), s0=1.0)
     base_ok = all(
         v.status is VerdictStatus.CERTIFIED_TRUE for v in report.base_verdicts
     )
-    demo = orthant_failure_demo(model.with_coupling(0.5), s=0.5)
-    passed = (base_ok and report.admissible_coupling > 0.0 and report.all_true
+    demo = orthant_failure_demo(model, 0.5, s=0.5)
+    budget = report.budget
+    passed = (base_ok and budget.kappa_threshold > 0.0 and report.all_true
               and demo.max_imag >= DEMO_WITNESS_TOL)
-    detail = (f"ground={report.ground_energy:.12g} "
-              f"e0={report.admissible_coupling:.12g} "
+    detail = (f"ground={budget.mu:.12g} "
+              f"e0={budget.kappa_threshold:.12g} "
               f"sweep_rows={len(report.sweep.rows)} "
               f"failures={len(report.sweep.failures)} "
               f"demo_imag={demo.max_imag:.6g}")

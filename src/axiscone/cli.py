@@ -85,9 +85,8 @@ def _config_for(args, command):
 
 def _emit(report, args):
     text = report.render(timestamp=not args.no_timestamp)
-    out = args.out or getattr(report, "output_path", None)
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

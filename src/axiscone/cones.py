@@ -96,11 +96,6 @@ class AxisCone:
             return np.zeros_like(w)
         return ((s + p) / 2.0) * (self.axis + perp / p)
 
-    def serialize(self):
-        return "axis {} {}".format(
-            self.dim, " ".join(format(x, ".17g") for x in self.axis)
-        )
-
 
 @dataclass(frozen=True)
 class OrthantCone:
@@ -121,9 +116,6 @@ class OrthantCone:
 
     def project(self, w):
         return np.maximum(as_vector(w), 0.0)
-
-    def serialize(self):
-        return f"orthant {self.dim}"
 
 
 def as_rows(entries):
@@ -302,7 +294,6 @@ def sample_outside(cone, rng, k, max_tries=64):
 class SelfDualityReport:
     """Sampled check that the cone equals its dual."""
 
-    cone: str
     n_samples: int
     seed: int
     worst_pair_inner: float      # min <u, v> over unit in-cone pairs; >= -PAIR_TOL
@@ -384,7 +375,6 @@ def selfduality_probe(cone, n_samples, seed=0):
     worst_witness, witness_violations = cone_check(cone, witness_check, rng_for(seed, 1),
                                                    n_samples)
     return SelfDualityReport(
-        cone=cone.serialize(),
         n_samples=n_samples,
         seed=seed,
         worst_pair_inner=-worst_pair,

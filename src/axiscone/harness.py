@@ -510,7 +510,7 @@ def _run_schrodinger(config):
         return np.asarray(value, dtype=float)
 
     model = MagneticModel(grid=grid, v_values=profile("potential"),
-                          a_values=profile("vector_potential"), coupling=0.0)
+                          a_values=profile("vector_potential"))
     report = magnetic_experiment(model, e_grid=params["e_grid"], s0=float(params["s0"]),
                                  s_samples=params.get("s_samples"))
     rows = []
@@ -526,8 +526,8 @@ def _run_schrodinger(config):
                  demo.status, _g17(demo.max_imag), "1"])
     budget = report.budget
     extras = [("budget_" + k, v) for k, v in budget.header_items()]
-    extras.append(("ground_energy", _g17(report.ground_energy)))
-    extras.append(("admissible_coupling", _g17(report.admissible_coupling)))
+    extras.append(("ground_energy", _g17(budget.mu)))
+    extras.append(("admissible_coupling", _g17(budget.kappa_threshold)))
     margins = [v.margin for v in report.base_verdicts]
     margins += [row.verdict.margin for row in report.sweep.rows]
     return Report(kind=config.kind, seed=config.seed,
@@ -546,11 +546,11 @@ def _orthant_demo(model, e, s):
     is blamed on demo_s when exp(-s H) damps the bump below the tolerance even
     at coupling 0, and on demo_e otherwise.
     """
-    demo = orthant_failure_demo(model.with_coupling(e), s=s)
+    demo = orthant_failure_demo(model, e, s=s)
     if e == 0.0 or demo.left_cone:
         return demo
     tol = tolerances.DEMO_WITNESS_TOL
-    if orthant_failure_demo(model.with_coupling(0.0), s=s).peak <= tol:
+    if orthant_failure_demo(model, 0.0, s=s).peak <= tol:
         raise ConfigInvalid("demo_s", f"exp(-demo_s H) damps the bump below {tol:g} "
                                       f"even at coupling 0 (demo_s = {s:g})")
     raise ConfigInvalid("demo_e", f"the flow at demo_e = {e:g}, demo_s = {s:g} stays in "

@@ -240,6 +240,24 @@ def _fix_sign(u):
     return -u if u[idx] < 0 else u
 
 
+def _extremal_eigen(A, end, require_simple, error, name):
+    """Eigenvalue at index `end` (-1 top, 0 bottom), its unit eigenvector, simple flag."""
+    dec = A.decomposition
+    lam = float(dec.eigenvalues[end])
+    if A.dim == 1:
+        simple = True
+    else:
+        neighbour = float(dec.eigenvalues[-2 if end else 1])
+        gap = lam - neighbour if end else neighbour - lam
+        simple = gap > TAU_GAP * max(1.0, abs(lam))
+    if require_simple and not simple:
+        raise error(f"{name} eigenvalue {lam:.6g} is degenerate within tau_gap={TAU_GAP:.1e}")
+    u = _fix_sign(np.array(dec.eigenvectors[:, end]))
+    u /= np.linalg.norm(u)
+    u.setflags(write=False)
+    return lam, u, simple
+
+
 def top_eigen(A, require_simple=False):
     """Largest eigenvalue, its unit eigenvector, and a simplicity flag.
 
@@ -247,40 +265,12 @@ def top_eigen(A, require_simple=False):
     TAU_GAP * max(1, |lambda_max|).  The eigenvector sign is fixed so the
     first nonzero coordinate is positive; repeated calls are bit-identical.
     """
-    dec = A.decomposition
-    lam = dec.max_eigenvalue
-    if A.dim == 1:
-        simple = True
-    else:
-        gap = lam - float(dec.eigenvalues[-2])
-        simple = gap > TAU_GAP * max(1.0, abs(lam))
-    if require_simple and not simple:
-        raise DegenerateTop(
-            f"top eigenvalue {lam:.6g} is degenerate within tau_gap={TAU_GAP:.1e}"
-        )
-    u0 = _fix_sign(np.array(dec.eigenvectors[:, -1]))
-    u0 /= np.linalg.norm(u0)
-    u0.setflags(write=False)
-    return lam, u0, simple
+    return _extremal_eigen(A, -1, require_simple, DegenerateTop, "top")
 
 
 def bottom_eigen(A, require_simple=False):
     """Smallest eigenvalue, its unit eigenvector, and a simplicity flag."""
-    dec = A.decomposition
-    mu = dec.min_eigenvalue
-    if A.dim == 1:
-        simple = True
-    else:
-        gap = float(dec.eigenvalues[1]) - mu
-        simple = gap > TAU_GAP * max(1.0, abs(mu))
-    if require_simple and not simple:
-        raise DegenerateBottom(
-            f"bottom eigenvalue {mu:.6g} is degenerate within tau_gap={TAU_GAP:.1e}"
-        )
-    u = _fix_sign(np.array(dec.eigenvectors[:, 0]))
-    u /= np.linalg.norm(u)
-    u.setflags(write=False)
-    return mu, u, simple
+    return _extremal_eigen(A, 0, require_simple, DegenerateBottom, "bottom")
 
 
 def perp_basis(u0):

@@ -3,11 +3,12 @@
 The grid has points x_j = j h for j in [-N, N] with Dirichlet truncation at
 +/-(N+1).  The kinetic term is the 3-point Laplacian stencil; the momentum
 p = -i d/dx entering the magnetic cross terms is the central difference
--i (f_{j+1} - f_{j-1}) / (2h).  With even potentials the full Hamiltonian
-commutes with the antilinear parity conjugation (C f)_j = conj(f_{-j}),
-whose fixed-point set is a real Hilbert space; restricting to it yields a
-real symmetric matrix with the same spectrum, which is where the cone
-machinery applies.
+-i (f_{j+1} - f_{j-1}) / (2h).  The coupling e is an argument: H(e) = H0 +
+e M1 + e^2 M2 is built from the terms of magnetic_terms(model) alone.  With
+even potentials H(e) commutes with the antilinear parity conjugation
+(C f)_j = conj(f_{-j}), whose fixed-point set is a real Hilbert space;
+restricting to its parity_basis yields a real symmetric matrix with the same
+spectrum, which is where the cone machinery applies.
 """
 
 import math
@@ -69,66 +70,57 @@ def _even_values(grid, values, name):
 
 @dataclass(frozen=True)
 class MagneticModel:
-    """Even scalar potential, even vector potential, and a coupling strength."""
+    """Even scalar potential and even vector potential; the coupling is an argument."""
 
     grid: GridSpec
     v_values: np.ndarray
     a_values: np.ndarray
-    coupling: float
 
     def __post_init__(self):
         object.__setattr__(self, "v_values", _even_values(self.grid, self.v_values, "V"))
         object.__setattr__(self, "a_values", _even_values(self.grid, self.a_values, "a"))
 
     @staticmethod
-    def from_functions(grid, v_fn, a_fn, coupling):
+    def from_functions(grid, v_fn, a_fn):
         x = grid.points
         # evaluate on |x| so evenness holds exactly in floating point
         v = np.array([float(v_fn(abs(xi))) for xi in x])
         a = np.array([float(a_fn(abs(xi))) for xi in x])
-        return MagneticModel(grid=grid, v_values=v, a_values=a, coupling=float(coupling))
-
-    def with_coupling(self, coupling):
-        return MagneticModel(grid=self.grid, v_values=self.v_values,
-                             a_values=self.a_values, coupling=float(coupling))
+        return MagneticModel(grid=grid, v_values=v, a_values=a)
 
 
-class RealStructure:
-    """Parity conjugation (C f)_j = conj(f_{-j}) and a basis of its fixed space.
+def parity_basis(grid):
+    """Orthonormal basis of the fixed space of (C f)_j = conj(f_{-j}), as columns.
 
-    Basis columns: delta_0, then (delta_j + delta_{-j})/sqrt(2) and
-    (i delta_j - i delta_{-j})/sqrt(2) for j = 1..N.  They are orthonormal
-    and each is fixed by C, so the column map is an isometry from R^{2N+1}
-    onto the real fixed-point space.
+    Columns: delta_0, then (delta_j + delta_{-j})/sqrt(2) and
+    (i delta_j - i delta_{-j})/sqrt(2) for j = 1..N.  Each is fixed by C, so
+    the column map is an isometry from R^{2N+1} onto the real fixed-point
+    space.  The array is read-only.
     """
+    basis = np.zeros((grid.dim, grid.dim), dtype=complex)
+    center = grid.n_half  # array index of x = 0
+    basis[center, 0] = 1.0
+    col = 1
+    for j in range(1, center + 1):
+        plus, minus = center + j, center - j
+        basis[plus, col] = 1.0 / SQRT2
+        basis[minus, col] = 1.0 / SQRT2
+        col += 1
+        basis[plus, col] = 1j / SQRT2
+        basis[minus, col] = -1j / SQRT2
+        col += 1
+    basis.setflags(write=False)
+    return basis
 
-    def __init__(self, grid):
-        self.grid = grid
-        n = grid.n_half
-        dim = grid.dim
-        basis = np.zeros((dim, dim), dtype=complex)
-        center = n  # array index of x = 0
-        basis[center, 0] = 1.0
-        col = 1
-        for j in range(1, n + 1):
-            plus, minus = center + j, center - j
-            basis[plus, col] = 1.0 / SQRT2
-            basis[minus, col] = 1.0 / SQRT2
-            col += 1
-            basis[plus, col] = 1j / SQRT2
-            basis[minus, col] = -1j / SQRT2
-            col += 1
-        basis.setflags(write=False)
-        self.basis = basis
 
-    def commutation_residual(self, H):
-        """max_k || H C e_k - C H e_k || over the standard basis.
+def commutation_residual(H):
+    """max_k || H C e_k - C H e_k || over the standard basis, C the parity conjugation.
 
-        C e_k is the reversed basis vector and C H e_k the conjugated reversed
-        column k, so the k-th residual is column k of H[:, ::-1] - conj(H[::-1, :]).
-        """
-        m = np.asarray(H, dtype=complex)
-        return float(np.max(np.linalg.norm(m[:, ::-1] - np.conj(m[::-1, :]), axis=0)))
+    C e_k is the reversed basis vector and C H e_k the conjugated reversed
+    column k, so the k-th residual is column k of H[:, ::-1] - conj(H[::-1, :]).
+    """
+    m = np.asarray(H, dtype=complex)
+    return float(np.max(np.linalg.norm(m[:, ::-1] - np.conj(m[::-1, :]), axis=0)))
 
 
 def laplacian_matrix(grid):
@@ -155,59 +147,51 @@ def _read_only(m):
     return m
 
 
-def build_h0(model):
-    """Free Hamiltonian: 3-point Laplacian plus the diagonal potential (complex)."""
-    _even_values(model.grid, model.v_values, "V")
-    h0 = laplacian_matrix(model.grid) + np.diag(model.v_values)
-    return _read_only(h0.astype(complex))
-
-
 def magnetic_terms(model):
-    """H0, M1 = p a + a p and M2 = diag(a^2), so that H(e) = H0 + e M1 + e^2 M2.
-
-    The coupling of the model is ignored: the terms define the whole family.
-    All three are read-only complex arrays.
-    """
-    a_diag = np.diag(model.a_values.astype(complex))
-    p = momentum_matrix(model.grid)
-    m2 = np.diag(model.a_values**2).astype(complex)
-    return build_h0(model), _read_only(p @ a_diag + a_diag @ p), _read_only(m2)
-
-
-def build_magnetic(model):
-    """Full Hamiltonian p^2 + e (p a + a p) + e^2 a^2 + V at the model's coupling.
+    """H0 = p^2 + V, M1 = p a + a p and M2 = diag(a^2), so that H(e) = H0 + e M1 + e^2 M2.
 
     p^2 is the 3-point Laplacian (the square of the central difference
     decouples the even and odd sublattices, so the standard local stencil is
-    used instead); the cross terms use the central-difference p.  The result,
-    a read-only complex array, is Hermitian and commutes with the parity
-    conjugation.
+    used instead); M1 uses the central-difference p.  All three are
+    read-only complex arrays.
+    """
+    h0 = (laplacian_matrix(model.grid) + np.diag(model.v_values)).astype(complex)
+    a_diag = np.diag(model.a_values.astype(complex))
+    p = momentum_matrix(model.grid)
+    m2 = np.diag(model.a_values**2).astype(complex)
+    return _read_only(h0), _read_only(p @ a_diag + a_diag @ p), _read_only(m2)
+
+
+def build_magnetic(model, e):
+    """Full Hamiltonian H(e) = p^2 + e (p a + a p) + e^2 a^2 + V at coupling e.
+
+    The result, a read-only complex array, is Hermitian and commutes with the
+    parity conjugation.
     """
     h0, m1, m2 = magnetic_terms(model)
-    e = model.coupling
     h = _read_only(h0 + e * m1 + e**2 * m2)
-    residual = RealStructure(model.grid).commutation_residual(h)
+    residual = commutation_residual(h)
     scale = max(1.0, float(np.max(np.abs(h))))
     if residual > MAGNETIC_COMMUTATION_TOL * scale:
         raise NotRealCompatible(f"conjugation commutation residual {residual:.3e}")
     return h
 
 
-def restrict_to_real(H, rs):
+def restrict_to_real(H, basis):
     """Compress a conjugation-compatible Hamiltonian to the real fixed space.
 
-    Returns B* H B for the fixed-space isometry B; the output is real
-    symmetric and carries exactly the same eigenvalues as H.
+    Returns B* H B for the isometry B = `basis` (a parity_basis); the output
+    is real symmetric and carries exactly the same eigenvalues as H.
     """
     m = np.asarray(H, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(m))))
-    residual = rs.commutation_residual(m)
+    residual = commutation_residual(m)
     if residual > REAL_COMMUTATION_TOL * scale:
         raise NotRealCompatible(
             f"commutation residual {residual:.3e} exceeds "
             f"{REAL_COMMUTATION_TOL:.0e} * {scale:.3g}"
         )
-    compressed = rs.basis.conj().T @ m @ rs.basis
+    compressed = basis.conj().T @ m @ basis
     imag = float(np.max(np.abs(compressed.imag)))
     if imag > REAL_IMAG_TOL * scale:
         raise NotRealCompatible(f"restriction has imaginary residual {imag:.3e}")
@@ -241,8 +225,8 @@ class OrthantDemoReport:
         return self.status == "witness_found"
 
 
-def orthant_failure_demo(model, s):
-    """Push the Gaussian bump exp(-x^2) through exp(-sH) and watch it leave the cone.
+def orthant_failure_demo(model, e, s):
+    """Push the Gaussian bump exp(-x^2) through exp(-s H(e)) and watch it leave the cone.
 
     With nonzero coupling, the image generically develops an imaginary part,
     certifying that the semigroup does not preserve the nonnegative cone
@@ -253,17 +237,16 @@ def orthant_failure_demo(model, s):
         raise ValueError("demo time s must be positive")
     x = model.grid.points
     v = np.exp(-x * x)
-    h = build_magnetic(model) if model.coupling != 0.0 else build_h0(model)
-    image = _expm_hermitian(h, s) @ v.astype(complex)
+    image = _expm_hermitian(build_magnetic(model, e), s) @ v.astype(complex)
     max_imag = float(np.max(np.abs(image.imag)))
     min_real = float(np.min(image.real))
-    if model.coupling == 0.0:
+    if e == 0.0:
         status = "inapplicable_control"
     elif max_imag > DEMO_WITNESS_TOL or min_real < -DEMO_WITNESS_TOL:
         status = "witness_found"
     else:
         status = "no_witness"
-    return OrthantDemoReport(coupling=model.coupling, time=float(s), max_imag=max_imag,
+    return OrthantDemoReport(coupling=float(e), time=float(s), max_imag=max_imag,
                              min_real=min_real, peak=float(np.max(np.abs(image))),
                              status=status)
 
@@ -276,8 +259,6 @@ class MagneticExperimentReport:
     s_samples: tuple
     base_verdicts: tuple      # improvement of exp(-s H0) w.r.t. its own ground axis, per s
     sweep: object             # end-to-end rows over admissible couplings
-    ground_energy: float
-    admissible_coupling: float
 
     @property
     def all_true(self):
@@ -298,9 +279,9 @@ def magnetic_experiment(model, e_grid, s0, s_samples=None):
     if s0 <= 0:
         raise ValueError("s0 must be positive")
     s_samples = tuple([s0 / 4.0, s0 / 2.0, s0] if s_samples is None else s_samples)
-    rs = RealStructure(model.grid)
-    h0, m1, m2 = (restrict_to_real(term, rs) for term in magnetic_terms(model))
-    mu, ground, _ = bottom_eigen(h0, require_simple=True)
+    basis = parity_basis(model.grid)
+    h0, m1, m2 = (restrict_to_real(term, basis) for term in magnetic_terms(model))
+    _, ground, _ = bottom_eigen(h0, require_simple=True)
 
     base_verdicts = []
     for s in s_samples:
@@ -311,14 +292,8 @@ def magnetic_experiment(model, e_grid, s0, s_samples=None):
     kappa0 = float(np.max(np.abs(e_grid))) + 1e-12
     budget = semigroup_threshold(h0, family, s0=s0, kappa0=kappa0, kappa_grid=e_grid)
     sweep = end_to_end_semigroup_check(budget, s_samples)
-    return MagneticExperimentReport(
-        budget=budget,
-        s_samples=s_samples,
-        base_verdicts=tuple(base_verdicts),
-        sweep=sweep,
-        ground_energy=mu,
-        admissible_coupling=budget.kappa_threshold,
-    )
+    return MagneticExperimentReport(budget=budget, s_samples=s_samples,
+                                    base_verdicts=tuple(base_verdicts), sweep=sweep)
 
 
 POTENTIAL_PRESETS = {

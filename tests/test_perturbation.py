@@ -789,7 +789,7 @@ class TestDecompositionReuse:
 
     def test_schrodinger_family_matches_the_rebuilding_sweep(self):
         model = MagneticModel.from_functions(GridSpec(4, 0.5), lambda x: x * x,
-                                             lambda x: math.exp(-x * x), 0.0)
+                                             lambda x: math.exp(-x * x))
         report = magnetic_experiment(model, e_grid=np.linspace(-0.008, 0.008, 5), s0=0.5)
         t, family = report.budget.T, report.budget.family
         assert family.degree == 2 and len(report.budget.operators) == 4

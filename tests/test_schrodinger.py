@@ -15,14 +15,14 @@ from axiscone.positivity import VerdictStatus
 from axiscone.schrodinger import (
     GridSpec,
     MagneticModel,
-    RealStructure,
-    build_h0,
     build_magnetic,
+    commutation_residual,
     laplacian_matrix,
     magnetic_experiment,
     magnetic_terms,
     momentum_matrix,
     orthant_failure_demo,
+    parity_basis,
     restrict_to_real,
 )
 from axiscone.seeding import rng_for
@@ -39,9 +39,9 @@ def is_hermitian(m):
     return float(np.max(np.abs(m - m.conj().T))) <= TAU_SYM * max(1.0, float(np.max(np.abs(m))))
 
 
-def harmonic_model(n_half=8, spacing=0.5, coupling=0.0):
+def harmonic_model(n_half=8, spacing=0.5):
     return MagneticModel.from_functions(
-        GridSpec(n_half, spacing), lambda x: x * x, lambda x: math.exp(-x * x), coupling
+        GridSpec(n_half, spacing), lambda x: x * x, lambda x: math.exp(-x * x)
     )
 
 
@@ -55,7 +55,7 @@ class TestGridAndModel:
         grid = GridSpec(2, 1.0)
         with pytest.raises(AsymmetricPotential):
             MagneticModel(grid=grid, v_values=np.array([1.0, 0.0, 0.0, 0.0, 2.0]),
-                          a_values=np.zeros(5), coupling=0.0)
+                          a_values=np.zeros(5))
 
     def test_from_functions_even(self):
         model = harmonic_model(4, 0.5)
@@ -63,10 +63,10 @@ class TestGridAndModel:
         assert np.array_equal(model.a_values, model.a_values[::-1])
 
 
-class TestRealStructure:
+class TestParityStructure:
     def test_basis_isometry_onto_fixed_space(self):
-        rs = RealStructure(GridSpec(4, 0.5))
-        b = rs.basis
+        b = parity_basis(GridSpec(4, 0.5))
+        assert not b.flags.writeable
         np.testing.assert_allclose(b.conj().T @ b, np.eye(9), atol=1e-12)
         rng = rng_for(2, 0)
         for _ in range(10):
@@ -76,15 +76,13 @@ class TestRealStructure:
 
     def test_momentum_commutes_with_conjugation(self):
         grid = GridSpec(6, 0.3)
-        rs = RealStructure(grid)
-        assert rs.commutation_residual(momentum_matrix(grid)) <= 1e-13
+        assert commutation_residual(momentum_matrix(grid)) <= 1e-13
 
     def test_commutation_residual_matches_column_loop(self):
         grid = GridSpec(5, 0.5)
-        rs = RealStructure(grid)
         rng = rng_for(3, 0)
         random = rng.standard_normal((11, 11)) + 1j * rng.standard_normal((11, 11))
-        magnetic = build_magnetic(harmonic_model(5, 0.5, coupling=0.3))
+        magnetic = build_magnetic(harmonic_model(5, 0.5), 0.3)
         for h in (random, magnetic):
             reference = 0.0
             for k in range(grid.dim):
@@ -92,26 +90,26 @@ class TestRealStructure:
                 e[k] = 1.0
                 reference = max(reference, float(np.linalg.norm(
                     h @ conjugate(e) - conjugate(h @ e))))
-            assert rs.commutation_residual(h) == pytest.approx(reference, rel=1e-14,
-                                                               abs=1e-14)
+            assert commutation_residual(h) == pytest.approx(reference, rel=1e-14,
+                                                            abs=1e-14)
 
 
-class TestBuildH0:
+class TestFreeHamiltonian:
     def test_free_stencil(self):
         model = MagneticModel.from_functions(GridSpec(1, 1.0), lambda x: 0.0,
-                                             lambda x: 0.0, 0.0)
+                                             lambda x: 0.0)
         expected = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
-        np.testing.assert_array_equal(build_h0(model).real, expected)
+        np.testing.assert_array_equal(magnetic_terms(model)[0].real, expected)
 
     def test_harmonic_diagonal(self):
         model = harmonic_model(2, 0.5)
-        h0 = build_h0(model).real
+        h0 = magnetic_terms(model)[0].real
         x = model.grid.points
         np.testing.assert_allclose(np.diag(h0), 2.0 / 0.25 + x**2)
 
     def test_ground_state_positive_with_gap(self):
-        rs = RealStructure(GridSpec(8, 0.5))
-        h0c = build_h0(harmonic_model())
+        basis = parity_basis(GridSpec(8, 0.5))
+        h0c = magnetic_terms(harmonic_model())[0]
         # in the complex representation the free Hamiltonian is a real
         # irreducible Jacobi matrix: simple bottom, entrywise-positive ground
         w, u = np.linalg.eigh(h0c)
@@ -119,27 +117,33 @@ class TestBuildH0:
         ground = u[:, 0].real
         ground *= np.sign(ground[np.argmax(np.abs(ground))])
         assert np.all(ground > 0)
-        restricted = restrict_to_real(h0c, rs)
+        restricted = restrict_to_real(h0c, basis)
         _, _, simple = bottom_eigen(restricted, require_simple=True)
         assert simple
 
 
 class TestBuildMagnetic:
     def test_terms_are_read_only_complex_arrays(self):
-        model = harmonic_model(3, 0.5, coupling=0.2)
-        for term in (*magnetic_terms(model), build_h0(model), build_magnetic(model)):
+        model = harmonic_model(3, 0.5)
+        for term in (*magnetic_terms(model), build_magnetic(model, 0.2)):
             assert isinstance(term, np.ndarray) and term.dtype == complex
             assert term.shape == (model.grid.dim, model.grid.dim)
             assert not term.flags.writeable
 
     def test_zero_coupling_equals_h0(self):
-        model = harmonic_model(coupling=0.0)
-        np.testing.assert_array_equal(build_magnetic(model), build_h0(model))
+        model = harmonic_model()
+        np.testing.assert_array_equal(build_magnetic(model, 0.0), magnetic_terms(model)[0])
+
+    @pytest.mark.parametrize("e", [-0.5, -0.008, 0.0, 0.001, 0.3, 2.0])
+    def test_equals_its_terms_bit_for_bit(self, e):
+        model = harmonic_model(6, 0.4)
+        h0, m1, m2 = magnetic_terms(model)
+        np.testing.assert_array_equal(build_magnetic(model, e), h0 + e * m1 + e**2 * m2)
 
     def test_hand_checkable_3x3(self):
         model = MagneticModel.from_functions(GridSpec(1, 1.0), lambda x: 0.0,
-                                             lambda x: 1.0, 1.0)
-        h = build_magnetic(model)
+                                             lambda x: 1.0)
+        h = build_magnetic(model, 1.0)
         expected = np.array([
             [3.0, -1.0 - 1.0j, 0.0],
             [-1.0 + 1.0j, 3.0, -1.0 - 1.0j],
@@ -149,18 +153,16 @@ class TestBuildMagnetic:
         assert is_hermitian(h)
 
     def test_commutation_residual_small(self):
-        model = harmonic_model(coupling=0.1)
-        rs = RealStructure(model.grid)
-        h = build_magnetic(model)
+        h = build_magnetic(harmonic_model(), 0.1)
         scale = np.max(np.abs(h))
-        assert rs.commutation_residual(h) <= 1e-12 * scale
+        assert commutation_residual(h) <= 1e-12 * scale
 
 
 class TestRestrictToReal:
     def test_laplacian_spectrum_preserved(self):
         model = MagneticModel.from_functions(GridSpec(1, 1.0), lambda x: 0.0,
-                                             lambda x: 0.0, 0.0)
-        restricted = restrict_to_real(build_h0(model), RealStructure(model.grid))
+                                             lambda x: 0.0)
+        restricted = restrict_to_real(magnetic_terms(model)[0], parity_basis(model.grid))
         expected = [2.0 - math.sqrt(2.0), 2.0, 2.0 + math.sqrt(2.0)]
         np.testing.assert_allclose(restricted.decomposition.eigenvalues, expected,
                                    atol=1e-12)
@@ -168,7 +170,7 @@ class TestRestrictToReal:
     def test_diagonal_even_stays_diagonal(self):
         grid = GridSpec(2, 1.0)
         values = np.array([3.0, 1.0, 5.0, 1.0, 3.0])
-        restricted = restrict_to_real(np.diag(values).astype(complex), RealStructure(grid))
+        restricted = restrict_to_real(np.diag(values).astype(complex), parity_basis(grid))
         off = restricted.matrix - np.diag(np.diag(restricted.matrix))
         assert np.max(np.abs(off)) <= 1e-14
         np.testing.assert_allclose(np.sort(np.diag(restricted.matrix)),
@@ -176,9 +178,9 @@ class TestRestrictToReal:
 
     def test_magnetic_couples_parity_blocks(self):
         model = harmonic_model(4, 0.5)
-        rs = RealStructure(model.grid)
-        h0 = restrict_to_real(build_h0(model), rs)
-        h_mag = restrict_to_real(build_magnetic(model.with_coupling(0.3)), rs)
+        basis = parity_basis(model.grid)
+        h0 = restrict_to_real(magnetic_terms(model)[0], basis)
+        h_mag = restrict_to_real(build_magnetic(model, 0.3), basis)
         # columns: 0 and odd indices span the even-parity sector, even
         # indices >= 2 the odd sector; the free operator never mixes them
         plus = [0] + list(range(1, model.grid.dim, 2))
@@ -187,10 +189,9 @@ class TestRestrictToReal:
         assert np.max(np.abs(h_mag.matrix[np.ix_(plus, minus)])) > 1e-3
 
     def test_spectrum_matches_complex_operator(self):
-        model = harmonic_model(6, 0.4, coupling=0.2)
-        rs = RealStructure(model.grid)
-        h = build_magnetic(model)
-        restricted = restrict_to_real(h, rs)
+        model = harmonic_model(6, 0.4)
+        h = build_magnetic(model, 0.2)
+        restricted = restrict_to_real(h, parity_basis(model.grid))
         np.testing.assert_allclose(
             restricted.decomposition.eigenvalues,
             np.sort(np.linalg.eigvalsh(h)),
@@ -201,19 +202,21 @@ class TestRestrictToReal:
         grid = GridSpec(1, 1.0)
         odd_diag = np.diag([1.0, 0.0, 2.0]).astype(complex)
         with pytest.raises(NotRealCompatible):
-            restrict_to_real(odd_diag, RealStructure(grid))
+            restrict_to_real(odd_diag, parity_basis(grid))
 
 
 class TestOrthantDemo:
     def test_zero_coupling_control(self):
-        report = orthant_failure_demo(harmonic_model(coupling=0.0), s=0.5)
+        report = orthant_failure_demo(harmonic_model(), 0.0, s=0.5)
         assert report.status == "inapplicable_control"
+        assert report.coupling == 0.0
         assert report.max_imag == 0.0
         assert report.min_real > -1e-10
 
     def test_nonzero_coupling_leaves_cone(self):
-        report = orthant_failure_demo(harmonic_model(coupling=0.5), s=0.5)
+        report = orthant_failure_demo(harmonic_model(), 0.5, s=0.5)
         assert report.status == "witness_found"
+        assert report.coupling == 0.5
         assert report.max_imag >= 1e-10
 
     def test_propagator_eigendecomposition_is_checked(self, monkeypatch):
@@ -226,7 +229,7 @@ class TestOrthantDemo:
 
         monkeypatch.setattr(np.linalg, "eigh", corrupt_hermitian)
         with pytest.raises(ContractViolation, match="orthonormality"):
-            orthant_failure_demo(harmonic_model(coupling=0.5), s=0.5)
+            orthant_failure_demo(harmonic_model(), 0.5, s=0.5)
 
 
 class TestMagneticExperiment:
@@ -234,7 +237,7 @@ class TestMagneticExperiment:
         report = magnetic_experiment(
             harmonic_model(), e_grid=np.linspace(-0.008, 0.008, 17), s0=1.0
         )
-        assert report.admissible_coupling > 0
+        assert report.budget.kappa_threshold > 0
         assert report.all_true
         assert all(
             v.status is VerdictStatus.CERTIFIED_TRUE for v in report.base_verdicts
@@ -257,7 +260,7 @@ class TestMagneticExperiment:
 
     def test_zero_vector_potential_all_admissible(self):
         model = MagneticModel.from_functions(GridSpec(6, 0.5), lambda x: x * x,
-                                             lambda x: 0.0, 0.0)
+                                             lambda x: 0.0)
         report = magnetic_experiment(model, e_grid=np.linspace(-1.0, 1.0, 5), s0=0.5,
                                      s_samples=[0.5])
         assert np.all(report.budget.admissible)
@@ -267,13 +270,9 @@ class TestMagneticExperiment:
         # Weyl's inequality: adjacent ground eigenvalues along the coupling
         # grid move by no more than the operator-norm step of the family
         model = harmonic_model(6, 0.5)
-        rs = RealStructure(model.grid)
+        basis = parity_basis(model.grid)
         e_grid = np.linspace(-0.05, 0.05, 11)
-        restricted = [
-            restrict_to_real(build_magnetic(model.with_coupling(e)), rs)
-            if e != 0.0 else restrict_to_real(build_h0(model), rs)
-            for e in e_grid
-        ]
+        restricted = [restrict_to_real(build_magnetic(model, e), basis) for e in e_grid]
         grounds = [op.decomposition.min_eigenvalue for op in restricted]
         for left, right, a, b in zip(e_grid, e_grid[1:], restricted, restricted[1:]):
             step_norm = (b - a).norm
@@ -286,9 +285,9 @@ class TestMagneticExperiment:
     def test_restricted_terms_match_rebuilt_hamiltonian(self, e):
         # reference: assemble the full Hamiltonian at e and restrict it
         model = harmonic_model(6, 0.4)
-        rs = RealStructure(model.grid)
-        h0, m1, m2 = (restrict_to_real(term, rs) for term in magnetic_terms(model))
-        full = restrict_to_real(build_magnetic(model.with_coupling(e)), rs)
+        basis = parity_basis(model.grid)
+        h0, m1, m2 = (restrict_to_real(term, basis) for term in magnetic_terms(model))
+        full = restrict_to_real(build_magnetic(model, e), basis)
         difference = e * m1.matrix + e**2 * m2.matrix - (full - h0).matrix
         assert np.max(np.abs(difference)) <= 1e-12 * full.norm
 
@@ -325,7 +324,6 @@ class TestMagneticExperiment:
             GridSpec(8, 0.5),
             lambda x: x * x + (1e12 if x == 0.0 else 0.0),
             lambda x: math.exp(-x * x),
-            0.0,
         )
         with pytest.raises(DegenerateBottom):
             magnetic_experiment(well, e_grid=[0.0], s0=1.0)
@@ -340,5 +338,4 @@ def test_laplacian_matches_momentum_squared_on_interior():
     p2 = (p @ p).real
     assert np.allclose(lap, lap.T)
     assert np.allclose(p2, p2.T)
-    rs = RealStructure(grid)
-    assert rs.commutation_residual(lap.astype(complex)) <= 1e-12
+    assert commutation_residual(lap.astype(complex)) <= 1e-12
