@@ -56,9 +56,7 @@ class CriterionResult:
 
 
 def _result(number, name, passed, detail, started):
-    # report details must stay comma-free: they are embedded in CSV rows
-    return CriterionResult(number=number, name=name, passed=bool(passed),
-                           detail=detail.replace(",", ";"),
+    return CriterionResult(number=number, name=name, passed=bool(passed), detail=detail,
                            elapsed=time.perf_counter() - started)
 
 
@@ -103,15 +101,15 @@ def criterion_2_threshold_reproduction(seed):
         abs(budget.c_threshold - f_r),
         abs(budget.kappa_threshold - kappa_adm),
     ]
-    sweep = end_to_end_semigroup_check(
+    rows = end_to_end_semigroup_check(
         budget,
         s_samples=[s0 / 5.0, 2.0 * s0 / 5.0, 3.0 * s0 / 5.0, 4.0 * s0 / 5.0, s0],
         kappas=np.linspace(-0.045, 0.045, 10),
     )
-    passed = max(errors) <= DERIVATION_TOL and sweep.all_true and len(sweep.rows) == 50
+    failures = sum(not row.verdict.is_true for row in rows)
+    passed = max(errors) <= DERIVATION_TOL and not failures and len(rows) == 50
     detail = (f"f(r)={budget.c_threshold:.17g} kappa_adm={budget.kappa_threshold:.17g} "
-              f"max_err={max(errors):.3g} rows={len(sweep.rows)} "
-              f"failures={len(sweep.failures)}")
+              f"max_err={max(errors):.3g} rows={len(rows)} failures={failures}")
     return _result(2, "threshold_reproduction", passed, detail, started)
 
 
@@ -252,8 +250,8 @@ def criterion_9_schrodinger(seed):
               and demo.max_imag >= DEMO_WITNESS_TOL)
     detail = (f"ground={budget.mu:.12g} "
               f"e0={budget.kappa_threshold:.12g} "
-              f"sweep_rows={len(report.sweep.rows)} "
-              f"failures={len(report.sweep.failures)} "
+              f"sweep_rows={len(report.sweep)} "
+              f"failures={sum(not row.verdict.is_true for row in report.sweep)} "
               f"demo_imag={demo.max_imag:.6g}")
     return _result(9, "schrodinger_pipeline", passed, detail, started)
 

@@ -4,6 +4,9 @@ Reports are plain text: '#'-prefixed header lines (config echo, version,
 tolerances, budget scalars), one CSV block, and '#'-prefixed summary lines.
 Given the same config, the emitted rows are byte-identical across runs; the
 timestamp header line is optional so whole files can be compared.
+This module alone decides the format (columns, header keys, cells) of the
+plain values the layers below return: numbers in .17g, a witness as its
+entries joined by spaces, free text with its commas turned into semicolons.
 """
 
 import itertools
@@ -27,7 +30,6 @@ from .cones import (
 from .errors import ConfigInvalid, RatioSaturated
 from .operators import SymmetricOperator, as_vector, top_eigen
 from .perturbation import (
-    SWEEP_CSV_COLUMNS,
     PerturbationFamily,
     end_to_end_semigroup_check,
     semigroup_threshold,
@@ -61,6 +63,9 @@ TOLERANCES = {
 
 FLAVORS = ("generic", "psd-simple", "degenerate-top")
 PF_COLUMNS = ["flavor", "dim", "predicate", "status", "margin", "witness", "seed", "ok"]
+# budget scalars echoed in the header of perturb and schrodinger reports, in order
+BUDGET_KEYS = ("mu", "delta", "epsilon", "s0", "alpha", "r", "c_threshold", "kappa0",
+               "kappa_threshold")
 
 
 def generate_instance(flavor, dim, seed):
@@ -99,6 +104,8 @@ class ExperimentConfig:
     seed: int
     params: dict = field(default_factory=dict)
     output_path: str | None = None
+    # the checked operators the validator built for the runner (perturb: T and S)
+    _checked: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -109,7 +116,7 @@ class ExperimentConfig:
             raise ConfigInvalid("seed", "must fit in 64 unsigned bits")
         if not isinstance(self.params, dict):
             raise ConfigInvalid("params", "must be a table")
-        _VALIDATORS[self.kind](self.params)
+        self._checked = _VALIDATORS[self.kind](self.params)
 
     @staticmethod
     def from_json(text):
@@ -216,7 +223,12 @@ def _validate_perturb(params):
     _reject_unknown(params, allowed)
     if ("t" in params) != ("s" in params):
         raise ConfigInvalid("t", "matrices t and s must be given together")
+    # the checked (T, S) for the runner; without t and s the swap instance,
+    # T = diag(0, 1) with S swapping the two axes
+    checked = (SymmetricOperator(np.diag([0.0, 1.0])),
+               SymmetricOperator([[0.0, 1.0], [1.0, 0.0]]))
     if "t" in params:
+        checked = ()
         for key in ("t", "s"):
             m = params[key]
             not_finite = ConfigInvalid(key, "must be a matrix as list of rows of finite numbers")
@@ -236,7 +248,7 @@ def _validate_perturb(params):
                 matrix = entries.reshape(len(m), len(m[0]))
                 if np.abs(matrix).max(initial=0.0) > tolerances.SCALE_LIMIT:
                     raise ConfigInvalid(key, f"|entries| must be <= {tolerances.SCALE_LIMIT:g}")
-                SymmetricOperator(matrix)  # square, and symmetric to TAU_SYM
+                checked += (SymmetricOperator(matrix),)  # square, and symmetric to TAU_SYM
             except ValueError as exc:
                 raise ConfigInvalid(key, str(exc)) from exc
         if len(params["s"]) != len(params["t"]):
@@ -264,6 +276,7 @@ def _validate_perturb(params):
         if value is not None and not (_is_number(value)
                                       and 0 <= value <= tolerances.SCALE_LIMIT):
             raise ConfigInvalid(key, f"must be a number in [0, {tolerances.SCALE_LIMIT:g}]")
+    return checked
 
 
 def _validate_schrodinger(params):
@@ -369,6 +382,20 @@ def _g17(x):
     return format(float(x), ".17g")
 
 
+def _ok(flag):
+    return "1" if flag else "0"
+
+
+def _witness_cell(witness):
+    """A witness vector as its .17g entries joined by spaces; empty when absent."""
+    return "" if witness is None else " ".join(_g17(x) for x in witness)
+
+
+def _budget_header(budget):
+    return [("budget_regime", "semigroup")] + [
+        ("budget_" + key, _g17(getattr(budget, key))) for key in BUDGET_KEYS]
+
+
 def _run_cone_axioms(config):
     params = config.params
     cone_kinds = sorted(params["cones"])
@@ -399,7 +426,7 @@ def _run_cone_axioms(config):
                 results.append((name, worst, violations))
             for name, worst, violations in results:
                 rows.append([str(dim), cone_kind, name, str(samples), _g17(worst),
-                             str(violations), "1" if violations == 0 else "0"])
+                             str(violations), _ok(violations == 0)])
 
     worst = max(float(row[4]) for row in rows)
     return Report(kind=config.kind, seed=config.seed,
@@ -434,7 +461,7 @@ def _run_pf_verify(config):
                 ok = ok and _witness_holds(verdict.predicate, cone, a.apply(verdict.witness))
             rows.append([flavor, str(dim), verdict.predicate, verdict.status.value,
                          _g17(verdict.margin) if not math.isnan(verdict.margin) else "",
-                         verdict.csv_row()[3], str(instance_seed), "1" if ok else "0"])
+                         _witness_cell(verdict.witness), str(instance_seed), _ok(ok)])
 
         if flavor == "generic":
             add(preserves_positivity(a, cone, seed=instance_seed),
@@ -449,7 +476,7 @@ def _run_pf_verify(config):
             rows.append([flavor, str(dim), "perron_frobenius",
                          "agree" if pf.agree else "disagree",
                          _g17(pf.top_eigenvalue), "", str(instance_seed),
-                         "1" if pf.agree else "0"])
+                         _ok(pf.agree)])
 
     margins = [float(row[4]) for row in rows if row[4]]
     summary = [("summary_min_margin", _g17(min(margins)))] if margins else []
@@ -462,9 +489,7 @@ def _run_pf_verify(config):
 
 def _run_perturb(config):
     params = config.params
-    # without t and s: the swap instance, T = diag(0, 1) with S swapping the two axes
-    t = SymmetricOperator(params.get("t", np.diag([0.0, 1.0])))
-    s_matrix = SymmetricOperator(params.get("s", [[0.0, 1.0], [1.0, 0.0]]))
+    t, s_matrix = config._checked
     if params["b"] is not None:
         # the default b = ||S|| holds by construction; a claimed one holds when
         # S^2 <= a^2 T^2 + b^2 I, for then ||S x||^2 <= (a ||T x|| + b ||x||)^2
@@ -486,15 +511,17 @@ def _run_perturb(config):
             raise ConfigInvalid("kappas", f"{kappa:g} is not admissible for the budget "
                                           f"(kappa_threshold {budget.kappa_threshold:.6g})")
     sweep = end_to_end_semigroup_check(budget, params["s_samples"], kappas=kappas)
-    rows = []
-    for row in sweep.rows:
-        rows.append(row.csv_row() + ["1" if row.verdict.is_true else "0"])
-    worst = min(row.verdict.margin for row in sweep.rows)
+    worst = min(row.verdict.margin for row in sweep)
     return Report(kind=config.kind, seed=config.seed,
                   config_json=config.canonical_json(),
-                  columns=SWEEP_CSV_COLUMNS + ["ok"],
-                  rows=rows,
-                  header_extra=[("budget_" + k, v) for k, v in budget.header_items()],
+                  columns=["kappa", "s", "c_kappa", "threshold", "drift_bound",
+                           "drift_actual", "verdict", "alpha_op", "alpha_uniform", "ok"],
+                  rows=[[_g17(row.kappa), _g17(row.s), _g17(row.c_kappa),
+                         _g17(budget.c_threshold), _g17(row.drift_bound),
+                         _g17(row.drift_actual), row.verdict.status.value,
+                         _g17(row.alpha_op), _g17(budget.alpha), _ok(row.verdict.is_true)]
+                        for row in sweep],
+                  header_extra=_budget_header(budget),
                   summary_extra=[("summary_min_verdict_margin", _g17(worst))])
 
 
@@ -516,20 +543,19 @@ def _run_schrodinger(config):
     rows = []
     for s, verdict in zip(report.s_samples, report.base_verdicts):
         rows.append(["base", _g17(0.0), _g17(s), verdict.status.value,
-                     _g17(verdict.margin), "1" if verdict.is_true else "0"])
-    for row in report.sweep.rows:
+                     _g17(verdict.margin), _ok(verdict.is_true)])
+    for row in report.sweep:
         rows.append(["sweep", _g17(row.kappa), _g17(row.s),
                      row.verdict.status.value, _g17(row.verdict.margin),
-                     "1" if row.verdict.is_true else "0"])
+                     _ok(row.verdict.is_true)])
     demo = _orthant_demo(model, params["demo_e"], params["demo_s"])
     rows.append(["orthant_demo", _g17(params["demo_e"]), _g17(params["demo_s"]),
                  demo.status, _g17(demo.max_imag), "1"])
     budget = report.budget
-    extras = [("budget_" + k, v) for k, v in budget.header_items()]
-    extras.append(("ground_energy", _g17(budget.mu)))
-    extras.append(("admissible_coupling", _g17(budget.kappa_threshold)))
+    extras = _budget_header(budget) + [("ground_energy", _g17(budget.mu)),
+                                       ("admissible_coupling", _g17(budget.kappa_threshold))]
     margins = [v.margin for v in report.base_verdicts]
-    margins += [row.verdict.margin for row in report.sweep.rows]
+    margins += [row.verdict.margin for row in report.sweep]
     return Report(kind=config.kind, seed=config.seed,
                   config_json=config.canonical_json(),
                   columns=["stage", "e", "s", "status", "value", "ok"],
@@ -660,8 +686,8 @@ def selftest(seed):
 
     results = run_criteria(seed)
     rows = [
-        [str(res.number), res.name, "pass" if res.passed else "fail", res.detail,
-         "1" if res.passed else "0"]
+        [str(res.number), res.name, "pass" if res.passed else "fail",
+         res.detail.replace(",", ";"), _ok(res.passed)]
         for res in results
     ]
     return Report(kind="selftest", seed=seed,

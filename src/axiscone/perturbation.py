@@ -10,10 +10,11 @@ below r.  The budget owns that problem: it holds T, the family S and the
 checked operators at its admissible grid points, builds T + S(kappa) in one
 place (PerturbationBudget.operator_at), and bounds c(kappa) at every kappa,
 on the grid or off it (PerturbationBudget.c_at); the end-to-end sweep takes
-the budget alone.  The budget's gap delta needs a spectrum only where a grid
-point's gap may set it or where the sweep will use the point; every other
-grid point's gap is certified above the running minimum by one Cholesky
-factorization (operators.gap_exceeds).
+the budget alone and returns plain SweepRows, which the harness renders.
+The budget's gap delta needs a spectrum only where a grid point's gap may
+set it or where the sweep will use the point; every other grid point's gap
+is certified above the running minimum by one Cholesky factorization
+(operators.gap_exceeds).
 """
 
 import math
@@ -143,7 +144,7 @@ def ergodic_drift_check(A, u0, u1, sample_pairs=50, seed=0):
     slack = INV_SQRT2 - drift
     if slack <= 0.0:
         return Verdict("ergodic_drift_check", VerdictStatus.INAPPLICABLE,
-                       margin=slack, seed=seed,
+                       margin=slack,
                        detail=f"drift {drift:.6g} >= 1/sqrt(2); theorem silent here")
     cone = AxisCone(u1)
     rows = sample_in_cone(cone, rng_for(seed, 0), 2 * sample_pairs)
@@ -155,15 +156,15 @@ def ergodic_drift_check(A, u0, u1, sample_pairs=50, seed=0):
         probe = ergodic_probe(A, cone, rows[0:2 * probed:2], rows[1:2 * probed:2])
         if not probe.found:
             return Verdict("ergodic_drift_check", VerdictStatus.CERTIFIED_FALSE,
-                           margin=probe.value, witness=rows[2 * probe.pair], seed=seed,
+                           margin=probe.value, witness=rows[2 * probe.pair],
                            detail=f"no positive pairing within {MAX_POWER} powers")
     if bad.size:
         return Verdict("ergodic_drift_check", VerdictStatus.CERTIFIED_FALSE,
-                       margin=float(certificates[bad[0]]), witness=rows[bad[0]], seed=seed,
+                       margin=float(certificates[bad[0]]), witness=rows[bad[0]],
                        detail="positivity certificate violated (toolkit bug)")
     worst_certificate = float(certificates.min(initial=math.inf))
     return Verdict("ergodic_drift_check", VerdictStatus.SAMPLED_TRUE,
-                   margin=worst_certificate, seed=seed,
+                   margin=worst_certificate,
                    detail=f"{sample_pairs} pairs ergodic; certificate slack "
                           f"{worst_certificate:.3e}")
 
@@ -292,14 +293,15 @@ class PerturbationBudget:
         return self.operators.get(kappa) or self.T + self.family.operator_at(kappa)
 
     def c_at(self, kappa):
-        """c(kappa) = c_slope |kappa| for a linear family; otherwise the grid value
-        at a grid point and the exact a(kappa), b(kappa) anywhere else, where
-        S(kappa) is decomposed once per budget for its norm."""
-        if self.c_slope is not None:
-            return self.c_slope * abs(kappa)
+        """c(kappa): the grid value at a grid point, for every family, so c_at and
+        admissible agree there bit for bit; off the grid c_slope |kappa| for a
+        linear family and the exact a(kappa), b(kappa) otherwise, where S(kappa)
+        is decomposed once per budget for its norm."""
         on_grid = np.flatnonzero(self.kappas == kappa)
         if on_grid.size:
             return float(self.c_values[on_grid[0]])
+        if self.c_slope is not None:
+            return self.c_slope * abs(kappa)
         kappa = float(kappa)
         if kappa not in self._c_off_grid:
             self._c_off_grid[kappa] = float(_c_values(
@@ -308,20 +310,6 @@ class PerturbationBudget:
 
     def is_admissible(self, kappa):
         return abs(kappa) < self.kappa0 and self.c_at(kappa) < self.c_threshold
-
-    def header_items(self):
-        return [
-            ("regime", "semigroup"),
-            ("mu", format(self.mu, ".17g")),
-            ("delta", format(self.delta, ".17g")),
-            ("epsilon", format(self.epsilon, ".17g")),
-            ("s0", format(self.s0, ".17g")),
-            ("alpha", format(self.alpha, ".17g")),
-            ("r", format(self.r, ".17g")),
-            ("c_threshold", format(self.c_threshold, ".17g")),
-            ("kappa0", format(self.kappa0, ".17g")),
-            ("kappa_threshold", format(self.kappa_threshold, ".17g")),
-        ]
 
 
 def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
@@ -524,45 +512,10 @@ class SweepRow:
     kappa: float
     s: float
     c_kappa: float
-    threshold: float
     drift_bound: float
     drift_actual: float
     verdict: Verdict
     alpha_op: float
-    alpha_uniform: float
-
-    def csv_row(self):
-        return [
-            format(self.kappa, ".17g"),
-            format(self.s, ".17g"),
-            format(self.c_kappa, ".17g"),
-            format(self.threshold, ".17g"),
-            format(self.drift_bound, ".17g"),
-            format(self.drift_actual, ".17g"),
-            self.verdict.status.value,
-            format(self.alpha_op, ".17g"),
-            format(self.alpha_uniform, ".17g"),
-        ]
-
-
-SWEEP_CSV_COLUMNS = [
-    "kappa", "s", "c_kappa", "threshold", "drift_bound", "drift_actual",
-    "verdict", "alpha_op", "alpha_uniform",
-]
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    budget: PerturbationBudget
-    rows: tuple
-
-    @property
-    def failures(self):
-        return [row for row in self.rows if not row.verdict.is_true]
-
-    @property
-    def all_true(self):
-        return not self.failures
 
 
 def end_to_end_semigroup_check(budget, s_samples, kappas=None):
@@ -570,11 +523,11 @@ def end_to_end_semigroup_check(budget, s_samples, kappas=None):
 
     Each pair exponentiates budget.operator_at(kappa), recomputes the
     spectral ratio of the exponential once (the uniform alpha of the budget
-    is the worst case; both are reported), and asks for improvement w.r.t.
-    the unperturbed axis.  The base case kappa = 0 is T itself, verified
-    directly through the certified axis criterion for every s.  An
-    admissible grid point reuses the budget's checked operator, so only a
-    kappa off the grid is decomposed here.
+    is the worst case), and asks for improvement w.r.t. the unperturbed
+    axis.  The base case kappa = 0 is T itself, verified directly through
+    the certified axis criterion for every s.  An admissible grid point
+    reuses the budget's checked operator, so only a kappa off the grid is
+    decomposed here.  Returns the SweepRows as a tuple, kappa ascending.
     """
     s_samples = [float(s) for s in s_samples]
     for s in s_samples:
@@ -604,8 +557,7 @@ def end_to_end_semigroup_check(budget, s_samples, kappas=None):
             else:
                 verdict = certified_improving_under_drift(semigroup, alpha_op, axis_kappa, u0)
             rows.append(SweepRow(
-                kappa=kappa, s=s, c_kappa=c_kappa, threshold=budget.c_threshold,
-                drift_bound=drift_bound, drift_actual=drift_actual,
-                verdict=verdict, alpha_op=alpha_op, alpha_uniform=budget.alpha,
+                kappa=kappa, s=s, c_kappa=c_kappa, drift_bound=drift_bound,
+                drift_actual=drift_actual, verdict=verdict, alpha_op=alpha_op,
             ))
-    return SweepReport(budget=budget, rows=tuple(rows))
+    return tuple(rows)

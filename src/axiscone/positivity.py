@@ -7,7 +7,8 @@ inside the TAU_STRICT band.  Sampled verdicts take their cone points as one
 block: preservation classifies the block's images at once, and the
 ergodicity probe iterates A on every unresolved pair of a block together,
 taking its powers in doubling blocks judged with array operations and cut
-at the first power where a pair resolves or a norm is renormalized.
+at the first power where a pair resolves or a norm is renormalized.  A
+Verdict is plain data; the harness renders its report cells.
 """
 
 import enum
@@ -54,7 +55,6 @@ class Verdict:
     status: VerdictStatus
     margin: float = math.nan
     witness: np.ndarray | None = None
-    seed: int | None = None
     detail: str = ""
 
     def __post_init__(self):
@@ -64,20 +64,6 @@ class Verdict:
     @property
     def is_true(self):
         return self.status in (VerdictStatus.CERTIFIED_TRUE, VerdictStatus.SAMPLED_TRUE)
-
-    def csv_row(self):
-        witness = (
-            " ".join(format(x, ".17g") for x in self.witness)
-            if self.witness is not None
-            else ""
-        )
-        return [
-            self.predicate,
-            self.status.value,
-            format(self.margin, ".17g"),
-            witness,
-            "" if self.seed is None else str(self.seed),
-        ]
 
 
 def require_psd(A):
@@ -114,13 +100,13 @@ def preserves_positivity(A, cone, seed=0):
         low = float(np.min(m))
         if low >= -ORTHANT_NONNEG_TOL:
             return Verdict("preserves_positivity", VerdictStatus.CERTIFIED_TRUE,
-                           margin=low, seed=seed, detail="entrywise nonnegative")
+                           margin=low, detail="entrywise nonnegative")
         i, j = np.unravel_index(int(np.argmin(m)), m.shape)
         witness = np.zeros(A.dim)
         witness[j] = 1.0
         if cone.classify(A.apply(witness)) is Region.OUTSIDE:
             return Verdict("preserves_positivity", VerdictStatus.CERTIFIED_FALSE,
-                           margin=low, witness=witness, seed=seed,
+                           margin=low, witness=witness,
                            detail=f"entry ({i},{j}) negative; basis image leaves cone")
     else:
         try:
@@ -130,7 +116,7 @@ def preserves_positivity(A, cone, seed=0):
             pass
         else:
             return Verdict("preserves_positivity", VerdictStatus.CERTIFIED_TRUE,
-                           margin=lam, seed=seed,
+                           margin=lam,
                            detail="axis is a top eigenvector of a PSD operator")
 
     u = sample_in_cone(cone, rng_for(seed, 0), PRESERVATION_SAMPLES)
@@ -140,11 +126,11 @@ def preserves_positivity(A, cone, seed=0):
     outside = np.flatnonzero((nrm > 0.0) & (regions(cone, images) == -1))
     if outside.size:
         return Verdict("preserves_positivity", VerdictStatus.CERTIFIED_FALSE,
-                       margin=float(margins[outside[0]]), witness=u[outside[0]], seed=seed,
+                       margin=float(margins[outside[0]]), witness=u[outside[0]],
                        detail="sampled cone point maps outside")
     i = int(np.argmin(margins))
     return Verdict("preserves_positivity", VerdictStatus.SAMPLED_TRUE,
-                   margin=float(margins[i]), witness=u[i], seed=seed,
+                   margin=float(margins[i]), witness=u[i],
                    detail=f"{PRESERVATION_SAMPLES} sampled images stayed in the cone")
 
 

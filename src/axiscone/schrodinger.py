@@ -156,10 +156,10 @@ def magnetic_terms(model):
     read-only complex arrays.
     """
     h0 = (laplacian_matrix(model.grid) + np.diag(model.v_values)).astype(complex)
-    a_diag = np.diag(model.a_values.astype(complex))
+    a = model.a_values
     p = momentum_matrix(model.grid)
-    m2 = np.diag(model.a_values**2).astype(complex)
-    return _read_only(h0), _read_only(p @ a_diag + a_diag @ p), _read_only(m2)
+    m2 = np.diag(a**2).astype(complex)
+    return _read_only(h0), _read_only(p * a + a[:, None] * p), _read_only(m2)
 
 
 def build_magnetic(model, e):
@@ -258,12 +258,12 @@ class MagneticExperimentReport:
     budget: object
     s_samples: tuple
     base_verdicts: tuple      # improvement of exp(-s H0) w.r.t. its own ground axis, per s
-    sweep: object             # end-to-end rows over admissible couplings
+    sweep: tuple              # end-to-end SweepRows over admissible couplings
 
     @property
     def all_true(self):
         return (all(v.is_true for v in self.base_verdicts)
-                and all(row.verdict.is_true for row in self.sweep.rows))
+                and all(row.verdict.is_true for row in self.sweep))
 
 
 def magnetic_experiment(model, e_grid, s0, s_samples=None):

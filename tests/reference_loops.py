@@ -247,9 +247,8 @@ def sweep_by_rebuild(T, S_spec, budget, s_samples, kappas=None):
                 verdict = certified_improving_under_drift(semigroup, alpha_op, axis_kappa, u0)
             rows.append(SweepRow(
                 kappa=kappa, s=float(s), c_kappa=budget.c_at(kappa),
-                threshold=budget.c_threshold, drift_bound=drift_bound,
-                drift_actual=drift_actual, verdict=verdict, alpha_op=alpha_op,
-                alpha_uniform=budget.alpha,
+                drift_bound=drift_bound, drift_actual=drift_actual, verdict=verdict,
+                alpha_op=alpha_op,
             ))
     return tuple(rows)
 

@@ -20,7 +20,8 @@ from axiscone.harness import (
     run,
     selftest,
 )
-from axiscone.operators import top_eigen
+from axiscone.operators import SymmetricOperator, top_eigen
+from axiscone.perturbation import PerturbationFamily, semigroup_threshold
 from axiscone.positivity import Verdict, VerdictStatus, improves_positivity_axis
 
 
@@ -150,6 +151,21 @@ class TestRunners:
             run(ExperimentConfig(kind="perturb_sweep", seed=0,
                                  params={"kappa_grid": [0.3, 0.4]}))
 
+    @pytest.mark.parametrize("params", [
+        {},
+        {"t": [[0, 0, 0], [0, 0.1, 0], [0, 0, 0.15]], "s": [[0, 1, 1], [1, 0, 0.5], [1, 0.5, 0]],
+         "kappa_grid": {"start": -0.01, "stop": 0.01, "num": 9}},
+    ], ids=["swap", "given"])
+    def test_perturb_runs_on_the_operators_the_validator_checked(self, params, monkeypatch):
+        config = ExperimentConfig(kind="perturb_sweep", seed=0, params=params)
+        expected = run(config).render(timestamp=False)
+
+        def no_conversion(*args, **kwargs):
+            raise AssertionError("t or s converted again")
+
+        monkeypatch.setattr(harness, "SymmetricOperator", no_conversion)
+        assert run(config).render(timestamp=False) == expected
+
     def test_determinism_rows(self):
         config = ExperimentConfig(kind="pf_verify", seed=21,
                                   params={"dims": [3], "instances_per_flavor": 2})
@@ -217,6 +233,87 @@ class TestReportFormat:
         assert echoed == {key: format(value, ".17g") for key, value in in_force.items()}
 
 
+def header_keys(text):
+    """The keys of a report's header lines, in order, up to the CSV block."""
+    keys = []
+    for line in text.splitlines():
+        if not line.startswith("#"):
+            break
+        if ": " in line:
+            keys.append(line[2:].split(": ", 1)[0])
+    return keys
+
+
+COMMON_KEYS = ["version", "kind", "seed", "config", "tol_correspondence",
+               "tol_reconstruction", "tol_tau_gap", "tol_tau_membership", "tol_tau_strict",
+               "tol_tau_sym"]
+BUDGET_KEYS = ["budget_regime", "budget_mu", "budget_delta", "budget_epsilon", "budget_s0",
+               "budget_alpha", "budget_r", "budget_c_threshold", "budget_kappa0",
+               "budget_kappa_threshold"]
+
+
+class TestReportLayout:
+    """The header keys, in order, and the CSV columns of every report."""
+
+    LAYOUT = {
+        "cone_axioms": ({"dims": [2], "samples": 10},
+                        ["dim", "cone", "check", "samples", "worst", "violations", "ok"], []),
+        "pf_verify": ({"dims": [3], "instances_per_flavor": 1},
+                      ["flavor", "dim", "predicate", "status", "margin", "witness", "seed",
+                       "ok"], []),
+        "perturb_sweep": ({}, ["kappa", "s", "c_kappa", "threshold", "drift_bound",
+                               "drift_actual", "verdict", "alpha_op", "alpha_uniform", "ok"],
+                          BUDGET_KEYS),
+        "schrodinger": ({"N": 4, "e_grid": [-0.004, 0.0, 0.004]},
+                        ["stage", "e", "s", "status", "value", "ok"],
+                        BUDGET_KEYS + ["ground_energy", "admissible_coupling"]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(LAYOUT))
+    def test_header_keys_and_columns(self, kind):
+        params, columns, extra = self.LAYOUT[kind]
+        text = run(ExperimentConfig(kind=kind, seed=0, params=params)).render(timestamp=False)
+        header, got, rows = parse_report(text)
+        assert header_keys(text) == COMMON_KEYS + extra
+        assert got == columns
+        assert rows and all(len(row) == len(columns) for row in rows)
+        if extra:
+            assert header["budget_regime"] == "semigroup"
+
+    def test_selftest_columns_and_comma_free_detail(self, monkeypatch):
+        from axiscone import acceptance
+
+        monkeypatch.setattr(acceptance, "run_criteria", lambda seed: [
+            acceptance.CriterionResult(1, "demo", True, "a=1, b=2", 0.0)])
+        text = selftest(seed=0).render(timestamp=False)
+        _, columns, rows = parse_report(text)
+        assert header_keys(text) == COMMON_KEYS
+        assert columns == ["criterion", "name", "result", "detail", "ok"]
+        assert rows == [["1", "demo", "pass", "a=1; b=2", "1"]]
+
+    def test_perturb_threshold_and_alpha_cells_are_the_budgets(self):
+        config = ExperimentConfig(kind="perturb_sweep", seed=0, params={})
+        header, columns, rows = parse_report(run(config).render(timestamp=False))
+        budget = semigroup_threshold(
+            SymmetricOperator(np.diag([0.0, 1.0])),
+            PerturbationFamily([[[0.0, 1.0], [1.0, 0.0]]]),
+            s0=math.log(2.0), kappa0=0.5, kappa_grid=config.params["kappa_grid"])
+        threshold, alpha = format(budget.c_threshold, ".17g"), format(budget.alpha, ".17g")
+        assert (header["budget_c_threshold"], header["budget_alpha"]) == (threshold, alpha)
+        assert len(rows) == 25
+        for row in rows:
+            assert row[columns.index("threshold")] == threshold
+            assert row[columns.index("alpha_uniform")] == alpha
+
+    def test_witness_cell(self):
+        verdict = Verdict("demo", VerdictStatus.CERTIFIED_FALSE, margin=-0.5,
+                          witness=np.array([1.0, -1.0]))
+        assert (verdict.predicate, verdict.status.value) == ("demo", "CertifiedFalse")
+        assert harness._witness_cell(verdict.witness) == "1 -1"
+        no_witness = Verdict("demo", VerdictStatus.CERTIFIED_TRUE, margin=0.5)
+        assert harness._witness_cell(no_witness.witness) == ""
+
+
 class TestWitnessRule:
     def test_preservation_witness_on_the_boundary_fails_its_row(self, monkeypatch):
         # a preservation witness must map outside the cone; a boundary image
@@ -226,7 +323,7 @@ class TestWitnessRule:
             other = np.roll(u0, 1) - (np.roll(u0, 1) @ u0) * u0
             image = u0 + other / np.linalg.norm(other)   # 45 degrees from the axis
             return Verdict("preserves_positivity", VerdictStatus.CERTIFIED_FALSE,
-                           margin=-1.0, witness=np.linalg.solve(a.matrix, image), seed=seed)
+                           margin=-1.0, witness=np.linalg.solve(a.matrix, image))
 
         monkeypatch.setattr(harness, "preserves_positivity", boundary_witness)
         report = run(ExperimentConfig(kind="pf_verify", seed=31,

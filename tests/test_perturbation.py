@@ -537,28 +537,51 @@ class TestBudgetOffTheGrid:
         assert built.matrix.tobytes() == expected.matrix.tobytes()
 
 
+def assert_grid_reads_c_values(budget):
+    """At every grid kappa, c_at and is_admissible read the values admissibility used."""
+    for i, kappa in enumerate(budget.kappas):
+        assert bits(budget.c_at(kappa)) == bits(budget.c_values[i]), kappa
+        assert budget.is_admissible(kappa) == budget.admissible[i], kappa
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_linear_family_reads_c_values_on_the_grid(seed):
+    # a T with spectrum {0} U U(1, 3) and a unit-norm S on a 41-point grid, where
+    # c_slope |kappa| and the grid's c values differ in the last bit
+    rng, dim = rng_for(seed, 92), 24
+    q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    t = SymmetricOperator((q * np.concatenate([[0.0], rng.uniform(1.0, 3.0, dim - 1)])) @ q.T)
+    g = rng.standard_normal((dim, dim))
+    s_mat = SymmetricOperator((g + g.T) / 2.0)
+    budget = semigroup_threshold(t, PerturbationFamily([(1.0 / s_mat.norm) * s_mat]),
+                                 s0=math.log(2.0), kappa0=0.5,
+                                 kappa_grid=np.linspace(-0.36, 0.36, 41))
+    assert budget.c_slope is not None and budget.admissible.any()
+    assert_grid_reads_c_values(budget)
+    assert 0.01 not in budget.kappas and budget.c_at(0.01) == budget.c_slope * 0.01
+
+
 class TestEndToEnd:
     def test_reference_sweep_all_true(self):
         t, s = swap_instance()
         s0 = math.log(2.0)
         budget = semigroup_threshold(t, s, s0=s0, kappa0=0.5,
                                      kappa_grid=np.linspace(-0.45, 0.45, 41))
-        report = end_to_end_semigroup_check(
+        rows = end_to_end_semigroup_check(
             budget, s_samples=[s0 / 4, s0 / 2, s0], kappas=[0.04]
         )
-        assert report.all_true
-        assert all(row.verdict.is_true for row in report.rows)
-        assert {row.s for row in report.rows} == {s0 / 4, s0 / 2, s0}
+        assert all(row.verdict.is_true for row in rows)
+        assert {row.s for row in rows} == {s0 / 4, s0 / 2, s0}
 
     def test_base_case_certified_per_s(self):
         t, s = swap_instance()
         s0 = math.log(2.0)
         budget = semigroup_threshold(t, s, s0=s0, kappa0=0.5, kappa_grid=[0.0])
-        report = end_to_end_semigroup_check(
+        rows = end_to_end_semigroup_check(
             budget, s_samples=[s0 / 3, s0], kappas=[0.0]
         )
         assert all(
-            row.verdict.status is VerdictStatus.CERTIFIED_TRUE for row in report.rows
+            row.verdict.status is VerdictStatus.CERTIFIED_TRUE for row in rows
         )
 
     def test_zero_time_rejected(self):
@@ -594,8 +617,8 @@ class TestEndToEnd:
         counts = []
         for s_samples in ([0.1], [0.1, 0.2, 0.3, 0.5, math.log(2.0)]):
             calls.clear()
-            report = end_to_end_semigroup_check(budget, s_samples, kappas=kappas)
-            assert len(report.rows) == len(kappas) * len(s_samples)
+            rows = end_to_end_semigroup_check(budget, s_samples, kappas=kappas)
+            assert len(rows) == len(kappas) * len(s_samples)
             counts.append(len(calls))
         # none for kappa = 0 (T's own spectrum) or for the grid point 0.6, whose
         # spectrum the budget holds; one for 0.3, which is not bit-equal to the
@@ -610,9 +633,9 @@ class TestEndToEnd:
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda *a, **k: calls.append(a) or eigvalsh(*a, **k))
-        report = end_to_end_semigroup_check(budget, [0.1, 0.3, math.log(2.0)],
-                                            kappas=[-0.3, 0.0, 0.3, 0.6])
-        assert len(report.rows) == 12 and report.all_true
+        rows = end_to_end_semigroup_check(budget, [0.1, 0.3, math.log(2.0)],
+                                          kappas=[-0.3, 0.0, 0.3, 0.6])
+        assert len(rows) == 12 and all(row.verdict.is_true for row in rows)
         run(ExperimentConfig(kind="perturb_sweep", seed=0, params={}))
         assert calls == []
 
@@ -622,10 +645,10 @@ class TestEndToEnd:
         for module in (perturbation, positivity):
             monkeypatch.setattr(module, "restricted_top",
                                 lambda A, u0: calls.append(A) or restricted_top(A, u0))
-        report = end_to_end_semigroup_check(budget, [0.1, 0.3, math.log(2.0)],
-                                            kappas=[-0.3, 0.3, 0.6])
-        assert len(calls) == len(report.rows) == 9
-        assert all(row.verdict.status is VerdictStatus.CERTIFIED_TRUE for row in report.rows)
+        rows = end_to_end_semigroup_check(budget, [0.1, 0.3, math.log(2.0)],
+                                          kappas=[-0.3, 0.3, 0.6])
+        assert len(calls) == len(rows) == 9
+        assert all(row.verdict.status is VerdictStatus.CERTIFIED_TRUE for row in rows)
 
     def test_perturbed_rows_go_through_the_public_drift_verdict(self, monkeypatch):
         # the tracer counts this function by name: every kappa != 0 row must
@@ -639,10 +662,10 @@ class TestEndToEnd:
             return verdicts[-1]
 
         monkeypatch.setattr(perturbation, "certified_improving_under_drift", counting)
-        report = end_to_end_semigroup_check(budget, [0.1, 0.3],
-                                            kappas=[0.0, 0.3, 0.6])
-        perturbed = [row.verdict for row in report.rows if row.kappa != 0.0]
-        assert len(report.rows) == 6 and len(perturbed) == 4
+        rows = end_to_end_semigroup_check(budget, [0.1, 0.3],
+                                          kappas=[0.0, 0.3, 0.6])
+        perturbed = [row.verdict for row in rows if row.kappa != 0.0]
+        assert len(rows) == 6 and len(perturbed) == 4
         assert len(verdicts) == 4
         assert all(a is b for a, b in zip(perturbed, verdicts))
 
@@ -675,12 +698,11 @@ def bits(x):
 def assert_rows_bit_equal(rows, expected):
     assert len(rows) == len(expected) > 0
     for row, ref in zip(rows, expected):
-        for name in ("kappa", "s", "c_kappa", "threshold", "drift_bound", "drift_actual",
-                     "alpha_op", "alpha_uniform"):
+        for name in ("kappa", "s", "c_kappa", "drift_bound", "drift_actual", "alpha_op"):
             assert bits(getattr(row, name)) == bits(getattr(ref, name)), name
         got, want = row.verdict, ref.verdict
-        assert (got.predicate, got.status, got.seed, got.detail) == \
-            (want.predicate, want.status, want.seed, want.detail)
+        assert (got.predicate, got.status, got.detail) == \
+            (want.predicate, want.status, want.detail)
         assert bits(got.margin) == bits(want.margin)
         assert (got.witness is None) == (want.witness is None)
         if got.witness is not None:
@@ -747,13 +769,13 @@ class TestDecompositionReuse:
                 eigh = np.linalg.eigh
                 monkeypatch.setattr(np.linalg, "eigh",
                                     lambda m: decomposed.append(m.tobytes()) or eigh(m))
-                report = end_to_end_semigroup_check(budget, self.S_SAMPLES, kappas)
+                rows = end_to_end_semigroup_check(budget, self.S_SAMPLES, kappas)
                 swept_calls = len(decomposed)
                 # the budget now knows c off the grid, so the rebuild decomposes no S(kappa)
                 expected = sweep_by_rebuild(t, s_spec, budget, self.S_SAMPLES, kappas)
                 rebuilt = len(decomposed) - swept_calls
                 monkeypatch.undo()
-                assert_rows_bit_equal(report.rows, expected)
+                assert_rows_bit_equal(rows, expected)
                 off = [k for k in swept if k not in budget.kappas]
                 # one eigh of S(kappa) per off-grid kappa of a degree-2 family, however
                 # often the sweep asks for c(kappa), and none on the grid
@@ -782,10 +804,10 @@ class TestDecompositionReuse:
         expected = sweep_by_rebuild(t, s, budget, self.S_SAMPLES)
         rebuilt = len(calls)
         calls.clear()
-        report = end_to_end_semigroup_check(budget, self.S_SAMPLES)
+        rows = end_to_end_semigroup_check(budget, self.S_SAMPLES)
         monkeypatch.undo()
         assert rebuilt - len(calls) == 3   # T + S(kappa) at -0.03, 0.0 and 0.03
-        assert_rows_bit_equal(report.rows, expected)
+        assert_rows_bit_equal(rows, expected)
 
     def test_schrodinger_family_matches_the_rebuilding_sweep(self):
         model = MagneticModel.from_functions(GridSpec(4, 0.5), lambda x: x * x,
@@ -793,7 +815,7 @@ class TestDecompositionReuse:
         report = magnetic_experiment(model, e_grid=np.linspace(-0.008, 0.008, 5), s0=0.5)
         t, family = report.budget.T, report.budget.family
         assert family.degree == 2 and len(report.budget.operators) == 4
-        assert_rows_bit_equal(report.sweep.rows, sweep_by_rebuild(
+        assert_rows_bit_equal(report.sweep, sweep_by_rebuild(
             t, family, report.budget, [0.125, 0.25, 0.5]))
 
     @pytest.mark.parametrize("seed", range(40))
@@ -805,6 +827,7 @@ class TestDecompositionReuse:
         # a point dropped while the grid loop ran never comes back, so this also
         # says that no point that ends admissible was dropped on the way
         assert set(budget.operators) == admissible
+        assert_grid_reads_c_values(budget)
         assert budget.operator_at(0.0) is t
         for kappa, held in budget.operators.items():
             assert budget.operator_at(kappa) is held

@@ -428,18 +428,6 @@ class TestInvariants:
         )
 
 
-def test_verdict_csv_row():
-    verdict = Verdict(
-        "demo", VerdictStatus.CERTIFIED_FALSE, margin=-0.5,
-        witness=np.array([1.0, -1.0]), seed=7,
-    )
-    row = verdict.csv_row()
-    assert row[0] == "demo"
-    assert row[1] == "CertifiedFalse"
-    assert row[3] == "1 -1"
-    assert row[4] == "7"
-
-
 def test_certified_false_requires_witness():
     with pytest.raises(ValueError):
         Verdict("demo", VerdictStatus.CERTIFIED_FALSE, margin=-1.0)
