@@ -14,7 +14,7 @@ from .errors import (
     ContractViolation,
     CorrespondenceViolation,
 )
-from .harness import ExperimentConfig, replay, run, selftest
+from .harness import ExperimentConfig, check_seed, replay, run, selftest
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -69,17 +69,15 @@ def build_parser():
 
 def _config_for(args, command):
     kinds = _SUBCOMMAND_KINDS[command]
-    if args.config:
-        config = ExperimentConfig.load(args.config)
-        if config.kind not in kinds:
-            raise ConfigInvalid("kind", f"subcommand {command} accepts {', '.join(kinds)}")
-    else:
-        kind = getattr(args, "kind", kinds[0])
-        config = ExperimentConfig(kind=kind, seed=0, params={})
+    if not args.config:
+        seed = 0 if args.seed is None else args.seed
+        return ExperimentConfig(kind=getattr(args, "kind", kinds[0]), seed=seed, params={})
+    config = ExperimentConfig.load(args.config)
+    if config.kind not in kinds:
+        raise ConfigInvalid("kind", f"subcommand {command} accepts {', '.join(kinds)}")
     if args.seed is not None:
-        config = ExperimentConfig(kind=config.kind, seed=args.seed,
-                                  params=config.params,
-                                  output_path=config.output_path)
+        check_seed(args.seed)
+        config.seed = args.seed
     return config
 
 

@@ -1,12 +1,13 @@
 """Self-dual cone geometry: the 45-degree axis cone and the nonnegative orthant.
 
 An axis cone around unit vector u0 is {u : <u0, u> >= ||u|| / sqrt(2)}; its
-aperture is fixed at 45 degrees, which is what makes it self-dual.  The
-per-vector primitives (classify, project, strict positivity) and the block
-sampler `sample_in_cone` serve `positivity` and `perturbation`.  Every
+aperture is fixed at 45 degrees, which is what makes it self-dual.  Each
+primitive has one form, on a (k, n) block of rows: `row_margins`, `regions`
+and `project_rows`; a cone's `classify` is `regions` on a one-row block.  The
+block sampler `sample_in_cone` serves `positivity` and `perturbation`.  Every
 sampled cone-axiom check runs through one loop, `cone_check`, in blocks of
 rows: the Moreau split, duality witnesses, boundary partners and outside
-sampling take (k, n) blocks, with row forms of the primitives beside them.
+sampling take (k, n) blocks too.
 """
 
 import enum
@@ -30,23 +31,12 @@ class Region(enum.Enum):
     INTERIOR = "interior"
 
 
+_REGIONS = (Region.OUTSIDE, Region.BOUNDARY, Region.INTERIOR)   # code of `regions` + 1
+
+
 def _classify(cone, u):
-    """Region of u from the cone's margin, with ||u|| computed once."""
-    u = as_vector(u)
-    nrm = np.linalg.norm(u)
-    if nrm == 0.0:
-        return Region.BOUNDARY  # zero vector is in the cone, not interior
-    m = cone.margin(u, nrm)
-    if m > TAU_MEMBERSHIP * nrm:
-        return Region.INTERIOR
-    if m < -TAU_MEMBERSHIP * nrm:
-        return Region.OUTSIDE
-    return Region.BOUNDARY
-
-
-def _is_strictly_positive(cone, u):
-    """Strictly positive elements are exactly the interior points."""
-    return cone.classify(u) is Region.INTERIOR
+    """Region of one vector: `regions` on the one-row block, so zero is BOUNDARY."""
+    return _REGIONS[regions(cone, as_vector(u)[None])[0] + 1]
 
 
 @dataclass(frozen=True)
@@ -67,34 +57,7 @@ class AxisCone:
     def dim(self):
         return self.axis.size
 
-    def margin(self, u, nrm=None):
-        """<axis, u> - ||u||/sqrt(2); positive inside, negative outside."""
-        u = np.asarray(u, dtype=float)
-        if nrm is None:
-            nrm = np.linalg.norm(u)
-        return float(self.axis @ u - nrm / SQRT2)
-
     classify = _classify
-    is_strictly_positive = _is_strictly_positive
-
-    def project(self, w):
-        """Nearest cone point, in closed form.
-
-        Split w = s*axis + w_perp.  Inside (s >= ||w_perp||) is fixed; the
-        polar opposite (s <= -||w_perp||) maps to 0; in between the image is
-        ((s + ||w_perp||)/2) * (axis + w_perp/||w_perp||).
-        """
-        w = as_vector(w)
-        s = float(self.axis @ w)
-        perp = w - s * self.axis
-        p = float(np.linalg.norm(perp))
-        if p == 0.0:  # collinear with the axis; decide by the sign of s
-            return w.copy() if s >= 0.0 else np.zeros_like(w)
-        if s >= p:
-            return w.copy()
-        if s <= -p:
-            return np.zeros_like(w)
-        return ((s + p) / 2.0) * (self.axis + perp / p)
 
 
 @dataclass(frozen=True)
@@ -107,15 +70,7 @@ class OrthantCone:
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
 
-    def margin(self, u, nrm=None):
-        """Least entry; the norm is not needed."""
-        return float(np.min(np.asarray(u, dtype=float)))
-
     classify = _classify
-    is_strictly_positive = _is_strictly_positive
-
-    def project(self, w):
-        return np.maximum(as_vector(w), 0.0)
 
 
 def as_rows(entries):
@@ -127,19 +82,22 @@ def as_rows(entries):
 
 
 def row_margins(cone, rows, nrm):
-    """Row form of `cone.margin`, given the row norms."""
+    """Membership margin of each row, given the row norms: positive inside, negative
+    outside.  Axis cone: <axis, u> - ||u||/sqrt(2); orthant: the least entry."""
     return rows.min(axis=1) if isinstance(cone, OrthantCone) else rows @ cone.axis - nrm / SQRT2
 
 
 def regions(cone, rows):
-    """Row form of `classify`: -1 outside, 0 boundary (zero rows too), 1 interior."""
+    """Region code of each row: -1 outside, 0 boundary (zero rows too), 1 interior."""
     nrm = np.linalg.norm(rows, axis=1)
     margin = row_margins(cone, rows, nrm)
     return np.where(np.abs(margin) > TAU_MEMBERSHIP * nrm, np.sign(margin), 0.0).astype(int)
 
 
 def project_rows(cone, rows):
-    """Row form of `cone.project`, with the same three branches per row."""
+    """Nearest cone point of each row, in closed form: the orthant's positive part;
+    for the axis cone, with w = s*axis + w_perp, w itself if s >= ||w_perp||, 0 if
+    s <= -||w_perp||, else ((s + ||w_perp||)/2) * (axis + w_perp/||w_perp||)."""
     if isinstance(cone, OrthantCone):
         return np.maximum(rows, 0.0)
     s = rows @ cone.axis

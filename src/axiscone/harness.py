@@ -110,10 +110,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigInvalid("kind", f"must be one of {', '.join(KINDS)}")
-        if not _is_int(self.seed):
-            raise ConfigInvalid("seed", "must be an integer")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigInvalid("seed", "must fit in 64 unsigned bits")
+        check_seed(self.seed)
         if not isinstance(self.params, dict):
             raise ConfigInvalid("params", "must be a table")
         self._checked = _VALIDATORS[self.kind](self.params)
@@ -150,6 +147,14 @@ class ExperimentConfig:
             {"kind": self.kind, "seed": self.seed, "params": self.params},
             sort_keys=True, separators=(",", ":"),
         )
+
+
+def check_seed(seed):
+    """Reject a seed that is not an integer in [0, 2^64), naming the field `seed`."""
+    if not _is_int(seed):
+        raise ConfigInvalid("seed", "must be an integer")
+    if not 0 <= seed < 2**64:
+        raise ConfigInvalid("seed", "must fit in 64 unsigned bits")
 
 
 def _is_int(value):
@@ -500,9 +505,12 @@ def _run_perturb(config):
             raise ConfigInvalid("b", f"||S x|| <= a ||T x|| + b ||x|| is not certified: "
                                      f"a^2 T^2 + b^2 I - S^2 has eigenvalue {slack[0]:.6g}")
     s_spec = PerturbationFamily([s_matrix], a=params["a"], b=params["b"])
-    budget = semigroup_threshold(t, s_spec, s0=params["s0"], kappa0=params["kappa0"],
-                                 kappa_grid=params["kappa_grid"])
     kappas = params.get("kappas")
+    # delta must cover every swept coupling that can be admissible (|kappa| < kappa0)
+    grid = params["kappa_grid"]
+    grid = grid + [k for k in kappas or () if abs(k) < params["kappa0"] and k not in grid]
+    budget = semigroup_threshold(t, s_spec, s0=params["s0"], kappa0=params["kappa0"],
+                                 kappa_grid=grid)
     if kappas is None and not budget.admissible.any():
         raise ConfigInvalid("kappa_grid", f"no grid point is admissible for the budget "
                                           f"(kappa_threshold {budget.kappa_threshold:.6g})")

@@ -131,8 +131,11 @@ def ergodic_drift_check(A, u0, u1, sample_pairs=50, seed=0):
     """Ergodicity for a drifted axis with the positivity certificate.
 
     Applicable when ||u1 - u0|| < 1/sqrt(2); then every nonzero element u of
-    the drifted cone satisfies <u0, u> >= (1/sqrt(2) - ||u1-u0||) ||u|| > 0,
-    which is verified for every sample alongside the power probe.
+    the drifted cone satisfies <u0, u> >= (1/sqrt(2) - ||u1-u0||) ||u|| > 0.
+    The certificate is exact: with c = <u0, u1> and s = ||u0 - c u1||, the
+    least <u0, w>/||w|| over w in K(u1) is cos(theta + pi/4) = (c - s)/sqrt(2),
+    attained on the boundary ray u1 - (u0 - c u1)/s, and it never lies below
+    1/sqrt(2) - ||u1 - u0||.  The power probe then runs on sampled pairs.
     """
     require_psd(A)
     u0 = as_vector(u0)
@@ -146,27 +149,25 @@ def ergodic_drift_check(A, u0, u1, sample_pairs=50, seed=0):
         return Verdict("ergodic_drift_check", VerdictStatus.INAPPLICABLE,
                        margin=slack,
                        detail=f"drift {drift:.6g} >= 1/sqrt(2); theorem silent here")
+    c = float(u0 @ u1)
+    perp = u0 - c * u1
+    s = float(np.linalg.norm(perp))
+    certificate = (c - s) * INV_SQRT2 - slack
+    if certificate < -DRIFT_CERT_TOL:
+        return Verdict("ergodic_drift_check", VerdictStatus.CERTIFIED_FALSE,
+                       margin=certificate, witness=u1 - perp / s,
+                       detail="positivity certificate violated (toolkit bug)")
     cone = AxisCone(u1)
     rows = sample_in_cone(cone, rng_for(seed, 0), 2 * sample_pairs)
-    certificates = rows @ u0 / np.linalg.norm(rows, axis=1) - slack
-    bad = np.flatnonzero(certificates < -DRIFT_CERT_TOL)
-    # pair i is probed after the certificates of its rows 2i and 2i + 1
-    probed = bad[0] // 2 if bad.size else sample_pairs
-    if probed:
-        probe = ergodic_probe(A, cone, rows[0:2 * probed:2], rows[1:2 * probed:2])
-        if not probe.found:
-            return Verdict("ergodic_drift_check", VerdictStatus.CERTIFIED_FALSE,
-                           margin=probe.value, witness=rows[2 * probe.pair],
-                           detail=f"no positive pairing within {MAX_POWER} powers")
-    if bad.size:
+    probe = ergodic_probe(A, cone, rows[0::2], rows[1::2])
+    if not probe.found:
         return Verdict("ergodic_drift_check", VerdictStatus.CERTIFIED_FALSE,
-                       margin=float(certificates[bad[0]]), witness=rows[bad[0]],
-                       detail="positivity certificate violated (toolkit bug)")
-    worst_certificate = float(certificates.min(initial=math.inf))
+                       margin=probe.value, witness=rows[2 * probe.pair],
+                       detail=f"no positive pairing within {MAX_POWER} powers")
     return Verdict("ergodic_drift_check", VerdictStatus.SAMPLED_TRUE,
-                   margin=worst_certificate,
+                   margin=certificate,
                    detail=f"{sample_pairs} pairs ergodic; certificate slack "
-                          f"{worst_certificate:.3e}")
+                          f"{certificate:.3e}")
 
 
 def certified_improving_under_drift(A, alpha, u0, u1):
@@ -316,11 +317,12 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
     """Budget for the heat semigroups of T + S(kappa) over a kappa grid.
 
     delta is the smallest gap between the bottom eigenvalue of T + S(kappa)
-    and the rest of its spectrum over the grid (grid density is the caller's
-    responsibility); epsilon = delta/2 is the radius around mu that holds
-    each drifted bottom eigenvalue alone (drifted_axis); alpha =
-    1 - exp(-s0 delta) feeds the drift radius r; admissible kappas satisfy
-    c(kappa) < f(r).
+    and the rest of its spectrum over the grid and at kappa = 0, on the grid
+    or not (grid density is the caller's responsibility, and a caller that
+    sweeps couplings off the grid puts them on it); epsilon = delta/2 is the
+    radius around mu that holds each drifted bottom eigenvalue alone
+    (drifted_axis); alpha = 1 - exp(-s0 delta) feeds the drift radius r;
+    admissible kappas satisfy c(kappa) < f(r).
 
     kappa = 0 reads T's own spectrum (S has no constant term, so S(0) = 0
     and b(0) = 0).  The grid is visited in ascending order of estimated gap
@@ -350,6 +352,8 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
     mu, _, _ = bottom_eigen(T, require_simple=True)
     if T.dim < 2:
         raise DegenerateBottom("need dimension >= 2 for a spectral gap")
+    eigs = T.decomposition.eigenvalues
+    t_gap = float(eigs[1] - eigs[0])
 
     gaps = np.empty(kappas.size)
     a_values = np.zeros(kappas.size)
@@ -363,8 +367,7 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
     for i in np.argsort(estimates, kind="stable"):
         kappa = kappas[i]
         if kappa == 0.0:
-            eigs = T.decomposition.eigenvalues
-            gaps[i] = float(eigs[1] - eigs[0])
+            gaps[i] = t_gap
         else:
             s_kappa = family.operator_at(kappa)
             t_kappa = T + s_kappa
@@ -395,7 +398,7 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
                 c_run = _c_values(mu, delta_run / 2.0, a_values, b_values)
             held = {j: op for j, op in held.items() if c_run[j] < C_MAX}
 
-    delta = float(np.min(gaps))
+    delta = min(float(np.min(gaps)), t_gap)
     if delta <= GAP_COLLAPSE_TOL * max(1.0, T.norm):
         raise GapCollapsed(f"uniform gap {delta:.3e} collapsed on the grid")
     epsilon = delta / 2.0

@@ -400,9 +400,8 @@ def perron_frobenius_check(A, cone, seed=0, n_pairs=40):
         raise PrereqFailed("operator does not preserve the cone")
 
     lam, u0, simple = top_eigen(A)
-    strictly_positive = bool(
-        cone.is_strictly_positive(u0) or cone.is_strictly_positive(-u0)
-    )
+    strictly_positive = (cone.classify(u0) is Region.INTERIOR
+                         or cone.classify(-u0) is Region.INTERIOR)
 
     rows = sample_in_cone(cone, rng_for(seed, 1), 2 * n_pairs)
     extra_u, extra_v = _adversarial_pairs(A, cone)

@@ -1,7 +1,9 @@
 """Reference forms that faster or simpler code in the toolkit replaced.
 
 The per-sample loops are the one-vector code as it stood before the block
-forms of the positivity layer; `contour_image` is the dense-solve contour
+forms of the positivity layer; `project_vector` is the per-vector nearest
+point map that the cones kept beside `project_rows` until each cone primitive
+kept its block form alone; `contour_image` is the dense-solve contour
 rule that the drift layer used before it took the drifted axis from the
 eigenbasis; `arc_sweep_margin` is the exhaustive dim-2 sweep that the
 improvement verdict ran before its closed-form S-lemma test;
@@ -19,7 +21,7 @@ import math
 
 import numpy as np
 
-from axiscone.cones import OrthantCone, Region, as_rows, sample_in_cone
+from axiscone.cones import OrthantCone, Region, as_rows, row_margins, sample_in_cone
 from axiscone.errors import DegenerateBottom, GapCollapsed, RatioSaturated
 from axiscone.operators import bottom_eigen, heat_semigroup, perp_basis
 from axiscone.perturbation import (
@@ -43,7 +45,7 @@ from axiscone.positivity import (
     improves_positivity_axis,
 )
 from axiscone.seeding import rng_for
-from axiscone.tolerances import DRIFT_CERT_TOL, GAP_COLLAPSE_TOL, TAU_STRICT
+from axiscone.tolerances import GAP_COLLAPSE_TOL, TAU_STRICT
 
 
 def one_vector_sample(cone, rng):
@@ -75,6 +77,28 @@ def one_vector_sample(cone, rng):
     return scale * (cone.axis + t * (g / nrm)), g_norm / nrm
 
 
+def project_vector(cone, w):
+    """Nearest cone point of one vector, in closed form.
+
+    Orthant: the positive part.  Axis cone: split w = s*axis + w_perp.  Inside
+    (s >= ||w_perp||) is fixed; the polar opposite (s <= -||w_perp||) maps to
+    0; in between the image is ((s + ||w_perp||)/2) * (axis + w_perp/||w_perp||).
+    """
+    w = np.asarray(w, dtype=float)
+    if isinstance(cone, OrthantCone):
+        return np.maximum(w, 0.0)
+    s = float(cone.axis @ w)
+    perp = w - s * cone.axis
+    p = float(np.linalg.norm(perp))
+    if p == 0.0:  # collinear with the axis; decide by the sign of s
+        return w.copy() if s >= 0.0 else np.zeros_like(w)
+    if s >= p:
+        return w.copy()
+    if s <= -p:
+        return np.zeros_like(w)
+    return ((s + p) / 2.0) * (cone.axis + perp / p)
+
+
 def preserves_by_loop(A, cone, seed):
     """Sampled branch of preserves_positivity, sample by sample with its early exit.
 
@@ -84,7 +108,7 @@ def preserves_by_loop(A, cone, seed):
     for index, u in enumerate(sample_in_cone(cone, rng_for(seed, 0), PRESERVATION_SAMPLES)):
         image = A.apply(u)
         nrm = float(np.linalg.norm(image))
-        margin = cone.margin(image) / max(nrm, 1e-300)
+        margin = float(row_margins(cone, image[None], nrm)[0]) / max(nrm, 1e-300)
         if margin < worst:
             worst, worst_index = margin, index
         if nrm > 0 and cone.classify(image) is Region.OUTSIDE:
@@ -166,19 +190,18 @@ def probe_by_power_loop(A, us, vs):
 
 
 def drift_check_by_loop(A, u0, u1, rows):
-    """ergodic_drift_check's pair loop over sampled rows: (status, margin, witness).
+    """ergodic_drift_check over sampled rows, pair by pair: (status, margin, witness).
 
-    Pair i is rows 2i and 2i + 1.  Checks the certificates of u_i and v_i,
-    then probes pair i, and stops at the first failure.
+    Pair i is rows 2i and 2i + 1; the loop probes pair i and stops at the
+    first pair with no positive pairing.  A passing check returns the least
+    sampled certificate <u0, w>/||w|| - (1/sqrt(2) - ||u1 - u0||) over the
+    rows, which the check's exact certificate may not exceed.
     """
     slack = 1.0 / math.sqrt(2.0) - float(np.linalg.norm(u1 - u0))
     worst = math.inf
     for u, v in zip(rows[0::2], rows[1::2]):
         for w in (u, v):
-            certificate = float(u0 @ w) / float(np.linalg.norm(w)) - slack
-            worst = min(worst, certificate)
-            if certificate < -DRIFT_CERT_TOL:
-                return VerdictStatus.CERTIFIED_FALSE, certificate, w
+            worst = min(worst, float(u0 @ w) / float(np.linalg.norm(w)) - slack)
         found, _, value = probe_by_loop(A, u, v)
         if not found:
             return VerdictStatus.CERTIFIED_FALSE, value, u
@@ -255,7 +278,8 @@ def sweep_by_rebuild(T, S_spec, budget, s_samples, kappas=None):
 
 def threshold_by_decomposing(T, family, s0, kappa0, kappa_grid):
     """semigroup_threshold with a checked eigh of T + S(kappa) at every nonzero grid
-    point, visited in grid order; kappa = 0 reads T's spectrum."""
+    point, visited in grid order; kappa = 0 reads T's spectrum, and delta never
+    exceeds T's own gap, on the grid or not."""
     if s0 <= 0:
         raise ValueError("s0 must be positive")
     if kappa0 <= 0:
@@ -288,7 +312,8 @@ def threshold_by_decomposing(T, family, s0, kappa0, kappa_grid):
                 c_run = _c_values(mu, float(np.min(gaps[:i + 1])) / 2.0, a_values, b_values)
             held = {j: op for j, op in held.items() if c_run[j] < C_MAX}
 
-    delta = float(np.min(gaps))
+    t_eigs = T.decomposition.eigenvalues
+    delta = min(float(np.min(gaps)), float(t_eigs[1] - t_eigs[0]))
     if delta <= GAP_COLLAPSE_TOL * max(1.0, T.norm):
         raise GapCollapsed(f"uniform gap {delta:.3e} collapsed on the grid")
     epsilon = delta / 2.0

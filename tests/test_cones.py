@@ -17,6 +17,7 @@ from axiscone.cones import (
     perp_rows,
     project_rows,
     regions,
+    row_margins,
     sample_in_cone,
     sample_in_cone_rows,
     sample_outside,
@@ -25,7 +26,7 @@ from axiscone.cones import (
 )
 from axiscone.errors import NotBoundary, NotOutside
 from axiscone.seeding import rng_for
-from reference_loops import one_vector_sample
+from reference_loops import one_vector_sample, project_vector
 
 E1 = np.array([1.0, 0.0])
 
@@ -41,7 +42,7 @@ class TestClassify:
     def test_interior_margin(self):
         cone = axis_cone_2d()
         u = np.array([2.0, 1.0])
-        margin = cone.margin(u)
+        margin = row_margins(cone, u[None], np.linalg.norm(u))[0]
         assert margin == pytest.approx(2.0 - np.sqrt(5.0) / np.sqrt(2.0))
         assert margin == pytest.approx(0.4188611699158102)
         assert cone.classify(u) is Region.INTERIOR
@@ -62,15 +63,18 @@ class TestClassify:
 
 
 class TestStrictlyPositive:
+    """Strictly positive elements are exactly the interior points."""
+
     def test_axis_is_interior(self):
-        assert axis_cone_2d().is_strictly_positive(E1)
+        assert axis_cone_2d().classify(E1) is Region.INTERIOR
 
     def test_boundary_is_not(self):
-        assert not axis_cone_2d().is_strictly_positive(np.array([1.0, 1.0]) / np.sqrt(2.0))
+        boundary = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        assert axis_cone_2d().classify(boundary) is not Region.INTERIOR
 
     def test_orthant(self):
-        assert OrthantCone(2).is_strictly_positive([0.1, 0.2])
-        assert not OrthantCone(2).is_strictly_positive([0.1, 0.0])
+        assert OrthantCone(2).classify([0.1, 0.2]) is Region.INTERIOR
+        assert OrthantCone(2).classify([0.1, 0.0]) is not Region.INTERIOR
 
 
 class TestMoreau:
@@ -92,8 +96,9 @@ class TestMoreau:
 
     def test_collinear_branches(self):
         cone = axis_cone_2d()
-        np.testing.assert_allclose(cone.project(2.0 * E1), 2.0 * E1)
-        np.testing.assert_array_equal(cone.project(-2.0 * E1), np.zeros(2))
+        np.testing.assert_allclose(project_rows(cone, [2.0 * E1]), [2.0 * E1])
+        np.testing.assert_array_equal(project_rows(cone, [-2.0 * E1]), np.zeros((1, 2)))
+        np.testing.assert_array_equal(project_vector(cone, -2.0 * E1), np.zeros(2))
 
     @pytest.mark.parametrize("dim", [2, 3, 7, 12])
     def test_split_properties_seeded(self, dim):
@@ -120,7 +125,7 @@ class TestMoreau:
         cone = AxisCone(axis)
         for _ in range(50):
             w = rng.standard_normal(dim) * 3.0
-            u = cone.project(w)
+            u = project_rows(cone, w[None])[0]
             d_proj = np.linalg.norm(w - u)
             for p in sample_in_cone(cone, rng, 40):
                 assert d_proj <= np.linalg.norm(w - p) + 1e-9
@@ -368,9 +373,9 @@ def test_row_primitives_match_scalar_primitives(dim):
         split = moreau_decompose(cone, rows)
         for w, p, u, v in zip(rows, project_rows(cone, rows), split.u, split.v):
             scale = np.linalg.norm(w)
-            close(p, cone.project(w), scale)
-            close(u, cone.project(w), scale)
-            close(v, cone.project(-w), scale)
+            close(p, project_vector(cone, w), scale)
+            close(u, project_vector(cone, w), scale)
+            close(v, project_vector(cone, -w), scale)
         outside = rows[codes == -1]
         for u, v in zip(outside, duality_witness(cone, outside)):
             close(v, scalar_witness(cone, u), 1.0)
@@ -379,6 +384,22 @@ def test_row_primitives_match_scalar_primitives(dim):
             assert len(boundary) > 0
             for u, p in zip(boundary, boundary_orthogonal_partner(cone, boundary)):
                 close(p, 2.0 * (cone.axis @ u) * cone.axis - u, np.linalg.norm(u))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_classify_is_regions_on_one_row(dim):
+    rng = rng_for(203, dim)
+    axis = rng.standard_normal(dim)
+    for cone in (AxisCone(axis / np.linalg.norm(axis)), OrthantCone(dim)):
+        inside = sample_in_cone_rows(cone, rng, 20)   # half of them boundary rays
+        rows = np.vstack([np.zeros((1, dim)), inside, -inside, sample_outside(cone, rng, 10)])
+        if isinstance(cone, AxisCone) and dim > 1:
+            rays = cone.axis + perp_rows(cone.axis, rng, 10)
+            rows = np.vstack([rows, rays, -rays])
+        codes = [REGION_CODE[cone.classify(u)] for u in rows]
+        assert codes == [int(regions(cone, u[None])[0]) for u in rows]
+        assert codes == regions(cone, rows).tolist()
+        assert codes[0] == 0 and {-1, 0, 1} <= set(codes)
 
 
 def test_moreau_split_type():

@@ -536,10 +536,13 @@ class TestCli:
         ("perturb_sweep", {"b": 1e300}, "b"),
         ("perturb_sweep", {"kappa_grid": [0.3, 0.4]}, "kappa_grid"),
         ("perturb_sweep", {"a": 1e75, "b": 1e75}, "kappa_grid"),
+        # the grid's gaps (1, 1.1) miss the swept kappa's (0.11) and T's own (0.1)
+        ("perturb_sweep", {"t": [[0, 0], [0, 0.1]], "s": [[0, 0], [0, 1]],
+                           "kappa_grid": [0.9, 1.0], "kappas": [0.01]}, "kappas"),
     ], ids=["demo_e_overflow", "h_tiny", "h_huge", "demo_s_damped", "h_saturates_alpha",
             "t_saturates_alpha", "demo_e_damped", "demo_e_weak", "no_vector_potential",
             "t_entry_huge", "s_entry_huge", "t_entry_overflows_its_sum", "a_huge", "b_huge",
-            "no_admissible_kappa", "bounds_admit_no_kappa"])
+            "no_admissible_kappa", "bounds_admit_no_kappa", "swept_kappa_below_grid_gap"])
     @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
     def test_extreme_numeric_input_exits_2(self, tmp_path, capsys, kind, params, field):
         cfg = tmp_path / "bad.json"
@@ -674,6 +677,33 @@ class TestCli:
         assert main(["verify", "--config", str(cfg), "--seed", "9", "--out", str(b),
                      "--no-timestamp"]) == 0
         assert a.read_text() != b.read_text()
+
+    @pytest.mark.parametrize("with_config", [True, False], ids=["config", "defaults"])
+    def test_seed_override_validates_params_once(self, tmp_path, monkeypatch, with_config):
+        validate, calls = harness._VALIDATORS["perturb_sweep"], []
+        monkeypatch.setitem(harness._VALIDATORS, "perturb_sweep",
+                            lambda params: calls.append(1) or validate(params))
+        out = tmp_path / "report.csv"
+        argv = ["perturb", "--seed", "5", "--out", str(out), "--no-timestamp"]
+        if with_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"kind": "perturb_sweep", "seed": 0, "params": {}}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        assert '"seed":5' in out.read_text()
+
+    @pytest.mark.parametrize("file_seed, flag", [(0, "-1"), (0, str(2**64)), (-1, "3"),
+                                                 (None, "-1")])
+    def test_bad_seed_exits_2_naming_seed(self, tmp_path, capsys, file_seed, flag):
+        argv = ["perturb", "--seed", flag]
+        if file_seed is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"kind": "perturb_sweep", "seed": file_seed,
+                                       "params": {}}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: config field 'seed'")
 
     def test_degenerate_model_is_usage_error(self, tmp_path, capsys):
         # a decoupled double well has a ground doublet below tau_gap: the

@@ -37,7 +37,7 @@ from axiscone.perturbation import (
     radius_from_alpha,
     semigroup_threshold,
 )
-from axiscone.cones import AxisCone, sample_in_cone
+from axiscone.cones import AxisCone, Region, sample_in_cone
 from axiscone.positivity import VerdictStatus
 from axiscone.seeding import rng_for
 from axiscone.harness import ExperimentConfig, run
@@ -178,19 +178,58 @@ class TestErgodicDrift:
         rows = sample_in_cone(AxisCone(u1), rng_for(seed, 0), 60)
         status, margin, _ = drift_check_by_loop(a, u0, u1, rows)
         assert verdict.status is status is VerdictStatus.SAMPLED_TRUE
-        assert verdict.margin == pytest.approx(margin, rel=1e-12)
+        # the exact least certificate lies below every sampled one
+        assert 0.0 <= verdict.margin <= margin + 1e-15
+        assert verdict.margin == pytest.approx(closed_form_certificate(u0, u1), abs=1e-14)
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_certificate_is_the_least_over_the_drifted_cone(self, dim):
+        rng = rng_for(31, dim)
+        for _ in range(40):
+            q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+            a = SymmetricOperator((q * np.append(rng.uniform(0.1, 1.0, dim - 1), 2.0)) @ q.T)
+            u0 = a.decomposition.eigenvectors[:, -1]
+            tilt = rng.standard_normal(dim)
+            u1 = u0 + rng.uniform(0.0, 0.7) * tilt / np.linalg.norm(tilt)
+            u1 /= np.linalg.norm(u1)
+            verdict = ergodic_drift_check(a, u0, u1, sample_pairs=2, seed=dim)
+            if np.linalg.norm(u1 - u0) >= 1.0 / SQRT2:
+                assert verdict.status is VerdictStatus.INAPPLICABLE
+                continue
+            assert verdict.status is VerdictStatus.SAMPLED_TRUE
+            assert verdict.margin == pytest.approx(closed_form_certificate(u0, u1), abs=1e-14)
+            assert verdict.margin >= 0.0
+            # the boundary ray u1 - unit(u0 - <u0, u1> u1) attains the least ratio
+            slack = 1.0 / SQRT2 - np.linalg.norm(u1 - u0)
+            perp = u0 - (u0 @ u1) * u1
+            ray = u1 - perp / np.linalg.norm(perp)
+            assert AxisCone(u1).classify(ray) is Region.BOUNDARY
+            assert u0 @ ray / np.linalg.norm(ray) - slack == pytest.approx(verdict.margin,
+                                                                           abs=1e-12)
+            samples = sample_in_cone(AxisCone(u1), rng, 400)
+            ratios = samples @ u0 / np.linalg.norm(samples, axis=1) - slack
+            assert ratios.min() >= verdict.margin - 1e-12
+
+    def test_violated_certificate_returns_the_boundary_ray(self, monkeypatch):
+        # a tolerance above every certificate reaches the toolkit-bug branch
+        monkeypatch.setattr(perturbation, "DRIFT_CERT_TOL", -1.0)
+        a = SymmetricOperator(np.diag([2.0, 1.0]))
+        u1 = rotated_axis(0.6)
+        verdict = ergodic_drift_check(a, E1, u1)
+        assert verdict.status is VerdictStatus.CERTIFIED_FALSE
+        assert "toolkit bug" in verdict.detail
+        np.testing.assert_allclose(verdict.witness, rotated_axis(0.6 + math.pi / 4) * SQRT2,
+                                   atol=1e-15)
+        assert verdict.margin == pytest.approx(closed_form_certificate(E1, u1), abs=1e-15)
 
     # A = 2I has a degenerate top, so the boundary pair (1, 1), (1, -1) never
-    # pairs positively; (-1, 0) breaks the certificate for u1 = u0 = e1.
-    @pytest.mark.parametrize("rows, exit_row, detail", [
-        ([[1, 0.5], [1, 0.2], [1, 1], [1, -1], [-1, 0], [1, 0]], 2, "no positive pairing"),
-        ([[1, 0.5], [1, 0.2], [1, 1], [-1, 0]], 3, "certificate"),
-        ([[1, 1], [1, -1], [-1, 0], [1, 0]], 0, "no positive pairing"),
-        ([[-1, 0], [1, 1], [1, 1], [1, -1]], 0, "certificate"),
-        ([[1, 1], [1, 0], [1, 1], [1, -1]], 2, "no positive pairing"),
-    ], ids=["probe_before_certificate", "certificate_of_v_before_its_probe",
-            "probe_of_first_pair", "certificate_of_first_row", "second_pair_fails"])
-    def test_early_exits_in_loop_order(self, monkeypatch, rows, exit_row, detail):
+    # pairs positively; every other pair of cone rows here pairs at once.
+    @pytest.mark.parametrize("rows, exit_row", [
+        ([[1, 0.5], [1, 0.2], [1, 1], [1, -1], [1, 0.3], [1, 0]], 2),
+        ([[1, 1], [1, -1], [1, 0.5], [1, 0]], 0),
+        ([[1, 1], [1, 0], [1, 1], [1, -1]], 2),
+    ], ids=["stops_before_a_later_pair", "probe_of_first_pair", "second_pair_fails"])
+    def test_early_exits_in_loop_order(self, monkeypatch, rows, exit_row):
         rows = np.array(rows, dtype=float)
 
         def fixed_rows(cone, rng, k):
@@ -202,11 +241,17 @@ class TestErgodicDrift:
         verdict = ergodic_drift_check(a, E1, E1, sample_pairs=len(rows) // 2)
         status, margin, witness = drift_check_by_loop(a, E1, E1, rows)
         assert verdict.status is status is VerdictStatus.CERTIFIED_FALSE
-        assert detail in verdict.detail
+        assert "no positive pairing" in verdict.detail
         np.testing.assert_array_equal(verdict.witness, witness)
         np.testing.assert_array_equal(verdict.witness, rows[exit_row])
         assert verdict.margin == pytest.approx(margin, rel=1e-12, abs=1e-300)
 
+
+def closed_form_certificate(u0, u1):
+    """cos(theta + pi/4) - (1/sqrt(2) - ||u1 - u0||), theta the angle of two unit axes."""
+    drift = float(np.linalg.norm(u1 - u0))
+    theta = 2.0 * math.asin(drift / 2.0)
+    return math.cos(theta + math.pi / 4.0) - (1.0 / SQRT2 - drift)
 
 
 class TestDriftCertificate:
@@ -542,6 +587,18 @@ def assert_grid_reads_c_values(budget):
     for i, kappa in enumerate(budget.kappas):
         assert bits(budget.c_at(kappa)) == bits(budget.c_values[i]), kappa
         assert budget.is_admissible(kappa) == budget.admissible[i], kappa
+
+
+@pytest.mark.parametrize("threshold", [semigroup_threshold, threshold_by_decomposing])
+def test_delta_never_exceeds_the_gap_of_t(threshold):
+    t = SymmetricOperator(np.diag([0.0, 0.1]))
+    family = PerturbationFamily([np.diag([0.0, 1.0])])
+    off = threshold(t, family, s0=math.log(2.0), kappa0=2.0, kappa_grid=[0.9, 1.0])
+    on = threshold(t, family, s0=math.log(2.0), kappa0=2.0, kappa_grid=[0.0, 0.9, 1.0])
+    # a gap is checked or certified from below, and the grid's least gap is 1
+    assert off.gaps.min() == pytest.approx(1.0)
+    assert off.delta == on.delta == pytest.approx(0.1)
+    assert not off.admissible.any()
 
 
 @pytest.mark.parametrize("seed", range(6))
