@@ -220,6 +220,9 @@ def _as_grid(value, key):
         raise ConfigInvalid(key, "must be a list of finite numbers or {start, stop, num}")
     if not grid:
         raise ConfigInvalid(key, "must be nonempty")
+    limit = tolerances.SCALE_LIMIT
+    if any(abs(x) > limit for x in grid):
+        raise ConfigInvalid(key, f"entries must lie in [-{limit:g}, {limit:g}]")
     return grid
 
 
@@ -692,6 +695,7 @@ def selftest(seed):
     """
     from .acceptance import run_criteria
 
+    check_seed(seed)
     results = run_criteria(seed)
     rows = [
         [str(res.number), res.name, "pass" if res.passed else "fail",

@@ -201,8 +201,9 @@ class PerturbationFamily:
     b|kappa| with the closed-form c-slope; at finite dimension the tightest
     defaults are a = 0 and b = ||S_1||, because the unbounded-operator
     analysis these constants usually come from trivializes here.  A family
-    of higher degree takes a(kappa) = 0 and the exact b(kappa) = ||S(kappa)||,
-    and its admissible range is read off the kappa grid.
+    of higher degree takes a(kappa) = 0 and the coefficient-norm bound
+    b(kappa) = sum_k |kappa|^k ||S_k|| >= ||S(kappa)||, and its admissible
+    range is read off the kappa grid.
     """
 
     def __init__(self, coefficients, a=0.0, b=None):
@@ -218,7 +219,7 @@ class PerturbationFamily:
             raise ValueError("relative bounds a, b apply to linear families only")
         self.coefficients = coefficients
         self.a = float(a)
-        self.b = None   # higher degrees take b(kappa) = ||S(kappa)|| instead
+        self.b = None   # higher degrees bound b(kappa) by their coefficient norms instead
         if len(coefficients) == 1:
             self.b = coefficients[0].norm if b is None else float(b)
 
@@ -237,13 +238,19 @@ class PerturbationFamily:
     def a_at(self, kappa):
         return self.a * abs(kappa)
 
-    def b_at(self, kappa, operator=None):
-        """b(kappa); operator is S(kappa) when the caller has built it already."""
+    def b_at(self, kappa):
+        """b(kappa), elementwise on an array: b |kappa|, or sum_k |kappa|^k ||S_k||
+        (k ascending, |kappa|^k by repeated products, inf past the float range),
+        which bounds ||S(kappa)|| from the coefficients' cached norms (Kato)."""
         if self.degree == 1:
             return self.b * abs(kappa)
-        if operator is None:
-            operator = self.operator_at(kappa)
-        return operator.norm
+        power, total = 1.0, 0.0 * np.abs(kappa)
+        with np.errstate(over="ignore"):
+            for coefficient in self.coefficients:
+                power = power * np.abs(kappa)
+                if coefficient.norm:   # a zero coefficient adds nothing, not 0 * inf
+                    total = total + power * coefficient.norm
+        return total
 
     def c_slope(self, mu, epsilon):
         if self.degree > 1:
@@ -276,8 +283,6 @@ class PerturbationBudget:
     c_slope: float | None = None
     # checked T + S(kappa) at the admissible nonzero grid kappas; not part of the report
     operators: dict = field(default_factory=dict, repr=False)
-    # c(kappa) at the off-grid kappas asked so far, for a family of degree >= 2
-    _c_off_grid: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         recomputed = radius_from_alpha(self.alpha)
@@ -296,18 +301,15 @@ class PerturbationBudget:
     def c_at(self, kappa):
         """c(kappa): the grid value at a grid point, for every family, so c_at and
         admissible agree there bit for bit; off the grid c_slope |kappa| for a
-        linear family and the exact a(kappa), b(kappa) otherwise, where S(kappa)
-        is decomposed once per budget for its norm."""
+        linear family and a + ((|mu| + epsilon) a + b) / epsilon otherwise, with
+        a(kappa) = 0 and the coefficient-norm bound b(kappa), in closed form."""
         on_grid = np.flatnonzero(self.kappas == kappa)
         if on_grid.size:
             return float(self.c_values[on_grid[0]])
         if self.c_slope is not None:
             return self.c_slope * abs(kappa)
-        kappa = float(kappa)
-        if kappa not in self._c_off_grid:
-            self._c_off_grid[kappa] = float(_c_values(
-                self.mu, self.epsilon, self.family.a_at(kappa), self.family.b_at(kappa)))
-        return self._c_off_grid[kappa]
+        return float(_c_values(self.mu, self.epsilon, self.family.a_at(kappa),
+                               self.family.b_at(kappa)))
 
     def is_admissible(self, kappa):
         return abs(kappa) < self.kappa0 and self.c_at(kappa) < self.c_threshold
@@ -356,8 +358,7 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
     t_gap = float(eigs[1] - eigs[0])
 
     gaps = np.empty(kappas.size)
-    a_values = np.zeros(kappas.size)
-    b_values = np.zeros(kappas.size)
+    a_values, b_values = family.a_at(kappas), family.b_at(kappas)
     estimates = np.zeros(kappas.size)   # a grid of zeros reads T alone
     if np.any(kappas):
         estimates, bottoms, frobenius, etas = _gap_estimates(T, family, kappas)
@@ -369,10 +370,7 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
         if kappa == 0.0:
             gaps[i] = t_gap
         else:
-            s_kappa = family.operator_at(kappa)
-            t_kappa = T + s_kappa
-            a_values[i] = family.a_at(kappa)
-            b_values[i] = family.b_at(kappa, s_kappa)
+            t_kappa = T + family.operator_at(kappa)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 c_kappa = _c_values(mu, delta_run / 2.0, a_values[i], b_values[i])
             if abs(kappa) < kappa0:
@@ -416,14 +414,9 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
         kappa_threshold = min(kappa0, math.inf if slope == 0 else c_threshold / slope)
     else:
         # largest grid |kappa| whose whole symmetric interval stays admissible
-        magnitudes = np.unique(np.abs(kappas))
-        kappa_threshold = 0.0
-        for mag in magnitudes:
-            covered = np.abs(kappas) <= mag
-            if np.all(admissible[covered]):
-                kappa_threshold = float(mag)
-            else:
-                break
+        magnitudes = np.abs(kappas)
+        first_out = magnitudes[~admissible].min(initial=math.inf)
+        kappa_threshold = float(magnitudes[magnitudes < first_out].max(initial=0.0))
     operators = {float(kappas[j]): held[j] for j in sorted(held) if admissible[j]}
     for op in operators.values():
         op.decomposition   # checked here, so the sweep decomposes none of them
@@ -432,8 +425,7 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
         alpha=alpha, r=r, c_threshold=c_threshold, kappa0=float(kappa0),
         kappas=kappas, gaps=gaps, a_values=a_values, b_values=b_values,
         c_values=c_values, admissible=admissible, kappa_threshold=kappa_threshold,
-        c_slope=slope,
-        operators=operators,
+        c_slope=slope, operators=operators,
     )
 
 

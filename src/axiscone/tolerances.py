@@ -38,8 +38,8 @@ REAL_COMMUTATION_TOL = 1e-10      # restrict_to_real's input against the parity 
 REAL_IMAG_TOL = 1e-12             # imaginary part left in the restricted matrix
 REAL_SPECTRUM_TOL = 1e-9          # eigenvalue drift between H and its restriction
 DEMO_WITNESS_TOL = 1e-10          # imaginary part or negative entry: the flow left the orthant
-SCALE_LIMIT = 1e75                # config bound on h, 1/h, |demo_e|, demo_s, perturb a, b and
-                                  # t, s entries: squared norms stay finite
+SCALE_LIMIT = 1e75                # config bound on h, 1/h, |demo_e|, demo_s, perturb a, b, t
+                                  # and s entries and grid entries: squares stay finite
 
 # Acceptance criteria (selftest).
 CLOSED_FORM_TOL = 1e-12     # criterion 1: alpha, r and 1/(4c) against their closed forms

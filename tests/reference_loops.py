@@ -13,8 +13,9 @@ improvement verdict ran before its closed-form S-lemma test;
 judged its powers in blocks; `sweep_by_rebuild` is the semigroup sweep as it
 stood before the budget held its checked operators; `threshold_by_decomposing`
 is the budget as it stood before grid gaps were certified by Cholesky, with a
-checked eigh at every nonzero grid point.  Tests compare the toolkit against
-them on seeded instances.
+checked eigh at every nonzero grid point and its own b(kappa) from eigvalsh
+norms (`coefficient_norm_bound`).  Tests compare the toolkit against them on
+seeded instances.
 """
 
 import math
@@ -276,10 +277,22 @@ def sweep_by_rebuild(T, S_spec, budget, s_samples, kappas=None):
     return tuple(rows)
 
 
+def coefficient_norm_bound(kappa, norms):
+    """sum_k |kappa|^k norms[k - 1], summed from k = 1 with |kappa|^k formed by
+    repeated multiplication."""
+    power, total = 1.0, 0.0
+    for norm in norms:
+        power *= abs(kappa)
+        total += power * norm
+    return total
+
+
 def threshold_by_decomposing(T, family, s0, kappa0, kappa_grid):
     """semigroup_threshold with a checked eigh of T + S(kappa) at every nonzero grid
     point, visited in grid order; kappa = 0 reads T's spectrum, and delta never
-    exceeds T's own gap, on the grid or not."""
+    exceeds T's own gap, on the grid or not.  b(kappa) is the claimed b |kappa| of a
+    linear family, else the coefficient-norm bound with each ||S_k|| taken from
+    np.linalg.eigvalsh, so the family's own norms and b_at are never read."""
     if s0 <= 0:
         raise ValueError("s0 must be positive")
     if kappa0 <= 0:
@@ -292,15 +305,18 @@ def threshold_by_decomposing(T, family, s0, kappa0, kappa_grid):
     gaps = np.empty(kappas.size)
     a_values = np.zeros(kappas.size)
     b_values = np.zeros(kappas.size)
+    if family.degree > 1:
+        norms = [float(np.max(np.abs(np.linalg.eigvalsh(c.matrix))))
+                 for c in family.coefficients]
     held = {}   # grid index -> checked T + S(kappa)
     for i, kappa in enumerate(kappas):
         if kappa == 0.0:
             t_kappa = T
         else:
-            s_kappa = family.operator_at(kappa)
-            t_kappa = T + s_kappa
-            a_values[i] = family.a_at(kappa)
-            b_values[i] = family.b_at(kappa, s_kappa)
+            t_kappa = T + family.operator_at(kappa)
+            a_values[i] = family.a * abs(kappa)
+            b_values[i] = (family.b * abs(kappa) if family.degree == 1
+                           else coefficient_norm_bound(kappa, norms))
             if abs(kappa) < kappa0:
                 held[i] = t_kappa
         eigs = t_kappa.decomposition.eigenvalues

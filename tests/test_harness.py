@@ -539,10 +539,22 @@ class TestCli:
         # the grid's gaps (1, 1.1) miss the swept kappa's (0.11) and T's own (0.1)
         ("perturb_sweep", {"t": [[0, 0], [0, 0.1]], "s": [[0, 0], [0, 1]],
                            "kappa_grid": [0.9, 1.0], "kappas": [0.01]}, "kappas"),
+        # every grid entry is bounded by SCALE_LIMIT, listed or expanded
+        ("schrodinger", {"e_grid": [0, 1e200]}, "e_grid"),
+        ("schrodinger", {"e_grid": [0, 1e80]}, "e_grid"),
+        ("schrodinger", {"s_samples": [0.5, -1e76]}, "s_samples"),
+        ("perturb_sweep", {"kappa_grid": [0, 1e300]}, "kappa_grid"),
+        ("perturb_sweep", {"kappa_grid": {"start": -1e300, "stop": 0, "num": 3}},
+         "kappa_grid"),
+        ("perturb_sweep", {"kappas": [0, 1e80]}, "kappas"),
+        ("perturb_sweep", {"s_samples": [0.1, 1e100]}, "s_samples"),
     ], ids=["demo_e_overflow", "h_tiny", "h_huge", "demo_s_damped", "h_saturates_alpha",
             "t_saturates_alpha", "demo_e_damped", "demo_e_weak", "no_vector_potential",
             "t_entry_huge", "s_entry_huge", "t_entry_overflows_its_sum", "a_huge", "b_huge",
-            "no_admissible_kappa", "bounds_admit_no_kappa", "swept_kappa_below_grid_gap"])
+            "no_admissible_kappa", "bounds_admit_no_kappa", "swept_kappa_below_grid_gap",
+            "e_grid_overflows", "e_grid_huge", "schrodinger_s_samples_huge",
+            "kappa_grid_huge", "kappa_grid_range_huge", "kappas_huge",
+            "perturb_s_samples_huge"])
     @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
     def test_extreme_numeric_input_exits_2(self, tmp_path, capsys, kind, params, field):
         cfg = tmp_path / "bad.json"
@@ -704,6 +716,14 @@ class TestCli:
             argv += ["--config", str(cfg)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("config error: config field 'seed'")
+
+    @pytest.mark.parametrize("flag", ["-1", str(2**64)])
+    def test_selftest_bad_seed_exits_2_naming_seed(self, capsys, flag):
+        assert main(["selftest", "--seed", flag, "--no-timestamp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: config field 'seed': "
+                                "must fit in 64 unsigned bits\n")
 
     def test_degenerate_model_is_usage_error(self, tmp_path, capsys):
         # a decoupled double well has a ground doublet below tau_gap: the

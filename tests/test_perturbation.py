@@ -25,6 +25,7 @@ from axiscone.operators import (
 from axiscone.perturbation import (
     C_MAX,
     PerturbationFamily,
+    _c_values,
     certified_improving_under_drift,
     drift_certificate_lhs,
     drifted_axis,
@@ -43,6 +44,7 @@ from axiscone.seeding import rng_for
 from axiscone.harness import ExperimentConfig, run
 from axiscone.schrodinger import GridSpec, MagneticModel, magnetic_experiment
 from reference_loops import (
+    coefficient_norm_bound,
     contour_image,
     drift_check_by_loop,
     sweep_by_rebuild,
@@ -361,12 +363,14 @@ class TestSemigroupThreshold:
     def test_family_mode_tabulates(self):
         t, _ = swap_instance()
         # S(kappa) = [[0, kappa], [kappa, kappa^2]] has norm
-        # (kappa^2 + sqrt(kappa^4 + 4 kappa^2)) / 2
+        # (kappa^2 + sqrt(kappa^4 + 4 kappa^2)) / 2, and both coefficients norm 1
         fam = PerturbationFamily([[[0.0, 1.0], [1.0, 0.0]], np.diag([0.0, 1.0])])
         grid = np.linspace(-0.04, 0.04, 9)
         budget = semigroup_threshold(t, fam, s0=math.log(2.0), kappa0=0.5, kappa_grid=grid)
-        expected = (grid**2 + np.sqrt(grid**4 + 4.0 * grid**2)) / 2.0
-        np.testing.assert_allclose(budget.b_values, expected, atol=1e-12)
+        assert budget.b_values.tolist() == [abs(k) + abs(k) * abs(k) for k in grid]
+        exact = (grid**2 + np.sqrt(grid**4 + 4.0 * grid**2)) / 2.0
+        assert np.all(budget.b_values[grid != 0.0] > exact[grid != 0.0])
+        np.testing.assert_allclose(budget.b_values, exact, rtol=0.03)
         np.testing.assert_array_equal(budget.a_values, 0.0)
         assert budget.c_slope is None
         assert budget.kappa_threshold == pytest.approx(0.04, abs=1e-12)
@@ -393,7 +397,10 @@ class TestPerturbationFamily:
         kappa = 0.7
         expected = kappa * s1.matrix + kappa**2 * s2.matrix + kappa**3 * s3.matrix
         np.testing.assert_allclose(fam.operator_at(kappa).matrix, expected, atol=1e-15)
-        assert fam.b_at(kappa) == pytest.approx(np.max(np.abs(np.linalg.eigvalsh(expected))))
+        # ||s1|| = 1, ||s2|| = 2 and ||s3|| = 1
+        assert fam.b_at(kappa) == kappa + kappa * kappa * 2.0 + kappa * kappa * kappa
+        assert fam.b_at(-kappa) == fam.b_at(kappa)
+        assert fam.b_at(kappa) >= np.max(np.abs(np.linalg.eigvalsh(expected)))
         assert fam.a_at(kappa) == 0.0
         assert fam.c_slope(0.0, 0.5) is None
 
@@ -428,8 +435,10 @@ class TestPerturbationFamily:
                                      s0=1.0, kappa0=0.5, kappa_grid=grid)
         # kappa = 0 builds nothing: S(0) is the zero operator and T + S(0) is T
         assert counts["operator_at"] == np.count_nonzero(grid) == grid.size - 1
+        norms = [c.norm for c in fam.coefficients]
         for kappa, b in zip(grid, budget.b_values):
-            assert b == original(fam, kappa).norm
+            assert bits(b) == bits(coefficient_norm_bound(kappa, norms))
+            assert b >= np.max(np.abs(np.linalg.eigvalsh(original(fam, kappa).matrix)))
 
     def test_bounds_rejected_above_degree_one(self):
         coefficients = [np.eye(2), np.eye(2)]
@@ -563,11 +572,14 @@ class TestBudgetOffTheGrid:
         return semigroup_threshold(t, family, s0=math.log(2.0), kappa0=1.5,
                                    kappa_grid=[-1.0, 0.0, 1.0])
 
-    def test_c_is_exact_between_grid_points(self):
+    def test_c_bounds_the_exact_c_between_grid_points(self):
         budget = self.probe()
         assert budget.epsilon == 0.5
-        assert budget.c_at(0.5) == 0.5   # ||S(1/2)|| / epsilon = (1/4) / (1/2)
-        assert budget.c_at(1.0) == budget.c_values[2] == 0.0
+        # b(1/2) = 1/2 ||M|| + 1/4 ||M|| = 3/4, while ||S(1/2)|| / epsilon = 1/2
+        assert budget.c_at(0.5) == 1.5
+        exact = np.max(np.abs(np.linalg.eigvalsh(budget.family.operator_at(0.5).matrix)))
+        assert exact / budget.epsilon == 0.5 <= budget.c_at(0.5)
+        assert budget.c_at(1.0) == budget.c_values[2] == 4.0
         assert not budget.is_admissible(0.5)
 
     def test_sweep_rejects_the_probe_as_a_usage_error(self):
@@ -580,6 +592,62 @@ class TestBudgetOffTheGrid:
         assert built is not budget.operator_at(0.5)
         expected = budget.T + budget.family.operator_at(0.5)
         assert built.matrix.tobytes() == expected.matrix.tobytes()
+
+
+def polynomial_family(seed, degree):
+    """Seeded T (gap >= 1) and a family of the given degree with coefficient norms
+    from 0.01 to 1, a grid over [-0.3, 0.3] with 0 on it, and kappa0."""
+    rng = rng_for(seed, 94)
+    dim = int(rng.integers(2, 12))
+    t = gapped_instance(seed, dim)
+    coefficients = []
+    for _ in range(degree):
+        g = rng.standard_normal((dim, dim))
+        coefficients.append(10.0 ** rng.uniform(-2.0, 0.0) * (g + g.T) / np.linalg.norm(g + g.T, 2))
+    grid = np.append(rng.uniform(-0.3, 0.3, size=int(rng.integers(4, 20))), 0.0)
+    return t, PerturbationFamily(coefficients), grid, float(rng.uniform(0.1, 0.5))
+
+
+def exact_norm(operator):
+    return float(np.max(np.abs(np.linalg.eigvalsh(operator.matrix))))
+
+
+class TestCoefficientNormBound:
+    """b(kappa) = sum_k |kappa|^k ||S_k|| against the exact ||S(kappa)||."""
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bound_holds_and_admits_no_more_than_the_exact_norm(self, seed, degree):
+        t, family, grid, kappa0 = polynomial_family(seed, degree)
+        budget = semigroup_threshold(t, family, s0=math.log(2.0), kappa0=kappa0,
+                                     kappa_grid=grid)
+        exact = np.array([exact_norm(family.operator_at(k)) for k in grid])
+        assert np.all(budget.b_values >= exact)
+        c_exact = _c_values(budget.mu, budget.epsilon, budget.a_values, exact)
+        admissible_exact = (np.abs(grid) < kappa0) & (c_exact < budget.c_threshold)
+        assert not np.any(budget.admissible & ~admissible_exact)
+        assert budget.admissible[grid == 0.0].all()
+        # off the grid, c_at is never below the exact c either
+        for kappa in (0.5 * grid[0], 0.9 * grid[-2]):
+            exact_c = exact_norm(family.operator_at(kappa)) / budget.epsilon
+            assert budget.c_at(kappa) >= exact_c
+
+    def test_huge_kappa_reads_inf_without_warning(self):
+        family = PerturbationFamily([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert family.b_at(1e200) == math.inf
+            assert family.b_at(-1e200) == math.inf
+            np.testing.assert_array_equal(family.b_at(np.array([0.0, 1e200])),
+                                          [0.0, math.inf])
+
+    def test_a_zero_coefficient_adds_nothing(self):
+        family = PerturbationFamily([np.zeros((2, 2)), np.eye(2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert family.b_at(0.5) == 0.25
+            assert family.b_at(1e200) == math.inf
+        assert PerturbationFamily([np.zeros((2, 2)), np.zeros((2, 2))]).b_at(1e200) == 0.0
 
 
 def assert_grid_reads_c_values(budget):
@@ -819,30 +887,24 @@ class TestDecompositionReuse:
             off_grid = [0.9 * k for k in on_grid if k != 0.0]
             for kappas in (None, [0.0], sorted(set(on_grid[:2] + off_grid[:2] + [0.0]))):
                 swept = on_grid if kappas is None else kappas
-                # a fresh budget, so that no c(kappa) off the grid is known yet
-                budget = semigroup_threshold(t, s_spec, s0=math.log(2.0), kappa0=kappa0,
-                                             kappa_grid=grid)
                 decomposed = []
                 eigh = np.linalg.eigh
                 monkeypatch.setattr(np.linalg, "eigh",
                                     lambda m: decomposed.append(m.tobytes()) or eigh(m))
                 rows = end_to_end_semigroup_check(budget, self.S_SAMPLES, kappas)
                 swept_calls = len(decomposed)
-                # the budget now knows c off the grid, so the rebuild decomposes no S(kappa)
                 expected = sweep_by_rebuild(t, s_spec, budget, self.S_SAMPLES, kappas)
                 rebuilt = len(decomposed) - swept_calls
                 monkeypatch.undo()
                 assert_rows_bit_equal(rows, expected)
-                off = [k for k in swept if k not in budget.kappas]
-                # one eigh of S(kappa) per off-grid kappa of a degree-2 family, however
-                # often the sweep asks for c(kappa), and none on the grid
+                # c(kappa) is closed form on the grid and off it: the sweep decomposes
+                # no S(kappa) and no coefficient, for any family
                 norms = [s_spec.operator_at(k).matrix.tobytes() for k in swept if k != 0.0]
-                assert sum(m in norms for m in decomposed[:swept_calls]) == \
-                    (s_spec.degree > 1) * len(off)
+                norms += [c.matrix.tobytes() for c in s_spec.coefficients]
+                assert not any(m in norms for m in decomposed[:swept_calls])
                 # no eigh of T + S(kappa) for kappa = 0 or for a kappa the budget holds
                 assert rebuilt - swept_calls == sum(k == 0.0 or k in budget.operators
-                                                    for k in swept) \
-                    - (s_spec.degree > 1) * len(off)
+                                                    for k in swept)
                 checked += 1
         assert checked >= 15
 
@@ -854,7 +916,8 @@ class TestDecompositionReuse:
         grid = [-0.03, 0.0, 0.03]
         calls = count_eigh(monkeypatch)
         budget = semigroup_threshold(t, s, s0=math.log(2.0), kappa0=0.5, kappa_grid=grid)
-        # T once, then T + S(kappa) and, for degree 2, ||S(kappa)|| per nonzero point
+        # T once, then T + S(kappa) at both nonzero points and, for degree 2, the
+        # norms of its two coefficients
         assert len(calls) == 1 + 2 * degree
         assert budget.b_values[1] == 0.0 and budget.gaps[1] == 1.0
         calls.clear()
@@ -954,14 +1017,24 @@ def budget_or_error(threshold, t, family, s0, kappa0, grid):
 
 def assert_budgets_bit_equal(got, want):
     """Every budget field bit for bit, the held operators and their spectra too;
-    a gap the certificate bounded is above delta, as is its checked value."""
+    a gap the certificate bounded is above delta, as is its checked value.  Above
+    degree one the oracle reads each ||S_k|| from eigvalsh, the toolkit from its
+    checked eigh: there b and c agree to rounding, and bit for bit with the
+    coefficient-norm bound of the family's own norms."""
     for name in ("mu", "delta", "epsilon", "s0", "alpha", "r", "c_threshold", "kappa0",
                  "kappa_threshold"):
         assert bits(getattr(got, name)) == bits(getattr(want, name)), name
     assert (got.c_slope is None and want.c_slope is None) or \
         bits(got.c_slope) == bits(want.c_slope)
-    for name in ("kappas", "a_values", "b_values", "c_values", "admissible"):
+    linear = got.family.degree == 1
+    for name in ("kappas", "a_values", "admissible") + linear * ("b_values", "c_values"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    if not linear:
+        norms = [c.norm for c in got.family.coefficients]
+        assert got.b_values.tolist() == [coefficient_norm_bound(k, norms) for k in got.kappas]
+        for name in ("b_values", "c_values"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                       rtol=1e-13, atol=0.0, err_msg=name)
     certified = got.gaps != want.gaps
     assert np.all(got.gaps[certified] > got.delta)
     assert np.all(want.gaps[certified] >= got.delta)
@@ -1050,7 +1123,10 @@ class TestGapCertificate:
                 assert got == want
                 continue
             assert assert_budgets_bit_equal(got, want) == 0
-            assert len(calls) == decomposed
+            # above degree one the toolkit decomposes each coefficient once for its
+            # norm, where the oracle takes eigvalsh
+            degree = got.family.degree
+            assert len(calls) == decomposed + (degree > 1) * degree
 
     @pytest.mark.parametrize("config", [
         ExperimentConfig(kind="perturb_sweep", seed=0, params={}),

@@ -11,6 +11,7 @@ from axiscone.errors import (
     NotRealCompatible,
 )
 from axiscone.operators import bottom_eigen
+from axiscone.perturbation import _c_values
 from axiscone.positivity import VerdictStatus
 from axiscone.schrodinger import (
     GridSpec,
@@ -23,6 +24,7 @@ from axiscone.schrodinger import (
     momentum_matrix,
     orthant_failure_demo,
     parity_basis,
+    _spectrum_drift_bound,
     restrict_to_real,
 )
 from axiscone.seeding import rng_for
@@ -204,6 +206,44 @@ class TestRestrictToReal:
         with pytest.raises(NotRealCompatible):
             restrict_to_real(odd_diag, parity_basis(grid))
 
+    def test_scaled_basis_rejected(self):
+        # B = 1.01 B_0 keeps every commutation and imaginary check, but B* H B has
+        # the eigenvalues 1.0201 lambda_k(H): eta ||H|| = 0.0201 ||H|| is far too much
+        model = harmonic_model(4, 0.5)
+        with pytest.raises(NotRealCompatible, match="spectrum may drift"):
+            restrict_to_real(build_magnetic(model, 0.3), 1.01 * parity_basis(model.grid))
+
+    def test_non_square_basis_rejected(self):
+        # Ostrowski's theorem needs a square basis: B* B - I has no shape for a 5 x 3 B
+        grid = GridSpec(2, 1.0)
+        with pytest.raises(ValueError):
+            restrict_to_real(np.eye(grid.dim, dtype=complex), parity_basis(grid)[:, :3])
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_drift_bound_covers_the_measured_drift(self, seed):
+        # a seeded even model and a basis scaled, then perturbed off the fixed space
+        rng = rng_for(seed, 61)
+        n_half = int(rng.integers(1, 16))
+        grid = GridSpec(n_half, float(rng.uniform(0.1, 1.0)))
+        v = rng.uniform(-2.0, 10.0, n_half + 1)
+        a = rng.uniform(-1.0, 1.0, n_half + 1)
+        model = MagneticModel(grid=grid, v_values=np.concatenate([v[:0:-1], v]),
+                              a_values=np.concatenate([a[:0:-1], a]))
+        h = build_magnetic(model, float(rng.uniform(-2.0, 2.0)))
+        scale, noise = [(1.0, 0.0), (1.0 + 10.0 ** rng.uniform(-12, -4), 0.0),
+                        (1.0, 10.0 ** rng.uniform(-12, -4))][seed % 3]
+        g = rng.standard_normal((grid.dim, 2 * grid.dim)).view(complex)
+        basis = scale * parity_basis(grid) + noise * g
+        compressed = basis.conj().T @ h @ basis
+        restricted = (compressed.real + compressed.real.T) / 2.0
+        measured = np.max(np.abs(np.linalg.eigvalsh(restricted) - np.linalg.eigvalsh(h)))
+        bound = _spectrum_drift_bound(h, basis, compressed)
+        assert measured <= bound
+        if seed % 3 == 0:
+            # the exact basis: the bound is rounding-sized and the restriction passes
+            assert bound <= 1e-12 * np.max(np.abs(h))
+            restrict_to_real(h, basis)
+
 
 class TestOrthantDemo:
     def test_zero_coupling_control(self):
@@ -243,20 +283,36 @@ class TestMagneticExperiment:
             v.status is VerdictStatus.CERTIFIED_TRUE for v in report.base_verdicts
         )
 
-    def test_eigvalsh_only_inside_restrict_to_real(self, monkeypatch):
-        callers = []
-        eigvalsh = np.linalg.eigvalsh
+    def test_pipeline_calls_no_eigvalsh(self, monkeypatch):
+        callers = {"eigh": [], "eigvalsh": []}
+        for name, calls in callers.items():
+            def recording(*args, _original=getattr(np.linalg, name), _calls=calls, **kwargs):
+                _calls.append(sys._getframe(1).f_code.co_name)
+                return _original(*args, **kwargs)
 
-        def recording(*args, **kwargs):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return eigvalsh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+            monkeypatch.setattr(np.linalg, name, recording)
         report = magnetic_experiment(harmonic_model(), e_grid=np.linspace(-0.008, 0.008, 5),
                                      s0=1.0)
         assert report.all_true
-        # one spectrum check for each of H0, M1 and M2
-        assert callers == ["restrict_to_real"] * 3
+        # restrict_to_real bounds its spectrum drift instead of measuring it; the
+        # checked eigh are H0's, one per coefficient norm (M1 and M2) and one per
+        # nonzero coupling of the grid
+        assert callers == {"eigh": ["checked_eigh"] * 7, "eigvalsh": []}
+
+    @pytest.mark.parametrize("n_half, spacing", [(8, 0.5), (8, 1.0), (16, 0.5), (32, 0.25),
+                                                 (64, 0.125), (128, 0.0625)])
+    def test_admissible_set_equals_the_exact_norm_one(self, n_half, spacing):
+        report = magnetic_experiment(harmonic_model(n_half, spacing),
+                                     e_grid=np.linspace(-0.008, 0.008, 17), s0=1.0)
+        budget = report.budget
+        exact = np.array([np.max(np.abs(np.linalg.eigvalsh(budget.family.operator_at(e).matrix)))
+                          for e in budget.kappas])
+        assert np.all(budget.b_values >= exact)
+        c_exact = _c_values(budget.mu, budget.epsilon, budget.a_values, exact)
+        np.testing.assert_array_equal(
+            budget.admissible,
+            (np.abs(budget.kappas) < budget.kappa0) & (c_exact < budget.c_threshold))
+        assert budget.admissible.sum() >= 1
 
     def test_zero_vector_potential_all_admissible(self):
         model = MagneticModel.from_functions(GridSpec(6, 0.5), lambda x: x * x,
