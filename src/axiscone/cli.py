@@ -27,9 +27,10 @@ _SUBCOMMAND_KINDS = {
 }
 
 
-def _add_common(parser, with_kind=None):
-    parser.add_argument("--config", metavar="PATH",
-                        help="JSON experiment config (defaults are built in)")
+def _add_common(parser, with_kind=None, with_config=True):
+    if with_config:
+        parser.add_argument("--config", metavar="PATH",
+                            help="JSON experiment config (defaults are built in)")
     parser.add_argument("--seed", type=int, metavar="N",
                         help="override the config seed")
     parser.add_argument("--out", metavar="PATH", help="write the report here")
@@ -61,7 +62,7 @@ def build_parser():
     p_replay.add_argument("report", metavar="REPORT", help="report file to replay")
 
     p_self = sub.add_parser("selftest", help="run the acceptance criteria")
-    _add_common(p_self)
+    _add_common(p_self, with_config=False)   # the criteria build their own inputs
     p_self.add_argument("--repeat", action="store_true",
                         help="run twice and require byte-identical reports")
     return parser

@@ -4,10 +4,11 @@ An axis cone around unit vector u0 is {u : <u0, u> >= ||u|| / sqrt(2)}; its
 aperture is fixed at 45 degrees, which is what makes it self-dual.  Each
 primitive has one form, on a (k, n) block of rows: `row_margins`, `regions`
 and `project_rows`; a cone's `classify` is `regions` on a one-row block.  The
-block sampler `sample_in_cone` serves `positivity` and `perturbation`.  Every
-sampled cone-axiom check runs through one loop, `cone_check`, in blocks of
-rows: the Moreau split, duality witnesses, boundary partners and outside
-sampling take (k, n) blocks too.
+per-row stream sampler `sample_in_cone` (each row's draws in turn) serves
+`positivity` and `perturbation`; the block sampler `sample_in_cone_rows` (one
+draw per quantity) serves `cone_check`.  Every sampled cone-axiom check runs
+through that one loop in blocks of rows: the Moreau split, duality witnesses,
+boundary partners and outside sampling take (k, n) blocks too.
 """
 
 import enum

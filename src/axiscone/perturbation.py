@@ -11,10 +11,13 @@ checked operators at its admissible grid points, builds T + S(kappa) in one
 place (PerturbationBudget.operator_at), and bounds c(kappa) at every kappa,
 on the grid or off it (PerturbationBudget.c_at); the end-to-end sweep takes
 the budget alone and returns plain SweepRows, which the harness renders.
-The budget's gap delta needs a spectrum only where a grid point's gap may
-set it or where the sweep will use the point; every other grid point's gap
-is certified above the running minimum by one Cholesky factorization
-(operators.gap_exceeds).
+The budget's gap delta is the least checked gap, read where a grid point's
+gap may lie more than eta below the running minimum or where the sweep will
+use the point; every other grid point's gap is certified above the running
+minimum less eta by one Cholesky factorization (operators.gap_exceeds).  A
+checked gap lies within eta of the true one, so delta is within eta of the
+least true gap, but it can differ from a decompose-every-point minimum by up
+to 2 eta where two gaps tie within eta.
 """
 
 import math
@@ -274,7 +277,9 @@ class PerturbationBudget:
     c_threshold: float
     kappa0: float
     kappas: np.ndarray
-    gaps: np.ndarray   # checked gaps, and certified lower bounds where a Cholesky proved one
+    # checked gaps, and where a Cholesky proved one the certified lower bound
+    # (the running minimum less eta, so possibly below delta)
+    gaps: np.ndarray
     a_values: np.ndarray
     b_values: np.ndarray
     c_values: np.ndarray
@@ -318,25 +323,28 @@ class PerturbationBudget:
 def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
     """Budget for the heat semigroups of T + S(kappa) over a kappa grid.
 
-    delta is the smallest gap between the bottom eigenvalue of T + S(kappa)
-    and the rest of its spectrum over the grid and at kappa = 0, on the grid
-    or not (grid density is the caller's responsibility, and a caller that
-    sweeps couplings off the grid puts them on it); epsilon = delta/2 is the
-    radius around mu that holds each drifted bottom eigenvalue alone
-    (drifted_axis); alpha = 1 - exp(-s0 delta) feeds the drift radius r;
-    admissible kappas satisfy c(kappa) < f(r).
+    delta is, to within eta, the smallest gap between the bottom eigenvalue
+    of T + S(kappa) and the rest of its spectrum over the grid and at
+    kappa = 0, on the grid or not (grid density is the caller's
+    responsibility, and a caller that sweeps couplings off the grid puts
+    them on it); epsilon = delta/2 is the radius around mu that holds each
+    drifted bottom eigenvalue alone (drifted_axis); alpha = 1 - exp(-s0
+    delta) feeds the drift radius r; admissible kappas satisfy c(kappa) <
+    f(r).
 
     kappa = 0 reads T's own spectrum (S has no constant term, so S(0) = 0
-    and b(0) = 0).  The grid is visited in ascending order of estimated gap
-    (_gap_estimates).  A point is decomposed if its gap may set delta (its
-    estimate is within 2 eta of the one where the running minimum delta_run
-    was read) or if it is admissible at delta_run, so the sweep needs its
-    spectrum.  Any other point gets one Cholesky factorization
-    (operators.gap_exceeds) proving its gap above delta_run + eta, and that
-    certified lower bound is stored as its gap; a failed certificate
-    decomposes the point.  A checked gap lies within eta of the true one, so
-    delta is the minimum of the checked gaps bit for bit, as if every point
-    had been decomposed.
+    and b(0) = 0), and the running minimum delta_run of the checked gaps
+    starts at T's gap.  The nonzero grid points are visited in ascending
+    order of estimated gap (_gap_estimates).  A point admissible at delta_run
+    is decomposed, since the sweep needs its spectrum.  Any other point gets
+    one Cholesky factorization (operators.gap_exceeds) proving its gap above
+    max(delta_run - eta, GAP_COLLAPSE_TOL max(1, ||T||)), and that certified
+    lower bound is stored as its gap; only where the certificate fails is the
+    point decomposed, and only a checked gap moves delta_run.  delta is
+    delta_run at the end: every checked gap lies within eta of the true gap,
+    so delta - eta <= (least true gap on the grid and at 0) <= delta + eta,
+    the accuracy of a loop that decomposes every point; that loop's delta
+    lies at most 2 eta lower, where two gaps tie to within eta.
 
     T + S(kappa) is held only while the point can still become admissible:
     with a, b >= 0, c(kappa) only grows as epsilon shrinks with each new
@@ -356,48 +364,46 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
         raise DegenerateBottom("need dimension >= 2 for a spectral gap")
     eigs = T.decomposition.eigenvalues
     t_gap = float(eigs[1] - eigs[0])
+    collapse = GAP_COLLAPSE_TOL * max(1.0, T.norm)
 
     gaps = np.empty(kappas.size)
     a_values, b_values = family.a_at(kappas), family.b_at(kappas)
     estimates = np.zeros(kappas.size)   # a grid of zeros reads T alone
     if np.any(kappas):
         estimates, bottoms, frobenius, etas = _gap_estimates(T, family, kappas)
-    # smallest checked gap so far, the estimate at its point, and f(r) there
-    delta_run, estimate_run, c_threshold_run = math.inf, math.inf, 0.0
+    # smallest checked gap so far, and f(r) there
+    delta_run, c_threshold_run = t_gap, _threshold_at(s0, t_gap)
     held = {}   # grid index -> T + S(kappa)
     for i in np.argsort(estimates, kind="stable"):
         kappa = kappas[i]
         if kappa == 0.0:
             gaps[i] = t_gap
+            continue
+        t_kappa = T + family.operator_at(kappa)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            c_kappa = _c_values(mu, delta_run / 2.0, a_values[i], b_values[i])
+        if abs(kappa) < kappa0:
+            held[i] = t_kappa
+        floor = max(delta_run - etas[i], collapse)
+        # decompose a point admissible at delta_run; certify the rest, and
+        # decompose where the certificate fails
+        if (i in held and c_kappa < c_threshold_run
+                or not gap_exceeds(t_kappa, bottoms[i], floor, frobenius[i])):
+            eigs = t_kappa.decomposition.eigenvalues
+            gaps[i] = float(eigs[1] - eigs[0])
+            if gaps[i] < delta_run:
+                delta_run = float(gaps[i])
+                c_threshold_run = _threshold_at(s0, delta_run)
         else:
-            t_kappa = T + family.operator_at(kappa)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                c_kappa = _c_values(mu, delta_run / 2.0, a_values[i], b_values[i])
-            if abs(kappa) < kappa0:
-                held[i] = t_kappa
-            floor = delta_run + etas[i]
-            # decompose a point admissible at delta_run, and one whose gap may set
-            # delta; certify the rest, and decompose where the certificate fails
-            if (i in held and c_kappa < c_threshold_run
-                    or not estimates[i] > estimate_run + 2.0 * etas[i]
-                    or not gap_exceeds(t_kappa, bottoms[i], floor, frobenius[i])):
-                eigs = t_kappa.decomposition.eigenvalues
-                gaps[i] = float(eigs[1] - eigs[0])
-            else:
-                gaps[i] = floor   # certified lower bound: gap > delta_run + eta
-        if gaps[i] < delta_run:
-            delta_run, estimate_run = float(gaps[i]), estimates[i]
-            alpha_run = 1.0 - math.exp(-s0 * delta_run)
-            c_threshold_run = (improvement_threshold(radius_from_alpha(alpha_run))
-                               if alpha_run < 1.0 else 0.0)
+            gaps[i] = floor   # certified lower bound: gap > floor
         if held:
             # a collapsed gap gives inf or nan here and drops every point
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 c_run = _c_values(mu, delta_run / 2.0, a_values, b_values)
             held = {j: op for j, op in held.items() if c_run[j] < C_MAX}
 
-    delta = min(float(np.min(gaps)), t_gap)
-    if delta <= GAP_COLLAPSE_TOL * max(1.0, T.norm):
+    delta = delta_run
+    if delta <= collapse:
         raise GapCollapsed(f"uniform gap {delta:.3e} collapsed on the grid")
     epsilon = delta / 2.0
     alpha = 1.0 - math.exp(-s0 * delta)
@@ -434,7 +440,7 @@ def _gap_estimates(T, family, kappas):
 
     From T's checked spectrum (Q, w) and p_jk = Q^T S_j q_k (k = 0, 1), per
     kappa: the second-order estimate of the gap of A = T + S(kappa), which
-    orders the grid and gates the certificates but decides nothing; the
+    orders the grid but decides nothing; the
     first-order bottom vector q_0 - sum_j kappa^j (T - w_0)^+ S_j q_0; the bound
     ||T||_F + sum_j |kappa|^j ||S_j||_F on ||A||_F; and eta = 5 RECON_TOL
     max(1, that bound), which a checked gap of A cannot stray beyond from the
@@ -446,7 +452,8 @@ def _gap_estimates(T, family, kappas):
     p0 = np.array([q.T @ s.apply(q[:, 0]) for s in family.coefficients])
     p1 = np.array([q.T @ s.apply(q[:, 1]) for s in family.coefficients])
     norms = [float(np.linalg.norm(s.matrix)) for s in family.coefficients]
-    # a degenerate w_1 or a huge kappa leaves inf or nan: no certificate is tried
+    # a degenerate w_1 or a huge kappa leaves inf or nan; the estimate then only
+    # orders the grid, and gap_exceeds returns False on a non-finite x or bound
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r0, r1 = 1.0 / (w - w[0]), 1.0 / (w - w[1])   # reduced resolvents at w_0, w_1
         r0[0] = r1[1] = 0.0
@@ -458,6 +465,12 @@ def _gap_estimates(T, family, kappas):
         frobenius = float(np.linalg.norm(T.matrix)) + np.abs(powers) @ norms
         etas = 5.0 * RECON_TOL * np.maximum(1.0, frobenius)
     return estimates, bottoms, frobenius, etas
+
+
+def _threshold_at(s0, delta):
+    """f(r) at alpha = 1 - exp(-s0 delta), and 0 where alpha rounds to 1."""
+    alpha = 1.0 - math.exp(-s0 * delta)
+    return improvement_threshold(radius_from_alpha(alpha)) if alpha < 1.0 else 0.0
 
 
 def _c_values(mu, epsilon, a_values, b_values):

@@ -725,6 +725,15 @@ class TestCli:
         assert captured.err == ("config error: config field 'seed': "
                                 "must fit in 64 unsigned bits\n")
 
+    def test_selftest_rejects_a_config(self, capsys):
+        # the criteria build their own inputs: a config must not be silently ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--config", "/nonexistent.json", "--no-timestamp"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --config /nonexistent.json" in captured.err
+
     def test_degenerate_model_is_usage_error(self, tmp_path, capsys):
         # a decoupled double well has a ground doublet below tau_gap: the
         # experiment is ill-posed, which is a usage error rather than a bug

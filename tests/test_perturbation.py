@@ -42,6 +42,7 @@ from axiscone.cones import AxisCone, Region, sample_in_cone
 from axiscone.positivity import VerdictStatus
 from axiscone.seeding import rng_for
 from axiscone.harness import ExperimentConfig, run
+from axiscone.tolerances import GAP_COLLAPSE_TOL, RECON_TOL
 from axiscone.schrodinger import GridSpec, MagneticModel, magnetic_experiment
 from reference_loops import (
     coefficient_norm_bound,
@@ -663,8 +664,13 @@ def test_delta_never_exceeds_the_gap_of_t(threshold):
     family = PerturbationFamily([np.diag([0.0, 1.0])])
     off = threshold(t, family, s0=math.log(2.0), kappa0=2.0, kappa_grid=[0.9, 1.0])
     on = threshold(t, family, s0=math.log(2.0), kappa0=2.0, kappa_grid=[0.0, 0.9, 1.0])
-    # a gap is checked or certified from below, and the grid's least gap is 1
-    assert off.gaps.min() == pytest.approx(1.0)
+    if threshold is threshold_by_decomposing:
+        # every gap is checked, and the grid's least gap is 1
+        assert off.gaps.min() == pytest.approx(1.0)
+    else:
+        # both points are certified above T's gap less eta
+        assert np.all(off.gaps < off.delta)
+        assert np.all(off.gaps >= off.delta - max_eta(off))
     assert off.delta == on.delta == pytest.approx(0.1)
     assert not off.admissible.any()
 
@@ -1015,29 +1021,57 @@ def budget_or_error(threshold, t, family, s0, kappa0, grid):
         return type(exc), str(exc)
 
 
-def assert_budgets_bit_equal(got, want):
-    """Every budget field bit for bit, the held operators and their spectra too;
-    a gap the certificate bounded is above delta, as is its checked value.  Above
-    degree one the oracle reads each ||S_k|| from eigvalsh, the toolkit from its
-    checked eigh: there b and c agree to rounding, and bit for bit with the
-    coefficient-norm bound of the family's own norms."""
-    for name in ("mu", "delta", "epsilon", "s0", "alpha", "r", "c_threshold", "kappa0",
-                 "kappa_threshold"):
+def max_eta(budget):
+    """Largest eta = 5 RECON_TOL max(1, ||T||_F + sum_j |kappa|^j ||S_j||_F) over the
+    budget's grid and kappa = 0: a checked gap of T + S(kappa) lies within eta of the
+    true one."""
+    norms = [float(np.linalg.norm(c.matrix)) for c in budget.family.coefficients]
+    bound = float(np.linalg.norm(budget.T.matrix)) + max(
+        sum(abs(k) ** j * norm for j, norm in enumerate(norms, start=1))
+        for k in np.append(budget.kappas, 0.0))
+    return 5.0 * RECON_TOL * max(1.0, bound)
+
+
+def assert_budget_matches(got, want, floors):
+    """The budget against the decomposing oracle's.
+
+    Every field that does not depend on delta agrees bit for bit, admissible and
+    the held operators with their spectra too, and so does every gap the toolkit
+    checked.  Each other gap is the floor its certificate proved (floors lists
+    the proved floors of this call) and lies at least delta - eta.  delta lies in
+    [oracle delta, oracle delta + 2 eta]; it is bit-equal, and with it every field
+    read from delta, when the oracle's two least gaps (T's among them) are more
+    than 2 eta apart.  Above degree one the oracle reads each ||S_k|| from
+    eigvalsh, the toolkit from its checked eigh: there b and c agree to rounding,
+    and bit for bit with the coefficient-norm bound of the family's own norms.
+    Returns the number of certified gaps."""
+    for name in ("mu", "s0", "kappa0"):
         assert bits(getattr(got, name)) == bits(getattr(want, name)), name
-    assert (got.c_slope is None and want.c_slope is None) or \
-        bits(got.c_slope) == bits(want.c_slope)
     linear = got.family.degree == 1
-    for name in ("kappas", "a_values", "admissible") + linear * ("b_values", "c_values"):
+    for name in ("kappas", "a_values", "admissible") + linear * ("b_values",):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     if not linear:
         norms = [c.norm for c in got.family.coefficients]
         assert got.b_values.tolist() == [coefficient_norm_bound(k, norms) for k in got.kappas]
-        for name in ("b_values", "c_values"):
-            np.testing.assert_allclose(getattr(got, name), getattr(want, name),
-                                       rtol=1e-13, atol=0.0, err_msg=name)
+        np.testing.assert_allclose(got.b_values, want.b_values, rtol=1e-13, atol=0.0)
+    eta = max_eta(got)
     certified = got.gaps != want.gaps
-    assert np.all(got.gaps[certified] > got.delta)
-    assert np.all(want.gaps[certified] >= got.delta)
+    assert sorted(got.gaps[certified]) == sorted(floors)
+    assert np.all(got.gaps[certified] >= got.delta - eta)
+    assert want.delta <= got.delta <= want.delta + 2.0 * eta
+    t_eigs = want.T.decomposition.eigenvalues
+    least = np.unique(np.append(want.gaps, t_eigs[1] - t_eigs[0]))
+    if least.size == 1 or least[1] - least[0] > 2.0 * eta:
+        assert bits(got.delta) == bits(want.delta)
+    if bits(got.delta) == bits(want.delta):
+        for name in ("epsilon", "alpha", "r", "c_threshold", "kappa_threshold"):
+            assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+        assert (got.c_slope is None and want.c_slope is None) or \
+            bits(got.c_slope) == bits(want.c_slope)
+        if linear:
+            assert got.c_values.tobytes() == want.c_values.tobytes()
+        else:
+            np.testing.assert_allclose(got.c_values, want.c_values, rtol=1e-13, atol=0.0)
     assert list(got.operators) == list(want.operators)
     for kappa, op in got.operators.items():
         ref = want.operators[kappa]
@@ -1076,7 +1110,7 @@ class TestGapCertificate:
             return certified
 
         monkeypatch.setattr(perturbation, "gap_exceeds", recording)
-        certified, interior, tied = Counter(), Counter(), Counter()
+        certified, interior, tied, tied_certified = Counter(), Counter(), Counter(), Counter()
         for seed in range(100 * block, 100 * block + 100):
             shape = seed % 4
             t, family, s0, kappa0, grid = certificate_family(seed)
@@ -1086,20 +1120,18 @@ class TestGapCertificate:
             if isinstance(want, tuple):
                 assert got == want
                 continue
-            count = assert_budgets_bit_equal(got, want)
-            # a certified point stores the floor its certificate proved
-            assert set(got.gaps[got.gaps != want.gaps]) <= {f for _, f in successes[first:]}
+            count = assert_budget_matches(got, want, [f for _, f in successes[first:]])
             certified[shape] += count
             least = want.kappas[np.argmin(want.gaps)]
             interior[shape] += bool(want.kappas.min() < least < want.kappas.max())
-            # a certified gap exceeds delta by eta >= 5e-10, so gaps tied closer certify none
+            # gaps tied to within eta of delta are certified against delta - eta
             if np.ptp(want.gaps) < 2e-10:
                 tied[shape] += 1
-                assert count == 0
+                tied_certified[shape] += count
         # every shape certifies, the interior-minimum shape has its least gap inside
-        # the grid, and the near-tied shape reaches gaps too close to certify
+        # the grid, and the near-tied shape certifies gaps tied closer than eta
         assert min(certified[shape] for shape in range(4)) >= 20
-        assert interior[1] >= 20 and tied[2] >= 1
+        assert interior[1] >= 20 and tied[2] >= 1 and tied_certified[2] >= 1
         assert sum(certified.values()) == len(successes)
         # each certificate, confirmed independently: the gap lies above the floor
         for matrix, floor in successes:
@@ -1122,7 +1154,8 @@ class TestGapCertificate:
             if isinstance(want, tuple):
                 assert got == want
                 continue
-            assert assert_budgets_bit_equal(got, want) == 0
+            assert assert_budget_matches(got, want, []) == 0
+            assert bits(got.delta) == bits(want.delta)
             # above degree one the toolkit decomposes each coefficient once for its
             # norm, where the oracle takes eigvalsh
             degree = got.family.degree
@@ -1132,9 +1165,10 @@ class TestGapCertificate:
         ExperimentConfig(kind="perturb_sweep", seed=0, params={}),
         dense_config(0, 24),
         dense_config(1, 40),
-    ], ids=["default", "dense-24", "dense-40"])
+        ExperimentConfig(kind="schrodinger", seed=0, params={"N": 48, "h": 8.0 / 48}),
+    ], ids=["default", "dense-24", "dense-40", "schrodinger-48"])
     def test_reports_match_the_decomposing_loop(self, config, monkeypatch):
-        from axiscone import harness
+        from axiscone import harness, schrodinger
 
         def failing(m):
             raise np.linalg.LinAlgError("not positive definite")
@@ -1147,13 +1181,83 @@ class TestGapCertificate:
             return text, len(calls)
 
         report, eigh_calls = report_and_eigh_calls()
-        monkeypatch.setattr(harness, "semigroup_threshold", threshold_by_decomposing)
+        for module in (harness, schrodinger):
+            monkeypatch.setattr(module, "semigroup_threshold", threshold_by_decomposing)
         reference, reference_calls = report_and_eigh_calls()
         monkeypatch.setattr(np.linalg, "cholesky", failing)
         fallback, fallback_calls = report_and_eigh_calls()
         assert report == reference == fallback
-        assert fallback_calls == reference_calls
+        # the magnetic family has degree two: the toolkit decomposes its two
+        # coefficients for their norms, where the oracle takes eigvalsh
+        assert fallback_calls == reference_calls + 2 * (config.kind == "schrodinger")
         assert eigh_calls < reference_calls
+
+    @pytest.mark.parametrize("n_half", [16, 32, 48, 64, 128])
+    def test_magnetic_grid_certifies_every_inadmissible_point(self, n_half, monkeypatch):
+        proved = []
+
+        def recording(A, x, floor, frobenius_bound):
+            proved.append(gap_exceeds(A, x, floor, frobenius_bound))
+            return proved[-1]
+
+        monkeypatch.setattr(perturbation, "gap_exceeds", recording)
+        model = MagneticModel.from_functions(GridSpec(n_half, 8.0 / n_half), lambda x: x * x,
+                                             lambda x: math.exp(-x * x))
+        budget = magnetic_experiment(model, e_grid=np.linspace(-0.008, 0.008, 17),
+                                     s0=1.0).budget
+        # the grid's gaps tie H0's to within eta, so none is decomposed for delta
+        t_eigs = budget.T.decomposition.eigenvalues
+        assert bits(budget.delta) == bits(t_eigs[1] - t_eigs[0])
+        outside = (budget.kappas != 0.0) & ~budget.admissible
+        assert proved == [True] * int(np.count_nonzero(outside))
+        assert np.all(budget.gaps[outside] < budget.delta)
+        assert np.all(budget.gaps[outside] >= budget.delta - max_eta(budget))
+        for i in np.flatnonzero(budget.admissible & (budget.kappas != 0.0)):
+            eigs = budget.operators[float(budget.kappas[i])].decomposition.eigenvalues
+            assert bits(budget.gaps[i]) == bits(eigs[1] - eigs[0])
+        assert (n_half >= 32) <= outside.any()
+
+    def test_a_late_gap_below_delta_fails_its_certificate_and_sets_delta(self, monkeypatch):
+        # gaps 1 + kappa: the estimates are exact, so negating them visits the
+        # least gap, 0.5 at kappa = -0.5, last
+        t = SymmetricOperator(np.diag([0.0, 1.0, 3.0]))
+        family = PerturbationFamily([np.diag([0.0, 1.0, 0.0])])
+        grid = [-0.5, 0.2, 0.1]
+        gap_estimates = perturbation._gap_estimates
+
+        def negated(*args):
+            estimates, *rest = gap_estimates(*args)
+            return (-estimates, *rest)
+
+        monkeypatch.setattr(perturbation, "_gap_estimates", negated)
+        proved = []
+
+        def recording(A, x, floor, frobenius_bound):
+            proved.append((A.matrix[1, 1], gap_exceeds(A, x, floor, frobenius_bound)))
+            return proved[-1][1]
+
+        monkeypatch.setattr(perturbation, "gap_exceeds", recording)
+        budget = semigroup_threshold(t, family, s0=1.0, kappa0=0.05, kappa_grid=grid)
+        # T's gap 1 is the running minimum until the last point, whose gap lies
+        # far more than eta below it
+        assert [certified for _, certified in proved] == [True, True, False]
+        np.testing.assert_allclose([entry for entry, _ in proved], [1.2, 1.1, 0.5])
+        want = threshold_by_decomposing(t, family, s0=1.0, kappa0=0.05, kappa_grid=grid)
+        assert bits(budget.delta) == bits(want.delta) == bits(want.gaps[0])
+        assert bits(budget.gaps[0]) == bits(want.gaps[0])
+        assert np.all((budget.gaps[1:] >= 1.0 - max_eta(budget)) & (budget.gaps[1:] < 1.0))
+
+    def test_collapsed_grid_gap_raises_below_eta(self):
+        # T's gap 2e-9 passes tau_gap but lies below eta = 5 RECON_TOL ||T||_F ~ 5e-8,
+        # so the certificates' floor is GAP_COLLAPSE_TOL ||T||; kappa = 1 closes the gap
+        t = SymmetricOperator(np.diag([0.0, 2e-9, 100.0]))
+        family = PerturbationFamily([np.diag([0.0, -2e-9, 0.0])])
+        assert 2e-9 < 5.0 * RECON_TOL * np.linalg.norm(t.matrix)
+        for threshold in (semigroup_threshold, threshold_by_decomposing):
+            with pytest.raises(GapCollapsed, match=r"^uniform gap 0\.000e\+00 collapsed on "
+                                                   r"the grid$"):
+                threshold(t, family, s0=1.0, kappa0=0.1, kappa_grid=[0.5, 1.0, 0.25])
+        assert GAP_COLLAPSE_TOL * t.norm < 2e-9
 
     def test_default_magnetic_experiment_attempts_no_cholesky(self, monkeypatch):
         calls = []
