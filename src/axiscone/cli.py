@@ -103,7 +103,7 @@ def main(argv=None):
             return _emit(report, args)
 
         if args.command == "replay":
-            with open(args.report) as fh:
+            with open(args.report, encoding="utf-8") as fh:
                 kind, results = replay(fh.read())
             if kind != "pf_verify":
                 print(f"replay supports pf_verify reports only; this report is {kind}")
@@ -133,7 +133,8 @@ def main(argv=None):
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # a missing, unreadable or unwritable path, or a file that is not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ContractViolation, CorrespondenceViolation) as exc:

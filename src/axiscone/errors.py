@@ -66,7 +66,11 @@ class GapCollapsed(AxisConeError):
 
 
 class RatioSaturated(AxisConeError):
-    """The budget's spectral ratio alpha = 1 - exp(-s0 delta) rounds to 1."""
+    """The budget's spectral ratio alpha = 1 - exp(-s0 delta) rounds to 0 or 1."""
+
+
+class HeatTimeUnresolved(AxisConeError):
+    """At a heat time s, exp(-s T) has no top gap beyond tau_gap."""
 
 
 class BudgetViolated(AxisConeError):

@@ -9,6 +9,7 @@ plain values the layers below return: numbers in .17g, a witness as its
 entries joined by spaces, free text with its commas turned into semicolons.
 """
 
+import copy
 import itertools
 import json
 import math
@@ -27,7 +28,7 @@ from .cones import (
     partner_check,
     selfduality_probe,
 )
-from .errors import ConfigInvalid, RatioSaturated
+from .errors import ConfigInvalid, HeatTimeUnresolved, RatioSaturated
 from .operators import SymmetricOperator, as_vector, top_eigen
 from .perturbation import (
     PerturbationFamily,
@@ -48,8 +49,6 @@ from .schrodinger import (
     orthant_failure_demo,
 )
 from .seeding import derive_seed, rng_for
-
-KINDS = ("cone_axioms", "pf_verify", "perturb_sweep", "schrodinger")
 
 # The tolerances in force, echoed in every report header.
 TOLERANCES = {
@@ -104,16 +103,18 @@ class ExperimentConfig:
     seed: int
     params: dict = field(default_factory=dict)
     output_path: str | None = None
-    # the checked operators the validator built for the runner (perturb: T and S)
+    # the checked operators check_params built for the runner (perturb: T and S)
     _checked: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigInvalid("kind", f"must be one of {', '.join(KINDS)}")
+        if self.kind not in PARAMETERS:
+            raise ConfigInvalid("kind", f"must be one of {', '.join(PARAMETERS)}")
         check_seed(self.seed)
         if not isinstance(self.params, dict):
             raise ConfigInvalid("params", "must be a table")
-        self._checked = _VALIDATORS[self.kind](self.params)
+        if not isinstance(self.output_path, (str, type(None))) or self.output_path == "":
+            raise ConfigInvalid("output_path", "must be a nonempty string")
+        self._checked = check_params(self.kind, self.params)
 
     @staticmethod
     def from_json(text):
@@ -130,16 +131,11 @@ class ExperimentConfig:
             raise ConfigInvalid("kind", "required")
         if "seed" not in data:
             raise ConfigInvalid("seed", "required")
-        return ExperimentConfig(
-            kind=data["kind"],
-            seed=data["seed"],
-            params=data.get("params", {}),
-            output_path=data.get("output_path"),
-        )
+        return ExperimentConfig(**data)
 
     @staticmethod
     def load(path):
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return ExperimentConfig.from_json(fh.read())
 
     def canonical_json(self):
@@ -173,176 +169,175 @@ def _is_number(value):
         return False
 
 
-def _distinct_entries(value, allowed):
-    return (isinstance(value, list) and bool(value) and all(allowed(x) for x in value)
-            and len(set(value)) == len(value))
+_LIMIT = tolerances.SCALE_LIMIT
 
 
-def _validate_cone_axioms(params):
-    _reject_unknown(params, {"dims", "samples", "cones"})
-    dims = params.setdefault("dims", [2, 3, 5, 8])
-    if not _distinct_entries(dims, lambda d: _is_int(d) and d >= 1):
-        raise ConfigInvalid("dims", "must be a nonempty list of distinct positive integers")
-    samples = params.setdefault("samples", 1000)
-    if not (_is_int(samples) and samples >= 1):
-        raise ConfigInvalid("samples", "must be a positive integer")
-    cones = params.setdefault("cones", ["axis", "orthant"])
-    if not _distinct_entries(cones, lambda c: c in ("axis", "orthant")):
-        raise ConfigInvalid("cones", "entries must be distinct, each 'axis' or 'orthant'")
-    if "axis" in cones and 1 in dims:
-        raise ConfigInvalid("dims", "an axis cone needs dim >= 2 for its boundary partner")
+def _rule(*tests):
+    """The check that passes a value on when it meets each (ok, message) test,
+    ok(value, params), and otherwise raises the first failed test's message."""
+    def check(value, key, params):
+        for ok, message in tests:
+            if not ok(value, params):
+                raise ConfigInvalid(key, message)
+        return value
+    return check
 
 
-def _validate_pf_verify(params):
-    _reject_unknown(params, {"dims", "instances_per_flavor", "flavors", "n_pairs"})
-    dims = params.setdefault("dims", [3, 4, 6, 8])
-    if not _distinct_entries(dims, lambda d: _is_int(d) and d >= 2):
-        raise ConfigInvalid("dims", "must be a nonempty list of distinct integers >= 2")
-    count = params.setdefault("instances_per_flavor", 5)
-    if not (_is_int(count) and count >= 1):
-        raise ConfigInvalid("instances_per_flavor", "must be a positive integer")
-    flavors = params.setdefault("flavors", list(FLAVORS))
-    if not _distinct_entries(flavors, lambda f: f in FLAVORS):
-        raise ConfigInvalid("flavors", f"entries must be distinct, among {', '.join(FLAVORS)}")
-    n_pairs = params.setdefault("n_pairs", 20)
-    if not (_is_int(n_pairs) and n_pairs >= 1):
-        raise ConfigInvalid("n_pairs", "must be a positive integer")
+def _distinct(allowed, message):
+    """A nonempty list of distinct entries, each passing `allowed`."""
+    return _rule((lambda v, p: isinstance(v, list) and bool(v) and all(map(allowed, v))
+                  and len(set(v)) == len(v), message))
 
 
-def _as_grid(value, key):
+_POSITIVE_INT = _rule((lambda v, p: _is_int(v) and v >= 1, "must be a positive integer"))
+_FINITE_POSITIVE = (lambda v, p: _is_number(v) and v > 0, "must be a finite positive number")
+_POSITIVE = _rule(_FINITE_POSITIVE, (lambda v, p: v <= _LIMIT, f"must be at most {_LIMIT:g}"))
+_COEFFICIENT = _rule((lambda v, p: _is_number(v) and 0 <= v <= _LIMIT,
+                      f"must be a number in [0, {_LIMIT:g}]"))
+_BOUNDED = _rule((lambda v, p: all(abs(x) <= _LIMIT for x in v),
+                  f"entries must lie in [-{_LIMIT:g}, {_LIMIT:g}]"))
+_WITHIN_S0 = _rule((lambda v, p: all(0 < s <= p["s0"] for s in v), "entries must lie in (0, s0]"))
+
+
+def _grid(value, key, params):
+    """A list of finite numbers or {start, stop, num} as a nonempty list of floats
+    within SCALE_LIMIT; an odd num > 1 from -x to x puts 0 itself in the middle."""
     if isinstance(value, list) and all(_is_number(x) for x in value):
         grid = [float(x) for x in value]
     elif (isinstance(value, dict) and set(value) == {"start", "stop", "num"}
           and _is_number(value["start"]) and _is_number(value["stop"])
           and _is_int(value["num"]) and value["num"] >= 0):
-        grid = np.linspace(value["start"], value["stop"], value["num"]).tolist()
+        start, stop, num = value["start"], value["stop"], value["num"]
+        grid = np.linspace(start, stop, num).tolist()
+        if start == -stop and num % 2 and num > 1:
+            grid[num // 2] = 0.0   # linspace may round the midpoint off 0
     else:
         raise ConfigInvalid(key, "must be a list of finite numbers or {start, stop, num}")
     if not grid:
         raise ConfigInvalid(key, "must be nonempty")
-    limit = tolerances.SCALE_LIMIT
-    if any(abs(x) > limit for x in grid):
-        raise ConfigInvalid(key, f"entries must lie in [-{limit:g}, {limit:g}]")
-    return grid
+    return _BOUNDED(grid, key, params)
 
 
-def _validate_perturb(params):
-    allowed = {"t", "s", "a", "b", "s0", "kappa0", "kappa_grid", "s_samples", "kappas"}
-    _reject_unknown(params, allowed)
-    if ("t" in params) != ("s" in params):
-        raise ConfigInvalid("t", "matrices t and s must be given together")
-    # the checked (T, S) for the runner; without t and s the swap instance,
-    # T = diag(0, 1) with S swapping the two axes
-    checked = (SymmetricOperator(np.diag([0.0, 1.0])),
-               SymmetricOperator([[0.0, 1.0], [1.0, 0.0]]))
-    if "t" in params:
-        checked = ()
-        for key in ("t", "s"):
-            m = params[key]
-            not_finite = ConfigInvalid(key, "must be a matrix as list of rows of finite numbers")
-            # one pass over the entry types (bool is not a number), then one over the values
-            if not (isinstance(m, list) and m and all(isinstance(r, list) for r in m)
-                    and set(map(type, itertools.chain.from_iterable(m))) <= {int, float}):
-                raise not_finite
-            try:
-                entries = np.array(list(itertools.chain.from_iterable(m)), dtype=float)
-            except OverflowError:   # an integer beyond float range
-                raise not_finite from None
-            if not np.all(np.isfinite(entries)):
-                raise not_finite
-            try:
-                if len({len(r) for r in m}) > 1:
-                    np.array(m, dtype=float)   # ragged rows: numpy's ValueError names the shape
-                matrix = entries.reshape(len(m), len(m[0]))
-                if np.abs(matrix).max(initial=0.0) > tolerances.SCALE_LIMIT:
-                    raise ConfigInvalid(key, f"|entries| must be <= {tolerances.SCALE_LIMIT:g}")
-                checked += (SymmetricOperator(matrix),)  # square, and symmetric to TAU_SYM
-            except ValueError as exc:
-                raise ConfigInvalid(key, str(exc)) from exc
-        if len(params["s"]) != len(params["t"]):
-            raise ConfigInvalid("s", "must have the dimension of t")
-    s0 = params.setdefault("s0", math.log(2.0))
-    if not (_is_number(s0) and s0 > 0):
-        raise ConfigInvalid("s0", "must be a finite positive number")
-    kappa0 = params.setdefault("kappa0", 0.5)
-    if not (_is_number(kappa0) and kappa0 > 0):
-        raise ConfigInvalid("kappa0", "must be a finite positive number")
-    params["kappa_grid"] = _as_grid(
-        params.get("kappa_grid", {"start": -0.45, "stop": 0.45, "num": 41}),
-        "kappa_grid",
-    )
-    default_samples = [s0 / 5.0, 2.0 * s0 / 5.0, 3.0 * s0 / 5.0, 4.0 * s0 / 5.0, s0]
-    params["s_samples"] = _as_grid(params.get("s_samples", default_samples), "s_samples")
-    if not all(0 < s <= s0 for s in params["s_samples"]):
-        raise ConfigInvalid("s_samples", "entries must lie in (0, s0]")
-    if "kappas" in params:
-        params["kappas"] = _as_grid(params["kappas"], "kappas")
-    params.setdefault("a", 0.0)
-    params.setdefault("b", None)
-    for key in ("a", "b"):
-        value = params[key]
-        if value is not None and not (_is_number(value)
-                                      and 0 <= value <= tolerances.SCALE_LIMIT):
-            raise ConfigInvalid(key, f"must be a number in [0, {tolerances.SCALE_LIMIT:g}]")
+def _profile(value, key, params):
+    """A preset name, or the 2N+1 values of a grid function."""
+    if isinstance(value, str):
+        if value not in POTENTIAL_PRESETS:
+            raise ConfigInvalid(key, f"unknown preset {value!r}")
+        return value
+    if not (isinstance(value, list) and all(_is_number(x) for x in value)):
+        raise ConfigInvalid(key, "must be a preset name or a list of finite numbers")
+    if len(value) != 2 * params["N"] + 1:
+        raise ConfigInvalid(key, f"must hold 2N+1 = {2 * params['N'] + 1} grid values")
+    return _BOUNDED(value, key, params)
+
+
+OPTIONAL = object()   # a row default: the field may be left out, and then stays out
+
+# One ordered table of (field, default, check) per kind.  A callable default is
+# computed from params, which holds the fields of the rows before it; a check
+# takes (value, field, params) and returns the value normalized or raises
+# ConfigInvalid.  Rows run in order, so the first wrong field is the one named.
+# perturb's t and s are checked first, by _matrices, and their rows keep them.
+PARAMETERS = {
+    "cone_axioms": (
+        ("dims", [2, 3, 5, 8], _distinct(lambda d: _is_int(d) and d >= 1,
+                                         "must be a nonempty list of distinct positive integers")),
+        ("samples", 1000, _POSITIVE_INT),
+        ("cones", ["axis", "orthant"], _distinct(lambda c: c in ("axis", "orthant"),
+                                                 "entries must be distinct, each 'axis' or "
+                                                 "'orthant'")),
+        ("dims", OPTIONAL, _rule((lambda v, p: "axis" not in p["cones"] or 1 not in v,
+                                  "an axis cone needs dim >= 2 for its boundary partner"))),
+    ),
+    "pf_verify": (
+        ("dims", [3, 4, 6, 8], _distinct(lambda d: _is_int(d) and d >= 2,
+                                         "must be a nonempty list of distinct integers >= 2")),
+        ("instances_per_flavor", 5, _POSITIVE_INT),
+        ("flavors", list(FLAVORS), _distinct(
+            lambda f: f in FLAVORS, f"entries must be distinct, among {', '.join(FLAVORS)}")),
+        ("n_pairs", 20, _POSITIVE_INT),
+    ),
+    "perturb_sweep": (
+        ("t", OPTIONAL, _rule()),
+        ("s", OPTIONAL, _rule()),
+        ("s0", math.log(2.0), _POSITIVE),
+        ("kappa0", 0.5, _POSITIVE),
+        ("kappa_grid", {"start": -0.45, "stop": 0.45, "num": 41}, _grid),
+        ("s_samples", lambda p: [k * p["s0"] / 5.0 for k in (1.0, 2.0, 3.0, 4.0)] + [p["s0"]],
+         lambda v, key, p: _WITHIN_S0(_grid(v, key, p), key, p)),
+        ("kappas", OPTIONAL, _grid),
+        ("a", 0.0, _COEFFICIENT),
+        ("b", None, lambda v, key, p: v if v is None else _COEFFICIENT(v, key, p)),
+    ),
+    "schrodinger": (
+        ("N", 8, _POSITIVE_INT),
+        ("h", 0.5, _rule(_FINITE_POSITIVE, (lambda v, p: 1.0 / _LIMIT <= v <= _LIMIT,
+                                            f"must lie in [{1.0 / _LIMIT:g}, {_LIMIT:g}]"))),
+        ("potential", "harmonic", _profile),
+        ("vector_potential", "gaussian", _profile),
+        ("e_grid", {"start": -0.008, "stop": 0.008, "num": 17}, _grid),
+        ("s0", 1.0, _POSITIVE),
+        ("s_samples", OPTIONAL, lambda v, key, p: _WITHIN_S0(_grid(v, key, p), key, p)),
+        ("demo_e", 0.5, _rule((lambda v, p: _is_number(v), "must be a finite number"),
+                              (lambda v, p: abs(v) <= _LIMIT,
+                               f"must lie in [-{_LIMIT:g}, {_LIMIT:g}]"))),
+        ("demo_s", 0.5, _POSITIVE),
+    ),
+}
+
+
+def check_params(kind, params):
+    """Check a kind's params in place against its table: reject a field the
+    table does not name, fill in a copy of each missing default, and replace
+    each value by its check's result.  Returns perturb's checked (T, S)."""
+    table = PARAMETERS[kind]
+    unknown = set(params) - {key for key, _, _ in table}
+    if unknown:
+        raise ConfigInvalid(sorted(unknown)[0], "unknown parameter")
+    checked = _matrices(params) if kind == "perturb_sweep" else None
+    for key, default, check in table:
+        if key not in params:
+            if default is OPTIONAL:
+                continue
+            params[key] = default(params) if callable(default) else copy.deepcopy(default)
+        params[key] = check(params[key], key, params)
     return checked
 
 
-def _validate_schrodinger(params):
-    allowed = {"N", "h", "potential", "vector_potential",
-               "e_grid", "s0", "s_samples", "demo_e", "demo_s"}
-    _reject_unknown(params, allowed)
-    n = params.setdefault("N", 8)
-    if not (_is_int(n) and n >= 1):
-        raise ConfigInvalid("N", "must be a positive integer")
-    h = params.setdefault("h", 0.5)
-    if not (_is_number(h) and h > 0):
-        raise ConfigInvalid("h", "must be a finite positive number")
-    limit = tolerances.SCALE_LIMIT
-    if not 1.0 / limit <= h <= limit:
-        raise ConfigInvalid("h", f"must lie in [{1.0 / limit:g}, {limit:g}]")
-    for key, default in (("potential", "harmonic"), ("vector_potential", "gaussian")):
-        profile = params.setdefault(key, default)
-        if isinstance(profile, str):
-            if profile not in POTENTIAL_PRESETS:
-                raise ConfigInvalid(key, f"unknown preset {profile!r}")
-        elif not (isinstance(profile, list) and all(_is_number(x) for x in profile)):
-            raise ConfigInvalid(key, "must be a preset name or a list of finite numbers")
-        elif len(profile) != 2 * n + 1:
-            raise ConfigInvalid(key, f"must hold 2N+1 = {2 * n + 1} grid values")
-    params["e_grid"] = _as_grid(
-        params.get("e_grid", {"start": -0.008, "stop": 0.008, "num": 17}), "e_grid"
-    )
-    s0 = params.setdefault("s0", 1.0)
-    if not (_is_number(s0) and s0 > 0):
-        raise ConfigInvalid("s0", "must be a finite positive number")
-    if "s_samples" in params:
-        params["s_samples"] = _as_grid(params["s_samples"], "s_samples")
-        if not all(0 < s <= s0 for s in params["s_samples"]):
-            raise ConfigInvalid("s_samples", "entries must lie in (0, s0]")
-    demo_e = params.setdefault("demo_e", 0.5)
-    if not _is_number(demo_e):
-        raise ConfigInvalid("demo_e", "must be a finite number")
-    if abs(demo_e) > limit:
-        raise ConfigInvalid("demo_e", f"must lie in [-{limit:g}, {limit:g}]")
-    demo_s = params.setdefault("demo_s", 0.5)
-    if not (_is_number(demo_s) and demo_s > 0):
-        raise ConfigInvalid("demo_s", "must be a finite positive number")
-    if demo_s > limit:
-        raise ConfigInvalid("demo_s", f"must be at most {limit:g}")
-
-
-def _reject_unknown(params, allowed):
-    unknown = set(params) - allowed
-    if unknown:
-        raise ConfigInvalid(sorted(unknown)[0], "unknown parameter")
-
-
-_VALIDATORS = {
-    "cone_axioms": _validate_cone_axioms,
-    "pf_verify": _validate_pf_verify,
-    "perturb_sweep": _validate_perturb,
-    "schrodinger": _validate_schrodinger,
-}
+def _matrices(params):
+    """perturb's checked (T, S): its t and s, or without them the swap instance,
+    T = diag(0, 1) with S swapping the two axes."""
+    if ("t" in params) != ("s" in params):
+        raise ConfigInvalid("t", "matrices t and s must be given together")
+    if "t" not in params:
+        return (SymmetricOperator(np.diag([0.0, 1.0])),
+                SymmetricOperator([[0.0, 1.0], [1.0, 0.0]]))
+    checked = ()
+    for key in ("t", "s"):
+        m = params[key]
+        not_finite = ConfigInvalid(key, "must be a matrix as list of rows of finite numbers")
+        # one pass over the entry types (bool is not a number), then one over the values
+        if not (isinstance(m, list) and m and all(isinstance(r, list) for r in m)
+                and set(map(type, itertools.chain.from_iterable(m))) <= {int, float}):
+            raise not_finite
+        try:
+            entries = np.array(list(itertools.chain.from_iterable(m)), dtype=float)
+        except OverflowError:   # an integer beyond float range
+            raise not_finite from None
+        if not np.all(np.isfinite(entries)):
+            raise not_finite
+        try:
+            if len({len(r) for r in m}) > 1:
+                np.array(m, dtype=float)   # ragged rows: numpy's ValueError names the shape
+            matrix = entries.reshape(len(m), len(m[0]))
+            if np.abs(matrix).max(initial=0.0) > _LIMIT:
+                raise ConfigInvalid(key, f"|entries| must be <= {_LIMIT:g}")
+            checked += (SymmetricOperator(matrix),)  # square, and symmetric to TAU_SYM
+        except ValueError as exc:
+            raise ConfigInvalid(key, str(exc)) from exc
+    if len(params["s"]) != len(params["t"]):
+        raise ConfigInvalid("s", "must have the dimension of t")
+    return checked
 
 
 @dataclass
@@ -610,6 +605,8 @@ def run(config):
         return _RUNNERS[config.kind](config)
     except RatioSaturated as exc:
         raise ConfigInvalid("s0", str(exc)) from exc
+    except HeatTimeUnresolved as exc:
+        raise ConfigInvalid("s_samples", str(exc)) from exc
 
 
 @dataclass(frozen=True)

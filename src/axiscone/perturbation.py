@@ -31,6 +31,7 @@ from .errors import (
     ContractViolation,
     DegenerateBottom,
     GapCollapsed,
+    HeatTimeUnresolved,
     RatioSaturated,
 )
 from .operators import (
@@ -60,6 +61,7 @@ from .tolerances import (
     GAP_COLLAPSE_TOL,
     RADIUS_RECOMPUTE_TOL,
     RECON_TOL,
+    TAU_GAP,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -319,6 +321,20 @@ class PerturbationBudget:
     def is_admissible(self, kappa):
         return abs(kappa) < self.kappa0 and self.c_at(kappa) < self.c_threshold
 
+    def resolves(self, s):
+        """Whether exp(-s T) has a top eigenvalue simple beyond TAU_GAP, judged
+        from mu and delta alone.
+
+        Its top exp(-s mu) and relative top gap 1 - exp(-s g), with T's gap g
+        at least delta, clear top_eigen's test gap > TAU_GAP max(1, top) when
+        (1 - exp(-s delta)) min(1, exp(-s mu)) > TAU_GAP.  A swept T +
+        S(kappa) has its bottom eigenvalue within epsilon of mu and its gap
+        near delta or above, so the test predicts its semigroup's too, up to
+        the margin by which their tops and gaps differ.
+        """
+        relative_gap = 1.0 - math.exp(-s * self.delta)
+        return relative_gap * math.exp(min(0.0, -s * self.mu)) > TAU_GAP
+
 
 def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
     """Budget for the heat semigroups of T + S(kappa) over a kappa grid.
@@ -407,8 +423,8 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
         raise GapCollapsed(f"uniform gap {delta:.3e} collapsed on the grid")
     epsilon = delta / 2.0
     alpha = 1.0 - math.exp(-s0 * delta)
-    if alpha >= 1.0:
-        raise RatioSaturated(f"alpha = 1 - exp(-s0 delta) rounds to 1: s0 delta = "
+    if not 0.0 < alpha < 1.0:
+        raise RatioSaturated(f"alpha = 1 - exp(-s0 delta) rounds to {alpha:g}: s0 delta = "
                              f"{s0 * delta:.6g} (s0 = {s0:g}, gap delta = {delta:.6g})")
     r = radius_from_alpha(alpha)
     c_threshold = improvement_threshold(r)
@@ -535,7 +551,9 @@ def end_to_end_semigroup_check(budget, s_samples, kappas=None):
     axis.  The base case kappa = 0 is T itself, verified directly through
     the certified axis criterion for every s.  An admissible grid point
     reuses the budget's checked operator, so only a kappa off the grid is
-    decomposed here.  Returns the SweepRows as a tuple, kappa ascending.
+    decomposed here.  Each s must lie in (0, s0] and resolve the budget
+    (PerturbationBudget.resolves; else HeatTimeUnresolved), checked before
+    any row is built.  Returns the SweepRows as a tuple, kappa ascending.
     """
     s_samples = [float(s) for s in s_samples]
     for s in s_samples:
@@ -543,6 +561,10 @@ def end_to_end_semigroup_check(budget, s_samples, kappas=None):
             raise ValueError(f"s={s} must be positive (s = 0 gives the identity)")
         if s > budget.s0:
             raise ValueError(f"s={s} > s0={budget.s0}: outside theorem scope")
+        if not budget.resolves(s):
+            raise HeatTimeUnresolved(
+                f"exp(-s T) has no top gap beyond tau_gap={TAU_GAP:.1e} at s = {s:g} "
+                f"(mu = {budget.mu:.6g}, gap delta = {budget.delta:.6g})")
     if kappas is None:
         kappas = [float(k) for k in budget.kappas[budget.admissible]]
     else:

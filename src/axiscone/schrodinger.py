@@ -276,11 +276,12 @@ def magnetic_experiment(model, e_grid, s0, s_samples=None):
     """Sweep the coupling: gap budget, admissible range, per-(e, s) verdicts.
 
     Pipeline: restrict H0, M1 and M2 once each, take the unit ground vector
-    of H0 as the cone axis, certify improvement of exp(-s H0), then treat
-    e M1 + e^2 M2 as a quadratic perturbation family with a(e) = 0 and the
-    coefficient-norm bound b(e) = |e| ||M1|| + e^2 ||M2|| and run the
-    semigroup budget and end-to-end sweep over admissible couplings from the
-    grid.  The heat times default to s0/4, s0/2 and s0.
+    of H0 as the cone axis, treat e M1 + e^2 M2 as a quadratic perturbation
+    family with a(e) = 0 and the coefficient-norm bound b(e) = |e| ||M1|| +
+    e^2 ||M2||, run the semigroup budget and the end-to-end sweep over
+    admissible couplings from the grid (which checks every heat time against
+    the budget), then certify improvement of exp(-s H0).  The heat times
+    default to s0/4, s0/2 and s0.
     """
     if s0 <= 0:
         raise ValueError("s0 must be positive")
@@ -289,13 +290,13 @@ def magnetic_experiment(model, e_grid, s0, s_samples=None):
     h0, m1, m2 = (restrict_to_real(term, basis) for term in magnetic_terms(model))
     _, ground, _ = bottom_eigen(h0, require_simple=True)
 
-    base_verdicts = tuple(improves_positivity_axis(heat_semigroup(h0, s), ground)
-                          for s in s_samples)
     family = PerturbationFamily((m1, m2))
     e_grid = np.asarray(e_grid, dtype=float)
     kappa0 = float(np.max(np.abs(e_grid))) + 1e-12
     budget = semigroup_threshold(h0, family, s0=s0, kappa0=kappa0, kappa_grid=e_grid)
     sweep = end_to_end_semigroup_check(budget, s_samples)
+    base_verdicts = tuple(improves_positivity_axis(heat_semigroup(h0, s), ground)
+                          for s in s_samples)
     return MagneticExperimentReport(budget=budget, s_samples=s_samples,
                                     base_verdicts=base_verdicts, sweep=sweep)
 

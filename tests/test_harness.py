@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from axiscone import harness
+from axiscone import cli, harness
 from axiscone.cli import main
 from axiscone.cones import AxisCone, Region
 from axiscone.errors import ConfigInvalid
@@ -59,6 +59,19 @@ class TestConfig:
             params={"kappa_grid": {"start": -0.1, "stop": 0.1, "num": 5}},
         )
         assert config.params["kappa_grid"] == pytest.approx([-0.1, -0.05, 0.0, 0.05, 0.1])
+
+    def test_symmetric_grid_holds_zero(self):
+        # linspace puts -5.55e-17 in the middle of the default kappa grid
+        config = ExperimentConfig(kind="perturb_sweep", seed=0, params={})
+        grid = config.params["kappa_grid"]
+        expanded = np.linspace(-0.45, 0.45, 41)
+        assert expanded[20] != 0.0 and grid[20] == 0.0
+        assert grid[:20] + grid[21:] == expanded[:20].tolist() + expanded[21:].tolist()
+        for spec in ({"start": -0.45, "stop": 0.45, "num": 1},
+                     {"start": -0.45, "stop": 0.45, "num": 40},
+                     {"start": -0.3, "stop": 0.45, "num": 41}):
+            config = ExperimentConfig(kind="perturb_sweep", seed=0, params={"kappa_grid": spec})
+            assert config.params["kappa_grid"] == np.linspace(**spec).tolist()
 
     def test_axis_cone_of_dim_one_rejected(self):
         # a 1-dim axis has no boundary partner to sample
@@ -414,6 +427,10 @@ def _set_in_certified_false(rows, column, value):
     return rows
 
 
+TABLE_FIELDS = [(kind, field) for kind, table in harness.PARAMETERS.items()
+                for field in dict.fromkeys(row[0] for row in table)]
+
+
 class TestCli:
     def test_verify_writes_report(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -457,6 +474,48 @@ class TestCli:
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("config error")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("kind, field", TABLE_FIELDS,
+                             ids=[f"{kind}-{field}" for kind, field in TABLE_FIELDS])
+    def test_wrongly_typed_field_exits_2_naming_it(self, tmp_path, capsys, kind, field):
+        params = {field: True}
+        if field in ("t", "s"):   # the matrices are given together
+            params = {"t": [[0, 0], [0, 1]], "s": [[0, 1], [1, 0]], field: True}
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"kind": kind, "seed": 0, "params": params}))
+        command = next(c for c, kinds in cli._SUBCOMMAND_KINDS.items() if kind in kinds)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: config field '{field}': ")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("output_path", [5, {"a": 1}, ["x"], True, ""])
+    def test_output_path_must_be_a_nonempty_string(self, tmp_path, capsys, output_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "perturb_sweep", "seed": 0,
+                                   "output_path": output_path}))
+        assert main(["perturb", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: config field 'output_path': "
+                                "must be a nonempty string\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("case", ["out_dir", "config_dir", "replay_dir", "config_bytes",
+                                      "report_bytes"])
+    def test_unusable_file_exits_2(self, tmp_path, capsys, case):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe{}")
+        argv = {"out_dir": ["perturb", "--out", str(tmp_path)],
+                "config_dir": ["perturb", "--config", str(tmp_path)],
+                "replay_dir": ["replay", str(tmp_path)],
+                "config_bytes": ["perturb", "--config", str(binary)],
+                "report_bytes": ["replay", str(binary)]}[case]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
         assert len(captured.err.strip().splitlines()) == 1
         assert captured.out == ""
 
@@ -535,7 +594,8 @@ class TestCli:
         ("perturb_sweep", {"a": 1e300}, "a"),
         ("perturb_sweep", {"b": 1e300}, "b"),
         ("perturb_sweep", {"kappa_grid": [0.3, 0.4]}, "kappa_grid"),
-        ("perturb_sweep", {"a": 1e75, "b": 1e75}, "kappa_grid"),
+        # kappa = 0 is admissible on every budget, so the grid leaves it out
+        ("perturb_sweep", {"a": 1e75, "b": 1e75, "kappa_grid": [-0.45, 0.45]}, "kappa_grid"),
         # the grid's gaps (1, 1.1) miss the swept kappa's (0.11) and T's own (0.1)
         ("perturb_sweep", {"t": [[0, 0], [0, 0.1]], "s": [[0, 0], [0, 1]],
                            "kappa_grid": [0.9, 1.0], "kappas": [0.01]}, "kappas"),
@@ -548,13 +608,30 @@ class TestCli:
          "kappa_grid"),
         ("perturb_sweep", {"kappas": [0, 1e80]}, "kappas"),
         ("perturb_sweep", {"s_samples": [0.1, 1e100]}, "s_samples"),
+        # every float field is bounded by SCALE_LIMIT, profile entries too
+        ("perturb_sweep", {"s0": 1e300}, "s0"),
+        ("perturb_sweep", {"kappa0": 1e300}, "kappa0"),
+        ("schrodinger", {"s0": 1e300}, "s0"),
+        ("schrodinger", {"potential": [1e200] * 17}, "potential"),
+        # alpha = 1 - exp(-s0 delta) rounds to 0
+        ("perturb_sweep", {"s0": 1e-20}, "s0"),
+        ("schrodinger", {"s0": 1e-20}, "s0"),
+        # exp(-s T) has no top gap beyond tau_gap at a heat time s
+        ("perturb_sweep", {"s_samples": [1e-12]}, "s_samples"),
+        ("perturb_sweep", {"s0": 1e-16}, "s_samples"),
+        ("schrodinger", {"s_samples": [1e-12]}, "s_samples"),
+        ("schrodinger", {"s_samples": [1e-12], "e_grid": [0.5]}, "s_samples"),
+        ("perturb_sweep", {"t": [[100, 0], [0, 101]], "s": [[0, 1], [1, 0]]}, "s_samples"),
     ], ids=["demo_e_overflow", "h_tiny", "h_huge", "demo_s_damped", "h_saturates_alpha",
             "t_saturates_alpha", "demo_e_damped", "demo_e_weak", "no_vector_potential",
             "t_entry_huge", "s_entry_huge", "t_entry_overflows_its_sum", "a_huge", "b_huge",
             "no_admissible_kappa", "bounds_admit_no_kappa", "swept_kappa_below_grid_gap",
             "e_grid_overflows", "e_grid_huge", "schrodinger_s_samples_huge",
             "kappa_grid_huge", "kappa_grid_range_huge", "kappas_huge",
-            "perturb_s_samples_huge"])
+            "perturb_s_samples_huge", "perturb_s0_huge", "kappa0_huge", "schrodinger_s0_huge",
+            "potential_entries_huge", "perturb_s0_tiny", "schrodinger_s0_tiny",
+            "perturb_s_sample_tiny", "perturb_s0_tiny_samples", "schrodinger_s_sample_tiny",
+            "schrodinger_s_sample_tiny_one_coupling", "perturb_top_decays"])
     @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
     def test_extreme_numeric_input_exits_2(self, tmp_path, capsys, kind, params, field):
         cfg = tmp_path / "bad.json"
@@ -692,9 +769,9 @@ class TestCli:
 
     @pytest.mark.parametrize("with_config", [True, False], ids=["config", "defaults"])
     def test_seed_override_validates_params_once(self, tmp_path, monkeypatch, with_config):
-        validate, calls = harness._VALIDATORS["perturb_sweep"], []
-        monkeypatch.setitem(harness._VALIDATORS, "perturb_sweep",
-                            lambda params: calls.append(1) or validate(params))
+        check, calls = harness.check_params, []
+        monkeypatch.setattr(harness, "check_params",
+                            lambda kind, params: calls.append(kind) or check(kind, params))
         out = tmp_path / "report.csv"
         argv = ["perturb", "--seed", "5", "--out", str(out), "--no-timestamp"]
         if with_config:
@@ -702,7 +779,7 @@ class TestCli:
             cfg.write_text(json.dumps({"kind": "perturb_sweep", "seed": 0, "params": {}}))
             argv += ["--config", str(cfg)]
         assert main(argv) == 0
-        assert len(calls) == 1
+        assert calls == ["perturb_sweep"]
         assert '"seed":5' in out.read_text()
 
     @pytest.mark.parametrize("file_seed, flag", [(0, "-1"), (0, str(2**64)), (-1, "3"),

@@ -13,6 +13,7 @@ from axiscone.errors import (
     DegenerateBottom,
     DegenerateTop,
     GapCollapsed,
+    HeatTimeUnresolved,
     RatioSaturated,
 )
 from axiscone import perturbation, positivity
@@ -20,7 +21,9 @@ from axiscone.operators import (
     SymmetricOperator,
     bottom_eigen,
     gap_exceeds,
+    heat_semigroup,
     restricted_top,
+    top_eigen,
 )
 from axiscone.perturbation import (
     C_MAX,
@@ -326,6 +329,12 @@ class TestSemigroupThreshold:
         t = SymmetricOperator(np.diag([0.0, top]))
         with pytest.raises(RatioSaturated, match="rounds to 1"):
             semigroup_threshold(t, s, s0=s0, kappa0=0.5, kappa_grid=[-0.1, 0.0, 0.1])
+
+    def test_vanishing_ratio_rejected(self):
+        # s0 delta = 1e-20: alpha = 1 - exp(-s0 delta) rounds to 0, and r(0) proves nothing
+        t, s = swap_instance()
+        with pytest.raises(RatioSaturated, match="rounds to 0"):
+            semigroup_threshold(t, s, s0=1e-20, kappa0=0.5, kappa_grid=[-0.1, 0.0, 0.1])
 
     def test_zero_perturbation_all_admissible(self):
         t = SymmetricOperator(np.diag([0.0, 1.0]))
@@ -730,6 +739,30 @@ class TestEndToEnd:
         budget = semigroup_threshold(t, s, s0=1.0, kappa0=0.5, kappa_grid=[0.0])
         with pytest.raises(ValueError, match=re.escape(message)):
             end_to_end_semigroup_check(budget, s_samples=[s_value], kappas=[0.0])
+
+    @pytest.mark.parametrize("top, s_value", [(1.0, 1e-12), (101.0, math.log(2.0))],
+                             ids=["short_time", "decayed_top"])
+    def test_unresolved_heat_time_rejected(self, top, s_value):
+        # exp(-s T) splits its top by about s delta (short_time), or its top
+        # exp(-100 s) sits below tau_gap itself (decayed_top)
+        _, s = swap_instance()
+        t = SymmetricOperator(np.diag([top - 1.0, top]))
+        budget = semigroup_threshold(t, s, s0=math.log(2.0), kappa0=0.5,
+                                     kappa_grid=[-0.04, 0.0, 0.04])
+        assert not budget.resolves(s_value)
+        with pytest.raises(HeatTimeUnresolved, match="no top gap beyond tau_gap"):
+            end_to_end_semigroup_check(budget, s_samples=[math.log(2.0), s_value])
+
+    def test_resolved_heat_times_give_simple_tops(self):
+        # the rule reads mu and delta only, yet where it admits s every swept
+        # semigroup has a simple top, and it admits all but a sliver of the s-axis
+        budget = self.sweep_budget()
+        times = np.logspace(-12.0, 1.0, 27)
+        resolved = [s for s in times if budget.resolves(s)]
+        assert len(resolved) >= len(times) - 7
+        for kappa in budget.kappas[budget.admissible]:
+            for s_value in resolved:
+                assert top_eigen(heat_semigroup(budget.operator_at(kappa), s_value))[2]
 
     def sweep_budget(self):
         t = gapped_instance(3, 6)

@@ -8,6 +8,7 @@ from axiscone.errors import (
     AsymmetricPotential,
     ContractViolation,
     DegenerateBottom,
+    HeatTimeUnresolved,
     NotRealCompatible,
 )
 from axiscone.operators import bottom_eigen
@@ -383,6 +384,20 @@ class TestMagneticExperiment:
         )
         with pytest.raises(DegenerateBottom):
             magnetic_experiment(well, e_grid=[0.0], s0=1.0)
+
+
+    def test_unresolved_heat_time_stops_before_the_base_rows(self, monkeypatch):
+        # exp(-1e-12 H0) splits its top by about 1e-12 delta, below tau_gap: the
+        # sweep's check raises before any base verdict would read it as CertifiedFalse
+        import axiscone.schrodinger as schrodinger
+
+        calls = []
+        monkeypatch.setattr(schrodinger, "improves_positivity_axis",
+                            lambda *args: calls.append(args))
+        with pytest.raises(HeatTimeUnresolved, match="s = 1e-12"):
+            magnetic_experiment(harmonic_model(4, 0.5), e_grid=[0.5], s0=1.0,
+                                s_samples=[1e-12, 1.0])
+        assert calls == []
 
 
 def test_laplacian_matches_momentum_squared_on_interior():
