@@ -169,7 +169,7 @@ def _is_number(value):
         return False
 
 
-_LIMIT = tolerances.SCALE_LIMIT
+_LIMIT, _SIZE = tolerances.SCALE_LIMIT, tolerances.SIZE_LIMIT
 
 
 def _rule(*tests):
@@ -189,7 +189,9 @@ def _distinct(allowed, message):
                   and len(set(v)) == len(v), message))
 
 
-_POSITIVE_INT = _rule((lambda v, p: _is_int(v) and v >= 1, "must be a positive integer"))
+_INTEGER = (lambda v, p: _is_int(v) and v >= 1, "must be a positive integer")
+_POSITIVE_INT = _rule(_INTEGER)
+_COUNT = _rule(_INTEGER, (lambda v, p: v <= _SIZE, f"must be at most {_SIZE}"))
 _FINITE_POSITIVE = (lambda v, p: _is_number(v) and v > 0, "must be a finite positive number")
 _POSITIVE = _rule(_FINITE_POSITIVE, (lambda v, p: v <= _LIMIT, f"must be at most {_LIMIT:g}"))
 _COEFFICIENT = _rule((lambda v, p: _is_number(v) and 0 <= v <= _LIMIT,
@@ -201,13 +203,16 @@ _WITHIN_S0 = _rule((lambda v, p: all(0 < s <= p["s0"] for s in v), "entries must
 
 def _grid(value, key, params):
     """A list of finite numbers or {start, stop, num} as a nonempty list of floats
-    within SCALE_LIMIT; an odd num > 1 from -x to x puts 0 itself in the middle."""
+    within SCALE_LIMIT, num at most SIZE_LIMIT; an odd num > 1 from -x to x puts 0
+    itself in the middle."""
     if isinstance(value, list) and all(_is_number(x) for x in value):
         grid = [float(x) for x in value]
     elif (isinstance(value, dict) and set(value) == {"start", "stop", "num"}
           and _is_number(value["start"]) and _is_number(value["stop"])
           and _is_int(value["num"]) and value["num"] >= 0):
         start, stop, num = value["start"], value["stop"], value["num"]
+        if num > _SIZE:
+            raise ConfigInvalid(key, f"num must be at most {_SIZE}")
         grid = np.linspace(start, stop, num).tolist()
         if start == -stop and num % 2 and num > 1:
             grid[num // 2] = 0.0   # linspace may round the midpoint off 0
@@ -240,8 +245,9 @@ OPTIONAL = object()   # a row default: the field may be left out, and then stays
 # perturb's t and s are checked first, by _matrices, and their rows keep them.
 PARAMETERS = {
     "cone_axioms": (
-        ("dims", [2, 3, 5, 8], _distinct(lambda d: _is_int(d) and d >= 1,
-                                         "must be a nonempty list of distinct positive integers")),
+        ("dims", [2, 3, 5, 8], _distinct(lambda d: _is_int(d) and 1 <= d <= _SIZE,
+                                         "must be a nonempty list of distinct integers in "
+                                         f"[1, {_SIZE}]")),
         ("samples", 1000, _POSITIVE_INT),
         ("cones", ["axis", "orthant"], _distinct(lambda c: c in ("axis", "orthant"),
                                                  "entries must be distinct, each 'axis' or "
@@ -250,12 +256,13 @@ PARAMETERS = {
                                   "an axis cone needs dim >= 2 for its boundary partner"))),
     ),
     "pf_verify": (
-        ("dims", [3, 4, 6, 8], _distinct(lambda d: _is_int(d) and d >= 2,
-                                         "must be a nonempty list of distinct integers >= 2")),
+        ("dims", [3, 4, 6, 8], _distinct(lambda d: _is_int(d) and 2 <= d <= _SIZE,
+                                         "must be a nonempty list of distinct integers in "
+                                         f"[2, {_SIZE}]")),
         ("instances_per_flavor", 5, _POSITIVE_INT),
         ("flavors", list(FLAVORS), _distinct(
             lambda f: f in FLAVORS, f"entries must be distinct, among {', '.join(FLAVORS)}")),
-        ("n_pairs", 20, _POSITIVE_INT),
+        ("n_pairs", 20, _COUNT),
     ),
     "perturb_sweep": (
         ("t", OPTIONAL, _rule()),
@@ -270,7 +277,8 @@ PARAMETERS = {
         ("b", None, lambda v, key, p: v if v is None else _COEFFICIENT(v, key, p)),
     ),
     "schrodinger": (
-        ("N", 8, _POSITIVE_INT),
+        ("N", 8, _rule(_INTEGER, (lambda v, p: 2 * v + 1 <= _SIZE,
+                                  f"2N+1 must be at most {_SIZE}"))),
         ("h", 0.5, _rule(_FINITE_POSITIVE, (lambda v, p: 1.0 / _LIMIT <= v <= _LIMIT,
                                             f"must lie in [{1.0 / _LIMIT:g}, {_LIMIT:g}]"))),
         ("potential", "harmonic", _profile),

@@ -7,10 +7,11 @@ the spectral ratio on the axis complement.  For heat semigroups of a
 perturbed generator T + S(kappa), a relative-bound budget bounds the drift of
 the ground axis (Kato), and the admissible region is where that drift stays
 below r.  The budget owns that problem: it holds T, the family S and the
-checked operators at its admissible grid points, builds T + S(kappa) in one
-place (PerturbationBudget.operator_at), and bounds c(kappa) at every kappa,
-on the grid or off it (PerturbationBudget.c_at); the end-to-end sweep takes
-the budget alone and returns plain SweepRows, which the harness renders.
+checked operators at its admissible grid points (the grid loop decomposed
+each of them), builds T + S(kappa) in one place
+(PerturbationBudget.operator_at), and bounds c(kappa) at every kappa, on
+the grid or off it (PerturbationBudget.c_at); the end-to-end sweep takes the
+budget alone and returns plain SweepRows, which the harness renders.
 The budget's gap delta is the least checked gap, read where a grid point's
 gap may lie more than eta below the running minimum or where the sweep will
 use the point; every other grid point's gap is certified above the running
@@ -95,10 +96,6 @@ def improvement_threshold(r):
     """c-threshold f(r) = r sqrt(1 - r^2/4) / (1 + r sqrt(1 - r^2/4))."""
     x = r * math.sqrt(1.0 - r**2 / 4.0)
     return x / (1.0 + x)
-
-
-# f(r(0)): every threshold f(r(alpha)) with alpha > 0 lies below it
-C_MAX = improvement_threshold(radius_from_alpha(0.0))
 
 
 def drift_certificate_lhs(alpha, d):
@@ -362,11 +359,11 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
     the accuracy of a loop that decomposes every point; that loop's delta
     lies at most 2 eta lower, where two gaps tie to within eta.
 
-    T + S(kappa) is held only while the point can still become admissible:
-    with a, b >= 0, c(kappa) only grows as epsilon shrinks with each new
-    gap, so a point is dropped once |kappa| >= kappa0 or c(kappa) at the
-    running epsilon reaches C_MAX.  The budget keeps the checked operators
-    of its admissible grid points, which budget.operator_at returns.
+    The budget keeps the checked T + S(kappa) of its admissible nonzero grid
+    points, which budget.operator_at returns: the operator the grid loop
+    decomposed, or one built anew at the end.  With a, b >= 0, c(kappa) only
+    grows and f(r) only falls as delta_run shrinks, so a point admissible at
+    the end was admissible when visited, and the loop decomposed it then.
     """
     if s0 <= 0:
         raise ValueError("s0 must be positive")
@@ -389,7 +386,7 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
         estimates, bottoms, frobenius, etas = _gap_estimates(T, family, kappas)
     # smallest checked gap so far, and f(r) there
     delta_run, c_threshold_run = t_gap, _threshold_at(s0, t_gap)
-    held = {}   # grid index -> T + S(kappa)
+    decomposed = {}   # grid index -> checked T + S(kappa)
     for i in np.argsort(estimates, kind="stable"):
         kappa = kappas[i]
         if kappa == 0.0:
@@ -398,13 +395,12 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
         t_kappa = T + family.operator_at(kappa)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             c_kappa = _c_values(mu, delta_run / 2.0, a_values[i], b_values[i])
-        if abs(kappa) < kappa0:
-            held[i] = t_kappa
         floor = max(delta_run - etas[i], collapse)
         # decompose a point admissible at delta_run; certify the rest, and
         # decompose where the certificate fails
-        if (i in held and c_kappa < c_threshold_run
+        if (abs(kappa) < kappa0 and c_kappa < c_threshold_run
                 or not gap_exceeds(t_kappa, bottoms[i], floor, frobenius[i])):
+            decomposed[i] = t_kappa
             eigs = t_kappa.decomposition.eigenvalues
             gaps[i] = float(eigs[1] - eigs[0])
             if gaps[i] < delta_run:
@@ -412,11 +408,6 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
                 c_threshold_run = _threshold_at(s0, delta_run)
         else:
             gaps[i] = floor   # certified lower bound: gap > floor
-        if held:
-            # a collapsed gap gives inf or nan here and drops every point
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                c_run = _c_values(mu, delta_run / 2.0, a_values, b_values)
-            held = {j: op for j, op in held.items() if c_run[j] < C_MAX}
 
     delta = delta_run
     if delta <= collapse:
@@ -439,7 +430,8 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
         magnitudes = np.abs(kappas)
         first_out = magnitudes[~admissible].min(initial=math.inf)
         kappa_threshold = float(magnitudes[magnitudes < first_out].max(initial=0.0))
-    operators = {float(kappas[j]): held[j] for j in sorted(held) if admissible[j]}
+    operators = {float(kappas[j]): decomposed.get(j) or T + family.operator_at(kappas[j])
+                 for j in np.flatnonzero(admissible & (kappas != 0.0))}
     for op in operators.values():
         op.decomposition   # checked here, so the sweep decomposes none of them
     return PerturbationBudget(

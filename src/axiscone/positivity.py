@@ -7,8 +7,10 @@ inside the TAU_STRICT band.  Sampled verdicts take their cone points as one
 block: preservation classifies the block's images at once, and the
 ergodicity probe iterates A on every unresolved pair of a block together,
 taking its powers in doubling blocks judged with array operations and cut
-at the first power where a pair resolves or a norm is renormalized.  A
-Verdict is plain data; the harness renders its report cells.
+at the first power where a pair resolves or a column is rescaled.  The
+probe's test is homogeneous, so it scales A, u and v by exact powers of two
+and decides the same at every scale.  A Verdict is plain data; the harness
+renders its report cells.
 """
 
 import enum
@@ -231,51 +233,33 @@ class ProbeResult:
     pair: int | None
 
 
-def _column_norms(w):
-    """Euclidean column norms, max-abs scaled where the squares overflow.
-
-    inf where the norm itself overflows, nan where a column is not finite.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        nw = np.sqrt((w * w).sum(axis=0))
-        big = np.isinf(nw)
-        if big.any():
-            peak = np.abs(w[:, big]).max(axis=0)
-            nw[big] = peak * np.sqrt(((w[:, big] / peak) ** 2).sum(axis=0))
-    return nw
-
-
-def _overflow_shift(m, x):
-    """Per column of x, a k for which m @ (x 2^-k) and its norm are finite.
-
-    With max|m| < 2^e_m, max|x| < 2^e_x and b = bits(dim), every entry is
-    below dim 2^(e_m + e_x - k) < 2^(1023 - b) for k = e_m + e_x + 2b - 1023,
-    so the norm is below sqrt(dim) 2^(1023 - b) < 2^1023.
-    """
-    e_m = np.frexp(np.abs(m).max())[1]
-    e_x = np.frexp(np.abs(x).max(axis=0))[1]
-    return e_m + e_x + 2 * m.shape[1].bit_length() - 1023
+def _exponents(x, axis=None):
+    """e with the largest |entry| (along axis) in [2^(e-1), 2^e): 2^-e x peaks in [0.5, 1)."""
+    return np.frexp(np.abs(x).max(axis=axis))[1]
 
 
 def ergodic_probe(A, cone, us, vs):
     """Smallest n in [1, MAX_POWER] with <u, A^n v> strictly positive, per row pair.
 
-    Iterates W <- A W on the unresolved columns v, dropping each once its
-    pairing is positive or its image vanishes (no power then).  Columns are
-    renormalized when their norm (max-abs scaled if its square overflows)
-    leaves [1e-100, 1e100], and values rescaled back (to inf for huge powers,
-    which still witnesses positivity).  A product that itself overflows is
-    redone on its column of the previous power times an exact 2^-k, and
-    k ln 2 joins the column's log scale.
+    The hit test <u, A^n v> > TAU_STRICT ||u|| ||A^n v|| is homogeneous in A,
+    u and v, so the probe first scales A, each u row and each v row by the
+    exact power of two that puts its largest |entry| in [0.5, 1).  It then
+    iterates W <- A W on the unresolved columns v, dropping each once its
+    pairing is positive or its image vanishes (no power then), and rescales a
+    column by an exact power of two whenever its largest |entry| leaves
+    [1e-100, 1e100].  Every scaling is exact, so no decision depends on the
+    scale of A, u or v; integer exponents carry it, and each value is its
+    scaled pairing times 2^exponent (inf past the float range, which still
+    witnesses positivity).
 
     Powers are taken in blocks of doubling size (1, 1, 2, 4, ...): the block's
-    products run back to back, and its norms, pairings and hits are judged
-    with array operations.  A block is cut at its first power where a
-    column hits, vanishes or leaves the norm range; that power alone is
-    renormalized and judged as one power, the powers after it are dropped,
-    and the next block starts from it with the remaining columns.  Every
-    product therefore sees the same columns and every judged value the same
-    bits as a power-by-power loop.
+    products run back to back, and its peaks, norms, pairings and hits are
+    judged with array operations.  A block is cut at its first power where a
+    column hits, vanishes or leaves the range; that power alone is rescaled
+    and judged as one power, the powers after it are dropped, and the next
+    block starts from it with the remaining columns.  Every product therefore
+    sees the same columns and every judged value the same bits as a
+    power-by-power loop.
     """
     _check_dims(A, cone)
     us, vs = as_rows(us), as_rows(vs)
@@ -286,53 +270,48 @@ def ergodic_probe(A, cone, us, vs):
         raise NotInCone("expected nonzero cone elements")
     k = len(us)
     powers, found = np.full(k, MAX_POWER), np.zeros(k, dtype=bool)
-    inners, scales = np.zeros(k), np.zeros(k)  # value = inner * exp(scale)
-    tol = TAU_STRICT * np.linalg.norm(us, axis=1)
-    live, u, w, log_scale = np.arange(k), us.T, vs.T, np.zeros(k)
+    inners, exponents = np.zeros(k), np.zeros(k, dtype=int)  # value = inner 2^exponent
+    e_a, e_u, e_v = _exponents(A.matrix), _exponents(us, axis=1), _exponents(vs, axis=1)
+    a = np.ldexp(A.matrix, -e_a)
+    u, w = np.ldexp(us.T, -e_u), np.ldexp(vs.T, -e_v)
+    tol = TAU_STRICT * np.linalg.norm(u, axis=0)
+    live, shift = np.arange(k), e_u + e_v   # <u, A^n v> = <u', w> 2^(shift + n e_a)
     n = 0
     while n < MAX_POWER and live.size:
         # a block of more than one power holds at most max(dim, 32) * dim floats
         size = max(1, min(n, MAX_POWER - n, max(A.dim, 32) // live.size))
-        block, start = np.empty((size, A.dim, live.size)), w
+        block = np.empty((size, A.dim, live.size))
         # powers past the cut may overflow; they are never judged
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(size):
-                w = block[i] = A.matrix @ w
+                w = block[i] = a @ w
+            peak = np.abs(block).max(axis=1)
             nw = np.sqrt((block * block).sum(axis=1))
-            # a norm outside [1e-100, 1e100], nan included, or a hit
-            event = ~((nw >= 1e-100) & (nw <= 1e100)) | ((u * block).sum(axis=1) > tol * nw)
+            # a largest entry outside [1e-100, 1e100], nan included, or a hit
+            event = ~((peak >= 1e-100) & (peak <= 1e100)) | ((u * block).sum(axis=1) > tol * nw)
         cuts = np.flatnonzero(event.any(axis=1))
         if not cuts.size:
             n += size
             continue
         cut = int(cuts[0])
         n += cut + 1
-        w = block[cut]
-        nw = _column_norms(w)
-        overflowed = ~np.isfinite(nw)
-        if overflowed.any():  # the product or its norm overflowed: redo it on a scaled copy
-            previous = (block[cut - 1] if cut else start)[:, overflowed]
-            shift = _overflow_shift(A.matrix, previous)
-            w[:, overflowed] = A.matrix @ np.ldexp(previous, -shift)
-            log_scale[overflowed] += shift * math.log(2.0)
-            nw[overflowed] = _column_norms(w[:, overflowed])
-        far = (nw > 1e100) | ((nw < 1e-100) & (nw > 0.0))
+        w, peak = block[cut], peak[cut]   # a times in-range columns: finite
+        far = ((peak > 1e100) | (peak < 1e-100)) & (peak > 0.0)
         if far.any():
-            log_scale[far] += np.log(nw[far])
-            w[:, far] /= nw[far]
-            nw[far] = 1.0
+            e = _exponents(w[:, far], axis=0)
+            w[:, far] = np.ldexp(w[:, far], -e)
+            shift[far] += e
         inner = (u * w).sum(axis=0)
-        hit = inner > tol * nw  # never for a vanished image: 0 > 0 fails
-        done = hit | (nw == 0.0)
+        hit = inner > tol * np.sqrt((w * w).sum(axis=0))  # never for a vanished image
+        done = hit | (peak == 0.0)
         if done.any():
             powers[live[hit]], found[live[hit]] = n, True
-            inners[live[hit]], scales[live[hit]] = inner[hit], log_scale[hit]
+            inners[live[hit]], exponents[live[hit]] = inner[hit], shift[hit] + n * e_a
             keep = ~done
-            live, u, w = live[keep], u[:, keep], w[:, keep]
-            tol, log_scale = tol[keep], log_scale[keep]
-    inners[live], scales[live] = (u * w).sum(axis=0), np.minimum(log_scale, 700.0)
-    with np.errstate(over="ignore"):  # a huge rescaled value is inf, as documented
-        values = inners * np.exp(scales)
+            live, u, w, tol, shift = live[keep], u[:, keep], w[:, keep], tol[keep], shift[keep]
+    inners[live], exponents[live] = (u * w).sum(axis=0), shift + n * e_a
+    with np.errstate(over="ignore"):  # a value past the float range is inf, as documented
+        values = np.ldexp(inners, exponents)
     unfound = np.flatnonzero(~found)
     stop = int(unfound[0]) if unfound.size else k - 1
     return ProbeResult(found=not unfound.size, n=int(powers[:stop + 1].sum()),

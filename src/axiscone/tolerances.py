@@ -40,6 +40,8 @@ REAL_SPECTRUM_TOL = 1e-9          # eigenvalue drift between H and its restricti
 DEMO_WITNESS_TOL = 1e-10          # imaginary part or negative entry: the flow left the orthant
 SCALE_LIMIT = 1e75                # config bound on h, 1/h, |demo_e|, demo_s, perturb a, b, t
                                   # and s entries and grid entries: squares stay finite
+SIZE_LIMIT = 4096                 # config bound on 2N+1, dims entries, n_pairs and a grid's
+                                  # num: dense operators and sample blocks stay in memory
 
 # Acceptance criteria (selftest).
 CLOSED_FORM_TOL = 1e-12     # criterion 1: alpha, r and 1/(4c) against their closed forms

@@ -26,7 +26,6 @@ from axiscone.cones import OrthantCone, Region, as_rows, row_margins, sample_in_
 from axiscone.errors import DegenerateBottom, GapCollapsed, RatioSaturated
 from axiscone.operators import bottom_eigen, heat_semigroup, perp_basis
 from axiscone.perturbation import (
-    C_MAX,
     PerturbationBudget,
     SweepRow,
     _c_values,
@@ -41,8 +40,6 @@ from axiscone.positivity import (
     PRESERVATION_SAMPLES,
     ProbeResult,
     VerdictStatus,
-    _column_norms,
-    _overflow_shift,
     improves_positivity_axis,
 )
 from axiscone.seeding import rng_for
@@ -144,46 +141,43 @@ def probe_by_loop(A, u, v):
 def probe_by_power_loop(A, us, vs):
     """ergodic_probe on a block of pairs, judged one power at a time.
 
-    Every power redoes an overflowed product on a 2^-k scaled copy,
-    renormalizes, judges and drops columns before the next product; the
-    toolkit's probe must return the same ProbeResult bit for bit.
+    A, each u row and each v row are scaled once by the exact power of two
+    that puts their largest |entry| in [0.5, 1); every power rescales each
+    column whose largest |entry| leaves [1e-100, 1e100] by an exact power of
+    two, judges and drops columns before the next product.  The toolkit's
+    probe must return the same ProbeResult bit for bit.
     """
     us, vs = as_rows(us), as_rows(vs)
     k = len(us)
     powers, found = np.full(k, MAX_POWER), np.zeros(k, dtype=bool)
-    inners, scales = np.zeros(k), np.zeros(k)
-    tol = TAU_STRICT * np.linalg.norm(us, axis=1)
-    live, u, w, log_scale = np.arange(k), us.T, vs.T, np.zeros(k)
+    inners, exponents = np.zeros(k), np.zeros(k, dtype=int)
+    e_a = np.frexp(np.abs(A.matrix).max())[1]
+    e_u, e_v = (np.frexp(np.abs(rows).max(axis=1))[1] for rows in (us, vs))
+    a = np.ldexp(A.matrix, -e_a)
+    u, w = np.ldexp(us.T, -e_u), np.ldexp(vs.T, -e_v)
+    tol = TAU_STRICT * np.linalg.norm(u, axis=0)
+    live, shift = np.arange(k), e_u + e_v
     for n in range(1, MAX_POWER + 1):
-        previous = w
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = A.matrix @ w
-        nw = _column_norms(w)
-        overflowed = ~np.isfinite(nw)
-        if overflowed.any():
-            shift = _overflow_shift(A.matrix, previous[:, overflowed])
-            w[:, overflowed] = A.matrix @ np.ldexp(previous[:, overflowed], -shift)
-            log_scale[overflowed] += shift * math.log(2.0)
-            nw[overflowed] = _column_norms(w[:, overflowed])
-        far = (nw > 1e100) | ((nw < 1e-100) & (nw > 0.0))
+        w = a @ w
+        peak = np.abs(w).max(axis=0)
+        far = ((peak > 1e100) | (peak < 1e-100)) & (peak > 0.0)
         if far.any():
-            log_scale[far] += np.log(nw[far])
-            w[:, far] /= nw[far]
-            nw[far] = 1.0
+            e = np.frexp(peak[far])[1]
+            w[:, far] = np.ldexp(w[:, far], -e)
+            shift[far] += e
         inner = (u * w).sum(axis=0)
-        hit = inner > tol * nw
-        done = hit | (nw == 0.0)
+        hit = inner > tol * np.sqrt((w * w).sum(axis=0))
+        done = hit | (peak == 0.0)
         if done.any():
             powers[live[hit]], found[live[hit]] = n, True
-            inners[live[hit]], scales[live[hit]] = inner[hit], log_scale[hit]
+            inners[live[hit]], exponents[live[hit]] = inner[hit], shift[hit] + n * e_a
             keep = ~done
-            live, u, w = live[keep], u[:, keep], w[:, keep]
-            tol, log_scale = tol[keep], log_scale[keep]
+            live, u, w, tol, shift = live[keep], u[:, keep], w[:, keep], tol[keep], shift[keep]
             if not live.size:
                 break
-    inners[live], scales[live] = (u * w).sum(axis=0), np.minimum(log_scale, 700.0)
+    inners[live], exponents[live] = (u * w).sum(axis=0), shift + MAX_POWER * e_a
     with np.errstate(over="ignore"):
-        values = inners * np.exp(scales)
+        values = np.ldexp(inners, exponents)
     unfound = np.flatnonzero(~found)
     stop = int(unfound[0]) if unfound.size else k - 1
     return ProbeResult(found=not unfound.size, n=int(powers[:stop + 1].sum()),
@@ -317,16 +311,11 @@ def threshold_by_decomposing(T, family, s0, kappa0, kappa_grid):
             a_values[i] = family.a * abs(kappa)
             b_values[i] = (family.b * abs(kappa) if family.degree == 1
                            else coefficient_norm_bound(kappa, norms))
-            if abs(kappa) < kappa0:
-                held[i] = t_kappa
+            held[i] = t_kappa
         eigs = t_kappa.decomposition.eigenvalues
         if eigs.size < 2:
             raise DegenerateBottom("need dimension >= 2 for a spectral gap")
         gaps[i] = float(eigs[1] - eigs[0])
-        if held:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                c_run = _c_values(mu, float(np.min(gaps[:i + 1])) / 2.0, a_values, b_values)
-            held = {j: op for j, op in held.items() if c_run[j] < C_MAX}
 
     t_eigs = T.decomposition.eigenvalues
     delta = min(float(np.min(gaps)), float(t_eigs[1] - t_eigs[0]))

@@ -23,6 +23,7 @@ from axiscone.harness import (
 from axiscone.operators import SymmetricOperator, top_eigen
 from axiscone.perturbation import PerturbationFamily, semigroup_threshold
 from axiscone.positivity import Verdict, VerdictStatus, improves_positivity_axis
+from axiscone.tolerances import SIZE_LIMIT
 
 
 class TestConfig:
@@ -80,6 +81,34 @@ class TestConfig:
                              params={"dims": [1], "cones": ["axis"]})
         ExperimentConfig(kind="cone_axioms", seed=0,
                          params={"dims": [1], "cones": ["orthant"]})
+
+    @pytest.mark.parametrize("kind, params, field", [
+        ("schrodinger", {"N": 100_000_000}, "N"),
+        ("schrodinger", {"N": 2048}, "N"),
+        ("cone_axioms", {"dims": [2, 4097]}, "dims"),
+        ("pf_verify", {"dims": [10**9]}, "dims"),
+        ("pf_verify", {"n_pairs": 4097}, "n_pairs"),
+        ("perturb_sweep", {"kappa_grid": {"start": 0, "stop": 1, "num": 1_000_000_000}},
+         "kappa_grid"),
+        ("schrodinger", {"e_grid": {"start": 0, "stop": 1, "num": 4097}}, "e_grid"),
+        ("schrodinger", {"e_grid": [0.5], "s_samples": {"start": 0.1, "stop": 1, "num": 4097}},
+         "s_samples"),
+    ], ids=["N_huge", "N_past_the_limit", "cone_dim", "pf_dim", "n_pairs", "kappa_grid_num",
+            "e_grid_num", "s_samples_num"])
+    def test_problem_size_is_bounded(self, monkeypatch, kind, params, field):
+        # rejected before anything of that size is allocated: no grid is expanded
+        monkeypatch.setattr(np, "linspace", None)
+        with pytest.raises(ConfigInvalid, match=f"^config field '{field}': .*{SIZE_LIMIT}"):
+            harness.check_params(kind, params)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("schrodinger", {"N": (SIZE_LIMIT - 1) // 2}),
+        ("cone_axioms", {"dims": [SIZE_LIMIT]}),
+        ("pf_verify", {"dims": [SIZE_LIMIT], "n_pairs": SIZE_LIMIT}),
+        ("perturb_sweep", {"kappa_grid": {"start": -0.1, "stop": 0.1, "num": SIZE_LIMIT}}),
+    ], ids=["N", "cone_dim", "pf_dim_and_n_pairs", "kappa_grid_num"])
+    def test_problem_size_limit_is_admitted(self, kind, params):
+        harness.check_params(kind, params)
 
     def test_canonical_json_sorted(self):
         config = ExperimentConfig(kind="cone_axioms", seed=3, params={})

@@ -26,7 +26,6 @@ from axiscone.operators import (
     top_eigen,
 )
 from axiscone.perturbation import (
-    C_MAX,
     PerturbationFamily,
     _c_values,
     certified_improving_under_drift,
@@ -983,8 +982,6 @@ class TestDecompositionReuse:
         budget = semigroup_threshold(t, s_spec, s0=float(rng_for(seed, 91).uniform(0.1, 2.0)),
                                      kappa0=kappa0, kappa_grid=grid)
         admissible = {float(k) for k in budget.kappas[budget.admissible] if k != 0.0}
-        # a point dropped while the grid loop ran never comes back, so this also
-        # says that no point that ends admissible was dropped on the way
         assert set(budget.operators) == admissible
         assert_grid_reads_c_values(budget)
         assert budget.operator_at(0.0) is t
@@ -997,13 +994,6 @@ class TestDecompositionReuse:
                 fresh.decomposition.eigenvalues.tobytes()
             assert held.decomposition.eigenvectors.tobytes() == \
                 fresh.decomposition.eigenvectors.tobytes()
-        assert budget.c_threshold < C_MAX
-
-    def test_retention_bound_is_the_alpha_zero_threshold(self):
-        assert C_MAX == improvement_threshold(radius_from_alpha(0.0))
-        assert C_MAX == pytest.approx(0.1497, abs=1e-4)
-        for alpha in (1e-6, 0.1, 0.5, 0.999):
-            assert improvement_threshold(radius_from_alpha(alpha)) < C_MAX
 
 
 def certificate_family(seed):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -339,6 +340,34 @@ class TestErgodicProbe:
         assert result.found and result.n == 2
         assert result.value == math.inf
 
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_decisions_are_scale_invariant(self, flavor):
+        # <u, A^n v> > TAU_STRICT ||u|| ||A^n v|| is homogeneous: A times 2^k, u times 2^i
+        # and v times 2^j keep found, n and pair, and move the value by 2^(n k + i + j)
+        checked = 0
+        for dim in (3, 8, 16):
+            base = generate_instance(flavor, dim, seed=dim)
+            cone = AxisCone(top_eigen(base)[1])
+            w = base.decomposition.eigenvectors[:, -2]
+            w = w - (cone.axis @ w) * cone.axis
+            w /= np.linalg.norm(w)
+            u, v = sample_in_cone(cone, rng_for(dim, 1), 2)
+            for pu, pv in ((u, v), (cone.axis + w, cone.axis - w)):
+                if regions(cone, np.array([pu, pv])).min() == -1:
+                    continue
+                want = ergodic_probe(base, cone, [pu], [pv])
+                for k, i, j in itertools.product((-1000, -400, 400, 1000), (-300, 300),
+                                                 (-300, 300)):
+                    a = SymmetricOperator(np.ldexp(base.matrix, k))
+                    got = ergodic_probe(a, cone, [np.ldexp(pu, i)], [np.ldexp(pv, j)])
+                    assert (got.found, got.n, got.pair) == (want.found, want.n, want.pair)
+                    with np.errstate(over="ignore"):
+                        value = np.ldexp(want.value, want.n * k + i + j)
+                    if np.isfinite(value) and value != 0.0:
+                        assert np.float64(got.value).tobytes() == value.tobytes()
+                    checked += 1
+        assert checked >= 64
+
     @pytest.mark.filterwarnings("error")
     def test_product_overflow_keeps_the_pairing(self):
         # A v = (3e308, 3e308) overflows to inf; <u, A v> is still positive
@@ -539,16 +568,17 @@ class TestBlockVerdictsMatchLoops:
 
     @pytest.mark.parametrize("matrix, pair, expected", [
         (1.5e308 * np.ones((2, 2)), ([1.0, 1.0], [1.0, 1.0]), (True, 1, math.inf)),
-        # power 1 is 1e40 (1, -1), in range and unpaired; power 2 is (2e80, 1e340)
+        # power 1 is 1e40 (1, -1), unpaired, but its largest entry scales to about 4e-261,
+        # whose square underflows to 0; power 2 is (2e80, 1e340)
         (np.array([[1e40, -1e40], [-1e40, -1e300]]), ([1.0, 1.0], E1), (True, 2, math.inf)),
         # A v is finite, its norm 3e308 is not
         (1.5e308 * np.eye(4), (np.ones(4), np.ones(4)), (True, 1, math.inf)),
-        # A v = 0, but partial sums of +-1.5e308 reach inf - inf = nan when the
-        # product sums in interleaved lanes: the image vanishes, no power pairs
+        # A v = 0, with partial sums of +-1.5e308 that would reach inf - inf = nan
+        # unscaled: the image vanishes, no power pairs
         (1.5e308 * np.outer([1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0]),
          (np.eye(4)[0], np.ones(4)), (False, MAX_POWER, 0.0)),
     ], ids=["product_inf", "product_inf_after_a_power", "norm_inf", "product_nan"])
-    def test_probe_redoes_overflowed_products(self, matrix, pair, expected):
+    def test_probe_values_past_the_float_range(self, matrix, pair, expected):
         a, cone = SymmetricOperator(matrix), OrthantCone(len(matrix))
         us, vs = np.array([pair[0]], dtype=float), np.array([pair[1]], dtype=float)
         with warnings.catch_warnings():
