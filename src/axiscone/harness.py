@@ -190,8 +190,14 @@ def _distinct(allowed, message):
 
 
 _INTEGER = (lambda v, p: _is_int(v) and v >= 1, "must be a positive integer")
-_POSITIVE_INT = _rule(_INTEGER)
-_COUNT = _rule(_INTEGER, (lambda v, p: v <= _SIZE, f"must be at most {_SIZE}"))
+
+
+def _at_most(limit):
+    """The check of a positive integer no larger than limit."""
+    return _rule(_INTEGER, (lambda v, p: v <= limit, f"must be at most {limit}"))
+
+
+_COUNT = _at_most(_SIZE)
 _FINITE_POSITIVE = (lambda v, p: _is_number(v) and v > 0, "must be a finite positive number")
 _POSITIVE = _rule(_FINITE_POSITIVE, (lambda v, p: v <= _LIMIT, f"must be at most {_LIMIT:g}"))
 _COEFFICIENT = _rule((lambda v, p: _is_number(v) and 0 <= v <= _LIMIT,
@@ -248,7 +254,7 @@ PARAMETERS = {
         ("dims", [2, 3, 5, 8], _distinct(lambda d: _is_int(d) and 1 <= d <= _SIZE,
                                          "must be a nonempty list of distinct integers in "
                                          f"[1, {_SIZE}]")),
-        ("samples", 1000, _POSITIVE_INT),
+        ("samples", 1000, _at_most(tolerances.SAMPLES_LIMIT)),
         ("cones", ["axis", "orthant"], _distinct(lambda c: c in ("axis", "orthant"),
                                                  "entries must be distinct, each 'axis' or "
                                                  "'orthant'")),
@@ -259,7 +265,7 @@ PARAMETERS = {
         ("dims", [3, 4, 6, 8], _distinct(lambda d: _is_int(d) and 2 <= d <= _SIZE,
                                          "must be a nonempty list of distinct integers in "
                                          f"[2, {_SIZE}]")),
-        ("instances_per_flavor", 5, _POSITIVE_INT),
+        ("instances_per_flavor", 5, _at_most(tolerances.INSTANCES_LIMIT)),
         ("flavors", list(FLAVORS), _distinct(
             lambda f: f in FLAVORS, f"entries must be distinct, among {', '.join(FLAVORS)}")),
         ("n_pairs", 20, _COUNT),

@@ -9,9 +9,13 @@ spectra, for the sweep to reuse.  A heat semigroup derives its spectrum from
 its generator's, a drifted ground axis (perturbation.drifted_axis) is its
 generator's bottom eigenvector, and the top eigenvalue on an axis complement
 is bounded from the same spectrum (restricted_top), so no linear system is
-solved and no compression is decomposed.  Where only a lower bound on a
-spectral gap is needed, one Cholesky factorization certifies it (gap_exceeds)
-and nothing is decomposed.  All returned arrays are read-only.
+solved and no compression is decomposed.  An operator built from its spectrum
+(from_spectrum: heat semigroups, the identity) holds only that spectrum: its
+matrix is formed on first read, and until then apply goes through the
+eigenvectors Q, so a sweep that reads no semigroup's entries forms none.
+Where only a lower bound on a spectral gap is needed, one Cholesky
+factorization certifies it (gap_exceeds) and nothing is decomposed.  All
+returned arrays are read-only.
 """
 
 from dataclasses import dataclass, field
@@ -68,7 +72,8 @@ class SymmetricOperator:
 
     The stored matrix is the symmetrization (M + M^T)/2, with M/2 + M^T/2 for
     entries whose sum overflows, so finite input stays finite; inputs whose
-    asymmetry exceeds TAU_SYM relative to the largest entry are rejected.
+    asymmetry exceeds TAU_SYM relative to the largest entry are rejected.  An
+    operator from from_spectrum holds no matrix until `matrix` is first read.
     """
 
     def __init__(self, matrix):
@@ -107,10 +112,16 @@ class SymmetricOperator:
 
     @property
     def matrix(self):
+        if self._matrix is None:   # held spectrum: Q diag(w) Q^T, formed and checked once
+            dec = self._decomposition
+            q = dec.eigenvectors
+            self._matrix = SymmetricOperator((q * dec.eigenvalues) @ q.T)._matrix
         return self._matrix
 
     @property
     def dim(self):
+        if self._matrix is None:
+            return len(self._decomposition.eigenvalues)
         return self._matrix.shape[0]
 
     @property
@@ -125,6 +136,13 @@ class SymmetricOperator:
         return self.decomposition.operator_norm
 
     def apply(self, v):
+        """A v; Q (w * Q^T v) while a held spectrum's matrix is unformed.
+
+        v is a vector or a block of columns.
+        """
+        if self._matrix is None:
+            q = self._decomposition.eigenvectors
+            return q @ ((q.T @ v).T * self._decomposition.eigenvalues).T
         return self._matrix @ v
 
     def __add__(self, other):
@@ -133,7 +151,7 @@ class SymmetricOperator:
                 raise ValueError("dimension mismatch")
             # an overflowed entry is inf or nan, which _exact rejects with ValueError
             with np.errstate(over="ignore", invalid="ignore"):
-                return SymmetricOperator._exact(self._matrix + other._matrix)
+                return SymmetricOperator._exact(self.matrix + other.matrix)
         return NotImplemented
 
     def __sub__(self, other):
@@ -141,12 +159,12 @@ class SymmetricOperator:
             if other.dim != self.dim:
                 raise ValueError("dimension mismatch")
             with np.errstate(over="ignore", invalid="ignore"):
-                return SymmetricOperator._exact(self._matrix - other._matrix)
+                return SymmetricOperator._exact(self.matrix - other.matrix)
         return NotImplemented
 
     def __mul__(self, scalar):
         with np.errstate(over="ignore", invalid="ignore"):
-            return SymmetricOperator._exact(self._matrix * float(scalar))
+            return SymmetricOperator._exact(self.matrix * float(scalar))
 
     __rmul__ = __mul__
 
@@ -155,11 +173,17 @@ class SymmetricOperator:
 
     @staticmethod
     def from_spectrum(w, q):
-        """Q diag(w) Q^T holding (w, q) as its decomposition: w ascending, q orthonormal."""
+        """Q diag(w) Q^T holding (w, q) as its decomposition: w ascending, q orthonormal.
+
+        Only (w, q) is held.  The matrix is SymmetricOperator((q * w) @ q.T)'s,
+        formed and checked on the first read of `matrix` (sums and multiples
+        read it too); until then apply computes q (w * q^T v).
+        """
         w, q = np.array(w, dtype=float), np.array(q, dtype=float)
-        op = SymmetricOperator((q * w) @ q.T)
         w.setflags(write=False)
         q.setflags(write=False)
+        op = SymmetricOperator.__new__(SymmetricOperator)
+        op._matrix = None
         op._decomposition = SpectralDecomposition(eigenvalues=w, eigenvectors=q)
         return op
 
@@ -317,7 +341,9 @@ def heat_semigroup(T, s):
     """exp(-s T) = Q exp(-s L) Q^T, its spectrum derived from T's checked one.
 
     Eigenvalues exp(-s lambda) and T's eigenvector columns are both reversed
-    into ascending order; a non-finite eigenvalue raises NonConvergence.
+    into ascending order; a non-finite eigenvalue raises NonConvergence.  The
+    operator holds that spectrum (from_spectrum): its matrix is formed on
+    first read, and apply goes through Q until then.
     """
     if s < 0:
         raise NegativeTime(f"semigroup time s={s} must be nonnegative")

@@ -94,11 +94,13 @@ def preserves_positivity(A, cone, seed=0):
     Certified for an axis cone whose axis is a top eigenvector of a PSD
     operator (then ||A|| <u0,u> >= ||Au||/sqrt(2) holds on the whole cone),
     and for an orthant with an entrywise-nonnegative matrix.  Otherwise the
-    verdict comes from classifying images of sampled cone points.
+    verdict comes from classifying images of sampled cone points.  Only the
+    orthant and sampled branches read A's matrix, so the axis-cone closed
+    form forms none for an operator held by its spectrum.
     """
     _check_dims(A, cone)
-    m = A.matrix
     if isinstance(cone, OrthantCone):
+        m = A.matrix
         low = float(np.min(m))
         if low >= -ORTHANT_NONNEG_TOL:
             return Verdict("preserves_positivity", VerdictStatus.CERTIFIED_TRUE,
@@ -122,7 +124,7 @@ def preserves_positivity(A, cone, seed=0):
                            detail="axis is a top eigenvector of a PSD operator")
 
     u = sample_in_cone(cone, rng_for(seed, 0), PRESERVATION_SAMPLES)
-    images = u @ m  # row i is A u_i: m is symmetric
+    images = u @ A.matrix  # row i is A u_i: the matrix is symmetric
     nrm = np.linalg.norm(images, axis=1)
     margins = row_margins(cone, images, nrm) / np.maximum(nrm, 1e-300)
     outside = np.flatnonzero((nrm > 0.0) & (regions(cone, images) == -1))

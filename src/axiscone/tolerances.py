@@ -42,6 +42,10 @@ SCALE_LIMIT = 1e75                # config bound on h, 1/h, |demo_e|, demo_s, pe
                                   # and s entries and grid entries: squares stay finite
 SIZE_LIMIT = 4096                 # config bound on 2N+1, dims entries, n_pairs and a grid's
                                   # num: dense operators and sample blocks stay in memory
+SAMPLES_LIMIT = 100_000           # config bound on cone_axioms samples per check: a run over
+                                  # the default dims takes seconds
+INSTANCES_LIMIT = 1000            # config bound on pf_verify instances_per_flavor: a run over
+                                  # the default dims and flavors takes seconds
 
 # Acceptance criteria (selftest).
 CLOSED_FORM_TOL = 1e-12     # criterion 1: alpha, r and 1/(4c) against their closed forms

@@ -9,6 +9,8 @@ eigenbasis; `arc_sweep_margin` is the exhaustive dim-2 sweep that the
 improvement verdict ran before its closed-form S-lemma test;
 `compressed_restricted_top` is the exact restricted top eigenvalue that
 `restricted_top` computed before it returned its closed-form bound;
+`eager_from_spectrum` is `SymmetricOperator.from_spectrum` as it stood before
+an operator held by its spectrum formed its matrix on first read;
 `probe_by_power_loop` is the block ergodicity probe as it stood before it
 judged its powers in blocks; `sweep_by_rebuild` is the semigroup sweep as it
 stood before the budget held its checked operators; `threshold_by_decomposing`
@@ -24,7 +26,13 @@ import numpy as np
 
 from axiscone.cones import OrthantCone, Region, as_rows, row_margins, sample_in_cone
 from axiscone.errors import DegenerateBottom, GapCollapsed, RatioSaturated
-from axiscone.operators import bottom_eigen, heat_semigroup, perp_basis
+from axiscone.operators import (
+    SpectralDecomposition,
+    SymmetricOperator,
+    bottom_eigen,
+    heat_semigroup,
+    perp_basis,
+)
 from axiscone.perturbation import (
     PerturbationBudget,
     SweepRow,
@@ -244,6 +252,16 @@ def compressed_restricted_top(A, u0):
         return None
     block = basis.T @ A.matrix @ basis
     return float(np.max(np.linalg.eigvalsh((block + block.T) / 2.0)))
+
+
+def eager_from_spectrum(w, q):
+    """Q diag(w) Q^T with its matrix formed at once, holding (w, q) as its decomposition."""
+    w, q = np.array(w, dtype=float), np.array(q, dtype=float)
+    op = SymmetricOperator((q * w) @ q.T)
+    w.setflags(write=False)
+    q.setflags(write=False)
+    op._decomposition = SpectralDecomposition(eigenvalues=w, eigenvectors=q)
+    return op
 
 
 def sweep_by_rebuild(T, S_spec, budget, s_samples, kappas=None):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from axiscone import cli, harness
+from axiscone import cli, harness, perturbation
 from axiscone.cli import main
 from axiscone.cones import AxisCone, Region
 from axiscone.errors import ConfigInvalid
@@ -23,7 +23,8 @@ from axiscone.harness import (
 from axiscone.operators import SymmetricOperator, top_eigen
 from axiscone.perturbation import PerturbationFamily, semigroup_threshold
 from axiscone.positivity import Verdict, VerdictStatus, improves_positivity_axis
-from axiscone.tolerances import SIZE_LIMIT
+from axiscone.tolerances import INSTANCES_LIMIT, SAMPLES_LIMIT, SIZE_LIMIT
+from reference_loops import eager_from_spectrum
 
 
 class TestConfig:
@@ -110,6 +111,20 @@ class TestConfig:
     def test_problem_size_limit_is_admitted(self, kind, params):
         harness.check_params(kind, params)
 
+    @pytest.mark.parametrize("kind, field, limit, bench_value", [
+        ("cone_axioms", "samples", SAMPLES_LIMIT, 1000),
+        ("pf_verify", "instances_per_flavor", INSTANCES_LIMIT, 20),
+    ])
+    def test_repeat_counts_are_bounded(self, kind, field, limit, bench_value):
+        for value in (limit + 1, 10**9):
+            with pytest.raises(ConfigInvalid, match=f"^config field '{field}': .*{limit}"):
+                harness.check_params(kind, {field: value})
+        defaults = {key: default for key, default, _ in harness.PARAMETERS[kind]}
+        for value in (limit, defaults[field], bench_value):
+            params = {field: value}
+            harness.check_params(kind, params)
+            assert params[field] == value
+
     def test_canonical_json_sorted(self):
         config = ExperimentConfig(kind="cone_axioms", seed=3, params={})
         parsed = json.loads(config.canonical_json())
@@ -136,6 +151,14 @@ class TestGenerateInstance:
     def test_unknown_flavor(self):
         with pytest.raises(ValueError):
             generate_instance("toeplitz", 3, 0)
+
+
+def alpha_probe():
+    """Params of the alpha probe: its drifted rows reach the S-lemma fallback."""
+    return {"t": [[0, 0, 0], [0, 0.1, 0], [0, 0, 0.15]],
+            "s": [[0, 1, 1], [1, 0, 0.5], [1, 0.5, 0]],
+            "kappa_grid": {"start": -0.01, "stop": 0.01, "num": 9},
+            "s_samples": [0.01, 0.1, math.log(2.0)]}
 
 
 class TestRunners:
@@ -178,12 +201,7 @@ class TestRunners:
     def test_alpha_probe_rows_are_all_certified(self):
         # drifted rows whose drift certificate cannot fire go to the exact S-lemma
         # test; with the earlier search they read SampledTrue
-        report = run(ExperimentConfig(kind="perturb_sweep", seed=0, params={
-            "t": [[0, 0, 0], [0, 0.1, 0], [0, 0, 0.15]],
-            "s": [[0, 1, 1], [1, 0, 0.5], [1, 0.5, 0]],
-            "kappa_grid": {"start": -0.01, "stop": 0.01, "num": 9},
-            "s_samples": [0.01, 0.1, math.log(2.0)],
-        }))
+        report = run(ExperimentConfig(kind="perturb_sweep", seed=0, params=alpha_probe()))
         assert report.passed
         assert len(report.rows) == 9
         assert [row[6] for row in report.rows] == ["CertifiedTrue"] * 9
@@ -236,6 +254,48 @@ class TestRunners:
             params, potential=[x * x for x in xs],
             vector_potential=[math.exp(-x * x) for x in xs])))
         assert inline.rows == preset.rows
+
+
+class TestHeldSemigroups:
+    """A sweep's heat semigroups hold their spectra: only the S-lemma fallback,
+    which reads the entries of 2 g g^T - A, forms a semigroup's matrix."""
+
+    CONFIGS = {
+        "perturb": ("perturb_sweep", dict),
+        "alpha_probe": ("perturb_sweep", alpha_probe),
+        "schrodinger": ("schrodinger", dict),
+        "schrodinger_N48": ("schrodinger", lambda: {"N": 48, "h": 8.0 / 48}),
+    }
+
+    def report(self, name):
+        kind, params = self.CONFIGS[name]
+        return run(ExperimentConfig(kind=kind, seed=0, params=params())).render(timestamp=False)
+
+    @pytest.mark.parametrize("name, fallbacks", [
+        ("perturb", 2), ("alpha_probe", 6), ("schrodinger", 0), ("schrodinger_N48", 0)])
+    def test_only_the_fallback_forms_a_matrix(self, monkeypatch, name, fallbacks):
+        formed, general = [], []
+        fget = SymmetricOperator.matrix.fget
+
+        def counting(op):
+            if op._matrix is None:
+                formed.append(op.dim)
+            return fget(op)
+
+        run_general = perturbation.improves_positivity_general
+        monkeypatch.setattr(SymmetricOperator, "matrix", property(counting))
+        monkeypatch.setattr(perturbation, "improves_positivity_general",
+                            lambda A, cone: general.append(A.dim) or run_general(A, cone))
+        self.report(name)
+        assert len(general) == fallbacks
+        assert formed == general
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_reports_match_eager_matrices(self, monkeypatch, name):
+        lazy = self.report(name)
+        monkeypatch.setattr(SymmetricOperator, "from_spectrum",
+                            staticmethod(eager_from_spectrum))
+        assert self.report(name) == lazy
 
 
 class TestReportFormat:
@@ -667,6 +727,18 @@ class TestCli:
         cfg.write_text(json.dumps({"kind": kind, "seed": 0, "params": params}))
         command = "perturb" if kind == "perturb_sweep" else "schrodinger"
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: config field '{field}'")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("kind, field", [("cone_axioms", "samples"),
+                                             ("pf_verify", "instances_per_flavor")])
+    def test_repeat_count_beyond_its_limit_exits_2(self, tmp_path, capsys, kind, field):
+        # a count of 1e9 ran out of memory or time before it was bounded
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"kind": kind, "seed": 0, "params": {field: 10**9}}))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"config error: config field '{field}'")
         assert len(captured.err.strip().splitlines()) == 1

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from axiscone.cones import AxisCone, OrthantCone
 from axiscone.errors import (
     ContractViolation,
     CorrespondenceViolation,
@@ -23,10 +24,10 @@ from axiscone.operators import (
     top_eigen,
 )
 from axiscone.perturbation import improving_radius, radius_from_alpha
-from axiscone.positivity import VerdictStatus, improves_positivity_axis
+from axiscone.positivity import VerdictStatus, improves_positivity_axis, preserves_positivity
 from axiscone.seeding import rng_for
 from axiscone.tolerances import AXIS_TOL, RECON_TOL, TAU_GAP
-from reference_loops import compressed_restricted_top
+from reference_loops import compressed_restricted_top, eager_from_spectrum
 
 
 def random_symmetric(dim, seed):
@@ -314,6 +315,93 @@ class TestHeatSemigroup:
         op = SymmetricOperator(np.diag([-800.0, 0.0, 1.0]))
         with pytest.raises(NonConvergence, match="non-finite"):
             heat_semigroup(op, 1.0)
+
+
+def spread_generator(dim, seed):
+    """Seeded T with eigenvalues spread over [0, 1000]: exp(-s lambda) underflows to
+    0 for every lambda above 745 / s."""
+    q = np.linalg.qr(rng_for(seed, dim).standard_normal((dim, dim)))[0]
+    eigs = np.concatenate([[0.0], np.sort(rng_for(seed, dim + 1).uniform(0.5, 1000.0, dim - 1))])
+    return SymmetricOperator((q * eigs) @ q.T)
+
+
+def held_spectrum(T, s):
+    """The (w, q) that heat_semigroup(T, s) holds, computed here from T's spectrum."""
+    dec = T.decomposition
+    return np.exp(-s * dec.eigenvalues[::-1]), dec.eigenvectors[:, ::-1]
+
+
+class TestHeldSpectrum:
+    """A semigroup or identity holds (w, q) and forms Q diag(w) Q^T on first read."""
+
+    CASES = [(dim, seed, s) for dim, seed in [(2, 0), (7, 1), (40, 2)]
+             for s in (1e-3, 0.1, np.log(2.0), 1.0, 50.0)]
+
+    @pytest.mark.parametrize("dim, seed, s", CASES)
+    def test_formed_matrix_is_bit_equal_to_the_eager_expression(self, dim, seed, s):
+        T = spread_generator(dim, seed)
+        semigroup = heat_semigroup(T, s)
+        assert semigroup._matrix is None
+        w, q = held_spectrum(T, s)
+        if s == 50.0:
+            assert np.count_nonzero(w == 0.0) >= 1   # underflowed eigenvalues
+        eager = eager_from_spectrum(w, q)
+        assert semigroup.matrix.tobytes() == eager.matrix.tobytes()
+        assert not semigroup.matrix.flags.writeable
+        assert semigroup.matrix is semigroup.matrix   # formed once
+
+    @pytest.mark.parametrize("dim", [1, 2, 9])
+    def test_identity_forms_the_exact_identity(self, dim):
+        identity = SymmetricOperator.identity(dim)
+        assert identity._matrix is None
+        assert identity.dim == dim
+        expected = eager_from_spectrum(np.ones(dim), np.eye(dim)).matrix
+        assert identity.matrix.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(identity.matrix, np.eye(dim))
+
+    @pytest.mark.parametrize("dim, seed, s", CASES)
+    def test_apply_agrees_with_the_formed_matrix(self, dim, seed, s):
+        semigroup = heat_semigroup(spread_generator(dim, seed), s)
+        rng = rng_for(seed, 5)
+        v, block = rng.standard_normal(dim), rng.standard_normal((dim, 3))
+        lazy_v, lazy_block = semigroup.apply(v), semigroup.apply(block)
+        assert semigroup._matrix is None
+        m = semigroup.matrix
+        scale = 100.0 * dim * np.finfo(float).eps * semigroup.norm
+        assert np.linalg.norm(lazy_v - m @ v) <= scale * np.linalg.norm(v)
+        for j in range(3):
+            assert np.linalg.norm(lazy_block[:, j] - m @ block[:, j]) <= (
+                scale * np.linalg.norm(block[:, j]))
+        np.testing.assert_array_equal(semigroup.apply(v), m @ v)   # formed: the matrix
+
+    def test_dim_sums_and_multiples_work_unformed(self):
+        T = spread_generator(6, 3)
+        x, y = (eager_from_spectrum(*held_spectrum(T, s)).matrix for s in (0.01, 0.2))
+        a, b = heat_semigroup(T, 0.01), heat_semigroup(T, 0.2)
+        assert (a.dim, b.dim) == (6, 6)
+        assert a._matrix is None and b._matrix is None
+        # each operand is a fresh, unformed semigroup
+        for result, expected in [(a + b, x + y),
+                                 (heat_semigroup(T, 0.01) - heat_semigroup(T, 0.2), x - y),
+                                 (heat_semigroup(T, 0.01) * 3.0, x * 3.0),
+                                 (0.5 * heat_semigroup(T, 0.2), y * 0.5)]:
+            np.testing.assert_array_equal(result.matrix, expected)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            heat_semigroup(T, 0.1) + SymmetricOperator.identity(5)
+
+    def test_spectral_reads_form_no_matrix(self):
+        T = spread_generator(8, 4)
+        semigroup = heat_semigroup(T, 0.3)
+        lam, u, simple = top_eigen(semigroup)
+        assert simple and semigroup.norm == lam
+        assert restricted_top(semigroup, u) < lam
+        assert improving_radius(semigroup, u)[0] < 1.0
+        assert improves_positivity_axis(semigroup, u).status is VerdictStatus.CERTIFIED_TRUE
+        closed_form = preserves_positivity(semigroup, AxisCone(u))
+        assert closed_form.status is VerdictStatus.CERTIFIED_TRUE
+        assert semigroup._matrix is None
+        preserves_positivity(semigroup, OrthantCone(8))   # reads the entries
+        assert semigroup._matrix is not None
 
 
 class TestCorrespondence:
