@@ -6,7 +6,9 @@ primitive has one form, on a (k, n) block of rows: `row_margins`, `regions`
 and `project_rows`; a cone's `classify` is `regions` on a one-row block.  The
 per-row stream sampler `sample_in_cone` (each row's draws in turn) serves
 `positivity` and `perturbation`; the block sampler `sample_in_cone_rows` (one
-draw per quantity) serves `cone_check`.  Every sampled cone-axiom check runs
+draw per quantity) serves `cone_check`.  Both take their complement rows from
+one routine, which projects a row off the axis twice where once leaves too
+large an axis component.  Every sampled cone-axiom check runs
 through that one loop in blocks of rows: the Moreau split, duality witnesses,
 boundary partners and outside sampling take (k, n) blocks too.
 """
@@ -108,13 +110,32 @@ def project_rows(cone, rows):
     return np.where((s >= p)[:, None], rows, np.where((s <= -p)[:, None], 0.0, middle))
 
 
+def _complement(axis, g):
+    """Rows of g minus their axis components, and their norms, each row on its own.
+
+    One projection leaves an axis component of order u ||g|| (u the unit
+    roundoff), which is large beside a short remainder: two boundary rays
+    axis +/- w would then pair at about -2 <w, axis>, not 0.  A row whose
+    axis component |s| exceeds its remainder ||g_perp|| (so ||g|| > sqrt(2)
+    ||g_perp||) is therefore projected a second time, which leaves a component
+    of order u ||g_perp|| ("twice is enough", Parlett ch. 6).
+    """
+    s = (g * axis).sum(axis=1)
+    perp = g - np.outer(s, axis)
+    nrm = np.sqrt((perp * perp).sum(axis=1))
+    again = np.abs(s) > nrm
+    if again.any():
+        p = perp[again]
+        p -= np.outer((p * axis).sum(axis=1), axis)
+        perp[again], nrm[again] = p, np.sqrt((p * p).sum(axis=1))
+    return perp, nrm
+
+
 def perp_rows(axis, rng, k):
     """k uniform unit rows in the orthogonal complement of the axis."""
     if axis.size < 2:
         raise ValueError("a 1-dim axis has no orthogonal complement")
-    g = rng.standard_normal((k, axis.size))
-    g -= np.outer(g @ axis, axis)
-    nrm = np.linalg.norm(g, axis=1)
+    g, nrm = _complement(axis, rng.standard_normal((k, axis.size)))
     small = nrm < 1e-12
     if small.any():  # essentially impossible, but stay total: redraw those rows
         g[small], nrm[small] = perp_rows(axis, rng, int(small.sum())), 1.0
@@ -185,12 +206,6 @@ def boundary_orthogonal_partner(cone, u):
     if not np.all(u.any(axis=1)) or np.any(regions(cone, u) != 0):
         raise NotBoundary("orthogonal partner requires nonzero boundary points")
     return 2.0 * np.outer(u @ cone.axis, cone.axis) - u
-
-
-def _complement(axis, g):
-    """Rows of g minus their axis components, and their norms, each row on its own."""
-    perp = g - np.outer((g * axis).sum(axis=1), axis)
-    return perp, np.sqrt((perp * perp).sum(axis=1))
 
 
 def sample_in_cone(cone, rng, k):

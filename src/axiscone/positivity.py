@@ -3,7 +3,12 @@
 Verdicts come in three honesty levels: CertifiedTrue when a closed-form
 criterion applies, CertifiedFalse with a replayable witness, and SampledTrue
 only from sampled preservation, sampled ergodicity, or an improvement margin
-inside the TAU_STRICT band.  Sampled verdicts take their cone points as one
+inside its tolerance band (TAU_STRICT for the S-lemma test, TAU_GAP for the
+axis test) whose boundary witness maps to the cone's interior.  The axis test
+reads the operator's checked spectrum: restricted_top's bound certifies a
+simple top, the second eigenvalue (by interlacing) a degenerate one, and only
+a margin between the two decomposes the compression to the axis complement.
+Sampled verdicts take their cone points as one
 block: preservation classifies the block's images at once, and the
 ergodicity probe iterates A on every unresolved pair of a block together,
 taking its powers in doubling blocks judged with array operations and cut
@@ -143,34 +148,58 @@ def improves_positivity_axis(A, u0):
 
     For u = s*u0 + w in the cone, <u0, Au> > ||Au||/sqrt(2) reduces to
     s^2 ||A||^2 > ||Aw||^2 with the worst case on boundary rays, so A im-
-    proves positivity iff the top eigenvalue restricted to u0-perp stays
-    below ||A||: iff ||A|| is simple.  The closed-form bound of restricted_top
-    certifies a simple top without decomposing anything; otherwise one
-    checked eigh of the compression to u0-perp decides, and at equality the
-    boundary ray built from its top eigenvector maps to the boundary, which
-    is the returned witness.
+    proves positivity iff the top eigenvalue lambda_perp on u0-perp stays
+    below lambda_1 = ||A||: iff ||A|| is simple.  The margin lambda_1 -
+    lambda_perp - tau, tau = TAU_GAP |lambda_1|, is read from A's checked
+    spectrum: restricted_top's bound lambda_perp <= lambda_2 + r^2/gap
+    certifies a positive one, and interlacing (lambda_perp >= lambda_2) a
+    nonpositive one when lambda_1 - lambda_2 - tau <= 0, with the boundary
+    ray u0 + w (w from _top_pair_direction) as the witness.  Only between the
+    two, or when that witness image is interior, does one checked eigh of the
+    compression to u0-perp decide.  No CertifiedFalse witness image is
+    interior: a nonpositive margin whose witness image is interior is
+    SampledTrue, inside the tolerance band.
     """
     u0 = as_vector(u0)
     if u0.size != A.dim:
         raise DimensionMismatch(f"axis dim {u0.size} != operator dim {A.dim}")
     require_psd(A)
     lam = require_top_eigenvector(A, u0)
-    lam_perp, label = restricted_top(A, u0), "restricted top bound"
+    lam_perp = restricted_top(A, u0)
     if lam_perp is None:
         return Verdict("improves_positivity_axis", VerdictStatus.CERTIFIED_TRUE,
                        margin=lam, detail="dimension 1: empty orthogonal complement")
-    if lam - lam_perp - TAU_GAP * abs(lam) <= 0:
-        basis = perp_basis(u0)
-        block = SymmetricOperator(basis.T @ A.matrix @ basis).decomposition
-        lam_perp, label = block.max_eigenvalue, "restricted top"
-    margin = lam - lam_perp - TAU_GAP * abs(lam)
+    tau = TAU_GAP * abs(lam)
+    if lam - lam_perp - tau > 0:
+        return Verdict("improves_positivity_axis", VerdictStatus.CERTIFIED_TRUE,
+                       margin=lam - lam_perp - tau,
+                       detail=f"restricted top bound {lam_perp:.12g} < top {lam:.12g}")
+    cone = AxisCone(u0 / np.linalg.norm(u0))   # u0 is a unit vector only to AXIS_TOL
+    lam2 = float(A.decomposition.eigenvalues[-2])
+    if lam - lam2 - tau <= 0:
+        witness = u0 + _top_pair_direction(A, u0)
+        region = cone.classify(A.apply(witness))
+        if region is not Region.INTERIOR:
+            return Verdict("improves_positivity_axis", VerdictStatus.CERTIFIED_FALSE,
+                           margin=lam - lam2 - tau, witness=witness,
+                           detail=f"second eigenvalue {lam2:.12g} within tau_gap of top "
+                                  f"{lam:.12g}; witness image is {region.value}")
+    basis = perp_basis(u0)
+    block = SymmetricOperator(basis.T @ A.matrix @ basis).decomposition
+    lam_perp = block.max_eigenvalue
+    margin = lam - lam_perp - tau
     if margin > 0:
         return Verdict("improves_positivity_axis", VerdictStatus.CERTIFIED_TRUE,
-                       margin=margin, detail=f"{label} {lam_perp:.12g} < top {lam:.12g}")
+                       margin=margin, detail=f"restricted top {lam_perp:.12g} < top {lam:.12g}")
     witness = u0 + basis @ block.eigenvectors[:, -1]
-    return Verdict("improves_positivity_axis", VerdictStatus.CERTIFIED_FALSE,
-                   margin=margin, witness=witness,
-                   detail="degenerate top: boundary ray maps to the boundary")
+    region = cone.classify(A.apply(witness))
+    detail = f"restricted top {lam_perp:.12g} within tau_gap of top {lam:.12g}"
+    if region is not Region.INTERIOR:
+        return Verdict("improves_positivity_axis", VerdictStatus.CERTIFIED_FALSE,
+                       margin=margin, witness=witness,
+                       detail=f"{detail}; witness image is {region.value}")
+    return Verdict("improves_positivity_axis", VerdictStatus.SAMPLED_TRUE,
+                   margin=margin, detail=f"{detail}; margin inside tolerance band")
 
 
 def improves_positivity_general(A, cone):
@@ -339,13 +368,29 @@ class PerronFrobeniusReport:
         return self.top_simple and self.top_strictly_positive
 
 
+def _top_pair_direction(A, axis):
+    """Unit projection onto axis-perp of whichever top-two eigenvector column projects longer.
+
+    For a unit axis the two orthonormal columns v have projections v - <axis,
+    v> axis whose squared lengths sum to 2 - <axis, v_1>^2 - <axis, v_2>^2 >= 1
+    (Bessel), so the longer has length at least 1/sqrt(2): none is too short
+    to normalize.  Ties go to the second column.
+    """
+    q = A.decomposition.eigenvectors
+    projections = [v - float(axis @ v) * axis for v in (q[:, -2], q[:, -1])]
+    lengths = [float(np.linalg.norm(w)) for w in projections]
+    longer = int(lengths[1] > lengths[0])
+    return projections[longer] / lengths[longer]
+
+
 def _adversarial_pairs(A, cone):
     """Cone pairs designed to defeat ergodicity when the top eigenvalue repeats, as rows.
 
     Random cone pairs almost never witness non-ergodicity: for a degenerate
-    top eigenvalue on an axis cone, the failing pair u0 +/- w (w a second top
-    eigenvector) has measure zero.  For the orthant, coordinate basis pairs
-    play the same role.
+    top eigenvalue on an axis cone, the failing pair u0 +/- w (w a unit
+    direction of the top eigenspace orthogonal to u0, _top_pair_direction)
+    has measure zero.  For the orthant, coordinate basis pairs play the same
+    role.
     """
     if isinstance(cone, OrthantCone):
         i, j = np.triu_indices(min(cone.dim, 6), 1)
@@ -353,12 +398,8 @@ def _adversarial_pairs(A, cone):
     dec = A.decomposition
     lam = dec.max_eigenvalue
     if A.dim >= 2 and lam - float(dec.eigenvalues[-2]) <= TAU_GAP * max(1.0, abs(lam)):
-        w = dec.eigenvectors[:, -2]
-        w = w - float(cone.axis @ w) * cone.axis
-        nrm = float(np.linalg.norm(w))
-        if nrm > 1e-9:
-            w = w / nrm
-            return (cone.axis + w)[None], (cone.axis - w)[None]
+        w = _top_pair_direction(A, cone.axis)
+        return (cone.axis + w)[None], (cone.axis - w)[None]
     return np.empty((0, A.dim)), np.empty((0, A.dim))
 
 

@@ -8,7 +8,9 @@ rule that the drift layer used before it took the drifted axis from the
 eigenbasis; `arc_sweep_margin` is the exhaustive dim-2 sweep that the
 improvement verdict ran before its closed-form S-lemma test;
 `compressed_restricted_top` is the exact restricted top eigenvalue that
-`restricted_top` computed before it returned its closed-form bound;
+`restricted_top` computed before it returned its closed-form bound, and the
+compression that `improves_positivity_axis` decomposed on every degenerate
+top before it read that case from the second eigenvalue;
 `eager_from_spectrum` is `SymmetricOperator.from_spectrum` as it stood before
 an operator held by its spectrum formed its matrix on first read;
 `probe_by_power_loop` is the block ergodicity probe as it stood before it

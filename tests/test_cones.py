@@ -322,6 +322,21 @@ class TestConeCheck:
         w = perp_rows(E1, AxisFirst(), 3)
         np.testing.assert_allclose(np.abs(w), np.tile([0.0, 1.0], (3, 1)), atol=1e-15)
 
+    @pytest.mark.parametrize("dim", [2, 8, 64])
+    def test_complement_of_a_draw_nearly_on_the_axis(self, dim):
+        # one projection leaves an axis component of order eps ||g|| / ||g_perp||
+        # = eps 1e8 in w; the second leaves a few eps
+        cone = random_axis_cone(dim)
+        tilt = perp_rows(cone.axis, rng_for(dim, 3), 1)[0]
+        g = np.vstack([3.0 * cone.axis + 3e-8 * tilt, rng_for(dim, 4).standard_normal(dim)])
+        perp, nrm = cones._complement(cone.axis, g)
+        np.testing.assert_array_equal(nrm, np.linalg.norm(perp, axis=1))
+        assert np.all(np.abs(perp @ cone.axis) / nrm <= 4.0 * np.finfo(float).eps)
+        for row in range(2):   # each row on its own: a one-row block gives the same bits
+            one, one_nrm = cones._complement(cone.axis, g[row:row + 1])
+            np.testing.assert_array_equal(one[0], perp[row])
+            assert one_nrm[0] == nrm[row]
+
     def test_sample_outside_falls_back(self):
         rng = rng_for(0, 0)
         np.testing.assert_array_equal(sample_outside(axis_cone_2d(), rng, 2, max_tries=0),

@@ -173,7 +173,14 @@ class TestRunners:
     def test_cone_axioms_default_report_bytes(self):
         text = run(ExperimentConfig("cone_axioms", 0, {})).render(timestamp=False)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "668b01d2e6ee89d770fc6f1213eae88f2896183d4c26526a25fddd32cee7f1ee")
+            "8b3aaf9557821914fae596a502ce727108aea588658c6369d4b4e8c32fd2a71a")
+
+    def test_cone_axioms_at_the_samples_limit_passes(self):
+        # a dim-2 axis cone draws complement rows nearly on its axis: each must
+        # be projected until its boundary rays pair at 0 to within PAIR_TOL
+        report = run(ExperimentConfig("cone_axioms", 0, {"dims": [2], "cones": ["axis"],
+                                                         "samples": SAMPLES_LIMIT}))
+        assert [row[5:] for row in report.rows] == [["0", "1"]] * 3
 
     def test_cone_axioms_default_rows_and_worst_within_thresholds(self):
         report = run(ExperimentConfig("cone_axioms", 0, {}))

@@ -29,9 +29,10 @@ from axiscone.positivity import (
     preserves_positivity,
 )
 from axiscone.seeding import rng_for
-from axiscone.tolerances import TAU_STRICT
+from axiscone.tolerances import AXIS_TOL, TAU_GAP, TAU_STRICT
 from reference_loops import (
     arc_sweep_margin,
+    compressed_restricted_top,
     preserves_by_loop,
     probe_by_loop,
     probe_by_power_loop,
@@ -55,6 +56,25 @@ def psd_with_degenerate_top(dim, seed):
     eigs[-1] = 1.0
     eigs[-2] = 1.0
     return SymmetricOperator((q * eigs) @ q.T)
+
+
+E3 = np.eye(3)
+
+
+def window_instance():
+    """diag(1, 1 - 1.5 TAU_GAP, 0.5) and its top axis tilted toward e3 to a
+    residual of 0.99 AXIS_TOL: lambda_2 < lambda_1 - TAU_GAP <= lambda_2 + r^2/gap,
+    so neither restricted_top's bound nor the second eigenvalue decides."""
+    sin = 2.0 * 0.99 * AXIS_TOL
+    a = SymmetricOperator(np.diag([1.0, 1.0 - 1.5 * TAU_GAP, 0.5]))
+    return a, np.array([math.sqrt(1.0 - sin**2), 0.0, sin])
+
+
+def count_eigh(monkeypatch):
+    """Record the matrix of every np.linalg.eigh call from now on."""
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+    return calls
 
 
 class TestPreserves:
@@ -109,12 +129,60 @@ class TestImprovesAxis:
         np.testing.assert_allclose(np.abs(verdict.witness), [1.0, 1.0, 0.0], atol=1e-12)
 
     def test_witness_eigendecomposition_is_checked(self, monkeypatch):
-        a = SymmetricOperator(np.diag([2.0, 2.0, 1.0]))
-        a.decomposition  # cached, so only the witness block reaches eigh below
+        a, u0 = window_instance()
+        a.decomposition  # cached, so only the compression reaches eigh below
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m: (eigh(m)[0], 1.01 * eigh(m)[1]))
         with pytest.raises(ContractViolation, match="orthonormality"):
-            improves_positivity_axis(a, np.array([1.0, 0.0, 0.0]))
+            improves_positivity_axis(a, u0)
+
+    def test_window_is_decided_by_one_compression_eigh(self, monkeypatch):
+        a, u0 = window_instance()
+        a.decomposition  # A's own eigh, before the count starts
+        calls = count_eigh(monkeypatch)
+        verdict = improves_positivity_axis(a, u0)
+        assert len(calls) == 1 and calls[0].shape == (2, 2)
+        assert verdict.status is VerdictStatus.CERTIFIED_TRUE
+        assert verdict.margin == pytest.approx(0.5 * TAU_GAP, rel=1e-6)
+
+    @pytest.mark.parametrize("gap", [3e-10, 5e-10, 9e-10])
+    def test_band_margin_with_an_interior_witness_image_is_sampled(self, gap):
+        # the margin gap - TAU_GAP is negative, but the boundary ray e1 + e2 maps
+        # to (1, 1 - gap, 0), whose membership margin gap/2 clears TAU_MEMBERSHIP
+        a = SymmetricOperator(np.diag([1.0, 1.0 - gap, 0.5]))
+        verdict = improves_positivity_axis(a, E3[0])
+        assert verdict.status is VerdictStatus.SAMPLED_TRUE
+        assert verdict.margin == pytest.approx(gap - TAU_GAP, abs=1e-15)
+        assert verdict.detail.endswith("margin inside tolerance band")
+        assert AxisCone(E3[0]).classify(a.apply(E3[0] + E3[1])) is Region.INTERIOR
+
+    def test_band_edges_stay_certified(self):
+        a = SymmetricOperator(np.diag([1.0, 1.0 - 1e-12, 0.5]))
+        verdict = improves_positivity_axis(a, E3[0])
+        assert verdict.status is VerdictStatus.CERTIFIED_FALSE
+        assert AxisCone(E3[0]).classify(a.apply(verdict.witness)) is Region.BOUNDARY
+        a = SymmetricOperator(np.diag([1.0, 1.0 - 1.1e-9, 0.5]))
+        assert improves_positivity_axis(a, E3[0]).status is VerdictStatus.CERTIFIED_TRUE
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 6, 8, 16, 32, 64])
+    def test_degenerate_tops_match_the_compression_oracle(self, dim, monkeypatch):
+        # axes: the checked top eigenvector, the second top column (the first
+        # then projects longer onto its complement) and their bisector
+        for seed in (0, 7, 303, 2024):
+            a = generate_instance("degenerate-top", dim, seed)
+            q, lam = a.decomposition.eigenvectors, a.decomposition.max_eigenvalue
+            rounding = 2e-15 * dim * max(1.0, lam)
+            for u0 in (top_eigen(a)[1], q[:, -2], (q[:, -1] + q[:, -2]) / math.sqrt(2.0)):
+                oracle = lam - compressed_restricted_top(a, u0) - TAU_GAP * abs(lam)
+                with monkeypatch.context() as patch:
+                    calls = count_eigh(patch)
+                    verdict = improves_positivity_axis(a, u0)
+                assert calls == []
+                assert verdict.status is VerdictStatus.CERTIFIED_FALSE and oracle <= 0.0
+                cone = AxisCone(u0 / np.linalg.norm(u0))
+                assert cone.classify(verdict.witness) is Region.BOUNDARY
+                assert cone.classify(a.apply(verdict.witness)) is not Region.INTERIOR
+                assert verdict.margin >= oracle - rounding
 
     def test_dim_one_vacuous(self):
         verdict = improves_positivity_axis(SymmetricOperator([[3.0]]), np.array([1.0]))
@@ -405,6 +473,17 @@ class TestPerronFrobenius:
             SymmetricOperator(np.diag([2.0, 2.0])), AxisCone(E1), [u], [v]
         )
         assert not result.found
+
+    def test_adversarial_pair_on_an_axis_along_the_second_top_column(self):
+        # the second column projects to 0 on the axis complement: the pair comes
+        # from the top column, which projects longer
+        a = SymmetricOperator(np.diag([2.0, 2.0, 1.0]))
+        cone = AxisCone(np.array(a.decomposition.eigenvectors[:, -2]))
+        us, vs = positivity._adversarial_pairs(a, cone)
+        assert us.shape == vs.shape == (1, 3)
+        assert regions(cone, np.vstack([us, vs])).tolist() == [0, 0]
+        assert us[0] @ vs[0] == pytest.approx(0.0, abs=1e-15)
+        assert not ergodic_probe(a, cone, us, vs).found
 
     def test_prereq_failure(self):
         with pytest.raises(PrereqFailed):
