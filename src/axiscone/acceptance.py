@@ -244,7 +244,7 @@ def criterion_9_schrodinger(seed):
     base_ok = all(
         v.status is VerdictStatus.CERTIFIED_TRUE for v in report.base_verdicts
     )
-    demo = orthant_failure_demo(model, 0.5, s=0.5)
+    demo = orthant_failure_demo(report, 0.5, s=0.5)
     budget = report.budget
     passed = (base_ok and budget.kappa_threshold > 0.0 and report.all_true
               and demo.max_imag >= DEMO_WITNESS_TOL)

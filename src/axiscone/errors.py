@@ -9,6 +9,10 @@ class NonConvergence(AxisConeError):
     """Eigensolver failed to converge (ill-conditioned input)."""
 
 
+class SemigroupOverflow(NonConvergence):
+    """exp(-s T), or its image of a vector, leaves the float range at heat time s."""
+
+
 class DegenerateTop(AxisConeError):
     """Largest eigenvalue is not simple within the requested gap tolerance."""
 

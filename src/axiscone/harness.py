@@ -28,7 +28,7 @@ from .cones import (
     partner_check,
     selfduality_probe,
 )
-from .errors import ConfigInvalid, HeatTimeUnresolved, RatioSaturated
+from .errors import ConfigInvalid, HeatTimeUnresolved, RatioSaturated, SemigroupOverflow
 from .operators import SymmetricOperator, as_vector, top_eigen
 from .perturbation import (
     PerturbationFamily,
@@ -568,7 +568,7 @@ def _run_schrodinger(config):
         rows.append(["sweep", _g17(row.kappa), _g17(row.s),
                      row.verdict.status.value, _g17(row.verdict.margin),
                      _ok(row.verdict.is_true)])
-    demo = _orthant_demo(model, params["demo_e"], params["demo_s"])
+    demo = _orthant_demo(report, params["demo_e"], params["demo_s"])
     rows.append(["orthant_demo", _g17(params["demo_e"]), _g17(params["demo_s"]),
                  demo.status, _g17(demo.max_imag), "1"])
     budget = report.budget
@@ -584,21 +584,26 @@ def _run_schrodinger(config):
                   summary_extra=[("summary_min_verdict_margin", _g17(min(margins)))])
 
 
-def _orthant_demo(model, e, s):
-    """The orthant demo at (demo_e, demo_s); with e != 0 it must find its witness.
+def _orthant_demo(report, e, s):
+    """The orthant demo of `report` at (demo_e, demo_s); with e != 0 it must find its witness.
 
     A coupled flow that stays in the orthant to within DEMO_WITNESS_TOL shows
     nothing: that is a choice of demo_e and demo_s, not a failed theorem.  It
     is blamed on demo_s when exp(-s H) damps the bump below the tolerance even
-    at coupling 0, and on demo_e otherwise.
+    at coupling 0 or leaves the float range (a negative ground energy), and
+    on demo_e otherwise.
     """
-    demo = orthant_failure_demo(model, e, s=s)
-    if e == 0.0 or demo.left_cone:
-        return demo
     tol = tolerances.DEMO_WITNESS_TOL
-    if orthant_failure_demo(model, 0.0, s=s).peak <= tol:
-        raise ConfigInvalid("demo_s", f"exp(-demo_s H) damps the bump below {tol:g} "
-                                      f"even at coupling 0 (demo_s = {s:g})")
+    try:
+        demo = orthant_failure_demo(report, e, s=s)
+        if e == 0.0 or demo.left_cone:
+            return demo
+        if orthant_failure_demo(report, 0.0, s=s).peak <= tol:
+            raise ConfigInvalid("demo_s", f"exp(-demo_s H) damps the bump below {tol:g} "
+                                          f"even at coupling 0 (demo_s = {s:g})")
+    except SemigroupOverflow as exc:
+        raise ConfigInvalid("demo_s", f"exp(-demo_s H) leaves the float range "
+                                      f"(demo_s = {s:g}, demo_e = {e:g})") from exc
     raise ConfigInvalid("demo_e", f"the flow at demo_e = {e:g}, demo_s = {s:g} stays in "
                                   f"the orthant to within {tol:g} (largest imaginary "
                                   f"part {demo.max_imag:.3g}, largest entry "

@@ -29,6 +29,7 @@ from .errors import (
     DegenerateTop,
     NegativeTime,
     NonConvergence,
+    SemigroupOverflow,
 )
 from .seeding import rng_for
 from .tolerances import CORRESPONDENCE_TOL, RECON_TOL, TAU_GAP, TAU_SYM
@@ -193,10 +194,10 @@ class SymmetricOperator:
 
 
 def checked_eigh(m):
-    """eigh of a real symmetric or complex Hermitian matrix, checked.
+    """eigh of a real symmetric matrix, checked.
 
     An eigh failure or a non-finite eigenpair raises NonConvergence.
-    ||Q L Q^H - M||_F above RECON_TOL * max(1, ||M||_F), or ||Q^H Q - I||_F
+    ||Q L Q^T - M||_F above RECON_TOL * max(1, ||M||_F), or ||Q^T Q - I||_F
     above RECON_TOL, raises ContractViolation.
     """
     try:
@@ -205,9 +206,8 @@ def checked_eigh(m):
         raise NonConvergence(f"eigh failed: {exc}") from exc
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(q))):
         raise NonConvergence("eigh returned non-finite eigenpairs")
-    qh = q.conj().T
-    recon = float(np.linalg.norm((q * w) @ qh - m))
-    orth = float(np.linalg.norm(qh @ q - np.eye(len(w))))
+    recon = float(np.linalg.norm((q * w) @ q.T - m))
+    orth = float(np.linalg.norm(q.T @ q - np.eye(len(w))))
     if recon > RECON_TOL * max(1.0, float(np.linalg.norm(m))) or orth > RECON_TOL:
         raise ContractViolation(
             f"eigendecomposition residual {recon:.3e}, orthonormality defect {orth:.3e}"
@@ -341,7 +341,7 @@ def heat_semigroup(T, s):
     """exp(-s T) = Q exp(-s L) Q^T, its spectrum derived from T's checked one.
 
     Eigenvalues exp(-s lambda) and T's eigenvector columns are both reversed
-    into ascending order; a non-finite eigenvalue raises NonConvergence.  The
+    into ascending order; a non-finite eigenvalue raises SemigroupOverflow.  The
     operator holds that spectrum (from_spectrum): its matrix is formed on
     first read, and apply goes through Q until then.
     """
@@ -353,7 +353,7 @@ def heat_semigroup(T, s):
     with np.errstate(over="ignore"):
         w = np.exp(-s * dec.eigenvalues[::-1])
     if not np.all(np.isfinite(w)):
-        raise NonConvergence(f"exp(-s T) has a non-finite eigenvalue at s={s}")
+        raise SemigroupOverflow(f"exp(-s T) has a non-finite eigenvalue at s={s}")
     return SymmetricOperator.from_spectrum(w, dec.eigenvectors[:, ::-1])
 
 

@@ -150,14 +150,14 @@ def improves_positivity_axis(A, u0):
     s^2 ||A||^2 > ||Aw||^2 with the worst case on boundary rays, so A im-
     proves positivity iff the top eigenvalue lambda_perp on u0-perp stays
     below lambda_1 = ||A||: iff ||A|| is simple.  The margin lambda_1 -
-    lambda_perp - tau, tau = TAU_GAP |lambda_1|, is read from A's checked
-    spectrum: restricted_top's bound lambda_perp <= lambda_2 + r^2/gap
-    certifies a positive one, and interlacing (lambda_perp >= lambda_2) a
-    nonpositive one when lambda_1 - lambda_2 - tau <= 0, with the boundary
-    ray u0 + w (w from _top_pair_direction) as the witness.  Only between the
-    two, or when that witness image is interior, does one checked eigh of the
-    compression to u0-perp decide.  No CertifiedFalse witness image is
-    interior: a nonpositive margin whose witness image is interior is
+    lambda_perp - tau, tau = TAU_GAP max(1, |lambda_1|) (top_eigen's rule), is
+    read from A's checked spectrum: restricted_top's bound lambda_perp <=
+    lambda_2 + r^2/gap certifies a positive one, and interlacing (lambda_perp
+    >= lambda_2) a nonpositive one when lambda_1 - lambda_2 - tau <= 0, with
+    the boundary ray u0 + w (w from _top_pair_direction) as the witness.  Only
+    between the two, or when that witness image is interior, does one checked
+    eigh of the compression to u0-perp decide.  No CertifiedFalse witness
+    image is interior: a nonpositive margin whose witness image is interior is
     SampledTrue, inside the tolerance band.
     """
     u0 = as_vector(u0)
@@ -169,7 +169,7 @@ def improves_positivity_axis(A, u0):
     if lam_perp is None:
         return Verdict("improves_positivity_axis", VerdictStatus.CERTIFIED_TRUE,
                        margin=lam, detail="dimension 1: empty orthogonal complement")
-    tau = TAU_GAP * abs(lam)
+    tau = TAU_GAP * max(1.0, abs(lam))
     if lam - lam_perp - tau > 0:
         return Verdict("improves_positivity_axis", VerdictStatus.CERTIFIED_TRUE,
                        margin=lam - lam_perp - tau,

@@ -33,7 +33,6 @@ GAP_COLLAPSE_TOL = 1e-12    # uniform gap, relative to ||T||, at or below which 
 RADIUS_RECOMPUTE_TOL = 1e-14  # a budget's r equals radius_from_alpha(alpha) to this
 
 # Magnetic Schrodinger pipeline, each relative to max |H_ij|.
-MAGNETIC_COMMUTATION_TOL = 1e-12  # build_magnetic's own H against the parity conjugation
 REAL_COMMUTATION_TOL = 1e-10      # restrict_to_real's input against the parity conjugation
 REAL_IMAG_TOL = 1e-12             # imaginary part left in the restricted matrix
 REAL_SPECTRUM_TOL = 1e-9          # eigenvalue drift between H and its restriction

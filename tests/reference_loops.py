@@ -18,7 +18,10 @@ judged its powers in blocks; `sweep_by_rebuild` is the semigroup sweep as it
 stood before the budget held its checked operators; `threshold_by_decomposing`
 is the budget as it stood before grid gaps were certified by Cholesky, with a
 checked eigh at every nonzero grid point and its own b(kappa) from eigvalsh
-norms (`coefficient_norm_bound`).  Tests compare the toolkit against them on
+norms (`coefficient_norm_bound`); `assembled_magnetic` and
+`demo_by_complex_propagator` are the complex H(e) and the orthant demo's
+dense complex propagator exp(-s H(e)) as they stood before the demo read the
+budget's real restriction H_r(e).  Tests compare the toolkit against them on
 seeded instances.
 """
 
@@ -52,8 +55,9 @@ from axiscone.positivity import (
     VerdictStatus,
     improves_positivity_axis,
 )
+from axiscone.schrodinger import OrthantDemoReport, magnetic_terms
 from axiscone.seeding import rng_for
-from axiscone.tolerances import GAP_COLLAPSE_TOL, TAU_STRICT
+from axiscone.tolerances import DEMO_WITNESS_TOL, GAP_COLLAPSE_TOL, TAU_STRICT
 
 
 def one_vector_sample(cone, rng):
@@ -371,3 +375,28 @@ def threshold_by_decomposing(T, family, s0, kappa0, kappa_grid):
         c_slope=slope,
         operators={float(kappas[j]): op for j, op in held.items() if admissible[j]},
     )
+
+
+def assembled_magnetic(model, e):
+    """H(e) = H0 + e M1 + e^2 M2 as one complex Hermitian array, from magnetic_terms."""
+    h0, m1, m2 = magnetic_terms(model)
+    return h0 + e * m1 + e**2 * m2
+
+
+def demo_by_complex_propagator(model, e, s):
+    """The orthant demo with the propagator exp(-s H(e)) = U exp(-s W) U^H formed
+    from a complex eigh of the assembled H(e), applied to the bump exp(-x^2)."""
+    w, u = np.linalg.eigh(assembled_magnetic(model, e))
+    x = model.grid.points
+    image = ((u * np.exp(-s * w)) @ u.conj().T) @ np.exp(-x * x).astype(complex)
+    max_imag = float(np.max(np.abs(image.imag)))
+    min_real = float(np.min(image.real))
+    if e == 0.0:
+        status = "inapplicable_control"
+    elif max_imag > DEMO_WITNESS_TOL or min_real < -DEMO_WITNESS_TOL:
+        status = "witness_found"
+    else:
+        status = "no_witness"
+    return OrthantDemoReport(coupling=float(e), time=float(s), max_imag=max_imag,
+                             min_real=min_real, peak=float(np.max(np.abs(image))),
+                             status=status)

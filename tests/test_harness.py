@@ -679,6 +679,10 @@ class TestCli:
         ("schrodinger", {"h": 1e-300}, "h"),
         ("schrodinger", {"h": 1e300}, "h"),
         ("schrodinger", {"demo_s": 1e6}, "demo_s"),
+        # a negative ground energy: exp(-demo_s H) overflows, at coupling 0 or not
+        ("schrodinger", {"potential": "gaussian_well", "demo_s": 1e6, "demo_e": 0}, "demo_s"),
+        ("schrodinger", {"potential": "gaussian_well", "demo_s": 1e6, "demo_e": 0.5},
+         "demo_s"),
         ("schrodinger", {"h": 1e-4}, "s0"),
         ("perturb_sweep", {"t": [[0, 0], [0, 1000]], "s": [[0, 1], [1, 0]]}, "s0"),
         ("schrodinger", {"demo_e": 1e10}, "demo_e"),
@@ -718,7 +722,8 @@ class TestCli:
         ("schrodinger", {"s_samples": [1e-12]}, "s_samples"),
         ("schrodinger", {"s_samples": [1e-12], "e_grid": [0.5]}, "s_samples"),
         ("perturb_sweep", {"t": [[100, 0], [0, 101]], "s": [[0, 1], [1, 0]]}, "s_samples"),
-    ], ids=["demo_e_overflow", "h_tiny", "h_huge", "demo_s_damped", "h_saturates_alpha",
+    ], ids=["demo_e_overflow", "h_tiny", "h_huge", "demo_s_damped", "demo_s_overflow_control",
+            "demo_s_overflow", "h_saturates_alpha",
             "t_saturates_alpha", "demo_e_damped", "demo_e_weak", "no_vector_potential",
             "t_entry_huge", "s_entry_huge", "t_entry_overflows_its_sum", "a_huge", "b_huge",
             "no_admissible_kappa", "bounds_admit_no_kappa", "swept_kappa_below_grid_gap",

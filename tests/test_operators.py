@@ -527,7 +527,7 @@ class TestRestrictedTopBound:
     @pytest.mark.parametrize("dim", DIMS)
     def test_verdicts_match_the_compression(self, dim, top, axis_kind):
         for A, u, lam, slack, rounding, exact in self.instances(dim, top, axis_kind):
-            margin = lam - exact - TAU_GAP * lam
+            margin = lam - exact - TAU_GAP * max(1.0, lam)
             # the instances stay clear of the TAU_GAP band edge
             assert (margin > 0) == (top != "degenerate")
             verdict = improves_positivity_axis(A, u)

@@ -164,6 +164,16 @@ class TestImprovesAxis:
         a = SymmetricOperator(np.diag([1.0, 1.0 - 1.1e-9, 0.5]))
         assert improves_positivity_axis(a, E3[0]).status is VerdictStatus.CERTIFIED_TRUE
 
+    def test_small_top_uses_top_eigens_simplicity_rule(self):
+        # gap 5e-10 below TAU_GAP max(1, 0.01): top_eigen calls this top degenerate,
+        # so the axis test may not certify it; the witness image e1 + e2 maps to
+        # the interior, so the margin reads as inside the band
+        a = SymmetricOperator(np.diag([0.01, 0.01 - 5e-10, 0.005]))
+        assert not top_eigen(a)[2]
+        verdict = improves_positivity_axis(a, E3[0])
+        assert verdict.status is VerdictStatus.SAMPLED_TRUE
+        assert verdict.margin == pytest.approx(5e-10 - TAU_GAP, abs=1e-15)
+
     @pytest.mark.parametrize("dim", [2, 3, 4, 6, 8, 16, 32, 64])
     def test_degenerate_tops_match_the_compression_oracle(self, dim, monkeypatch):
         # axes: the checked top eigenvector, the second top column (the first
@@ -173,7 +183,8 @@ class TestImprovesAxis:
             q, lam = a.decomposition.eigenvectors, a.decomposition.max_eigenvalue
             rounding = 2e-15 * dim * max(1.0, lam)
             for u0 in (top_eigen(a)[1], q[:, -2], (q[:, -1] + q[:, -2]) / math.sqrt(2.0)):
-                oracle = lam - compressed_restricted_top(a, u0) - TAU_GAP * abs(lam)
+                oracle = (lam - compressed_restricted_top(a, u0)
+                          - TAU_GAP * max(1.0, abs(lam)))
                 with monkeypatch.context() as patch:
                     calls = count_eigh(patch)
                     verdict = improves_positivity_axis(a, u0)

@@ -10,14 +10,16 @@ from axiscone.errors import (
     DegenerateBottom,
     HeatTimeUnresolved,
     NotRealCompatible,
+    SemigroupOverflow,
 )
+from axiscone.harness import ExperimentConfig, run
 from axiscone.operators import bottom_eigen
 from axiscone.perturbation import _c_values
 from axiscone.positivity import VerdictStatus
 from axiscone.schrodinger import (
     GridSpec,
     MagneticModel,
-    build_magnetic,
+    POTENTIAL_PRESETS,
     commutation_residual,
     laplacian_matrix,
     magnetic_experiment,
@@ -30,6 +32,7 @@ from axiscone.schrodinger import (
 )
 from axiscone.seeding import rng_for
 from axiscone.tolerances import TAU_SYM
+from reference_loops import assembled_magnetic, demo_by_complex_propagator
 
 
 def conjugate(f):
@@ -46,6 +49,12 @@ def harmonic_model(n_half=8, spacing=0.5):
     return MagneticModel.from_functions(
         GridSpec(n_half, spacing), lambda x: x * x, lambda x: math.exp(-x * x)
     )
+
+
+def harmonic_experiment():
+    """The default schrodinger experiment: couplings -0.008 to 0.008, s0 = 1."""
+    return magnetic_experiment(harmonic_model(), e_grid=np.linspace(-0.008, 0.008, 17),
+                               s0=1.0)
 
 
 class TestGridAndModel:
@@ -85,7 +94,7 @@ class TestParityStructure:
         grid = GridSpec(5, 0.5)
         rng = rng_for(3, 0)
         random = rng.standard_normal((11, 11)) + 1j * rng.standard_normal((11, 11))
-        magnetic = build_magnetic(harmonic_model(5, 0.5), 0.3)
+        magnetic = assembled_magnetic(harmonic_model(5, 0.5), 0.3)
         for h in (random, magnetic):
             reference = 0.0
             for k in range(grid.dim):
@@ -125,28 +134,18 @@ class TestFreeHamiltonian:
         assert simple
 
 
-class TestBuildMagnetic:
+class TestMagneticTerms:
     def test_terms_are_read_only_complex_arrays(self):
         model = harmonic_model(3, 0.5)
-        for term in (*magnetic_terms(model), build_magnetic(model, 0.2)):
+        for term in magnetic_terms(model):
             assert isinstance(term, np.ndarray) and term.dtype == complex
             assert term.shape == (model.grid.dim, model.grid.dim)
             assert not term.flags.writeable
 
-    def test_zero_coupling_equals_h0(self):
-        model = harmonic_model()
-        np.testing.assert_array_equal(build_magnetic(model, 0.0), magnetic_terms(model)[0])
-
-    @pytest.mark.parametrize("e", [-0.5, -0.008, 0.0, 0.001, 0.3, 2.0])
-    def test_equals_its_terms_bit_for_bit(self, e):
-        model = harmonic_model(6, 0.4)
-        h0, m1, m2 = magnetic_terms(model)
-        np.testing.assert_array_equal(build_magnetic(model, e), h0 + e * m1 + e**2 * m2)
-
     def test_hand_checkable_3x3(self):
         model = MagneticModel.from_functions(GridSpec(1, 1.0), lambda x: 0.0,
                                              lambda x: 1.0)
-        h = build_magnetic(model, 1.0)
+        h = assembled_magnetic(model, 1.0)
         expected = np.array([
             [3.0, -1.0 - 1.0j, 0.0],
             [-1.0 + 1.0j, 3.0, -1.0 - 1.0j],
@@ -156,7 +155,7 @@ class TestBuildMagnetic:
         assert is_hermitian(h)
 
     def test_commutation_residual_small(self):
-        h = build_magnetic(harmonic_model(), 0.1)
+        h = assembled_magnetic(harmonic_model(), 0.1)
         scale = np.max(np.abs(h))
         assert commutation_residual(h) <= 1e-12 * scale
 
@@ -183,7 +182,7 @@ class TestRestrictToReal:
         model = harmonic_model(4, 0.5)
         basis = parity_basis(model.grid)
         h0 = restrict_to_real(magnetic_terms(model)[0], basis)
-        h_mag = restrict_to_real(build_magnetic(model, 0.3), basis)
+        h_mag = restrict_to_real(assembled_magnetic(model, 0.3), basis)
         # columns: 0 and odd indices span the even-parity sector, even
         # indices >= 2 the odd sector; the free operator never mixes them
         plus = [0] + list(range(1, model.grid.dim, 2))
@@ -193,7 +192,7 @@ class TestRestrictToReal:
 
     def test_spectrum_matches_complex_operator(self):
         model = harmonic_model(6, 0.4)
-        h = build_magnetic(model, 0.2)
+        h = assembled_magnetic(model, 0.2)
         restricted = restrict_to_real(h, parity_basis(model.grid))
         np.testing.assert_allclose(
             restricted.decomposition.eigenvalues,
@@ -212,7 +211,7 @@ class TestRestrictToReal:
         # the eigenvalues 1.0201 lambda_k(H): eta ||H|| = 0.0201 ||H|| is far too much
         model = harmonic_model(4, 0.5)
         with pytest.raises(NotRealCompatible, match="spectrum may drift"):
-            restrict_to_real(build_magnetic(model, 0.3), 1.01 * parity_basis(model.grid))
+            restrict_to_real(assembled_magnetic(model, 0.3), 1.01 * parity_basis(model.grid))
 
     def test_non_square_basis_rejected(self):
         # Ostrowski's theorem needs a square basis: B* B - I has no shape for a 5 x 3 B
@@ -230,7 +229,7 @@ class TestRestrictToReal:
         a = rng.uniform(-1.0, 1.0, n_half + 1)
         model = MagneticModel(grid=grid, v_values=np.concatenate([v[:0:-1], v]),
                               a_values=np.concatenate([a[:0:-1], a]))
-        h = build_magnetic(model, float(rng.uniform(-2.0, 2.0)))
+        h = assembled_magnetic(model, float(rng.uniform(-2.0, 2.0)))
         scale, noise = [(1.0, 0.0), (1.0 + 10.0 ** rng.uniform(-12, -4), 0.0),
                         (1.0, 10.0 ** rng.uniform(-12, -4))][seed % 3]
         g = rng.standard_normal((grid.dim, 2 * grid.dim)).view(complex)
@@ -248,29 +247,79 @@ class TestRestrictToReal:
 
 class TestOrthantDemo:
     def test_zero_coupling_control(self):
-        report = orthant_failure_demo(harmonic_model(), 0.0, s=0.5)
+        report = orthant_failure_demo(harmonic_experiment(), 0.0, s=0.5)
         assert report.status == "inapplicable_control"
         assert report.coupling == 0.0
-        assert report.max_imag == 0.0
+        # the bump's image stays in the even real sector up to the rounding of
+        # H_r(0)'s eigenvectors, which need not split the two parity sectors exactly
+        assert report.max_imag <= 64 * np.finfo(float).eps * report.peak
         assert report.min_real > -1e-10
 
     def test_nonzero_coupling_leaves_cone(self):
-        report = orthant_failure_demo(harmonic_model(), 0.5, s=0.5)
+        report = orthant_failure_demo(harmonic_experiment(), 0.5, s=0.5)
         assert report.status == "witness_found"
         assert report.coupling == 0.5
         assert report.max_imag >= 1e-10
 
     def test_propagator_eigendecomposition_is_checked(self, monkeypatch):
-        eigh = np.linalg.eigh
+        experiment = harmonic_experiment()
+        eigh, seen = np.linalg.eigh, []
 
-        def corrupt_hermitian(m):
+        def corrupt(m):
+            # the experiment is built: the only eigh left is that of the real H_r(0.5)
+            seen.append(m.dtype)
             w, q = eigh(m)
-            # only the complex Hermitian H of the propagator is corrupted
-            return (w, 1.01 * q) if np.iscomplexobj(m) else (w, q)
+            return w, 1.01 * q
 
-        monkeypatch.setattr(np.linalg, "eigh", corrupt_hermitian)
+        monkeypatch.setattr(np.linalg, "eigh", corrupt)
         with pytest.raises(ContractViolation, match="orthonormality"):
-            orthant_failure_demo(harmonic_model(), 0.5, s=0.5)
+            orthant_failure_demo(experiment, 0.5, s=0.5)
+        assert seen == [np.dtype(float)]
+
+    @pytest.mark.parametrize("n_half", [1, 3, 8, 48])
+    @pytest.mark.parametrize("e", [-0.5, 0.0, 0.004, 0.01, 0.5, 3.0])
+    def test_matches_the_complex_propagator_oracle(self, n_half, e):
+        # 0 reads H0's spectrum and 0.004 the held grid operator (admissible for N >= 3)
+        model = harmonic_model(n_half, 0.5)
+        experiment = magnetic_experiment(model, e_grid=[-0.004, 0.0, 0.004], s0=1.0)
+        demo = orthant_failure_demo(experiment, e, s=0.5)
+        oracle = demo_by_complex_propagator(model, e, s=0.5)
+        assert demo.status == oracle.status
+        tol = 1e-12 * oracle.peak
+        assert abs(demo.max_imag - oracle.max_imag) <= tol
+        assert abs(demo.min_real - oracle.min_real) <= tol
+        assert abs(demo.peak - oracle.peak) <= tol
+
+    def test_held_operators_are_reused(self, monkeypatch):
+        # H0's spectrum at e = 0 and the budget's checked operator at an admissible
+        # grid coupling; only a coupling off the held set is decomposed anew
+        experiment = harmonic_experiment()
+        assert experiment.budget.is_admissible(0.004)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        orthant_failure_demo(experiment, 0.0, s=0.5)
+        orthant_failure_demo(experiment, 0.004, s=0.5)
+        assert calls == []
+        orthant_failure_demo(experiment, 0.5, s=0.5)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("s, e, match", [
+        (1e6, 0.0, "non-finite eigenvalue"),
+        (1e6, 0.5, "non-finite eigenvalue"),
+        # exp(-s lambda_0) = 1.2e308 is finite, but the bump's image is not
+        (709.5 / 0.3487407275807798, 0.0, "bump beyond the float range"),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_flow_raises(self, s, e, match):
+        model = MagneticModel.from_functions(GridSpec(8, 0.5),
+                                             POTENTIAL_PRESETS["gaussian_well"],
+                                             lambda x: math.exp(-x * x))
+        experiment = magnetic_experiment(model, e_grid=np.linspace(-0.008, 0.008, 17),
+                                         s0=1.0)
+        assert experiment.budget.mu == pytest.approx(-0.3487407275807798, rel=1e-12)
+        with pytest.raises(SemigroupOverflow, match=match):
+            orthant_failure_demo(experiment, e, s=s)
 
 
 class TestMagneticExperiment:
@@ -329,7 +378,7 @@ class TestMagneticExperiment:
         model = harmonic_model(6, 0.5)
         basis = parity_basis(model.grid)
         e_grid = np.linspace(-0.05, 0.05, 11)
-        restricted = [restrict_to_real(build_magnetic(model, e), basis) for e in e_grid]
+        restricted = [restrict_to_real(assembled_magnetic(model, e), basis) for e in e_grid]
         grounds = [op.decomposition.min_eigenvalue for op in restricted]
         for left, right, a, b in zip(e_grid, e_grid[1:], restricted, restricted[1:]):
             step_norm = (b - a).norm
@@ -344,35 +393,39 @@ class TestMagneticExperiment:
         model = harmonic_model(6, 0.4)
         basis = parity_basis(model.grid)
         h0, m1, m2 = (restrict_to_real(term, basis) for term in magnetic_terms(model))
-        full = restrict_to_real(build_magnetic(model, e), basis)
+        full = restrict_to_real(assembled_magnetic(model, e), basis)
         difference = e * m1.matrix + e**2 * m2.matrix - (full - h0).matrix
         assert np.max(np.abs(difference)) <= 1e-12 * full.norm
 
     def test_assembly_independent_of_grid_length(self, monkeypatch):
         import axiscone.schrodinger as schrodinger
 
-        counts = {}
-
-        def counting(name):
-            original = getattr(schrodinger, name)
-
-            def wrapper(*args, **kwargs):
-                counts[name] = counts.get(name, 0) + 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        for name in ("build_magnetic", "restrict_to_real"):
-            monkeypatch.setattr(schrodinger, name, counting(name))
+        counts = []
+        restrict = schrodinger.restrict_to_real
+        monkeypatch.setattr(schrodinger, "restrict_to_real",
+                            lambda *args: counts.append(1) or restrict(*args))
         seen = []
         for num in (3, 17):
             counts.clear()
             magnetic_experiment(harmonic_model(4, 0.5),
                                 e_grid=np.linspace(-0.008, 0.008, num), s0=1.0)
-            seen.append(dict(counts))
-        assert seen[0] == seen[1]
-        assert seen[0].get("build_magnetic", 0) == 0
-        assert seen[0]["restrict_to_real"] == 3
+            seen.append(len(counts))
+        assert seen == [3, 3]
+
+    def test_full_report_restricts_three_terms_and_decomposes_only_real_matrices(
+            self, monkeypatch):
+        import axiscone.schrodinger as schrodinger
+
+        restricted, dtypes = [], []
+        restrict, eigh = schrodinger.restrict_to_real, np.linalg.eigh
+        monkeypatch.setattr(schrodinger, "restrict_to_real",
+                            lambda *args: restricted.append(1) or restrict(*args))
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: dtypes.append(m.dtype) or eigh(m))
+        report = run(ExperimentConfig(kind="schrodinger", seed=0, params={}))
+        assert report.rows[-1][:4] == ["orthant_demo", "0.5", "0.5", "witness_found"]
+        assert len(restricted) == 3
+        # the restricted terms, the grid couplings and H_r(demo_e): all real
+        assert dtypes and set(dtypes) == {np.dtype(float)}
 
     def test_degenerate_double_well_surfaces(self):
         # a huge barrier on the center site decouples the wells: the ground
