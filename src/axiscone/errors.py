@@ -85,10 +85,6 @@ class ContractViolation(AxisConeError):
     """A theorem-backed numerical invariant failed; indicates a toolkit bug."""
 
 
-class NotRealCompatible(AxisConeError):
-    """Operator does not commute with the conjugation map."""
-
-
 class AsymmetricPotential(AxisConeError):
     """Potential or vector potential is not an even grid function."""
 

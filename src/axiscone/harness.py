@@ -624,7 +624,7 @@ def run(config):
         return _RUNNERS[config.kind](config)
     except RatioSaturated as exc:
         raise ConfigInvalid("s0", str(exc)) from exc
-    except HeatTimeUnresolved as exc:
+    except (HeatTimeUnresolved, SemigroupOverflow) as exc:
         raise ConfigInvalid("s_samples", str(exc)) from exc
 
 

@@ -34,6 +34,7 @@ from .errors import (
     GapCollapsed,
     HeatTimeUnresolved,
     RatioSaturated,
+    SemigroupOverflow,
 )
 from .operators import (
     SymmetricOperator,
@@ -67,6 +68,7 @@ from .tolerances import (
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT2 = 1.0 / SQRT2
+LOG_FLOAT_MAX = math.log(np.finfo(float).max)   # exp(x) is finite iff x <= this
 
 
 def radius_from_alpha(alpha):
@@ -543,9 +545,11 @@ def end_to_end_semigroup_check(budget, s_samples, kappas=None):
     axis.  The base case kappa = 0 is T itself, verified directly through
     the certified axis criterion for every s.  An admissible grid point
     reuses the budget's checked operator, so only a kappa off the grid is
-    decomposed here.  Each s must lie in (0, s0] and resolve the budget
-    (PerturbationBudget.resolves; else HeatTimeUnresolved), checked before
-    any row is built.  Returns the SweepRows as a tuple, kappa ascending.
+    decomposed here.  Each s must lie in (0, s0], resolve the budget
+    (PerturbationBudget.resolves; else HeatTimeUnresolved) and keep the square
+    of exp(-s (mu - epsilon)), which bounds every swept semigroup's norm, in
+    the float range (else SemigroupOverflow), checked before any row is
+    built.  Returns the SweepRows as a tuple, kappa ascending.
     """
     s_samples = [float(s) for s in s_samples]
     for s in s_samples:
@@ -557,6 +561,10 @@ def end_to_end_semigroup_check(budget, s_samples, kappas=None):
             raise HeatTimeUnresolved(
                 f"exp(-s T) has no top gap beyond tau_gap={TAU_GAP:.1e} at s = {s:g} "
                 f"(mu = {budget.mu:.6g}, gap delta = {budget.delta:.6g})")
+        if 2.0 * s * (budget.epsilon - budget.mu) > LOG_FLOAT_MAX:
+            raise SemigroupOverflow(
+                f"exp(-s (mu - epsilon))^2 leaves the float range at s = {s:g} "
+                f"(mu = {budget.mu:.6g}, epsilon = {budget.epsilon:.6g})")
     if kappas is None:
         kappas = [float(k) for k in budget.kappas[budget.admissible]]
     else:

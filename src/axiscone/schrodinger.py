@@ -3,12 +3,13 @@
 The grid has points x_j = j h for j in [-N, N] with Dirichlet truncation at
 +/-(N+1).  The kinetic term is the 3-point Laplacian stencil; the momentum
 p = -i d/dx entering the magnetic cross terms is the central difference
--i (f_{j+1} - f_{j-1}) / (2h).  H(e) = H0 + e M1 + e^2 M2 has the terms of
-magnetic_terms(model).  With even potentials each commutes with the antilinear
-parity conjugation (C f)_j = conj(f_{-j}), whose fixed-point set is a real
-Hilbert space; restricted to its parity_basis they are real symmetric with
-the same spectra, where the cone machinery applies.  H(e) is held only so,
-as the budget's H_r(e) = T + S(e); no complex H(e) is assembled.
+-i (f_{j+1} - f_{j-1}) / (2h).  With even potentials each term of H(e) =
+H0 + e M1 + e^2 M2 commutes with the antilinear parity conjugation
+(C f)_j = conj(f_{-j}), whose fixed-point set is a real Hilbert space; in its
+parity basis the terms are real symmetric with the same spectra, where the
+cone machinery applies.  magnetic_terms(model) writes them down there in
+closed form, and H(e) is held only so, as the budget's H_r(e) = T + S(e): no
+complex array is formed.
 """
 
 import math
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricPotential, NotRealCompatible, SemigroupOverflow
+from .errors import AsymmetricPotential, SemigroupOverflow
 from .operators import SymmetricOperator, bottom_eigen, heat_semigroup
 from .perturbation import (
     PerturbationFamily,
@@ -24,12 +25,7 @@ from .perturbation import (
     semigroup_threshold,
 )
 from .positivity import improves_positivity_axis
-from .tolerances import (
-    DEMO_WITNESS_TOL,
-    REAL_COMMUTATION_TOL,
-    REAL_IMAG_TOL,
-    REAL_SPECTRUM_TOL,
-)
+from .tolerances import DEMO_WITNESS_TOL
 
 SQRT2 = math.sqrt(2.0)
 
@@ -88,107 +84,47 @@ class MagneticModel:
         return MagneticModel(grid=grid, v_values=v, a_values=a)
 
 
-def parity_basis(grid):
-    """Orthonormal basis of the fixed space of (C f)_j = conj(f_{-j}), as columns.
-
-    Columns: delta_0, then (delta_j + delta_{-j})/sqrt(2) and
-    (i delta_j - i delta_{-j})/sqrt(2) for j = 1..N.  Each is fixed by C, so
-    the column map is an isometry from R^{2N+1} onto the real fixed-point
-    space.  The array is read-only.
-    """
-    basis = np.zeros((grid.dim, grid.dim), dtype=complex)
-    center = grid.n_half  # array index of x = 0
-    basis[center, 0] = 1.0
-    col = 1
-    for j in range(1, center + 1):
-        plus, minus = center + j, center - j
-        basis[plus, col] = 1.0 / SQRT2
-        basis[minus, col] = 1.0 / SQRT2
-        col += 1
-        basis[plus, col] = 1j / SQRT2
-        basis[minus, col] = -1j / SQRT2
-        col += 1
-    basis.setflags(write=False)
-    return basis
-
-
-def commutation_residual(H):
-    """max_k || H C e_k - C H e_k || over the standard basis, C the parity conjugation.
-
-    C e_k is the reversed basis vector and C H e_k the conjugated reversed
-    column k, so the k-th residual is column k of H[:, ::-1] - conj(H[::-1, :]).
-    """
-    m = np.asarray(H, dtype=complex)
-    return float(np.max(np.linalg.norm(m[:, ::-1] - np.conj(m[::-1, :]), axis=0)))
-
-
-def laplacian_matrix(grid):
-    """3-point stencil with Dirichlet truncation: (2f_j - f_{j+1} - f_{j-1})/h^2."""
-    dim = grid.dim
-    h2 = grid.spacing**2
-    lap = (np.diag(np.full(dim, 2.0)) - np.diag(np.ones(dim - 1), 1)
-           - np.diag(np.ones(dim - 1), -1)) / h2
-    return lap
-
-
-def momentum_matrix(grid):
-    """Central difference momentum: (p f)_j = -i (f_{j+1} - f_{j-1}) / (2h)."""
-    dim = grid.dim
-    p = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim - 1):
-        p[j, j + 1] = -1j / (2.0 * grid.spacing)
-        p[j + 1, j] = 1j / (2.0 * grid.spacing)
-    return p
-
-
 def magnetic_terms(model):
-    """H0 = p^2 + V, M1 = p a + a p and M2 = diag(a^2), so that H(e) = H0 + e M1 + e^2 M2.
+    """H0, M1 and M2 of H(e) = H0 + e M1 + e^2 M2, restricted to the real fixed space.
 
+    Columns are the parity basis delta_0, then (delta_j + delta_{-j})/sqrt(2)
+    (even_j) and (i delta_j - i delta_{-j})/sqrt(2) (odd_j) for j = 1..N, each
+    fixed by C.  In it the complex terms H0 = p^2 + V, M1 = p a + a p and
+    M2 = diag(a^2) become real and keep their spectra; their entries are
+    written down from the model's values at x_0..x_N, which evenness makes
+    exact:
+      H0: 2/h^2 + v_j on the diagonal, -1/h^2 between neighbours of one parity
+          sector and -sqrt(2)/h^2 between delta_0 and even_1;
+      M1: (a_j + a_{j+1})/(2h) between even_j and odd_{j+1}, its negative
+          between odd_j and even_{j+1}, and sqrt(2)(a_0 + a_1)/(2h) between
+          delta_0 and odd_1;
+      M2: diag(a_0^2, a_1^2, a_1^2, ..., a_N^2, a_N^2).
     p^2 is the 3-point Laplacian (the square of the central difference
     decouples the even and odd sublattices, so the standard local stencil is
-    used instead); M1 uses the central-difference p.  All three are
-    read-only complex arrays.
+    used instead); M1 uses the central difference p.  H0 and M2 share their
+    other entries bit for bit with the complex terms, M1's differ only in the
+    order of rounding, and each sqrt(2) entry rounds once more, so each
+    spectrum lies within about 2u max |H_ij| of its complex term's (Weyl).
+    All three are read-only real arrays.
     """
-    h0 = (laplacian_matrix(model.grid) + np.diag(model.v_values)).astype(complex)
-    a = model.a_values
-    p = momentum_matrix(model.grid)
-    terms = (h0, p * a + a[:, None] * p, np.diag(a**2).astype(complex))
+    grid = model.grid
+    h2 = grid.spacing**2
+    site = (np.arange(grid.dim) + 1) // 2        # column -> j of its grid pair
+    v, a = model.v_values[grid.n_half:], model.a_values[grid.n_half:]
+    h0 = np.diag(2.0 / h2 + v[site])
+    same = np.arange(1, grid.dim - 2)             # even_j/even_{j+1}, odd_j/odd_{j+1}
+    h0[same, same + 2] = h0[same + 2, same] = -1.0 / h2
+    h0[0, 1] = h0[1, 0] = -SQRT2 / h2
+    m1 = np.zeros((grid.dim, grid.dim))
+    step = (a[:-1] + a[1:]) / (2.0 * grid.spacing)   # (a_j + a_{j+1})/(2h), j = 0..N-1
+    even = np.arange(1, grid.dim - 2, 2)             # even_j, j = 1..N-1; odd_j is even + 1
+    m1[even, even + 3] = m1[even + 3, even] = step[1:]
+    m1[even + 1, even + 2] = m1[even + 2, even + 1] = -step[1:]
+    m1[0, 2] = m1[2, 0] = SQRT2 * step[0]
+    terms = (h0, m1, np.diag(a[site] ** 2))
     for term in terms:
         term.setflags(write=False)
     return terms
-
-
-def restrict_to_real(H, basis):
-    """Compress a conjugation-compatible Hamiltonian to the real fixed space.
-
-    Returns the real part of B* H B for the square basis B = `basis` (a parity_basis),
-    with no decomposition: _spectrum_drift_bound proves its spectrum near H's.
-    """
-    m = np.asarray(H, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    residual = commutation_residual(m)
-    if residual > REAL_COMMUTATION_TOL * scale:
-        raise NotRealCompatible(f"commutation residual {residual:.3e} exceeds "
-                                f"{REAL_COMMUTATION_TOL:.0e} * {scale:.3g}")
-    compressed = basis.conj().T @ m @ basis
-    imag = float(np.max(np.abs(compressed.imag)))
-    if imag > REAL_IMAG_TOL * scale:
-        raise NotRealCompatible(f"restriction has imaginary residual {imag:.3e}")
-    drift = _spectrum_drift_bound(m, basis, compressed)
-    if not drift <= REAL_SPECTRUM_TOL * scale:
-        raise NotRealCompatible(f"restricted spectrum may drift by {drift:.3e}")
-    return SymmetricOperator(compressed.real)
-
-
-def _spectrum_drift_bound(H, basis, compressed):
-    """Bound on how far the real part of `compressed` = fl(B* H B) moves H's eigenvalues,
-    B square and n x n: eta ||H||, eta = ||B* B - I|| (Ostrowski), + ||Im|| (Weyl),
-    + 8 (n + 2) u ||B||^2 (||H|| + 1) for rounding (complex X Y is off by < 1.5 (n + 2) u
-    |X| |Y|, Higham 3.6); each 2-norm is bounded by max(||.||_1, ||.||_inf)."""
-    gram = basis.conj().T @ basis - np.eye(len(H))
-    h, b, eta, imag = (max(np.linalg.norm(m, 1), np.linalg.norm(m, np.inf))
-                       for m in (H, basis, gram, compressed.imag))
-    return float(eta * h + imag + 4.0 * (len(H) + 2) * np.finfo(float).eps * b**2 * (h + 1))
 
 
 @dataclass(frozen=True)
@@ -210,29 +146,35 @@ class OrthantDemoReport:
 def orthant_failure_demo(experiment, e, s):
     """Push the Gaussian bump exp(-x^2) through exp(-s H(e)) and watch it leave the cone.
 
-    The bump v is real and even, so exp(-s H(e)) v = B exp(-s H_r(e)) B* v for
-    the parity basis B and H_r(e) = budget.operator_at(e) of `experiment` (a
-    MagneticExperimentReport): T at e = 0, the held operator at an admissible
-    grid coupling.  exp(-s H_r(e)) is applied through its checked spectrum; no
-    propagator matrix is formed.  With nonzero coupling the image generically
-    develops an imaginary part, certifying that the semigroup does not
-    preserve the nonnegative cone (non-ergodicity itself is not certified
-    here).  At e = 0 the run is a positivity control, inapplicable_control.
-    An image beyond the float range raises SemigroupOverflow.
+    The bump v is real and even, so exp(-s H(e)) v is the parity-basis vector
+    y = exp(-s H_r(e)) c for the bump's coordinates c (c_0 = v_0, c_even_j =
+    sqrt(2) v_j, c_odd_j = 0) and H_r(e) = budget.operator_at(e) of
+    `experiment` (a MagneticExperimentReport): T at e = 0, the held operator
+    at an admissible grid coupling.  The image at x_{+-j} is (y_even_j +- i
+    y_odd_j)/sqrt(2), and y_0 at x_0.  exp(-s H_r(e)) is applied through its
+    checked spectrum; no propagator matrix is formed.  With nonzero coupling
+    the image generically develops an imaginary part, certifying that the
+    semigroup does not preserve the nonnegative cone (non-ergodicity itself
+    is not certified here).  At e = 0 the run is a positivity control,
+    inapplicable_control.  An image beyond the float range raises
+    SemigroupOverflow.
     """
     if s <= 0:
         raise ValueError("demo time s must be positive")
-    basis = parity_basis(experiment.grid)
-    x = experiment.grid.points
-    coordinates = (basis.conj().T @ np.exp(-x * x)).real   # exactly real: the bump is even
+    grid = experiment.grid
+    bump = np.exp(-grid.points[grid.n_half:] ** 2)
+    coordinates = np.zeros(grid.dim)
+    coordinates[0], coordinates[1::2] = bump[0], SQRT2 * bump[1:]
     flow = heat_semigroup(experiment.budget.operator_at(e), s).decomposition
     q = flow.eigenvectors
     with np.errstate(over="ignore", invalid="ignore"):
-        image = basis @ (q @ (flow.eigenvalues * (q.T @ coordinates)))
-    if not np.all(np.isfinite(image)):
+        y = q @ (flow.eigenvalues * (q.T @ coordinates))
+    if not np.all(np.isfinite(y)):
         raise SemigroupOverflow(f"exp(-s H) maps the bump beyond the float range at s={s}")
-    max_imag = float(np.max(np.abs(image.imag)))
-    min_real = float(np.min(image.real))
+    real, imag = y[1::2] / SQRT2, y[2::2] / SQRT2
+    max_imag = float(np.max(np.abs(imag)))
+    min_real = float(min(y[0], np.min(real)))
+    peak = float(max(abs(y[0]), np.max(np.hypot(real, imag))))
     if e == 0.0:
         status = "inapplicable_control"
     elif max_imag > DEMO_WITNESS_TOL or min_real < -DEMO_WITNESS_TOL:
@@ -240,8 +182,7 @@ def orthant_failure_demo(experiment, e, s):
     else:
         status = "no_witness"
     return OrthantDemoReport(coupling=float(e), time=float(s), max_imag=max_imag,
-                             min_real=min_real, peak=float(np.max(np.abs(image))),
-                             status=status)
+                             min_real=min_real, peak=peak, status=status)
 
 
 @dataclass(frozen=True)
@@ -263,7 +204,7 @@ class MagneticExperimentReport:
 def magnetic_experiment(model, e_grid, s0, s_samples=None):
     """Sweep the coupling: gap budget, admissible range, per-(e, s) verdicts.
 
-    Pipeline: restrict H0, M1 and M2 once each, take the unit ground vector
+    Pipeline: build the restricted H0, M1 and M2 once, take the unit ground vector
     of H0 as the cone axis, treat e M1 + e^2 M2 as a quadratic perturbation
     family with a(e) = 0 and the coefficient-norm bound b(e) = |e| ||M1|| +
     e^2 ||M2||, run the semigroup budget and the end-to-end sweep over
@@ -274,8 +215,7 @@ def magnetic_experiment(model, e_grid, s0, s_samples=None):
     if s0 <= 0:
         raise ValueError("s0 must be positive")
     s_samples = tuple([s0 / 4.0, s0 / 2.0, s0] if s_samples is None else s_samples)
-    basis = parity_basis(model.grid)
-    h0, m1, m2 = (restrict_to_real(term, basis) for term in magnetic_terms(model))
+    h0, m1, m2 = (SymmetricOperator(term) for term in magnetic_terms(model))
     _, ground, _ = bottom_eigen(h0, require_simple=True)
 
     family = PerturbationFamily((m1, m2))

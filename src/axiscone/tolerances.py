@@ -32,10 +32,7 @@ DRIFT_BOUND_SLACK = 1e-8    # admitted excess of the drifted axis's drift over i
 GAP_COLLAPSE_TOL = 1e-12    # uniform gap, relative to ||T||, at or below which it has collapsed
 RADIUS_RECOMPUTE_TOL = 1e-14  # a budget's r equals radius_from_alpha(alpha) to this
 
-# Magnetic Schrodinger pipeline, each relative to max |H_ij|.
-REAL_COMMUTATION_TOL = 1e-10      # restrict_to_real's input against the parity conjugation
-REAL_IMAG_TOL = 1e-12             # imaginary part left in the restricted matrix
-REAL_SPECTRUM_TOL = 1e-9          # eigenvalue drift between H and its restriction
+# Magnetic Schrodinger pipeline and config bounds.
 DEMO_WITNESS_TOL = 1e-10          # imaginary part or negative entry: the flow left the orthant
 SCALE_LIMIT = 1e75                # config bound on h, 1/h, |demo_e|, demo_s, perturb a, b, t
                                   # and s entries and grid entries: squares stay finite

@@ -18,11 +18,14 @@ judged its powers in blocks; `sweep_by_rebuild` is the semigroup sweep as it
 stood before the budget held its checked operators; `threshold_by_decomposing`
 is the budget as it stood before grid gaps were certified by Cholesky, with a
 checked eigh at every nonzero grid point and its own b(kappa) from eigvalsh
-norms (`coefficient_norm_bound`); `assembled_magnetic` and
-`demo_by_complex_propagator` are the complex H(e) and the orthant demo's
-dense complex propagator exp(-s H(e)) as they stood before the demo read the
-budget's real restriction H_r(e).  Tests compare the toolkit against them on
-seeded instances.
+norms (`coefficient_norm_bound`); `laplacian_matrix`,
+`momentum_matrix`, `complex_magnetic_terms`, `parity_basis` and
+`compressed_to_real` are the complex terms of H(e) and their compression
+Re(B* H B) to the real fixed space, as the Schrodinger pipeline built them
+before it wrote the restricted terms down in closed form;
+`assembled_magnetic` and `demo_by_complex_propagator` are the complex H(e)
+and the orthant demo's dense complex propagator exp(-s H(e)).  Tests compare
+the toolkit against them on seeded instances.
 """
 
 import math
@@ -55,7 +58,7 @@ from axiscone.positivity import (
     VerdictStatus,
     improves_positivity_axis,
 )
-from axiscone.schrodinger import OrthantDemoReport, magnetic_terms
+from axiscone.schrodinger import SQRT2, OrthantDemoReport
 from axiscone.seeding import rng_for
 from axiscone.tolerances import DEMO_WITNESS_TOL, GAP_COLLAPSE_TOL, TAU_STRICT
 
@@ -377,9 +380,60 @@ def threshold_by_decomposing(T, family, s0, kappa0, kappa_grid):
     )
 
 
+def laplacian_matrix(grid):
+    """3-point stencil with Dirichlet truncation: (2f_j - f_{j+1} - f_{j-1})/h^2."""
+    dim = grid.dim
+    h2 = grid.spacing**2
+    return (np.diag(np.full(dim, 2.0)) - np.diag(np.ones(dim - 1), 1)
+            - np.diag(np.ones(dim - 1), -1)) / h2
+
+
+def momentum_matrix(grid):
+    """Central difference momentum: (p f)_j = -i (f_{j+1} - f_{j-1}) / (2h)."""
+    dim = grid.dim
+    p = np.zeros((dim, dim), dtype=complex)
+    for j in range(dim - 1):
+        p[j, j + 1] = -1j / (2.0 * grid.spacing)
+        p[j + 1, j] = 1j / (2.0 * grid.spacing)
+    return p
+
+
+def complex_magnetic_terms(model):
+    """H0 = p^2 + V, M1 = p a + a p and M2 = diag(a^2) on the grid, as complex arrays."""
+    h0 = (laplacian_matrix(model.grid) + np.diag(model.v_values)).astype(complex)
+    a = model.a_values
+    p = momentum_matrix(model.grid)
+    return h0, p * a + a[:, None] * p, np.diag(a**2).astype(complex)
+
+
+def parity_basis(grid):
+    """Orthonormal basis of the fixed space of (C f)_j = conj(f_{-j}), as columns:
+    delta_0, then (delta_j + delta_{-j})/sqrt(2) and (i delta_j - i delta_{-j})/sqrt(2)
+    for j = 1..N."""
+    basis = np.zeros((grid.dim, grid.dim), dtype=complex)
+    center = grid.n_half  # array index of x = 0
+    basis[center, 0] = 1.0
+    col = 1
+    for j in range(1, center + 1):
+        plus, minus = center + j, center - j
+        basis[plus, col] = 1.0 / SQRT2
+        basis[minus, col] = 1.0 / SQRT2
+        col += 1
+        basis[plus, col] = 1j / SQRT2
+        basis[minus, col] = -1j / SQRT2
+        col += 1
+    return basis
+
+
+def compressed_to_real(H, grid):
+    """Re(B* H B) for the parity basis B of `grid`, by dense complex products."""
+    basis = parity_basis(grid)
+    return (basis.conj().T @ np.asarray(H, dtype=complex) @ basis).real
+
+
 def assembled_magnetic(model, e):
-    """H(e) = H0 + e M1 + e^2 M2 as one complex Hermitian array, from magnetic_terms."""
-    h0, m1, m2 = magnetic_terms(model)
+    """H(e) = H0 + e M1 + e^2 M2 as one complex Hermitian array."""
+    h0, m1, m2 = complex_magnetic_terms(model)
     return h0 + e * m1 + e**2 * m2
 
 

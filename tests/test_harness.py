@@ -722,6 +722,10 @@ class TestCli:
         ("schrodinger", {"s_samples": [1e-12]}, "s_samples"),
         ("schrodinger", {"s_samples": [1e-12], "e_grid": [0.5]}, "s_samples"),
         ("perturb_sweep", {"t": [[100, 0], [0, 101]], "s": [[0, 1], [1, 0]]}, "s_samples"),
+        # a spectrum far below 0: exp(-s (mu - epsilon)) squared leaves the float range
+        ("perturb_sweep", {"t": [[-1000, 0], [0, -999]], "s": [[0, 1], [1, 0]]}, "s_samples"),
+        ("perturb_sweep", {"t": [[-1000, 0], [0, -990]], "s": [[0, 0.1], [0.1, 0]], "s0": 1},
+         "s_samples"),
     ], ids=["demo_e_overflow", "h_tiny", "h_huge", "demo_s_damped", "demo_s_overflow_control",
             "demo_s_overflow", "h_saturates_alpha",
             "t_saturates_alpha", "demo_e_damped", "demo_e_weak", "no_vector_potential",
@@ -732,7 +736,8 @@ class TestCli:
             "perturb_s_samples_huge", "perturb_s0_huge", "kappa0_huge", "schrodinger_s0_huge",
             "potential_entries_huge", "perturb_s0_tiny", "schrodinger_s0_tiny",
             "perturb_s_sample_tiny", "perturb_s0_tiny_samples", "schrodinger_s_sample_tiny",
-            "schrodinger_s_sample_tiny_one_coupling", "perturb_top_decays"])
+            "schrodinger_s_sample_tiny_one_coupling", "perturb_top_decays",
+            "perturb_norm_square_overflows", "perturb_semigroup_overflows"])
     @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
     def test_extreme_numeric_input_exits_2(self, tmp_path, capsys, kind, params, field):
         cfg = tmp_path / "bad.json"

@@ -15,6 +15,7 @@ from axiscone.errors import (
     GapCollapsed,
     HeatTimeUnresolved,
     RatioSaturated,
+    SemigroupOverflow,
 )
 from axiscone import perturbation, positivity
 from axiscone.operators import (
@@ -751,6 +752,21 @@ class TestEndToEnd:
         assert not budget.resolves(s_value)
         with pytest.raises(HeatTimeUnresolved, match="no top gap beyond tau_gap"):
             end_to_end_semigroup_check(budget, s_samples=[math.log(2.0), s_value])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_heat_time_rejected_before_any_row(self, monkeypatch):
+        # T = diag(-1000, -999): 2 s (epsilon - mu) is about 600 at s = 0.3, whose
+        # rows are built, and 800 at s = 0.4, beyond ln(max float) = 709.78
+        _, s = swap_instance()
+        t = SymmetricOperator(np.diag([-1000.0, -999.0]))
+        budget = semigroup_threshold(t, s, s0=math.log(2.0), kappa0=0.5,
+                                     kappa_grid=[-0.04, 0.0, 0.04])
+        assert len(end_to_end_semigroup_check(budget, s_samples=[0.3])) == 3
+        built = []
+        monkeypatch.setattr(perturbation, "heat_semigroup", lambda *args: built.append(args))
+        with pytest.raises(SemigroupOverflow, match="leaves the float range at s = 0.4 "):
+            end_to_end_semigroup_check(budget, s_samples=[0.3, 0.4])
+        assert built == []
 
     def test_resolved_heat_times_give_simple_tops(self):
         # the rule reads mu and delta only, yet where it admits s every swept

@@ -9,35 +9,54 @@ from axiscone.errors import (
     ContractViolation,
     DegenerateBottom,
     HeatTimeUnresolved,
-    NotRealCompatible,
     SemigroupOverflow,
 )
 from axiscone.harness import ExperimentConfig, run
-from axiscone.operators import bottom_eigen
+from axiscone.operators import SymmetricOperator, bottom_eigen
 from axiscone.perturbation import _c_values
 from axiscone.positivity import VerdictStatus
 from axiscone.schrodinger import (
     GridSpec,
     MagneticModel,
     POTENTIAL_PRESETS,
-    commutation_residual,
-    laplacian_matrix,
     magnetic_experiment,
     magnetic_terms,
-    momentum_matrix,
     orthant_failure_demo,
-    parity_basis,
-    _spectrum_drift_bound,
-    restrict_to_real,
 )
 from axiscone.seeding import rng_for
 from axiscone.tolerances import TAU_SYM
-from reference_loops import assembled_magnetic, demo_by_complex_propagator
+from reference_loops import (
+    assembled_magnetic,
+    complex_magnetic_terms,
+    compressed_to_real,
+    demo_by_complex_propagator,
+    laplacian_matrix,
+    momentum_matrix,
+    parity_basis,
+)
+
+SQRT2 = math.sqrt(2.0)
 
 
 def conjugate(f):
     """The parity conjugation (C f)_j = conj(f_{-j}): the reference map."""
     return np.conj(np.asarray(f, dtype=complex)[::-1])
+
+
+def commutation_residual(h):
+    """max_k || H C e_k - C H e_k || over the standard basis, column by column."""
+    residual = 0.0
+    for k in range(len(h)):
+        e = np.zeros(len(h), dtype=complex)
+        e[k] = 1.0
+        residual = max(residual, float(np.linalg.norm(h @ conjugate(e) - conjugate(h @ e))))
+    return residual
+
+
+def real_hamiltonian(model, e):
+    """H_r(e) = H0_r + e M1_r + e^2 M2_r from the closed-form restricted terms."""
+    h0, m1, m2 = magnetic_terms(model)
+    return SymmetricOperator(h0 + e * m1 + e**2 * m2)
 
 
 def is_hermitian(m):
@@ -78,7 +97,6 @@ class TestGridAndModel:
 class TestParityStructure:
     def test_basis_isometry_onto_fixed_space(self):
         b = parity_basis(GridSpec(4, 0.5))
-        assert not b.flags.writeable
         np.testing.assert_allclose(b.conj().T @ b, np.eye(9), atol=1e-12)
         rng = rng_for(2, 0)
         for _ in range(10):
@@ -90,57 +108,43 @@ class TestParityStructure:
         grid = GridSpec(6, 0.3)
         assert commutation_residual(momentum_matrix(grid)) <= 1e-13
 
-    def test_commutation_residual_matches_column_loop(self):
-        grid = GridSpec(5, 0.5)
-        rng = rng_for(3, 0)
-        random = rng.standard_normal((11, 11)) + 1j * rng.standard_normal((11, 11))
-        magnetic = assembled_magnetic(harmonic_model(5, 0.5), 0.3)
-        for h in (random, magnetic):
-            reference = 0.0
-            for k in range(grid.dim):
-                e = np.zeros(grid.dim, dtype=complex)
-                e[k] = 1.0
-                reference = max(reference, float(np.linalg.norm(
-                    h @ conjugate(e) - conjugate(h @ e))))
-            assert commutation_residual(h) == pytest.approx(reference, rel=1e-14,
-                                                            abs=1e-14)
-
 
 class TestFreeHamiltonian:
     def test_free_stencil(self):
         model = MagneticModel.from_functions(GridSpec(1, 1.0), lambda x: 0.0,
                                              lambda x: 0.0)
-        expected = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
-        np.testing.assert_array_equal(magnetic_terms(model)[0].real, expected)
+        np.testing.assert_array_equal(complex_magnetic_terms(model)[0].real,
+                                      [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+        np.testing.assert_array_equal(magnetic_terms(model)[0],
+                                      [[2.0, -SQRT2, 0.0], [-SQRT2, 2.0, 0.0], [0.0, 0.0, 2.0]])
 
     def test_harmonic_diagonal(self):
         model = harmonic_model(2, 0.5)
-        h0 = magnetic_terms(model)[0].real
-        x = model.grid.points
-        np.testing.assert_allclose(np.diag(h0), 2.0 / 0.25 + x**2)
+        x = model.grid.points[2:]      # x_0, x_1, x_2: delta_0, then even_j and odd_j
+        np.testing.assert_allclose(np.diag(magnetic_terms(model)[0]),
+                                   2.0 / 0.25 + x[[0, 1, 1, 2, 2]] ** 2)
 
     def test_ground_state_positive_with_gap(self):
-        basis = parity_basis(GridSpec(8, 0.5))
-        h0c = magnetic_terms(harmonic_model())[0]
+        model = harmonic_model()
         # in the complex representation the free Hamiltonian is a real
         # irreducible Jacobi matrix: simple bottom, entrywise-positive ground
-        w, u = np.linalg.eigh(h0c)
+        w, u = np.linalg.eigh(complex_magnetic_terms(model)[0])
         assert w[1] - w[0] > 1e-6
         ground = u[:, 0].real
         ground *= np.sign(ground[np.argmax(np.abs(ground))])
         assert np.all(ground > 0)
-        restricted = restrict_to_real(h0c, basis)
-        _, _, simple = bottom_eigen(restricted, require_simple=True)
+        _, _, simple = bottom_eigen(real_hamiltonian(model, 0.0), require_simple=True)
         assert simple
 
 
 class TestMagneticTerms:
-    def test_terms_are_read_only_complex_arrays(self):
+    def test_terms_are_read_only_real_arrays(self):
         model = harmonic_model(3, 0.5)
         for term in magnetic_terms(model):
-            assert isinstance(term, np.ndarray) and term.dtype == complex
+            assert isinstance(term, np.ndarray) and term.dtype == float
             assert term.shape == (model.grid.dim, model.grid.dim)
             assert not term.flags.writeable
+            np.testing.assert_array_equal(term, term.T)
 
     def test_hand_checkable_3x3(self):
         model = MagneticModel.from_functions(GridSpec(1, 1.0), lambda x: 0.0,
@@ -153,75 +157,88 @@ class TestMagneticTerms:
         ])
         np.testing.assert_allclose(h, expected, atol=1e-14)
         assert is_hermitian(h)
+        np.testing.assert_array_equal(
+            real_hamiltonian(model, 1.0).matrix,
+            [[3.0, -SQRT2, SQRT2], [-SQRT2, 3.0, 0.0], [SQRT2, 0.0, 3.0]])
 
     def test_commutation_residual_small(self):
         h = assembled_magnetic(harmonic_model(), 0.1)
         scale = np.max(np.abs(h))
         assert commutation_residual(h) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("n_half", [1, 2, 3, 8, 48])
+    @pytest.mark.parametrize("profiles", [
+        *[(v, a) for v in POTENTIAL_PRESETS for a in POTENTIAL_PRESETS],
+        # an inline even profile of both signs with a cusp at 0
+        ("inline", "inline"),
+    ])
+    def test_terms_match_the_complex_oracle(self, n_half, profiles):
+        def profile(name):
+            return POTENTIAL_PRESETS.get(name, lambda x: math.cos(3.0 * x) - 0.25 * x)
 
-class TestRestrictToReal:
+        model = MagneticModel.from_functions(GridSpec(n_half, 0.25), *map(profile, profiles))
+        terms = magnetic_terms(model)
+        eps = np.finfo(float).eps
+        # entrywise: only the sqrt(2) entries, and the oracle's products, round
+        for got, term in zip(terms, complex_magnetic_terms(model)):
+            want = compressed_to_real(term, model.grid)
+            assert np.max(np.abs(got - want)) <= 4 * eps * max(1.0, np.max(np.abs(want)))
+        # columns 0, 1, 3, ... are the even-parity sector and 2, 4, ... the odd one:
+        # H0 and M2 keep each sector, M1 swaps them
+        even = np.r_[0, 1:model.grid.dim:2]
+        odd = np.arange(2, model.grid.dim, 2)
+        h0, m1, m2 = terms
+        assert not h0[np.ix_(even, odd)].any() and not m2[np.ix_(even, odd)].any()
+        assert not m1[np.ix_(even, even)].any() and not m1[np.ix_(odd, odd)].any()
+        # spectrally: H_r(e) has the eigenvalues of the complex H(e)
+        for e in (-0.5, 0.0, 0.004, 0.5, 3.0):
+            h = assembled_magnetic(model, e)
+            got = np.linalg.eigvalsh(real_hamiltonian(model, e).matrix)
+            assert np.max(np.abs(got - np.linalg.eigvalsh(h))) <= 1e-12 * np.linalg.norm(h, 2)
+
+
+class TestRealTerms:
     def test_laplacian_spectrum_preserved(self):
         model = MagneticModel.from_functions(GridSpec(1, 1.0), lambda x: 0.0,
                                              lambda x: 0.0)
-        restricted = restrict_to_real(magnetic_terms(model)[0], parity_basis(model.grid))
         expected = [2.0 - math.sqrt(2.0), 2.0, 2.0 + math.sqrt(2.0)]
-        np.testing.assert_allclose(restricted.decomposition.eigenvalues, expected,
-                                   atol=1e-12)
+        np.testing.assert_allclose(real_hamiltonian(model, 0.0).decomposition.eigenvalues,
+                                   expected, atol=1e-12)
 
     def test_diagonal_even_stays_diagonal(self):
         grid = GridSpec(2, 1.0)
         values = np.array([3.0, 1.0, 5.0, 1.0, 3.0])
-        restricted = restrict_to_real(np.diag(values).astype(complex), parity_basis(grid))
-        off = restricted.matrix - np.diag(np.diag(restricted.matrix))
-        assert np.max(np.abs(off)) <= 1e-14
-        np.testing.assert_allclose(np.sort(np.diag(restricted.matrix)),
-                                   np.sort(values))
+        m2 = magnetic_terms(MagneticModel(grid=grid, v_values=np.zeros(5), a_values=values))[2]
+        np.testing.assert_array_equal(m2, np.diag(np.diag(m2)))
+        np.testing.assert_array_equal(np.sort(np.diag(m2)), np.sort(values**2))
 
     def test_magnetic_couples_parity_blocks(self):
         model = harmonic_model(4, 0.5)
-        basis = parity_basis(model.grid)
-        h0 = restrict_to_real(magnetic_terms(model)[0], basis)
-        h_mag = restrict_to_real(assembled_magnetic(model, 0.3), basis)
+        h0 = real_hamiltonian(model, 0.0)
+        h_mag = real_hamiltonian(model, 0.3)
         # columns: 0 and odd indices span the even-parity sector, even
         # indices >= 2 the odd sector; the free operator never mixes them
         plus = [0] + list(range(1, model.grid.dim, 2))
         minus = list(range(2, model.grid.dim, 2))
-        assert np.max(np.abs(h0.matrix[np.ix_(plus, minus)])) <= 1e-12
+        assert np.max(np.abs(h0.matrix[np.ix_(plus, minus)])) == 0.0
         assert np.max(np.abs(h_mag.matrix[np.ix_(plus, minus)])) > 1e-3
 
     def test_spectrum_matches_complex_operator(self):
         model = harmonic_model(6, 0.4)
-        h = assembled_magnetic(model, 0.2)
-        restricted = restrict_to_real(h, parity_basis(model.grid))
         np.testing.assert_allclose(
-            restricted.decomposition.eigenvalues,
-            np.sort(np.linalg.eigvalsh(h)),
+            real_hamiltonian(model, 0.2).decomposition.eigenvalues,
+            np.sort(np.linalg.eigvalsh(assembled_magnetic(model, 0.2))),
             atol=1e-9,
         )
 
-    def test_incompatible_operator_rejected(self):
+    def test_odd_vector_potential_rejected(self):
+        # evenness is checked exactly on input: an odd a never reaches the terms
         grid = GridSpec(1, 1.0)
-        odd_diag = np.diag([1.0, 0.0, 2.0]).astype(complex)
-        with pytest.raises(NotRealCompatible):
-            restrict_to_real(odd_diag, parity_basis(grid))
-
-    def test_scaled_basis_rejected(self):
-        # B = 1.01 B_0 keeps every commutation and imaginary check, but B* H B has
-        # the eigenvalues 1.0201 lambda_k(H): eta ||H|| = 0.0201 ||H|| is far too much
-        model = harmonic_model(4, 0.5)
-        with pytest.raises(NotRealCompatible, match="spectrum may drift"):
-            restrict_to_real(assembled_magnetic(model, 0.3), 1.01 * parity_basis(model.grid))
-
-    def test_non_square_basis_rejected(self):
-        # Ostrowski's theorem needs a square basis: B* B - I has no shape for a 5 x 3 B
-        grid = GridSpec(2, 1.0)
-        with pytest.raises(ValueError):
-            restrict_to_real(np.eye(grid.dim, dtype=complex), parity_basis(grid)[:, :3])
+        with pytest.raises(AsymmetricPotential, match="a must be an even"):
+            MagneticModel(grid=grid, v_values=np.zeros(3), a_values=[1.0, 0.0, 2.0])
 
     @pytest.mark.parametrize("seed", range(24))
-    def test_drift_bound_covers_the_measured_drift(self, seed):
-        # a seeded even model and a basis scaled, then perturbed off the fixed space
+    def test_seeded_even_models_match_the_complex_spectrum(self, seed):
         rng = rng_for(seed, 61)
         n_half = int(rng.integers(1, 16))
         grid = GridSpec(n_half, float(rng.uniform(0.1, 1.0)))
@@ -229,20 +246,11 @@ class TestRestrictToReal:
         a = rng.uniform(-1.0, 1.0, n_half + 1)
         model = MagneticModel(grid=grid, v_values=np.concatenate([v[:0:-1], v]),
                               a_values=np.concatenate([a[:0:-1], a]))
-        h = assembled_magnetic(model, float(rng.uniform(-2.0, 2.0)))
-        scale, noise = [(1.0, 0.0), (1.0 + 10.0 ** rng.uniform(-12, -4), 0.0),
-                        (1.0, 10.0 ** rng.uniform(-12, -4))][seed % 3]
-        g = rng.standard_normal((grid.dim, 2 * grid.dim)).view(complex)
-        basis = scale * parity_basis(grid) + noise * g
-        compressed = basis.conj().T @ h @ basis
-        restricted = (compressed.real + compressed.real.T) / 2.0
-        measured = np.max(np.abs(np.linalg.eigvalsh(restricted) - np.linalg.eigvalsh(h)))
-        bound = _spectrum_drift_bound(h, basis, compressed)
-        assert measured <= bound
-        if seed % 3 == 0:
-            # the exact basis: the bound is rounding-sized and the restriction passes
-            assert bound <= 1e-12 * np.max(np.abs(h))
-            restrict_to_real(h, basis)
+        e = float(rng.uniform(-2.0, 2.0))
+        h = assembled_magnetic(model, e)
+        measured = np.max(np.abs(np.linalg.eigvalsh(real_hamiltonian(model, e).matrix)
+                                 - np.linalg.eigvalsh(h)))
+        assert measured <= 1e-12 * np.max(np.abs(h))
 
 
 class TestOrthantDemo:
@@ -344,9 +352,8 @@ class TestMagneticExperiment:
         report = magnetic_experiment(harmonic_model(), e_grid=np.linspace(-0.008, 0.008, 5),
                                      s0=1.0)
         assert report.all_true
-        # restrict_to_real bounds its spectrum drift instead of measuring it; the
-        # checked eigh are H0's, one per coefficient norm (M1 and M2) and one per
-        # nonzero coupling of the grid
+        # the checked eigh are H0's, one per coefficient norm (M1 and M2) and one
+        # per nonzero coupling of the grid
         assert callers == {"eigh": ["checked_eigh"] * 7, "eigvalsh": []}
 
     @pytest.mark.parametrize("n_half, spacing", [(8, 0.5), (8, 1.0), (16, 0.5), (32, 0.25),
@@ -376,9 +383,8 @@ class TestMagneticExperiment:
         # Weyl's inequality: adjacent ground eigenvalues along the coupling
         # grid move by no more than the operator-norm step of the family
         model = harmonic_model(6, 0.5)
-        basis = parity_basis(model.grid)
         e_grid = np.linspace(-0.05, 0.05, 11)
-        restricted = [restrict_to_real(assembled_magnetic(model, e), basis) for e in e_grid]
+        restricted = [real_hamiltonian(model, e) for e in e_grid]
         grounds = [op.decomposition.min_eigenvalue for op in restricted]
         for left, right, a, b in zip(e_grid, e_grid[1:], restricted, restricted[1:]):
             step_norm = (b - a).norm
@@ -389,41 +395,40 @@ class TestMagneticExperiment:
 
     @pytest.mark.parametrize("e", [-0.3, -0.008, 0.001, 0.05, 0.5])
     def test_restricted_terms_match_rebuilt_hamiltonian(self, e):
-        # reference: assemble the full Hamiltonian at e and restrict it
+        # reference: assemble the full complex Hamiltonian at e and compress it
         model = harmonic_model(6, 0.4)
-        basis = parity_basis(model.grid)
-        h0, m1, m2 = (restrict_to_real(term, basis) for term in magnetic_terms(model))
-        full = restrict_to_real(assembled_magnetic(model, e), basis)
-        difference = e * m1.matrix + e**2 * m2.matrix - (full - h0).matrix
-        assert np.max(np.abs(difference)) <= 1e-12 * full.norm
+        h0, m1, m2 = magnetic_terms(model)
+        full = compressed_to_real(assembled_magnetic(model, e), model.grid)
+        difference = e * m1 + e**2 * m2 - (full - h0)
+        assert np.max(np.abs(difference)) <= 1e-12 * np.linalg.norm(full, 2)
 
     def test_assembly_independent_of_grid_length(self, monkeypatch):
         import axiscone.schrodinger as schrodinger
 
         counts = []
-        restrict = schrodinger.restrict_to_real
-        monkeypatch.setattr(schrodinger, "restrict_to_real",
-                            lambda *args: counts.append(1) or restrict(*args))
+        terms = schrodinger.magnetic_terms
+        monkeypatch.setattr(schrodinger, "magnetic_terms",
+                            lambda *args: counts.append(1) or terms(*args))
         seen = []
         for num in (3, 17):
             counts.clear()
             magnetic_experiment(harmonic_model(4, 0.5),
                                 e_grid=np.linspace(-0.008, 0.008, num), s0=1.0)
             seen.append(len(counts))
-        assert seen == [3, 3]
+        assert seen == [1, 1]
 
-    def test_full_report_restricts_three_terms_and_decomposes_only_real_matrices(
+    def test_full_report_builds_the_terms_once_and_decomposes_only_real_matrices(
             self, monkeypatch):
         import axiscone.schrodinger as schrodinger
 
-        restricted, dtypes = [], []
-        restrict, eigh = schrodinger.restrict_to_real, np.linalg.eigh
-        monkeypatch.setattr(schrodinger, "restrict_to_real",
-                            lambda *args: restricted.append(1) or restrict(*args))
+        built, dtypes = [], []
+        terms, eigh = schrodinger.magnetic_terms, np.linalg.eigh
+        monkeypatch.setattr(schrodinger, "magnetic_terms",
+                            lambda *args: built.append(1) or terms(*args))
         monkeypatch.setattr(np.linalg, "eigh", lambda m: dtypes.append(m.dtype) or eigh(m))
         report = run(ExperimentConfig(kind="schrodinger", seed=0, params={}))
         assert report.rows[-1][:4] == ["orthant_demo", "0.5", "0.5", "witness_found"]
-        assert len(restricted) == 3
+        assert len(built) == 1
         # the restricted terms, the grid couplings and H_r(demo_e): all real
         assert dtypes and set(dtypes) == {np.dtype(float)}
 
