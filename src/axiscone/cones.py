@@ -5,8 +5,9 @@ aperture is fixed at 45 degrees, which is what makes it self-dual.  Each
 primitive has one form, on a (k, n) block of rows: `row_margins`, `regions`
 and `project_rows`; a cone's `classify` is `regions` on a one-row block.  The
 per-row stream sampler `sample_in_cone` (each row's draws in turn) serves
-`positivity` and `perturbation`; the block sampler `sample_in_cone_rows` (one
-draw per quantity) serves `cone_check`.  Both take their complement rows from
+sampled preservation and the drift check's probe pairs; the block sampler
+`sample_in_cone_rows` (one draw per quantity) serves `cone_check` and the
+Perron-Frobenius probe's pairs.  Both take their complement rows from
 one routine, which projects a row off the axis twice where once leaves too
 large an axis component.  Every sampled cone-axiom check runs
 through that one loop in blocks of rows: the Moreau split, duality witnesses,

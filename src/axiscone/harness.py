@@ -72,8 +72,10 @@ def generate_instance(flavor, dim, seed):
 
     generic: symmetrized Gaussian.  psd-simple: Gram matrix plus a rank-one
     shift of half its norm along the top eigenvector, so the top gap is at
-    least a third of the norm.  degenerate-top: orthogonal conjugation of a
-    spectrum whose two largest eigenvalues are exactly equal.
+    least a third of the norm; held by its spectrum (from_spectrum), the
+    Gram matrix's checked (w, Q) with the top eigenvalue times 1.5, so it is
+    decomposed once.  degenerate-top: orthogonal conjugation of a spectrum
+    whose two largest eigenvalues are exactly equal.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -83,9 +85,10 @@ def generate_instance(flavor, dim, seed):
         return SymmetricOperator((g + g.T) / 2.0)
     if flavor == "psd-simple":
         b = rng.standard_normal((dim, dim))
-        gram = SymmetricOperator(b.T @ b / dim)
-        lam, u0, _ = top_eigen(gram)
-        return SymmetricOperator(gram.matrix + 0.5 * lam * np.outer(u0, u0))
+        dec = SymmetricOperator(b.T @ b / dim).decomposition
+        w = np.array(dec.eigenvalues)
+        w[-1] *= 1.5
+        return SymmetricOperator.from_spectrum(w, dec.eigenvectors)
     if flavor == "degenerate-top":
         if dim < 2:
             raise ValueError("degenerate-top needs dim >= 2")

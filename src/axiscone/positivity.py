@@ -32,6 +32,7 @@ from .cones import (
     regions,
     row_margins,
     sample_in_cone,
+    sample_in_cone_rows,
 )
 from .errors import (
     AxisNotEigenvector,
@@ -411,6 +412,8 @@ def perron_frobenius_check(A, cone, seed=0, n_pairs=40):
     is simple and its eigenvector is strictly positive for the cone.  The two
     sides are equivalent for PSD self-adjoint operators preserving the cone;
     disagreement beyond sampling caveats indicates an implementation bug.
+    The n_pairs sampled pairs come from one block of the block sampler
+    (sample_in_cone_rows): consecutive rows pair up.
     """
     _check_dims(A, cone)
     try:
@@ -425,7 +428,7 @@ def perron_frobenius_check(A, cone, seed=0, n_pairs=40):
     strictly_positive = (cone.classify(u0) is Region.INTERIOR
                          or cone.classify(-u0) is Region.INTERIOR)
 
-    rows = sample_in_cone(cone, rng_for(seed, 1), 2 * n_pairs)
+    rows = sample_in_cone_rows(cone, rng_for(seed, 1), 2 * n_pairs)
     extra_u, extra_v = _adversarial_pairs(A, cone)
     keep = (regions(cone, extra_u) != -1) & (regions(cone, extra_v) != -1)
     us, vs = np.vstack([rows[0::2], extra_u[keep]]), np.vstack([rows[1::2], extra_v[keep]])

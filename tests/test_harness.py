@@ -20,10 +20,10 @@ from axiscone.harness import (
     run,
     selftest,
 )
-from axiscone.operators import SymmetricOperator, top_eigen
+from axiscone.operators import SymmetricOperator, checked_eigh, top_eigen
 from axiscone.perturbation import PerturbationFamily, semigroup_threshold
 from axiscone.positivity import Verdict, VerdictStatus, improves_positivity_axis
-from axiscone.tolerances import INSTANCES_LIMIT, SAMPLES_LIMIT, SIZE_LIMIT
+from axiscone.tolerances import INSTANCES_LIMIT, RECON_TOL, SAMPLES_LIMIT, SIZE_LIMIT
 from reference_loops import eager_from_spectrum
 
 
@@ -148,6 +148,21 @@ class TestGenerateInstance:
         _, u0, _ = top_eigen(a)
         assert improves_positivity_axis(a, u0).status is VerdictStatus.CERTIFIED_TRUE
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 32, 64])
+    def test_psd_simple_holds_its_checked_spectrum(self, dim):
+        # the held (w', Q) is the spectrum of the matrix it forms, and its top gap
+        # is at least a third of the norm
+        for seed in range(5):
+            a = generate_instance("psd-simple", dim, seed)
+            assert a._matrix is None
+            w, q = a.decomposition.eigenvalues, a.decomposition.eigenvectors
+            formed, _ = checked_eigh(a.matrix)
+            assert np.max(np.abs(w - formed)) <= RECON_TOL * max(1.0, a.norm)
+            assert np.linalg.norm(q.T @ q - np.eye(dim)) <= RECON_TOL
+            assert np.all(np.diff(w) >= 0.0)
+            if dim > 1:
+                assert w[-1] - w[-2] >= a.norm / 3.0
+
     def test_unknown_flavor(self):
         with pytest.raises(ValueError):
             generate_instance("toeplitz", 3, 0)
@@ -265,13 +280,16 @@ class TestRunners:
 
 class TestHeldSemigroups:
     """A sweep's heat semigroups hold their spectra: only the S-lemma fallback,
-    which reads the entries of 2 g g^T - A, forms a semigroup's matrix."""
+    which reads the entries of 2 g g^T - A, forms a semigroup's matrix.  A
+    pf_verify report, whose psd-simple instances hold theirs, is the same
+    with every held matrix formed at once."""
 
     CONFIGS = {
         "perturb": ("perturb_sweep", dict),
         "alpha_probe": ("perturb_sweep", alpha_probe),
         "schrodinger": ("schrodinger", dict),
         "schrodinger_N48": ("schrodinger", lambda: {"N": 48, "h": 8.0 / 48}),
+        "pf_verify": ("pf_verify", dict),
     }
 
     def report(self, name):

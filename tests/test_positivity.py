@@ -502,6 +502,30 @@ class TestPerronFrobenius:
                 SymmetricOperator(np.diag([1.0, -1.0])), OrthantCone(2)
             )
 
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_block_sampled_pairs_keep_the_per_row_verdicts(self, monkeypatch, flavor):
+        # the probe draws its pairs with the block sampler; the per-row sampler's
+        # pairs, drawn from the same distribution, give the same verdicts
+        def outcomes():
+            found = []
+            for dim, seed in itertools.product(range(2, 17), range(4)):
+                a = generate_instance(flavor, dim, seed)
+                if flavor == "generic":   # PSD, as the check requires
+                    a = SymmetricOperator(a.matrix @ a.matrix)
+                for cone in (AxisCone(top_eigen(a)[1]), OrthantCone(dim)):
+                    try:
+                        report = perron_frobenius_check(a, cone, seed=seed)
+                    except PrereqFailed:
+                        found.append(None)
+                        continue
+                    found.append((report.agree, report.ergodic_sampled, report.top_simple))
+            return found
+
+        block = outcomes()
+        monkeypatch.setattr(positivity, "sample_in_cone_rows", sample_in_cone)
+        assert outcomes() == block
+        assert sum(outcome is not None for outcome in block) >= 60
+
 
 class TestInvariants:
     @pytest.mark.parametrize("seed", range(30))
