@@ -5,13 +5,14 @@ aperture is fixed at 45 degrees, which is what makes it self-dual.  Each
 primitive has one form, on a (k, n) block of rows: `row_margins`, `regions`
 and `project_rows`; a cone's `classify` is `regions` on a one-row block.  The
 per-row stream sampler `sample_in_cone` (each row's draws in turn) serves
-sampled preservation and the drift check's probe pairs; the block sampler
-`sample_in_cone_rows` (one draw per quantity) serves `cone_check` and the
-Perron-Frobenius probe's pairs.  Both take their complement rows from
-one routine, which projects a row off the axis twice where once leaves too
-large an axis component.  Every sampled cone-axiom check runs
-through that one loop in blocks of rows: the Moreau split, duality witnesses,
-boundary partners and outside sampling take (k, n) blocks too.
+sampled preservation alone; the block sampler `sample_in_cone_rows` (one draw
+per quantity) serves `cone_check`, the Perron-Frobenius probe's pairs and the
+drift check's probe pairs.  Both take their complement rows from one routine,
+which projects a row off the axis twice where once leaves too large an axis
+component.  Each sampled cone axiom (self-duality both ways, as `pair_check`
+and `witness_check`; the Moreau split; boundary partners) is one `cone_check`
+call, which runs it in blocks of rows; the primitives those checks call take
+(k, n) blocks too.
 """
 
 import enum
@@ -22,7 +23,6 @@ import numpy as np
 
 from .errors import NotBoundary, NotOutside
 from .operators import as_vector
-from .seeding import rng_for
 from .tolerances import MOREAU_TOL, PAIR_TOL, PARTNER_TOL, TAU_MEMBERSHIP, UNIT_AXIS_TOL
 
 SQRT2 = np.sqrt(2.0)
@@ -265,22 +265,6 @@ def sample_outside(cone, rng, k, max_tries=64):
     return out
 
 
-@dataclass(frozen=True)
-class SelfDualityReport:
-    """Sampled check that the cone equals its dual."""
-
-    n_samples: int
-    seed: int
-    worst_pair_inner: float      # min <u, v> over unit in-cone pairs; >= -PAIR_TOL
-    worst_witness_inner: float   # max <u, witness> over outside points; < 0
-    pair_violations: int
-    witness_violations: int
-
-    @property
-    def ok(self):
-        return self.pair_violations == 0 and self.witness_violations == 0
-
-
 def pair_check(cone, rng, k):
     """k pairs of in-cone rows: defect -cos(u, v), which must stay <= PAIR_TOL."""
     u = sample_in_cone_rows(cone, rng, k)
@@ -336,24 +320,3 @@ def cone_check(cone, check, rng, count):
         violations += int(np.count_nonzero(~np.asarray(ok)))
     return worst, violations
 
-
-def selfduality_probe(cone, n_samples, seed=0):
-    """Sample the two directions of self-duality.
-
-    (a) inner products of unit in-cone pairs stay >= -PAIR_TOL;
-    (b) every sampled outside point admits a duality witness v in the cone
-        with <u, v> < 0.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    worst_pair, pair_violations = cone_check(cone, pair_check, rng_for(seed, 0), n_samples)
-    worst_witness, witness_violations = cone_check(cone, witness_check, rng_for(seed, 1),
-                                                   n_samples)
-    return SelfDualityReport(
-        n_samples=n_samples,
-        seed=seed,
-        worst_pair_inner=-worst_pair,
-        worst_witness_inner=worst_witness,
-        pair_violations=pair_violations,
-        witness_violations=witness_violations,
-    )

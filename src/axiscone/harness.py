@@ -25,8 +25,9 @@ from .cones import (
     Region,
     cone_check,
     moreau_check,
+    pair_check,
     partner_check,
-    selfduality_probe,
+    witness_check,
 )
 from .errors import ConfigInvalid, HeatTimeUnresolved, RatioSaturated, SemigroupOverflow
 from .operators import SymmetricOperator, as_vector, top_eigen
@@ -432,18 +433,19 @@ def _run_cone_axioms(config):
                 cone = AxisCone(axis)
             else:
                 cone = OrthantCone(dim)
-            probe = selfduality_probe(cone, samples, seed=task_seed)
-            # defect semantics (0 = perfect): pair inners must stay >= 0,
-            # witness inners must stay < 0
-            results = [("selfduality",
-                        max(-probe.worst_pair_inner, probe.worst_witness_inner, 0.0),
-                        probe.pair_violations + probe.witness_violations)]
-            checks = [("moreau", moreau_check, 1)]
+
+            def sampled(check, stream):
+                return cone_check(cone, check, rng_for(task_seed, stream), samples)
+
+            pair_worst, pair_violations = sampled(pair_check, 0)
+            witness_worst, witness_violations = sampled(witness_check, 1)
+            # self-duality both ways, as defects (0 = perfect): in-cone pairs have
+            # -cos(u, v) <= 0, and outside rows pair negatively with their witnesses
+            results = [("selfduality", max(pair_worst, witness_worst, 0.0),
+                        pair_violations + witness_violations),
+                       ("moreau", *sampled(moreau_check, 1))]
             if cone_kind == "axis":
-                checks.append(("boundary_partner", partner_check, 2))
-            for name, check, stream in checks:
-                worst, violations = cone_check(cone, check, rng_for(task_seed, stream), samples)
-                results.append((name, worst, violations))
+                results.append(("boundary_partner", *sampled(partner_check, 2)))
             for name, worst, violations in results:
                 rows.append([str(dim), cone_kind, name, str(samples), _g17(worst),
                              str(violations), _ok(violations == 0)])

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import AxisCone, sample_in_cone
+from .cones import AxisCone, sample_in_cone_rows
 from .errors import (
     BudgetViolated,
     ContractViolation,
@@ -162,7 +162,7 @@ def ergodic_drift_check(A, u0, u1, sample_pairs=50, seed=0):
                        margin=certificate, witness=u1 - perp / s,
                        detail="positivity certificate violated (toolkit bug)")
     cone = AxisCone(u1)
-    rows = sample_in_cone(cone, rng_for(seed, 0), 2 * sample_pairs)
+    rows = sample_in_cone_rows(cone, rng_for(seed, 0), 2 * sample_pairs)
     probe = ergodic_probe(A, cone, rows[0::2], rows[1::2])
     if not probe.found:
         return Verdict("ergodic_drift_check", VerdictStatus.CERTIFIED_FALSE,
@@ -202,12 +202,13 @@ class PerturbationFamily:
     """Polynomial family S(kappa) = sum_{k=1..d} kappa^k S_k of symmetric operators.
 
     A linear family (d = 1) carries the relative bounds a|kappa| and
-    b|kappa| with the closed-form c-slope; at finite dimension the tightest
-    defaults are a = 0 and b = ||S_1||, because the unbounded-operator
-    analysis these constants usually come from trivializes here.  A family
-    of higher degree takes a(kappa) = 0 and the coefficient-norm bound
-    b(kappa) = sum_k |kappa|^k ||S_k|| >= ||S(kappa)||, and its admissible
-    range is read off the kappa grid.
+    b|kappa|, so c(kappa) = c(1) |kappa| bounds its admissible range in
+    closed form; at finite dimension the tightest defaults are a = 0 and
+    b = ||S_1||, because the unbounded-operator analysis these constants
+    usually come from trivializes here.  A family of higher degree takes
+    a(kappa) = 0 and the coefficient-norm bound b(kappa) = sum_k |kappa|^k
+    ||S_k|| >= ||S(kappa)||, and its admissible range is read off the kappa
+    grid.
     """
 
     def __init__(self, coefficients, a=0.0, b=None):
@@ -250,16 +251,11 @@ class PerturbationFamily:
             return self.b * abs(kappa)
         power, total = 1.0, 0.0 * np.abs(kappa)
         with np.errstate(over="ignore"):
-            for coefficient in self.coefficients:
+            for norm in [coefficient.norm for coefficient in self.coefficients]:
                 power = power * np.abs(kappa)
-                if coefficient.norm:   # a zero coefficient adds nothing, not 0 * inf
-                    total = total + power * coefficient.norm
+                if norm:   # a zero coefficient adds nothing, not 0 * inf
+                    total = total + power * norm
         return total
-
-    def c_slope(self, mu, epsilon):
-        if self.degree > 1:
-            return None
-        return self.a + ((abs(mu) + epsilon) * self.a + self.b) / epsilon
 
 
 @dataclass(frozen=True)
@@ -286,7 +282,6 @@ class PerturbationBudget:
     c_values: np.ndarray
     admissible: np.ndarray
     kappa_threshold: float
-    c_slope: float | None = None
     # checked T + S(kappa) at the admissible nonzero grid kappas; not part of the report
     operators: dict = field(default_factory=dict, repr=False)
 
@@ -305,15 +300,9 @@ class PerturbationBudget:
         return self.operators.get(kappa) or self.T + self.family.operator_at(kappa)
 
     def c_at(self, kappa):
-        """c(kappa): the grid value at a grid point, for every family, so c_at and
-        admissible agree there bit for bit; off the grid c_slope |kappa| for a
-        linear family and a + ((|mu| + epsilon) a + b) / epsilon otherwise, with
-        a(kappa) = 0 and the coefficient-norm bound b(kappa), in closed form."""
-        on_grid = np.flatnonzero(self.kappas == kappa)
-        if on_grid.size:
-            return float(self.c_values[on_grid[0]])
-        if self.c_slope is not None:
-            return self.c_slope * abs(kappa)
+        """c(kappa) = a + ((|mu| + epsilon) a + b) / epsilon with a = a(kappa) and
+        b = b(kappa): the formula of the grid's c_values, so c_at and admissible
+        agree bit for bit at a grid point."""
         return float(_c_values(self.mu, self.epsilon, self.family.a_at(kappa),
                                self.family.b_at(kappa)))
 
@@ -424,8 +413,8 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
     c_values = _c_values(mu, epsilon, a_values, b_values)
     admissible = (np.abs(kappas) < kappa0) & (c_values < c_threshold)
 
-    slope = family.c_slope(mu, epsilon)
-    if slope is not None:
+    if family.degree == 1:   # c(kappa) = c(1) |kappa|
+        slope = _c_values(mu, epsilon, family.a_at(1.0), family.b_at(1.0))
         kappa_threshold = min(kappa0, math.inf if slope == 0 else c_threshold / slope)
     else:
         # largest grid |kappa| whose whole symmetric interval stays admissible
@@ -441,7 +430,7 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
         alpha=alpha, r=r, c_threshold=c_threshold, kappa0=float(kappa0),
         kappas=kappas, gaps=gaps, a_values=a_values, b_values=b_values,
         c_values=c_values, admissible=admissible, kappa_threshold=kappa_threshold,
-        c_slope=slope, operators=operators,
+        operators=operators,
     )
 
 

@@ -358,8 +358,9 @@ def threshold_by_decomposing(T, family, s0, kappa0, kappa_grid):
     c_values = _c_values(mu, epsilon, a_values, b_values)
     admissible = (np.abs(kappas) < kappa0) & (c_values < c_threshold)
 
-    slope = family.c_slope(mu, epsilon)
-    if slope is not None:
+    if family.degree == 1:
+        # c(kappa) = slope |kappa|, the slope written out: a + ((|mu| + epsilon) a + b) / epsilon
+        slope = family.a + ((abs(mu) + epsilon) * family.a + family.b) / epsilon
         kappa_threshold = min(kappa0, math.inf if slope == 0 else c_threshold / slope)
     else:
         magnitudes = np.unique(np.abs(kappas))
@@ -375,7 +376,6 @@ def threshold_by_decomposing(T, family, s0, kappa0, kappa_grid):
         alpha=alpha, r=r, c_threshold=c_threshold, kappa0=float(kappa0),
         kappas=kappas, gaps=gaps, a_values=a_values, b_values=b_values,
         c_values=c_values, admissible=admissible, kappa_threshold=kappa_threshold,
-        c_slope=slope,
         operators={float(kappas[j]): op for j, op in held.items() if admissible[j]},
     )
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from axiscone import cones
+from axiscone import cones, harness
 from axiscone.cones import (
     AxisCone,
     MoreauSplit,
@@ -21,11 +21,11 @@ from axiscone.cones import (
     sample_in_cone,
     sample_in_cone_rows,
     sample_outside,
-    selfduality_probe,
     witness_check,
 )
 from axiscone.errors import NotBoundary, NotOutside
-from axiscone.seeding import rng_for
+from axiscone.harness import ExperimentConfig, run
+from axiscone.seeding import derive_seed, rng_for
 from reference_loops import one_vector_sample, project_vector
 
 E1 = np.array([1.0, 0.0])
@@ -210,16 +210,24 @@ class TestBoundaryPartner:
             boundary_orthogonal_partner(axis_cone_2d(), np.zeros((1, 2)))
 
 
+def selfduality_checks(cone, n, seed):
+    """Both directions of self-duality on the streams a cone_axioms row reads:
+    ((worst pair defect, violations), (worst witness inner, violations))."""
+    return (cone_check(cone, pair_check, rng_for(seed, 0), n),
+            cone_check(cone, witness_check, rng_for(seed, 1), n))
+
+
 class TestSelfDuality:
     def test_axis_cone_probe(self):
-        report = selfduality_probe(AxisCone(E1), n_samples=1000, seed=42)
-        assert report.ok
-        assert report.worst_pair_inner >= -1e-12
-        assert report.worst_witness_inner < 0
+        (pair_worst, pair_violations), (witness_worst, witness_violations) = \
+            selfduality_checks(AxisCone(E1), 1000, 42)
+        assert pair_violations == witness_violations == 0
+        assert -pair_worst >= -1e-12   # the least in-cone pair inner product
+        assert witness_worst < 0
 
     def test_orthant_probe(self):
-        report = selfduality_probe(OrthantCone(4), n_samples=1000, seed=42)
-        assert report.ok
+        (_, pair_violations), (_, witness_violations) = selfduality_checks(OrthantCone(4), 1000, 42)
+        assert pair_violations == witness_violations == 0
 
     def test_exhaustive_angle_sweep(self):
         # dim-2 sweep in 1-degree steps: in-cone pairs have nonnegative inner
@@ -245,6 +253,58 @@ class TestSelfDuality:
                 assert cone.classify(u + v) is not Region.OUTSIDE
                 if np.linalg.norm(t * u) > 0:
                     assert cone.classify(t * u) is not Region.OUTSIDE
+
+
+class TestConeAxiomRows:
+    """A cone_axioms report is direct cone_check calls on the cone's task seed:
+    self-duality is the pair check on stream 0 and the witness check on stream
+    1, the Moreau split reads stream 1 and boundary partners stream 2."""
+
+    STREAMS = {"pair_check": 0, "witness_check": 1, "moreau_check": 1, "partner_check": 2}
+
+    @pytest.mark.parametrize("dims, kind", [([2, 3, 64], "axis"), ([1], "orthant")])
+    def test_selfduality_rows_are_two_direct_checks(self, dims, kind):
+        report = run(ExperimentConfig("cone_axioms", 5, {"dims": dims, "cones": [kind],
+                                                         "samples": 300}))
+        rows = [row for row in report.rows if row[2] == "selfduality"]
+        assert [int(row[0]) for row in rows] == dims
+        for row in rows:
+            task_seed = derive_seed(5, int(row[0]), 0)
+            cone = OrthantCone(int(row[0]))
+            if kind == "axis":
+                axis = rng_for(task_seed, 0).standard_normal(int(row[0]))
+                cone = AxisCone(axis / np.linalg.norm(axis))
+            (pair_worst, pair_violations), (witness_worst, witness_violations) = \
+                selfduality_checks(cone, 300, task_seed)
+            assert row[4] == format(max(pair_worst, witness_worst, 0.0), ".17g")
+            assert row[5] == str(pair_violations + witness_violations)
+
+    def test_selfduality_worst_takes_the_pair_check_first(self, monkeypatch):
+        # max keeps the first of equal values, so the order decides the sign of a
+        # zero cell, as in the default report's dim-2 orthant row ("-0")
+        def defects(value):
+            return lambda cone, rng, k: (np.full(k, value), np.ones(k, dtype=bool))
+
+        monkeypatch.setattr(harness, "pair_check", defects(-0.0))
+        monkeypatch.setattr(harness, "witness_check", defects(0.0))
+        report = run(ExperimentConfig("cone_axioms", 0, {"dims": [2], "cones": ["orthant"]}))
+        assert [row[4] for row in report.rows if row[2] == "selfduality"] == ["-0"]
+
+    def test_each_check_reads_its_stream(self, monkeypatch):
+        seen = []
+
+        def recording(cone, check, rng, count):
+            seen.append((cone, check.__name__, rng.bit_generator.state))
+            return cone_check(cone, check, rng, count)
+
+        monkeypatch.setattr(harness, "cone_check", recording)
+        run(ExperimentConfig("cone_axioms", 3, {"dims": [2, 4], "samples": 10}))
+        assert [name for _, name, _ in seen] == (
+            ["pair_check", "witness_check", "moreau_check", "partner_check",
+             "pair_check", "witness_check", "moreau_check"] * 2)
+        for cone, name, state in seen:
+            task_seed = derive_seed(3, cone.dim, int(isinstance(cone, OrthantCone)))
+            assert state == rng_for(task_seed, self.STREAMS[name]).bit_generator.state
 
 
 class TestConeCheck:
@@ -297,8 +357,9 @@ class TestConeCheck:
         assert cone_check(cone, check, rng_for(3, 0), 300) == first
 
     def test_dim1_axis_self_duality(self):
-        report = selfduality_probe(AxisCone(np.array([-1.0])), n_samples=200, seed=1)
-        assert report.ok
+        (_, pair_violations), (_, witness_violations) = \
+            selfduality_checks(AxisCone(np.array([-1.0])), 200, 1)
+        assert pair_violations == witness_violations == 0
         inside = sample_in_cone_rows(AxisCone(np.array([-1.0])), rng_for(0, 0), 20)
         assert (inside < 0.0).all()
 

@@ -41,7 +41,7 @@ from axiscone.perturbation import (
     radius_from_alpha,
     semigroup_threshold,
 )
-from axiscone.cones import AxisCone, Region, sample_in_cone
+from axiscone.cones import AxisCone, Region, sample_in_cone, sample_in_cone_rows
 from axiscone.positivity import VerdictStatus
 from axiscone.seeding import rng_for
 from axiscone.harness import ExperimentConfig, run
@@ -181,7 +181,7 @@ class TestErgodicDrift:
         u1 = u0 + 0.3 * q[:, 0]
         u1 /= np.linalg.norm(u1)
         verdict = ergodic_drift_check(a, u0, u1, sample_pairs=30, seed=seed)
-        rows = sample_in_cone(AxisCone(u1), rng_for(seed, 0), 60)
+        rows = sample_in_cone_rows(AxisCone(u1), rng_for(seed, 0), 60)
         status, margin, _ = drift_check_by_loop(a, u0, u1, rows)
         assert verdict.status is status is VerdictStatus.SAMPLED_TRUE
         # the exact least certificate lies below every sampled one
@@ -242,7 +242,7 @@ class TestErgodicDrift:
             assert k == len(rows)
             return rows
 
-        monkeypatch.setattr(perturbation, "sample_in_cone", fixed_rows)
+        monkeypatch.setattr(perturbation, "sample_in_cone_rows", fixed_rows)
         a = SymmetricOperator(2.0 * np.eye(2))
         verdict = ergodic_drift_check(a, E1, E1, sample_pairs=len(rows) // 2)
         status, margin, witness = drift_check_by_loop(a, E1, E1, rows)
@@ -382,7 +382,7 @@ class TestSemigroupThreshold:
         assert np.all(budget.b_values[grid != 0.0] > exact[grid != 0.0])
         np.testing.assert_allclose(budget.b_values, exact, rtol=0.03)
         np.testing.assert_array_equal(budget.a_values, 0.0)
-        assert budget.c_slope is None
+        assert_grid_reads_c_values(budget)
         assert budget.kappa_threshold == pytest.approx(0.04, abs=1e-12)
 
 
@@ -393,7 +393,9 @@ class TestPerturbationFamily:
         np.testing.assert_array_equal(fam.operator_at(-0.3).matrix, (-0.3 * s).matrix)
         assert fam.a_at(-0.3) == 0.25 * 0.3
         assert fam.b_at(-0.3) == 2.0 * 0.3
-        assert fam.c_slope(1.0, 0.5) == 0.25 + ((1.0 + 0.5) * 0.25 + 2.0) / 0.5
+        # c(1) at mu = 1 and epsilon = 1/2, the slope of c(kappa) = c(1) |kappa|
+        assert _c_values(1.0, 0.5, fam.a_at(1.0), fam.b_at(1.0)) == \
+            0.25 + ((1.0 + 0.5) * 0.25 + 2.0) / 0.5
 
     def test_linear_default_bound_is_norm(self):
         s = SymmetricOperator(np.diag([3.0, -4.0]))
@@ -412,7 +414,7 @@ class TestPerturbationFamily:
         assert fam.b_at(-kappa) == fam.b_at(kappa)
         assert fam.b_at(kappa) >= np.max(np.abs(np.linalg.eigvalsh(expected)))
         assert fam.a_at(kappa) == 0.0
-        assert fam.c_slope(0.0, 0.5) is None
+        assert fam.b is None   # the claimed bound b |kappa| is for linear families
 
     @pytest.mark.parametrize("kappa", [-0.45, 0.018, 0.7])
     def test_operators_match_the_checked_constructor(self, kappa):
@@ -667,6 +669,50 @@ def assert_grid_reads_c_values(budget):
         assert budget.is_admissible(kappa) == budget.admissible[i], kappa
 
 
+def hand_c(budget, kappa):
+    """c(kappa) = a + ((|mu| + epsilon) a + b) / epsilon written out, with a = a|kappa|
+    and b = b|kappa| for a linear family, else a = 0 and the coefficient-norm bound b."""
+    family, epsilon = budget.family, budget.epsilon
+    if family.degree == 1:
+        a, b = family.a * abs(kappa), family.b * abs(kappa)
+    else:
+        a, b = 0.0, coefficient_norm_bound(kappa, [c.norm for c in family.coefficients])
+    return a + ((abs(budget.mu) + epsilon) * a + b) / epsilon
+
+
+def c_family(kind, seed):
+    """Seeded T and a family of one kind: linear with the default a and b, linear
+    with claimed a and b (b above ||S_1||), or of degree 2 or 3."""
+    rng = rng_for(seed, 93)
+    dim = int(rng.integers(2, 9))
+    degree = {"linear_default": 1, "linear_claimed": 1, "degree_2": 2, "degree_3": 3}[kind]
+    coefficients = []
+    for _ in range(degree):
+        g = rng.standard_normal((dim, dim))
+        coefficients.append(10.0 ** rng.uniform(-2.0, 0.5) * (g + g.T) / 2.0)
+    if kind == "linear_claimed":
+        b = SymmetricOperator(coefficients[0]).norm * float(rng.uniform(1.0, 2.0))
+        family = PerturbationFamily(coefficients, a=float(rng.uniform(0.0, 0.05)), b=b)
+    else:
+        family = PerturbationFamily(coefficients)
+    return gapped_instance(seed, dim), family
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("kind", ["linear_default", "linear_claimed", "degree_2", "degree_3"])
+def test_c_at_is_one_formula_on_and_off_the_grid(kind, seed):
+    t, family = c_family(kind, seed)
+    grid = rng_for(seed, 94).uniform(-0.5, 0.5, 25)
+    budget = semigroup_threshold(t, family, s0=math.log(2.0), kappa0=0.4, kappa_grid=grid)
+    assert_grid_reads_c_values(budget)
+    for kappa in rng_for(seed, 95).uniform(-0.5, 0.5, 20):
+        assert kappa not in budget.kappas
+        assert bits(budget.c_at(kappa)) == bits(hand_c(budget, kappa)), kappa
+    if family.degree == 1:
+        assert budget.kappa_threshold == min(budget.kappa0,
+                                             budget.c_threshold / budget.c_at(1.0))
+
+
 @pytest.mark.parametrize("threshold", [semigroup_threshold, threshold_by_decomposing])
 def test_delta_never_exceeds_the_gap_of_t(threshold):
     t = SymmetricOperator(np.diag([0.0, 0.1]))
@@ -687,7 +733,7 @@ def test_delta_never_exceeds_the_gap_of_t(threshold):
 @pytest.mark.parametrize("seed", range(6))
 def test_linear_family_reads_c_values_on_the_grid(seed):
     # a T with spectrum {0} U U(1, 3) and a unit-norm S on a 41-point grid, where
-    # c_slope |kappa| and the grid's c values differ in the last bit
+    # c(1) |kappa| and the grid's c values differ in the last bit
     rng, dim = rng_for(seed, 92), 24
     q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
     t = SymmetricOperator((q * np.concatenate([[0.0], rng.uniform(1.0, 3.0, dim - 1)])) @ q.T)
@@ -696,9 +742,11 @@ def test_linear_family_reads_c_values_on_the_grid(seed):
     budget = semigroup_threshold(t, PerturbationFamily([(1.0 / s_mat.norm) * s_mat]),
                                  s0=math.log(2.0), kappa0=0.5,
                                  kappa_grid=np.linspace(-0.36, 0.36, 41))
-    assert budget.c_slope is not None and budget.admissible.any()
+    assert budget.family.degree == 1 and budget.admissible.any()
     assert_grid_reads_c_values(budget)
-    assert 0.01 not in budget.kappas and budget.c_at(0.01) == budget.c_slope * 0.01
+    assert 0.01 not in budget.kappas
+    assert bits(budget.c_at(0.01)) == bits(hand_c(budget, 0.01))
+    assert budget.kappa_threshold == min(budget.kappa0, budget.c_threshold / budget.c_at(1.0))
 
 
 class TestEndToEnd:
@@ -1105,8 +1153,7 @@ def assert_budget_matches(got, want, floors):
     if bits(got.delta) == bits(want.delta):
         for name in ("epsilon", "alpha", "r", "c_threshold", "kappa_threshold"):
             assert bits(getattr(got, name)) == bits(getattr(want, name)), name
-        assert (got.c_slope is None and want.c_slope is None) or \
-            bits(got.c_slope) == bits(want.c_slope)
+        assert bits(got.c_at(1.0)) == bits(want.c_at(1.0))
         if linear:
             assert got.c_values.tobytes() == want.c_values.tobytes()
         else:
@@ -1226,9 +1273,10 @@ class TestGapCertificate:
         monkeypatch.setattr(np.linalg, "cholesky", failing)
         fallback, fallback_calls = report_and_eigh_calls()
         assert report == reference == fallback
-        # the magnetic family has degree two: the toolkit decomposes its two
-        # coefficients for their norms, where the oracle takes eigvalsh
-        assert fallback_calls == reference_calls + 2 * (config.kind == "schrodinger")
+        # the magnetic family has degree two: the oracle takes eigvalsh for its
+        # coefficients' norms, but the sweep's c_at reads b(kappa) from the
+        # family, which decomposes each coefficient once in every run
+        assert fallback_calls == reference_calls
         assert eigh_calls < reference_calls
 
     @pytest.mark.parametrize("n_half", [16, 32, 48, 64, 128])

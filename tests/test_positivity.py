@@ -5,7 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from axiscone.cones import AxisCone, OrthantCone, Region, regions, sample_in_cone
+from axiscone.cones import (
+    AxisCone,
+    OrthantCone,
+    Region,
+    regions,
+    sample_in_cone,
+    sample_in_cone_rows,
+)
 from axiscone.errors import (
     AxisNotEigenvector,
     ContractViolation,
@@ -743,7 +750,7 @@ class TestBlockVerdictsMatchLoops:
         tilt -= (u0 @ tilt) * u0
         u1 = u0 + 0.3 * tilt / np.linalg.norm(tilt)
         cone = AxisCone(u1 / np.linalg.norm(u1))
-        rows = sample_in_cone(cone, rng_for(seed, 0), 100)  # as ergodic_drift_check draws them
+        rows = sample_in_cone_rows(cone, rng_for(seed, 0), 100)  # as ergodic_drift_check draws them
         us, vs = rows[0::2], rows[1::2]
         assert_same_probe(ergodic_probe(a, cone, us, vs), probe_by_power_loop(a, us, vs))
 
