@@ -8,12 +8,7 @@ usage error.
 import argparse
 import sys
 
-from .errors import (
-    AxisConeError,
-    ConfigInvalid,
-    ContractViolation,
-    CorrespondenceViolation,
-)
+from .errors import AxisConeError, ConfigInvalid, ContractViolation
 from .harness import ExperimentConfig, check_seed, replay, run, selftest
 
 EXIT_OK = 0
@@ -137,7 +132,7 @@ def main(argv=None):
         # a missing, unreadable or unwritable path, or a file that is not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ContractViolation, CorrespondenceViolation) as exc:
+    except ContractViolation as exc:
         # a proven inequality failed numerically: that is a toolkit bug
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

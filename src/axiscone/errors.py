@@ -25,18 +25,6 @@ class NegativeTime(AxisConeError):
     """Heat semigroup requested at s < 0."""
 
 
-class CorrespondenceViolation(AxisConeError):
-    """A real/complex correspondence clause failed numerically.
-
-    This signals a linear-algebra bug in the toolkit, not a mathematical
-    counterexample: the underlying statements are theorems.
-    """
-
-    def __init__(self, clause, message):
-        self.clause = clause
-        super().__init__(f"clause {clause}: {message}")
-
-
 class DimensionMismatch(AxisConeError):
     """Operator and cone (or vector) dimensions disagree."""
 
@@ -75,6 +63,10 @@ class RatioSaturated(AxisConeError):
 
 class HeatTimeUnresolved(AxisConeError):
     """At a heat time s, exp(-s T) has no top gap beyond tau_gap."""
+
+
+class RelativeBoundUncertified(AxisConeError):
+    """A claimed ||S x|| <= a ||T x|| + b ||x|| is neither certified nor implied by b >= ||S||."""
 
 
 class BudgetViolated(AxisConeError):

@@ -1,5 +1,5 @@
-"""Dense real symmetric operators: spectra, heat semigroups, the real/complex
-correspondence.
+"""Dense real symmetric operators: spectra, heat semigroups, positive-definiteness
+certificates, the real/complex correspondence.
 
 Everything lives at finite dimension with the Euclidean inner product, so all
 operators are bounded and the spectrum is the eigenvalue set.  Spectral data
@@ -10,33 +10,37 @@ its generator's, a drifted ground axis (perturbation.drifted_axis) is its
 generator's bottom eigenvector, and the top eigenvalue on an axis complement
 is bounded from the same spectrum (restricted_top), so no linear system is
 solved and no compression is decomposed.  An operator built from its spectrum
-(from_spectrum: heat semigroups, the identity, psd-simple test instances)
-holds only that spectrum: its matrix is formed on first read, and until then
-apply goes through the eigenvectors Q, so a sweep that reads no semigroup's
-entries forms none.
-Where only a lower bound on a spectral gap is needed, one Cholesky
-factorization certifies it (gap_exceeds) and nothing is decomposed.  All
-returned arrays are read-only.
+(from_spectrum: heat semigroups, the identity, psd-simple test instances,
+the diagonal magnetic term) holds only that spectrum: its matrix is formed on
+first read, and until then apply goes through the eigenvectors Q, so a sweep
+that reads no semigroup's entries forms none.
+Where a symmetric matrix only needs to be proven positive definite, as for a
+lower bound on a spectral gap (gap_exceeds), one guarded Cholesky factorization
+does it (certify_positive_definite) and nothing is decomposed.  All returned
+arrays are read-only.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     ContractViolation,
-    CorrespondenceViolation,
     DegenerateBottom,
     DegenerateTop,
     NegativeTime,
     NonConvergence,
     SemigroupOverflow,
 )
-from .seeding import rng_for
 from .tolerances import CORRESPONDENCE_TOL, RECON_TOL, TAU_GAP, TAU_SYM
 
-CORRESPONDENCE_SAMPLES = 32   # random complex vectors in the Rayleigh clause (vii)
 UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+
+
+def gamma(k):
+    """gamma_k = k u / (1 - k u), which bounds k successive relative roundings (Higham, 3.4)."""
+    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
 
 
 def as_vector(entries):
@@ -64,7 +68,7 @@ class SpectralDecomposition:
     def max_eigenvalue(self):
         return float(self.eigenvalues[-1])
 
-    @property
+    @cached_property
     def operator_norm(self):
         return float(np.max(np.abs(self.eigenvalues)))
 
@@ -224,36 +228,67 @@ def spectral_decompose(A):
     return SpectralDecomposition(eigenvalues=w, eigenvectors=q)
 
 
-def gap_exceeds(A, x, floor, frobenius_bound):
-    """True when one Cholesky factorization proves lambda_1(A) - lambda_0(A) > floor.
+def certify_positive_definite(m, error):
+    """True when one Cholesky factorization proves every symmetric M with
+    ||M - m||_2 <= error positive definite; False proves nothing.
 
-    x is any vector, ideally near A's bottom eigenvector, floor >= 0 and
-    frobenius_bound >= ||A||_F.  With x normalized, rho = x^T A x >=
-    lambda_0(A); put sigma = rho + floor + guard and beta = 2 (sigma - rho) + 1.
-    A Cholesky factorization of M = A + beta x x^T - sigma I that succeeds
-    shows lambda_0(A + beta x x^T) > sigma - guard, and rank-one interlacing
-    gives lambda_1(A) >= lambda_0(A + beta x x^T).  The guard covers the
-    factorization's backward error (Demmel) and the rounding of rho, sigma
-    and M, so the proof holds in floating point.  False proves nothing.
+    With n = dim m, u the unit roundoff, eta the smallest subnormal, g =
+    gamma_{n+1}, d = |diag m| and tau = n (n + 1 + max d) eta, it factors
+    fl(m - cI), c = 2 (error + u max d + g sum d + tau).  If that completes
+    with factor R, every pivot was positive, so m_ii > c and fl(m - cI) =
+    m - cI + D with |D_ii| <= u m_ii.  R^T R = fl(m - cI) + Delta, |Delta| <=
+    g |R^T| |R| (Higham, Accuracy and Stability, Thm 10.3) plus (n + 1 + max
+    d) eta per entry for products and quotients that underflow, so with
+    ||R||_F^2 = tr(R^T R) <= (1 + u) sum d + g ||R||_F^2 + tau, ||Delta||_2 <=
+    (g (1 + u) sum d + tau) / (1 - g).  R^T R is positive definite, so
+    lambda_min(M) > c - u max d - error - ||Delta||_2 > 0: the factor 2 covers
+    1/(1 - g), 1 + u and the rounding of c while (n + 1) u <= 1/5.  The guard,
+    gamma_{n+1} times the trace, is linear in n times the diagonal, as in
+    Rump's test ("Verification of positive definiteness", BIT 46, 2006).
+    """
+    n = len(m)
+    d = np.abs(np.diagonal(m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = 2.0 * (error + UNIT_ROUNDOFF * d.max() + gamma(n + 1) * d.sum()
+                   + n * (n + 1 + d.max()) * np.finfo(float).smallest_subnormal)
+        if not (np.isfinite(c) and np.all(np.isfinite(m))):   # NaN and inf pass a Cholesky
+            return False
+        shifted = np.array(m, dtype=float)
+        shifted[np.diag_indices(n)] -= c
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def gap_exceeds(A, x, floor, frobenius_bound):
+    """True when one guarded Cholesky factorization proves lambda_1(A) - lambda_0(A) > floor.
+
+    x is any vector, ideally near A's bottom eigenvector, floor >= 0 and F =
+    frobenius_bound >= ||A||_F.  With x normalized, nu = x^T x and rho = x^T A x
+    / nu >= lambda_0(A): if M = A + beta x x^T - (rho + floor) I is positive
+    definite (beta = 2 floor + 1 >= 0), rank-one interlacing gives lambda_1(A)
+    >= lambda_0(A + beta x x^T) > rho + floor.  certify_positive_definite
+    proves that of every matrix within error = gamma_{3n+8} (2 F + beta + |rho|
+    + floor) of the computed m, which bounds ||M - m||_2: gamma_2 beta nu from
+    the outer product, u (F + beta nu + |rho| + floor) each from the sum with A
+    and the diagonal shift, and for rho gamma_n (2 + gamma_n) F nu from x^T (A x)
+    plus F |nu - 1| <= F gamma_{n+4} from the normalization; the factor 2 and
+    the spare units cover nu > 1 and the rounding of error.  Linear in n.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         norm = float(np.linalg.norm(x))
         if not 0.0 < norm < np.inf:
             return False
         x = x / norm
-        rho = float(x @ A.apply(x))
-        # numerical guard: 8 (n + 2)^2 u (||A||_F + |rho| + floor + 1)
-        guard = 8.0 * (A.dim + 2) ** 2 * UNIT_ROUNDOFF * (frobenius_bound + abs(rho) + floor + 1.0)
-        sigma = rho + floor + guard
-        m = A.matrix + (2.0 * (sigma - rho) + 1.0) * np.outer(x, x)
-        m[np.diag_indices(A.dim)] -= sigma
-    if not np.all(np.isfinite(m)):   # a NaN or inf can pass the factorization
-        return False
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+        a = A.matrix
+        rho = float(x @ (a @ x))
+        beta = 2.0 * floor + 1.0
+        m = a + beta * np.outer(x, x)
+        m[np.diag_indices(A.dim)] -= rho + floor
+        error = gamma(3 * A.dim + 8) * (2.0 * frobenius_bound + beta + abs(rho) + floor)
+    return certify_positive_definite(m, error)
 
 
 def _fix_sign(u):
@@ -358,94 +393,22 @@ def heat_semigroup(T, s):
     return SymmetricOperator.from_spectrum(w, dec.eigenvectors[:, ::-1])
 
 
-def _realify(m):
-    """Complex n x n matrix as the real 2n x 2n matrix [[Re,-Im],[Im,Re]]."""
-    return np.block([[m.real, -m.imag], [m.imag, m.real]])
+def correspondence_check(T, H):
+    """Check that the real symmetric T restricts the complex Hermitian n x n H.
 
-
-@dataclass(frozen=True)
-class CorrespondenceReport:
-    """Outcome of the real/complex correspondence clauses (iii)-(v), (vii)."""
-
-    clauses: dict = field(default_factory=dict)
-
-    @property
-    def ok(self):
-        return all(passed for passed, _ in self.clauses.values())
-
-
-def correspondence_check(T, seed=0):
-    """Numerically verify that T and its complex extension agree.
-
-    Checked clauses:
-      (iii) smallest singular values coincide (injectivity agreement),
-      (iv)  eigenvalue sets coincide and each complex eigenspace has twice
-            the real dimension of its real counterpart,
-      (v)   operator norms coincide,
-      (vii) sampled Rayleigh quotients of the extension are bounded below by
-            gamma exactly when the least eigenvalue is >= gamma.
-
-    The complex-side quantities are computed on the realified 2n x 2n matrix,
-    so the two routes stay independent.  Raises CorrespondenceViolation on
-    the first failing clause; these statements are theorems, so a failure
-    means a linear-algebra bug.
+    The realification [[Re H, -Im H], [Im H, Re H]] of H is real symmetric and
+    holds each eigenvalue of H twice (for v and i v).  If T is H restricted to
+    the real fixed space of a conjugation that H commutes with, T and H share
+    their spectrum, so the realified spectrum is T's with each eigenvalue
+    taken twice.  Returns the largest deviation between the two, relative to
+    max(1, ||T||); above CORRESPONDENCE_TOL it raises ContractViolation.  An H
+    of another dimension raises ValueError.
     """
-    m = T.matrix
-    n = T.dim
-    scale = max(1.0, T.norm)
-    mc = _realify(np.asarray(m, dtype=complex))
-    sv_real = np.linalg.svd(m, compute_uv=False)
-    sv_cplx = np.linalg.svd(mc, compute_uv=False)
-    clauses = {}
-
-    gap_iii = abs(float(sv_real[-1]) - float(sv_cplx[-1]))
-    tol = CORRESPONDENCE_TOL * scale
-    clauses["iii"] = (gap_iii <= tol, gap_iii)
-
-    dec = T.decomposition
-    w_real = dec.eigenvalues
-    w_cplx = np.sort(np.linalg.eigvalsh(mc))
-    pair_gap = float(np.max(np.abs(np.repeat(w_real, 2) - w_cplx)))
-    # cluster real eigenvalues by gaps; each cluster must appear on the
-    # complex side with exactly twice the real multiplicity
-    mult_ok = True
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and w_real[j + 1] - w_real[j] <= tol:
-            j += 1
-        k_real = j - i + 1
-        lo = w_real[i] - tol / 2
-        hi = w_real[j] + tol / 2
-        k_cplx = int(np.sum((w_cplx >= lo) & (w_cplx <= hi)))
-        if k_cplx != 2 * k_real:
-            mult_ok = False
-        i = j + 1
-    clauses["iv"] = (pair_gap <= tol and mult_ok, pair_gap)
-
-    gap_v = abs(dec.operator_norm - float(sv_cplx[0]))
-    clauses["v"] = (gap_v <= tol, gap_v)
-
-    gamma = dec.min_eigenvalue
-    rng = rng_for(seed, 0)
-    shape = (CORRESPONDENCE_SAMPLES, n)
-    xs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    bottom = np.asarray(dec.eigenvectors[:, 0], dtype=complex)
-    xs = np.vstack([xs, bottom[None, :], 1j * bottom[None, :]])
-    tm = np.asarray(m, dtype=complex)
-    quad = np.real(np.einsum("si,ij,sj->s", xs.conj(), tm, xs))
-    norms = np.real(np.einsum("si,si->s", xs.conj(), xs))
-    lower_ok = bool(np.all(quad >= gamma * norms - tol * norms))
-    # gamma' strictly above the least eigenvalue must be violated by the
-    # bottom eigenvector, which is among the samples
-    gamma_above = gamma + max(tol * 10, 0.1 * scale)
-    violated_above = bool(np.any(quad < gamma_above * norms - tol * norms))
-    margin_vii = float(np.min(quad - gamma * norms))
-    clauses["vii"] = (lower_ok and violated_above, margin_vii)
-
-    report = CorrespondenceReport(clauses=clauses)
-    for name, (passed, margin) in clauses.items():
-        if not passed:
-            raise CorrespondenceViolation(
-                name, f"margin {margin:.3e} (tol {CORRESPONDENCE_TOL:.0e})")
-    return report
+    h = np.asarray(H, dtype=complex)
+    realified = np.block([[h.real, -h.imag], [h.imag, h.real]])
+    deviation = float(np.max(np.abs(np.repeat(T.decomposition.eigenvalues, 2)
+                                    - np.linalg.eigvalsh(realified)))) / max(1.0, T.norm)
+    if deviation > CORRESPONDENCE_TOL:
+        raise ContractViolation(f"realified spectrum of H deviates from T's taken twice by "
+                                f"{deviation:.3e} (tol {CORRESPONDENCE_TOL:.0e})")
+    return deviation

@@ -6,16 +6,16 @@ eigenvalue tolerates an axis drift up to r(alpha) = (1 - alpha^2) /
 the spectral ratio on the axis complement.  For heat semigroups of a
 perturbed generator T + S(kappa), a relative-bound budget bounds the drift of
 the ground axis (Kato), and the admissible region is where that drift stays
-below r.  The budget owns that problem: it holds T, the family S and the
-checked operators at its admissible grid points (the grid loop decomposed
-each of them), builds T + S(kappa) in one place
+below r.  The budget owns that problem: it checks a claimed b against T,
+holds T, the family S and the checked operators at its admissible grid points
+(the grid loop decomposed each of them), builds T + S(kappa) in one place
 (PerturbationBudget.operator_at), and bounds c(kappa) at every kappa, on
 the grid or off it (PerturbationBudget.c_at); the end-to-end sweep takes the
 budget alone and returns plain SweepRows, which the harness renders.
 The budget's gap delta is the least checked gap, read where a grid point's
 gap may lie more than eta below the running minimum or where the sweep will
 use the point; every other grid point's gap is certified above the running
-minimum less eta by one Cholesky factorization (operators.gap_exceeds).  A
+minimum less eta by one guarded Cholesky factorization (gap_exceeds).  A
 checked gap lies within eta of the true one, so delta is within eta of the
 least true gap, but it can differ from a decompose-every-point minimum by up
 to 2 eta where two gaps tie within eta.
@@ -34,12 +34,15 @@ from .errors import (
     GapCollapsed,
     HeatTimeUnresolved,
     RatioSaturated,
+    RelativeBoundUncertified,
     SemigroupOverflow,
 )
 from .operators import (
     SymmetricOperator,
     as_vector,
     bottom_eigen,
+    certify_positive_definite,
+    gamma,
     gap_exceeds,
     heat_semigroup,
     restricted_top,
@@ -205,10 +208,10 @@ class PerturbationFamily:
     b|kappa|, so c(kappa) = c(1) |kappa| bounds its admissible range in
     closed form; at finite dimension the tightest defaults are a = 0 and
     b = ||S_1||, because the unbounded-operator analysis these constants
-    usually come from trivializes here.  A family of higher degree takes
-    a(kappa) = 0 and the coefficient-norm bound b(kappa) = sum_k |kappa|^k
-    ||S_k|| >= ||S(kappa)||, and its admissible range is read off the kappa
-    grid.
+    usually come from trivializes here (semigroup_threshold checks a claimed
+    b).  A family of higher degree takes a(kappa) = 0 and the coefficient-norm
+    bound b(kappa) = sum_k |kappa|^k ||S_k|| >= ||S(kappa)||, and its
+    admissible range is read off the kappa grid.
     """
 
     def __init__(self, coefficients, a=0.0, b=None):
@@ -334,7 +337,7 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
     them on it); epsilon = delta/2 is the radius around mu that holds each
     drifted bottom eigenvalue alone (drifted_axis); alpha = 1 - exp(-s0
     delta) feeds the drift radius r; admissible kappas satisfy c(kappa) <
-    f(r).
+    f(r).  A linear family's claimed b is checked first (_check_relative_bound).
 
     kappa = 0 reads T's own spectrum (S has no constant term, so S(0) = 0
     and b(0) = 0), and the running minimum delta_run of the checked gaps
@@ -363,6 +366,10 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
     kappas = np.atleast_1d(np.asarray(kappa_grid, dtype=float))
     if kappas.size == 0:
         raise ValueError("kappa grid must be nonempty")
+    if family.coefficients[0].dim != T.dim:
+        raise ValueError("dimension mismatch")
+    if family.degree == 1:
+        _check_relative_bound(T, family)
     mu, _, _ = bottom_eigen(T, require_simple=True)
     if T.dim < 2:
         raise DegenerateBottom("need dimension >= 2 for a spectral gap")
@@ -434,6 +441,27 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
     )
 
 
+def _check_relative_bound(T, family):
+    """Raise RelativeBoundUncertified unless the linear family's ||S x|| <= a ||T x||
+    + b ||x|| (S = S_1) holds: by b >= ||S||, as the default b = ||S|| does, or by
+    m = a^2 T^2 + b^2 I - S^2 >= 0, for then ||S x||^2 <= (a ||T x|| + b ||x||)^2.
+    certify_positive_definite proves the latter with error = gamma_{n+8} (||a T||_F^2
+    + ||S||_F^2 + b^2) on the rounding of m: gamma_{n+3} ||a T||_F^2 from a T and its
+    square, gamma_n ||S||_F^2 from S^2, u of each term from the subtraction and the
+    diagonal sum, u b^2 from b^2, with spare units for the rounding of error."""
+    s, b = family.coefficients[0], family.b
+    if b >= s.norm:
+        return
+    a_t = family.a * T.matrix
+    m = a_t @ a_t - s.matrix @ s.matrix
+    m[np.diag_indices(T.dim)] += b ** 2
+    error = gamma(T.dim + 8) * (np.linalg.norm(a_t) ** 2 + np.linalg.norm(s.matrix) ** 2 + b ** 2)
+    if not certify_positive_definite(m, error):
+        raise RelativeBoundUncertified(
+            f"||S x|| <= a ||T x|| + b ||x|| is not certified: a^2 T^2 + b^2 I - S^2 has "
+            f"eigenvalue {SymmetricOperator(m).decomposition.min_eigenvalue:.6g}")
+
+
 def _gap_estimates(T, family, kappas):
     """What the grid loop of semigroup_threshold needs to certify a gap.
 
@@ -445,8 +473,6 @@ def _gap_estimates(T, family, kappas):
     max(1, that bound), which a checked gap of A cannot stray beyond from the
     true gap.
     """
-    if family.coefficients[0].dim != T.dim:
-        raise ValueError("dimension mismatch")
     w, q = T.decomposition.eigenvalues, T.decomposition.eigenvectors
     p0 = np.array([q.T @ s.apply(q[:, 0]) for s in family.coefficients])
     p1 = np.array([q.T @ s.apply(q[:, 1]) for s in family.coefficients])

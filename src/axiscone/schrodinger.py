@@ -204,18 +204,21 @@ class MagneticExperimentReport:
 def magnetic_experiment(model, e_grid, s0, s_samples=None):
     """Sweep the coupling: gap budget, admissible range, per-(e, s) verdicts.
 
-    Pipeline: build the restricted H0, M1 and M2 once, take the unit ground vector
-    of H0 as the cone axis, treat e M1 + e^2 M2 as a quadratic perturbation
-    family with a(e) = 0 and the coefficient-norm bound b(e) = |e| ||M1|| +
-    e^2 ||M2||, run the semigroup budget and the end-to-end sweep over
-    admissible couplings from the grid (which checks every heat time against
-    the budget), then certify improvement of exp(-s H0).  The heat times
-    default to s0/4, s0/2 and s0.
+    Pipeline: build the restricted H0, M1 and M2 once (M2 held by its
+    spectrum), take the unit ground vector of H0 as the cone axis, treat
+    e M1 + e^2 M2 as a quadratic perturbation family with a(e) = 0 and the
+    coefficient-norm bound b(e) = |e| ||M1|| + e^2 ||M2||, run the semigroup
+    budget and the end-to-end sweep over admissible couplings from the grid
+    (which checks every heat time against the budget), then certify
+    improvement of exp(-s H0).  The heat times default to s0/4, s0/2 and s0.
     """
     if s0 <= 0:
         raise ValueError("s0 must be positive")
     s_samples = tuple([s0 / 4.0, s0 / 2.0, s0] if s_samples is None else s_samples)
-    h0, m1, m2 = (SymmetricOperator(term) for term in magnetic_terms(model))
+    h0, m1, m2 = magnetic_terms(model)
+    order = np.argsort(np.diagonal(m2), kind="stable")   # M2 is diagonal: its norm takes no eigh
+    m2 = SymmetricOperator.from_spectrum(np.diagonal(m2)[order], np.eye(len(order))[:, order])
+    h0, m1 = SymmetricOperator(h0), SymmetricOperator(m1)
     _, ground, _ = bottom_eigen(h0, require_simple=True)
 
     family = PerturbationFamily((m1, m2))

@@ -13,10 +13,10 @@ TAU_GAP = 1e-9              # gap, relative to |lambda|, that makes an extremal 
 TAU_MEMBERSHIP = 1e-10      # cone margin, relative to ||u||: interior, boundary or outside
 TAU_STRICT = 1e-10          # margin of every strict "> 0" improvement or ergodicity decision
 RECON_TOL = 1e-10           # eigh: ||Q L Q^T - A||_F relative to ||A||_F, and ||Q^T Q - I||_F
-CORRESPONDENCE_TOL = 1e-9   # real/complex correspondence clauses, relative to ||T||
+CORRESPONDENCE_TOL = 1e-9   # realified H's spectrum against T's taken twice, relative to ||T||
 
 # Operators and positivity verifiers.
-PSD_TOL = 1e-9              # PSD means least eigenvalue >= -PSD_TOL, relative to ||A||
+PSD_TOL = 1e-9              # require_psd: least eigenvalue >= -PSD_TOL, relative to ||A||
 AXIS_TOL = 1e-9             # unit norm and relative eigen-residual of a top-eigenvector axis
 UNIT_AXIS_TOL = 1e-12       # | ||axis|| - 1 | admitted when an axis cone is built
 ORTHANT_NONNEG_TOL = 1e-12  # least matrix entry above -this certifies orthant preservation

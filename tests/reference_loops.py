@@ -24,11 +24,14 @@ norms (`coefficient_norm_bound`); `laplacian_matrix`,
 Re(B* H B) to the real fixed space, as the Schrodinger pipeline built them
 before it wrote the restricted terms down in closed form;
 `assembled_magnetic` and `demo_by_complex_propagator` are the complex H(e)
-and the orthant demo's dense complex propagator exp(-s H(e)).  Tests compare
-the toolkit against them on seeded instances.
+and the orthant demo's dense complex propagator exp(-s H(e));
+`exactly_positive_definite` decides positive definiteness in exact rational
+arithmetic, the oracle of the floating-point certificate.  Tests compare the
+toolkit against them on seeded instances.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -454,3 +457,19 @@ def demo_by_complex_propagator(model, e, s):
     return OrthantDemoReport(coupling=float(e), time=float(s), max_imag=max_imag,
                              min_real=min_real, peak=float(np.max(np.abs(image))),
                              status=status)
+
+
+def exactly_positive_definite(m, shift=0.0):
+    """Whether the float matrix m - shift I is positive definite, exactly: symmetric
+    Gaussian elimination (LDL^T) on the rationals the floats denote, every pivot > 0."""
+    a = [[Fraction(float(x)) for x in row] for row in np.asarray(m)]
+    for i in range(len(a)):
+        a[i][i] -= Fraction(float(shift))
+    for k in range(len(a)):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, len(a)):
+            factor = a[i][k] / a[k][k]
+            for j in range(k + 1, len(a)):
+                a[i][j] -= factor * a[k][j]
+    return True

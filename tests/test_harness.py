@@ -280,8 +280,9 @@ class TestRunners:
 
 class TestHeldSemigroups:
     """A sweep's heat semigroups hold their spectra: only the S-lemma fallback,
-    which reads the entries of 2 g g^T - A, forms a semigroup's matrix.  A
-    pf_verify report, whose psd-simple instances hold theirs, is the same
+    which reads the entries of 2 g g^T - A, forms a semigroup's matrix.  The
+    magnetic M2, held by its spectrum, is formed once for the sums H0 + S(e).
+    A pf_verify report, whose psd-simple instances hold theirs, is the same
     with every held matrix formed at once."""
 
     CONFIGS = {
@@ -313,7 +314,8 @@ class TestHeldSemigroups:
                             lambda A, cone: general.append(A.dim) or run_general(A, cone))
         self.report(name)
         assert len(general) == fallbacks
-        assert formed == general
+        held = {"schrodinger": [17], "schrodinger_N48": [97]}.get(name, [])   # M2
+        assert formed == held + general
 
     @pytest.mark.parametrize("name", CONFIGS)
     def test_reports_match_eager_matrices(self, monkeypatch, name):
@@ -744,6 +746,8 @@ class TestCli:
         ("perturb_sweep", {"t": [[-1000, 0], [0, -999]], "s": [[0, 1], [1, 0]]}, "s_samples"),
         ("perturb_sweep", {"t": [[-1000, 0], [0, -990]], "s": [[0, 0.1], [0.1, 0]], "s0": 1},
          "s_samples"),
+        # a claimed b 4e-10 below the swap's true bound 1: nothing certifies it
+        ("perturb_sweep", {"b": 0.9999999996}, "b"),
     ], ids=["demo_e_overflow", "h_tiny", "h_huge", "demo_s_damped", "demo_s_overflow_control",
             "demo_s_overflow", "h_saturates_alpha",
             "t_saturates_alpha", "demo_e_damped", "demo_e_weak", "no_vector_potential",
@@ -755,7 +759,8 @@ class TestCli:
             "potential_entries_huge", "perturb_s0_tiny", "schrodinger_s0_tiny",
             "perturb_s_sample_tiny", "perturb_s0_tiny_samples", "schrodinger_s_sample_tiny",
             "schrodinger_s_sample_tiny_one_coupling", "perturb_top_decays",
-            "perturb_norm_square_overflows", "perturb_semigroup_overflows"])
+            "perturb_norm_square_overflows", "perturb_semigroup_overflows",
+            "b_below_the_bound_by_4e_10"])
     @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
     def test_extreme_numeric_input_exits_2(self, tmp_path, capsys, kind, params, field):
         cfg = tmp_path / "bad.json"

@@ -7,15 +7,17 @@ import pytest
 from axiscone.cones import AxisCone, OrthantCone
 from axiscone.errors import (
     ContractViolation,
-    CorrespondenceViolation,
     DegenerateTop,
     NegativeTime,
     NonConvergence,
 )
+from axiscone import operators
 from axiscone.operators import (
     SymmetricOperator,
+    certify_positive_definite,
     checked_eigh,
     correspondence_check,
+    gamma,
     gap_exceeds,
     heat_semigroup,
     perp_basis,
@@ -27,7 +29,11 @@ from axiscone.perturbation import improving_radius, radius_from_alpha
 from axiscone.positivity import VerdictStatus, improves_positivity_axis, preserves_positivity
 from axiscone.seeding import rng_for
 from axiscone.tolerances import AXIS_TOL, RECON_TOL, TAU_GAP
-from reference_loops import compressed_restricted_top, eager_from_spectrum
+from reference_loops import (
+    compressed_restricted_top,
+    eager_from_spectrum,
+    exactly_positive_definite,
+)
 
 
 def random_symmetric(dim, seed):
@@ -145,6 +151,13 @@ class TestSpectralDecompose:
         assert np.linalg.norm((q * dec.eigenvalues) @ q.T - op.matrix) <= 1e-10 * scale
         assert np.linalg.norm(dec.eigenvectors.T @ dec.eigenvectors - np.eye(8)) <= 1e-10
 
+    def test_operator_norm_is_computed_once(self, monkeypatch):
+        dec = spectral_decompose(random_symmetric(5, seed=2))
+        first = dec.operator_norm
+        assert first == float(np.max(np.abs(dec.eigenvalues)))
+        monkeypatch.setattr(np, "max", None)   # a second read recomputes nothing
+        assert dec.operator_norm == first
+
     @staticmethod
     def patch_eigh(monkeypatch, corrupt):
         eigh = np.linalg.eigh
@@ -239,6 +252,79 @@ class TestGapCertificate:
                     assert fraction < 1.0
         # near the true bottom vector the certificate gets within 1e-6 of the gap
         assert gap_exceeds(a, q[:, 0], (1.0 - 1e-6) * gap, bound)
+
+
+def near_singular(seed):
+    """A seeded float matrix of dimension 1-6 and its exact least eigenvalue, in
+    [-gamma_{n+1} tr, 4 gamma_{n+1} tr]: an integer Gram matrix B B^T of rank
+    n - 1, exactly singular, shifted by a multiple of 2^-46, which its diagonal
+    (integers below 2^6) takes without rounding."""
+    rng = rng_for(seed, 95)
+    n = int(rng.integers(1, 7))
+    b = rng.integers(-3, 4, size=(n, n - 1)).astype(float)
+    m = b @ b.T
+    ulps = int(rng.uniform(-1.0, 4.0) * gamma(n + 1) * max(1.0, np.trace(m)) * 2.0**46)
+    m[np.diag_indices(n)] += ulps * 2.0**-46
+    return m, ulps * 2.0**-46
+
+
+class TestPositiveDefiniteCertificate:
+    """Every True of certify_positive_definite, confirmed in exact arithmetic."""
+
+    def test_near_singular_matrices(self):
+        certified = 0
+        for seed in range(400):
+            m, least = near_singular(seed)
+            for error in (0.0, 0.5 * abs(least)):
+                if certify_positive_definite(m, error):
+                    certified += 1
+                    assert exactly_positive_definite(m, error)
+                    assert least > error
+                elif least <= 0.0:
+                    assert not exactly_positive_definite(m)
+        assert certified >= 20
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_gap_exceeds_matrices(self, seed, monkeypatch):
+        calls = []
+
+        def recording(m, error):
+            calls.append((np.array(m), error, certify_positive_definite(m, error)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(operators, "certify_positive_definite", recording)
+        rng = rng_for(seed, 96)
+        for _ in range(10):
+            n = int(rng.integers(2, 7))
+            gap = 10.0 ** rng.uniform(-3.0, 0.0)
+            eigs = np.concatenate([[0.0, gap], rng.uniform(gap, gap + 2.0, n - 2)])
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            a = SymmetricOperator((q * eigs) @ q.T)
+            x = q[:, 0] + 1e-4 * rng.standard_normal(n)
+            for fraction in (0.5, 0.99, 0.999999, 1.0, 1.01):
+                gap_exceeds(a, x, fraction * gap, float(np.linalg.norm(a.matrix)))
+        assert sum(certified for _, _, certified in calls) >= 20
+        for m, error, certified in calls:
+            if certified:
+                assert exactly_positive_definite(m, error)
+
+    def test_non_finite_input_proves_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert not certify_positive_definite(np.eye(2), np.inf)
+            assert not certify_positive_definite(np.eye(2), np.nan)
+            assert not certify_positive_definite(np.diag([1.0, np.inf]), 0.0)
+            assert not certify_positive_definite(np.diag([1e308, 1.0]), 1e308)
+
+    def test_guard_is_gamma_n_times_the_trace(self):
+        # diag(eps, 1, ..., 1) is shifted by about 2 gamma_{n+1} tr: eps at twice that
+        # is certified, eps at a quarter of it is not (the first pivot goes negative)
+        for n in (10, 100, 1000):
+            m = np.eye(n)
+            m[0, 0] = 4.0 * gamma(n + 1) * n
+            assert certify_positive_definite(m, 0.0)
+            m[0, 0] = 0.5 * gamma(n + 1) * n
+            assert not certify_positive_definite(m, 0.0)
 
 
 class TestHeatSemigroup:
@@ -404,33 +490,45 @@ class TestHeldSpectrum:
         assert semigroup._matrix is not None
 
 
+def unitary_conjugate(t, seed):
+    """U T U* for a seeded unitary U: a complex Hermitian matrix with T's spectrum."""
+    rng = rng_for(seed, 41)
+    g = rng.standard_normal((t.dim, t.dim)) + 1j * rng.standard_normal((t.dim, t.dim))
+    u = np.linalg.qr(g)[0]
+    return u @ t.matrix @ u.conj().T
+
+
 class TestCorrespondence:
     def test_diagonal(self):
-        report = correspondence_check(SymmetricOperator(np.diag([2.0, 1.0])))
-        assert report.ok
-        assert set(report.clauses) == {"iii", "iv", "v", "vii"}
+        t = SymmetricOperator(np.diag([2.0, 1.0]))
+        assert correspondence_check(t, np.diag([2.0, 1.0]).astype(complex)) == 0.0
 
-    def test_swap_equality_direction(self):
-        # least eigenvalue -1: the quadratic-form lower bound is attained
-        report = correspondence_check(SymmetricOperator([[0.0, 1.0], [1.0, 0.0]]))
-        assert report.ok
-        assert report.clauses["vii"][1] >= -1e-9
+    def test_pauli_y_has_the_swap_spectrum(self):
+        # [[0, -i], [i, 0]] is Hermitian, not real, with eigenvalues -1 and 1
+        swap = SymmetricOperator([[0.0, 1.0], [1.0, 0.0]])
+        assert correspondence_check(swap, np.array([[0.0, -1j], [1j, 0.0]])) <= 1e-15
 
     def test_seeded_6x6(self):
-        assert correspondence_check(random_symmetric(6, seed=13)).ok
+        t = random_symmetric(6, seed=13)
+        assert correspondence_check(t, unitary_conjugate(t, 13)) <= 1e-13
 
     @pytest.mark.parametrize("seed", range(10))
     def test_holds_on_seeded_matrices(self, seed):
-        dim = 2 + seed % 5
-        assert correspondence_check(random_symmetric(dim, seed=seed), seed=seed).ok
+        t = random_symmetric(2 + seed % 5, seed=seed)
+        assert correspondence_check(t, unitary_conjugate(t, seed)) <= 1e-13
 
     def test_degenerate_spectrum(self):
-        assert correspondence_check(SymmetricOperator(np.diag([1.0, 1.0, 3.0]))).ok
+        t = SymmetricOperator(np.diag([1.0, 1.0, 3.0]))
+        assert correspondence_check(t, unitary_conjugate(t, 3)) <= 1e-13
 
-    def test_violation_raises_with_clause(self):
-        with pytest.raises(CorrespondenceViolation) as err:
-            raise CorrespondenceViolation("v", "synthetic")
-        assert err.value.clause == "v"
+    def test_wrong_spectrum_raises(self):
+        t = SymmetricOperator(np.diag([1.0, 2.0]))
+        with pytest.raises(ContractViolation, match="deviates from T's taken twice"):
+            correspondence_check(t, np.diag([1.0, 2.0 + 1e-8]).astype(complex))
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            correspondence_check(SymmetricOperator(np.eye(2)), np.eye(3, dtype=complex))
 
 
 class TestPerpBasis:

@@ -15,12 +15,14 @@ from axiscone.errors import (
     GapCollapsed,
     HeatTimeUnresolved,
     RatioSaturated,
+    RelativeBoundUncertified,
     SemigroupOverflow,
 )
 from axiscone import perturbation, positivity
 from axiscone.operators import (
     SymmetricOperator,
     bottom_eigen,
+    certify_positive_definite,
     gap_exceeds,
     heat_semigroup,
     restricted_top,
@@ -384,6 +386,55 @@ class TestSemigroupThreshold:
         np.testing.assert_array_equal(budget.a_values, 0.0)
         assert_grid_reads_c_values(budget)
         assert budget.kappa_threshold == pytest.approx(0.04, abs=1e-12)
+
+
+class TestRelativeBound:
+    """A linear family's claimed ||S x|| <= a ||T x|| + b ||x||, checked against T."""
+
+    def test_b_below_the_swap_norm_by_4e_10_raises(self):
+        # S^2 = I on the swap: b^2 I - S^2 = -8e-10 I, inside any tolerance of 1e-9
+        t, _ = swap_instance()
+        family = PerturbationFamily([[[0.0, 1.0], [1.0, 0.0]]], b=0.9999999996)
+        with pytest.raises(RelativeBoundUncertified,
+                           match=r"^\|\|S x\|\| <= a \|\|T x\|\| \+ b \|\|x\|\| is not "
+                                 r"certified: a\^2 T\^2 \+ b\^2 I - S\^2 has eigenvalue -8e-10$"):
+            semigroup_threshold(t, family, s0=math.log(2.0), kappa0=0.5, kappa_grid=[0.0])
+
+    @pytest.mark.parametrize("b, certified", [(0.6, True), (0.5, False), (0.4, False)])
+    def test_b_below_the_norm_needs_the_certificate(self, b, certified, monkeypatch):
+        # a^2 T^2 + b^2 I - S^2 = diag(b^2 - 0.25, b^2, b^2): positive definite only
+        # for b > 0.5, although b < ||S|| = 2
+        proofs = []
+
+        def recording(m, error):
+            proofs.append(certify_positive_definite(m, error))
+            return proofs[-1]
+
+        monkeypatch.setattr(perturbation, "certify_positive_definite", recording)
+        t = SymmetricOperator(np.diag([0.0, 1.0, 2.0]))
+        family = PerturbationFamily([np.diag([0.5, 1.0, 2.0])], a=1.0, b=b)
+        if certified:
+            semigroup_threshold(t, family, s0=1.0, kappa0=0.01, kappa_grid=[0.0, 0.005])
+        else:
+            with pytest.raises(RelativeBoundUncertified, match=f"has eigenvalue "
+                                                                f"{b * b - 0.25:.6g}$"):
+                semigroup_threshold(t, family, s0=1.0, kappa0=0.01, kappa_grid=[0.0])
+        assert proofs == [certified]
+
+    @pytest.mark.parametrize("b", [None, 0.5])
+    def test_dimension_mismatch_is_named_before_the_bound(self, b):
+        # on a grid of zeros too, which builds no T + S(kappa)
+        t = SymmetricOperator(np.diag([0.0, 1.0]))
+        family = PerturbationFamily([np.eye(3)], a=1.0, b=b)
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            semigroup_threshold(t, family, s0=1.0, kappa0=0.5, kappa_grid=[0.0])
+
+    @pytest.mark.parametrize("b", [None, 1.0, 1.2])
+    def test_b_at_or_above_the_norm_needs_no_certificate(self, b, monkeypatch):
+        monkeypatch.setattr(perturbation, "certify_positive_definite", None)
+        t, _ = swap_instance()
+        family = PerturbationFamily([[[0.0, 1.0], [1.0, 0.0]]], a=0.5, b=b)
+        semigroup_threshold(t, family, s0=math.log(2.0), kappa0=0.5, kappa_grid=[0.0, 0.01])
 
 
 class TestPerturbationFamily:
@@ -1019,8 +1070,9 @@ class TestDecompositionReuse:
         calls = count_eigh(monkeypatch)
         budget = semigroup_threshold(t, s, s0=math.log(2.0), kappa0=0.5, kappa_grid=grid)
         # T once, then T + S(kappa) at both nonzero points and, for degree 2, the
-        # norms of its two coefficients
-        assert len(calls) == 1 + 2 * degree
+        # norms of its two coefficients; the swap's claimed b = 1 = ||S|| is no
+        # certificate's (b^2 I - S^2 = 0), so its check reads ||S||
+        assert len(calls) == 1 + 2 * degree + (degree == 1)
         assert budget.b_values[1] == 0.0 and budget.gaps[1] == 1.0
         calls.clear()
         expected = sweep_by_rebuild(t, s, budget, self.S_SAMPLES)
@@ -1279,7 +1331,7 @@ class TestGapCertificate:
         assert fallback_calls == reference_calls
         assert eigh_calls < reference_calls
 
-    @pytest.mark.parametrize("n_half", [16, 32, 48, 64, 128])
+    @pytest.mark.parametrize("n_half", [16, 32, 48, 64, 128, 512])
     def test_magnetic_grid_certifies_every_inadmissible_point(self, n_half, monkeypatch):
         proved = []
 

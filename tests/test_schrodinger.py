@@ -341,6 +341,18 @@ class TestMagneticExperiment:
             v.status is VerdictStatus.CERTIFIED_TRUE for v in report.base_verdicts
         )
 
+    def test_m2_is_held_by_its_spectrum(self):
+        model = harmonic_model()
+        budget = magnetic_experiment(model, e_grid=[0.0], s0=1.0).budget
+        m2 = budget.family.coefficients[1]
+        diagonal = np.diagonal(magnetic_terms(model)[2])
+        order = np.argsort(diagonal, kind="stable")
+        dec = m2.decomposition
+        assert dec.eigenvalues.tobytes() == diagonal[order].tobytes()
+        assert dec.eigenvectors.tobytes() == np.eye(len(order))[:, order].tobytes()
+        assert m2.norm == float(np.max(diagonal))
+        assert m2.matrix.tobytes() == magnetic_terms(model)[2].tobytes()
+
     def test_pipeline_calls_no_eigvalsh(self, monkeypatch):
         callers = {"eigh": [], "eigvalsh": []}
         for name, calls in callers.items():
@@ -352,9 +364,9 @@ class TestMagneticExperiment:
         report = magnetic_experiment(harmonic_model(), e_grid=np.linspace(-0.008, 0.008, 5),
                                      s0=1.0)
         assert report.all_true
-        # the checked eigh are H0's, one per coefficient norm (M1 and M2) and one
-        # per nonzero coupling of the grid
-        assert callers == {"eigh": ["checked_eigh"] * 7, "eigvalsh": []}
+        # the checked eigh are H0's, M1's for its norm and one per nonzero coupling
+        # of the grid; M2 is held by its spectrum, so its norm takes none
+        assert callers == {"eigh": ["checked_eigh"] * 6, "eigvalsh": []}
 
     @pytest.mark.parametrize("n_half, spacing", [(8, 0.5), (8, 1.0), (16, 0.5), (32, 0.25),
                                                  (64, 0.125), (128, 0.0625)])
