@@ -31,6 +31,7 @@ from .cones import (
 )
 from .errors import (
     ConfigInvalid,
+    ContractViolation,
     HeatTimeUnresolved,
     RatioSaturated,
     RelativeBoundUncertified,
@@ -82,7 +83,10 @@ def generate_instance(flavor, dim, seed):
     least a third of the norm; held by its spectrum (from_spectrum), the
     Gram matrix's checked (w, Q) with the top eigenvalue times 1.5, so it is
     decomposed once.  degenerate-top: orthogonal conjugation of a spectrum
-    whose two largest eigenvalues are exactly equal.
+    whose two largest eigenvalues are exactly equal, held by that spectrum
+    and the QR factor Q, once ||Q^T Q - I||_F <= RECON_TOL (checked_eigh's
+    orthonormality test; else ContractViolation).  The tie is exact, so any
+    orthonormal basis of the top eigenspace is equally the instance's.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -103,7 +107,10 @@ def generate_instance(flavor, dim, seed):
         eigs = np.sort(rng.uniform(0.2, 0.8, size=dim))
         eigs[-1] = 1.0
         eigs[-2] = 1.0
-        return SymmetricOperator((q * eigs) @ q.T)
+        orth = float(np.linalg.norm(q.T @ q - np.eye(dim)))
+        if orth > tolerances.RECON_TOL:
+            raise ContractViolation(f"QR factor orthonormality defect {orth:.3e}")
+        return SymmetricOperator.from_spectrum(eigs, q)
     raise ValueError(f"unknown instance flavor {flavor!r}")
 
 

@@ -10,10 +10,10 @@ its generator's, a drifted ground axis (perturbation.drifted_axis) is its
 generator's bottom eigenvector, and the top eigenvalue on an axis complement
 is bounded from the same spectrum (restricted_top), so no linear system is
 solved and no compression is decomposed.  An operator built from its spectrum
-(from_spectrum: heat semigroups, the identity, psd-simple test instances,
-the diagonal magnetic term) holds only that spectrum: its matrix is formed on
-first read, and until then apply goes through the eigenvectors Q, so a sweep
-that reads no semigroup's entries forms none.
+(from_spectrum: heat semigroups, the identity, psd-simple and degenerate-top
+test instances, the diagonal magnetic term) holds only that spectrum: its
+matrix is formed on first read, and until then apply goes through the
+eigenvectors Q, so a sweep that reads no semigroup's entries forms none.
 Where a symmetric matrix only needs to be proven positive definite, as for a
 lower bound on a spectral gap (gap_exceeds), one guarded Cholesky factorization
 does it (certify_positive_definite) and nothing is decomposed.  All returned

@@ -11,10 +11,11 @@ a margin between the two decomposes the compression to the axis complement.
 Sampled verdicts take their cone points as one
 block: preservation classifies the block's images at once, and the
 ergodicity probe iterates A on every unresolved pair of a block together,
-taking its powers in doubling blocks judged with array operations and cut
-at the first power where a pair resolves or a column is rescaled.  The
-probe's test is homogeneous, so it scales A, u and v by exact powers of two
-and decides the same at every scale.  A Verdict is plain data; the harness
+judging the first power alone and then blocks of as many powers as its
+buffer holds with array operations, each cut at the first power where a
+pair resolves or a column is rescaled.  The probe's test is homogeneous,
+so it scales A, u and v by exact powers of two and decides the same at
+every scale.  A Verdict is plain data; the harness
 renders its report cells.
 """
 
@@ -284,14 +285,16 @@ def ergodic_probe(A, cone, us, vs):
     scaled pairing times 2^exponent (inf past the float range, which still
     witnesses positivity).
 
-    Powers are taken in blocks of doubling size (1, 1, 2, 4, ...): the block's
-    products run back to back, and its peaks, norms, pairings and hits are
-    judged with array operations.  A block is cut at its first power where a
-    column hits, vanishes or leaves the range; that power alone is rescaled
-    and judged as one power, the powers after it are dropped, and the next
-    block starts from it with the remaining columns.  Every product therefore
-    sees the same columns and every judged value the same bits as a
-    power-by-power loop.
+    The first power is judged alone, since most pairs resolve there; the
+    powers after it are taken in blocks as large as the buffer allows (at
+    most max(dim, 32) * dim floats, so a lone column runs up to MAX_POWER in
+    two or three blocks): the block's products run back to back, and its
+    peaks, norms, pairings and hits are judged with array operations.  A
+    block is cut at its first power where a column hits, vanishes or leaves
+    the range; that power alone is rescaled and judged as one power, the
+    powers after it are dropped, and the next block starts from it with the
+    remaining columns.  Every product therefore sees the same columns and
+    every judged value the same bits as a power-by-power loop.
     """
     _check_dims(A, cone)
     us, vs = as_rows(us), as_rows(vs)
@@ -311,7 +314,7 @@ def ergodic_probe(A, cone, us, vs):
     n = 0
     while n < MAX_POWER and live.size:
         # a block of more than one power holds at most max(dim, 32) * dim floats
-        size = max(1, min(n, MAX_POWER - n, max(A.dim, 32) // live.size))
+        size = 1 if n == 0 else max(1, min(MAX_POWER - n, max(A.dim, 32) // live.size))
         block = np.empty((size, A.dim, live.size))
         # powers past the cut may overflow; they are never judged
         with np.errstate(over="ignore", invalid="ignore"):

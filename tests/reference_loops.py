@@ -13,6 +13,8 @@ compression that `improves_positivity_axis` decomposed on every degenerate
 top before it read that case from the second eigenvalue;
 `eager_from_spectrum` is `SymmetricOperator.from_spectrum` as it stood before
 an operator held by its spectrum formed its matrix on first read;
+`eager_degenerate_top` is the degenerate-top test instance as it stood before
+it held the spectrum it is built from;
 `probe_by_power_loop` is the block ergodicity probe as it stood before it
 judged its powers in blocks; `sweep_by_rebuild` is the semigroup sweep as it
 stood before the budget held its checked operators; `threshold_by_decomposing`
@@ -274,6 +276,17 @@ def eager_from_spectrum(w, q):
     q.setflags(write=False)
     op._decomposition = SpectralDecomposition(eigenvalues=w, eigenvectors=q)
     return op
+
+
+def eager_degenerate_top(dim, seed):
+    """generate_instance("degenerate-top", dim, seed) with its matrix formed at
+    once and its spectrum left to checked_eigh."""
+    rng = rng_for(seed, 0)
+    q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    eigs = np.sort(rng.uniform(0.2, 0.8, size=dim))
+    eigs[-1] = 1.0
+    eigs[-2] = 1.0
+    return SymmetricOperator((q * eigs) @ q.T)
 
 
 def sweep_by_rebuild(T, S_spec, budget, s_samples, kappas=None):

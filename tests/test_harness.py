@@ -10,7 +10,7 @@ import pytest
 from axiscone import cli, harness, perturbation
 from axiscone.cli import main
 from axiscone.cones import AxisCone, Region
-from axiscone.errors import ConfigInvalid
+from axiscone.errors import ConfigInvalid, ContractViolation
 from axiscone.harness import (
     ExperimentConfig,
     Report,
@@ -24,7 +24,12 @@ from axiscone.operators import SymmetricOperator, checked_eigh, top_eigen
 from axiscone.perturbation import PerturbationFamily, semigroup_threshold
 from axiscone.positivity import Verdict, VerdictStatus, improves_positivity_axis
 from axiscone.tolerances import INSTANCES_LIMIT, RECON_TOL, SAMPLES_LIMIT, SIZE_LIMIT
-from reference_loops import eager_from_spectrum
+from reference_loops import eager_degenerate_top, eager_from_spectrum
+
+
+def axis_of(row):
+    """Cone axis of the instance a pf_verify row (flavor, dim, ..., seed, ok) names."""
+    return top_eigen(generate_instance(row[0], int(row[1]), int(row[6])))[1]
 
 
 class TestConfig:
@@ -162,6 +167,40 @@ class TestGenerateInstance:
             assert np.all(np.diff(w) >= 0.0)
             if dim > 1:
                 assert w[-1] - w[-2] >= a.norm / 3.0
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 32, 64])
+    def test_degenerate_top_holds_its_spectrum(self, dim):
+        # the held (w, Q) is the spectrum of the matrix it forms, its top two
+        # eigenvalues tied exactly, and that matrix is the eager construction's
+        for seed in range(5):
+            a = generate_instance("degenerate-top", dim, seed)
+            assert a._matrix is None
+            w, q = a.decomposition.eigenvalues, a.decomposition.eigenvectors
+            assert np.all(np.diff(w) >= 0.0) and w[-1] == w[-2] == 1.0
+            formed, _ = checked_eigh(a.matrix)
+            assert np.max(np.abs(w - formed)) <= RECON_TOL * max(1.0, a.norm)
+            assert np.linalg.norm(q.T @ q - np.eye(dim)) <= RECON_TOL
+            assert a.matrix.tobytes() == eager_degenerate_top(dim, seed).matrix.tobytes()
+
+    def test_degenerate_top_rejects_a_qr_factor_off_orthonormal(self, monkeypatch):
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda m: ((1.0 + 1e-8) * qr(m)[0], qr(m)[1]))
+        with pytest.raises(ContractViolation, match="orthonormality"):
+            generate_instance("degenerate-top", 8, 0)
+
+    @pytest.mark.parametrize("seed", [0, 303])
+    def test_degenerate_top_statuses_match_eager_instances(self, monkeypatch, seed):
+        def statuses():
+            report = run(ExperimentConfig(kind="pf_verify", seed=seed,
+                                          params={"dims": [2, 3, 8, 32, 64]}))
+            return [row[:4] for row in report.rows]
+
+        held = statuses()
+        generate = harness.generate_instance
+        monkeypatch.setattr(harness, "generate_instance", lambda flavor, dim, index: (
+            eager_degenerate_top(dim, index) if flavor == "degenerate-top"
+            else generate(flavor, dim, index)))
+        assert statuses() == held
 
     def test_unknown_flavor(self):
         with pytest.raises(ValueError):
@@ -488,8 +527,10 @@ class TestReplay:
         for i, line in enumerate(lines):
             if ",CertifiedFalse," in line and ",improves_positivity_axis," in line:
                 parts = line.split(",")
-                witness = [float(x) for x in parts[5].split()]
-                witness[0] += 25.0  # push the ray far off the boundary
+                witness = np.array([float(x) for x in parts[5].split()])
+                # push the ray far into the cone along the regenerated instance's axis,
+                # which holds in any basis of its tied top eigenspace
+                witness += 25.0 * axis_of(parts)
                 parts[5] = " ".join(format(x, ".17g") for x in witness)
                 lines[i] = ",".join(parts)
                 break
@@ -845,8 +886,8 @@ class TestCli:
         for i, line in enumerate(lines):
             if ",CertifiedFalse," in line and ",improves_positivity_axis," in line:
                 parts = line.split(",")
-                witness = [float(x) for x in parts[5].split()]
-                witness[0] += 25.0
+                witness = np.array([float(x) for x in parts[5].split()])
+                witness += 25.0 * axis_of(parts)
                 parts[5] = " ".join(format(x, ".17g") for x in witness)
                 lines[i] = ",".join(parts)
                 break

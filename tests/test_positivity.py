@@ -727,6 +727,45 @@ class TestBlockVerdictsMatchLoops:
             us, vs = us[inside], vs[inside]
             assert_same_probe(ergodic_probe(a, cone, us, vs), probe_by_power_loop(a, us, vs))
 
+    FIRST_POWERS = (1, 2, 3, 33, 63, 64, None)   # None: the pair never resolves
+
+    @staticmethod
+    def coupled_blocks(dim, offset):
+        """Orthant pairs (e_2b, e_2b+1) that first resolve at chosen powers, and the A
+        that makes them: block b of A is s_b (I + eps_b X), X the 2 x 2 swap, so
+        <e_2b, A^n e_2b+1> / ||A^n e_2b+1|| is about n eps_b, and eps_b = TAU_STRICT /
+        (p - 1/2) first passes TAU_STRICT at power p (eps_b = 0: never).  Beside the
+        blocks at scale 1, those at 1e-5 and 1e-2 leave [1e-100, 1e100] every 20 and
+        50 powers, so their columns are rescaled inside blocks of powers."""
+        a, us, vs, firsts = np.zeros((dim, dim)), [], [], []
+        for b in range(dim // 2):
+            p = TestBlockVerdictsMatchLoops.FIRST_POWERS[(b + offset) % 7]
+            eps = 0.0 if p is None else TAU_STRICT / (p - 0.5)
+            a[2 * b:2 * b + 2, 2 * b:2 * b + 2] = (1.0, 1e-5, 1e-2)[b % 3] * np.array(
+                [[1.0, eps], [eps, 1.0]])
+            us.append(np.eye(dim)[2 * b])
+            vs.append(np.eye(dim)[2 * b + 1])
+            firsts.append(p)
+        return SymmetricOperator(a), np.array(us), np.array(vs), firsts
+
+    @pytest.mark.parametrize("dim", [2, 8, 64, 200])
+    def test_probe_first_powers_match_the_power_loop(self, dim):
+        cone = OrthantCone(dim)
+        for offset in range(7) if dim == 2 else (0, 3):
+            a, us, vs, firsts = self.coupled_blocks(dim, offset)
+            singles = [ergodic_probe(a, cone, [u], [v]) for u, v in zip(us, vs)]
+            for single, u, v in zip(singles, us, vs):
+                assert_same_probe(single, probe_by_power_loop(a, [u], [v]))
+            assert ([(single.found, single.n) for single in singles]
+                    == [(p is not None, p or MAX_POWER) for p in firsts])
+            # many columns: the coupled pairs alone, and followed by pairs across two
+            # blocks (never resolved) and by pairs of one basis vector (power 1)
+            cross = np.roll(vs, 1, axis=0) if len(vs) > 1 else vs[:0]
+            for block_us, block_vs in [(us, vs), (np.vstack([us, us[:len(cross)], us]),
+                                                 np.vstack([vs, cross, us]))]:
+                assert_same_probe(ergodic_probe(a, cone, block_us, block_vs),
+                                  probe_by_power_loop(a, block_us, block_vs))
+
     @pytest.mark.parametrize("dim", [2, 5, 16, 40])
     def test_probe_on_orthant_instances(self, dim):
         # a path graph resolves (e0, e_j) at power j, so hits land inside blocks
