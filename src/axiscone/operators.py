@@ -285,7 +285,9 @@ def gap_exceeds(A, x, floor, frobenius_bound):
         a = A.matrix
         rho = float(x @ (a @ x))
         beta = 2.0 * floor + 1.0
-        m = a + beta * np.outer(x, x)
+        m = np.outer(x, x)   # the one buffer: a + beta x x^T - (rho + floor) I, in place
+        m *= beta
+        m += a
         m[np.diag_indices(A.dim)] -= rho + floor
         error = gamma(3 * A.dim + 8) * (2.0 * frobenius_bound + beta + abs(rho) + floor)
     return certify_positive_definite(m, error)

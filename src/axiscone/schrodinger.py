@@ -17,8 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricPotential, SemigroupOverflow
-from .operators import SymmetricOperator, bottom_eigen, heat_semigroup
+from .errors import AsymmetricPotential, ContractViolation, SemigroupOverflow
+from .operators import (
+    UNIT_ROUNDOFF,
+    SymmetricOperator,
+    bottom_eigen,
+    certify_positive_definite,
+    gamma,
+    heat_semigroup,
+)
 from .perturbation import (
     PerturbationFamily,
     end_to_end_semigroup_check,
@@ -127,6 +134,53 @@ def magnetic_terms(model):
     return terms
 
 
+def m1_norm_bound(m1):
+    """A proven upper bound b1 >= ||M1|| for M1 of magnetic_terms, read from its
+    parity cross block without an eigh unless the proof fails.
+
+    M1 couples only the sectors E = (delta_0, even_1..even_N), columns 0, 1,
+    3, .., 2N-1, and O = (odd_1..odd_N), columns 2, 4, .., 2N; its E x E and
+    O x O blocks must be exactly zero (else ContractViolation).  So M1 is the
+    Jordan-Wielandt form of its (N+1) x N block C = M1[E, O], and ||M1|| =
+    sigma_max(C) (Golub & Van Loan, Matrix Computations, 8.6).  From s, the
+    largest singular value of np.linalg.svd(C), b1 = s (1 + theta) with theta
+    = 8 (N + 2)^2 u is proven by one certify_positive_definite of m =
+    fl(b1^2 I - fl(C^T C)), since b1^2 I - C^T C > 0 gives sigma_max(C) < b1.
+    Its error bounds ||b1^2 I - C^T C - m||_2.  With u the unit roundoff, eta
+    the smallest subnormal, G = C^T C, g = fl(G), beta = fl(b1^2) and F =
+    fl(trace g): ||g - G||_2 <= ||g - G||_F <= gamma_{N+1} ||C||_F^2 + N (N +
+    1) eta (dot products of length N + 1 in any order, Higham 3.5, and their
+    underflows); the diagonal adds |b1^2 - beta| + u |beta - g_ii| <= u b1^2 +
+    u (beta + max g_ii) + eta; and ||C||_F^2 <= (F / (1 - gamma_{N-1}) + N (N
+    + 1) eta) / (1 - gamma_{N+1}), max g_ii <= F / (1 - gamma_{N-1}), each
+    factor below 4/3 while (N + 3) u <= 1/5.  So error = 2 gamma_{N+3} (F +
+    beta) + 2 (N + 1) (N + 2) eta covers the sum, with one spare unit for the
+    rounding of error itself.  The certificate's guard plus error come to
+    about 3 N^2 u s^2 for a block whose squared singular values spread over
+    [0, s^2]; theta leaves room 2 theta s^2 for that and for the SVD's error,
+    of order N u s.  C = 0 gives b1 = 0 with nothing factored; where the
+    certificate fails it proves nothing, and b1 is M1's checked norm (eigh).
+    """
+    n = m1.dim // 2
+    a = m1.matrix
+    even, odd = np.r_[0, 1:2 * n:2], np.arange(2, 2 * n + 1, 2)
+    if np.any(a[np.ix_(even, even)]) or np.any(a[np.ix_(odd, odd)]):
+        raise ContractViolation("M1 couples a parity sector to itself")
+    cross = a[np.ix_(even, odd)]
+    if not cross.any():
+        return 0.0
+    sigma = float(np.linalg.svd(cross, compute_uv=False)[0])
+    with np.errstate(over="ignore", invalid="ignore"):   # inf fails the certificate
+        b1 = sigma * (1.0 + 8.0 * (n + 2) ** 2 * UNIT_ROUNDOFF)
+        m = cross.T @ cross
+        beta = b1 * b1
+        error = (2.0 * gamma(n + 3) * (np.trace(m) + beta)
+                 + 2 * (n + 1) * (n + 2) * np.finfo(float).smallest_subnormal)
+        np.negative(m, out=m)
+        m[np.diag_indices(n)] += beta
+    return b1 if certify_positive_definite(m, error) else m1.norm
+
+
 @dataclass(frozen=True)
 class OrthantDemoReport:
     """Witness data for the heat flow leaving the nonnegative cone."""
@@ -207,10 +261,14 @@ def magnetic_experiment(model, e_grid, s0, s_samples=None):
     Pipeline: build the restricted H0, M1 and M2 once (M2 held by its
     spectrum), take the unit ground vector of H0 as the cone axis, treat
     e M1 + e^2 M2 as a quadratic perturbation family with a(e) = 0 and the
-    coefficient-norm bound b(e) = |e| ||M1|| + e^2 ||M2||, run the semigroup
+    coefficient-norm bound b(e) = |e| b1 + e^2 ||M2||, run the semigroup
     budget and the end-to-end sweep over admissible couplings from the grid
     (which checks every heat time against the budget), then certify
-    improvement of exp(-s H0).  The heat times default to s0/4, s0/2 and s0.
+    improvement of exp(-s H0).  b(e) is a proven upper bound on ||e M1 +
+    e^2 M2||: b1 >= ||M1|| is proven from M1's parity cross block
+    (m1_norm_bound; its checked eigh only where that proof fails), and M2 is
+    diagonal, so ||M2|| = max a^2 exactly.  The heat times default to s0/4,
+    s0/2 and s0.
     """
     if s0 <= 0:
         raise ValueError("s0 must be positive")
@@ -221,7 +279,7 @@ def magnetic_experiment(model, e_grid, s0, s_samples=None):
     h0, m1 = SymmetricOperator(h0), SymmetricOperator(m1)
     _, ground, _ = bottom_eigen(h0, require_simple=True)
 
-    family = PerturbationFamily((m1, m2))
+    family = PerturbationFamily((m1, m2), norms=(m1_norm_bound(m1), m2.norm))
     e_grid = np.asarray(e_grid, dtype=float)
     kappa0 = float(np.max(np.abs(e_grid))) + 1e-12
     budget = semigroup_threshold(h0, family, s0=s0, kappa0=kappa0, kappa_grid=e_grid)

@@ -473,9 +473,11 @@ def demo_by_complex_propagator(model, e, s):
 
 
 def exactly_positive_definite(m, shift=0.0):
-    """Whether the float matrix m - shift I is positive definite, exactly: symmetric
-    Gaussian elimination (LDL^T) on the rationals the floats denote, every pivot > 0."""
-    a = [[Fraction(float(x)) for x in row] for row in np.asarray(m)]
+    """Whether the matrix m - shift I is positive definite, exactly: symmetric Gaussian
+    elimination (LDL^T) on the rationals its entries denote (floats or Fractions),
+    every pivot > 0."""
+    a = [[x if isinstance(x, Fraction) else Fraction(float(x)) for x in row]
+         for row in np.asarray(m)]
     for i in range(len(a)):
         a[i][i] -= Fraction(float(shift))
     for k in range(len(a)):

@@ -813,6 +813,25 @@ class TestCli:
         assert len(captured.err.strip().splitlines()) == 1
         assert not (tmp_path / "r.csv").exists()
 
+    def test_tiny_radius_angle_probe_exits_0(self, tmp_path):
+        # t = R diag(0, 52) R^T: s0 delta = 52 ln 2 leaves alpha within 1e-16 of 1 and r
+        # = 3.9e-17, below the rounding of the computed drift at kappa = 9e-16 (5.6e-17
+        # at 15, 72, 75, 78, 79 and 81 degrees); a valid input, so every angle exits 0
+        out = tmp_path / "r.csv"
+        for degrees in range(90):
+            c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+            rotation = np.array([[c, -s], [s, c]])
+            t = rotation @ np.diag([0.0, 52.0]) @ rotation.T
+            cfg = tmp_path / "angle.json"
+            cfg.write_text(json.dumps({"kind": "perturb_sweep", "seed": 0, "params": {
+                "t": t.tolist(), "s": [[0, 1], [1, 0]], "kappa_grid": [0, 9e-16],
+                "kappas": [0, 9e-16]}}))
+            assert main(["perturb", "--config", str(cfg), "--out", str(out),
+                         "--no-timestamp"]) == 0, degrees
+            lines = [line for line in out.read_text().splitlines() if line[:1] != "#"]
+            assert [line.split(",")[6] for line in lines[1:]] == ["CertifiedTrue"] * 10
+
+
     @pytest.mark.parametrize("kind, field", [("cone_axioms", "samples"),
                                              ("pf_verify", "instances_per_flavor")])
     def test_repeat_count_beyond_its_limit_exits_2(self, tmp_path, capsys, kind, field):

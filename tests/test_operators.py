@@ -253,6 +253,24 @@ class TestGapCertificate:
         # near the true bottom vector the certificate gets within 1e-6 of the gap
         assert gap_exceeds(a, q[:, 0], (1.0 - 1e-6) * gap, bound)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_factored_matrix_is_the_sum_bit_for_bit(self, seed, monkeypatch):
+        # formed in one buffer, m is (a + beta x x^T) - (rho + floor) I as the sums
+        # round: beta (x x^T) first, then a, then the diagonal shift
+        seen = []
+        monkeypatch.setattr(operators, "certify_positive_definite",
+                            lambda m, error: seen.append(np.array(m)) or True)
+        rng = rng_for(seed, 97)
+        dim = int(rng.integers(2, 40))
+        g = rng.standard_normal((dim, dim))
+        a = SymmetricOperator(g + g.T)
+        x, floor = rng.standard_normal(dim), float(rng.uniform(0.0, 2.0))
+        assert gap_exceeds(a, x, floor, float(np.linalg.norm(a.matrix)))
+        x = x / np.linalg.norm(x)
+        want = a.matrix + (2.0 * floor + 1.0) * np.outer(x, x)
+        want[np.diag_indices(dim)] -= float(x @ (a.matrix @ x)) + floor
+        assert seen[0].tobytes() == want.tobytes()
+
 
 def near_singular(seed):
     """A seeded float matrix of dimension 1-6 and its exact least eigenvalue, in
@@ -307,6 +325,14 @@ class TestPositiveDefiniteCertificate:
         for m, error, certified in calls:
             if certified:
                 assert exactly_positive_definite(m, error)
+
+    def test_leaves_its_input_unchanged(self):
+        # callers read m again after the call, as the near-singular check does
+        for seed in range(40):
+            m, least = near_singular(seed)
+            before = m.tobytes()
+            certify_positive_definite(m, 0.0)
+            assert m.tobytes() == before
 
     def test_non_finite_input_proves_nothing(self):
         with warnings.catch_warnings():

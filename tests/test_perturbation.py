@@ -1326,9 +1326,10 @@ class TestGapCertificate:
         fallback, fallback_calls = report_and_eigh_calls()
         assert report == reference == fallback
         # the magnetic family has degree two: the oracle takes eigvalsh for its
-        # coefficients' norms, but the sweep's c_at reads b(kappa) from the
-        # family, which decomposes each coefficient once in every run
-        assert fallback_calls == reference_calls
+        # coefficients' norms, and the sweep's c_at reads b(kappa) from the family's
+        # norm bounds, which decompose no coefficient while Cholesky works; with it
+        # failing, M1's norm certificate fails too and falls back to M1's checked eigh
+        assert fallback_calls == reference_calls + (config.kind == "schrodinger")
         assert eigh_calls < reference_calls
 
     @pytest.mark.parametrize("n_half", [16, 32, 48, 64, 128, 512])
@@ -1399,11 +1400,19 @@ class TestGapCertificate:
         assert GAP_COLLAPSE_TOL * t.norm < 2e-9
 
     def test_default_magnetic_experiment_attempts_no_cholesky(self, monkeypatch):
-        calls = []
+        # no grid-gap certificate at N = 8: the one Cholesky is M1's norm certificate
+        from axiscone import schrodinger
+
+        gaps, norms, calls = [], [], []
         cholesky = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m) or cholesky(m))
+        monkeypatch.setattr(perturbation, "gap_exceeds",
+                            lambda *args: gaps.append(args) or gap_exceeds(*args))
+        monkeypatch.setattr(schrodinger, "certify_positive_definite",
+                            lambda *args: norms.append(certify_positive_definite(*args))
+                            or norms[-1])
         run(ExperimentConfig(kind="schrodinger", seed=0, params={}))
-        assert calls == []
+        assert gaps == [] and norms == [True] and len(calls) == 1
 
 
 class TestBoundChainSeeded:

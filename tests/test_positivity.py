@@ -608,6 +608,10 @@ def assert_same_probe(result, expected):
 
 
 PATH4 = np.diag([1.0, 1.0, 1.0], 1) + np.diag([1.0, 1.0, 1.0], -1)  # path graph 0-1-2-3
+# scaled by 2^-1, A^n e2 ~ (2^-n 1e-150, (5e-31)^n): its largest entry leaves [1e-100,
+# 1e100] at n = 4, inside the block of powers 2-33, and <e1, A^n e2> / ||A^n e2||
+# first exceeds TAU_STRICT at n = 5
+INSIDE_A_BLOCK = np.array([[1.0, 1e-150], [1e-150, 1e-30]])
 
 
 class TestBlockVerdictsMatchLoops:
@@ -672,9 +676,7 @@ class TestBlockVerdictsMatchLoops:
         (1e-60 * np.array([[0.0, 1.0], [1.0, 0.0]]), [(E1, E1), ([0.0, 1.0], E1)], [2, 1]),
         (np.diag([1.0, 0.0]), [(E1, E1), (E1, [0.0, 1.0]), (E1, E1)], [1, MAX_POWER, 1]),
         (1e10 * np.eye(2), [([0.0, 1.0], E1), (E1, E1)], [MAX_POWER, 1]),
-        # ||A^n e2|| ~ 1e15n leaves the range at n = 7, inside the block of powers 5-8, and
-        # <e1, A^n e2> / ||A^n e2|| ~ n * 1.05e-11 first exceeds TAU_STRICT at n = 10
-        (1e15 * np.array([[1.0, 1.05e-11], [1.05e-11, 1.0]]), [(E1, [0.0, 1.0])], [10]),
+        (INSIDE_A_BLOCK, [(E1, [0.0, 1.0])], [5]),
     ], ids=["renormalize_up", "rescaled_value_overflows", "renormalize_down", "zero_image",
             "unfound_while_renormalizing", "renormalize_inside_a_block"])
     def test_probe_edge_pairs(self, matrix, pairs, powers):
@@ -686,6 +688,16 @@ class TestBlockVerdictsMatchLoops:
         assert [ergodic_probe(a, cone, [u], [v]).n for u, v in zip(us, vs)] == powers
         if len(matrix) == 4:  # three renormalized powers of 1e150: the value is inf
             assert result.value == math.inf
+
+    def test_a_column_is_rescaled_inside_a_block(self, monkeypatch):
+        # the renormalize_inside_a_block case rescales its column once, at power 4
+        rescaled, exponents = [], positivity._exponents
+        monkeypatch.setattr(positivity, "_exponents", lambda x, axis=None: (
+            axis == 0 and rescaled.append(x.copy())) or exponents(x, axis))
+        a, cone = SymmetricOperator(INSIDE_A_BLOCK), OrthantCone(2)
+        result = ergodic_probe(a, cone, [E1], [[0.0, 1.0]])
+        assert result.found and result.n == 5
+        assert len(rescaled) == 1 and np.max(np.abs(rescaled[0])) < 1e-100
 
     @pytest.mark.parametrize("matrix, pair, expected", [
         (1.5e308 * np.ones((2, 2)), ([1.0, 1.0], [1.0, 1.0]), (True, 1, math.inf)),

@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,13 +13,15 @@ from axiscone.errors import (
     SemigroupOverflow,
 )
 from axiscone.harness import ExperimentConfig, run
-from axiscone.operators import SymmetricOperator, bottom_eigen
+from axiscone import schrodinger
+from axiscone.operators import UNIT_ROUNDOFF, SymmetricOperator, bottom_eigen
 from axiscone.perturbation import _c_values
 from axiscone.positivity import VerdictStatus
 from axiscone.schrodinger import (
     GridSpec,
     MagneticModel,
     POTENTIAL_PRESETS,
+    m1_norm_bound,
     magnetic_experiment,
     magnetic_terms,
     orthant_failure_demo,
@@ -27,9 +30,11 @@ from axiscone.seeding import rng_for
 from axiscone.tolerances import TAU_SYM
 from reference_loops import (
     assembled_magnetic,
+    coefficient_norm_bound,
     complex_magnetic_terms,
     compressed_to_real,
     demo_by_complex_propagator,
+    exactly_positive_definite,
     laplacian_matrix,
     momentum_matrix,
     parity_basis,
@@ -330,6 +335,101 @@ class TestOrthantDemo:
             orthant_failure_demo(experiment, e, s=s)
 
 
+def even_model(n_half, seed, spacing=0.3):
+    """A zero scalar potential and a seeded even vector potential: standard normals
+    at x_0..x_N, mirrored."""
+    half = rng_for(seed, 98).standard_normal(n_half + 1)
+    return MagneticModel(GridSpec(n_half, spacing), np.zeros(2 * n_half + 1),
+                         np.concatenate([half[:0:-1], half]))
+
+
+def sectors(n_half):
+    """M1's parity sectors: delta_0 and even_1..even_N, then odd_1..odd_N."""
+    return np.r_[0, 1:2 * n_half:2], np.arange(2, 2 * n_half + 1, 2)
+
+
+def count_eigh(monkeypatch):
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    return calls
+
+
+class TestM1NormBound:
+    @pytest.mark.parametrize("n_half", [1, 2, 8, 48, 128])
+    def test_same_sector_blocks_are_exactly_zero(self, n_half):
+        even, odd = sectors(n_half)
+        for seed in range(5):
+            m1 = magnetic_terms(even_model(n_half, seed))[1]
+            assert not np.any(m1[np.ix_(even, even)]) and not np.any(m1[np.ix_(odd, odd)])
+            assert np.any(m1[np.ix_(even, odd)])
+
+    @pytest.mark.parametrize("preset", sorted(POTENTIAL_PRESETS))
+    def test_bound_brackets_the_norm(self, preset, monkeypatch):
+        calls = count_eigh(monkeypatch)
+        for n_half in range(1, 257):
+            model = MagneticModel.from_functions(GridSpec(n_half, 8.0 / n_half),
+                                                 POTENTIAL_PRESETS["harmonic"],
+                                                 POTENTIAL_PRESETS[preset])
+            m1 = SymmetricOperator(magnetic_terms(model)[1])
+            b1 = m1_norm_bound(m1)
+            top = float(np.max(np.abs(np.linalg.eigvalsh(m1.matrix))))
+            theta = 8.0 * (n_half + 2) ** 2 * UNIT_ROUNDOFF
+            # svd and eigvalsh round sigma_max differently, by a few N u
+            slack = 1.0 + 4.0 * (n_half + 1) * UNIT_ROUNDOFF
+            assert top <= b1 <= (1.0 + theta) * slack * top, n_half
+        assert calls == []   # every bound proven, none read from a decomposition
+
+    def test_bound_holds_in_exact_arithmetic(self):
+        # b1^2 I - C^T C is positive definite over the rationals the floats of C denote
+        for n_half in range(1, 7):
+            even, odd = sectors(n_half)
+            for seed in range(3):
+                m1 = SymmetricOperator(magnetic_terms(even_model(n_half, seed))[1])
+                square = Fraction(m1_norm_bound(m1)) ** 2
+                c = [[Fraction(float(x)) for x in row] for row in m1.matrix[np.ix_(even, odd)]]
+                m = [[(square if i == j else 0) - sum(row[i] * row[j] for row in c)
+                      for j in range(n_half)] for i in range(n_half)]
+                assert exactly_positive_definite(m)
+
+    def test_sector_coupling_raises(self):
+        m1 = np.array(magnetic_terms(harmonic_model(4, 0.5))[1])
+        m1[1, 3] = m1[3, 1] = 1.0   # even_1 / even_2
+        with pytest.raises(ContractViolation, match="parity sector"):
+            m1_norm_bound(SymmetricOperator(m1))
+
+    def test_zero_vector_potential_factors_nothing(self, monkeypatch):
+        certificates = []
+        monkeypatch.setattr(schrodinger, "certify_positive_definite",
+                            lambda *args: certificates.append(args))
+        calls = count_eigh(monkeypatch)
+        model = MagneticModel.from_functions(GridSpec(6, 0.5), lambda x: x * x,
+                                             lambda x: 0.0)
+        assert m1_norm_bound(SymmetricOperator(magnetic_terms(model)[1])) == 0.0
+        budget = magnetic_experiment(model, e_grid=[0.0, 0.5], s0=0.5,
+                                     s_samples=[0.5]).budget
+        assert budget.family.norms == (0.0, 0.0)
+        assert certificates == [] and len(calls) == 2   # H0 and H_r(0.5)
+
+    def test_failed_certificate_falls_back_to_the_checked_eigh(self, monkeypatch):
+        config = ExperimentConfig(kind="schrodinger", seed=0, params={"N": 48, "h": 8.0 / 48})
+        calls = count_eigh(monkeypatch)
+        report = run(config).render(timestamp=False)
+        proven = len(calls)
+        monkeypatch.setattr(schrodinger, "certify_positive_definite", lambda m, error: False)
+        calls.clear()
+        assert run(config).render(timestamp=False) == report
+        assert len(calls) == proven + 1   # M1's checked eigh
+        # the budget of the eigh norm, bit for bit: b(e) from M1's checked spectrum
+        model = MagneticModel.from_functions(GridSpec(48, 8.0 / 48), lambda x: x * x,
+                                             lambda x: math.exp(-x * x))
+        budget = magnetic_experiment(model, e_grid=np.linspace(-0.008, 0.008, 17),
+                                     s0=1.0).budget
+        m1, m2 = budget.family.coefficients
+        assert budget.family.norms == (m1.decomposition.operator_norm, m2.norm)
+        want = [coefficient_norm_bound(e, [m1.norm, m2.norm]) for e in budget.kappas]
+        assert budget.b_values.tobytes() == np.array(want).tobytes()
+
+
 class TestMagneticExperiment:
     def test_full_pipeline(self):
         report = magnetic_experiment(
@@ -364,9 +464,10 @@ class TestMagneticExperiment:
         report = magnetic_experiment(harmonic_model(), e_grid=np.linspace(-0.008, 0.008, 5),
                                      s0=1.0)
         assert report.all_true
-        # the checked eigh are H0's, M1's for its norm and one per nonzero coupling
-        # of the grid; M2 is held by its spectrum, so its norm takes none
-        assert callers == {"eigh": ["checked_eigh"] * 6, "eigvalsh": []}
+        # the checked eigh are H0's and one per nonzero coupling of the grid; M1's
+        # norm is proven from its parity cross block and M2 is held by its
+        # spectrum, so neither norm takes one
+        assert callers == {"eigh": ["checked_eigh"] * 5, "eigvalsh": []}
 
     @pytest.mark.parametrize("n_half, spacing", [(8, 0.5), (8, 1.0), (16, 0.5), (32, 0.25),
                                                  (64, 0.125), (128, 0.0625)])
