@@ -7,7 +7,14 @@ spectral-gap budgets for heat semigroups, and a discrete 1-D magnetic
 Hamiltonian pipeline that exercises the whole chain.
 """
 
+import os
+
 __version__ = "0.1.0"
+
+# One BLAS thread unless the caller chose otherwise: threaded BLAS sums in an
+# order that depends on the thread count, and reports must not.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .cones import AxisCone, MoreauSplit, OrthantCone, Region
 from .errors import AxisConeError

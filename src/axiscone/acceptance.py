@@ -84,8 +84,7 @@ def criterion_1_radius_formula(seed):
 def criterion_2_threshold_reproduction(seed):
     started = time.perf_counter()
     t = SymmetricOperator(np.diag([0.0, 1.0]))
-    s_spec = PerturbationFamily([SymmetricOperator([[0.0, 1.0], [1.0, 0.0]])],
-                                a=0.0, b=1.0)
+    s_spec = PerturbationFamily([SymmetricOperator([[0.0, 1.0], [1.0, 0.0]])], b=[1.0])
     s0 = math.log(2.0)
     budget = semigroup_threshold(t, s_spec, s0=s0, kappa0=0.5,
                                  kappa_grid=np.linspace(-0.45, 0.45, 41))

@@ -525,7 +525,7 @@ def _run_pf_verify(config):
 def _run_perturb(config):
     params = config.params
     t, s_matrix = config._checked
-    s_spec = PerturbationFamily([s_matrix], a=params["a"], b=params["b"])
+    s_spec = PerturbationFamily([s_matrix], a=params["a"], b=[params["b"]])
     kappas = params.get("kappas")
     # delta must cover every swept coupling that can be admissible (|kappa| < kappa0)
     grid = params["kappa_grid"]

@@ -6,7 +6,7 @@ eigenvalue tolerates an axis drift up to r(alpha) = (1 - alpha^2) /
 the spectral ratio on the axis complement.  For heat semigroups of a
 perturbed generator T + S(kappa), a relative-bound budget bounds the drift of
 the ground axis (Kato), and the admissible region is where that drift stays
-below r.  The budget owns that problem: it checks a claimed b against T,
+below r.  The budget owns that problem: it checks each given b_k against T,
 holds T, the family S and the checked operators at its admissible grid points
 (the grid loop decomposed each of them), builds T + S(kappa) in one place
 (PerturbationBudget.operator_at), and bounds c(kappa) at every kappa, on
@@ -204,19 +204,20 @@ def certified_improving_under_drift(A, alpha, u0, u1):
 class PerturbationFamily:
     """Polynomial family S(kappa) = sum_{k=1..d} kappa^k S_k of symmetric operators.
 
-    A linear family (d = 1) carries the relative bounds a|kappa| and
-    b|kappa|, so c(kappa) = c(1) |kappa| bounds its admissible range in
-    closed form; at finite dimension the tightest defaults are a = 0 and
-    b = ||S_1||, because the unbounded-operator analysis these constants
-    usually come from trivializes here (semigroup_threshold checks a claimed
-    b).  A family of higher degree takes a(kappa) = 0 and the coefficient-norm
-    bound b(kappa) = sum_k |kappa|^k n_k >= ||S(kappa)||, and its admissible
-    range is read off the kappa grid; n_k is the caller's proven bound
-    `norms[k-1]` >= ||S_k||, or ||S_k|| from S_k's checked spectrum when no
-    norms are given.
+    It carries the relative bounds a(kappa) = a |kappa| and b(kappa) =
+    sum_k |kappa|^k b_k, so that ||S(kappa) x|| <= a(kappa) ||T x|| +
+    b(kappa) ||x|| (Kato) once ||S_1 x|| <= a ||T x|| + b_1 ||x|| and ||S_k
+    x|| <= b_k ||x|| for k >= 2.  b takes one entry per coefficient: a given
+    bound b_k, which semigroup_threshold checks against T
+    (_check_relative_bound), or None for ||S_k|| from S_k's checked spectrum.
+    At finite dimension the tightest defaults are a = 0 and b_k = ||S_k||,
+    because the unbounded-operator analysis these constants usually come
+    from trivializes here; a applies to linear families only.  A linear
+    family's c(kappa) = c(1) |kappa| bounds its admissible range in closed
+    form; a family of higher degree reads it off the kappa grid.
     """
 
-    def __init__(self, coefficients, a=0.0, b=None, norms=None):
+    def __init__(self, coefficients, a=0.0, b=None):
         coefficients = tuple(
             c if isinstance(c, SymmetricOperator) else SymmetricOperator(c)
             for c in coefficients
@@ -225,17 +226,17 @@ class PerturbationFamily:
             raise ValueError("need at least one coefficient")
         if any(c.dim != coefficients[0].dim for c in coefficients):
             raise ValueError("coefficients differ in dimension")
-        if len(coefficients) > 1 and (a != 0.0 or b is not None):
-            raise ValueError("relative bounds a, b apply to linear families only")
-        if norms is not None and (len(coefficients) == 1 or len(norms) != len(coefficients)):
-            raise ValueError("norms bound the coefficients of a family of degree >= 2, "
-                             "one each")
+        if len(coefficients) > 1 and a != 0.0:
+            raise ValueError("the relative bound a applies to linear families only")
+        if b is None:
+            b = (None,) * len(coefficients)
+        if np.ndim(b) != 1 or len(b) != len(coefficients):
+            raise ValueError("b takes one entry per coefficient: a bound b_k or None")
         self.coefficients = coefficients
-        self.norms = None if norms is None else tuple(float(n) for n in norms)
         self.a = float(a)
-        self.b = None   # higher degrees bound b(kappa) by their coefficient norms instead
-        if len(coefficients) == 1:
-            self.b = coefficients[0].norm if b is None else float(b)
+        self.b = tuple(None if b_k is None else float(b_k) for b_k in b)
+        if not (self.a >= 0.0 and all(b_k is None or b_k >= 0.0 for b_k in self.b)):
+            raise ValueError("relative bounds must be nonnegative")
 
     @property
     def degree(self):
@@ -253,18 +254,16 @@ class PerturbationFamily:
         return self.a * abs(kappa)
 
     def b_at(self, kappa):
-        """b(kappa), elementwise on an array: b |kappa|, or sum_k |kappa|^k n_k
-        (k ascending, |kappa|^k by repeated products, inf past the float range),
-        which bounds ||S(kappa)|| from the coefficients' norm bounds (Kato)."""
-        if self.degree == 1:
-            return self.b * abs(kappa)
-        norms = self.norms or [coefficient.norm for coefficient in self.coefficients]
+        """b(kappa) = sum_k |kappa|^k b_k, elementwise on an array (k ascending,
+        |kappa|^k by repeated products, inf past the float range), with b_k the
+        given bound or ||S_k||."""
         power, total = 1.0, 0.0 * np.abs(kappa)
         with np.errstate(over="ignore"):
-            for norm in norms:
+            for b_k, coefficient in zip(self.b, self.coefficients):
+                b_k = coefficient.norm if b_k is None else b_k
                 power = power * np.abs(kappa)
-                if norm:   # a zero coefficient adds nothing, not 0 * inf
-                    total = total + power * norm
+                if b_k:   # a zero bound adds nothing, not 0 * inf
+                    total = total + power * b_k
         return total
 
 
@@ -344,7 +343,7 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
     them on it); epsilon = delta/2 is the radius around mu that holds each
     drifted bottom eigenvalue alone (drifted_axis); alpha = 1 - exp(-s0
     delta) feeds the drift radius r; admissible kappas satisfy c(kappa) <
-    f(r).  A linear family's claimed b is checked first (_check_relative_bound).
+    f(r).  Every given bound b_k is checked first (_check_relative_bound).
 
     kappa = 0 reads T's own spectrum (S has no constant term, so S(0) = 0
     and b(0) = 0), and the running minimum delta_run of the checked gaps
@@ -375,8 +374,7 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
         raise ValueError("kappa grid must be nonempty")
     if family.coefficients[0].dim != T.dim:
         raise ValueError("dimension mismatch")
-    if family.degree == 1:
-        _check_relative_bound(T, family)
+    _check_relative_bound(T, family)
     mu, _, _ = bottom_eigen(T, require_simple=True)
     if T.dim < 2:
         raise DegenerateBottom("need dimension >= 2 for a spectral gap")
@@ -449,24 +447,35 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
 
 
 def _check_relative_bound(T, family):
-    """Raise RelativeBoundUncertified unless the linear family's ||S x|| <= a ||T x||
-    + b ||x|| (S = S_1) holds: by b >= ||S||, as the default b = ||S|| does, or by
-    m = a^2 T^2 + b^2 I - S^2 >= 0, for then ||S x||^2 <= (a ||T x|| + b ||x||)^2.
-    certify_positive_definite proves the latter with error = gamma_{n+8} (||a T||_F^2
-    + ||S||_F^2 + b^2) on the rounding of m: gamma_{n+3} ||a T||_F^2 from a T and its
-    square, gamma_n ||S||_F^2 from S^2, u of each term from the subtraction and the
-    diagonal sum, u b^2 from b^2, with spare units for the rounding of error."""
-    s, b = family.coefficients[0], family.b
-    if b >= s.norm:
-        return
-    a_t = family.a * T.matrix
-    m = a_t @ a_t - s.matrix @ s.matrix
-    m[np.diag_indices(T.dim)] += b ** 2
-    error = gamma(T.dim + 8) * (np.linalg.norm(a_t) ** 2 + np.linalg.norm(s.matrix) ** 2 + b ** 2)
-    if not certify_positive_definite(m, error):
+    """Raise RelativeBoundUncertified unless each given b_k proves ||S_k x|| <=
+    a_k ||T x|| + b_k ||x||, with a_1 = a and a_k = 0 above degree one.
+
+    A zero S_k needs no proof.  Else m = a_k^2 T^2 + b_k^2 I - S_k^2 >= 0 gives
+    ||S_k x||^2 <= (a_k ||T x|| + b_k ||x||)^2, and certify_positive_definite
+    proves it with error = gamma_{n+8} (||a_k T||_F^2 + ||S_k||_F^2 + b_k^2) on
+    the rounding of m: gamma_{n+3} ||a_k T||_F^2 from a_k T and its square,
+    gamma_n ||S_k||_F^2 from S_k^2, u of each term from the subtraction and the
+    diagonal sum, u b_k^2 from b_k^2, with spare units for the rounding of error.
+    Only where that fails is b_k >= ||S_k|| read from S_k's checked spectrum, as
+    a claim at the norm itself (m singular) needs."""
+    for k, (b, coefficient) in enumerate(zip(family.b, family.coefficients), start=1):
+        if b is None or not coefficient.matrix.any():
+            continue
+        s = coefficient.matrix
+        m, error = -(s @ s), 0.0
+        a = family.a if k == 1 else 0.0
+        if a:   # a^2 T^2 is formed only where it adds
+            a_t = a * T.matrix
+            m += a_t @ a_t
+            error = np.linalg.norm(a_t) ** 2
+        m[np.diag_indices(T.dim)] += b ** 2
+        error = gamma(T.dim + 8) * (error + np.linalg.norm(s) ** 2 + b ** 2)
+        if certify_positive_definite(m, error) or b >= coefficient.norm:
+            continue
+        sub = f"_{k}" if family.degree > 1 else ""
         raise RelativeBoundUncertified(
-            f"||S x|| <= a ||T x|| + b ||x|| is not certified: a^2 T^2 + b^2 I - S^2 has "
-            f"eigenvalue {SymmetricOperator(m).decomposition.min_eigenvalue:.6g}")
+            f"||S{sub} x|| <= a ||T x|| + b{sub} ||x|| is not certified: a^2 T^2 + b{sub}^2 I "
+            f"- S{sub}^2 has eigenvalue {SymmetricOperator(m).decomposition.min_eigenvalue:.6g}")
 
 
 def _gap_estimates(T, family, kappas):

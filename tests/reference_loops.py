@@ -327,9 +327,10 @@ def coefficient_norm_bound(kappa, norms):
 def threshold_by_decomposing(T, family, s0, kappa0, kappa_grid):
     """semigroup_threshold with a checked eigh of T + S(kappa) at every nonzero grid
     point, visited in grid order; kappa = 0 reads T's spectrum, and delta never
-    exceeds T's own gap, on the grid or not.  b(kappa) is the claimed b |kappa| of a
-    linear family, else the coefficient-norm bound with each ||S_k|| taken from
-    np.linalg.eigvalsh, so the family's own norms and b_at are never read."""
+    exceeds T's own gap, on the grid or not.  b(kappa) is the coefficient bound
+    sum_k |kappa|^k b_k written out, never read from b_at: b_k is the given bound,
+    else ||S_1|| as the family reads it for a linear family and each ||S_k|| from
+    np.linalg.eigvalsh above degree one.  No given bound is checked here."""
     if s0 <= 0:
         raise ValueError("s0 must be positive")
     if kappa0 <= 0:
@@ -342,9 +343,9 @@ def threshold_by_decomposing(T, family, s0, kappa0, kappa_grid):
     gaps = np.empty(kappas.size)
     a_values = np.zeros(kappas.size)
     b_values = np.zeros(kappas.size)
-    if family.degree > 1:
-        norms = [float(np.max(np.abs(np.linalg.eigvalsh(c.matrix))))
-                 for c in family.coefficients]
+    bounds = [b if b is not None else c.norm if family.degree == 1
+              else float(np.max(np.abs(np.linalg.eigvalsh(c.matrix))))
+              for b, c in zip(family.b, family.coefficients)]
     held = {}   # grid index -> checked T + S(kappa)
     for i, kappa in enumerate(kappas):
         if kappa == 0.0:
@@ -352,8 +353,7 @@ def threshold_by_decomposing(T, family, s0, kappa0, kappa_grid):
         else:
             t_kappa = T + family.operator_at(kappa)
             a_values[i] = family.a * abs(kappa)
-            b_values[i] = (family.b * abs(kappa) if family.degree == 1
-                           else coefficient_norm_bound(kappa, norms))
+            b_values[i] = coefficient_norm_bound(kappa, bounds)
             held[i] = t_kappa
         eigs = t_kappa.decomposition.eigenvalues
         if eigs.size < 2:
@@ -376,7 +376,7 @@ def threshold_by_decomposing(T, family, s0, kappa0, kappa_grid):
 
     if family.degree == 1:
         # c(kappa) = slope |kappa|, the slope written out: a + ((|mu| + epsilon) a + b) / epsilon
-        slope = family.a + ((abs(mu) + epsilon) * family.a + family.b) / epsilon
+        slope = family.a + ((abs(mu) + epsilon) * family.a + bounds[0]) / epsilon
         kappa_threshold = min(kappa0, math.inf if slope == 0 else c_threshold / slope)
     else:
         magnitudes = np.unique(np.abs(kappas))

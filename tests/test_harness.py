@@ -853,6 +853,21 @@ class TestCli:
         cfg.write_text(json.dumps({"kind": "perturb_sweep", "seed": 0, "params": params}))
         assert main(["perturb", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 0
 
+    def test_claim_above_the_norm_decomposes_no_s(self, monkeypatch):
+        # b = 1.2: 1.44 I - S^2 = 0.44 I is certified, so the budget decomposes T and
+        # the two admissible T + S(kappa), never S; b = 1 needs ||S|| = 1
+        def eigh_calls(params):
+            calls, eigh = [], np.linalg.eigh
+            monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+            run(ExperimentConfig(kind="perturb_sweep", seed=0, params=params))
+            monkeypatch.undo()
+            return [m.tolist() for m in calls]
+
+        swap = [[0.0, 1.0], [1.0, 0.0]]
+        proven = eigh_calls({"b": 1.2})
+        assert len(proven) == 3 and swap not in proven
+        assert swap in eigh_calls({"b": 1.0})
+
     def test_damped_control_demo_still_passes(self, tmp_path):
         # at demo_e = 0 the demo is a control: a damped image is no witness to miss
         cfg = tmp_path / "cfg.json"

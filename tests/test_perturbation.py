@@ -72,7 +72,7 @@ def swap_instance():
     gap is sqrt(1 + 4 kappa^2) >= 1 and delta = 1 on any grid containing 0.
     """
     t = SymmetricOperator(np.diag([0.0, 1.0]))
-    s = PerturbationFamily([SymmetricOperator([[0.0, 1.0], [1.0, 0.0]])], a=0.0, b=1.0)
+    s = PerturbationFamily([SymmetricOperator([[0.0, 1.0], [1.0, 0.0]])], b=[1.0])
     return t, s
 
 
@@ -340,7 +340,7 @@ class TestSemigroupThreshold:
 
     def test_zero_perturbation_all_admissible(self):
         t = SymmetricOperator(np.diag([0.0, 1.0]))
-        s = PerturbationFamily([SymmetricOperator(np.zeros((2, 2)))], a=0.0, b=0.0)
+        s = PerturbationFamily([SymmetricOperator(np.zeros((2, 2)))], b=[0.0])
         budget = semigroup_threshold(t, s, s0=1.0, kappa0=1.0,
                                      kappa_grid=np.linspace(-0.9, 0.9, 7))
         assert np.all(budget.admissible)
@@ -348,8 +348,7 @@ class TestSemigroupThreshold:
         assert budget.kappa_threshold == 1.0
 
     def test_small_gap_shrinks_threshold(self):
-        s_spec = PerturbationFamily([SymmetricOperator([[0.0, 1.0], [1.0, 0.0]])],
-                                    a=0.0, b=1.0)
+        s_spec = PerturbationFamily([SymmetricOperator([[0.0, 1.0], [1.0, 0.0]])], b=[1.0])
         wide = semigroup_threshold(SymmetricOperator(np.diag([0.0, 1.0])), s_spec,
                                    s0=2.0, kappa0=0.01, kappa_grid=[0.0])
         narrow = semigroup_threshold(SymmetricOperator(np.diag([0.0, 0.01])), s_spec,
@@ -368,7 +367,7 @@ class TestSemigroupThreshold:
     def test_gap_collapse(self):
         t = SymmetricOperator(np.diag([0.0, 1.0]))
         # kappa = 0 is fine, but the grid endpoint closes the gap exactly
-        fam = PerturbationFamily([np.diag([0.0, -1.0])], b=1.0)
+        fam = PerturbationFamily([np.diag([0.0, -1.0])], b=[1.0])
         with pytest.raises(GapCollapsed):
             semigroup_threshold(t, fam, s0=1.0, kappa0=2.0, kappa_grid=[0.0, 1.0])
 
@@ -394,7 +393,7 @@ class TestRelativeBound:
     def test_b_below_the_swap_norm_by_4e_10_raises(self):
         # S^2 = I on the swap: b^2 I - S^2 = -8e-10 I, inside any tolerance of 1e-9
         t, _ = swap_instance()
-        family = PerturbationFamily([[[0.0, 1.0], [1.0, 0.0]]], b=0.9999999996)
+        family = PerturbationFamily([[[0.0, 1.0], [1.0, 0.0]]], b=[0.9999999996])
         with pytest.raises(RelativeBoundUncertified,
                            match=r"^\|\|S x\|\| <= a \|\|T x\|\| \+ b \|\|x\|\| is not "
                                  r"certified: a\^2 T\^2 \+ b\^2 I - S\^2 has eigenvalue -8e-10$"):
@@ -412,7 +411,7 @@ class TestRelativeBound:
 
         monkeypatch.setattr(perturbation, "certify_positive_definite", recording)
         t = SymmetricOperator(np.diag([0.0, 1.0, 2.0]))
-        family = PerturbationFamily([np.diag([0.5, 1.0, 2.0])], a=1.0, b=b)
+        family = PerturbationFamily([np.diag([0.5, 1.0, 2.0])], a=1.0, b=[b])
         if certified:
             semigroup_threshold(t, family, s0=1.0, kappa0=0.01, kappa_grid=[0.0, 0.005])
         else:
@@ -425,22 +424,59 @@ class TestRelativeBound:
     def test_dimension_mismatch_is_named_before_the_bound(self, b):
         # on a grid of zeros too, which builds no T + S(kappa)
         t = SymmetricOperator(np.diag([0.0, 1.0]))
-        family = PerturbationFamily([np.eye(3)], a=1.0, b=b)
+        family = PerturbationFamily([np.eye(3)], a=1.0, b=[b])
         with pytest.raises(ValueError, match="^dimension mismatch$"):
             semigroup_threshold(t, family, s0=1.0, kappa0=0.5, kappa_grid=[0.0])
 
-    @pytest.mark.parametrize("b", [None, 1.0, 1.2])
-    def test_b_at_or_above_the_norm_needs_no_certificate(self, b, monkeypatch):
-        monkeypatch.setattr(perturbation, "certify_positive_definite", None)
+    # a^2 T^2 + b^2 I - S^2 = diag(b^2 - 1, b^2 - 0.75) on the swap with a = 0.5: at
+    # b = 1 the certificate fails and b >= ||S|| = 1 is read from S's spectrum, at
+    # b = 1.2 it proves the claim and S is never decomposed
+    @pytest.mark.parametrize("b, proofs", [(None, []), (1.0, [False]), (1.2, [True])])
+    def test_given_b_tries_the_certificate_before_the_norm(self, b, proofs, monkeypatch):
+        recorded = []
+
+        def recording(m, error):
+            recorded.append(certify_positive_definite(m, error))
+            return recorded[-1]
+
+        monkeypatch.setattr(perturbation, "certify_positive_definite", recording)
         t, _ = swap_instance()
-        family = PerturbationFamily([[[0.0, 1.0], [1.0, 0.0]]], a=0.5, b=b)
+        family = PerturbationFamily([[[0.0, 1.0], [1.0, 0.0]]], a=0.5, b=[b])
         semigroup_threshold(t, family, s0=math.log(2.0), kappa0=0.5, kappa_grid=[0.0, 0.01])
+        assert recorded == proofs
+        assert (family.coefficients[0]._decomposition is None) == (proofs == [True])
+
+    def test_degree_two_bound_below_the_norm_raises(self):
+        # b_2 = 1.9 < ||S_2|| = 2: b_2^2 I - S_2^2 = diag(3.61, -0.39)
+        t = SymmetricOperator(np.diag([0.0, 1.0]))
+        family = PerturbationFamily([[[0.0, 1.0], [1.0, 0.0]], np.diag([1.0, 2.0])],
+                                    b=[None, 1.9])
+        with pytest.raises(RelativeBoundUncertified,
+                           match=r"^\|\|S_2 x\|\| <= a \|\|T x\|\| \+ b_2 \|\|x\|\| is not "
+                                 r"certified: a\^2 T\^2 \+ b_2\^2 I - S_2\^2 has eigenvalue "
+                                 r"-0\.39$"):
+            semigroup_threshold(t, family, s0=1.0, kappa0=0.1, kappa_grid=[0.0, 0.05])
+        # at the norm itself the check reads ||S_2|| and passes
+        family = PerturbationFamily(family.coefficients, b=[None, 2.0])
+        semigroup_threshold(t, family, s0=1.0, kappa0=0.1, kappa_grid=[0.0, 0.05])
+
+    def test_zero_coefficient_needs_no_proof(self, monkeypatch):
+        # S_1 = 0 is neither certified nor decomposed; only b_2 = 1.5 is certified
+        proven = []
+        monkeypatch.setattr(perturbation, "certify_positive_definite",
+                            lambda m, error: proven.append(np.diagonal(m).tolist())
+                            or certify_positive_definite(m, error))
+        t = SymmetricOperator(np.diag([0.0, 1.0]))
+        family = PerturbationFamily([np.zeros((2, 2)), np.diag([0.0, 1.0])], b=[0.0, 1.5])
+        semigroup_threshold(t, family, s0=1.0, kappa0=0.1, kappa_grid=[0.0, 0.05])
+        assert proven == [[2.25, 1.25]]
+        assert all(c._decomposition is None for c in family.coefficients)
 
 
 class TestPerturbationFamily:
     def test_linear_family_arithmetic(self):
         s = SymmetricOperator([[0.0, 1.0], [1.0, 0.0]])
-        fam = PerturbationFamily([s], a=0.25, b=2.0)
+        fam = PerturbationFamily([s], a=0.25, b=[2.0])
         np.testing.assert_array_equal(fam.operator_at(-0.3).matrix, (-0.3 * s).matrix)
         assert fam.a_at(-0.3) == 0.25 * 0.3
         assert fam.b_at(-0.3) == 2.0 * 0.3
@@ -450,7 +486,8 @@ class TestPerturbationFamily:
 
     def test_linear_default_bound_is_norm(self):
         s = SymmetricOperator(np.diag([3.0, -4.0]))
-        assert PerturbationFamily([s]).b == 4.0
+        fam = PerturbationFamily([s])
+        assert fam.b == (None,) and fam.b_at(1.0) == 4.0
 
     def test_polynomial_evaluation(self):
         s1 = SymmetricOperator([[0.0, 1.0], [1.0, 0.0]])
@@ -465,7 +502,7 @@ class TestPerturbationFamily:
         assert fam.b_at(-kappa) == fam.b_at(kappa)
         assert fam.b_at(kappa) >= np.max(np.abs(np.linalg.eigvalsh(expected)))
         assert fam.a_at(kappa) == 0.0
-        assert fam.b is None   # the claimed bound b |kappa| is for linear families
+        assert fam.b == (None, None, None)   # each b_k is ||S_k||
 
     @pytest.mark.parametrize("kappa", [-0.45, 0.018, 0.7])
     def test_operators_match_the_checked_constructor(self, kappa):
@@ -507,8 +544,18 @@ class TestPerturbationFamily:
         coefficients = [np.eye(2), np.eye(2)]
         with pytest.raises(ValueError, match="linear"):
             PerturbationFamily(coefficients, a=0.1)
-        with pytest.raises(ValueError, match="linear"):
-            PerturbationFamily(coefficients, b=1.0)
+        PerturbationFamily(coefficients, b=[1.0, None])   # b_k for every degree
+
+    @pytest.mark.parametrize("b", [1.0, [1.0], [1.0, None, None], [[1.0, 2.0]]])
+    def test_b_takes_one_entry_per_coefficient(self, b):
+        with pytest.raises(ValueError, match="^b takes one entry per coefficient"):
+            PerturbationFamily([np.eye(2), np.eye(2)], b=b)
+
+    @pytest.mark.parametrize("a, b", [(-0.1, None), (0.0, [-1.0]), (0.0, [math.nan])])
+    def test_negative_bounds_rejected(self, a, b):
+        # only b^2 enters the certificate, so a negative b would pass it
+        with pytest.raises(ValueError, match="^relative bounds must be nonnegative$"):
+            PerturbationFamily([[[0.0, 1.0], [1.0, 0.0]]], a=a, b=b)
 
     def test_malformed_coefficients_rejected(self):
         with pytest.raises(ValueError):
@@ -722,12 +769,10 @@ def assert_grid_reads_c_values(budget):
 
 def hand_c(budget, kappa):
     """c(kappa) = a + ((|mu| + epsilon) a + b) / epsilon written out, with a = a|kappa|
-    and b = b|kappa| for a linear family, else a = 0 and the coefficient-norm bound b."""
+    and b the coefficient bound sum_k |kappa|^k b_k, b_k given or ||S_k||."""
     family, epsilon = budget.family, budget.epsilon
-    if family.degree == 1:
-        a, b = family.a * abs(kappa), family.b * abs(kappa)
-    else:
-        a, b = 0.0, coefficient_norm_bound(kappa, [c.norm for c in family.coefficients])
+    bounds = [c.norm if b is None else b for b, c in zip(family.b, family.coefficients)]
+    a, b = family.a * abs(kappa), coefficient_norm_bound(kappa, bounds)
     return a + ((abs(budget.mu) + epsilon) * a + b) / epsilon
 
 
@@ -743,7 +788,7 @@ def c_family(kind, seed):
         coefficients.append(10.0 ** rng.uniform(-2.0, 0.5) * (g + g.T) / 2.0)
     if kind == "linear_claimed":
         b = SymmetricOperator(coefficients[0]).norm * float(rng.uniform(1.0, 2.0))
-        family = PerturbationFamily(coefficients, a=float(rng.uniform(0.0, 0.05)), b=b)
+        family = PerturbationFamily(coefficients, a=float(rng.uniform(0.0, 0.05)), b=[b])
     else:
         family = PerturbationFamily(coefficients)
     return gapped_instance(seed, dim), family
@@ -1327,8 +1372,8 @@ class TestGapCertificate:
         assert report == reference == fallback
         # the magnetic family has degree two: the oracle takes eigvalsh for its
         # coefficients' norms, and the sweep's c_at reads b(kappa) from the family's
-        # norm bounds, which decompose no coefficient while Cholesky works; with it
-        # failing, M1's norm certificate fails too and falls back to M1's checked eigh
+        # bounds, which decompose no coefficient while Cholesky works; with it
+        # failing, the family's proof of M1's candidate reads M1's checked eigh
         assert fallback_calls == reference_calls + (config.kind == "schrodinger")
         assert eigh_calls < reference_calls
 
@@ -1399,20 +1444,19 @@ class TestGapCertificate:
                 threshold(t, family, s0=1.0, kappa0=0.1, kappa_grid=[0.5, 1.0, 0.25])
         assert GAP_COLLAPSE_TOL * t.norm < 2e-9
 
-    def test_default_magnetic_experiment_attempts_no_cholesky(self, monkeypatch):
-        # no grid-gap certificate at N = 8: the one Cholesky is M1's norm certificate
-        from axiscone import schrodinger
-
-        gaps, norms, calls = [], [], []
+    def test_default_magnetic_experiment_attempts_one_cholesky(self, monkeypatch):
+        # no grid-gap certificate at N = 8: the one Cholesky is the family's proof
+        # of M1's candidate bound, on the 17-square b1^2 I - M1^2
+        gaps, bounds, calls = [], [], []
         cholesky = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m) or cholesky(m))
         monkeypatch.setattr(perturbation, "gap_exceeds",
                             lambda *args: gaps.append(args) or gap_exceeds(*args))
-        monkeypatch.setattr(schrodinger, "certify_positive_definite",
-                            lambda *args: norms.append(certify_positive_definite(*args))
-                            or norms[-1])
+        monkeypatch.setattr(perturbation, "certify_positive_definite",
+                            lambda *args: bounds.append(certify_positive_definite(*args))
+                            or bounds[-1])
         run(ExperimentConfig(kind="schrodinger", seed=0, params={}))
-        assert gaps == [] and norms == [True] and len(calls) == 1
+        assert gaps == [] and bounds == [True] and [m.shape for m in calls] == [(17, 17)]
 
 
 class TestBoundChainSeeded:

@@ -13,7 +13,8 @@ from axiscone.errors import (
     SemigroupOverflow,
 )
 from axiscone.harness import ExperimentConfig, run
-from axiscone import schrodinger
+from axiscone import perturbation, schrodinger
+from axiscone.cli import main
 from axiscone.operators import UNIT_ROUNDOFF, SymmetricOperator, bottom_eigen
 from axiscone.perturbation import _c_values
 from axiscone.positivity import VerdictStatus
@@ -377,19 +378,25 @@ class TestM1NormBound:
             # svd and eigvalsh round sigma_max differently, by a few N u
             slack = 1.0 + 4.0 * (n_half + 1) * UNIT_ROUNDOFF
             assert top <= b1 <= (1.0 + theta) * slack * top, n_half
-        assert calls == []   # every bound proven, none read from a decomposition
+        assert calls == []   # no candidate is read from a decomposition
 
-    def test_bound_holds_in_exact_arithmetic(self):
-        # b1^2 I - C^T C is positive definite over the rationals the floats of C denote
+    @pytest.mark.parametrize("preset", sorted(POTENTIAL_PRESETS))
+    def test_bound_holds_in_exact_arithmetic(self, preset):
+        # b1^2 I - M1^2 is positive definite over the rationals the floats of M1
+        # denote, for the vector potentials of the presets
         for n_half in range(1, 7):
-            even, odd = sectors(n_half)
-            for seed in range(3):
-                m1 = SymmetricOperator(magnetic_terms(even_model(n_half, seed))[1])
-                square = Fraction(m1_norm_bound(m1)) ** 2
-                c = [[Fraction(float(x)) for x in row] for row in m1.matrix[np.ix_(even, odd)]]
-                m = [[(square if i == j else 0) - sum(row[i] * row[j] for row in c)
-                      for j in range(n_half)] for i in range(n_half)]
-                assert exactly_positive_definite(m)
+            model = MagneticModel.from_functions(GridSpec(n_half, 8.0 / n_half),
+                                                 POTENTIAL_PRESETS["harmonic"],
+                                                 POTENTIAL_PRESETS[preset])
+            m1 = SymmetricOperator(magnetic_terms(model)[1])
+            square = Fraction(m1_norm_bound(m1)) ** 2
+            if preset == "zero":   # M1 = 0 and b1 = 0: the family needs no proof
+                assert square == 0 and not m1.matrix.any()
+                continue
+            a = [[Fraction(float(x)) for x in row] for row in m1.matrix]
+            m = [[(square if i == j else 0) - sum(x * y for x, y in zip(a[i], a[j]))
+                  for j in range(m1.dim)] for i in range(m1.dim)]
+            assert exactly_positive_definite(m), n_half
 
     def test_sector_coupling_raises(self):
         m1 = np.array(magnetic_terms(harmonic_model(4, 0.5))[1])
@@ -398,36 +405,51 @@ class TestM1NormBound:
             m1_norm_bound(SymmetricOperator(m1))
 
     def test_zero_vector_potential_factors_nothing(self, monkeypatch):
-        certificates = []
-        monkeypatch.setattr(schrodinger, "certify_positive_definite",
-                            lambda *args: certificates.append(args))
+        factored = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: factored.append(m) or cholesky(m))
         calls = count_eigh(monkeypatch)
         model = MagneticModel.from_functions(GridSpec(6, 0.5), lambda x: x * x,
                                              lambda x: 0.0)
         assert m1_norm_bound(SymmetricOperator(magnetic_terms(model)[1])) == 0.0
         budget = magnetic_experiment(model, e_grid=[0.0, 0.5], s0=0.5,
                                      s_samples=[0.5]).budget
-        assert budget.family.norms == (0.0, 0.0)
-        assert certificates == [] and len(calls) == 2   # H0 and H_r(0.5)
+        assert budget.family.b == (0.0, None) and budget.family.b_at(0.5) == 0.0
+        assert factored == [] and len(calls) == 2   # H0 and H_r(0.5)
 
     def test_failed_certificate_falls_back_to_the_checked_eigh(self, monkeypatch):
+        # where the family's certificate fails, it reads ||M1|| from M1's checked
+        # eigh, and the candidate it accepts is the same b1
         config = ExperimentConfig(kind="schrodinger", seed=0, params={"N": 48, "h": 8.0 / 48})
         calls = count_eigh(monkeypatch)
         report = run(config).render(timestamp=False)
         proven = len(calls)
-        monkeypatch.setattr(schrodinger, "certify_positive_definite", lambda m, error: False)
+        monkeypatch.setattr(perturbation, "certify_positive_definite", lambda m, error: False)
         calls.clear()
         assert run(config).render(timestamp=False) == report
         assert len(calls) == proven + 1   # M1's checked eigh
-        # the budget of the eigh norm, bit for bit: b(e) from M1's checked spectrum
+        # b(e) = |e| b1 + e^2 ||M2|| bit for bit, b1 the candidate
         model = MagneticModel.from_functions(GridSpec(48, 8.0 / 48), lambda x: x * x,
                                              lambda x: math.exp(-x * x))
         budget = magnetic_experiment(model, e_grid=np.linspace(-0.008, 0.008, 17),
                                      s0=1.0).budget
         m1, m2 = budget.family.coefficients
-        assert budget.family.norms == (m1.decomposition.operator_norm, m2.norm)
-        want = [coefficient_norm_bound(e, [m1.norm, m2.norm]) for e in budget.kappas]
+        assert budget.family.b == (m1_norm_bound(m1), None)
+        assert m1.decomposition.operator_norm <= budget.family.b[0]
+        want = [coefficient_norm_bound(e, [budget.family.b[0], m2.norm]) for e in budget.kappas]
         assert budget.b_values.tobytes() == np.array(want).tobytes()
+
+    def test_rejected_candidate_is_a_contract_violation(self, monkeypatch, tmp_path, capsys):
+        # a halved candidate lies below ||M1||: no certificate proves it and the norm
+        # refutes it, so the run exits 1 as a toolkit bug, not as a config error
+        monkeypatch.setattr(schrodinger, "m1_norm_bound",
+                            lambda m1, bound=schrodinger.m1_norm_bound: bound(m1) / 2.0)
+        assert main(["schrodinger", "--out", str(tmp_path / "r.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ContractViolation: M1's norm bound is not proven: ")
+        assert "config field 'b'" not in err
+        with pytest.raises(ContractViolation, match="not certified"):
+            magnetic_experiment(harmonic_model(), e_grid=[0.0, 0.004], s0=1.0)
 
 
 class TestMagneticExperiment:
