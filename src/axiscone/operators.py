@@ -105,6 +105,12 @@ class SymmetricOperator:
         m.setflags(write=False)
         self._matrix = m
         self._decomposition = None
+        self._held = False
+
+    @property
+    def held(self):
+        """True for an operator built from its spectrum (from_spectrum), matrix formed or not."""
+        return self._held
 
     @classmethod
     def _exact(cls, m):
@@ -181,15 +187,17 @@ class SymmetricOperator:
     def from_spectrum(w, q):
         """Q diag(w) Q^T holding (w, q) as its decomposition: w ascending, q orthonormal.
 
-        Only (w, q) is held.  The matrix is SymmetricOperator((q * w) @ q.T)'s,
-        formed and checked on the first read of `matrix` (sums and multiples
-        read it too); until then apply computes q (w * q^T v).
+        The held spectrum defines the operator: its n-th power is q diag(w^n)
+        q^T, through which the ergodicity probe evaluates its pairings.  The
+        matrix is SymmetricOperator((q * w) @ q.T)'s, formed and checked on
+        the first read of `matrix` (sums and multiples read it too); until
+        then apply computes q (w * q^T v).
         """
         w, q = np.array(w, dtype=float), np.array(q, dtype=float)
         w.setflags(write=False)
         q.setflags(write=False)
         op = SymmetricOperator.__new__(SymmetricOperator)
-        op._matrix = None
+        op._matrix, op._held = None, True
         op._decomposition = SpectralDecomposition(eigenvalues=w, eigenvectors=q)
         return op
 
@@ -203,7 +211,8 @@ def checked_eigh(m):
 
     An eigh failure or a non-finite eigenpair raises NonConvergence.
     ||Q L Q^T - M||_F above RECON_TOL * max(1, ||M||_F), or ||Q^T Q - I||_F
-    above RECON_TOL, raises ContractViolation.
+    above RECON_TOL, raises ContractViolation.  Where a norm overflows, both
+    are taken of the residual and M scaled by one power of two.
     """
     try:
         w, q = np.linalg.eigh(m)
@@ -211,9 +220,14 @@ def checked_eigh(m):
         raise NonConvergence(f"eigh failed: {exc}") from exc
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(q))):
         raise NonConvergence("eigh returned non-finite eigenpairs")
-    recon = float(np.linalg.norm((q * w) @ q.T - m))
+    with np.errstate(over="ignore", invalid="ignore"):   # inf and nan residuals fail below
+        resid = (q * w) @ q.T - m
+        recon, size = float(np.linalg.norm(resid)), max(1.0, float(np.linalg.norm(m)))
+        if not np.isfinite(recon + size):   # then ||M||_F > 1 or the residual is huge
+            e = np.frexp(np.abs(m).max())[1]
+            recon, size = (float(np.linalg.norm(np.ldexp(x, -e))) for x in (resid, m))
     orth = float(np.linalg.norm(q.T @ q - np.eye(len(w))))
-    if recon > RECON_TOL * max(1.0, float(np.linalg.norm(m))) or orth > RECON_TOL:
+    if not (recon <= RECON_TOL * size and orth <= RECON_TOL):
         raise ContractViolation(
             f"eigendecomposition residual {recon:.3e}, orthonormality defect {orth:.3e}"
         )

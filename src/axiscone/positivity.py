@@ -10,13 +10,13 @@ simple top, the second eigenvalue (by interlacing) a degenerate one, and only
 a margin between the two decomposes the compression to the axis complement.
 Sampled verdicts take their cone points as one
 block: preservation classifies the block's images at once, and the
-ergodicity probe iterates A on every unresolved pair of a block together,
-judging the first power alone and then blocks of as many powers as its
-buffer holds with array operations, each cut at the first power where a
-pair resolves or a column is rescaled.  The probe's test is homogeneous,
-so it scales A, u and v by exact powers of two and decides the same at
-every scale.  A Verdict is plain data; the harness
-renders its report cells.
+ergodicity probe judges every pair of a block together: through the held
+spectrum of an operator built from its spectrum (a matrix formed from it
+would only add rounding), and by blocks of powers of the matrix of one built
+from a matrix (the one form that keeps exact zeros and graded entries).  The probe's test is
+homogeneous, so it scales A, u and v by exact powers of two and decides the
+same at every scale.  A Verdict is plain data; the harness renders its
+report cells.
 """
 
 import enum
@@ -274,27 +274,19 @@ def _exponents(x, axis=None):
 def ergodic_probe(A, cone, us, vs):
     """Smallest n in [1, MAX_POWER] with <u, A^n v> strictly positive, per row pair.
 
-    The hit test <u, A^n v> > TAU_STRICT ||u|| ||A^n v|| is homogeneous in A,
-    u and v, so the probe first scales A, each u row and each v row by the
-    exact power of two that puts its largest |entry| in [0.5, 1).  It then
-    iterates W <- A W on the unresolved columns v, dropping each once its
-    pairing is positive or its image vanishes (no power then), and rescales a
-    column by an exact power of two whenever its largest |entry| leaves
-    [1e-100, 1e100].  Every scaling is exact, so no decision depends on the
-    scale of A, u or v; integer exponents carry it, and each value is its
-    scaled pairing times 2^exponent (inf past the float range, which still
-    witnesses positivity).
+    The hit test <u, A^n v> > TAU_STRICT ||u|| ||A^n v|| is homogeneous, so
+    each u row, each v row and A (its matrix or held spectrum) is scaled by
+    the exact power of two that puts its largest |entry| in [0.5, 1): no
+    decision depends on their scale.  Integer exponents carry it, and a value
+    is the scaled pairing times 2^exponent (inf past the float range, which
+    still witnesses positivity; 0 for a vanished image, which never hits).
 
-    The first power is judged alone, since most pairs resolve there; the
-    powers after it are taken in blocks as large as the buffer allows (at
-    most max(dim, 32) * dim floats, so a lone column runs up to MAX_POWER in
-    two or three blocks): the block's products run back to back, and its
-    peaks, norms, pairings and hits are judged with array operations.  A
-    block is cut at its first power where a column hits, vanishes or leaves
-    the range; that power alone is rescaled and judged as one power, the
-    powers after it are dropped, and the next block starts from it with the
-    remaining columns.  Every product therefore sees the same columns and
-    every judged value the same bits as a power-by-power loop.
+    How A was built picks the evaluation.  A held spectrum (from_spectrum, Q
+    orthonormal) defines A^n = Q diag(w^n) Q^T, and a matrix formed from it
+    carries its rounding into every power, so the pairings are sums over the
+    spectrum (_spectral_pairings).  A matrix is iterated (_power_pairings), the
+    one evaluation that keeps exact zeros and graded entries, which any
+    eigendecomposition blurs below the unit roundoff times ||A||.
     """
     _check_dims(A, cone)
     us, vs = as_rows(us), as_rows(vs)
@@ -303,14 +295,60 @@ def ergodic_probe(A, cone, us, vs):
     rows = np.vstack([us, vs])
     if not np.all(np.linalg.norm(rows, axis=1) > 0.0) or np.any(regions(cone, rows) == -1):
         raise NotInCone("expected nonzero cone elements")
-    k = len(us)
+    e_u, e_v = _exponents(us, axis=1), _exponents(vs, axis=1)
+    u, v = np.ldexp(us.T, -e_u), np.ldexp(vs.T, -e_v)
+    pairings = _spectral_pairings if A.held else _power_pairings
+    found, powers, inners, exponents = pairings(A, u, v, e_u + e_v)
+    with np.errstate(over="ignore"):  # a value past the float range is inf, as documented
+        values = np.ldexp(inners, exponents)
+    unfound = np.flatnonzero(~found)
+    stop = int(unfound[0]) if unfound.size else len(found) - 1
+    return ProbeResult(found=not unfound.size, n=int(powers[:stop + 1].sum()),
+                       value=float(values[stop]), pair=stop if unfound.size else None)
+
+
+def _spectral_pairings(A, u, v, shift):
+    """(hits, first powers or MAX_POWER, pairings, exponents) through A's held spectrum.
+
+    With mu = 2^-e w (max |mu| in [0.5, 1)), y = Q^T u and z = Q^T v, the table
+    P of mu^n, n = 1..MAX_POWER, by a cumulative product (no power overflows;
+    an underflow drops a term) gives every pairing P (y * z) and image norm
+    sqrt((P * P)(z * z)) in two products, in about MAX_POWER (dim + k) floats.
+    """
+    dec = A.decomposition
+    e = _exponents(dec.eigenvalues)
+    mu = np.ldexp(dec.eigenvalues, -e)
+    y, z = dec.eigenvectors.T @ u, dec.eigenvectors.T @ v
+    table = np.cumprod(np.broadcast_to(mu, (MAX_POWER, len(mu))), axis=0)  # row n - 1: mu^n
+    inner, norm = table @ (y * z), np.sqrt((table * table) @ (z * z))
+    hits = inner > TAU_STRICT * np.linalg.norm(u, axis=0) * norm   # none for a vanished image
+    found = hits.any(axis=0)
+    powers = np.where(found, hits.argmax(axis=0) + 1, MAX_POWER)
+    at = (powers - 1, np.arange(len(found)))
+    return found, powers, np.where(norm[at] > 0.0, inner[at], 0.0), shift + powers * e
+
+
+def _power_pairings(A, u, w, shift):
+    """(hits, first powers or MAX_POWER, pairings, exponents) by iterating A's matrix.
+
+    W <- A W runs on the unresolved columns; a column is dropped once its
+    pairing is positive or its image vanishes (no power then), and rescaled by
+    an exact power of two when its largest |entry| leaves [1e-100, 1e100].
+    Power 1 is judged alone, since most pairs resolve there; later powers run
+    back to back in blocks of at most max(dim, 32) * dim floats (a lone column
+    reaches MAX_POWER in two or three) and are judged by array operations.  A
+    block is cut at its first power where a column hits, vanishes or leaves
+    the range, and the next block starts from that power, so every product
+    sees the same columns and every judged value the same bits as a
+    power-by-power loop.
+    """
+    k = u.shape[1]
     powers, found = np.full(k, MAX_POWER), np.zeros(k, dtype=bool)
     inners, exponents = np.zeros(k), np.zeros(k, dtype=int)  # value = inner 2^exponent
-    e_a, e_u, e_v = _exponents(A.matrix), _exponents(us, axis=1), _exponents(vs, axis=1)
+    e_a = _exponents(A.matrix)
     a = np.ldexp(A.matrix, -e_a)
-    u, w = np.ldexp(us.T, -e_u), np.ldexp(vs.T, -e_v)
     tol = TAU_STRICT * np.linalg.norm(u, axis=0)
-    live, shift = np.arange(k), e_u + e_v   # <u, A^n v> = <u', w> 2^(shift + n e_a)
+    live = np.arange(k)   # <u, A^n v> = <u', w> 2^(shift + n e_a)
     n = 0
     while n < MAX_POWER and live.size:
         # a block of more than one power holds at most max(dim, 32) * dim floats
@@ -345,12 +383,7 @@ def ergodic_probe(A, cone, us, vs):
             keep = ~done
             live, u, w, tol, shift = live[keep], u[:, keep], w[:, keep], tol[keep], shift[keep]
     inners[live], exponents[live] = (u * w).sum(axis=0), shift + n * e_a
-    with np.errstate(over="ignore"):  # a value past the float range is inf, as documented
-        values = np.ldexp(inners, exponents)
-    unfound = np.flatnonzero(~found)
-    stop = int(unfound[0]) if unfound.size else k - 1
-    return ProbeResult(found=not unfound.size, n=int(powers[:stop + 1].sum()),
-                       value=float(values[stop]), pair=stop if unfound.size else None)
+    return found, powers, inners, exponents
 
 
 @dataclass(frozen=True)

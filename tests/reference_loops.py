@@ -16,8 +16,9 @@ an operator held by its spectrum formed its matrix on first read;
 `eager_degenerate_top` is the degenerate-top test instance as it stood before
 it held the spectrum it is built from;
 `probe_by_power_loop` is the block ergodicity probe as it stood before it
-judged its powers in blocks; `sweep_by_rebuild` is the semigroup sweep as it
-stood before the budget held its checked operators; `threshold_by_decomposing`
+judged its powers in blocks, and `probe_by_spectrum` its evaluation through a
+held spectrum written pair by pair and power by power; `sweep_by_rebuild` is
+the semigroup sweep as it stood before the budget held its checked operators; `threshold_by_decomposing`
 is the budget as it stood before grid gaps were certified by Cholesky, with a
 checked eigh at every nonzero grid point and its own b(kappa) from eigvalsh
 norms (`coefficient_norm_bound`); `laplacian_matrix`,
@@ -43,6 +44,7 @@ from axiscone.operators import (
     SpectralDecomposition,
     SymmetricOperator,
     bottom_eigen,
+    gamma,
     heat_semigroup,
     perp_basis,
 )
@@ -204,6 +206,53 @@ def probe_by_power_loop(A, us, vs):
     stop = int(unfound[0]) if unfound.size else k - 1
     return ProbeResult(found=not unfound.size, n=int(powers[:stop + 1].sum()),
                        value=float(values[stop]), pair=stop if unfound.size else None)
+
+
+def probe_by_spectrum(A, us, vs):
+    """ergodic_probe of an operator held by its spectrum, pair by pair and power
+    by power: (ProbeResult, bound).
+
+    Each u and v row is scaled by the exact power of two that puts its largest
+    |entry| in [0.5, 1), and the spectrum w by 2^-e, e the exponent of max |w|:
+    mu = 2^-e w.  y = Q^T u' and z = Q^T v' come from one product per block, as
+    in the probe; mu^n = mu^(n-1) mu is taken one power at a time, and the
+    pairing sum_i mu_i^n (y_i z_i) and the squared image norm sum_i mu_i^2n
+    z_i^2 are summed by math.fsum, so each is one rounding of the exact sum of
+    its rounded terms.  The probe sums the same d = dim terms in another order,
+    within gamma_d of their absolute sum, so the two pairings differ by at most
+    bound = gamma_{d+2} sum_i |mu_i^n y_i z_i|, scaled back by 2^(e_u + e_v + n e)
+    like the value it bounds, that of the stopping pair.
+    """
+    us, vs = as_rows(us), as_rows(vs)
+    dec = A.decomposition
+    e = int(np.frexp(np.abs(dec.eigenvalues).max())[1])
+    mu = np.ldexp(dec.eigenvalues, -e)
+    e_u, e_v = (np.frexp(np.abs(rows).max(axis=1))[1] for rows in (us, vs))
+    u, v = np.ldexp(us.T, -e_u), np.ldexp(vs.T, -e_v)
+    ys, zs = dec.eigenvectors.T @ u, dec.eigenvectors.T @ v
+    total, found = 0, True
+    for pair in range(len(us)):
+        y, z = ys[:, pair], zs[:, pair]
+        tol = TAU_STRICT * float(np.linalg.norm(u[:, pair]))
+        p = np.ones(len(mu))
+        for n in range(1, MAX_POWER + 1):
+            p = p * mu
+            terms = p * (y * z)
+            inner = math.fsum(terms)
+            norm = math.sqrt(math.fsum((p * p) * (z * z)))
+            if inner > tol * norm:
+                break
+        else:
+            found, inner = False, inner if norm > 0.0 else 0.0
+        total += n
+        shift = int(e_u[pair] + e_v[pair]) + n * e
+        with np.errstate(over="ignore"):
+            value, bound = np.ldexp([inner, gamma(len(mu) + 2) * math.fsum(np.abs(terms))],
+                                    shift)
+        if not found:
+            break
+    return (ProbeResult(found=found, n=total, value=float(value),
+                        pair=None if found else pair), float(bound))
 
 
 def drift_check_by_loop(A, u0, u1, rows):

@@ -365,6 +365,10 @@ class TestHeldSemigroups:
 
 
 class TestReportFormat:
+    def test_blas_threads_are_pinned_before_numpy_loads(self, numpy_loaded_before_pin):
+        # conftest imports axiscone first; a plugin that loads numpy earlier defeats the pin
+        assert not numpy_loaded_before_pin
+
     def test_roundtrip_parse(self):
         config = ExperimentConfig(kind="pf_verify", seed=13,
                                   params={"dims": [3], "instances_per_flavor": 1})

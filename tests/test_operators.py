@@ -179,6 +179,20 @@ class TestSpectralDecompose:
         with pytest.raises(ContractViolation, match="residual"):
             spectral_decompose(random_symmetric(8, seed=7))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e100, 1e160])
+    def test_wrong_spectrum_is_rejected_at_any_scale(self, monkeypatch, scale):
+        # at 1e160 ||M||_F and the residual's norm overflow; both are taken scaled instead
+        self.patch_eigh(monkeypatch, lambda w, q: (w * 1.5, q))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolation, match="residual"):
+                checked_eigh(scale * np.array([[2.0, 1.0], [1.0, 3.0]]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_norm_overflow_decomposes_without_a_warning(self):
+        dec = SymmetricOperator(1e160 * np.array([[0.0, 1.0], [1.0, 0.0]])).decomposition
+        np.testing.assert_allclose(dec.eigenvalues, [-1e160, 1e160])
+
     def test_nonfinite_eigenpair_is_nonconvergence(self, monkeypatch):
         def corrupt(w, q):
             q[0, 0] = np.nan
@@ -461,6 +475,16 @@ class TestHeldSpectrum:
         assert semigroup.matrix.tobytes() == eager.matrix.tobytes()
         assert not semigroup.matrix.flags.writeable
         assert semigroup.matrix is semigroup.matrix   # formed once
+
+    def test_held_marks_how_the_operator_was_built(self):
+        T = spread_generator(4, 1)
+        semigroup = heat_semigroup(T, 0.5)
+        assert semigroup.held and SymmetricOperator.identity(3).held
+        assert not T.held and not (semigroup + semigroup).held and not (2.0 * semigroup).held
+        semigroup.matrix   # forming the matrix keeps the mark
+        assert semigroup.held
+        with pytest.raises(AttributeError):
+            semigroup.held = False
 
     @pytest.mark.parametrize("dim", [1, 2, 9])
     def test_identity_forms_the_exact_identity(self, dim):

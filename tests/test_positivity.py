@@ -43,6 +43,7 @@ from reference_loops import (
     preserves_by_loop,
     probe_by_loop,
     probe_by_power_loop,
+    probe_by_spectrum,
 )
 
 E1 = np.array([1.0, 0.0])
@@ -441,7 +442,7 @@ class TestErgodicProbe:
             for pu, pv in ((u, v), (cone.axis + w, cone.axis - w)):
                 if regions(cone, np.array([pu, pv])).min() == -1:
                     continue
-                want = ergodic_probe(base, cone, [pu], [pv])
+                want = ergodic_probe(SymmetricOperator(base.matrix), cone, [pu], [pv])
                 for k, i, j in itertools.product((-1000, -400, 400, 1000), (-300, 300),
                                                  (-300, 300)):
                     a = SymmetricOperator(np.ldexp(base.matrix, k))
@@ -460,6 +461,100 @@ class TestErgodicProbe:
         a = SymmetricOperator(1.5e308 * np.ones((2, 2)))
         result = ergodic_probe(a, OrthantCone(2), [[1.0, 1.0]], [[1.0, 1.0]])
         assert (result.found, result.n, result.value) == (True, 1, math.inf)
+
+
+def held_probe_pairs(a, seed, pairs):
+    """The top-eigenvector cone of a held pf instance, and a block of sampled pairs
+    followed by the boundary pair u0 +/- w, w along the second eigenvector."""
+    cone = AxisCone(top_eigen(a)[1])
+    w = a.decomposition.eigenvectors[:, -2]
+    w = w - (cone.axis @ w) * cone.axis
+    w /= np.linalg.norm(w)
+    rows = sample_in_cone_rows(cone, rng_for(seed, 1), 2 * pairs)
+    us, vs = np.vstack([rows[0::2], [cone.axis + w]]), np.vstack([rows[1::2], [cone.axis - w]])
+    inside = (regions(cone, us) != -1) & (regions(cone, vs) != -1)
+    return cone, us[inside], vs[inside]
+
+
+HELD_FLAVORS = ("psd-simple", "degenerate-top")
+
+
+class TestHeldSpectrumProbe:
+    """An operator built from its spectrum is probed through that spectrum."""
+
+    @pytest.mark.parametrize("flavor", HELD_FLAVORS)
+    @pytest.mark.parametrize("dim", [2, 3, 8, 32, 64])
+    def test_matches_the_spectral_loop(self, flavor, dim):
+        # (found, n, pair) exactly, the value within the loop's derived rounding bound
+        for seed in range(3):
+            a = generate_instance(flavor, dim, seed)
+            cone, us, vs = held_probe_pairs(a, seed, 20)
+            for block_us, block_vs in [(us, vs), (us[-1:], vs[-1:]), (us[:3], vs[:3])]:
+                result = ergodic_probe(a, cone, block_us, block_vs)
+                expected, bound = probe_by_spectrum(a, block_us, block_vs)
+                assert (result.found, result.n, result.pair) == (
+                    expected.found, expected.n, expected.pair)
+                assert abs(result.value - expected.value) <= bound
+            assert a._matrix is None
+
+    @pytest.mark.parametrize("flavor", HELD_FLAVORS)
+    def test_decisions_match_the_power_loop_on_the_formed_matrix(self, flavor):
+        # the held operator keeps its evaluation once its matrix is formed, and the power
+        # loop on a copy built from that matrix decides the same
+        checked = 0
+        for dim, seed in itertools.product((2, 3, 5, 8, 16, 33, 64), range(2)):
+            a = generate_instance(flavor, dim, seed)
+            cone, us, vs = held_probe_pairs(a, seed, 10)
+            blocks = [(us, vs)] + [([u], [v]) for u, v in zip(us, vs)]
+            before = [ergodic_probe(a, cone, block_us, block_vs) for block_us, block_vs in blocks]
+            formed = SymmetricOperator(a.matrix)
+            assert a.held and not formed.held
+            for got, (block_us, block_vs) in zip(before, blocks):
+                assert_same_probe(ergodic_probe(a, cone, block_us, block_vs), got)
+                want = ergodic_probe(formed, cone, block_us, block_vs)
+                assert (got.found, got.n, got.pair) == (want.found, want.n, want.pair)
+                assert got.value == pytest.approx(want.value, rel=1e-12)
+                checked += 1
+        assert checked >= 150
+
+    @pytest.mark.parametrize("flavor", HELD_FLAVORS)
+    def test_decisions_are_scale_invariant(self, flavor):
+        # w times 2^k, u times 2^i and v times 2^j keep found, n and pair, and move the
+        # value by exactly 2^(n k + i + j)
+        checked = 0
+        for dim in (3, 8, 16):
+            base = generate_instance(flavor, dim, seed=dim)
+            cone, us, vs = held_probe_pairs(base, dim, 1)
+            dec = base.decomposition
+            for pu, pv in zip(us, vs):
+                want = ergodic_probe(base, cone, [pu], [pv])
+                for k, i, j in itertools.product((-1000, -400, 400, 1000), (-300, 300),
+                                                 (-300, 300)):
+                    a = SymmetricOperator.from_spectrum(np.ldexp(dec.eigenvalues, k),
+                                                        dec.eigenvectors)
+                    got = ergodic_probe(a, cone, [np.ldexp(pu, i)], [np.ldexp(pv, j)])
+                    assert (got.found, got.n, got.pair) == (want.found, want.n, want.pair)
+                    with np.errstate(over="ignore"):
+                        value = np.ldexp(want.value, want.n * k + i + j)
+                    assert np.float64(got.value).tobytes() == value.tobytes()
+                    checked += 1
+        assert checked >= 64
+
+    @pytest.mark.parametrize("flavor", HELD_FLAVORS)
+    def test_a_pf_check_forms_no_matrix_and_decomposes_nothing(self, flavor, monkeypatch):
+        a = generate_instance(flavor, 8, seed=1)
+        calls = count_eigh(monkeypatch)
+        report = perron_frobenius_check(a, AxisCone(top_eigen(a)[1]), seed=1)
+        assert report.agree and report.ergodic_sampled is (flavor == "psd-simple")
+        assert a._matrix is None and calls == []
+        assert a.held
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_spectrum_pairs_nothing(self):
+        a = SymmetricOperator.from_spectrum(np.zeros(2), np.eye(2))
+        result = ergodic_probe(a, OrthantCone(2), [E1], [E1])
+        assert (result.found, result.n, result.pair) == (False, MAX_POWER, 0)
+        assert np.float64(result.value).tobytes() == np.float64(0.0).tobytes()
 
 
 class TestPerronFrobenius:
