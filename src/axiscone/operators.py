@@ -187,11 +187,9 @@ class SymmetricOperator:
     def from_spectrum(w, q):
         """Q diag(w) Q^T holding (w, q) as its decomposition: w ascending, q orthonormal.
 
-        The held spectrum defines the operator: its n-th power is q diag(w^n)
-        q^T, through which the ergodicity probe evaluates its pairings.  The
-        matrix is SymmetricOperator((q * w) @ q.T)'s, formed and checked on
-        the first read of `matrix` (sums and multiples read it too); until
-        then apply computes q (w * q^T v).
+        (w, q) defines the operator, for apply (q (w * q^T v)) and the ergodicity
+        probe; the matrix is SymmetricOperator((q * w) @ q.T)'s, formed and
+        checked on the first read of `matrix` (sums and multiples read it too).
         """
         w, q = np.array(w, dtype=float), np.array(q, dtype=float)
         w.setflags(write=False)

@@ -10,13 +10,9 @@ simple top, the second eigenvalue (by interlacing) a degenerate one, and only
 a margin between the two decomposes the compression to the axis complement.
 Sampled verdicts take their cone points as one
 block: preservation classifies the block's images at once, and the
-ergodicity probe judges every pair of a block together: through the held
-spectrum of an operator built from its spectrum (a matrix formed from it
-would only add rounding), and by blocks of powers of the matrix of one built
-from a matrix (the one form that keeps exact zeros and graded entries).  The probe's test is
-homogeneous, so it scales A, u and v by exact powers of two and decides the
-same at every scale.  A Verdict is plain data; the harness renders its
-report cells.
+ergodicity probe judges every pair of a block together, through a held
+spectrum or by powers of a matrix (ergodic_probe).  A Verdict is plain data;
+the harness renders its report cells.
 """
 
 import enum
@@ -274,19 +270,13 @@ def _exponents(x, axis=None):
 def ergodic_probe(A, cone, us, vs):
     """Smallest n in [1, MAX_POWER] with <u, A^n v> strictly positive, per row pair.
 
-    The hit test <u, A^n v> > TAU_STRICT ||u|| ||A^n v|| is homogeneous, so
-    each u row, each v row and A (its matrix or held spectrum) is scaled by
-    the exact power of two that puts its largest |entry| in [0.5, 1): no
-    decision depends on their scale.  Integer exponents carry it, and a value
-    is the scaled pairing times 2^exponent (inf past the float range, which
-    still witnesses positivity; 0 for a vanished image, which never hits).
-
-    How A was built picks the evaluation.  A held spectrum (from_spectrum, Q
-    orthonormal) defines A^n = Q diag(w^n) Q^T, and a matrix formed from it
-    carries its rounding into every power, so the pairings are sums over the
-    spectrum (_spectral_pairings).  A matrix is iterated (_power_pairings), the
-    one evaluation that keeps exact zeros and graded entries, which any
-    eigendecomposition blurs below the unit roundoff times ||A||.
+    The hit test <u, A^n v> > TAU_STRICT ||u|| ||A^n v|| is homogeneous, so u,
+    v and A are scaled by exact powers of two and no decision depends on their
+    scale; a value is the scaled pairing times 2^exponent (inf past the float
+    range; 0 for a vanished image, which never hits).  A held spectrum
+    (from_spectrum) defines A^n = Q diag(w^n) Q^T, which a formed matrix only
+    rounds, so pairings are sums over it; a matrix is iterated, the one form
+    that keeps the exact zeros and graded entries an eigendecomposition blurs.
     """
     _check_dims(A, cone)
     us, vs = as_rows(us), as_rows(vs)
@@ -310,37 +300,42 @@ def ergodic_probe(A, cone, us, vs):
 def _spectral_pairings(A, u, v, shift):
     """(hits, first powers or MAX_POWER, pairings, exponents) through A's held spectrum.
 
-    With mu = 2^-e w (max |mu| in [0.5, 1)), y = Q^T u and z = Q^T v, the table
-    P of mu^n, n = 1..MAX_POWER, by a cumulative product (no power overflows;
-    an underflow drops a term) gives every pairing P (y * z) and image norm
-    sqrt((P * P)(z * z)) in two products, in about MAX_POWER (dim + k) floats.
+    With mu = 2^-e w, y = Q^T u and z = Q^T v, the table P of mu^n gives all
+    pairings P (y * z) and norms sqrt((P * P)(z * z)).  A column whose norm
+    falls below 1e-100 may have lost terms to underflow and is summed from
+    m_i^n zeta_i 2^(n a_i + b_i - top) instead: w = m 2^a and z = zeta 2^b by
+    frexp (|m^n| >= 2^-64), top the largest exponent of a nonzero term.
     """
     dec = A.decomposition
     e = _exponents(dec.eigenvalues)
-    mu = np.ldexp(dec.eigenvalues, -e)
     y, z = dec.eigenvectors.T @ u, dec.eigenvectors.T @ v
-    table = np.cumprod(np.broadcast_to(mu, (MAX_POWER, len(mu))), axis=0)  # row n - 1: mu^n
+    table = np.cumprod(np.broadcast_to(np.ldexp(dec.eigenvalues, -e), (MAX_POWER, len(y))), axis=0)
     inner, norm = table @ (y * z), np.sqrt((table * table) @ (z * z))
+    ns = np.arange(1, MAX_POWER + 1)
+    tops = np.multiply.outer(ns, np.full(len(shift), e))
+    low = (norm < 1e-100).any(axis=0)
+    if low.any():
+        (m, a), (zeta, b) = np.frexp(dec.eigenvalues), np.frexp(z[:, low])
+        mpow = np.cumprod(np.broadcast_to(m, table.shape), axis=0)[:, :, None]
+        exps = np.multiply.outer(ns, a)[:, :, None] + b
+        tops[:, low] = top = np.where(mpow * zeta != 0.0, exps, exps.min()).max(axis=1)
+        image, terms = (np.ldexp(mpow * x, exps - top[:, None]) for x in (zeta, zeta * y[:, low]))
+        inner[:, low], norm[:, low] = terms.sum(axis=1), np.sqrt((image * image).sum(axis=1))
     hits = inner > TAU_STRICT * np.linalg.norm(u, axis=0) * norm   # none for a vanished image
     found = hits.any(axis=0)
     powers = np.where(found, hits.argmax(axis=0) + 1, MAX_POWER)
     at = (powers - 1, np.arange(len(found)))
-    return found, powers, np.where(norm[at] > 0.0, inner[at], 0.0), shift + powers * e
+    return found, powers, np.where(norm[at] > 0.0, inner[at], 0.0), shift + tops[at]
 
 
 def _power_pairings(A, u, w, shift):
     """(hits, first powers or MAX_POWER, pairings, exponents) by iterating A's matrix.
 
-    W <- A W runs on the unresolved columns; a column is dropped once its
-    pairing is positive or its image vanishes (no power then), and rescaled by
-    an exact power of two when its largest |entry| leaves [1e-100, 1e100].
-    Power 1 is judged alone, since most pairs resolve there; later powers run
-    back to back in blocks of at most max(dim, 32) * dim floats (a lone column
-    reaches MAX_POWER in two or three) and are judged by array operations.  A
-    block is cut at its first power where a column hits, vanishes or leaves
-    the range, and the next block starts from that power, so every product
-    sees the same columns and every judged value the same bits as a
-    power-by-power loop.
+    W <- A W runs on the unresolved columns, dropping one that hits or vanishes
+    and rescaling one whose largest |entry| leaves [1e-100, 1e100].  Power 1 is
+    judged alone, later ones in blocks of at most max(dim, 32) * dim floats,
+    each cut at its first power where a column hits, vanishes or leaves the
+    range, so that every judged value has the bits of a power-by-power loop.
     """
     k = u.shape[1]
     powers, found = np.full(k, MAX_POWER), np.zeros(k, dtype=bool)

@@ -18,10 +18,10 @@ it held the spectrum it is built from;
 `probe_by_power_loop` is the block ergodicity probe as it stood before it
 judged its powers in blocks, and `probe_by_spectrum` its evaluation through a
 held spectrum written pair by pair and power by power; `sweep_by_rebuild` is
-the semigroup sweep as it stood before the budget held its checked operators; `threshold_by_decomposing`
-is the budget as it stood before grid gaps were certified by Cholesky, with a
-checked eigh at every nonzero grid point and its own b(kappa) from eigvalsh
-norms (`coefficient_norm_bound`); `laplacian_matrix`,
+the semigroup sweep as it stood before the budget held its checked operators;
+`threshold_by_decomposing` is the budget as it stood before grid gaps were
+certified by Cholesky, with a checked eigh at every nonzero grid point and its
+own b(kappa) from eigvalsh norms (`coefficient_norm_bound`); `laplacian_matrix`,
 `momentum_matrix`, `complex_magnetic_terms`, `parity_basis` and
 `compressed_to_real` are the complex terms of H(e) and their compression
 Re(B* H B) to the real fixed space, as the Schrodinger pipeline built them
@@ -213,41 +213,46 @@ def probe_by_spectrum(A, us, vs):
     by power: (ProbeResult, bound).
 
     Each u and v row is scaled by the exact power of two that puts its largest
-    |entry| in [0.5, 1), and the spectrum w by 2^-e, e the exponent of max |w|:
-    mu = 2^-e w.  y = Q^T u' and z = Q^T v' come from one product per block, as
-    in the probe; mu^n = mu^(n-1) mu is taken one power at a time, and the
-    pairing sum_i mu_i^n (y_i z_i) and the squared image norm sum_i mu_i^2n
-    z_i^2 are summed by math.fsum, so each is one rounding of the exact sum of
-    its rounded terms.  The probe sums the same d = dim terms in another order,
-    within gamma_d of their absolute sum, so the two pairings differ by at most
-    bound = gamma_{d+2} sum_i |mu_i^n y_i z_i|, scaled back by 2^(e_u + e_v + n e)
+    |entry| in [0.5, 1); y = Q^T u' and z = Q^T v' come from one product per
+    block, as in the probe.  With w_i = m_i 2^a_i and z_i = zeta_i 2^b_i
+    (frexp), the i-th term of the pairing at power n is m_i^n (zeta_i y_i)
+    2^(n a_i + b_i), m^n = m^(n-1) m taken one power at a time; every power is
+    scaled by 2^-top, top the largest n a_i + b_i of a nonzero term, so that
+    no leading term underflows.  The pairing and the squared image norm are
+    summed by math.fsum, so each is one rounding of the exact sum of its
+    rounded terms.  Away from underflow these terms are the probe's own times
+    exact powers of two, which the probe sums in another order, within gamma_d
+    (d = dim) of their absolute sum, so the two pairings differ by at most
+    bound = gamma_{d+2} sum_i |term_i|, scaled back by 2^(e_u + e_v + top)
     like the value it bounds, that of the stopping pair.
     """
     us, vs = as_rows(us), as_rows(vs)
     dec = A.decomposition
-    e = int(np.frexp(np.abs(dec.eigenvalues).max())[1])
-    mu = np.ldexp(dec.eigenvalues, -e)
+    m, a = np.frexp(dec.eigenvalues)
     e_u, e_v = (np.frexp(np.abs(rows).max(axis=1))[1] for rows in (us, vs))
     u, v = np.ldexp(us.T, -e_u), np.ldexp(vs.T, -e_v)
     ys, zs = dec.eigenvectors.T @ u, dec.eigenvectors.T @ v
     total, found = 0, True
     for pair in range(len(us)):
-        y, z = ys[:, pair], zs[:, pair]
+        y, (zeta, b) = ys[:, pair], np.frexp(zs[:, pair])
         tol = TAU_STRICT * float(np.linalg.norm(u[:, pair]))
-        p = np.ones(len(mu))
+        p = np.ones(len(m))
         for n in range(1, MAX_POWER + 1):
-            p = p * mu
-            terms = p * (y * z)
+            p = p * m
+            exps = n * a + b
+            nonzero = (p * zeta) != 0.0
+            top = int(exps[nonzero].max()) if nonzero.any() else 0
+            terms = np.ldexp(p * (zeta * y), exps - top)
             inner = math.fsum(terms)
-            norm = math.sqrt(math.fsum((p * p) * (z * z)))
+            norm = math.sqrt(math.fsum(np.ldexp(p * zeta, exps - top) ** 2))
             if inner > tol * norm:
                 break
         else:
             found, inner = False, inner if norm > 0.0 else 0.0
         total += n
-        shift = int(e_u[pair] + e_v[pair]) + n * e
+        shift = int(e_u[pair] + e_v[pair]) + top
         with np.errstate(over="ignore"):
-            value, bound = np.ldexp([inner, gamma(len(mu) + 2) * math.fsum(np.abs(terms))],
+            value, bound = np.ldexp([inner, gamma(len(m) + 2) * math.fsum(np.abs(terms))],
                                     shift)
         if not found:
             break

@@ -517,6 +517,36 @@ class TestHeldSpectrumProbe:
                 checked += 1
         assert checked >= 150
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", ["axis", "tilted", "late-hit", "mixed-block"])
+    def test_columns_reaching_only_small_eigenvalues_keep_their_decisions(self, case):
+        # v reaches only eigenvalues of at most 2^-10 ||A||, so mu^2n underflows by n = 54
+        # while the pairing is still a normal float: the probe must not read that as a hit
+        r, tilt = 2 ** -0.5, 1e-200
+        w, q, us, vs = {
+            "axis": ([2 ** -10, 1.0], np.eye(2), [[1e-11, 1.0]], [E1]),
+            "tilted": ([2 ** -10, 1.0], [[1.0, -tilt], [tilt, 1.0]], [[1e-11, 1.0]], [E1]),
+            # the pairing's ratio grows like n 1.8e-12 and first passes TAU_STRICT at n = 56
+            "late-hit": ([2 ** -10 * (1 - 1.8e-12), 2 ** -10 * (1 + 1.8e-12), 1.0],
+                         [[r, r, 0.0], [-r, r, 0.0], [0.0, 0.0, 1.0]],
+                         [[0.0, 1.0, 0.0]], [[1.0, 0.0, 0.0]]),
+            "mixed-block": ([2 ** -10, 1.0], np.eye(2),
+                            [[1.0, 1.0], [1.0, 0.0], [1e-11, 1.0]], [[1.0, 1.0], E1, E1]),
+        }[case]
+        a = SymmetricOperator.from_spectrum(w, q)
+        cone = OrthantCone(a.dim)
+        got = ergodic_probe(a, cone, us, vs)
+        expected, bound = probe_by_spectrum(a, us, vs)
+        assert (got.found, got.n, got.pair) == (expected.found, expected.n, expected.pair)
+        assert abs(got.value - expected.value) <= bound
+        want = ergodic_probe(SymmetricOperator(a.matrix), cone, us, vs)
+        assert (got.found, got.n, got.pair) == (want.found, want.n, want.pair)
+        for k in (-3, 3) if len(us) == 1 else ():   # one pair: n is its power
+            b = SymmetricOperator.from_spectrum(np.ldexp(w, k), q)
+            scaled = ergodic_probe(b, cone, us, vs)
+            assert (scaled.found, scaled.n, scaled.pair) == (got.found, got.n, got.pair)
+            assert scaled.value == np.ldexp(got.value, got.n * k)
+
     @pytest.mark.parametrize("flavor", HELD_FLAVORS)
     def test_decisions_are_scale_invariant(self, flavor):
         # w times 2^k, u times 2^i and v times 2^j keep found, n and pair, and move the
