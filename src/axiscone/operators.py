@@ -12,8 +12,9 @@ is bounded from the same spectrum (restricted_top), so no linear system is
 solved and no compression is decomposed.  An operator built from its spectrum
 (from_spectrum: heat semigroups, the identity, psd-simple and degenerate-top
 test instances, the diagonal magnetic term) holds only that spectrum: its
-matrix is formed on first read, and until then apply goes through the
-eigenvectors Q, so a sweep that reads no semigroup's entries forms none.
+matrix is formed on first read, and apply always goes through the
+eigenvectors Q, so a sweep that reads no semigroup's entries forms none and
+A v does not depend on whether the matrix was read before.
 Where a symmetric matrix only needs to be proven positive definite, as for a
 lower bound on a spectral gap (gap_exceeds), one guarded Cholesky factorization
 does it (certify_positive_definite) and nothing is decomposed.  All returned
@@ -36,6 +37,7 @@ from .errors import (
 from .tolerances import CORRESPONDENCE_TOL, RECON_TOL, TAU_GAP, TAU_SYM
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
 
 
 def gamma(k):
@@ -148,11 +150,12 @@ class SymmetricOperator:
         return self.decomposition.operator_norm
 
     def apply(self, v):
-        """A v; Q (w * Q^T v) while a held spectrum's matrix is unformed.
+        """A v: Q (w * Q^T v) for a held spectrum, whether or not its matrix has
+        been formed, else the matrix product.
 
         v is a vector or a block of columns.
         """
-        if self._matrix is None:
+        if self._held:
             q = self._decomposition.eigenvectors
             return q @ ((q.T @ v).T * self._decomposition.eigenvalues).T
         return self._matrix @ v
@@ -185,7 +188,9 @@ class SymmetricOperator:
 
     @staticmethod
     def from_spectrum(w, q):
-        """Q diag(w) Q^T holding (w, q) as its decomposition: w ascending, q orthonormal.
+        """Q diag(w) Q^T holding (w, q) as its decomposition: w ascending, q orthonormal
+        (||q^T q - I||_F <= RECON_TOL, checked_eigh's test, which the ergodicity
+        certificates of perron_frobenius_check rely on).
 
         (w, q) defines the operator, for apply (q (w * q^T v)) and the ergodicity
         probe; the matrix is SymmetricOperator((q * w) @ q.T)'s, formed and
@@ -262,7 +267,7 @@ def certify_positive_definite(m, error):
     d = np.abs(np.diagonal(m))
     with np.errstate(over="ignore", invalid="ignore"):
         c = 2.0 * (error + UNIT_ROUNDOFF * d.max() + gamma(n + 1) * d.sum()
-                   + n * (n + 1 + d.max()) * np.finfo(float).smallest_subnormal)
+                   + n * (n + 1 + d.max()) * SMALLEST_SUBNORMAL)
         if not (np.isfinite(c) and np.all(np.isfinite(m))):   # NaN and inf pass a Cholesky
             return False
         shifted = np.array(m, dtype=float)
@@ -393,7 +398,7 @@ def heat_semigroup(T, s):
     Eigenvalues exp(-s lambda) and T's eigenvector columns are both reversed
     into ascending order; a non-finite eigenvalue raises SemigroupOverflow.  The
     operator holds that spectrum (from_spectrum): its matrix is formed on
-    first read, and apply goes through Q until then.
+    first read, and apply goes through Q.
     """
     if s < 0:
         raise NegativeTime(f"semigroup time s={s} must be nonnegative")

@@ -8,7 +8,11 @@ axis test) whose boundary witness maps to the cone's interior.  The axis test
 reads the operator's checked spectrum: restricted_top's bound certifies a
 simple top, the second eigenvalue (by interlacing) a degenerate one, and only
 a margin between the two decomposes the compression to the axis complement.
-Sampled verdicts take their cone points as one
+The Perron-Frobenius check proves its ergodicity side where it can, from a
+held spectrum on an axis cone: one guarded Cholesky of an S-lemma matrix
+proves that every pair pairs positively at n = 1, and a rounding bound on a
+bit-for-bit tied top proves that one pair never does.  Only elsewhere are
+pairs sampled.  Sampled verdicts take their cone points as one
 block: preservation classifies the block's images at once, and the
 ergodicity probe judges every pair of a block together, through a held
 spectrum or by powers of a matrix (ergodic_probe).  A Verdict is plain data;
@@ -39,9 +43,26 @@ from .errors import (
     NotPositiveSemidefinite,
     PrereqFailed,
 )
-from .operators import SymmetricOperator, as_vector, perp_basis, restricted_top, top_eigen
+from .operators import (
+    SMALLEST_SUBNORMAL,
+    SymmetricOperator,
+    as_vector,
+    certify_positive_definite,
+    gamma,
+    perp_basis,
+    restricted_top,
+    top_eigen,
+)
 from .seeding import rng_for
-from .tolerances import AXIS_TOL, ORTHANT_NONNEG_TOL, PSD_TOL, TAU_GAP, TAU_STRICT
+from .tolerances import (
+    AXIS_TOL,
+    ORTHANT_NONNEG_TOL,
+    PSD_TOL,
+    RECON_TOL,
+    TAU_GAP,
+    TAU_STRICT,
+    UNIT_AXIS_TOL,
+)
 
 PRESERVATION_SAMPLES = 200   # sampled cone points when no closed-form criterion applies
 MAX_POWER = 64               # largest power A^n tried by the ergodicity probe
@@ -383,12 +404,18 @@ def _power_pairings(A, u, w, shift):
 
 @dataclass(frozen=True)
 class PerronFrobeniusReport:
-    """Both directions of the eigenvalue/ergodicity equivalence, independently."""
+    """Both directions of the eigenvalue/ergodicity equivalence, independently.
+
+    `route` names what decided the ergodicity side: "improvement certificate"
+    (every pair, at n = 1), "invariant pair" (one pair, at every n) or
+    "sampled" (the probe); `n_pairs` counts the pairs it judged one by one.
+    """
 
     top_eigenvalue: float
     top_simple: bool
     top_strictly_positive: bool
-    ergodic_sampled: bool
+    ergodic: bool
+    route: str
     n_pairs: int
     failing_pair: tuple | None
     agree: bool
@@ -422,7 +449,7 @@ def _adversarial_pairs(A, cone):
     top eigenvalue on an axis cone, the failing pair u0 +/- w (w a unit
     direction of the top eigenspace orthogonal to u0, _top_pair_direction)
     has measure zero.  For the orthant, coordinate basis pairs play the same
-    role.
+    role.  Pairs with a row outside the cone are dropped.
     """
     if isinstance(cone, OrthantCone):
         i, j = np.triu_indices(min(cone.dim, 6), 1)
@@ -431,20 +458,157 @@ def _adversarial_pairs(A, cone):
     lam = dec.max_eigenvalue
     if A.dim >= 2 and lam - float(dec.eigenvalues[-2]) <= TAU_GAP * max(1.0, abs(lam)):
         w = _top_pair_direction(A, cone.axis)
-        return (cone.axis + w)[None], (cone.axis - w)[None]
+        us, vs = (cone.axis + w)[None], (cone.axis - w)[None]
+        if regions(cone, np.vstack([us, vs])).min() > -1:
+            return us, vs
     return np.empty((0, A.dim)), np.empty((0, A.dim))
 
 
-def perron_frobenius_check(A, cone, seed=0, n_pairs=40):
-    """Cross-check sampled ergodicity against top-eigenvalue structure.
+def _held_psd_spectrum(A, cone):
+    """The held spectrum (w, Q) of A when the certificates below apply to A and
+    the cone: A built from its spectrum, w >= 0, and an axis cone; else None."""
+    if not (A.held and isinstance(cone, AxisCone)):
+        return None
+    dec = A.decomposition
+    return (dec.eigenvalues, dec.eigenvectors) if dec.eigenvalues[0] >= 0.0 else None
 
-    Side (i): every sampled nonzero cone pair (plus adversarial pairs) finds
-    some power with strictly positive pairing.  Side (ii): the top eigenvalue
-    is simple and its eigenvector is strictly positive for the cone.  The two
-    sides are equivalent for PSD self-adjoint operators preserving the cone;
-    disagreement beyond sampling caveats indicates an implementation bug.
+
+def _improvement_certified(A, cone):
+    """True when one guarded Cholesky proves that A maps the cone's nonzero
+    points into the interior of its dual, so that every pair pairs strictly
+    positively at n = 1; False proves nothing.
+
+    It applies to a held A = Q diag(w) Q^T with w >= 0, whose spectrum is
+    scaled by the exact power of two that puts w_1 = max w in [0.5, 1) (the
+    claim is homogeneous), and to an axis cone K = {x : sqrt(2) <a, x> >=
+    ||x||} whose axis a passes require_top_eigenvector.  With J_b = 2 a a^T - b
+    I, x^T J_1 x >= 0 on K.  If M = A J_b A - mu J_1 is positive definite for
+    some mu >= 0 and b >= 1, every x in K minus 0 has 2 <a, Ax>^2 > b ||Ax||^2:
+    <a, Ax> is never 0, so it keeps the sign it has at x = a, where A >= 0
+    makes it positive, and sqrt(2) <a, Ax> > sqrt(b) ||Ax||.  Writing u in K
+    and y = Ax along a/||a|| and across it, <u, y> > 0 follows once b >= 2
+    ||a||^2 - 1; an axis cone's ||a|| is within UNIT_AXIS_TOL of 1, so b = 1 +
+    5 UNIT_AXIS_TOL serves (at ||a|| = 1, b = 1 and K is self-dual).  mu = w_1
+    max(w_2, w_1 / 4) lies in (w_2^2, w_1^2) when w_2 < w_1: w_1 w_2 balances
+    the top against the rest (Polik & Terlaky, "A survey of the S-lemma", SIAM
+    Rev. 49, 2007), and the floor w_1^2 / 4 keeps a small w_2 from inflating
+    the scaled error below (max D^2 <= 4).
+
+    With G = Q^T Q = I + E and c = Q^T a, Q^T M Q = B + Delta, B = diag(mu - b
+    w^2) + 2 (w c)(w c)^T - 2 mu c c^T, and Delta = -b W E W + (G X G - X) + mu
+    E, X = W (2 c c^T - b G) W.  The held Q has ||E||_2 <= eps = RECON_TOL
+    (checked_eigh's test, from_spectrum's contract), so ||X|| <= 3.01 and
+    ||Delta|| <= 1.01 eps + (2 eps + eps^2) 3.01 + eps <= 9 eps.  The computed
+    c has ||c - fl(c)|| <= gamma_n ||Q||_F ||a||, ||Q||_F^2 = tr G <= 2n,
+    which moves B by at most 8.1 gamma_n sqrt(2n); forming B rounds each entry
+    at most five times, within gamma_5 of an absolute matrix of 2-norm at most
+    6.1; subnormal products add at most 10 n^2 eta (eta the smallest
+    subnormal).  B is scaled by the congruence D = diag(2^-f), f the exponent
+    of sqrt(mu) on the rest and 0 on the top (Q's last column), so that the
+    scaled least eigenvalue is about 1 - w_2 / w_1; the scaling is exact but
+    for underflow (n eta), and it multiplies the rest of the error by max D^2.
+    certify_positive_definite then proves D Q^T M Q D, and so M (Q is
+    nonsingular), positive definite.  O(n^2): A's matrix is not formed.
+    """
+    held = _held_psd_spectrum(A, cone)
+    if held is None:
+        return False
+    try:
+        require_top_eigenvector(A, cone.axis)
+    except AxisNotEigenvector:
+        return False
+    w, q = held
+    n = len(w)
+    w = np.ldexp(w, -int(np.frexp(w[-1])[1]))
+    top = float(w[-1])
+    mu = top * max(float(w[-2]) if n > 1 else 0.0, top / 4.0)
+    c = q.T @ cone.axis
+    p = w * c
+    m = np.outer(p, p)
+    m -= mu * np.outer(c, c)
+    m *= 2.0
+    m[np.diag_indices(n)] += mu - (1.0 + 5.0 * UNIT_AXIS_TOL) * (w * w)
+    scale = np.full(n, np.ldexp(1.0, -int(np.frexp(math.sqrt(mu))[1])))
+    scale[-1] = 1.0
+    m *= np.outer(scale, scale)
+    error = (float(scale.max()) ** 2
+             * (9.0 * RECON_TOL + 9.0 * math.sqrt(2 * n) * gamma(n) + 7.0 * gamma(5)
+                + 10.0 * n * n * SMALLEST_SUBNORMAL)
+             + n * SMALLEST_SUBNORMAL)
+    return certify_positive_definite(m, error)
+
+
+def _invariant_pair(A, cone):
+    """The adversarial pair (u, v) of a held A whose top eigenvalue is tied bit
+    for bit, when it provably fails the probe's hit test at every power; else None.
+
+    With A = Q diag(w) Q^T held, 0 <= w_i <= lambda_1, T the indices with w_i
+    = lambda_1 and R the rest, y = Q^T u and z = Q^T v give <u, A^n v> = sum
+    y_i z_i w_i^n exactly, so |<u, A^n v>| <= lambda_1^n L, L = |sum_T y z| +
+    sum_R |y z|.  The held Q has sigma_min(Q)^2 >= 1 - eps, eps = RECON_TOL, so
+    ||A^n v|| >= (1 - eps) lambda_1^n ||z_T||, and L <= TAU_STRICT (1 - eps)
+    ||u|| ||z_T|| makes <u, A^n v> <= TAU_STRICT ||u|| ||A^n v|| at every n >= 1.
+    For u = a + d and v = a - d, a the axis and d a unit top direction
+    orthogonal to it, L is of the order of the unit roundoff.  The computed y
+    and z are within gamma_n sqrt(2n) ||u|| and gamma_n sqrt(2n) ||v|| of the
+    exact ones (||Q||_F^2 <= 2n), which moves L by at most 2.01 gamma_n sqrt(2n)
+    ||u|| ||v|| and ||z_T|| by gamma_n sqrt(2n) ||v||; summing L rounds by at
+    most 1.03 gamma_{n+1} ||u|| ||v||; subnormal products add at most n^2 eta
+    (1 + ||u|| + ||v||).  The test below charges 6 gamma_{n+2} sqrt(2n) ||u||
+    ||v|| for all of these and for its own rounding, and takes TAU_STRICT (1 -
+    eps - 4 gamma_{n+2}) on the right, which covers the rounding of the norms.
+    """
+    held = _held_psd_spectrum(A, cone)
+    if held is None or A.dim < 2:
+        return None
+    (w, q), n = held, A.dim
+    us, vs = _adversarial_pairs(A, cone)
+    if w[-1] != w[-2] or not len(us):
+        return None
+    y, z = q.T @ us[0], q.T @ vs[0]
+    top = w == w[-1]
+    terms = y * z
+    pairing = abs(float(terms[top].sum())) + float(np.abs(terms[~top]).sum())
+    nu, nv, nz = (float(np.linalg.norm(x)) for x in (us[0], vs[0], z[top]))
+    g = gamma(n + 2)
+    bound = (pairing + 6.0 * g * math.sqrt(2 * n) * nu * nv
+             + n * n * SMALLEST_SUBNORMAL * (1.0 + nu + nv))
+    if bound <= TAU_STRICT * (1.0 - RECON_TOL - 4.0 * g) * nu * nz:
+        return us[0], vs[0]
+    return None
+
+
+def _sampled_ergodicity(A, cone, seed, n_pairs):
+    """The first probed pair that never pairs strictly positively, or None, and
+    the number of pairs probed.
+
     The n_pairs sampled pairs come from one block of the block sampler
-    (sample_in_cone_rows): consecutive rows pair up.
+    (sample_in_cone_rows, stream 1 of the seed): consecutive rows pair up.
+    The adversarial pairs follow them, and ergodic_probe judges them all.
+    """
+    rows = sample_in_cone_rows(cone, rng_for(seed, 1), 2 * n_pairs)
+    extra_u, extra_v = _adversarial_pairs(A, cone)
+    us, vs = np.vstack([rows[0::2], extra_u]), np.vstack([rows[1::2], extra_v])
+    probe = ergodic_probe(A, cone, us, vs)
+    return (None if probe.found else (us[probe.pair], vs[probe.pair])), len(us)
+
+
+def perron_frobenius_check(A, cone, seed=0, n_pairs=40):
+    """Cross-check ergodicity against top-eigenvalue structure.
+
+    Side (i): every nonzero cone pair finds some power with strictly positive
+    pairing.  Side (ii): the top eigenvalue is simple and its eigenvector is
+    strictly positive for the cone.  The two sides are equivalent for PSD
+    self-adjoint operators preserving the cone; disagreement indicates an
+    implementation bug, or a sampling caveat on the sampled route.
+
+    Side (i) is proved where a certificate applies, and no pair is drawn: a
+    tie of the held top eigenvalue that _invariant_pair proves unbroken at
+    every power decides it false, and an improvement of the axis cone that
+    _improvement_certified proves decides it true.  Everywhere else (the
+    orthant, an axis that is not a top eigenvector, a near-tie, an operator
+    built from a matrix, a failed proof) _sampled_ergodicity probes n_pairs
+    sampled pairs and the adversarial pairs.
     """
     _check_dims(A, cone)
     try:
@@ -459,25 +623,28 @@ def perron_frobenius_check(A, cone, seed=0, n_pairs=40):
     strictly_positive = (cone.classify(u0) is Region.INTERIOR
                          or cone.classify(-u0) is Region.INTERIOR)
 
-    rows = sample_in_cone_rows(cone, rng_for(seed, 1), 2 * n_pairs)
-    extra_u, extra_v = _adversarial_pairs(A, cone)
-    keep = (regions(cone, extra_u) != -1) & (regions(cone, extra_v) != -1)
-    us, vs = np.vstack([rows[0::2], extra_u[keep]]), np.vstack([rows[1::2], extra_v[keep]])
-    probe = ergodic_probe(A, cone, us, vs)
-    failing = None if probe.found else (us[probe.pair], vs[probe.pair])
-    ergodic_sampled = failing is None
+    failing = _invariant_pair(A, cone)
+    if failing is not None:
+        route, pairs = "invariant pair", 1
+    elif _improvement_certified(A, cone):
+        route, pairs = "improvement certificate", 0
+    else:
+        route = "sampled"
+        failing, pairs = _sampled_ergodicity(A, cone, seed, n_pairs)
+    ergodic = failing is None
     eigen_side = simple and strictly_positive
-    agree = ergodic_sampled == eigen_side
+    agree = ergodic == eigen_side
     detail = "" if agree else (
-        "sampled ergodicity disagrees with eigenvalue structure; "
+        f"ergodicity ({route}) disagrees with eigenvalue structure; "
         "either a sampling caveat (missed witness pair) or a toolkit bug"
     )
     return PerronFrobeniusReport(
         top_eigenvalue=lam,
         top_simple=simple,
         top_strictly_positive=strictly_positive,
-        ergodic_sampled=ergodic_sampled,
-        n_pairs=len(us),
+        ergodic=ergodic,
+        route=route,
+        n_pairs=pairs,
         failing_pair=failing,
         agree=agree,
         detail=detail,

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,11 +36,12 @@ from axiscone.positivity import (
     perron_frobenius_check,
     preserves_positivity,
 )
-from axiscone.seeding import rng_for
-from axiscone.tolerances import AXIS_TOL, TAU_GAP, TAU_STRICT
+from axiscone.seeding import derive_seed, rng_for
+from axiscone.tolerances import AXIS_TOL, RECON_TOL, TAU_GAP, TAU_STRICT, UNIT_AXIS_TOL
 from reference_loops import (
     arc_sweep_margin,
     compressed_restricted_top,
+    exactly_positive_definite,
     preserves_by_loop,
     probe_by_loop,
     probe_by_power_loop,
@@ -574,9 +576,12 @@ class TestHeldSpectrumProbe:
     def test_a_pf_check_forms_no_matrix_and_decomposes_nothing(self, flavor, monkeypatch):
         a = generate_instance(flavor, 8, seed=1)
         calls = count_eigh(monkeypatch)
+        probes = count_probes(monkeypatch)
         report = perron_frobenius_check(a, AxisCone(top_eigen(a)[1]), seed=1)
-        assert report.agree and report.ergodic_sampled is (flavor == "psd-simple")
-        assert a._matrix is None and calls == []
+        assert report.agree and report.ergodic is (flavor == "psd-simple")
+        assert report.route == {"psd-simple": "improvement certificate",
+                                "degenerate-top": "invariant pair"}[flavor]
+        assert a._matrix is None and calls == [] and probes == []
         assert a.held
 
     @pytest.mark.filterwarnings("error")
@@ -592,8 +597,8 @@ class TestPerronFrobenius:
         report = perron_frobenius_check(
             SymmetricOperator(np.diag([2.0, 1.0])), AxisCone(E1), seed=1
         )
-        assert report.agree
-        assert report.eigen_side and report.ergodic_sampled
+        assert report.agree and report.route == "sampled"
+        assert report.eigen_side and report.ergodic
 
     def test_ones_matrix_orthant(self):
         # 2x2 eigenproblem by hand: top eigenvalue 2 simple, eigenvector
@@ -602,14 +607,15 @@ class TestPerronFrobenius:
             SymmetricOperator([[1.0, 1.0], [1.0, 1.0]]), OrthantCone(2), seed=1
         )
         assert report.top_eigenvalue == pytest.approx(2.0)
-        assert report.agree and report.eigen_side and report.ergodic_sampled
+        assert report.agree and report.eigen_side and report.ergodic
+        assert report.route == "sampled"
 
     def test_degenerate_agrees_on_not_ergodic(self):
         report = perron_frobenius_check(
             SymmetricOperator(np.diag([2.0, 2.0])), AxisCone(E1), seed=1
         )
         assert not report.top_simple
-        assert not report.ergodic_sampled
+        assert not report.ergodic and report.route == "sampled"
         assert report.agree
         u, v = report.failing_pair
         result = ergodic_probe(
@@ -636,27 +642,176 @@ class TestPerronFrobenius:
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_block_sampled_pairs_keep_the_per_row_verdicts(self, monkeypatch, flavor):
-        # the probe draws its pairs with the block sampler; the per-row sampler's
-        # pairs, drawn from the same distribution, give the same verdicts
+        # the sampled route draws its pairs with the block sampler; the per-row sampler's
+        # pairs, drawn from the same distribution, give the same verdicts.  The route is
+        # driven directly, since certificates decide the held instances' checks before
+        # any pair is drawn, and it finds the verdict each check reports
+        cases = []
+        for dim, seed in itertools.product(range(2, 17), range(4)):
+            a = generate_instance(flavor, dim, seed)
+            if flavor == "generic":   # PSD, as the check requires
+                a = SymmetricOperator(a.matrix @ a.matrix)
+            for cone in (AxisCone(top_eigen(a)[1]), OrthantCone(dim)):
+                try:
+                    report = perron_frobenius_check(a, cone, seed=seed)
+                except PrereqFailed:
+                    continue
+                cases.append((a, cone, seed, report.ergodic))
+
         def outcomes():
-            found = []
-            for dim, seed in itertools.product(range(2, 17), range(4)):
-                a = generate_instance(flavor, dim, seed)
-                if flavor == "generic":   # PSD, as the check requires
-                    a = SymmetricOperator(a.matrix @ a.matrix)
-                for cone in (AxisCone(top_eigen(a)[1]), OrthantCone(dim)):
-                    try:
-                        report = perron_frobenius_check(a, cone, seed=seed)
-                    except PrereqFailed:
-                        found.append(None)
-                        continue
-                    found.append((report.agree, report.ergodic_sampled, report.top_simple))
-            return found
+            return [positivity._sampled_ergodicity(a, cone, seed, 40)[0] is None
+                    for a, cone, seed, _ in cases]
 
         block = outcomes()
+        assert block == [ergodic for *_, ergodic in cases]
         monkeypatch.setattr(positivity, "sample_in_cone_rows", sample_in_cone)
         assert outcomes() == block
-        assert sum(outcome is not None for outcome in block) >= 60
+        assert len(block) >= 60
+
+
+def count_probes(monkeypatch):
+    """Record the pair blocks of every ergodic_probe call from now on."""
+    calls, probe = [], positivity.ergodic_probe
+    monkeypatch.setattr(positivity, "ergodic_probe",
+                        lambda a, cone, us, vs: calls.append(len(us)) or probe(a, cone, us, vs))
+    return calls
+
+
+def pf_instances(seed, dims, flavors=HELD_FLAVORS):
+    """(flavor, instance, top-eigenvector cone, instance seed) of a pf_verify run's
+    first instance per flavor and dim, its seed derived as the runner derives it."""
+    for dim, flavor in itertools.product(dims, flavors):
+        if flavor == "degenerate-top" and dim < 2:
+            continue
+        instance_seed = derive_seed(seed, dim, FLAVORS.index(flavor), 0)
+        a = generate_instance(flavor, dim, instance_seed)
+        yield flavor, a, AxisCone(top_eigen(a)[1]), instance_seed
+
+
+def exact(x):
+    return np.vectorize(Fraction)(np.asarray(x, dtype=float)).astype(object)
+
+
+class TestErgodicityCertificates:
+    """The two proofs of the Perron-Frobenius check's ergodicity side."""
+
+    @pytest.mark.parametrize("seed", [0, 303, 4242])
+    def test_each_certificate_agrees_with_the_probe(self, seed):
+        # psd-simple: proved improving, and every sampled pair pairs at n = 1;
+        # degenerate-top: the invariant pair, which neither probe ever pairs
+        decided = 0
+        for flavor, a, cone, instance_seed in pf_instances(seed, range(1, 65)):
+            improving = positivity._improvement_certified(a, cone)
+            pair = positivity._invariant_pair(a, cone)
+            failing, pairs = positivity._sampled_ergodicity(a, cone, instance_seed, 20)
+            if flavor == "psd-simple":
+                assert improving and pair is None and failing is None
+                us, vs = positivity._adversarial_pairs(a, cone)
+                rows = sample_in_cone_rows(cone, rng_for(instance_seed, 1), 40)
+                us, vs = np.vstack([rows[0::2], us]), np.vstack([rows[1::2], vs])
+                probe = ergodic_probe(a, cone, us, vs)
+                assert probe.found and probe.n == pairs == len(us)   # each at power 1
+            else:
+                assert pair is not None and not improving and failing is not None
+                us, vs = [pair[0]], [pair[1]]
+                probe = ergodic_probe(a, cone, us, vs)
+                assert not probe.found and probe.n == MAX_POWER
+            expected, _ = probe_by_spectrum(a, us, vs)
+            assert (expected.found, expected.n, expected.pair) == (probe.found, probe.n,
+                                                                   probe.pair)
+            assert a._matrix is None
+            decided += 1
+        assert decided == 127
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_the_certificate_matrix_is_exactly_positive_definite(self, dim, monkeypatch):
+        # the Cholesky's claim, every matrix within error of m positive definite, and
+        # the claim it serves: M = A J_b A - mu J_1 of the held A, in rationals
+        proved, certify = [], positivity.certify_positive_definite
+        monkeypatch.setattr(positivity, "certify_positive_definite",
+                            lambda m, error: proved.append((m, error)) or certify(m, error))
+        for seed in range(3):
+            a = generate_instance("psd-simple", dim, seed)
+            cone = AxisCone(top_eigen(a)[1])
+            assert positivity._improvement_certified(a, cone)
+            m, error = proved[-1]
+            assert exactly_positive_definite(m, shift=error)
+            dec = a.decomposition
+            w = np.ldexp(dec.eigenvalues, -int(np.frexp(dec.max_eigenvalue)[1]))
+            mu = Fraction(float(w[-1]) * max(float(w[-2]), float(w[-1]) / 4.0))
+            q, axis = exact(dec.eigenvectors), exact(cone.axis)
+            held = (q * exact(w)) @ q.T
+            outer, eye = np.outer(axis, axis), np.identity(dim, dtype=object) * Fraction(1)
+            b = Fraction(1.0 + 5.0 * UNIT_AXIS_TOL)
+            s_lemma = held @ (2 * outer - b * eye) @ held - mu * (2 * outer - eye)
+            assert exactly_positive_definite(s_lemma)
+            # m is within error of D Q^T M Q D, D = 2^-f on the rest, f the exponent of
+            # sqrt(mu), and 1 on the top; the Frobenius norm bounds the 2-norm
+            d = exact([2.0 ** -int(np.frexp(math.sqrt(mu))[1])] * (dim - 1) + [1.0])
+            scaled = np.outer(d, d) * (q.T @ s_lemma @ q)
+            assert sum((exact(m) - scaled).ravel() ** 2) <= Fraction(error) ** 2
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_the_invariant_pair_bound_holds_exactly(self, dim):
+        # L = |sum_T y z| + sum_R |y z| <= TAU_STRICT (1 - RECON_TOL) ||u|| ||z_T||, with
+        # y and z exact, squared; and the held Q within RECON_TOL of orthonormal
+        for seed in range(3):
+            a = generate_instance("degenerate-top", dim, seed)
+            u, v = positivity._invariant_pair(a, AxisCone(top_eigen(a)[1]))
+            w, q = a.decomposition.eigenvalues, exact(a.decomposition.eigenvectors)
+            y, z = q.T @ exact(u), q.T @ exact(v)
+            top = w == w[-1]
+            pairing = abs(sum(y[top] * z[top])) + sum(abs(t) for t in y[~top] * z[~top])
+            factor = Fraction(TAU_STRICT) * (1 - Fraction(RECON_TOL))
+            assert pairing ** 2 <= factor ** 2 * sum(exact(u) ** 2) * sum(z[top] ** 2)
+            defect = q.T @ q - np.identity(dim, dtype=object)
+            assert sum(defect.ravel() ** 2) <= Fraction(RECON_TOL) ** 2
+
+    @pytest.mark.parametrize("second", [0.5, 1e-3, 1e-12, 0.0])
+    def test_a_small_second_eigenvalue_keeps_the_certificate(self, second):
+        # mu = w_1 max(w_2, w_1 / 4): w_2 -> 0 does not inflate the scaled error
+        a = SymmetricOperator.from_spectrum([0.0, second, 1.0], np.eye(3))
+        report = perron_frobenius_check(a, AxisCone(np.eye(3)[2]), seed=1)
+        assert report.route == "improvement certificate" and report.ergodic and report.agree
+
+    def test_no_invariant_pair_past_a_negative_eigenvalue(self):
+        # a tie at 1e-12 beside an eigenvalue -1e-10, which require_psd admits: the pair
+        # a +/- e2 of a tilted axis reaches it, and pairs positively at n = 2
+        a = SymmetricOperator.from_spectrum([-1e-10, 1e-12, 1e-12], np.eye(3))
+        tilt = 1e-6
+        cone = AxisCone(np.array([math.sin(tilt), 0.0, math.cos(tilt)]))
+        assert positivity._invariant_pair(a, cone) is None
+        us, vs = positivity._adversarial_pairs(a, cone)
+        assert len(us) == 1 and ergodic_probe(a, cone, us, vs).n == 2
+
+    @pytest.mark.parametrize("case", ["orthant", "axis-not-eigenvector", "near-tie",
+                                      "matrix-tie", "zero"])
+    def test_the_probe_decides_where_no_certificate_applies(self, case, monkeypatch):
+        rotation = np.linalg.qr(rng_for(7, 3).standard_normal((3, 3)))[0]
+        a, cone, ergodic = {
+            "orthant": (SymmetricOperator.from_spectrum([0.0, 2.0], np.array(
+                [[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)), OrthantCone(2), True),
+            "axis-not-eigenvector": (SymmetricOperator.from_spectrum([1.0, 2.0], np.eye(2)),
+                                     AxisCone(np.array([math.sin(0.1), math.cos(0.1)])), True),
+            "near-tie": (SymmetricOperator.from_spectrum([0.5, 1.0 - 1e-12, 1.0], rotation),
+                         AxisCone(rotation[:, -1]), False),
+            "matrix-tie": (SymmetricOperator(np.diag([2.0, 2.0])), AxisCone(E1), False),
+            "zero": (SymmetricOperator(np.zeros((2, 2))), AxisCone(E1), False),
+        }[case]
+        probes = count_probes(monkeypatch)
+        report = perron_frobenius_check(a, cone, seed=3)
+        assert report.route == "sampled" and len(probes) == 1
+        assert report.n_pairs == probes[0] >= 40
+        assert report.ergodic is ergodic and report.agree
+
+    def test_a_held_zero_operator_has_an_invariant_pair(self):
+        # tied at 0: no power pairs any vector, which the matrix-built zero shows sampled
+        a = SymmetricOperator.from_spectrum(np.zeros(3), np.eye(3))
+        report = perron_frobenius_check(a, AxisCone(np.eye(3)[0]), seed=3)
+        assert report.route == "invariant pair" and report.n_pairs == 1
+        assert not report.ergodic and report.agree
+        assert not ergodic_probe(a, AxisCone(np.eye(3)[0]), *map(np.atleast_2d,
+                                                                  report.failing_pair)).found
 
 
 class TestInvariants:
