@@ -12,9 +12,10 @@ is bounded from the same spectrum (restricted_top), so no linear system is
 solved and no compression is decomposed.  An operator built from its spectrum
 (from_spectrum: heat semigroups, the identity, psd-simple and degenerate-top
 test instances, the diagonal magnetic term) holds only that spectrum: its
-matrix is formed on first read, and apply always goes through the
-eigenvectors Q, so a sweep that reads no semigroup's entries forms none and
-A v does not depend on whether the matrix was read before.
+matrix is formed on first read (by sums, compressions and the ergodicity
+probe, which iterates it), and apply always goes through the eigenvectors Q,
+so a sweep that reads no semigroup's entries forms none and A v does not
+depend on whether the matrix was read before.
 Where a symmetric matrix only needs to be proven positive definite, as for a
 lower bound on a spectral gap (gap_exceeds), one guarded Cholesky factorization
 does it (certify_positive_definite) and nothing is decomposed.  All returned
@@ -192,9 +193,9 @@ class SymmetricOperator:
         (||q^T q - I||_F <= RECON_TOL, checked_eigh's test, which the ergodicity
         certificates of perron_frobenius_check rely on).
 
-        (w, q) defines the operator, for apply (q (w * q^T v)) and the ergodicity
-        probe; the matrix is SymmetricOperator((q * w) @ q.T)'s, formed and
-        checked on the first read of `matrix` (sums and multiples read it too).
+        (w, q) defines the operator, for apply (q (w * q^T v)); the matrix is
+        SymmetricOperator((q * w) @ q.T)'s, formed and checked on the first read
+        of `matrix` (sums, multiples and the ergodicity probe read it).
         """
         w, q = np.array(w, dtype=float), np.array(q, dtype=float)
         w.setflags(write=False)

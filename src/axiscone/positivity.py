@@ -14,9 +14,9 @@ proves that every pair pairs positively at n = 1, and a rounding bound on a
 bit-for-bit tied top proves that one pair never does.  Only elsewhere are
 pairs sampled.  Sampled verdicts take their cone points as one
 block: preservation classifies the block's images at once, and the
-ergodicity probe judges every pair of a block together, through a held
-spectrum or by powers of a matrix (ergodic_probe).  A Verdict is plain data;
-the harness renders its report cells.
+ergodicity probe judges every pair of a block together, by powers of the
+operator's matrix (ergodic_probe), held spectrum or not.  A Verdict is plain
+data; the harness renders its report cells.
 """
 
 import enum
@@ -294,10 +294,16 @@ def ergodic_probe(A, cone, us, vs):
     The hit test <u, A^n v> > TAU_STRICT ||u|| ||A^n v|| is homogeneous, so u,
     v and A are scaled by exact powers of two and no decision depends on their
     scale; a value is the scaled pairing times 2^exponent (inf past the float
-    range; 0 for a vanished image, which never hits).  A held spectrum
-    (from_spectrum) defines A^n = Q diag(w^n) Q^T, which a formed matrix only
-    rounds, so pairings are sums over it; a matrix is iterated, the one form
-    that keeps the exact zeros and graded entries an eigendecomposition blurs.
+    range; 0 for a vanished image, which never hits).  A's matrix is iterated,
+    for a held spectrum too (its first read forms it): the one form that keeps
+    the exact zeros and graded entries an eigendecomposition blurs, such as a
+    1e-150 coupling beside an entry 1, which eigh drops and powers reveal.
+
+    W <- A W runs on the unresolved columns, dropping one that hits or vanishes
+    and rescaling one whose largest |entry| leaves [1e-100, 1e100].  Power 1 is
+    judged alone, later ones in blocks of at most max(dim, 32) * dim floats,
+    each cut at its first power where a column hits, vanishes or leaves the
+    range, so that every judged value has the bits of a power-by-power loop.
     """
     _check_dims(A, cone)
     us, vs = as_rows(us), as_rows(vs)
@@ -307,64 +313,14 @@ def ergodic_probe(A, cone, us, vs):
     if not np.all(np.linalg.norm(rows, axis=1) > 0.0) or np.any(regions(cone, rows) == -1):
         raise NotInCone("expected nonzero cone elements")
     e_u, e_v = _exponents(us, axis=1), _exponents(vs, axis=1)
-    u, v = np.ldexp(us.T, -e_u), np.ldexp(vs.T, -e_v)
-    pairings = _spectral_pairings if A.held else _power_pairings
-    found, powers, inners, exponents = pairings(A, u, v, e_u + e_v)
-    with np.errstate(over="ignore"):  # a value past the float range is inf, as documented
-        values = np.ldexp(inners, exponents)
-    unfound = np.flatnonzero(~found)
-    stop = int(unfound[0]) if unfound.size else len(found) - 1
-    return ProbeResult(found=not unfound.size, n=int(powers[:stop + 1].sum()),
-                       value=float(values[stop]), pair=stop if unfound.size else None)
-
-
-def _spectral_pairings(A, u, v, shift):
-    """(hits, first powers or MAX_POWER, pairings, exponents) through A's held spectrum.
-
-    With mu = 2^-e w, y = Q^T u and z = Q^T v, the table P of mu^n gives all
-    pairings P (y * z) and norms sqrt((P * P)(z * z)).  A column whose norm
-    falls below 1e-100 may have lost terms to underflow and is summed from
-    m_i^n zeta_i 2^(n a_i + b_i - top) instead: w = m 2^a and z = zeta 2^b by
-    frexp (|m^n| >= 2^-64), top the largest exponent of a nonzero term.
-    """
-    dec = A.decomposition
-    e = _exponents(dec.eigenvalues)
-    y, z = dec.eigenvectors.T @ u, dec.eigenvectors.T @ v
-    table = np.cumprod(np.broadcast_to(np.ldexp(dec.eigenvalues, -e), (MAX_POWER, len(y))), axis=0)
-    inner, norm = table @ (y * z), np.sqrt((table * table) @ (z * z))
-    ns = np.arange(1, MAX_POWER + 1)
-    tops = np.multiply.outer(ns, np.full(len(shift), e))
-    low = (norm < 1e-100).any(axis=0)
-    if low.any():
-        (m, a), (zeta, b) = np.frexp(dec.eigenvalues), np.frexp(z[:, low])
-        mpow = np.cumprod(np.broadcast_to(m, table.shape), axis=0)[:, :, None]
-        exps = np.multiply.outer(ns, a)[:, :, None] + b
-        tops[:, low] = top = np.where(mpow * zeta != 0.0, exps, exps.min()).max(axis=1)
-        image, terms = (np.ldexp(mpow * x, exps - top[:, None]) for x in (zeta, zeta * y[:, low]))
-        inner[:, low], norm[:, low] = terms.sum(axis=1), np.sqrt((image * image).sum(axis=1))
-    hits = inner > TAU_STRICT * np.linalg.norm(u, axis=0) * norm   # none for a vanished image
-    found = hits.any(axis=0)
-    powers = np.where(found, hits.argmax(axis=0) + 1, MAX_POWER)
-    at = (powers - 1, np.arange(len(found)))
-    return found, powers, np.where(norm[at] > 0.0, inner[at], 0.0), shift + tops[at]
-
-
-def _power_pairings(A, u, w, shift):
-    """(hits, first powers or MAX_POWER, pairings, exponents) by iterating A's matrix.
-
-    W <- A W runs on the unresolved columns, dropping one that hits or vanishes
-    and rescaling one whose largest |entry| leaves [1e-100, 1e100].  Power 1 is
-    judged alone, later ones in blocks of at most max(dim, 32) * dim floats,
-    each cut at its first power where a column hits, vanishes or leaves the
-    range, so that every judged value has the bits of a power-by-power loop.
-    """
-    k = u.shape[1]
+    u, w = np.ldexp(us.T, -e_u), np.ldexp(vs.T, -e_v)
+    k = len(us)
     powers, found = np.full(k, MAX_POWER), np.zeros(k, dtype=bool)
     inners, exponents = np.zeros(k), np.zeros(k, dtype=int)  # value = inner 2^exponent
     e_a = _exponents(A.matrix)
     a = np.ldexp(A.matrix, -e_a)
     tol = TAU_STRICT * np.linalg.norm(u, axis=0)
-    live = np.arange(k)   # <u, A^n v> = <u', w> 2^(shift + n e_a)
+    live, shift = np.arange(k), e_u + e_v   # <u, A^n v> = <u', w> 2^(shift + n e_a)
     n = 0
     while n < MAX_POWER and live.size:
         # a block of more than one power holds at most max(dim, 32) * dim floats
@@ -399,7 +355,12 @@ def _power_pairings(A, u, w, shift):
             keep = ~done
             live, u, w, tol, shift = live[keep], u[:, keep], w[:, keep], tol[keep], shift[keep]
     inners[live], exponents[live] = (u * w).sum(axis=0), shift + n * e_a
-    return found, powers, inners, exponents
+    with np.errstate(over="ignore"):  # a value past the float range is inf, as documented
+        values = np.ldexp(inners, exponents)
+    unfound = np.flatnonzero(~found)
+    stop = int(unfound[0]) if unfound.size else k - 1
+    return ProbeResult(found=not unfound.size, n=int(powers[:stop + 1].sum()),
+                       value=float(values[stop]), pair=stop if unfound.size else None)
 
 
 @dataclass(frozen=True)
@@ -550,13 +511,20 @@ def _invariant_pair(A, cone):
     ||u|| ||z_T|| makes <u, A^n v> <= TAU_STRICT ||u|| ||A^n v|| at every n >= 1.
     For u = a + d and v = a - d, a the axis and d a unit top direction
     orthogonal to it, L is of the order of the unit roundoff.  The computed y
-    and z are within gamma_n sqrt(2n) ||u|| and gamma_n sqrt(2n) ||v|| of the
-    exact ones (||Q||_F^2 <= 2n), which moves L by at most 2.01 gamma_n sqrt(2n)
-    ||u|| ||v|| and ||z_T|| by gamma_n sqrt(2n) ||v||; summing L rounds by at
-    most 1.03 gamma_{n+1} ||u|| ||v||; subnormal products add at most n^2 eta
-    (1 + ||u|| + ||v||).  The test below charges 6 gamma_{n+2} sqrt(2n) ||u||
-    ||v|| for all of these and for its own rounding, and takes TAU_STRICT (1 -
-    eps - 4 gamma_{n+2}) on the right, which covers the rounding of the norms.
+    and z are within gamma_n p and gamma_n r of the exact ones, componentwise,
+    p = |Q|^T |u| and r = |Q|^T |v| (Higham, Accuracy and Stability, 3.5), so L
+    moves by at most gamma_n (p . |z| + |y| . r) + gamma_n^2 p . r, the last at
+    most 0.01 gamma_n ||u|| ||v|| (p . r <= ||Q||_F^2 ||u|| ||v|| <= 2n ||u||
+    ||v||).  ||z_T|| moves by at most gamma_n ||r_T||, each r_i <= ||q_i||
+    ||v||, which costs at most 0.01 gamma_n ||u|| ||v|| on the right while
+    TAU_STRICT sqrt(n) < 0.0099.  Summing L rounds by at most 1.03 gamma_{n+1}
+    ||u|| ||v||; subnormal products add at most n^2 eta (1 + ||u|| + ||v||).
+    The test below charges 3 gamma_{n+2} (p . |z| + |y| . r + ||u|| ||v||),
+    all computed, for all of these and for its own rounding, and takes
+    TAU_STRICT (1 - eps - 4 gamma_{n+2}) on the right, which covers the
+    rounding of the norms.  p_i <= ||q_i|| ||u|| and |z_i| is of the order of
+    the unit roundoff off the top, so the charge grows like n u, not like the
+    norm bound's n^1.5 u, and exact ties are proved up to n = SIZE_LIMIT.
     """
     held = _held_psd_spectrum(A, cone)
     if held is None or A.dim < 2:
@@ -569,9 +537,10 @@ def _invariant_pair(A, cone):
     top = w == w[-1]
     terms = y * z
     pairing = abs(float(terms[top].sum())) + float(np.abs(terms[~top]).sum())
+    p, r = np.abs(np.vstack([us, vs])) @ np.abs(q)
     nu, nv, nz = (float(np.linalg.norm(x)) for x in (us[0], vs[0], z[top]))
     g = gamma(n + 2)
-    bound = (pairing + 6.0 * g * math.sqrt(2 * n) * nu * nv
+    bound = (pairing + 3.0 * g * (float(p @ np.abs(z) + np.abs(y) @ r) + nu * nv)
              + n * n * SMALLEST_SUBNORMAL * (1.0 + nu + nv))
     if bound <= TAU_STRICT * (1.0 - RECON_TOL - 4.0 * g) * nu * nz:
         return us[0], vs[0]

@@ -16,8 +16,10 @@ an operator held by its spectrum formed its matrix on first read;
 `eager_degenerate_top` is the degenerate-top test instance as it stood before
 it held the spectrum it is built from;
 `probe_by_power_loop` is the block ergodicity probe as it stood before it
-judged its powers in blocks, and `probe_by_spectrum` its evaluation through a
-held spectrum written pair by pair and power by power; `sweep_by_rebuild` is
+judged its powers in blocks, and `probe_by_spectrum` the evaluation through a
+held spectrum that the probe kept for operators built from their spectrum,
+written pair by pair and power by power: the oracle of the probe's decisions
+on such operators, free of the rounding of their formed matrices; `sweep_by_rebuild` is
 the semigroup sweep as it stood before the budget held its checked operators;
 `threshold_by_decomposing` is the budget as it stood before grid gaps were
 certified by Cholesky, with a checked eigh at every nonzero grid point and its
@@ -44,7 +46,6 @@ from axiscone.operators import (
     SpectralDecomposition,
     SymmetricOperator,
     bottom_eigen,
-    gamma,
     heat_semigroup,
     perp_basis,
 )
@@ -209,22 +210,20 @@ def probe_by_power_loop(A, us, vs):
 
 
 def probe_by_spectrum(A, us, vs):
-    """ergodic_probe of an operator held by its spectrum, pair by pair and power
-    by power: (ProbeResult, bound).
+    """ergodic_probe's decisions for an operator held by its spectrum, pair by pair
+    and power by power through that spectrum: the decision oracle of the probe,
+    which iterates the matrix the spectrum forms.
 
     Each u and v row is scaled by the exact power of two that puts its largest
     |entry| in [0.5, 1); y = Q^T u' and z = Q^T v' come from one product per
-    block, as in the probe.  With w_i = m_i 2^a_i and z_i = zeta_i 2^b_i
-    (frexp), the i-th term of the pairing at power n is m_i^n (zeta_i y_i)
-    2^(n a_i + b_i), m^n = m^(n-1) m taken one power at a time; every power is
-    scaled by 2^-top, top the largest n a_i + b_i of a nonzero term, so that
-    no leading term underflows.  The pairing and the squared image norm are
-    summed by math.fsum, so each is one rounding of the exact sum of its
-    rounded terms.  Away from underflow these terms are the probe's own times
-    exact powers of two, which the probe sums in another order, within gamma_d
-    (d = dim) of their absolute sum, so the two pairings differ by at most
-    bound = gamma_{d+2} sum_i |term_i|, scaled back by 2^(e_u + e_v + top)
-    like the value it bounds, that of the stopping pair.
+    block.  With w_i = m_i 2^a_i and z_i = zeta_i 2^b_i (frexp), the i-th term
+    of the pairing at power n is m_i^n (zeta_i y_i) 2^(n a_i + b_i), m^n =
+    m^(n-1) m taken one power at a time; every power is scaled by 2^-top, top
+    the largest n a_i + b_i of a nonzero term, so that no leading term
+    underflows.  The pairing and the squared image norm are summed by
+    math.fsum, so each is one rounding of the exact sum of its rounded terms,
+    and no rounding of a formed matrix enters a decision.  The value is that
+    of the stopping pair, scaled back by 2^(e_u + e_v + top).
     """
     us, vs = as_rows(us), as_rows(vs)
     dec = A.decomposition
@@ -242,22 +241,18 @@ def probe_by_spectrum(A, us, vs):
             exps = n * a + b
             nonzero = (p * zeta) != 0.0
             top = int(exps[nonzero].max()) if nonzero.any() else 0
-            terms = np.ldexp(p * (zeta * y), exps - top)
-            inner = math.fsum(terms)
+            inner = math.fsum(np.ldexp(p * (zeta * y), exps - top))
             norm = math.sqrt(math.fsum(np.ldexp(p * zeta, exps - top) ** 2))
             if inner > tol * norm:
                 break
         else:
             found, inner = False, inner if norm > 0.0 else 0.0
         total += n
-        shift = int(e_u[pair] + e_v[pair]) + top
         with np.errstate(over="ignore"):
-            value, bound = np.ldexp([inner, gamma(len(m) + 2) * math.fsum(np.abs(terms))],
-                                    shift)
+            value = np.ldexp(inner, int(e_u[pair] + e_v[pair]) + top)
         if not found:
             break
-    return (ProbeResult(found=found, n=total, value=float(value),
-                        pair=None if found else pair), float(bound))
+    return ProbeResult(found=found, n=total, value=float(value), pair=None if found else pair)
 
 
 def drift_check_by_loop(A, u0, u1, rows):

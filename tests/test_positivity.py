@@ -24,7 +24,7 @@ from axiscone.errors import (
 )
 from axiscone import positivity
 from axiscone.harness import FLAVORS, generate_instance
-from axiscone.operators import SymmetricOperator, heat_semigroup, top_eigen
+from axiscone.operators import SymmetricOperator, gamma, heat_semigroup, top_eigen
 from axiscone.positivity import (
     MAX_POWER,
     PRESERVATION_SAMPLES,
@@ -482,27 +482,27 @@ HELD_FLAVORS = ("psd-simple", "degenerate-top")
 
 
 class TestHeldSpectrumProbe:
-    """An operator built from its spectrum is probed through that spectrum."""
+    """An operator built from its spectrum is probed by powers of the matrix it
+    forms, and decides as the pair-by-pair sums over its spectrum do."""
 
     @pytest.mark.parametrize("flavor", HELD_FLAVORS)
     @pytest.mark.parametrize("dim", [2, 3, 8, 32, 64])
     def test_matches_the_spectral_loop(self, flavor, dim):
-        # (found, n, pair) exactly, the value within the loop's derived rounding bound
+        # (found, n, pair) as the spectral loop decides, the value the power loop's bit for bit
         for seed in range(3):
             a = generate_instance(flavor, dim, seed)
             cone, us, vs = held_probe_pairs(a, seed, 20)
             for block_us, block_vs in [(us, vs), (us[-1:], vs[-1:]), (us[:3], vs[:3])]:
                 result = ergodic_probe(a, cone, block_us, block_vs)
-                expected, bound = probe_by_spectrum(a, block_us, block_vs)
+                expected = probe_by_spectrum(a, block_us, block_vs)
                 assert (result.found, result.n, result.pair) == (
                     expected.found, expected.n, expected.pair)
-                assert abs(result.value - expected.value) <= bound
-            assert a._matrix is None
+                assert_same_probe(result, probe_by_power_loop(a, block_us, block_vs))
 
     @pytest.mark.parametrize("flavor", HELD_FLAVORS)
     def test_decisions_match_the_power_loop_on_the_formed_matrix(self, flavor):
-        # the held operator keeps its evaluation once its matrix is formed, and the power
-        # loop on a copy built from that matrix decides the same
+        # the held operator keeps its evaluation once its matrix is formed, and a copy
+        # built from that matrix decides the same
         checked = 0
         for dim, seed in itertools.product((2, 3, 5, 8, 16, 33, 64), range(2)):
             a = generate_instance(flavor, dim, seed)
@@ -513,9 +513,7 @@ class TestHeldSpectrumProbe:
             assert a.held and not formed.held
             for got, (block_us, block_vs) in zip(before, blocks):
                 assert_same_probe(ergodic_probe(a, cone, block_us, block_vs), got)
-                want = ergodic_probe(formed, cone, block_us, block_vs)
-                assert (got.found, got.n, got.pair) == (want.found, want.n, want.pair)
-                assert got.value == pytest.approx(want.value, rel=1e-12)
+                assert_same_probe(ergodic_probe(formed, cone, block_us, block_vs), got)
                 checked += 1
         assert checked >= 150
 
@@ -538,9 +536,9 @@ class TestHeldSpectrumProbe:
         a = SymmetricOperator.from_spectrum(w, q)
         cone = OrthantCone(a.dim)
         got = ergodic_probe(a, cone, us, vs)
-        expected, bound = probe_by_spectrum(a, us, vs)
+        expected = probe_by_spectrum(a, us, vs)
         assert (got.found, got.n, got.pair) == (expected.found, expected.n, expected.pair)
-        assert abs(got.value - expected.value) <= bound
+        assert_same_probe(got, probe_by_power_loop(a, us, vs))
         want = ergodic_probe(SymmetricOperator(a.matrix), cone, us, vs)
         assert (got.found, got.n, got.pair) == (want.found, want.n, want.pair)
         for k in (-3, 3) if len(us) == 1 else ():   # one pair: n is its power
@@ -716,10 +714,9 @@ class TestErgodicityCertificates:
                 us, vs = [pair[0]], [pair[1]]
                 probe = ergodic_probe(a, cone, us, vs)
                 assert not probe.found and probe.n == MAX_POWER
-            expected, _ = probe_by_spectrum(a, us, vs)
+            expected = probe_by_spectrum(a, us, vs)
             assert (expected.found, expected.n, expected.pair) == (probe.found, probe.n,
                                                                    probe.pair)
-            assert a._matrix is None
             decided += 1
         assert decided == 127
 
@@ -766,6 +763,34 @@ class TestErgodicityCertificates:
             assert pairing ** 2 <= factor ** 2 * sum(exact(u) ** 2) * sum(z[top] ** 2)
             defect = q.T @ q - np.identity(dim, dtype=object)
             assert sum(defect.ravel() ** 2) <= Fraction(RECON_TOL) ** 2
+            # the componentwise charge: the computed y and z within gamma_n |Q|^T |u| and
+            # gamma_n |Q|^T |v|, so that L moves by at most gamma_n (p . |z| + |y| . r +
+            # gamma_n p . r), within the charge the certificate computes
+            g, held = Fraction(gamma(dim)), a.decomposition.eigenvectors
+            fy, fz = held.T @ u, held.T @ v
+            p, r = (abs(q).T @ abs(exact(x)) for x in (u, v))
+            assert all(abs(y - exact(fy)) <= g * p) and all(abs(z - exact(fz)) <= g * r)
+            terms = exact(fy) * exact(fz)
+            computed = abs(sum(terms[top])) + sum(abs(terms[~top]))
+            shift = g * (p @ abs(exact(fz)) + abs(exact(fy)) @ r + g * (p @ r))
+            assert abs(pairing - computed) <= shift
+            fp, fr = np.abs(np.vstack([u, v])) @ np.abs(held)
+            nu, nv = (float(np.linalg.norm(x)) for x in (u, v))
+            charge = 3.0 * gamma(dim + 2) * (float(fp @ np.abs(fz) + np.abs(fy) @ fr) + nu * nv)
+            assert shift <= Fraction(charge)
+            fterms = fy * fz
+            fpairing = abs(float(fterms[top].sum())) + float(np.abs(fterms[~top]).sum())
+            assert pairing <= Fraction(fpairing) + Fraction(charge)
+
+    def test_an_exact_tie_at_dim_2304_is_proved_without_a_matrix(self, monkeypatch):
+        # the componentwise charge, 5.0e-12 here, proves the tie where the norm bound's,
+        # 2.09e-10, passed the 2.0e-10 threshold and left the pair to the probe
+        a = generate_instance("degenerate-top", 2304, 5)
+        probes = count_probes(monkeypatch)
+        report = perron_frobenius_check(a, AxisCone(top_eigen(a)[1]), seed=5)
+        assert report.route == "invariant pair" and report.n_pairs == 1
+        assert not report.ergodic and report.agree
+        assert a._matrix is None and probes == []
 
     @pytest.mark.parametrize("second", [0.5, 1e-3, 1e-12, 0.0])
     def test_a_small_second_eigenvalue_keeps_the_certificate(self, second):
