@@ -527,7 +527,8 @@ def _run_perturb(config):
     t, s_matrix = config._checked
     s_spec = PerturbationFamily([s_matrix], a=params["a"], b=[params["b"]])
     kappas = params.get("kappas")
-    # delta must cover every swept coupling that can be admissible (|kappa| < kappa0)
+    # a swept coupling with |kappa| < kappa0 joins the grid, so that the budget
+    # examines it, and delta covers it, wherever the budget admits it
     grid = params["kappa_grid"]
     grid = grid + [k for k in kappas or () if abs(k) < params["kappa0"] and k not in grid]
     budget = semigroup_threshold(t, s_spec, s0=params["s0"], kappa0=params["kappa0"],

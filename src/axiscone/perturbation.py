@@ -7,18 +7,19 @@ the spectral ratio on the axis complement.  For heat semigroups of a
 perturbed generator T + S(kappa), a relative-bound budget bounds the drift of
 the ground axis (Kato), and the admissible region is where that drift stays
 below r.  The budget owns that problem: it checks each given b_k against T,
-holds T, the family S and the checked operators at its admissible grid points
-(the grid loop decomposed each of them), builds T + S(kappa) in one place
-(PerturbationBudget.operator_at), and bounds c(kappa) at every kappa, on
-the grid or off it (PerturbationBudget.c_at); the end-to-end sweep takes the
-budget alone and returns plain SweepRows, which the harness renders.
-The budget's gap delta is the least checked gap, read where a grid point's
-gap may lie more than eta below the running minimum or where the sweep will
-use the point; every other grid point's gap is certified above the running
-minimum less eta by one guarded Cholesky factorization (gap_exceeds).  A
-checked gap lies within eta of the true one, so delta is within eta of the
-least true gap, but it can differ from a decompose-every-point minimum by up
-to 2 eta where two gaps tie within eta.
+holds T, the family S and the checked operators at its admissible grid points,
+builds T + S(kappa) in one place (PerturbationBudget.operator_at), and bounds
+c(kappa) at every kappa, on the grid or off it (PerturbationBudget.c_at); the
+end-to-end sweep takes the budget alone and returns plain SweepRows, which the
+harness renders.
+The budget's gap delta is the least checked gap over kappa = 0 and the grid
+points it examines.  It examines every grid point admissible at the running
+minimum of the checked gaps, and repeats until none is left unexamined, so
+it proves no gap at a coupling it rejects.  An examined point that the
+running minimum no longer admits is certified above that minimum less eta by
+one guarded Cholesky factorization (gap_exceeds); every other one is
+decomposed.  A checked gap lies within eta of the true one, so delta is
+within eta of the least true gap over kappa = 0 and the examined points.
 """
 
 import math
@@ -283,8 +284,8 @@ class PerturbationBudget:
     c_threshold: float
     kappa0: float
     kappas: np.ndarray
-    # checked gaps, and where a Cholesky proved one the certified lower bound
-    # (the running minimum less eta, so possibly below delta)
+    # checked gaps, where a Cholesky proved one the certified lower bound (the
+    # running minimum less eta, so possibly below delta), NaN where never examined
     gaps: np.ndarray
     a_values: np.ndarray
     b_values: np.ndarray
@@ -337,33 +338,37 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
     """Budget for the heat semigroups of T + S(kappa) over a kappa grid.
 
     delta is, to within eta, the smallest gap between the bottom eigenvalue
-    of T + S(kappa) and the rest of its spectrum over the grid and at
-    kappa = 0, on the grid or not (grid density is the caller's
-    responsibility, and a caller that sweeps couplings off the grid puts
-    them on it); epsilon = delta/2 is the radius around mu that holds each
-    drifted bottom eigenvalue alone (drifted_axis); alpha = 1 - exp(-s0
-    delta) feeds the drift radius r; admissible kappas satisfy c(kappa) <
-    f(r).  Every given bound b_k is checked first (_check_relative_bound).
+    of T + S(kappa) and the rest of its spectrum at kappa = 0, on the grid
+    or not, and over the grid points the budget examines, among them every
+    point it admits (grid density is the caller's responsibility, and a
+    caller that sweeps couplings off the grid puts them on it); epsilon =
+    delta/2 is the radius around mu that holds each drifted bottom
+    eigenvalue alone (drifted_axis); alpha = 1 - exp(-s0 delta) feeds the
+    drift radius r; admissible kappas satisfy c(kappa) < f(r).  Every given
+    bound b_k is checked first (_check_relative_bound).
 
     kappa = 0 reads T's own spectrum (S has no constant term, so S(0) = 0
     and b(0) = 0), and the running minimum delta_run of the checked gaps
-    starts at T's gap.  The nonzero grid points are visited in ascending
-    order of estimated gap (_gap_estimates).  A point admissible at delta_run
-    is decomposed, since the sweep needs its spectrum.  Any other point gets
-    one Cholesky factorization (operators.gap_exceeds) proving its gap above
-    max(delta_run - eta, GAP_COLLAPSE_TOL max(1, ||T||)), and that certified
-    lower bound is stored as its gap; only where the certificate fails is the
-    point decomposed, and only a checked gap moves delta_run.  delta is
-    delta_run at the end: every checked gap lies within eta of the true gap,
-    so delta - eta <= (least true gap on the grid and at 0) <= delta + eta,
-    the accuracy of a loop that decomposes every point; that loop's delta
-    lies at most 2 eta lower, where two gaps tie to within eta.
+    starts at T's gap.  The grid loop examines each nonzero point admissible
+    at delta_run, in ascending order of estimated gap (_gap_estimates), and
+    repeats until every point admissible at delta_run has been examined: a
+    pass can lower delta_run, and a lower delta_run can admit points that
+    were rejected before, since c(kappa) grows but f(r) grows too as delta
+    shrinks (delta f(delta) peaks near s0 delta = 0.98).  An examined point
+    still admissible at delta_run is decomposed, since the sweep needs its
+    spectrum.  Any other gets one Cholesky factorization
+    (operators.gap_exceeds) proving its gap above max(delta_run - eta,
+    GAP_COLLAPSE_TOL max(1, ||T||)), and that certified lower bound is stored
+    as its gap; only where the certificate fails is the point decomposed, and
+    only a checked gap moves delta_run.  budget.gaps is NaN at every point
+    never examined, each of them rejected.  delta is delta_run at the end:
+    every checked gap lies within eta of the true gap, so delta - eta <=
+    (least true gap over kappa = 0 and the examined points) <= delta + eta.
 
     The budget keeps the checked T + S(kappa) of its admissible nonzero grid
     points, which budget.operator_at returns: the operator the grid loop
-    decomposed, or one built anew at the end.  With a, b >= 0, c(kappa) only
-    grows and f(r) only falls as delta_run shrinks, so a point admissible at
-    the end was admissible when visited, and the loop decomposed it then.
+    decomposed, or, for a point certified while rejected and admitted by a
+    later delta_run, one built anew at the end.
     """
     if s0 <= 0:
         raise ValueError("s0 must be positive")
@@ -382,35 +387,36 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
     t_gap = float(eigs[1] - eigs[0])
     collapse = GAP_COLLAPSE_TOL * max(1.0, T.norm)
 
-    gaps = np.empty(kappas.size)
+    gaps = np.full(kappas.size, np.nan)
+    gaps[kappas == 0.0] = t_gap
     a_values, b_values = family.a_at(kappas), family.b_at(kappas)
-    estimates = np.zeros(kappas.size)   # a grid of zeros reads T alone
-    if np.any(kappas):
+    if np.any(kappas):   # a grid of zeros reads T alone, and nothing is pending
         estimates, bottoms, frobenius, etas = _gap_estimates(T, family, kappas)
-    # smallest checked gap so far, and f(r) there
-    delta_run, c_threshold_run = t_gap, _threshold_at(s0, t_gap)
-    decomposed = {}   # grid index -> checked T + S(kappa)
-    for i in np.argsort(estimates, kind="stable"):
-        kappa = kappas[i]
-        if kappa == 0.0:
-            gaps[i] = t_gap
-            continue
-        t_kappa = T + family.operator_at(kappa)
+        order = np.argsort(estimates, kind="stable")
+
+    def admitted(delta):   # the admissible set at a running delta
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            c_kappa = _c_values(mu, delta_run / 2.0, a_values[i], b_values[i])
-        floor = max(delta_run - etas[i], collapse)
-        # decompose a point admissible at delta_run; certify the rest, and
-        # decompose where the certificate fails
-        if (abs(kappa) < kappa0 and c_kappa < c_threshold_run
-                or not gap_exceeds(t_kappa, bottoms[i], floor, frobenius[i])):
-            decomposed[i] = t_kappa
-            eigs = t_kappa.decomposition.eigenvalues
-            gaps[i] = float(eigs[1] - eigs[0])
-            if gaps[i] < delta_run:
-                delta_run = float(gaps[i])
-                c_threshold_run = _threshold_at(s0, delta_run)
-        else:
-            gaps[i] = floor   # certified lower bound: gap > floor
+            c = _c_values(mu, delta / 2.0, a_values, b_values)
+        return (np.abs(kappas) < kappa0) & (c < _threshold_at(s0, delta))
+
+    delta_run = t_gap   # smallest checked gap so far
+    admissible = admitted(delta_run)
+    decomposed = {}   # grid index -> checked T + S(kappa)
+    while np.any(pending := admissible & np.isnan(gaps)):
+        for i in order[pending[order]]:
+            t_kappa = T + family.operator_at(kappas[i])
+            floor = max(delta_run - etas[i], collapse)
+            # decompose a point admissible at delta_run; certify the rest, and
+            # decompose where the certificate fails
+            if admissible[i] or not gap_exceeds(t_kappa, bottoms[i], floor, frobenius[i]):
+                decomposed[i] = t_kappa
+                eigs = t_kappa.decomposition.eigenvalues
+                gaps[i] = float(eigs[1] - eigs[0])
+                if gaps[i] < delta_run:
+                    delta_run = float(gaps[i])
+                    admissible = admitted(delta_run)
+            else:
+                gaps[i] = floor   # certified lower bound: gap > floor
 
     delta = delta_run
     if delta <= collapse:

@@ -539,12 +539,18 @@ def _invariant_pair(A, cone):
     pairing = abs(float(terms[top].sum())) + float(np.abs(terms[~top]).sum())
     p, r = np.abs(np.vstack([us, vs])) @ np.abs(q)
     nu, nv, nz = (float(np.linalg.norm(x)) for x in (us[0], vs[0], z[top]))
-    g = gamma(n + 2)
-    bound = (pairing + 3.0 * g * (float(p @ np.abs(z) + np.abs(y) @ r) + nu * nv)
-             + n * n * SMALLEST_SUBNORMAL * (1.0 + nu + nv))
-    if bound <= TAU_STRICT * (1.0 - RECON_TOL - 4.0 * g) * nu * nz:
+    if pairing + _pairing_charge(y, z, p, r, nu, nv) <= (
+            TAU_STRICT * (1.0 - RECON_TOL - 4.0 * gamma(n + 2)) * nu * nz):
         return us[0], vs[0]
     return None
+
+
+def _pairing_charge(y, z, p, r, nu, nv):
+    """The rounding charge of _invariant_pair's computed L, derived there: 3
+    gamma_{n+2} (p . |z| + |y| . r + ||u|| ||v||) + n^2 eta (1 + ||u|| + ||v||)."""
+    n = y.size
+    return (3.0 * gamma(n + 2) * (float(p @ np.abs(z) + np.abs(y) @ r) + nu * nv)
+            + n * n * SMALLEST_SUBNORMAL * (1.0 + nu + nv))
 
 
 def _sampled_ergodicity(A, cone, seed, n_pairs):

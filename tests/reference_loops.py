@@ -23,7 +23,8 @@ on such operators, free of the rounding of their formed matrices; `sweep_by_rebu
 the semigroup sweep as it stood before the budget held its checked operators;
 `threshold_by_decomposing` is the budget as it stood before grid gaps were
 certified by Cholesky, with a checked eigh at every nonzero grid point and its
-own b(kappa) from eigvalsh norms (`coefficient_norm_bound`); `laplacian_matrix`,
+own b(kappa) from eigvalsh norms (`coefficient_norm_bound`), which tests run on
+the grid points the budget examines; `laplacian_matrix`,
 `momentum_matrix`, `complex_magnetic_terms`, `parity_basis` and
 `compressed_to_real` are the complex terms of H(e) and their compression
 Re(B* H B) to the real fixed space, as the Schrodinger pipeline built them

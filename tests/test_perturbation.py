@@ -366,10 +366,21 @@ class TestSemigroupThreshold:
 
     def test_gap_collapse(self):
         t = SymmetricOperator(np.diag([0.0, 1.0]))
-        # kappa = 0 is fine, but the grid endpoint closes the gap exactly
+        # kappa = 0 is fine, and the grid endpoint closes the gap exactly; the budget
+        # rejects it at T's gap (c(1) = 2), so it is never examined and nothing collapses
         fam = PerturbationFamily([np.diag([0.0, -1.0])], b=[1.0])
         with pytest.raises(GapCollapsed):
-            semigroup_threshold(t, fam, s0=1.0, kappa0=2.0, kappa_grid=[0.0, 1.0])
+            threshold_by_decomposing(t, fam, s0=1.0, kappa0=2.0, kappa_grid=[0.0, 1.0])
+        budget = semigroup_threshold(t, fam, s0=1.0, kappa0=2.0, kappa_grid=[0.0, 1.0])
+        assert budget.delta == 1.0 and budget.gaps[0] == 1.0 and np.isnan(budget.gaps[1])
+        assert budget.admissible.tolist() == [True, False]
+        # T's gap 1.05e-8 lies just above the collapse floor 1e-12 ||T|| = 1e-8; the
+        # admitted kappa = 0.07 narrows it by 7%, to 9.765e-9, below that floor
+        t = SymmetricOperator(np.diag([0.0, 1.05e-8, 1e4]))
+        fam = PerturbationFamily([np.diag([0.0, -1.05e-8, 0.0])])
+        assert GAP_COLLAPSE_TOL * t.norm == 1e-8
+        with pytest.raises(GapCollapsed, match=r"^uniform gap 9\.765e-09 collapsed on the grid$"):
+            semigroup_threshold(t, fam, s0=1.0, kappa0=0.5, kappa_grid=[0.0, 0.07, 0.5])
 
     def test_family_mode_tabulates(self):
         t, _ = swap_instance()
@@ -530,11 +541,14 @@ class TestPerturbationFamily:
 
         monkeypatch.setattr(PerturbationFamily, "operator_at", counting)
         fam = PerturbationFamily([[[0.0, 1.0], [1.0, 0.0]], np.diag([0.0, 1.0])])
-        grid = np.linspace(-0.2, 0.2, 9)
+        grid = np.linspace(-0.04, 0.04, 9)
         budget = semigroup_threshold(SymmetricOperator(np.diag([0.0, 1.0])), fam,
                                      s0=1.0, kappa0=0.5, kappa_grid=grid)
-        # kappa = 0 builds nothing: S(0) is the zero operator and T + S(0) is T
-        assert counts["operator_at"] == np.count_nonzero(grid) == grid.size - 1
+        # kappa = 0 builds nothing (S(0) is the zero operator and T + S(0) is T), and
+        # of the rest only the examined points, here the admissible ones, build theirs
+        examined = ~np.isnan(budget.gaps)
+        assert examined.tolist() == budget.admissible.tolist() == [False] + [True] * 7 + [False]
+        assert counts["operator_at"] == np.count_nonzero(examined & (grid != 0.0)) == 6
         norms = [c.norm for c in fam.coefficients]
         for kappa, b in zip(grid, budget.b_values):
             assert bits(b) == bits(coefficient_norm_bound(kappa, norms))
@@ -819,9 +833,9 @@ def test_delta_never_exceeds_the_gap_of_t(threshold):
         # every gap is checked, and the grid's least gap is 1
         assert off.gaps.min() == pytest.approx(1.0)
     else:
-        # both points are certified above T's gap less eta
-        assert np.all(off.gaps < off.delta)
-        assert np.all(off.gaps >= off.delta - max_eta(off))
+        # T's gap admits neither point, so neither is examined
+        assert np.isnan(off.gaps).all() and np.isnan(on.gaps[1:]).all()
+        assert on.gaps[0] == off.delta
     assert off.delta == on.delta == pytest.approx(0.1)
     assert not off.admissible.any()
 
@@ -1216,45 +1230,70 @@ def max_eta(budget):
     return 5.0 * RECON_TOL * max(1.0, bound)
 
 
-def assert_budget_matches(got, want, floors):
-    """The budget against the decomposing oracle's.
+def record_examined(monkeypatch):
+    """Record, from here on, each kappa at which T + S(kappa) is built: in
+    semigroup_threshold, the nonzero grid points it examines."""
+    built = set()
+    operator_at = PerturbationFamily.operator_at
+    monkeypatch.setattr(PerturbationFamily, "operator_at",
+                        lambda self, kappa: built.add(float(kappa)) or operator_at(self, kappa))
+    return built
 
-    Every field that does not depend on delta agrees bit for bit, admissible and
-    the held operators with their spectra too, and so does every gap the toolkit
-    checked.  Each other gap is the floor its certificate proved (floors lists
-    the proved floors of this call) and lies at least delta - eta.  delta lies in
-    [oracle delta, oracle delta + 2 eta]; it is bit-equal, and with it every field
-    read from delta, when the oracle's two least gaps (T's among them) are more
-    than 2 eta apart.  Above degree one the oracle reads each ||S_k|| from
-    eigvalsh, the toolkit from its checked eigh: there b and c agree to rounding,
-    and bit for bit with the coefficient-norm bound of the family's own norms.
-    Returns the number of certified gaps."""
+
+def examined_grid(grid, examined):
+    """The grid's zeros and its points in examined, in grid order, or kappa = 0 alone
+    when there are none: the decomposing oracle on it reads what the budget read."""
+    return [float(k) for k in grid if k == 0.0 or float(k) in examined] or [0.0]
+
+
+def assert_budget_matches(got, want, floors):
+    """The budget against the decomposing oracle's on the examined grid points.
+
+    want is the oracle on examined_grid: the grid points at which the budget read
+    or certified a gap, and its zeros (kappa = 0 alone when there are none).  Every
+    admissible point was examined, and the gaps are NaN exactly at the others.  On
+    the examined points every field that does not depend on delta agrees bit for
+    bit, admissible and the held operators with their spectra too, and so does
+    every gap the toolkit checked.  Each other gap is the floor its certificate
+    proved (floors lists the proved floors of this call) and lies at least delta -
+    eta.  delta lies in [oracle delta, oracle delta + 2 eta]; it is bit-equal, and
+    with it every field read from delta, when the oracle's two least gaps (T's
+    among them) are more than 2 eta apart.  Above degree one the oracle reads each
+    ||S_k|| from eigvalsh, the toolkit from its checked eigh: there b and c agree
+    to rounding, and bit for bit with the coefficient-norm bound of the family's
+    own norms; their kappa_threshold reads the whole grid, so it is compared for
+    linear families alone.  Returns the number of certified gaps."""
+    examined = ~np.isnan(got.gaps)
+    assert np.all(examined[got.admissible]) and np.all(examined[got.kappas == 0.0])
+    n = int(np.count_nonzero(examined))   # want's first n points are got's examined ones
     for name in ("mu", "s0", "kappa0"):
         assert bits(getattr(got, name)) == bits(getattr(want, name)), name
     linear = got.family.degree == 1
     for name in ("kappas", "a_values", "admissible") + linear * ("b_values",):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert getattr(got, name)[examined].tobytes() == getattr(want, name)[:n].tobytes(), name
     if not linear:
         norms = [c.norm for c in got.family.coefficients]
         assert got.b_values.tolist() == [coefficient_norm_bound(k, norms) for k in got.kappas]
-        np.testing.assert_allclose(got.b_values, want.b_values, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(got.b_values[examined], want.b_values[:n],
+                                   rtol=1e-13, atol=0.0)
     eta = max_eta(got)
-    certified = got.gaps != want.gaps
-    assert sorted(got.gaps[certified]) == sorted(floors)
-    assert np.all(got.gaps[certified] >= got.delta - eta)
+    certified = got.gaps[examined] != want.gaps[:n]
+    assert sorted(got.gaps[examined][certified]) == sorted(floors)
+    assert np.all(got.gaps[examined][certified] >= got.delta - eta)
     assert want.delta <= got.delta <= want.delta + 2.0 * eta
     t_eigs = want.T.decomposition.eigenvalues
     least = np.unique(np.append(want.gaps, t_eigs[1] - t_eigs[0]))
     if least.size == 1 or least[1] - least[0] > 2.0 * eta:
         assert bits(got.delta) == bits(want.delta)
     if bits(got.delta) == bits(want.delta):
-        for name in ("epsilon", "alpha", "r", "c_threshold", "kappa_threshold"):
+        for name in ("epsilon", "alpha", "r", "c_threshold") + linear * ("kappa_threshold",):
             assert bits(getattr(got, name)) == bits(getattr(want, name)), name
         assert bits(got.c_at(1.0)) == bits(want.c_at(1.0))
         if linear:
-            assert got.c_values.tobytes() == want.c_values.tobytes()
+            assert got.c_values[examined].tobytes() == want.c_values[:n].tobytes()
         else:
-            np.testing.assert_allclose(got.c_values, want.c_values, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(got.c_values[examined], want.c_values[:n],
+                                       rtol=1e-13, atol=0.0)
     assert list(got.operators) == list(want.operators)
     for kappa, op in got.operators.items():
         ref = want.operators[kappa]
@@ -1280,7 +1319,8 @@ def dense_config(seed, dim):
 
 
 class TestGapCertificate:
-    """Grid gaps certified by one Cholesky against the loop that decomposed every point."""
+    """The grid loop that examines only couplings the budget can admit, against the
+    loop that decomposed every point, run on the examined points."""
 
     @pytest.mark.parametrize("block", range(10))
     def test_budgets_match_the_decomposing_loop(self, block, monkeypatch):
@@ -1293,29 +1333,26 @@ class TestGapCertificate:
             return certified
 
         monkeypatch.setattr(perturbation, "gap_exceeds", recording)
-        certified, interior, tied, tied_certified = Counter(), Counter(), Counter(), Counter()
+        examined = record_examined(monkeypatch)
+        compared, skipped, certified = Counter(), Counter(), 0
         for seed in range(100 * block, 100 * block + 100):
             shape = seed % 4
             t, family, s0, kappa0, grid = certificate_family(seed)
-            want = budget_or_error(threshold_by_decomposing, t, family, s0, kappa0, grid)
+            examined.clear()
             first = len(successes)
             got = budget_or_error(semigroup_threshold, t, family, s0, kappa0, grid)
-            if isinstance(want, tuple):
+            want = budget_or_error(threshold_by_decomposing, t, family, s0, kappa0,
+                                   examined_grid(grid, examined))
+            if isinstance(got, tuple) or isinstance(want, tuple):
                 assert got == want
                 continue
-            count = assert_budget_matches(got, want, [f for _, f in successes[first:]])
-            certified[shape] += count
-            least = want.kappas[np.argmin(want.gaps)]
-            interior[shape] += bool(want.kappas.min() < least < want.kappas.max())
-            # gaps tied to within eta of delta are certified against delta - eta
-            if np.ptp(want.gaps) < 2e-10:
-                tied[shape] += 1
-                tied_certified[shape] += count
-        # every shape certifies, the interior-minimum shape has its least gap inside
-        # the grid, and the near-tied shape certifies gaps tied closer than eta
-        assert min(certified[shape] for shape in range(4)) >= 20
-        assert interior[1] >= 20 and tied[2] >= 1 and tied_certified[2] >= 1
-        assert sum(certified.values()) == len(successes)
+            certified += assert_budget_matches(got, want, [f for _, f in successes[first:]])
+            compared[shape] += 1
+            skipped[shape] += bool(np.isnan(got.gaps).any())
+        # every budget compares, and in each shape most leave a rejected point unexamined
+        assert sum(compared.values()) == 100
+        assert min(skipped[shape] for shape in range(4)) >= 15
+        assert certified == len(successes)
         # each certificate, confirmed independently: the gap lies above the floor
         for matrix, floor in successes:
             w = np.linalg.eigvalsh(matrix)
@@ -1327,14 +1364,18 @@ class TestGapCertificate:
 
         for seed in range(40):
             calls = count_eigh(monkeypatch)
-            want = budget_or_error(threshold_by_decomposing, *certificate_family(seed))
-            decomposed = len(calls)
-            calls.clear()
+            examined = record_examined(monkeypatch)
             monkeypatch.setattr(np.linalg, "cholesky", failing)
-            # a fresh T, whose spectrum is not cached yet
             got = budget_or_error(semigroup_threshold, *certificate_family(seed))
+            decomposed = len(calls)
             monkeypatch.undo()
-            if isinstance(want, tuple):
+            calls = count_eigh(monkeypatch)
+            # a fresh T, whose spectrum is not cached yet
+            t, family, s0, kappa0, grid = certificate_family(seed)
+            want = budget_or_error(threshold_by_decomposing, t, family, s0, kappa0,
+                                   examined_grid(grid, examined))
+            monkeypatch.undo()
+            if isinstance(got, tuple) or isinstance(want, tuple):
                 assert got == want
                 continue
             assert assert_budget_matches(got, want, []) == 0
@@ -1342,7 +1383,7 @@ class TestGapCertificate:
             # above degree one the toolkit decomposes each coefficient once for its
             # norm, where the oracle takes eigvalsh
             degree = got.family.degree
-            assert len(calls) == decomposed + (degree > 1) * degree
+            assert decomposed == len(calls) + (degree > 1) * degree
 
     @pytest.mark.parametrize("config", [
         ExperimentConfig(kind="perturb_sweep", seed=0, params={}),
@@ -1358,27 +1399,32 @@ class TestGapCertificate:
 
         def report_and_eigh_calls():
             calls = count_eigh(monkeypatch)
+            built = record_examined(monkeypatch)
             text = run(ExperimentConfig(kind=config.kind, seed=config.seed,
                                         params=dict(config.params))).render(timestamp=False)
             monkeypatch.undo()
-            return text, len(calls)
+            return text, len(calls), built
 
-        report, eigh_calls = report_and_eigh_calls()
+        def restricted(T, family, s0, kappa0, kappa_grid):
+            return threshold_by_decomposing(T, family, s0, kappa0,
+                                            examined_grid(kappa_grid, examined))
+
+        report, eigh_calls, examined = report_and_eigh_calls()
         for module in (harness, schrodinger):
-            monkeypatch.setattr(module, "semigroup_threshold", threshold_by_decomposing)
-        reference, reference_calls = report_and_eigh_calls()
+            monkeypatch.setattr(module, "semigroup_threshold", restricted)
+        reference, reference_calls, _ = report_and_eigh_calls()
         monkeypatch.setattr(np.linalg, "cholesky", failing)
-        fallback, fallback_calls = report_and_eigh_calls()
+        fallback, fallback_calls, _ = report_and_eigh_calls()
         assert report == reference == fallback
-        # the magnetic family has degree two: the oracle takes eigvalsh for its
-        # coefficients' norms, and the sweep's c_at reads b(kappa) from the family's
+        # both loops decompose T and the examined points alone; the magnetic family
+        # has degree two, and the sweep's c_at reads b(kappa) from the family's
         # bounds, which decompose no coefficient while Cholesky works; with it
         # failing, the family's proof of M1's candidate reads M1's checked eigh
-        assert fallback_calls == reference_calls + (config.kind == "schrodinger")
-        assert eigh_calls < reference_calls
+        assert eigh_calls == reference_calls
+        assert fallback_calls == eigh_calls + (config.kind == "schrodinger")
 
     @pytest.mark.parametrize("n_half", [16, 32, 48, 64, 128, 512])
-    def test_magnetic_grid_certifies_every_inadmissible_point(self, n_half, monkeypatch):
+    def test_magnetic_grid_examines_no_inadmissible_point(self, n_half, monkeypatch):
         proved = []
 
         def recording(A, x, floor, frobenius_bound):
@@ -1390,31 +1436,37 @@ class TestGapCertificate:
                                              lambda x: math.exp(-x * x))
         budget = magnetic_experiment(model, e_grid=np.linspace(-0.008, 0.008, 17),
                                      s0=1.0).budget
-        # the grid's gaps tie H0's to within eta, so none is decomposed for delta
+        # the admissible couplings' gaps tie H0's to within eta, so delta is H0's gap
         t_eigs = budget.T.decomposition.eigenvalues
         assert bits(budget.delta) == bits(t_eigs[1] - t_eigs[0])
         outside = (budget.kappas != 0.0) & ~budget.admissible
-        assert proved == [True] * int(np.count_nonzero(outside))
-        assert np.all(budget.gaps[outside] < budget.delta)
-        assert np.all(budget.gaps[outside] >= budget.delta - max_eta(budget))
+        assert proved == []
+        assert np.isnan(budget.gaps).tolist() == outside.tolist()
         for i in np.flatnonzero(budget.admissible & (budget.kappas != 0.0)):
             eigs = budget.operators[float(budget.kappas[i])].decomposition.eigenvalues
             assert bits(budget.gaps[i]) == bits(eigs[1] - eigs[0])
         assert (n_half >= 32) <= outside.any()
 
-    def test_a_late_gap_below_delta_fails_its_certificate_and_sets_delta(self, monkeypatch):
-        # gaps 1 + kappa: the estimates are exact, so negating them visits the
-        # least gap, 0.5 at kappa = -0.5, last
+    @pytest.mark.parametrize("negate", [True, False], ids=["late", "first"])
+    def test_a_late_gap_below_delta_fails_its_certificate_and_sets_delta(self, negate,
+                                                                          monkeypatch):
+        # gaps 1 + kappa, all three admissible at T's gap 1; s0 delta = 0.1, where
+        # delta f(delta) rises with delta, so the gap 0.93 at kappa = -0.07 rejects
+        # kappa = -0.072.  The estimates are exact: negated, they visit -0.07 before
+        # -0.072, whose gap then lies below the running minimum, so its certificate
+        # fails and its gap sets delta; in their own order -0.072 comes first, and
+        # -0.07's certificate passes.  delta is the same either way.
         t = SymmetricOperator(np.diag([0.0, 1.0, 3.0]))
         family = PerturbationFamily([np.diag([0.0, 1.0, 0.0])])
-        grid = [-0.5, 0.2, 0.1]
+        grid = [0.05, -0.07, -0.072]
         gap_estimates = perturbation._gap_estimates
 
         def negated(*args):
             estimates, *rest = gap_estimates(*args)
             return (-estimates, *rest)
 
-        monkeypatch.setattr(perturbation, "_gap_estimates", negated)
+        if negate:
+            monkeypatch.setattr(perturbation, "_gap_estimates", negated)
         proved = []
 
         def recording(A, x, floor, frobenius_bound):
@@ -1422,27 +1474,114 @@ class TestGapCertificate:
             return proved[-1][1]
 
         monkeypatch.setattr(perturbation, "gap_exceeds", recording)
-        budget = semigroup_threshold(t, family, s0=1.0, kappa0=0.05, kappa_grid=grid)
-        # T's gap 1 is the running minimum until the last point, whose gap lies
-        # far more than eta below it
-        assert [certified for _, certified in proved] == [True, True, False]
-        np.testing.assert_allclose([entry for entry, _ in proved], [1.2, 1.1, 0.5])
-        want = threshold_by_decomposing(t, family, s0=1.0, kappa0=0.05, kappa_grid=grid)
-        assert bits(budget.delta) == bits(want.delta) == bits(want.gaps[0])
-        assert bits(budget.gaps[0]) == bits(want.gaps[0])
-        assert np.all((budget.gaps[1:] >= 1.0 - max_eta(budget)) & (budget.gaps[1:] < 1.0))
+        budget = semigroup_threshold(t, family, s0=0.1, kappa0=0.5, kappa_grid=grid)
+        want = threshold_by_decomposing(t, family, s0=0.1, kappa0=0.5, kappa_grid=grid)
+        assert want.admissible.tolist() == budget.admissible.tolist() == [True, False, False]
+        assert not np.isnan(budget.gaps).any()
+        assert bits(budget.delta) == bits(want.delta) == bits(want.gaps[2])
+        # one certificate: it fails at -0.072 in the negated order, passes at -0.07 in
+        # the estimates' own; every other gap is checked
+        certified = 2 if negate else 1
+        assert proved == [(pytest.approx(1.0 + grid[certified]), not negate)]
+        checked = [0, 1, 2] if negate else [0, 2]
+        assert budget.gaps[checked].tobytes() == want.gaps[checked].tobytes()
+        if not negate:
+            assert want.gaps[1] > budget.gaps[1] >= budget.delta - max_eta(budget)
 
-    def test_collapsed_grid_gap_raises_below_eta(self):
-        # T's gap 2e-9 passes tau_gap but lies below eta = 5 RECON_TOL ||T||_F ~ 5e-8,
-        # so the certificates' floor is GAP_COLLAPSE_TOL ||T||; kappa = 1 closes the gap
-        t = SymmetricOperator(np.diag([0.0, 2e-9, 100.0]))
+    def test_collapsed_grid_gap_raises_below_eta(self, monkeypatch):
+        # T's gap 2e-9 passes tau_gap but lies below eta = 5 RECON_TOL ||T||_F ~ 1e-6,
+        # so the certificates' floor is GAP_COLLAPSE_TOL ||T|| = 1.9e-9.  kappa = 0.07
+        # is admissible and narrows the gap to 1.86e-9, below that floor; after it,
+        # kappa = -0.07 is rejected and certified at the floor; kappa = 1 closes the gap
+        # exactly, but the budget rejects it and never examines it
+        t = SymmetricOperator(np.diag([0.0, 2e-9, 1900.0]))
         family = PerturbationFamily([np.diag([0.0, -2e-9, 0.0])])
         assert 2e-9 < 5.0 * RECON_TOL * np.linalg.norm(t.matrix)
-        for threshold in (semigroup_threshold, threshold_by_decomposing):
-            with pytest.raises(GapCollapsed, match=r"^uniform gap 0\.000e\+00 collapsed on "
-                                                   r"the grid$"):
-                threshold(t, family, s0=1.0, kappa0=0.1, kappa_grid=[0.5, 1.0, 0.25])
+        floors = []
+        monkeypatch.setattr(perturbation, "gap_exceeds",
+                            lambda A, x, floor, bound: floors.append(floor)
+                            or gap_exceeds(A, x, floor, bound))
+        examined = record_examined(monkeypatch)
+        grid = [0.5, 1.0, 0.25, 0.07, -0.07]
+        with pytest.raises(GapCollapsed, match=r"^uniform gap 1\.860e-09 collapsed on "
+                                               r"the grid$"):
+            semigroup_threshold(t, family, s0=1.0, kappa0=0.1, kappa_grid=grid)
+        assert examined == {0.07, -0.07} and floors == [GAP_COLLAPSE_TOL * t.norm]
+        with pytest.raises(GapCollapsed, match=r"^uniform gap 1\.860e-09 collapsed"):
+            threshold_by_decomposing(t, family, s0=1.0, kappa0=0.1,
+                                     kappa_grid=examined_grid(grid, examined))
+        with pytest.raises(GapCollapsed, match=r"^uniform gap 0\.000e\+00 collapsed"):
+            threshold_by_decomposing(t, family, s0=1.0, kappa0=0.1, kappa_grid=grid)
         assert GAP_COLLAPSE_TOL * t.norm < 2e-9
+
+    def test_a_rejected_least_gap_leaves_delta_and_moves_the_header(self, monkeypatch):
+        # gaps 1 - kappa: the least, 0.6 at kappa = 0.4, lies at a coupling the budget
+        # rejects, so delta is the least gap over the admissible couplings and 0,
+        # 0.98 at kappa = 0.02, where the loop that decomposed every point read 0.6
+        from axiscone import harness
+        t = SymmetricOperator(np.diag([0.0, 1.0]))
+        family = PerturbationFamily([np.diag([0.0, -1.0])])
+        grid = [-0.02, -0.01, 0.0, 0.01, 0.02, 0.4]
+        examined = record_examined(monkeypatch)
+        budget = semigroup_threshold(t, family, s0=math.log(2.0), kappa0=0.5, kappa_grid=grid)
+        assert examined == {-0.02, -0.01, 0.01, 0.02}
+        sub = examined_grid(grid, examined)
+        assert budget.admissible.tolist() == [True] * 5 + [False]
+        assert np.isnan(budget.gaps).tolist() == [False] * 5 + [True]
+        assert bits(budget.delta) == bits(budget.gaps[4]) and budget.delta == pytest.approx(0.98)
+        whole = threshold_by_decomposing(t, family, s0=math.log(2.0), kappa0=0.5,
+                                         kappa_grid=grid)
+        assert whole.delta == pytest.approx(0.6) and whole.gaps.argmin() == 5
+        assert whole.admissible.tolist() == budget.admissible.tolist()
+        want = threshold_by_decomposing(t, family, s0=math.log(2.0), kappa0=0.5, kappa_grid=sub)
+        assert assert_budget_matches(budget, want, []) == 0
+
+        def report(threshold):
+            monkeypatch.setattr(harness, "semigroup_threshold", threshold)
+            params = {"t": [[0.0, 0.0], [0.0, 1.0]], "s": [[0.0, 0.0], [0.0, -1.0]],
+                      "kappa_grid": grid}
+            lines = run(ExperimentConfig(kind="perturb_sweep", seed=0, params=params)) \
+                .render(timestamp=False).splitlines()
+            header = dict(line[2:].split(": ", 1) for line in lines if ": " in line)
+            rows = [line.split(",") for line in lines if not line.startswith("#")]
+            return header, [dict(zip(rows[0], row)) for row in rows[1:]]
+
+        header, rows = report(semigroup_threshold)
+        whole_header, whole_rows = report(threshold_by_decomposing)
+        assert float(header["budget_delta"]) == budget.delta
+        assert float(whole_header["budget_delta"]) == whole.delta
+        # the rows sweep the same couplings; only the cells read from delta move
+        assert len(rows) == len(whole_rows) == 25
+        for row, whole_row in zip(rows, whole_rows):
+            for name in ("kappa", "s", "drift_actual", "verdict", "alpha_op", "ok"):
+                assert row[name] == whole_row[name], name
+            assert row["threshold"] != whole_row["threshold"]
+            assert row["alpha_uniform"] != whole_row["alpha_uniform"]
+
+    def test_every_admitted_point_is_examined_where_admissibility_is_not_monotone(self):
+        # c(kappa) = 2.02 |kappa| + 1e-3 |kappa| / epsilon grows as delta falls, but at
+        # s0 delta = 3 f(r) grows faster: the gaps 1 - kappa of the points T's gap
+        # admits lower delta, and the lower delta admits more points, so one pass over
+        # the points admissible at T's gap would leave admitted points unexamined
+        t = SymmetricOperator(np.diag([0.0, 1.0]))
+        family = PerturbationFamily([np.diag([0.0, -1.0])], a=1.01, b=[1e-3])
+        grid = np.linspace(-0.01, 0.01, 2001)
+        budget = semigroup_threshold(t, family, s0=3.0, kappa0=1.0, kappa_grid=grid)
+        with np.errstate(divide="ignore"):
+            first_pass = _c_values(budget.mu, 0.5, budget.a_values, budget.b_values) \
+                < perturbation._threshold_at(3.0, 1.0)
+        assert np.all(budget.admissible[first_pass])
+        assert np.count_nonzero(budget.admissible & ~first_pass) >= 10
+        # every admitted point has a finite examined gap, at least delta - eta
+        gaps = budget.gaps[budget.admissible]
+        assert np.all(np.isfinite(gaps)) and np.all(gaps >= budget.delta - max_eta(budget))
+        examined = ~np.isnan(budget.gaps)
+        assert np.isnan(budget.gaps).any()
+        assert bits(budget.delta) == bits(np.min(budget.gaps[examined]))
+        assert budget.delta == pytest.approx(1.0 - grid[budget.admissible].max())
+        want = threshold_by_decomposing(t, family, s0=3.0, kappa0=1.0,
+                                        kappa_grid=grid[examined])
+        assert assert_budget_matches(budget, want, []) == 0
 
     def test_default_magnetic_experiment_attempts_one_cholesky(self, monkeypatch):
         # no grid-gap certificate at N = 8: the one Cholesky is the family's proof
