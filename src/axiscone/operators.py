@@ -17,9 +17,10 @@ probe, which iterates it), and apply always goes through the eigenvectors Q,
 so a sweep that reads no semigroup's entries forms none and A v does not
 depend on whether the matrix was read before.
 Where a symmetric matrix only needs to be proven positive definite, as for a
-lower bound on a spectral gap (gap_exceeds), one guarded Cholesky factorization
-does it (certify_positive_definite) and nothing is decomposed.  All returned
-arrays are read-only.
+given relative bound (perturbation._check_relative_bound) or the
+Perron-Frobenius improvement certificate (positivity._improvement_certified),
+one guarded Cholesky factorization does it (certify_positive_definite) and
+nothing is decomposed.  All returned arrays are read-only.
 """
 
 from dataclasses import dataclass
@@ -278,37 +279,6 @@ def certify_positive_definite(m, error):
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def gap_exceeds(A, x, floor, frobenius_bound):
-    """True when one guarded Cholesky factorization proves lambda_1(A) - lambda_0(A) > floor.
-
-    x is any vector, ideally near A's bottom eigenvector, floor >= 0 and F =
-    frobenius_bound >= ||A||_F.  With x normalized, nu = x^T x and rho = x^T A x
-    / nu >= lambda_0(A): if M = A + beta x x^T - (rho + floor) I is positive
-    definite (beta = 2 floor + 1 >= 0), rank-one interlacing gives lambda_1(A)
-    >= lambda_0(A + beta x x^T) > rho + floor.  certify_positive_definite
-    proves that of every matrix within error = gamma_{3n+8} (2 F + beta + |rho|
-    + floor) of the computed m, which bounds ||M - m||_2: gamma_2 beta nu from
-    the outer product, u (F + beta nu + |rho| + floor) each from the sum with A
-    and the diagonal shift, and for rho gamma_n (2 + gamma_n) F nu from x^T (A x)
-    plus F |nu - 1| <= F gamma_{n+4} from the normalization; the factor 2 and
-    the spare units cover nu > 1 and the rounding of error.  Linear in n.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = float(np.linalg.norm(x))
-        if not 0.0 < norm < np.inf:
-            return False
-        x = x / norm
-        a = A.matrix
-        rho = float(x @ (a @ x))
-        beta = 2.0 * floor + 1.0
-        m = np.outer(x, x)   # the one buffer: a + beta x x^T - (rho + floor) I, in place
-        m *= beta
-        m += a
-        m[np.diag_indices(A.dim)] -= rho + floor
-        error = gamma(3 * A.dim + 8) * (2.0 * frobenius_bound + beta + abs(rho) + floor)
-    return certify_positive_definite(m, error)
 
 
 def _fix_sign(u):

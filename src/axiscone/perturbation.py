@@ -13,13 +13,11 @@ c(kappa) at every kappa, on the grid or off it (PerturbationBudget.c_at); the
 end-to-end sweep takes the budget alone and returns plain SweepRows, which the
 harness renders.
 The budget's gap delta is the least checked gap over kappa = 0 and the grid
-points it examines.  It examines every grid point admissible at the running
-minimum of the checked gaps, and repeats until none is left unexamined, so
-it proves no gap at a coupling it rejects.  An examined point that the
-running minimum no longer admits is certified above that minimum less eta by
-one guarded Cholesky factorization (gap_exceeds); every other one is
-decomposed.  A checked gap lies within eta of the true one, so delta is
-within eta of the least true gap over kappa = 0 and the examined points.
+points it examines.  It examines, by decomposing, every grid point admissible
+at the running minimum of the checked gaps, and repeats until none is left
+unexamined, so it reads no gap at a coupling it rejects.  A checked gap lies
+within eta of the true one, so delta is within eta of the least true gap over
+kappa = 0 and the examined points.
 """
 
 import math
@@ -44,7 +42,6 @@ from .operators import (
     bottom_eigen,
     certify_positive_definite,
     gamma,
-    gap_exceeds,
     heat_semigroup,
     restricted_top,
     top_eigen,
@@ -66,7 +63,6 @@ from .tolerances import (
     DRIFT_CERT_TOL,
     GAP_COLLAPSE_TOL,
     RADIUS_RECOMPUTE_TOL,
-    RECON_TOL,
     TAU_GAP,
 )
 
@@ -284,8 +280,8 @@ class PerturbationBudget:
     c_threshold: float
     kappa0: float
     kappas: np.ndarray
-    # checked gaps, where a Cholesky proved one the certified lower bound (the
-    # running minimum less eta, so possibly below delta), NaN where never examined
+    # checked gaps of T + S(kappa), each within eta of the true gap, NaN where
+    # never examined
     gaps: np.ndarray
     a_values: np.ndarray
     b_values: np.ndarray
@@ -354,21 +350,19 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
     repeats until every point admissible at delta_run has been examined: a
     pass can lower delta_run, and a lower delta_run can admit points that
     were rejected before, since c(kappa) grows but f(r) grows too as delta
-    shrinks (delta f(delta) peaks near s0 delta = 0.98).  An examined point
-    still admissible at delta_run is decomposed, since the sweep needs its
-    spectrum.  Any other gets one Cholesky factorization
-    (operators.gap_exceeds) proving its gap above max(delta_run - eta,
-    GAP_COLLAPSE_TOL max(1, ||T||)), and that certified lower bound is stored
-    as its gap; only where the certificate fails is the point decomposed, and
-    only a checked gap moves delta_run.  budget.gaps is NaN at every point
-    never examined, each of them rejected.  delta is delta_run at the end:
-    every checked gap lies within eta of the true gap, so delta - eta <=
-    (least true gap over kappa = 0 and the examined points) <= delta + eta.
+    shrinks (delta f(delta) peaks near s0 delta = 0.98).  To examine a point
+    is to decompose it, and its checked gap can lower delta_run; a pending
+    point that delta_run no longer admits when its turn comes is skipped, and
+    only a later pass examines it, if a lower delta_run admits it again.
+    budget.gaps is NaN at every point never examined, each of them rejected.
+    delta is delta_run at the end: every checked gap lies within eta = 5
+    RECON_TOL max(1, ||T||_F + sum_j |kappa|^j ||S_j||_F) of the true gap, so
+    delta - eta <= (least true gap over kappa = 0 and the examined points) <=
+    delta + eta.
 
     The budget keeps the checked T + S(kappa) of its admissible nonzero grid
-    points, which budget.operator_at returns: the operator the grid loop
-    decomposed, or, for a point certified while rejected and admitted by a
-    later delta_run, one built anew at the end.
+    points, each the operator the grid loop decomposed, which
+    budget.operator_at returns.
     """
     if s0 <= 0:
         raise ValueError("s0 must be positive")
@@ -385,14 +379,12 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
         raise DegenerateBottom("need dimension >= 2 for a spectral gap")
     eigs = T.decomposition.eigenvalues
     t_gap = float(eigs[1] - eigs[0])
-    collapse = GAP_COLLAPSE_TOL * max(1.0, T.norm)
 
     gaps = np.full(kappas.size, np.nan)
     gaps[kappas == 0.0] = t_gap
     a_values, b_values = family.a_at(kappas), family.b_at(kappas)
     if np.any(kappas):   # a grid of zeros reads T alone, and nothing is pending
-        estimates, bottoms, frobenius, etas = _gap_estimates(T, family, kappas)
-        order = np.argsort(estimates, kind="stable")
+        order = np.argsort(_gap_estimates(T, family, kappas), kind="stable")
 
     def admitted(delta):   # the admissible set at a running delta
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -404,22 +396,17 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
     decomposed = {}   # grid index -> checked T + S(kappa)
     while np.any(pending := admissible & np.isnan(gaps)):
         for i in order[pending[order]]:
-            t_kappa = T + family.operator_at(kappas[i])
-            floor = max(delta_run - etas[i], collapse)
-            # decompose a point admissible at delta_run; certify the rest, and
-            # decompose where the certificate fails
-            if admissible[i] or not gap_exceeds(t_kappa, bottoms[i], floor, frobenius[i]):
-                decomposed[i] = t_kappa
-                eigs = t_kappa.decomposition.eigenvalues
-                gaps[i] = float(eigs[1] - eigs[0])
-                if gaps[i] < delta_run:
-                    delta_run = float(gaps[i])
-                    admissible = admitted(delta_run)
-            else:
-                gaps[i] = floor   # certified lower bound: gap > floor
+            if not admissible[i]:   # rejected mid-pass: left NaN unless admitted again
+                continue
+            decomposed[i] = t_kappa = T + family.operator_at(kappas[i])
+            eigs = t_kappa.decomposition.eigenvalues
+            gaps[i] = float(eigs[1] - eigs[0])
+            if gaps[i] < delta_run:
+                delta_run = float(gaps[i])
+                admissible = admitted(delta_run)
 
     delta = delta_run
-    if delta <= collapse:
+    if delta <= GAP_COLLAPSE_TOL * max(1.0, T.norm):
         raise GapCollapsed(f"uniform gap {delta:.3e} collapsed on the grid")
     epsilon = delta / 2.0
     alpha = 1.0 - math.exp(-s0 * delta)
@@ -439,10 +426,8 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
         magnitudes = np.abs(kappas)
         first_out = magnitudes[~admissible].min(initial=math.inf)
         kappa_threshold = float(magnitudes[magnitudes < first_out].max(initial=0.0))
-    operators = {float(kappas[j]): decomposed.get(j) or T + family.operator_at(kappas[j])
+    operators = {float(kappas[j]): decomposed[j]
                  for j in np.flatnonzero(admissible & (kappas != 0.0))}
-    for op in operators.values():
-        op.decomposition   # checked here, so the sweep decomposes none of them
     return PerturbationBudget(
         T=T, family=family, mu=mu, delta=delta, epsilon=epsilon, s0=float(s0),
         alpha=alpha, r=r, c_threshold=c_threshold, kappa0=float(kappa0),
@@ -485,33 +470,25 @@ def _check_relative_bound(T, family):
 
 
 def _gap_estimates(T, family, kappas):
-    """What the grid loop of semigroup_threshold needs to certify a gap.
+    """Second-order estimates of the gaps of T + S(kappa) over the grid, which
+    order the grid loop of semigroup_threshold but decide nothing.
 
-    From T's checked spectrum (Q, w) and p_jk = Q^T S_j q_k (k = 0, 1), per
-    kappa: the second-order estimate of the gap of A = T + S(kappa), which
-    orders the grid but decides nothing; the
-    first-order bottom vector q_0 - sum_j kappa^j (T - w_0)^+ S_j q_0; the bound
-    ||T||_F + sum_j |kappa|^j ||S_j||_F on ||A||_F; and eta = 5 RECON_TOL
-    max(1, that bound), which a checked gap of A cannot stray beyond from the
-    true gap.
+    From T's checked spectrum (Q, w) and p_jk = Q^T S_j q_k (k = 0, 1), the
+    estimate is w_1 - w_0 + sum_j kappa^j (q_1^T S_j q_1 - q_0^T S_j q_0) less
+    the second-order terms, read through the reduced resolvents at w_0 and w_1.
     """
     w, q = T.decomposition.eigenvalues, T.decomposition.eigenvectors
     p0 = np.array([q.T @ s.apply(q[:, 0]) for s in family.coefficients])
     p1 = np.array([q.T @ s.apply(q[:, 1]) for s in family.coefficients])
-    norms = [float(np.linalg.norm(s.matrix)) for s in family.coefficients]
     # a degenerate w_1 or a huge kappa leaves inf or nan; the estimate then only
-    # orders the grid, and gap_exceeds returns False on a non-finite x or bound
+    # orders the grid
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r0, r1 = 1.0 / (w - w[0]), 1.0 / (w - w[1])   # reduced resolvents at w_0, w_1
         r0[0] = r1[1] = 0.0
         powers = kappas[:, None] ** np.arange(1, family.degree + 1)
         curvature = (p1 * r1) @ p1.T - (p0 * r0) @ p0.T
-        estimates = ((w[1] - w[0]) + powers @ (p1[:, 1] - p0[:, 0])
-                     - np.einsum("kj,jl,kl->k", powers, curvature, powers))
-        bottoms = q[:, 0] - powers @ ((p0 * r0) @ q.T)
-        frobenius = float(np.linalg.norm(T.matrix)) + np.abs(powers) @ norms
-        etas = 5.0 * RECON_TOL * np.maximum(1.0, frobenius)
-    return estimates, bottoms, frobenius, etas
+        return ((w[1] - w[0]) + powers @ (p1[:, 1] - p0[:, 0])
+                - np.einsum("kj,jl,kl->k", powers, curvature, powers))
 
 
 def _threshold_at(s0, delta):

@@ -11,14 +11,12 @@ from axiscone.errors import (
     NegativeTime,
     NonConvergence,
 )
-from axiscone import operators
 from axiscone.operators import (
     SymmetricOperator,
     certify_positive_definite,
     checked_eigh,
     correspondence_check,
     gamma,
-    gap_exceeds,
     heat_semigroup,
     perp_basis,
     restricted_top,
@@ -230,62 +228,6 @@ class TestTopEigen:
         assert first_sig > 0
 
 
-class TestGapCertificate:
-    def test_diagonal_gap_is_bracketed(self):
-        a = SymmetricOperator(np.diag([0.0, 1.0, 2.0]))
-        e0 = np.array([1.0, 0.0, 0.0])
-        bound = float(np.linalg.norm(a.matrix))
-        assert gap_exceeds(a, e0, 0.999999, bound)
-        assert not gap_exceeds(a, e0, 1.0, bound)   # the gap is 1: not above it
-        assert not gap_exceeds(a, e0, 1.5, bound)
-
-    @pytest.mark.parametrize("x, floor, bound", [
-        ([0.0, 0.0, 0.0], 0.5, 3.0), ([np.inf, 0.0, 0.0], 0.5, 3.0),
-        ([np.nan, 1.0, 0.0], 0.5, 3.0), ([1.0, 0.0, 0.0], np.nan, 3.0),
-        ([1.0, 0.0, 0.0], 0.5, np.inf), ([1e300, 0.0, 0.0], 0.5, 1e308)])
-    def test_unusable_input_proves_nothing(self, x, floor, bound):
-        # numpy's Cholesky completes on a NaN or inf matrix, so these must not reach it
-        a = SymmetricOperator(np.diag([0.0, 1.0, 2.0]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert not gap_exceeds(a, np.array(x), floor, bound)
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_a_success_lies_below_the_gap(self, seed):
-        rng = rng_for(seed, 94)
-        dim = int(rng.integers(2, 60))
-        g = rng.standard_normal((dim, dim))
-        a = SymmetricOperator((g + g.T) * 10.0 ** rng.uniform(-3.0, 3.0))
-        w, q = np.linalg.eigh(a.matrix)
-        gap = w[1] - w[0]
-        bound = float(np.linalg.norm(a.matrix))
-        for tilt in (0.0, 1e-6, 1e-3, 0.3):
-            x = q[:, 0] + tilt * rng.standard_normal(dim)
-            for fraction in (0.0, 0.5, 0.99, 0.999999, 1.0, 1.01):
-                if gap_exceeds(a, x, fraction * gap, bound):
-                    assert fraction < 1.0
-        # near the true bottom vector the certificate gets within 1e-6 of the gap
-        assert gap_exceeds(a, q[:, 0], (1.0 - 1e-6) * gap, bound)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_factored_matrix_is_the_sum_bit_for_bit(self, seed, monkeypatch):
-        # formed in one buffer, m is (a + beta x x^T) - (rho + floor) I as the sums
-        # round: beta (x x^T) first, then a, then the diagonal shift
-        seen = []
-        monkeypatch.setattr(operators, "certify_positive_definite",
-                            lambda m, error: seen.append(np.array(m)) or True)
-        rng = rng_for(seed, 97)
-        dim = int(rng.integers(2, 40))
-        g = rng.standard_normal((dim, dim))
-        a = SymmetricOperator(g + g.T)
-        x, floor = rng.standard_normal(dim), float(rng.uniform(0.0, 2.0))
-        assert gap_exceeds(a, x, floor, float(np.linalg.norm(a.matrix)))
-        x = x / np.linalg.norm(x)
-        want = a.matrix + (2.0 * floor + 1.0) * np.outer(x, x)
-        want[np.diag_indices(dim)] -= float(x @ (a.matrix @ x)) + floor
-        assert seen[0].tobytes() == want.tobytes()
-
-
 def near_singular(seed):
     """A seeded float matrix of dimension 1-6 and its exact least eigenvalue, in
     [-gamma_{n+1} tr, 4 gamma_{n+1} tr]: an integer Gram matrix B B^T of rank
@@ -315,30 +257,6 @@ class TestPositiveDefiniteCertificate:
                 elif least <= 0.0:
                     assert not exactly_positive_definite(m)
         assert certified >= 20
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_gap_exceeds_matrices(self, seed, monkeypatch):
-        calls = []
-
-        def recording(m, error):
-            calls.append((np.array(m), error, certify_positive_definite(m, error)))
-            return calls[-1][2]
-
-        monkeypatch.setattr(operators, "certify_positive_definite", recording)
-        rng = rng_for(seed, 96)
-        for _ in range(10):
-            n = int(rng.integers(2, 7))
-            gap = 10.0 ** rng.uniform(-3.0, 0.0)
-            eigs = np.concatenate([[0.0, gap], rng.uniform(gap, gap + 2.0, n - 2)])
-            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-            a = SymmetricOperator((q * eigs) @ q.T)
-            x = q[:, 0] + 1e-4 * rng.standard_normal(n)
-            for fraction in (0.5, 0.99, 0.999999, 1.0, 1.01):
-                gap_exceeds(a, x, fraction * gap, float(np.linalg.norm(a.matrix)))
-        assert sum(certified for _, _, certified in calls) >= 20
-        for m, error, certified in calls:
-            if certified:
-                assert exactly_positive_definite(m, error)
 
     def test_leaves_its_input_unchanged(self):
         # callers read m again after the call, as the near-singular check does

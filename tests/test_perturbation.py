@@ -23,7 +23,6 @@ from axiscone.operators import (
     SymmetricOperator,
     bottom_eigen,
     certify_positive_definite,
-    gap_exceeds,
     heat_semigroup,
     restricted_top,
     top_eigen,
@@ -1250,19 +1249,19 @@ def assert_budget_matches(got, want, floors):
     """The budget against the decomposing oracle's on the examined grid points.
 
     want is the oracle on examined_grid: the grid points at which the budget read
-    or certified a gap, and its zeros (kappa = 0 alone when there are none).  Every
-    admissible point was examined, and the gaps are NaN exactly at the others.  On
-    the examined points every field that does not depend on delta agrees bit for
-    bit, admissible and the held operators with their spectra too, and so does
-    every gap the toolkit checked.  Each other gap is the floor its certificate
-    proved (floors lists the proved floors of this call) and lies at least delta -
-    eta.  delta lies in [oracle delta, oracle delta + 2 eta]; it is bit-equal, and
+    a gap, and its zeros (kappa = 0 alone when there are none).  Every admissible
+    point was examined, and the gaps are NaN exactly at the others.  On the
+    examined points every field that does not depend on delta agrees bit for bit,
+    admissible and the held operators with their spectra too, and so does every
+    gap but those listed in floors, each of which lies at least delta - eta (the
+    grid loop checks every gap it stores, so its callers list none).  delta lies
+    in [oracle delta, oracle delta + 2 eta]; it is bit-equal, and
     with it every field read from delta, when the oracle's two least gaps (T's
     among them) are more than 2 eta apart.  Above degree one the oracle reads each
     ||S_k|| from eigvalsh, the toolkit from its checked eigh: there b and c agree
     to rounding, and bit for bit with the coefficient-norm bound of the family's
     own norms; their kappa_threshold reads the whole grid, so it is compared for
-    linear families alone.  Returns the number of certified gaps."""
+    linear families alone.  Returns the number of gaps listed in floors."""
     examined = ~np.isnan(got.gaps)
     assert np.all(examined[got.admissible]) and np.all(examined[got.kappas == 0.0])
     n = int(np.count_nonzero(examined))   # want's first n points are got's examined ones
@@ -1305,6 +1304,22 @@ def assert_budget_matches(got, want, floors):
     return int(np.count_nonzero(certified))
 
 
+def late_gap_budget(negate, monkeypatch):
+    """The budget of T = diag(0, 1, 3) and S = diag(0, 1, 0), whose gaps are 1 +
+    kappa, on the grid [0.05, -0.07, -0.072] at s0 = 0.1, with its gap estimates
+    negated or not; the decomposing oracle on the whole grid; and the grid index
+    of the point the budget skips."""
+    t = SymmetricOperator(np.diag([0.0, 1.0, 3.0]))
+    family = PerturbationFamily([np.diag([0.0, 1.0, 0.0])])
+    grid = [0.05, -0.07, -0.072]
+    if negate:
+        gap_estimates = perturbation._gap_estimates
+        monkeypatch.setattr(perturbation, "_gap_estimates", lambda *args: -gap_estimates(*args))
+    budget = semigroup_threshold(t, family, s0=0.1, kappa0=0.5, kappa_grid=grid)
+    want = threshold_by_decomposing(t, family, s0=0.1, kappa0=0.5, kappa_grid=grid)
+    return budget, want, 2 if negate else 1
+
+
 def dense_config(seed, dim):
     """A perturb_sweep config: T with spectrum {0} and U(1, 3), S of norm 1, 41 grid points."""
     rng = rng_for(seed, 93)
@@ -1324,41 +1339,29 @@ class TestGapCertificate:
 
     @pytest.mark.parametrize("block", range(10))
     def test_budgets_match_the_decomposing_loop(self, block, monkeypatch):
-        successes = []
-
-        def recording(A, x, floor, frobenius_bound):
-            certified = gap_exceeds(A, x, floor, frobenius_bound)
-            if certified:
-                successes.append((A.matrix, floor))
-            return certified
-
-        monkeypatch.setattr(perturbation, "gap_exceeds", recording)
         examined = record_examined(monkeypatch)
-        compared, skipped, certified = Counter(), Counter(), 0
+        compared, skipped = Counter(), Counter()
         for seed in range(100 * block, 100 * block + 100):
             shape = seed % 4
             t, family, s0, kappa0, grid = certificate_family(seed)
             examined.clear()
-            first = len(successes)
             got = budget_or_error(semigroup_threshold, t, family, s0, kappa0, grid)
             want = budget_or_error(threshold_by_decomposing, t, family, s0, kappa0,
                                    examined_grid(grid, examined))
             if isinstance(got, tuple) or isinstance(want, tuple):
                 assert got == want
                 continue
-            certified += assert_budget_matches(got, want, [f for _, f in successes[first:]])
+            assert assert_budget_matches(got, want, []) == 0
+            assert bits(got.delta) == bits(want.delta)
             compared[shape] += 1
             skipped[shape] += bool(np.isnan(got.gaps).any())
         # every budget compares, and in each shape most leave a rejected point unexamined
         assert sum(compared.values()) == 100
         assert min(skipped[shape] for shape in range(4)) >= 15
-        assert certified == len(successes)
-        # each certificate, confirmed independently: the gap lies above the floor
-        for matrix, floor in successes:
-            w = np.linalg.eigvalsh(matrix)
-            assert w[1] - w[0] > floor - 1e-12 * max(1.0, float(np.linalg.norm(matrix)))
 
-    def test_failed_certificates_fall_back_to_the_decomposing_loop(self, monkeypatch):
+    def test_a_failing_cholesky_moves_no_budget(self, monkeypatch):
+        # the grid loop proves nothing by Cholesky: with every factorization failing,
+        # the budget is still the decomposing loop's on the examined points
         def failing(m):
             raise np.linalg.LinAlgError("not positive definite")
 
@@ -1424,14 +1427,7 @@ class TestGapCertificate:
         assert fallback_calls == eigh_calls + (config.kind == "schrodinger")
 
     @pytest.mark.parametrize("n_half", [16, 32, 48, 64, 128, 512])
-    def test_magnetic_grid_examines_no_inadmissible_point(self, n_half, monkeypatch):
-        proved = []
-
-        def recording(A, x, floor, frobenius_bound):
-            proved.append(gap_exceeds(A, x, floor, frobenius_bound))
-            return proved[-1]
-
-        monkeypatch.setattr(perturbation, "gap_exceeds", recording)
+    def test_magnetic_grid_examines_no_inadmissible_point(self, n_half):
         model = MagneticModel.from_functions(GridSpec(n_half, 8.0 / n_half), lambda x: x * x,
                                              lambda x: math.exp(-x * x))
         budget = magnetic_experiment(model, e_grid=np.linspace(-0.008, 0.008, 17),
@@ -1440,7 +1436,6 @@ class TestGapCertificate:
         t_eigs = budget.T.decomposition.eigenvalues
         assert bits(budget.delta) == bits(t_eigs[1] - t_eigs[0])
         outside = (budget.kappas != 0.0) & ~budget.admissible
-        assert proved == []
         assert np.isnan(budget.gaps).tolist() == outside.tolist()
         for i in np.flatnonzero(budget.admissible & (budget.kappas != 0.0)):
             eigs = budget.operators[float(budget.kappas[i])].decomposition.eigenvalues
@@ -1448,65 +1443,56 @@ class TestGapCertificate:
         assert (n_half >= 32) <= outside.any()
 
     @pytest.mark.parametrize("negate", [True, False], ids=["late", "first"])
-    def test_a_late_gap_below_delta_fails_its_certificate_and_sets_delta(self, negate,
-                                                                          monkeypatch):
+    def test_a_point_rejected_mid_pass_is_skipped_and_stays_nan(self, negate, monkeypatch):
         # gaps 1 + kappa, all three admissible at T's gap 1; s0 delta = 0.1, where
         # delta f(delta) rises with delta, so the gap 0.93 at kappa = -0.07 rejects
-        # kappa = -0.072.  The estimates are exact: negated, they visit -0.07 before
-        # -0.072, whose gap then lies below the running minimum, so its certificate
-        # fails and its gap sets delta; in their own order -0.072 comes first, and
-        # -0.07's certificate passes.  delta is the same either way.
-        t = SymmetricOperator(np.diag([0.0, 1.0, 3.0]))
-        family = PerturbationFamily([np.diag([0.0, 1.0, 0.0])])
-        grid = [0.05, -0.07, -0.072]
-        gap_estimates = perturbation._gap_estimates
-
-        def negated(*args):
-            estimates, *rest = gap_estimates(*args)
-            return (-estimates, *rest)
-
-        if negate:
-            monkeypatch.setattr(perturbation, "_gap_estimates", negated)
-        proved = []
-
-        def recording(A, x, floor, frobenius_bound):
-            proved.append((A.matrix[1, 1], gap_exceeds(A, x, floor, frobenius_bound)))
-            return proved[-1][1]
-
-        monkeypatch.setattr(perturbation, "gap_exceeds", recording)
-        budget = semigroup_threshold(t, family, s0=0.1, kappa0=0.5, kappa_grid=grid)
-        want = threshold_by_decomposing(t, family, s0=0.1, kappa0=0.5, kappa_grid=grid)
+        # kappa = -0.072, and the gap 0.928 at -0.072 rejects -0.07.  The estimates
+        # are exact: negated, they visit -0.07 before -0.072, which is then skipped;
+        # in their own order -0.072 comes first, and -0.07 is skipped.  Either way
+        # the skipped point's gap stays NaN and delta is the least examined gap.
+        budget, want, skipped = late_gap_budget(negate, monkeypatch)
         assert want.admissible.tolist() == budget.admissible.tolist() == [True, False, False]
-        assert not np.isnan(budget.gaps).any()
-        assert bits(budget.delta) == bits(want.delta) == bits(want.gaps[2])
-        # one certificate: it fails at -0.072 in the negated order, passes at -0.07 in
-        # the estimates' own; every other gap is checked
-        certified = 2 if negate else 1
-        assert proved == [(pytest.approx(1.0 + grid[certified]), not negate)]
-        checked = [0, 1, 2] if negate else [0, 2]
-        assert budget.gaps[checked].tobytes() == want.gaps[checked].tobytes()
-        if not negate:
-            assert want.gaps[1] > budget.gaps[1] >= budget.delta - max_eta(budget)
+        assert np.isnan(budget.gaps).tolist() == [i == skipped for i in range(3)]
+        examined = [i for i in range(3) if i != skipped]
+        assert budget.gaps[examined].tobytes() == want.gaps[examined].tobytes()
+        assert bits(budget.delta) == bits(np.min(want.gaps[examined]))
+        assert budget.delta == pytest.approx(0.93 if negate else 0.928)
+
+    @pytest.mark.parametrize("negate", [True, False], ids=["late", "first"])
+    def test_every_stored_gap_is_a_checked_gap(self, negate, monkeypatch):
+        # every finite entry of budget.gaps is bit-equal to the gap of the decomposed
+        # T + S(kappa) (T's own at kappa = 0), on the late-gap instance in both orders
+        # and on seeded families
+        budgets = [late_gap_budget(negate, monkeypatch)[0]]
+        monkeypatch.undo()
+        for seed in range(negate, 80, 2):
+            budget = budget_or_error(semigroup_threshold, *certificate_family(seed))
+            if not isinstance(budget, tuple):
+                budgets.append(budget)
+        assert len(budgets) >= 30
+        for budget in budgets:
+            for kappa, gap in zip(budget.kappas, budget.gaps):
+                if np.isnan(gap):
+                    continue
+                fresh = budget.T if kappa == 0.0 else budget.T + budget.family.operator_at(kappa)
+                eigs = fresh.decomposition.eigenvalues
+                assert bits(gap) == bits(eigs[1] - eigs[0]), kappa
 
     def test_collapsed_grid_gap_raises_below_eta(self, monkeypatch):
         # T's gap 2e-9 passes tau_gap but lies below eta = 5 RECON_TOL ||T||_F ~ 1e-6,
-        # so the certificates' floor is GAP_COLLAPSE_TOL ||T|| = 1.9e-9.  kappa = 0.07
-        # is admissible and narrows the gap to 1.86e-9, below that floor; after it,
-        # kappa = -0.07 is rejected and certified at the floor; kappa = 1 closes the gap
-        # exactly, but the budget rejects it and never examines it
+        # and the collapse floor is GAP_COLLAPSE_TOL ||T|| = 1.9e-9.  kappa = 0.07 is
+        # admissible and narrows the gap to 1.86e-9, below that floor; after it,
+        # kappa = -0.07 is rejected and skipped; kappa = 1 closes the gap exactly, but
+        # the budget rejects it and never examines it
         t = SymmetricOperator(np.diag([0.0, 2e-9, 1900.0]))
         family = PerturbationFamily([np.diag([0.0, -2e-9, 0.0])])
         assert 2e-9 < 5.0 * RECON_TOL * np.linalg.norm(t.matrix)
-        floors = []
-        monkeypatch.setattr(perturbation, "gap_exceeds",
-                            lambda A, x, floor, bound: floors.append(floor)
-                            or gap_exceeds(A, x, floor, bound))
         examined = record_examined(monkeypatch)
         grid = [0.5, 1.0, 0.25, 0.07, -0.07]
         with pytest.raises(GapCollapsed, match=r"^uniform gap 1\.860e-09 collapsed on "
                                                r"the grid$"):
             semigroup_threshold(t, family, s0=1.0, kappa0=0.1, kappa_grid=grid)
-        assert examined == {0.07, -0.07} and floors == [GAP_COLLAPSE_TOL * t.norm]
+        assert examined == {0.07}
         with pytest.raises(GapCollapsed, match=r"^uniform gap 1\.860e-09 collapsed"):
             threshold_by_decomposing(t, family, s0=1.0, kappa0=0.1,
                                      kappa_grid=examined_grid(grid, examined))
@@ -1584,18 +1570,16 @@ class TestGapCertificate:
         assert assert_budget_matches(budget, want, []) == 0
 
     def test_default_magnetic_experiment_attempts_one_cholesky(self, monkeypatch):
-        # no grid-gap certificate at N = 8: the one Cholesky is the family's proof
-        # of M1's candidate bound, on the 17-square b1^2 I - M1^2
-        gaps, bounds, calls = [], [], []
+        # the one Cholesky at N = 8 is the family's proof of M1's candidate bound, on
+        # the 17-square b1^2 I - M1^2
+        bounds, calls = [], []
         cholesky = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m) or cholesky(m))
-        monkeypatch.setattr(perturbation, "gap_exceeds",
-                            lambda *args: gaps.append(args) or gap_exceeds(*args))
         monkeypatch.setattr(perturbation, "certify_positive_definite",
                             lambda *args: bounds.append(certify_positive_definite(*args))
                             or bounds[-1])
         run(ExperimentConfig(kind="schrodinger", seed=0, params={}))
-        assert gaps == [] and bounds == [True] and [m.shape for m in calls] == [(17, 17)]
+        assert bounds == [True] and [m.shape for m in calls] == [(17, 17)]
 
 
 class TestBoundChainSeeded:
