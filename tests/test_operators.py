@@ -284,6 +284,87 @@ class TestPositiveDefiniteCertificate:
             m[0, 0] = 0.5 * gamma(n + 1) * n
             assert not certify_positive_definite(m, 0.0)
 
+    def test_diagonal_shift_is_bracketed(self):
+        m = np.diag([1.0, 2.0, 3.0])
+        assert certify_positive_definite(m - 0.999999 * np.eye(3), 0.0)
+        assert not certify_positive_definite(m - np.eye(3), 0.0)   # singular: not above 0
+        assert not certify_positive_definite(m - 1.5 * np.eye(3), 0.0)
+        # the guard doubles error: a margin of 1 admits an error just below 1/2
+        assert certify_positive_definite(m, 0.499999)
+        assert not certify_positive_definite(m, 0.5)
+
+    @pytest.mark.parametrize("m, error", [
+        ([[1.0, np.nan], [np.nan, 1.0]], 0.0), ([[1.0, np.inf], [np.inf, 1.0]], 0.0),
+        ([[np.nan, 0.0], [0.0, 1.0]], 0.0), ([[1.0, 0.0], [0.0, 1.0]], -np.inf),
+        ([[1e300, 0.0], [0.0, 1.0]], 1e308), ([[-np.inf, 0.0], [0.0, 1.0]], 0.0)])
+    def test_unusable_input_proves_nothing(self, m, error):
+        # numpy's Cholesky completes on some NaN and inf matrices, so these must not reach it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert not certify_positive_definite(np.array(m), error)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_a_success_lies_below_the_least_eigenvalue(self, seed):
+        rng = rng_for(seed, 94)
+        dim = int(rng.integers(2, 60))
+        g = rng.standard_normal((dim, dim))
+        a = (g + g.T) * 10.0 ** rng.uniform(-3.0, 3.0)
+        w = np.linalg.eigvalsh(a)
+        spread = w[1] - w[0]
+        for fraction in (0.0, 0.5, 0.99, 0.999999, 1.0, 1.01):
+            # least eigenvalue of the shifted matrix: (1 - fraction) spread
+            m = a - (w[0] - (1.0 - fraction) * spread) * np.eye(dim)
+            if certify_positive_definite(m, 0.0):
+                assert fraction < 1.0
+                if dim <= 12:
+                    assert exactly_positive_definite(m)
+        # a shift within 1e-6 of the spread of the least eigenvalue is still certified
+        assert certify_positive_definite(a - (w[0] - 1e-6 * spread) * np.eye(dim), 0.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_gapped_matrices(self, seed):
+        # Q diag(0, gap, ...) Q^T plus (1 - fraction) gap I: least eigenvalue near
+        # (1 - fraction) gap, up to the rounding of the product
+        certified = 0
+        rng = rng_for(seed, 96)
+        for _ in range(10):
+            n = int(rng.integers(2, 7))
+            gap = 10.0 ** rng.uniform(-3.0, 0.0)
+            eigs = np.concatenate([[0.0, gap], rng.uniform(gap, gap + 2.0, n - 2)])
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            a = (q * eigs) @ q.T
+            a = (a + a.T) / 2.0
+            for fraction in (0.5, 0.99, 0.999999, 1.0, 1.01):
+                m = a + (1.0 - fraction) * gap * np.eye(n)
+                error = 0.25 * (1.0 - fraction) * gap if fraction < 1.0 else 0.0
+                if certify_positive_definite(m, error):
+                    certified += 1
+                    assert exactly_positive_definite(m, error)
+        assert certified >= 20
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_factored_matrix_is_m_less_the_guard_bit_for_bit(self, seed, monkeypatch):
+        # the guard c = 2 (error + u max d + gamma_{n+1} sum d + n (n + 1 + max d) eta)
+        # is subtracted from the diagonal of a copy of m, as the docstring states
+        seen = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda x: seen.append(np.array(x)) or cholesky(x))
+        rng = rng_for(seed, 97)
+        n = int(rng.integers(2, 40))
+        g = rng.standard_normal((n, n))
+        m = g @ g.T + n * np.eye(n)
+        error = float(rng.uniform(0.0, 1.0))
+        assert certify_positive_definite(m, error)
+        d = np.abs(np.diagonal(m))
+        u = np.finfo(float).eps / 2.0
+        eta = np.finfo(float).smallest_subnormal
+        c = 2.0 * (error + u * d.max() + gamma(n + 1) * d.sum() + n * (n + 1 + d.max()) * eta)
+        want = np.array(m)
+        want[np.diag_indices(n)] -= c
+        assert len(seen) == 1
+        assert seen[0].tobytes() == want.tobytes()
+
 
 class TestHeatSemigroup:
     def test_diagonal(self):
