@@ -15,7 +15,9 @@ test instances, the diagonal magnetic term) holds only that spectrum: its
 matrix is formed on first read (by sums, compressions and the ergodicity
 probe, which iterates it), and apply always goes through the eigenvectors Q,
 so a sweep that reads no semigroup's entries forms none and A v does not
-depend on whether the matrix was read before.
+depend on whether the matrix was read before.  An operator built from its
+matrix may adopt a spectrum found elsewhere, such as a parity mirror's, if it
+passes checked_eigh's own test (spectrum_defect); apply is still M v.
 Where a symmetric matrix only needs to be proven positive definite, as for a
 given relative bound (perturbation._check_relative_bound) or the
 Perron-Frobenius improvement certificate (positivity._improvement_certified),
@@ -146,6 +148,14 @@ class SymmetricOperator:
             self._decomposition = spectral_decompose(self)
         return self._decomposition
 
+    def adopt(self, w, q):
+        """Hold (w, q) as the decomposition, and return True, if it passes
+        spectrum_defect's test against the matrix; apply stays as it was."""
+        if spectrum_defect(self.matrix, w, q):
+            return False
+        self._decomposition = SymmetricOperator.from_spectrum(w, q)._decomposition
+        return True
+
     @property
     def norm(self):
         """Operator 2-norm, max |eigenvalue|."""
@@ -214,10 +224,8 @@ class SymmetricOperator:
 def checked_eigh(m):
     """eigh of a real symmetric matrix, checked.
 
-    An eigh failure or a non-finite eigenpair raises NonConvergence.
-    ||Q L Q^T - M||_F above RECON_TOL * max(1, ||M||_F), or ||Q^T Q - I||_F
-    above RECON_TOL, raises ContractViolation.  Where a norm overflows, both
-    are taken of the residual and M scaled by one power of two.
+    An eigh failure or a non-finite eigenpair raises NonConvergence; a pair
+    that fails spectrum_defect's test raises ContractViolation.
     """
     try:
         w, q = np.linalg.eigh(m)
@@ -225,6 +233,17 @@ def checked_eigh(m):
         raise NonConvergence(f"eigh failed: {exc}") from exc
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(q))):
         raise NonConvergence("eigh returned non-finite eigenpairs")
+    if defect := spectrum_defect(m, w, q):
+        raise ContractViolation(defect)
+    return w, q
+
+
+def spectrum_defect(m, w, q):
+    """None if ||Q L Q^T - M||_F <= RECON_TOL * max(1, ||M||_F) and ||Q^T Q -
+    I||_F <= RECON_TOL, else what fails; where a norm overflows, both are taken
+    of the residual and M scaled by one power of two.  Any (w, q) that passes
+    bounds M's eigenvalues alike, from eigh or not (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 11)."""
     with np.errstate(over="ignore", invalid="ignore"):   # inf and nan residuals fail below
         resid = (q * w) @ q.T - m
         recon, size = float(np.linalg.norm(resid)), max(1.0, float(np.linalg.norm(m)))
@@ -232,11 +251,9 @@ def checked_eigh(m):
             e = np.frexp(np.abs(m).max())[1]
             recon, size = (float(np.linalg.norm(np.ldexp(x, -e))) for x in (resid, m))
     orth = float(np.linalg.norm(q.T @ q - np.eye(len(w))))
-    if not (recon <= RECON_TOL * size and orth <= RECON_TOL):
-        raise ContractViolation(
-            f"eigendecomposition residual {recon:.3e}, orthonormality defect {orth:.3e}"
-        )
-    return w, q
+    if recon <= RECON_TOL * size and orth <= RECON_TOL:
+        return None
+    return f"eigendecomposition residual {recon:.3e}, orthonormality defect {orth:.3e}"
 
 
 def spectral_decompose(A):

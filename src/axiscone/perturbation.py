@@ -17,7 +17,9 @@ points it examines.  It examines, by decomposing, every grid point admissible
 at the running minimum of the checked gaps, and repeats until none is left
 unexamined, so it reads no gap at a coupling it rejects.  A checked gap lies
 within eta of the true one, so delta is within eta of the least true gap over
-kappa = 0 and the examined points.
+kappa = 0 and the examined points.  Where the family carries a parity
+signature, a point whose mirror was examined takes its spectrum instead, once
+that passes a checked eigh's test.
 """
 
 import math
@@ -63,6 +65,7 @@ from .tolerances import (
     DRIFT_CERT_TOL,
     GAP_COLLAPSE_TOL,
     RADIUS_RECOMPUTE_TOL,
+    RECON_TOL,
     TAU_GAP,
 )
 
@@ -212,9 +215,12 @@ class PerturbationFamily:
     from trivializes here; a applies to linear families only.  A linear
     family's c(kappa) = c(1) |kappa| bounds its admissible range in closed
     form; a family of higher degree reads it off the kappa grid.
+    parity is None or signs sigma, P = diag(sigma), with P T P = T and P S_k P
+    = (-1)^k S_k, so T + S(-kappa) = P (T + S(kappa)) P; a wrong sigma costs
+    only the eigh that semigroup_threshold would have saved.
     """
 
-    def __init__(self, coefficients, a=0.0, b=None):
+    def __init__(self, coefficients, a=0.0, b=None, parity=None):
         coefficients = tuple(
             c if isinstance(c, SymmetricOperator) else SymmetricOperator(c)
             for c in coefficients
@@ -234,6 +240,12 @@ class PerturbationFamily:
         self.b = tuple(None if b_k is None else float(b_k) for b_k in b)
         if not (self.a >= 0.0 and all(b_k is None or b_k >= 0.0 for b_k in self.b)):
             raise ValueError("relative bounds must be nonnegative")
+        if parity is not None:
+            parity = np.array(parity, dtype=float)
+            if parity.shape != (coefficients[0].dim,) or not np.all(np.abs(parity) == 1.0):
+                raise ValueError("parity takes one sign, +1 or -1, per dimension")
+            parity.setflags(write=False)
+        self.parity = parity
 
     @property
     def degree(self):
@@ -361,8 +373,10 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
     delta + eta.
 
     The budget keeps the checked T + S(kappa) of its admissible nonzero grid
-    points, each the operator the grid loop decomposed, which
-    budget.operator_at returns.
+    points, each the operator the grid loop examined, which budget.operator_at
+    returns.  Given the family's parity P, a point first takes the spectrum (w',
+    P Q') of the examined point nearest -kappa (_adopt_mirror) and is decomposed
+    only if that fails checked_eigh's test, whose eta bound it then shares.
     """
     if s0 <= 0:
         raise ValueError("s0 must be positive")
@@ -398,7 +412,11 @@ def semigroup_threshold(T, family, s0, kappa0, kappa_grid):
         for i in order[pending[order]]:
             if not admissible[i]:   # rejected mid-pass: left NaN unless admitted again
                 continue
-            decomposed[i] = t_kappa = T + family.operator_at(kappas[i])
+            t_kappa = T + family.operator_at(kappas[i])
+            if family.parity is not None and decomposed:
+                mirror = min(decomposed, key=lambda j: abs(kappas[j] + kappas[i]))
+                _adopt_mirror(t_kappa, decomposed[mirror], family.parity)
+            decomposed[i] = t_kappa
             eigs = t_kappa.decomposition.eigenvalues
             gaps[i] = float(eigs[1] - eigs[0])
             if gaps[i] < delta_run:
@@ -467,6 +485,18 @@ def _check_relative_bound(T, family):
         raise RelativeBoundUncertified(
             f"||S{sub} x|| <= a ||T x|| + b{sub} ||x|| is not certified: a^2 T^2 + b{sub}^2 I "
             f"- S{sub}^2 has eigenvalue {SymmetricOperator(m).decomposition.min_eigenvalue:.6g}")
+
+
+def _adopt_mirror(t_kappa, mirror, parity):
+    """Offer M = T + S(kappa) the spectrum (w', P Q') of its examined mirror M',
+    P = diag(parity), if ||M - P M' P||_F < RECON_TOL max(1, ||M||_F)."""
+    m = t_kappa.matrix
+    with np.errstate(over="ignore", invalid="ignore"):   # inf and nan offer nothing
+        distance = float(np.linalg.norm(m - parity[:, None] * mirror.matrix * parity))
+        room = RECON_TOL * max(1.0, float(np.linalg.norm(m)))
+    if distance < room:
+        dec = mirror.decomposition
+        t_kappa.adopt(dec.eigenvalues, parity[:, None] * dec.eigenvectors)
 
 
 def _gap_estimates(T, family, kappas):

@@ -243,8 +243,10 @@ def magnetic_experiment(model, e_grid, s0, s_samples=None):
     M1's candidate from its parity cross block (m1_norm_bound), which the
     budget proves as it proves every given coefficient bound; M2 is diagonal,
     so ||M2|| = max a^2 is read from its held spectrum.  A candidate the
-    budget rejects is a toolkit bug (ContractViolation).  The heat times
-    default to s0/4, s0/2 and s0.
+    budget rejects is a toolkit bug (ContractViolation).  The family's parity
+    P = diag(+1 on delta_0 and even_j, -1 on odd_j) gives H_r(-e) = P H_r(e) P,
+    so a coupling may take its examined mirror's spectrum (semigroup_threshold).
+    The heat times default to s0/4, s0/2 and s0.
     """
     if s0 <= 0:
         raise ValueError("s0 must be positive")
@@ -255,7 +257,9 @@ def magnetic_experiment(model, e_grid, s0, s_samples=None):
     h0, m1 = SymmetricOperator(h0), SymmetricOperator(m1)
     _, ground, _ = bottom_eigen(h0, require_simple=True)
 
-    family = PerturbationFamily((m1, m2), b=(m1_norm_bound(m1), None))
+    parity = np.ones(h0.dim)
+    parity[2::2] = -1.0   # odd_j; H0 and M2 keep the sectors and M1 couples them
+    family = PerturbationFamily((m1, m2), b=(m1_norm_bound(m1), None), parity=parity)
     e_grid = np.asarray(e_grid, dtype=float)
     kappa0 = float(np.max(np.abs(e_grid))) + 1e-12
     try:

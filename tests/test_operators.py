@@ -21,6 +21,7 @@ from axiscone.operators import (
     perp_basis,
     restricted_top,
     spectral_decompose,
+    spectrum_defect,
     top_eigen,
 )
 from axiscone.perturbation import improving_radius, radius_from_alpha
@@ -190,6 +191,37 @@ class TestSpectralDecompose:
     def test_norm_overflow_decomposes_without_a_warning(self):
         dec = SymmetricOperator(1e160 * np.array([[0.0, 1.0], [1.0, 0.0]])).decomposition
         np.testing.assert_allclose(dec.eigenvalues, [-1e160, 1e160])
+
+    def test_an_adopted_spectrum_passes_the_shared_test_and_apply_is_unchanged(
+            self, monkeypatch):
+        # P M P has the eigenvectors P Q: adopted without an eigh, while apply stays
+        # the matrix product, bit for bit
+        m = random_symmetric(8, seed=7).matrix
+        sign = np.where(np.arange(8) % 3, 1.0, -1.0)
+        w, q = checked_eigh(m)
+        op = SymmetricOperator(sign[:, None] * m * sign)
+        v = rng_for(0, 1).standard_normal((8, 3))
+        before = op.apply(v)
+        self.patch_eigh(monkeypatch, lambda *pair: pytest.fail("eigh after adoption"))
+        assert spectrum_defect(op.matrix, w, sign[:, None] * q) is None
+        assert op.adopt(w, sign[:, None] * q)
+        assert op.decomposition.eigenvalues.tobytes() == w.tobytes()
+        assert not op.decomposition.eigenvectors.flags.writeable
+        assert op.apply(v).tobytes() == before.tobytes() == (op.matrix @ v).tobytes()
+
+    @pytest.mark.parametrize("corrupt, defect", [
+        (lambda w, q: (w + 1e-6, q), "residual"),
+        (lambda w, q: (w, 1.01 * q), "orthonormality defect"),
+        (lambda w, q: (w, q[:, ::-1]), "residual"),
+    ])
+    def test_a_refused_spectrum_leaves_the_operator_to_its_checked_eigh(self, corrupt,
+                                                                        defect):
+        op = random_symmetric(8, seed=7)
+        w, q = corrupt(*np.linalg.eigh(op.matrix))
+        assert defect in spectrum_defect(op.matrix, w, q)
+        assert not op.adopt(w, q) and op._decomposition is None
+        w_ref, q_ref = checked_eigh(op.matrix)
+        assert op.decomposition.eigenvectors.tobytes() == q_ref.tobytes()
 
     def test_nonfinite_eigenpair_is_nonconvergence(self, monkeypatch):
         def corrupt(w, q):

@@ -25,6 +25,7 @@ from axiscone.operators import (
     certify_positive_definite,
     heat_semigroup,
     restricted_top,
+    spectrum_defect,
     top_eigen,
 )
 from axiscone.perturbation import (
@@ -45,9 +46,14 @@ from axiscone.perturbation import (
 from axiscone.cones import AxisCone, Region, sample_in_cone, sample_in_cone_rows
 from axiscone.positivity import VerdictStatus
 from axiscone.seeding import rng_for
-from axiscone.harness import ExperimentConfig, run
+from axiscone.harness import ExperimentConfig, check_params, run
 from axiscone.tolerances import GAP_COLLAPSE_TOL, RECON_TOL
-from axiscone.schrodinger import GridSpec, MagneticModel, magnetic_experiment
+from axiscone.schrodinger import (
+    POTENTIAL_PRESETS,
+    GridSpec,
+    MagneticModel,
+    magnetic_experiment,
+)
 from reference_loops import (
     coefficient_norm_bound,
     contour_image,
@@ -58,6 +64,16 @@ from reference_loops import (
 
 E1 = np.array([1.0, 0.0])
 SQRT2 = math.sqrt(2.0)
+
+
+def default_params(kind):
+    """A kind's params with every default filled in and checked, as a run takes them."""
+    params = {}
+    check_params(kind, params)
+    return params
+
+
+DEFAULT_E_GRID = default_params("schrodinger")["e_grid"]
 
 
 def rotated_axis(theta):
@@ -563,6 +579,15 @@ class TestPerturbationFamily:
     def test_b_takes_one_entry_per_coefficient(self, b):
         with pytest.raises(ValueError, match="^b takes one entry per coefficient"):
             PerturbationFamily([np.eye(2), np.eye(2)], b=b)
+
+    @pytest.mark.parametrize("parity", [[1.0], [1.0, 0.0], [1.0, -2.0], [[1.0, -1.0]],
+                                        [1.0, np.nan]])
+    def test_parity_takes_one_sign_per_dimension(self, parity):
+        with pytest.raises(ValueError, match=r"^parity takes one sign, \+1 or -1, per dimension$"):
+            PerturbationFamily([np.eye(2)], parity=parity)
+        family = PerturbationFamily([np.eye(2)], parity=[1, -1])
+        assert family.parity.tolist() == [1.0, -1.0] and not family.parity.flags.writeable
+        assert PerturbationFamily([np.eye(2)]).parity is None
 
     @pytest.mark.parametrize("a, b", [(-0.1, None), (0.0, [-1.0]), (0.0, [math.nan])])
     def test_negative_bounds_rejected(self, a, b):
@@ -1173,7 +1198,8 @@ class TestDecompositionReuse:
 def certificate_family(seed):
     """Seeded T, family, s0, kappa0 and grid over dims 2-39, degrees 1-2 and gaps of T
     from 1e-6 to 1e-1; seed % 4 picks a shape: 0 generic, 1 a gap minimum inside the
-    grid, 2 gaps tied to within 1e-12 to 1e-6, 3 a degenerate lambda_1(T)."""
+    grid, 2 gaps tied to within 1e-12 to 1e-6, 3 a degenerate lambda_1(T).  Each
+    coefficient carries a given bound b_k or None."""
     rng = rng_for(seed, 92)
     shape = seed % 4
     dim = int(rng.integers(3 if shape == 3 else 2, 40))
@@ -1207,7 +1233,12 @@ def certificate_family(seed):
         coefficients.append(gap * 10.0 ** rng.uniform(-2.0, 0.5) * (h + h.T)
                             / np.linalg.norm(h + h.T, 2))
     rng.shuffle(grid)
-    family = PerturbationFamily(coefficients)
+    # about half the coefficients carry a given bound 1e-6 to 1e-1 above ||S_k||, which
+    # _check_relative_bound proves by Cholesky; drawn from their own stream
+    given = rng_for(seed, 94)
+    b = [np.linalg.norm(c, 2) * (1.0 + 10.0 ** given.uniform(-6.0, -1.0))
+         if given.random() < 0.5 else None for c in coefficients]
+    family = PerturbationFamily(coefficients, b=b)
     return t, family, float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.05, 0.6)), grid
 
 
@@ -1260,8 +1291,8 @@ def assert_budget_matches(got, want, floors):
     among them) are more than 2 eta apart.  Above degree one the oracle reads each
     ||S_k|| from eigvalsh, the toolkit from its checked eigh: there b and c agree
     to rounding, and bit for bit with the coefficient-norm bound of the family's
-    own norms; their kappa_threshold reads the whole grid, so it is compared for
-    linear families alone.  Returns the number of gaps listed in floors."""
+    given bounds and own norms; their kappa_threshold reads the whole grid, so it
+    is compared for linear families alone.  Returns the number of gaps listed in floors."""
     examined = ~np.isnan(got.gaps)
     assert np.all(examined[got.admissible]) and np.all(examined[got.kappas == 0.0])
     n = int(np.count_nonzero(examined))   # want's first n points are got's examined ones
@@ -1271,7 +1302,8 @@ def assert_budget_matches(got, want, floors):
     for name in ("kappas", "a_values", "admissible") + linear * ("b_values",):
         assert getattr(got, name)[examined].tobytes() == getattr(want, name)[:n].tobytes(), name
     if not linear:
-        norms = [c.norm for c in got.family.coefficients]
+        norms = [c.norm if b is None else b
+                 for b, c in zip(got.family.b, got.family.coefficients)]
         assert got.b_values.tolist() == [coefficient_norm_bound(k, norms) for k in got.kappas]
         np.testing.assert_allclose(got.b_values[examined], want.b_values[:n],
                                    rtol=1e-13, atol=0.0)
@@ -1302,6 +1334,15 @@ def assert_budget_matches(got, want, floors):
         assert op.decomposition.eigenvectors.tobytes() == \
             ref.decomposition.eigenvectors.tobytes()
     return int(np.count_nonzero(certified))
+
+
+def without_parity(monkeypatch):
+    """From here on the magnetic family carries no parity signature, so the budget
+    decomposes every point it examines."""
+    from axiscone import schrodinger
+
+    monkeypatch.setattr(schrodinger, "PerturbationFamily",
+                        lambda *args, parity=None, **kwargs: PerturbationFamily(*args, **kwargs))
 
 
 def late_gap_budget(negate, monkeypatch):
@@ -1360,18 +1401,31 @@ class TestGapCertificate:
         assert min(skipped[shape] for shape in range(4)) >= 15
 
     def test_a_failing_cholesky_moves_no_budget(self, monkeypatch):
-        # the grid loop proves nothing by Cholesky: with every factorization failing,
-        # the budget is still the decomposing loop's on the examined points
+        # the grid loop proves nothing by Cholesky, and a given bound whose Cholesky
+        # fails falls back to b >= ||S_k|| from S_k's checked eigh: with every
+        # factorization failing, the budget is still the decomposing loop's on the
+        # examined points, or it raises RelativeBoundUncertified for a b_k below ||S_k||
+        factored = []
+
         def failing(m):
+            factored.append(m.shape)
             raise np.linalg.LinAlgError("not positive definite")
 
         for seed in range(40):
             calls = count_eigh(monkeypatch)
             examined = record_examined(monkeypatch)
             monkeypatch.setattr(np.linalg, "cholesky", failing)
-            got = budget_or_error(semigroup_threshold, *certificate_family(seed))
+            t, family, s0, kappa0, grid = certificate_family(seed)
+            try:
+                got = budget_or_error(semigroup_threshold, t, family, s0, kappa0, grid)
+            except RelativeBoundUncertified:
+                got = RelativeBoundUncertified
             decomposed = len(calls)
             monkeypatch.undo()
+            given = [k for k, b in enumerate(family.b) if b is not None]
+            if got is RelativeBoundUncertified:
+                assert any(family.b[k] < family.coefficients[k].norm for k in given)
+                continue
             calls = count_eigh(monkeypatch)
             # a fresh T, whose spectrum is not cached yet
             t, family, s0, kappa0, grid = certificate_family(seed)
@@ -1383,10 +1437,13 @@ class TestGapCertificate:
                 continue
             assert assert_budget_matches(got, want, []) == 0
             assert bits(got.delta) == bits(want.delta)
-            # above degree one the toolkit decomposes each coefficient once for its
-            # norm, where the oracle takes eigvalsh
+            # the toolkit decomposes each coefficient with a given bound once for its
+            # norm, and above degree one each other coefficient too, where the oracle
+            # takes the given bound or eigvalsh
             degree = got.family.degree
-            assert decomposed == len(calls) + (degree > 1) * degree
+            assert decomposed == len(calls) + len(given) + (degree > 1) * (degree - len(given))
+        # the given bounds' certificates ran and failed
+        assert len(factored) >= 20
 
     @pytest.mark.parametrize("config", [
         ExperimentConfig(kind="perturb_sweep", seed=0, params={}),
@@ -1403,6 +1460,7 @@ class TestGapCertificate:
         def report_and_eigh_calls():
             calls = count_eigh(monkeypatch)
             built = record_examined(monkeypatch)
+            without_parity(monkeypatch)   # every examined point decomposed, as the oracle's
             text = run(ExperimentConfig(kind=config.kind, seed=config.seed,
                                         params=dict(config.params))).render(timestamp=False)
             monkeypatch.undo()
@@ -1580,6 +1638,158 @@ class TestGapCertificate:
                             or bounds[-1])
         run(ExperimentConfig(kind="schrodinger", seed=0, params={}))
         assert bounds == [True] and [m.shape for m in calls] == [(17, 17)]
+
+
+def preset_budget(potential, vector_potential, n_half, e_grid=DEFAULT_E_GRID):
+    """The magnetic budget of a pair of presets on [-8, 8] at 2N+1 points, with the
+    family the pipeline builds and its parity signature."""
+    model = MagneticModel.from_functions(GridSpec(n_half, 8.0 / n_half),
+                                         POTENTIAL_PRESETS[potential],
+                                         POTENTIAL_PRESETS[vector_potential])
+    return magnetic_experiment(model, e_grid=e_grid, s0=1.0).budget
+
+
+def record_adoptions(monkeypatch):
+    """Record (operator, w, q, adopted) for every spectrum offered from here on."""
+    offered = []
+    adopt = SymmetricOperator.adopt
+    monkeypatch.setattr(SymmetricOperator, "adopt", lambda op, w, q: offered.append(
+        (op, w, q, adopt(op, w, q))) or offered[-1][-1])
+    return offered
+
+
+def rebuilt_with_parity(budget, parity):
+    """semigroup_threshold of the budget's T and family, the family rebuilt with the
+    given parity signature (None for none)."""
+    family = PerturbationFamily(budget.family.coefficients, b=budget.family.b, parity=parity)
+    return semigroup_threshold(budget.T, family, s0=budget.s0, kappa0=budget.kappa0,
+                               kappa_grid=budget.kappas)
+
+
+class TestParityMirror:
+    """A magnetic coupling whose parity mirror was examined takes the mirror's
+    spectrum, once it passes checked_eigh's test, instead of an eigh."""
+
+    @pytest.mark.parametrize("n_half", [8, 16, 32, 48, 64])
+    def test_the_hamiltonians_of_mirrored_couplings_are_exact_mirrors(self, n_half):
+        # H_r(-e) = P H_r(e) P exactly at the default grid's exact pairs (+-0.002,
+        # +-0.004, +-0.006, +-0.008), for every pair of presets; at its near pairs
+        # (e.g. 0.0010000000000000009 and -0.001) the distance leaves room under
+        # the reconstruction threshold, so the mirror is offered
+        grid = np.array(DEFAULT_E_GRID)
+        exact = [e for e in grid if e != 0.0 and -e in grid]
+        near = [e for e in grid if e != 0.0 and -e not in grid]
+        assert len(exact) == 8 and len(near) == 8
+        for potential in sorted(POTENTIAL_PRESETS):
+            for vector_potential in sorted(POTENTIAL_PRESETS):
+                budget = preset_budget(potential, vector_potential, n_half, [0.0])
+                parity = budget.family.parity
+                mirror = lambda m: parity[:, None] * m * parity
+                h = {e: (budget.T + budget.family.operator_at(e)).matrix for e in grid}
+                for e in exact:
+                    assert np.array_equal(h[-e], mirror(h[e])), (potential, e)
+                for e in near:
+                    partner = grid[np.argmin(np.abs(grid + e))]
+                    room = RECON_TOL * max(1.0, np.linalg.norm(h[e]))
+                    assert np.linalg.norm(h[e] - mirror(h[partner])) < 1e-4 * room
+
+    @pytest.mark.parametrize("n_half", [8, 16, 32, 48, 64])
+    def test_adopted_spectra_pass_the_shared_test_within_eta_of_eigh(self, n_half,
+                                                                      monkeypatch):
+        adopted = 0
+        for potential in sorted(POTENTIAL_PRESETS):
+            for vector_potential in sorted(POTENTIAL_PRESETS):
+                budget = preset_budget(potential, vector_potential, n_half)
+                offered = record_adoptions(monkeypatch)
+                calls = count_eigh(monkeypatch)
+                budget = rebuilt_with_parity(budget, budget.family.parity)
+                monkeypatch.undo()
+                eta = max_eta(budget)
+                examined = np.count_nonzero(~np.isnan(budget.gaps) & (budget.kappas != 0.0))
+                for op, w, q, taken in offered:
+                    assert taken   # every mirror offered on these grids passes
+                    assert spectrum_defect(op.matrix, w, q) is None
+                    assert op.decomposition.eigenvalues.tobytes() == w.tobytes()
+                    assert np.max(np.abs(w - np.linalg.eigvalsh(op.matrix))) <= eta
+                # T's spectrum is cached: one eigh per examined coupling not adopted
+                assert len(calls) == examined - len(offered), (potential, vector_potential)
+                adopted += len(offered)
+        assert adopted >= 16
+
+    @pytest.mark.parametrize("n_half", [8, 16, 48])
+    def test_without_parity_or_with_a_wrong_one_every_examined_point_is_decomposed(
+            self, n_half, monkeypatch):
+        budget = preset_budget("harmonic", "gaussian", n_half)
+        want = rebuilt_with_parity(budget, None)
+        examined = np.count_nonzero(~np.isnan(want.gaps) & (want.kappas != 0.0))
+        rng = rng_for(n_half, 95)
+        flipped = np.array(budget.family.parity)
+        flipped[-1] = -flipped[-1]
+        for parity in (None, np.ones(budget.T.dim), flipped,
+                       rng.choice([-1.0, 1.0], size=budget.T.dim)):
+            calls = count_eigh(monkeypatch)
+            got = rebuilt_with_parity(budget, parity)
+            monkeypatch.undo()
+            assert len(calls) == examined   # T's spectrum is cached
+            assert got.gaps.tobytes() == want.gaps.tobytes()
+            assert bits(got.delta) == bits(want.delta)
+            assert list(got.operators) == list(want.operators)
+            for kappa, op in got.operators.items():
+                assert op.decomposition.eigenvectors.tobytes() == \
+                    want.operators[kappa].decomposition.eigenvectors.tobytes()
+        # with the pipeline's own signature the same points are examined, fewer decomposed
+        calls = count_eigh(monkeypatch)
+        mirrored = rebuilt_with_parity(budget, budget.family.parity)
+        monkeypatch.undo()
+        assert np.isnan(mirrored.gaps).tolist() == np.isnan(want.gaps).tolist()
+        assert mirrored.admissible.tolist() == want.admissible.tolist()
+        assert len(calls) < examined
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_a_wrong_parity_on_a_generic_family_costs_nothing(self, seed, monkeypatch):
+        # a random sign vector is no symmetry of these families: no mirror passes,
+        # and the budget is the one without parity, eigh for eigh
+        sign = rng_for(seed, 96).choice([-1.0, 1.0], size=certificate_family(seed)[0].dim)
+        budgets = []
+        for parity in (None, sign):
+            t, family, s0, kappa0, grid = certificate_family(seed)   # nothing cached
+            calls = count_eigh(monkeypatch)
+            offered = record_adoptions(monkeypatch)
+            wrong = PerturbationFamily(family.coefficients, b=family.b, parity=parity)
+            budgets.append((budget_or_error(semigroup_threshold, t, wrong, s0, kappa0, grid),
+                            len(calls)))
+            monkeypatch.undo()
+            assert not any(taken for *_, taken in offered)
+        (want, want_calls), (got, got_calls) = budgets
+        assert got_calls == want_calls
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert got.gaps.tobytes() == want.gaps.tobytes() and bits(got.delta) == bits(want.delta)
+
+    def test_the_mirrored_report_moves_only_values_within_eta(self, monkeypatch):
+        # the N = 48 report with and without the mirror: the same header, row keys,
+        # statuses and summary counts; the values of near-mirrored rows move within eta
+        config = ExperimentConfig(kind="schrodinger", seed=0, params={"N": 48, "h": 8.0 / 48})
+        mirrored = run(config).render(timestamp=False).splitlines()
+        without_parity(monkeypatch)
+        plain = run(config).render(timestamp=False).splitlines()
+        eta = max_eta(preset_budget("harmonic", "gaussian", 48))
+        assert len(mirrored) == len(plain)
+        moved = 0
+        for got, want in zip(mirrored, plain):
+            if got.startswith("# summary_min_verdict_margin: "):
+                got, want = float(got.split()[-1]), float(want.split()[-1])
+                assert abs(got - want) <= eta
+            elif got.startswith("#") or got.startswith("stage,"):
+                assert got == want
+            else:
+                *key, value, ok = got.split(",")
+                *want_key, want_value, want_ok = want.split(",")
+                assert (key, ok) == (want_key, want_ok)
+                assert abs(float(value) - float(want_value)) <= eta
+                moved += value != want_value
+        assert moved == 3   # the rows of e = 0.0010000000000000009, mirrored from -0.001
 
 
 class TestBoundChainSeeded:

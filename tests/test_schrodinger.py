@@ -486,10 +486,11 @@ class TestMagneticExperiment:
         report = magnetic_experiment(harmonic_model(), e_grid=np.linspace(-0.008, 0.008, 5),
                                      s0=1.0)
         assert report.all_true
-        # the checked eigh are H0's and one per nonzero coupling of the grid; M1's
-        # norm is proven from its parity cross block and M2 is held by its
+        # the checked eigh are H0's and one per mirror pair of nonzero couplings
+        # (+-0.004, +-0.008), the second of each pair taking its mirror's spectrum;
+        # M1's norm is proven from its parity cross block and M2 is held by its
         # spectrum, so neither norm takes one
-        assert callers == {"eigh": ["checked_eigh"] * 5, "eigvalsh": []}
+        assert callers == {"eigh": ["checked_eigh"] * 3, "eigvalsh": []}
 
     @pytest.mark.parametrize("n_half, spacing", [(8, 0.5), (8, 1.0), (16, 0.5), (32, 0.25),
                                                  (64, 0.125), (128, 0.0625)])
